@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -128,6 +129,12 @@ func main() {
 		opt.Sync = persist.SyncOff
 	}
 
+	// The signal handler goes in before anything a client can observe:
+	// once the port answers, a SIGTERM must find the handler installed,
+	// or the default action kills the process without its final save.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	engine, info := harness.Serve(spec, opt, service.Config{
 		Workers:    *workers,
 		Backlog:    *backlog,
@@ -150,17 +157,22 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           service.NewServer(engine),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "atmd: %v\n", err)
+		_ = engine.Close()
+		os.Exit(1)
+	}
+	// Printed only once the port is bound: a supervisor that waits for
+	// this line can connect.
+	fmt.Printf("atmd: serving on %s (mode %s, kinds %s)\n", ln.Addr(), *mode, strings.Join(engine.KindNames(), ","))
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Printf("atmd: serving on %s (mode %s, kinds %s)\n", *addr, *mode, strings.Join(engine.KindNames(), ","))
+	go func() { errCh <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("atmd: %v: draining\n", s)

@@ -91,6 +91,36 @@ func (s Stats) TotalReuse() float64 {
 	return float64(memo) / float64(tasks)
 }
 
+// TaskTotals is the sum over all task types of the four activity
+// counters: what a caller that diffs ATM activity around a batch needs,
+// without the locks, table walks and allocations of a full Stats.
+type TaskTotals struct {
+	Tasks, Executed, MemoizedTHT, MemoizedIKT int64
+}
+
+// TaskTotals sums the per-type, per-worker activity counters. Lock-free:
+// one atomic load of the type slice plus four per shard.
+func (a *ATM) TaskTotals() TaskTotals {
+	var t TaskTotals
+	sl := a.typeStates.Load()
+	if sl == nil {
+		return t
+	}
+	for _, ts := range *sl {
+		if ts == nil {
+			continue
+		}
+		for i := range ts.shards {
+			sh := &ts.shards[i]
+			t.Tasks += sh.tasks.Load()
+			t.Executed += sh.executed.Load()
+			t.MemoizedTHT += sh.memoTHT.Load()
+			t.MemoizedIKT += sh.memoIKT.Load()
+		}
+	}
+	return t
+}
+
 // Stats snapshots the engine's counters, summing the per-worker shards.
 func (a *ATM) Stats() Stats {
 	var st Stats

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +139,7 @@ type Engine struct {
 	tenants map[string]bool
 
 	reqs     chan *request
+	reqPool  sync.Pool // *request: per-request memory, reused (size-capped in release)
 	ctl      chan *ctlReq
 	quit     chan struct{}
 	loopDone chan struct{}
@@ -155,14 +157,72 @@ type Engine struct {
 
 	saveMu  sync.Mutex
 	saveErr error
+
+	// Loop-goroutine scratch, reused across batches (runGroup).
+	group   []*request
+	entries []taskrt.BatchEntry
 }
 
+// request is one submission on its way through the loop, plus the
+// memory a submission needs: the HTTP handler's body and reply buffers,
+// the decoded tasks and the slabs their input and output vectors are
+// carved from. Requests recycle through Engine.reqPool, so a warm server
+// allocates none of it per request. A pool per engine, not per process:
+// what a request holds is sized by this engine's catalog and traffic.
 type request struct {
 	tasks []Task
 	outs  [][]float64
 	group GroupStats
-	err   error
-	done  chan struct{}
+	// done receives one token when the loop has run the request; its
+	// capacity of one means the loop never blocks on a requester.
+	done chan struct{}
+
+	// types and regs are resolved at admission, on the requester's
+	// goroutine, so the loop goroutine only wires batch entries. regs
+	// holds the input and output region of task j at 2j and 2j+1. It is
+	// allocated afresh per submission and never reused: region identity
+	// is meaningful to core (the Dynamic-ATM exclusion set is keyed by
+	// output region pointer).
+	types []*taskrt.TaskType
+	regs  []region.Float64
+
+	body    []byte    // HTTP body
+	taskBuf []Task    // backing array of decoded tasks
+	in      []float64 // input slab: decoded tasks' Input vectors point into it
+	out     []float64 // output slab: outs point into it
+	reply   []byte    // encoded HTTP reply
+}
+
+// maxPooledRequestBytes caps what one pooled request may keep alive. An
+// occasional huge request is dropped to the garbage collector instead
+// of pinning its buffers in the pool, so idle memory tracks the typical
+// request, not the largest ever seen.
+const maxPooledRequestBytes = 1 << 20
+
+// getRequest returns a reset request from the pool (or a new one).
+func (e *Engine) getRequest() *request {
+	if r, _ := e.reqPool.Get().(*request); r != nil {
+		return r
+	}
+	return &request{done: make(chan struct{}, 1)}
+}
+
+// release returns r's memory to the pool. The caller must be done with
+// everything r handed out (decoded tasks, outs, reply), and the loop
+// must be done with r: release is only called before r was enqueued or
+// after its done token was received.
+func (e *Engine) release(r *request) {
+	// In bytes: a Task is 56, a type pointer 8, a slice header 24.
+	kept := cap(r.body) + cap(r.reply) + 8*(cap(r.in)+cap(r.out)) +
+		56*cap(r.taskBuf) + 8*cap(r.types) + 24*cap(r.outs)
+	if kept > maxPooledRequestBytes {
+		return
+	}
+	clear(r.taskBuf[:cap(r.taskBuf)]) // drop kind/tenant strings and input slices
+	clear(r.types[:cap(r.types)])
+	clear(r.outs[:cap(r.outs)])
+	r.tasks, r.regs, r.group = nil, nil, GroupStats{}
+	e.reqPool.Put(r)
 }
 
 type ctlReq struct {
@@ -368,13 +428,16 @@ func (e *Engine) setSaveErr(err error) {
 	e.saveMu.Unlock()
 }
 
-// validate checks a task group before admission and registers any new
-// (tenant, kind) types it names, so the loop goroutine only ever sees
-// resolvable tasks.
-func (e *Engine) validate(tasks []Task) error {
+// prepare checks a task group before admission, registers any new
+// (tenant, kind) types it names, and lays out the request's regions and
+// output vectors, so the loop goroutine only ever sees resolved tasks.
+func (e *Engine) prepare(r *request) error {
+	tasks := r.tasks
 	if len(tasks) == 0 {
 		return &BadTaskError{msg: "empty task list"}
 	}
+	r.types = r.types[:0]
+	nout := 0
 	for i, t := range tasks {
 		k, ok := e.kinds[t.Kind]
 		if !ok {
@@ -386,9 +449,33 @@ func (e *Engine) validate(tasks []Task) error {
 		if err := validTenant(t.Tenant); err != nil {
 			return fmt.Errorf("task %d: %w", i, err)
 		}
-		if _, err := e.registerType(t.Tenant, k); err != nil {
+		tt, err := e.registerType(t.Tenant, k)
+		if err != nil {
 			return fmt.Errorf("task %d: %w", i, err)
 		}
+		r.types = append(r.types, tt)
+		nout += k.Out
+	}
+	// Outputs start zeroed, as a fresh region would: a kernel is not
+	// obliged to write every element.
+	if cap(r.out) < nout {
+		r.out = make([]float64, nout)
+	} else {
+		r.out = r.out[:nout]
+		clear(r.out)
+	}
+	if cap(r.outs) < len(tasks) {
+		r.outs = make([][]float64, len(tasks))
+	}
+	r.outs = r.outs[:len(tasks)]
+	r.regs = make([]region.Float64, 2*len(tasks))
+	off := 0
+	for j, t := range tasks {
+		n := e.kinds[t.Kind].Out
+		r.outs[j] = r.out[off : off+n : off+n]
+		r.regs[2*j].Data = t.Input
+		r.regs[2*j+1].Data = r.outs[j]
+		off += n
 	}
 	return nil
 }
@@ -399,36 +486,55 @@ func (e *Engine) validate(tasks []Task) error {
 // coalesced batch the group rode in; past the watermark it returns
 // *OverloadError without queueing anything.
 func (e *Engine) Do(tasks []Task) ([][]float64, GroupStats, error) {
-	if e.closed.Load() {
-		return nil, GroupStats{}, ErrClosed
-	}
-	if err := e.validate(tasks); err != nil {
+	r := e.getRequest()
+	r.tasks = tasks
+	if err := e.submit(r); err != nil {
 		return nil, GroupStats{}, err
 	}
-	n := int64(len(tasks))
+	outs, g := r.outs, r.group
+	r.outs, r.out = nil, nil // the caller owns them now
+	e.release(r)
+	return outs, g, nil
+}
+
+// submit runs r.tasks through the loop and blocks until r.outs and
+// r.group are filled in. On success the caller releases r once it has
+// consumed them; on error submit has disposed of r itself.
+func (e *Engine) submit(r *request) error {
+	if e.closed.Load() {
+		e.release(r)
+		return ErrClosed
+	}
+	if err := e.prepare(r); err != nil {
+		e.release(r)
+		return err
+	}
+	n := int64(len(r.tasks))
 	limit := int64(e.rt.BacklogLimit())
 	if q := e.queued.Add(n); q > limit {
 		e.queued.Add(-n)
 		e.shedReqs.Add(1)
 		e.shedTask.Add(n)
-		return nil, GroupStats{}, &OverloadError{Queued: q - n, Limit: limit}
+		e.release(r)
+		return &OverloadError{Queued: q - n, Limit: limit}
 	}
 	e.requests.Add(1)
 	e.tasks.Add(n)
-	r := &request{tasks: tasks, done: make(chan struct{})}
 	select {
 	case e.reqs <- r:
 	case <-e.quit:
 		e.queued.Add(-n)
-		return nil, GroupStats{}, ErrClosed
+		e.release(r)
+		return ErrClosed
 	}
 	select {
 	case <-r.done:
-		return r.outs, r.group, r.err
+		return nil
 	case <-e.loopDone:
 		// The loop exited without processing this request (shutdown
-		// race): the work never ran.
-		return nil, GroupStats{}, ErrClosed
+		// race): the work never ran. r may still sit in e.reqs, so it is
+		// left to the garbage collector, not the pool.
+		return ErrClosed
 	}
 }
 
@@ -527,6 +633,19 @@ func (e *Engine) save(path string) error {
 	return err
 }
 
+// saveAndCollect runs a save in the middle of the engine's life and
+// then a garbage collection. What a save builds — the delta and its
+// encoding, several times the table's budget on a busy server — is
+// garbage the moment it returns, but the collector's heap goal, and with
+// it the memory the process keeps resident, stays sized for it until the
+// next cycle. The request path allocates too little to bring that cycle
+// on soon, so the loop does, while it is stalled on the save anyway.
+func (e *Engine) saveAndCollect(path string) error {
+	err := e.save(path)
+	runtime.GC()
+	return err
+}
+
 // loop is the engine's master goroutine: the only caller of
 // SubmitBatch/Wait/Reset, per taskrt's single-submitter contract.
 func (e *Engine) loop() {
@@ -550,9 +669,9 @@ func (e *Engine) loop() {
 				sinceReset = 0
 			}
 		case c := <-e.ctl:
-			c.err <- e.save(c.path)
+			c.err <- e.saveAndCollect(c.path)
 		case <-tick:
-			_ = e.save("")
+			_ = e.saveAndCollect("")
 		case <-e.quit:
 			for {
 				select {
@@ -569,27 +688,25 @@ func (e *Engine) loop() {
 	}
 }
 
-// statsSum folds the ATM per-type counters the group diff needs.
-func (e *Engine) statsSum() GroupStats {
-	var g GroupStats
+// memoTotals reads the ATM activity counters the group diff needs.
+func (e *Engine) memoTotals() core.TaskTotals {
 	if e.memo == nil {
-		return g
+		return core.TaskTotals{}
 	}
-	for _, ts := range e.memo.Stats().Types {
-		g.Tasks += ts.Tasks
-		g.Executed += ts.Executed
-		g.MemoTHT += ts.MemoizedTHT
-		g.MemoIKT += ts.MemoizedIKT
-	}
-	return g
+	return e.memo.TaskTotals()
 }
+
+// maxKeptEntries bounds the batch-entry buffer the loop keeps between
+// batches: a full coalesced batch plus the request that overshot it.
+// One oversized request does not pin a buffer of its size.
+const maxKeptEntries = 4096
 
 // runGroup coalesces the first request with whatever else is already
 // queued (up to Coalesce tasks), submits the whole group as one batch,
-// runs it to the completion fence and distributes the outputs. Returns
-// the number of batches submitted (for the reset cadence).
+// runs it to the completion fence and hands each request its token.
+// Returns the number of batches submitted (for the reset cadence).
 func (e *Engine) runGroup(first *request) int {
-	group := []*request{first}
+	group := append(e.group[:0], first)
 	total := len(first.tasks)
 	for total < e.cfg.Coalesce {
 		select {
@@ -601,40 +718,38 @@ func (e *Engine) runGroup(first *request) int {
 		}
 	}
 drained:
-	pre := e.statsSum()
-	entries := make([]taskrt.BatchEntry, 0, total)
-	outRegs := make([]*region.Float64, 0, total)
+	pre := e.memoTotals()
+	entries := e.entries[:0]
 	for _, r := range group {
-		for _, t := range r.tasks {
-			k := e.kinds[t.Kind]
-			out := region.NewFloat64(k.Out)
-			outRegs = append(outRegs, out)
-			// Admission registered the (tenant, kind) type; never nil here.
-			entries = append(entries, taskrt.Desc(e.taskType(t.Tenant, k),
-				taskrt.In(region.WrapFloat64(t.Input)), taskrt.Out(out)))
+		for j, tt := range r.types {
+			entries = append(entries, taskrt.Desc(tt,
+				taskrt.In(&r.regs[2*j]), taskrt.Out(&r.regs[2*j+1])))
 		}
 	}
 	e.rt.SubmitBatch(entries)
 	e.rt.Wait()
 	e.batches.Add(1)
 
-	post := e.statsSum()
+	post := e.memoTotals()
 	g := GroupStats{
 		Tasks:    post.Tasks - pre.Tasks,
 		Executed: post.Executed - pre.Executed,
-		MemoTHT:  post.MemoTHT - pre.MemoTHT,
-		MemoIKT:  post.MemoIKT - pre.MemoIKT,
+		MemoTHT:  post.MemoizedTHT - pre.MemoizedTHT,
+		MemoIKT:  post.MemoizedIKT - pre.MemoizedIKT,
 	}
-	i := 0
 	for _, r := range group {
-		r.outs = make([][]float64, len(r.tasks))
-		for j := range r.tasks {
-			r.outs[j] = outRegs[i].Data
-			i++
-		}
 		r.group = g
-		close(r.done)
+		r.done <- struct{}{}
 	}
 	e.queued.Add(-int64(total))
+
+	// Keep the buffers, not what they point to.
+	clear(group)
+	e.group = group[:0]
+	if cap(entries) > maxKeptEntries {
+		entries = nil
+	}
+	clear(entries)
+	e.entries = entries[:0]
 	return 1
 }

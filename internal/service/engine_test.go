@@ -127,7 +127,7 @@ func TestEngineSheds(t *testing.T) {
 	}
 }
 
-func mustKind(t *testing.T, name string) Kind {
+func mustKind(t testing.TB, name string) Kind {
 	t.Helper()
 	k, ok := KindByName(name)
 	if !ok {

@@ -1,17 +1,14 @@
 package service
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"atm/internal/metrics"
@@ -35,47 +32,13 @@ import (
 //
 // Overload is shed with 429 + Retry-After; malformed bodies get 400.
 
+// tenantHeader is X-ATM-Tenant in the canonical spelling net/http keys
+// headers by, so looking it up does not allocate a canonicalized copy.
+const tenantHeader = "X-Atm-Tenant"
+
 // maxBodyBytes bounds a submit body (64 tasks of the largest kind fit
 // in well under 1 MiB of JSON; 8 MiB leaves generous headroom).
 const maxBodyBytes = 8 << 20
-
-// submitRequest is the JSON submit body.
-type submitRequest struct {
-	Tasks []taskSpec `json:"tasks"`
-}
-
-// taskSpec is one task: a kind plus either an explicit input vector or
-// a (key, seed) pair the server expands through the deterministic
-// workload generator (the form atmload's smoke mode and quick curl
-// tests use). Tenant selects the memoization namespace; a request-wide
-// default comes from the X-ATM-Tenant header.
-type taskSpec struct {
-	Kind   string    `json:"kind"`
-	Tenant string    `json:"tenant,omitempty"`
-	Input  []float64 `json:"input,omitempty"`
-	Key    *uint64   `json:"key,omitempty"`
-	Seed   uint64    `json:"seed,omitempty"`
-}
-
-// submitResponse is the JSON submit reply.
-type submitResponse struct {
-	Results []taskResult   `json:"results"`
-	Batch   batchBreakdown `json:"batch"`
-}
-
-type taskResult struct {
-	Output []float64 `json:"output"`
-}
-
-// batchBreakdown reports the coalesced engine batch's ATM activity
-// (per-batch granularity: requests coalesced together see the same
-// numbers).
-type batchBreakdown struct {
-	Tasks    int64 `json:"tasks"`
-	Executed int64 `json:"executed"`
-	MemoTHT  int64 `json:"memo_tht"`
-	MemoIKT  int64 `json:"memo_ikt"`
-}
 
 type lookupResponse struct {
 	Hit    bool      `json:"hit"`
@@ -178,15 +141,28 @@ type Server struct {
 
 	submitLat *metrics.Histogram
 	lookupLat *metrics.Histogram
-
-	codeMu sync.Mutex
-	codes  map[codeKey]int64
+	// routes holds the instrumented routes in the order /metrics lists
+	// them, by name.
+	routes []*route
 }
 
-type codeKey struct {
-	route string
-	code  int
+// statusCodes are the codes a handler can answer with (writeError's
+// four, 200, and the snapshot route's 409), ascending.
+var statusCodes = [...]int{
+	http.StatusOK, http.StatusBadRequest, http.StatusConflict,
+	http.StatusTooManyRequests, http.StatusInternalServerError, http.StatusServiceUnavailable,
 }
+
+// route is one instrumented route: a request counter per status code
+// and an optional latency histogram.
+type route struct {
+	name  string
+	lat   *metrics.Histogram
+	codes [len(statusCodes)]atomic.Int64
+}
+
+// handlerFunc is an http.HandlerFunc that returns the status it wrote.
+type handlerFunc func(http.ResponseWriter, *http.Request) int
 
 // NewServer wires the routes for an engine. The returned Server is an
 // http.Handler.
@@ -197,13 +173,12 @@ func NewServer(e *Engine) *Server {
 		start:     time.Now(),
 		submitLat: &metrics.Histogram{},
 		lookupLat: &metrics.Histogram{},
-		codes:     make(map[codeKey]int64),
 	}
-	s.mux.HandleFunc("POST /v1/submit", s.instrument("submit", s.submitLat, s.handleSubmit))
-	s.mux.HandleFunc("GET /v1/lookup", s.instrument("lookup", s.lookupLat, s.handleLookup))
-	s.mux.HandleFunc("POST /v1/snapshot", s.instrument("snapshot", nil, s.handleSnapshot))
-	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", nil, s.handleStats))
-	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", nil, s.handleMetrics))
+	s.handle("GET /v1/lookup", "lookup", s.lookupLat, s.handleLookup)
+	s.handle("GET /metrics", "metrics", nil, s.handleMetrics)
+	s.handle("POST /v1/snapshot", "snapshot", nil, s.handleSnapshot)
+	s.handle("GET /v1/stats", "stats", nil, s.handleStats)
+	s.handle("POST /v1/submit", "submit", s.submitLat, s.handleSubmit)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, "ok\n")
 	})
@@ -212,133 +187,105 @@ func NewServer(e *Engine) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// statusWriter captures the response code for the per-route counters.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
+// handle registers an instrumented route.
+func (s *Server) handle(pattern, name string, lat *metrics.Histogram, h handlerFunc) {
+	rt := &route{name: name, lat: lat}
+	s.routes = append(s.routes, rt)
+	s.mux.HandleFunc(pattern, rt.instrument(h))
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with the per-route code counter and an
-// optional latency histogram.
-func (s *Server) instrument(route string, lat *metrics.Histogram, h http.HandlerFunc) http.HandlerFunc {
+// instrument wraps a handler with the route's code counter and latency
+// histogram.
+func (rt *route) instrument(h handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		t0 := time.Now()
-		h(sw, r)
-		if lat != nil {
-			lat.Observe(time.Since(t0))
+		code := h(w, r)
+		if rt.lat != nil {
+			rt.lat.Observe(time.Since(t0))
 		}
-		s.codeMu.Lock()
-		s.codes[codeKey{route: route, code: sw.code}]++
-		s.codeMu.Unlock()
+		for i, c := range statusCodes {
+			if c == code {
+				rt.codes[i].Add(1)
+				return
+			}
+		}
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+	return code
 }
 
 // writeError maps engine errors onto the HTTP status contract:
 // validation failures 400, overload 429 + Retry-After, shutdown 503,
 // anything else 500.
-func writeError(w http.ResponseWriter, err error) {
+func writeError(w http.ResponseWriter, err error) int {
 	var bad *BadTaskError
 	var over *OverloadError
 	switch {
 	case errors.As(err, &bad):
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 	case errors.As(err, &over):
 		// Shed, don't queue: the client owns the retry. One second is
 		// long enough for the engine to drain a full watermark of the
 		// cheap kinds many times over.
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		return writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
 	case errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		return writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
 }
 
-// resolve expands a taskSpec into a concrete Task. defTenant is the
-// request-wide tenant (the X-ATM-Tenant header); a per-task tenant
-// overrides it.
-func (s *Server) resolve(i int, spec taskSpec, defTenant string) (Task, error) {
-	tenant := spec.Tenant
-	if tenant == "" {
-		tenant = defTenant
-	}
-	if spec.Input != nil {
-		return Task{Kind: spec.Kind, Tenant: tenant, Input: spec.Input}, nil
-	}
-	if spec.Key == nil {
-		return Task{}, &BadTaskError{msg: fmt.Sprintf("task %d: needs either input or key", i)}
-	}
-	k, ok := s.e.Kind(spec.Kind)
-	if !ok {
-		return Task{}, &BadTaskError{msg: fmt.Sprintf("task %d: unknown kind %q", i, spec.Kind)}
-	}
-	return Task{Kind: spec.Kind, Tenant: tenant, Input: Input(k, *spec.Key, spec.Seed)}, nil
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// readTasks reads the request's body and decodes it into q.
+func (s *Server) readTasks(w http.ResponseWriter, r *http.Request, q *request) (err error) {
+	q.body, err = readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), q.body, r.ContentLength)
 	if err != nil {
-		writeError(w, &BadTaskError{msg: "body: " + err.Error()})
-		return
+		return &BadTaskError{msg: "body: " + err.Error()}
 	}
-	var tasks []Task
-	ct := r.Header.Get("Content-Type")
-	defTenant := r.Header.Get("X-ATM-Tenant")
-	if strings.HasPrefix(ct, binaryContentType) {
-		tasks, err = decodeBinaryTasks(body)
-		for i := range tasks {
-			// The binary encoding carries no per-task tenant; the header
-			// scopes the whole request.
-			tasks[i].Tenant = defTenant
-		}
+	// The X-ATM-Tenant header scopes the whole request; a JSON task's
+	// own tenant overrides it, the binary encoding carries none.
+	tenant := r.Header.Get(tenantHeader)
+	if strings.HasPrefix(r.Header.Get("Content-Type"), binaryContentType) {
+		q.taskBuf, q.in, err = decodeBinaryTasks(s.e.kinds, q.body, tenant, q.taskBuf, q.in)
 	} else {
-		var req submitRequest
-		if jerr := json.Unmarshal(body, &req); jerr != nil {
-			err = &BadTaskError{msg: "malformed JSON body: " + jerr.Error()}
-		} else {
-			tasks = make([]Task, 0, len(req.Tasks))
-			for i, spec := range req.Tasks {
-				var t Task
-				if t, err = s.resolve(i, spec, defTenant); err != nil {
-					break
-				}
-				tasks = append(tasks, t)
-			}
-		}
+		q.taskBuf, q.in, err = decodeJSONTasks(s.e.kinds, q.body, tenant, q.taskBuf, q.in)
 	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	outs, g, err := s.e.Do(tasks)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := submitResponse{
-		Results: make([]taskResult, len(outs)),
-		Batch:   batchBreakdown{Tasks: g.Tasks, Executed: g.Executed, MemoTHT: g.MemoTHT, MemoIKT: g.MemoIKT},
-	}
-	for i, o := range outs {
-		resp.Results[i] = taskResult{Output: o}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return err
 }
 
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
+// handleSubmit reads, decodes, runs and answers one submit request out
+// of one pooled request's memory.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) int {
+	e := s.e
+	q := e.getRequest()
+	if err := s.readTasks(w, r, q); err != nil {
+		e.release(q)
+		return writeError(w, err)
+	}
+	q.tasks = q.taskBuf
+	if err := e.submit(q); err != nil {
+		return writeError(w, err)
+	}
+	defer e.release(q)
+	// The whole reply is built before the status line goes out, so a
+	// value JSON cannot carry is a clean 500, and the length is known.
+	var err error
+	if q.reply, err = appendSubmitReply(q.reply[:0], q.outs, q.group); err != nil {
+		return writeError(w, err)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(q.reply)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(q.reply) // a client that went away is not the server's error
+	return http.StatusOK
+}
+
+func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
 	q := r.URL.Query()
 	kind := q.Get("kind")
 	var input []float64
@@ -347,66 +294,57 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		for _, f := range strings.Split(q.Get("input"), ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
-				writeError(w, &BadTaskError{msg: "bad input value: " + err.Error()})
-				return
+				return writeError(w, &BadTaskError{msg: "bad input value: " + err.Error()})
 			}
 			input = append(input, v)
 		}
 	case q.Get("key") != "":
 		key, err := strconv.ParseUint(q.Get("key"), 10, 64)
 		if err != nil {
-			writeError(w, &BadTaskError{msg: "bad key: " + err.Error()})
-			return
+			return writeError(w, &BadTaskError{msg: "bad key: " + err.Error()})
 		}
 		var seed uint64
 		if sstr := q.Get("seed"); sstr != "" {
 			if seed, err = strconv.ParseUint(sstr, 10, 64); err != nil {
-				writeError(w, &BadTaskError{msg: "bad seed: " + err.Error()})
-				return
+				return writeError(w, &BadTaskError{msg: "bad seed: " + err.Error()})
 			}
 		}
 		k, ok := s.e.Kind(kind)
 		if !ok {
-			writeError(w, &BadTaskError{msg: fmt.Sprintf("unknown kind %q", kind)})
-			return
+			return writeError(w, &BadTaskError{msg: fmt.Sprintf("unknown kind %q", kind)})
 		}
 		input = Input(k, key, seed)
 	default:
-		writeError(w, &BadTaskError{msg: "lookup needs ?input=... or ?key=..."})
-		return
+		return writeError(w, &BadTaskError{msg: "lookup needs ?input=... or ?key=..."})
 	}
 	tenant := q.Get("tenant")
 	if tenant == "" {
-		tenant = r.Header.Get("X-ATM-Tenant")
+		tenant = r.Header.Get(tenantHeader)
 	}
 	out, hit, err := s.e.LookupTenant(tenant, kind, input)
 	if err != nil {
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
-	writeJSON(w, http.StatusOK, lookupResponse{Hit: hit, Output: out})
+	return writeJSON(w, http.StatusOK, lookupResponse{Hit: hit, Output: out})
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) int {
 	var req struct {
 		Path string `json:"path"`
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
 	if err == nil && len(body) > 0 {
 		if jerr := json.Unmarshal(body, &req); jerr != nil {
-			writeError(w, &BadTaskError{msg: "malformed JSON body: " + jerr.Error()})
-			return
+			return writeError(w, &BadTaskError{msg: "malformed JSON body: " + jerr.Error()})
 		}
 	}
 	if err := s.e.Snapshot(req.Path); err != nil {
 		if errors.Is(err, ErrNoPersistence) {
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
-			return
+			return writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 		}
-		writeError(w, err)
-		return
+		return writeError(w, err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"saved": true})
+	return writeJSON(w, http.StatusOK, map[string]any{"saved": true})
 }
 
 // BuildStats assembles the stats JSON (also used by the loadgen's
@@ -451,36 +389,28 @@ func (s *Server) BuildStats() StatsResponse {
 	return resp
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.BuildStats())
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) int {
+	return writeJSON(w, http.StatusOK, s.BuildStats())
 }
 
 // handleMetrics renders the Prometheus exposition: the engine and HTTP
 // counters plus the ATM per-type and table statistics (the metrics
 // catalog of docs/service.md).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := metrics.NewProm(w)
 	c := s.e.Counters()
 
 	p.Family("atmd_requests_total", "counter", "HTTP requests by route and status code.")
-	s.codeMu.Lock()
-	keys := make([]codeKey, 0, len(s.codes))
-	for k := range s.codes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
+	for _, rt := range s.routes {
+		for i, code := range statusCodes {
+			if n := rt.codes[i].Load(); n > 0 {
+				p.Sample("atmd_requests_total",
+					[]metrics.Label{{Name: "route", Value: rt.name}, {Name: "code", Value: strconv.Itoa(code)}},
+					float64(n))
+			}
 		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		p.Sample("atmd_requests_total",
-			[]metrics.Label{{Name: "route", Value: k.route}, {Name: "code", Value: strconv.Itoa(k.code)}},
-			float64(s.codes[k]))
 	}
-	s.codeMu.Unlock()
 
 	p.Family("atmd_tasks_total", "counter", "Tasks admitted through /v1/submit.")
 	p.Sample("atmd_tasks_total", nil, float64(c.Tasks))
@@ -554,77 +484,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Family("atm_ikt_defers_total", "counter", "Tasks deferred to an in-flight provider.")
 	p.Sample("atm_ikt_defers_total", nil, float64(st.IKTDefers))
 	_ = p.Err()
-}
-
-// binaryContentType selects the compact submit encoding: little-endian
-//
-//	u32 ntasks, then per task: u8 kind-name length, kind name,
-//	u32 nfloats, nfloats × f64.
-const binaryContentType = "application/x-atm-tasks"
-
-// decodeBinaryTasks parses the binary submit body.
-func decodeBinaryTasks(body []byte) ([]Task, error) {
-	bad := func(msg string) error { return &BadTaskError{msg: "binary body: " + msg} }
-	if len(body) < 4 {
-		return nil, bad("truncated count")
-	}
-	n := binary.LittleEndian.Uint32(body)
-	if n == 0 || n > 1<<20 {
-		return nil, bad(fmt.Sprintf("implausible task count %d", n))
-	}
-	off := 4
-	tasks := make([]Task, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if off >= len(body) {
-			return nil, bad("truncated kind length")
-		}
-		kl := int(body[off])
-		off++
-		if off+kl > len(body) {
-			return nil, bad("truncated kind name")
-		}
-		kind := string(body[off : off+kl])
-		off += kl
-		if off+4 > len(body) {
-			return nil, bad("truncated float count")
-		}
-		nf := int(binary.LittleEndian.Uint32(body[off:]))
-		off += 4
-		if nf < 0 || off+8*nf > len(body) {
-			return nil, bad("truncated input vector")
-		}
-		in := make([]float64, nf)
-		for j := 0; j < nf; j++ {
-			in[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8*j:]))
-		}
-		off += 8 * nf
-		tasks = append(tasks, Task{Kind: kind, Input: in})
-	}
-	if off != len(body) {
-		return nil, bad(fmt.Sprintf("%d trailing bytes", len(body)-off))
-	}
-	return tasks, nil
-}
-
-// EncodeBinaryTasks renders tasks in the binary submit encoding (the
-// client half, used by atmload's -binary mode and tests).
-func EncodeBinaryTasks(tasks []Task) ([]byte, error) {
-	buf := make([]byte, 4, 4+len(tasks)*64)
-	binary.LittleEndian.PutUint32(buf, uint32(len(tasks)))
-	for _, t := range tasks {
-		if len(t.Kind) > 255 {
-			return nil, fmt.Errorf("kind name too long: %q", t.Kind)
-		}
-		buf = append(buf, byte(len(t.Kind)))
-		buf = append(buf, t.Kind...)
-		var nf [4]byte
-		binary.LittleEndian.PutUint32(nf[:], uint32(len(t.Input)))
-		buf = append(buf, nf[:]...)
-		for _, v := range t.Input {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			buf = append(buf, b[:]...)
-		}
-	}
-	return buf, nil
+	return http.StatusOK
 }

@@ -309,7 +309,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeBinaryTasks(b)
+	got, _, err := decodeBinaryTasks(nil, b, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("task %d mismatch", i)
 		}
 	}
-	if _, err := decodeBinaryTasks(append(b, 0)); err == nil {
+	if _, _, err := decodeBinaryTasks(nil, append(b, 0), "", nil, nil); err == nil {
 		t.Error("trailing byte accepted")
 	}
 }

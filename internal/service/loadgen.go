@@ -84,6 +84,25 @@ type LoadReport struct {
 	FirstError string `json:"first_error,omitempty"`
 }
 
+// submitRequest is the JSON submit body as the generator marshals it;
+// the server reads the same grammar without these types (codec.go).
+type submitRequest struct {
+	Tasks []taskSpec `json:"tasks"`
+}
+
+// taskSpec is one task: a kind plus either an explicit input vector or
+// a (key, seed) pair the server expands through the deterministic
+// workload generator (the form atmload's smoke mode and quick curl
+// tests use). Tenant selects the memoization namespace; a request-wide
+// default comes from the X-ATM-Tenant header.
+type taskSpec struct {
+	Kind   string    `json:"kind"`
+	Tenant string    `json:"tenant,omitempty"`
+	Input  []float64 `json:"input,omitempty"`
+	Key    *uint64   `json:"key,omitempty"`
+	Seed   uint64    `json:"seed,omitempty"`
+}
+
 // mixEntry is one kind's slot in the cumulative selection table.
 type mixEntry struct {
 	kind Kind

@@ -105,12 +105,17 @@ func fnv64(s string) uint64 {
 // [0, 1); the kernels scale them into their own domains.
 func Input(k Kind, key, seed uint64) []float64 {
 	in := make([]float64, k.In)
+	fillInput(in, k, key, seed)
+	return in
+}
+
+// fillInput writes Input(k, key, seed) into in[:k.In].
+func fillInput(in []float64, k Kind, key, seed uint64) {
 	s := splitmix64(seed^fnv64(k.Name)) + key
-	for i := range in {
+	for i := range in[:k.In] {
 		s = splitmix64(s)
 		in[i] = float64(s>>11) / (1 << 53)
 	}
-	return in
 }
 
 // DefaultMix is atmload's default workload mix over the memoizable

@@ -1,0 +1,72 @@
+package atm
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"atm/internal/core"
+	"atm/internal/service"
+)
+
+// BenchmarkServeHTTP measures one warm POST /v1/submit through
+// Server.ServeHTTP on a recorder — the HTTP front-end without a socket:
+// body read, decode, Engine.Do (four THT hits), reply encode. The body
+// is the request ISSUE 12 profiled: one blackscholes, kmeans, lu and
+// stencil task, 624 input floats, ≈12 KB as JSON. json and bin send the
+// same tasks, so their difference is the request decoder (BENCH_8.json).
+func BenchmarkServeHTTP(b *testing.B) {
+	var tasks []service.Task
+	type jsonTask struct {
+		Kind  string    `json:"kind"`
+		Input []float64 `json:"input"`
+	}
+	var jt []jsonTask
+	for i, name := range []string{"blackscholes", "kmeans", "lu", "stencil"} {
+		k, _ := service.KindByName(name)
+		in := service.Input(k, uint64(i), 1)
+		tasks = append(tasks, service.Task{Kind: name, Input: in})
+		jt = append(jt, jsonTask{name, in})
+	}
+	jsonBody, err := json.Marshal(map[string]any{"tasks": jt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	binBody, err := service.EncodeBinaryTasks(tasks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, enc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"json", "application/json", jsonBody},
+		{"bin", "application/x-atm-tasks", binBody},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			eng := service.New(service.Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
+			defer eng.Close()
+			srv := service.NewServer(eng)
+			serve := func() {
+				req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(enc.body))
+				req.Header.Set("Content-Type", enc.contentType)
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+			for i := 0; i < 8; i++ {
+				serve() // the first pass executes and inserts; the rest are hits
+			}
+			b.SetBytes(int64(len(enc.body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
+}
