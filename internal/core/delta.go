@@ -122,13 +122,41 @@ func (a *ATM) DeltaTracking() bool {
 // complete at a given instant, take the final delta after traffic
 // stops (the harness does).
 func (a *ATM) SnapshotDelta() (*Delta, error) {
+	d, _, err := a.snapshotDelta(false)
+	return d, err
+}
+
+// LendDelta extracts the delta as SnapshotDelta does and lends it to fn
+// without copying the logged entries' payload: d's regions are the
+// table's own, retained and immutable until fn returns, after which d
+// must not be used. It is the periodic save's form — encode the delta,
+// drop it — and saves that path a copy of everything inserted since the
+// last save; a caller that keeps or applies the delta wants
+// SnapshotDelta. The epoch is sealed and the log drained whether or not
+// fn succeeds, exactly as when a save fails after SnapshotDelta.
+func (a *ATM) LendDelta(fn func(d *Delta) error) error {
+	d, log, err := a.snapshotDelta(true)
+	if err != nil {
+		return err
+	}
+	err = fn(d)
+	for _, rec := range log {
+		rec.e.Release() // nil-safe: tombstones hold no reference
+	}
+	return err
+}
+
+// snapshotDelta is SnapshotDelta. With lend set the delta's regions alias
+// the logged entries' instead of cloning them, and the drained log comes
+// back still holding the entries' references for the caller to release.
+func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
 	if a.rt != nil {
 		a.rt.Wait()
 	}
 	a.snapMu.Lock()
 	defer a.snapMu.Unlock()
 	if !a.tracking {
-		return nil, ErrNotTracking
+		return nil, nil, ErrNotTracking
 	}
 	// Seal the current epoch first: a metadata mutation that runs after
 	// this bump stamps the new epoch and is picked up by the next save
@@ -158,7 +186,7 @@ func (a *ATM) SnapshotDelta() (*Delta, error) {
 		if seen[name] {
 			// Same policy as Snapshot: name-keyed sections cannot carry a
 			// collision; fail at save time, where it is diagnosable.
-			return nil, fmt.Errorf("core: two task types named %q: snapshot sections are keyed by type name", name)
+			return nil, nil, fmt.Errorf("core: two task types named %q: snapshot sections are keyed by type name", name)
 		}
 		seen[name] = true
 		ts.mu.Lock()
@@ -198,12 +226,14 @@ func (a *ATM) SnapshotDelta() (*Delta, error) {
 		names[id] = name
 	}
 	a.typeMu.Unlock()
-	for _, rec := range log {
+	d.Entries = make([]DeltaEntry, 0, len(log))
+	for i, rec := range log {
 		name, ok := names[rec.typeID]
 		if !ok {
 			// An operation from a type absent from the refreshed registry
 			// cannot happen through the engine; guard anyway.
 			rec.e.Release()
+			log[i].e = nil
 			continue
 		}
 		ti, ok := idx[name]
@@ -222,17 +252,24 @@ func (a *ATM) SnapshotDelta() (*Delta, error) {
 			}})
 			continue
 		}
+		outs, ins := rec.e.Outs, rec.e.Ins
+		if !lend {
+			outs, ins = cloneRegions(outs), cloneRegions(ins)
+			rec.e.Release()
+		}
 		d.Entries = append(d.Entries, DeltaEntry{Type: ti, EntrySnapshot: EntrySnapshot{
 			Key:      rec.e.Key,
 			Level:    rec.e.Level,
 			Provider: rec.e.ProviderID,
-			Outs:     cloneRegions(rec.e.Outs),
-			Ins:      cloneRegions(rec.e.Ins),
+			Outs:     outs,
+			Ins:      ins,
 		}})
-		rec.e.Release()
 	}
 	a.savedThrough = cur
-	return d, nil
+	if !lend {
+		log = nil
+	}
+	return d, log, nil
 }
 
 // ApplyDelta chains a delta onto a restored engine: metadata updates

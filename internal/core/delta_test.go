@@ -319,6 +319,62 @@ func TestFailedSnapshotLeavesDeltaChainIntact(t *testing.T) {
 	}
 }
 
+// TestLendDeltaSharesAndReleases: a lent delta carries what
+// SnapshotDelta's would, its regions are the table entries' own (no
+// copy), and the log's references are dropped once fn returns — the
+// table's reference is then each entry's only one.
+func TestLendDeltaSharesAndReleases(t *testing.T) {
+	deltaOf := func(lend bool) (d *Delta, memo *ATM) {
+		memo = New(Config{Mode: ModeStatic})
+		memo.EnableDeltaTracking()
+		rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
+		defer rt.Close()
+		tt := rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
+		runDistinct(rt, tt, 0, 5)
+		var err error
+		if lend {
+			err = memo.LendDelta(func(lent *Delta) error {
+				d = lent
+				memo.THT().forEach(func(e *Entry) {
+					// forEach holds a reference of its own while it visits.
+					if got := e.refs.Load(); got != 3 {
+						t.Errorf("entry %#x: %d references during the loan, want 3 (table, log, visitor)", e.Key, got)
+					}
+				})
+				return nil
+			})
+		} else {
+			d, err = memo.SnapshotDelta()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, memo
+	}
+	owned, _ := deltaOf(false)
+	lent, memo := deltaOf(true)
+	if len(lent.Entries) != 5 || len(lent.Entries) != len(owned.Entries) || len(lent.Types) != len(owned.Types) {
+		t.Fatalf("lent delta: %d entries / %d types, owned: %d / %d", len(lent.Entries), len(lent.Types), len(owned.Entries), len(owned.Types))
+	}
+	byKey := map[uint64]*Entry{}
+	memo.THT().forEach(func(e *Entry) { byKey[e.Key] = e })
+	for i, de := range lent.Entries {
+		e := byKey[de.Key]
+		if e == nil || len(de.Outs) != 1 || de.Outs[0] != e.Outs[0] {
+			t.Fatalf("lent entry %d does not share its table entry's output region", i)
+		}
+		if !de.Outs[0].EqualContents(owned.Entries[i].Outs[0]) && owned.Entries[i].Key == de.Key {
+			t.Errorf("lent entry %d differs from the owned delta's", i)
+		}
+		if got := e.refs.Load(); got != 1 {
+			t.Errorf("entry %#x: %d references after the loan, want 1 (the table's)", e.Key, got)
+		}
+	}
+	if got := memo.THT().DrainLog(); len(got) != 0 {
+		t.Fatalf("the loan must have drained the log, found %d records", len(got))
+	}
+}
+
 func TestDisableDeltaTrackingReleasesLog(t *testing.T) {
 	memo := New(Config{Mode: ModeStatic})
 	memo.EnableDeltaTracking()

@@ -414,12 +414,18 @@ func (st *memoState) appendDelta() error {
 	if st.err != nil {
 		return st.err
 	}
-	d, err := st.memo.SnapshotDelta()
+	// The delta is only encoded and dropped, so it is borrowed from the
+	// table (LendDelta), not copied out of it.
+	err := st.memo.LendDelta(st.appendRecord)
 	if err != nil {
 		st.err = err
 		st.memo.DisableDeltaTracking() // no further saves will drain the log
-		return err
 	}
+	return err
+}
+
+// appendRecord appends d to the chain file, with bounded retry.
+func (st *memoState) appendRecord(d *core.Delta) error {
 	// The stats are best-effort: a failed Stat must not abort the
 	// save itself.
 	var preSize int64 = -1
@@ -435,14 +441,12 @@ func (st *memoState) appendDelta() error {
 	// the error latches and delta tracking stops, since nothing
 	// will drain the insert log.
 	for attempt := 0; ; attempt++ {
-		err = persist.AppendDeltaSync(st.chain, d, st.sync)
+		err := persist.AppendDeltaSync(st.chain, d, st.sync)
 		if err == nil {
 			break
 		}
 		if attempt+1 >= saverMaxAttempts {
 			st.saverFailures++
-			st.err = err
-			st.memo.DisableDeltaTracking()
 			return err
 		}
 		st.saverRetries++

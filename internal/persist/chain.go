@@ -130,7 +130,7 @@ func MarshalChain(base *core.Snapshot, deltas []*core.Delta) ([]byte, error) {
 	}
 	for i, d := range deltas {
 		var err error
-		body, err = appendDeltaBody(body[:0], d)
+		body, err = appendDeltaBody(body[:0], d, nil)
 		if err != nil {
 			return nil, fmt.Errorf("persist: delta %d: %w", i, err)
 		}
@@ -151,6 +151,93 @@ func appendRecord(buf []byte, kind byte, body []byte) ([]byte, error) {
 	buf = append(buf, body...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
 	return buf, nil
+}
+
+// recordOverhead is a record's framing: kind, body length, body CRC.
+const recordOverhead = 1 + 4 + 4
+
+// streamChunk is how much of a delta record writeDeltaRecord gathers
+// between writes.
+const streamChunk = 256 << 10
+
+// writeDeltaRecord writes d's framed record to w through a buffer of
+// about streamChunk bytes: the length field comes from deltaBodySize and
+// the CRC is summed as chunks leave, so what a save holds in memory is
+// one chunk, not a second copy of everything inserted since the last
+// save. A record under a chunk long is still a single Write.
+func writeDeltaRecord(w io.Writer, d *core.Delta) error {
+	size := deltaBodySize(d)
+	if size > math.MaxUint32 {
+		return fmt.Errorf("persist: %d-byte record body overflows the format", size)
+	}
+	buf := make([]byte, 0, min(recordOverhead+size, streamChunk+streamChunk/8))
+	buf = append(buf, recordDelta)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(size))
+	head, sum, n := len(buf), uint32(0), 0 // head: framing bytes at the front of buf
+	body := func(b []byte) {
+		sum = crc32.Update(sum, crc32.IEEETable, b[head:])
+		n += len(b) - head
+		head = 0
+	}
+	buf, err := appendDeltaBody(buf, d, func(b []byte) ([]byte, error) {
+		body(b)
+		_, err := w.Write(b)
+		return b[:0], err
+	})
+	if err != nil {
+		return err
+	}
+	body(buf)
+	if n != size {
+		return fmt.Errorf("persist: delta body encoded to %d bytes, sized as %d", n, size)
+	}
+	_, err = w.Write(binary.LittleEndian.AppendUint32(buf, sum))
+	return err
+}
+
+// landWriter lands the first n bytes written to it in w and drops the
+// rest: FailpointAppend's partial write, spread over a streamed record.
+type landWriter struct {
+	w io.Writer
+	n int
+}
+
+func (l *landWriter) Write(p []byte) (int, error) {
+	k := min(len(p), l.n)
+	l.n -= k
+	if _, err := l.w.Write(p[:k]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// deltaBodySize is the number of bytes appendDeltaBody appends for d.
+func deltaBodySize(d *core.Delta) int {
+	n := 4
+	for i := range d.Types {
+		n += 2 + len(d.Types[i].Name) + 1 + 1 + 4 + 4
+	}
+	n += 4
+	tombs := 0
+	for i := range d.Entries {
+		e := &d.Entries[i].EntrySnapshot
+		if e.Tombstone {
+			tombs++
+			continue
+		}
+		// type, length, key, level, provider, two region counts, CRC
+		n += 4 + 4 + 8 + 1 + 8 + 2 + 2 + 4
+		for _, r := range e.Outs {
+			n += 1 + 4 + r.NumBytes()
+		}
+		for _, r := range e.Ins {
+			n += 1 + 4 + r.NumBytes()
+		}
+	}
+	if tombs > 0 {
+		n += 4 + tombs*(4+4+8+1+8)
+	}
+	return n
 }
 
 func appendBaseBody(body []byte, s *core.Snapshot) ([]byte, error) {
@@ -177,7 +264,11 @@ func appendBaseBody(body []byte, s *core.Snapshot) ([]byte, error) {
 	return body, nil
 }
 
-func appendDeltaBody(body []byte, d *core.Delta) ([]byte, error) {
+// appendDeltaBody appends d's body to body. A non-nil flush is handed
+// the bytes so far between two entries whenever streamChunk of them have
+// gathered, and returns the buffer to carry on in, so a file append
+// streams the body through a bounded buffer instead of holding it whole.
+func appendDeltaBody(body []byte, d *core.Delta, flush func([]byte) ([]byte, error)) ([]byte, error) {
 	if len(d.Types) > math.MaxUint32 {
 		return nil, fmt.Errorf("%d delta types overflow the format", len(d.Types))
 	}
@@ -250,6 +341,11 @@ func appendDeltaBody(body []byte, d *core.Delta) ([]byte, error) {
 		body = binary.LittleEndian.AppendUint32(body, uint32(len(eb)))
 		body = append(body, eb...)
 		body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(eb))
+		if flush != nil && len(body) >= streamChunk {
+			if body, err = flush(body); err != nil {
+				return nil, err
+			}
+		}
 	}
 	// The tombstone section is emitted only when non-empty, so a delta
 	// without evictions encodes exactly as it always has.
@@ -606,13 +702,14 @@ func LoadChain(path string) (*core.Snapshot, []*core.Delta, error) {
 // file in O(delta) I/O — the incremental save that keeps per-save cost
 // proportional to the churn. The file's header (magic, version,
 // fingerprint) is verified first; the body is not re-read. The append
-// is a single write of a CRC-framed record, fsynced before return
-// under SyncAlways. A write that fails partway is truncated back to
-// the pre-append length, so a live I/O error never leaves a torn tail;
-// a crash mid-append does, and that tail is exactly what SalvageChain
-// truncates away — recovery keeps every record up to the tear instead
-// of discarding the file (docs/persistence.md). AppendDeltaSync takes
-// the SyncPolicy explicitly.
+// is one CRC-framed record, streamed out in chunks (writeDeltaRecord)
+// and fsynced before return under SyncAlways. A write that fails
+// partway is truncated back to the pre-append length, so a live I/O
+// error never leaves a torn tail; a crash mid-append does, and that
+// tail is exactly what SalvageChain truncates away — recovery keeps
+// every record up to the tear instead of discarding the file
+// (docs/persistence.md). AppendDeltaSync takes the SyncPolicy
+// explicitly.
 func AppendDelta(path string, d *core.Delta) error {
 	return AppendDeltaSync(path, d, SyncAlways)
 }
@@ -644,26 +741,19 @@ func AppendDeltaSync(path string, d *core.Delta, sync SyncPolicy) error {
 	if fp != d.Fingerprint {
 		return fail(fmt.Errorf("%s: chain fingerprint %#016x, delta %#016x", path, fp, d.Fingerprint))
 	}
-	body, err := appendDeltaBody(nil, d)
-	if err != nil {
-		return fail(err)
-	}
-	rec, err := appendRecord(nil, recordDelta, body)
-	if err != nil {
-		return fail(err)
-	}
 	end, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fail(err)
 	}
-	n, werr := failpoint.InjectPartial(FailpointAppend, len(rec))
-	if _, err := f.Write(rec[:n]); err != nil && werr == nil {
+	n, werr := failpoint.InjectPartial(FailpointAppend, recordOverhead+deltaBodySize(d))
+	if err := writeDeltaRecord(&landWriter{w: f, n: n}, d); err != nil && werr == nil {
 		werr = err
 	}
 	if werr != nil {
-		// Undo the partial append so the caller may simply retry; after
-		// a simulated crash there is no process left to truncate, which
-		// is the torn tail the salvage path exists for.
+		// Undo the partial append (a failed write, or a delta that would
+		// not encode) so the caller may simply retry; after a simulated
+		// crash there is no process left to truncate, which is the torn
+		// tail the salvage path exists for.
 		if !crashed(werr) {
 			f.Truncate(end)
 		}

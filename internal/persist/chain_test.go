@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -94,6 +95,48 @@ func TestChainRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(reenc, data) {
 		t.Fatal("chain re-encode is not canonical")
+	}
+}
+
+// TestDeltaRecordStreamed pins the streamed record AppendDelta writes
+// against the in-memory encoder byte for byte, and the size its length
+// field is written from against the encoded body — tombstones, every
+// region kind and a delta several chunks long included.
+func TestDeltaRecordStreamed(t *testing.T) {
+	_, deltas := buildChain(t)
+	_, evicting, _ := buildEvictChain(t)
+	deltas = append(deltas, evicting...)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 50; i++ {
+		deltas = append(deltas, randDelta(rng, 1))
+	}
+	big := randDelta(rng, 1)
+	for len(big.Entries) < 20000 {
+		big.Entries = append(big.Entries, core.DeltaEntry{EntrySnapshot: randEntry(rng)})
+	}
+	deltas = append(deltas, big)
+	for i, d := range deltas {
+		body, err := appendDeltaBody(nil, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := appendRecord(nil, recordDelta, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := recordOverhead + deltaBodySize(d); got != len(want) {
+			t.Errorf("delta %d: sized as %d bytes, encoded record is %d", i, got, len(want))
+		}
+		var got bytes.Buffer
+		if err := writeDeltaRecord(&got, d); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("delta %d: streamed record differs from the in-memory one (%d vs %d bytes)", i, got.Len(), len(want))
+		}
+	}
+	if n := deltaBodySize(big); n < 3*streamChunk {
+		t.Fatalf("big delta is %d bytes: under three chunks, the streaming path is not exercised", n)
 	}
 }
 

@@ -63,10 +63,6 @@ type jsonDecoder struct {
 	// reported only once the whole body has parsed, and only if no later
 	// "tasks" member replaced the list it was found in.
 	unresolved error
-	// lastTenant is the previous task's tenant, reused when the next
-	// task names the same one (the common multi-tenant body) instead of
-	// allocating the string again.
-	lastTenant string
 }
 
 // decodeJSONTasks parses a JSON submit body, appending to tasks[:0] and
@@ -546,10 +542,7 @@ func (d *jsonDecoder) task(defTenant string) error {
 			if err != nil || isNull {
 				return err
 			}
-			if !rawPlain || string(raw) != d.lastTenant {
-				d.lastTenant = text(raw, rawPlain)
-			}
-			tenant = d.lastTenant
+			tenant = text(raw, rawPlain)
 		case keyIs(name, plain, "input"):
 			inOff = len(d.slab)
 			var err error

@@ -553,14 +553,22 @@ func FuzzDecodeBinaryTasks(f *testing.F) {
 	f.Add([]byte{})
 	kinds := catalog()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		tasks, _, err := decodeBinaryTasks(kinds, body, "", nil, nil)
-		runtime.ReadMemStats(&m1)
 		// Task headers cost 56 bytes per 5-byte minimal record, floats
 		// and kind names at most their size in the body; size classes
-		// round up.
-		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(16*len(body)+1024); got > limit {
+		// round up. TotalAlloc is the whole process's, and the fuzzing
+		// engine's own goroutines allocate now and then, so the decoder
+		// is charged the least of three identical decodes.
+		var tasks []Task
+		var err error
+		got, limit := ^uint64(0), uint64(16*len(body)+1024)
+		for try := 0; try < 3 && got > limit; try++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			tasks, _, err = decodeBinaryTasks(kinds, body, "", nil, nil)
+			runtime.ReadMemStats(&m1)
+			got = min(got, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		if got > limit {
 			t.Fatalf("%d-byte body: decoder allocated %d bytes, limit %d", len(body), got, limit)
 		}
 		if err != nil {

@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,8 +176,9 @@ type request struct {
 	// capacity of one means the loop never blocks on a requester.
 	done chan struct{}
 
-	// types and regs are resolved at admission, on the requester's
-	// goroutine, so the loop goroutine only wires batch entries. regs
+	// types is resolved before admission and regs laid out after it,
+	// both on the requester's goroutine, so the loop goroutine only
+	// wires batch entries and a shed request was only validated. regs
 	// holds the input and output region of task j at 2j and 2j+1. It is
 	// allocated afresh per submission and never reused: region identity
 	// is meaningful to core (the Dynamic-ATM exclusion set is keyed by
@@ -428,34 +428,39 @@ func (e *Engine) setSaveErr(err error) {
 	e.saveMu.Unlock()
 }
 
-// prepare checks a task group before admission, registers any new
-// (tenant, kind) types it names, and lays out the request's regions and
-// output vectors, so the loop goroutine only ever sees resolved tasks.
-func (e *Engine) prepare(r *request) error {
-	tasks := r.tasks
-	if len(tasks) == 0 {
-		return &BadTaskError{msg: "empty task list"}
+// resolveTypes checks a task group before admission and registers any
+// new (tenant, kind) types it names, so the loop goroutine only ever sees
+// resolved tasks. It returns the group's total output length.
+func (e *Engine) resolveTypes(r *request) (nout int, err error) {
+	if len(r.tasks) == 0 {
+		return 0, &BadTaskError{msg: "empty task list"}
 	}
 	r.types = r.types[:0]
-	nout := 0
-	for i, t := range tasks {
+	for i, t := range r.tasks {
 		k, ok := e.kinds[t.Kind]
 		if !ok {
-			return &BadTaskError{msg: fmt.Sprintf("task %d: unknown kind %q", i, t.Kind)}
+			return 0, &BadTaskError{msg: fmt.Sprintf("task %d: unknown kind %q", i, t.Kind)}
 		}
 		if len(t.Input) != k.In {
-			return &BadTaskError{msg: fmt.Sprintf("task %d: kind %q wants %d input floats, got %d", i, t.Kind, k.In, len(t.Input))}
+			return 0, &BadTaskError{msg: fmt.Sprintf("task %d: kind %q wants %d input floats, got %d", i, t.Kind, k.In, len(t.Input))}
 		}
 		if err := validTenant(t.Tenant); err != nil {
-			return fmt.Errorf("task %d: %w", i, err)
+			return 0, fmt.Errorf("task %d: %w", i, err)
 		}
 		tt, err := e.registerType(t.Tenant, k)
 		if err != nil {
-			return fmt.Errorf("task %d: %w", i, err)
+			return 0, fmt.Errorf("task %d: %w", i, err)
 		}
 		r.types = append(r.types, tt)
 		nout += k.Out
 	}
+	return nout, nil
+}
+
+// layout carves an admitted request's output vectors out of one slab of
+// nout floats and wires its regions.
+func (e *Engine) layout(r *request, nout int) {
+	tasks := r.tasks
 	// Outputs start zeroed, as a fresh region would: a kernel is not
 	// obliged to write every element.
 	if cap(r.out) < nout {
@@ -477,7 +482,6 @@ func (e *Engine) prepare(r *request) error {
 		r.regs[2*j+1].Data = r.outs[j]
 		off += n
 	}
-	return nil
 }
 
 // Do submits a group of tasks and blocks until their outputs are
@@ -505,7 +509,8 @@ func (e *Engine) submit(r *request) error {
 		e.release(r)
 		return ErrClosed
 	}
-	if err := e.prepare(r); err != nil {
+	nout, err := e.resolveTypes(r)
+	if err != nil {
 		e.release(r)
 		return err
 	}
@@ -520,6 +525,9 @@ func (e *Engine) submit(r *request) error {
 	}
 	e.requests.Add(1)
 	e.tasks.Add(n)
+	// Only an admitted request pays for its regions and output slab: a
+	// request shed above was only validated.
+	e.layout(r, nout)
 	select {
 	case e.reqs <- r:
 	case <-e.quit:
@@ -633,19 +641,6 @@ func (e *Engine) save(path string) error {
 	return err
 }
 
-// saveAndCollect runs a save in the middle of the engine's life and
-// then a garbage collection. What a save builds — the delta and its
-// encoding, several times the table's budget on a busy server — is
-// garbage the moment it returns, but the collector's heap goal, and with
-// it the memory the process keeps resident, stays sized for it until the
-// next cycle. The request path allocates too little to bring that cycle
-// on soon, so the loop does, while it is stalled on the save anyway.
-func (e *Engine) saveAndCollect(path string) error {
-	err := e.save(path)
-	runtime.GC()
-	return err
-}
-
 // loop is the engine's master goroutine: the only caller of
 // SubmitBatch/Wait/Reset, per taskrt's single-submitter contract.
 func (e *Engine) loop() {
@@ -669,9 +664,9 @@ func (e *Engine) loop() {
 				sinceReset = 0
 			}
 		case c := <-e.ctl:
-			c.err <- e.saveAndCollect(c.path)
+			c.err <- e.save(c.path)
 		case <-tick:
-			_ = e.saveAndCollect("")
+			_ = e.save("")
 		case <-e.quit:
 			for {
 				select {

@@ -127,6 +127,31 @@ func TestEngineSheds(t *testing.T) {
 	}
 }
 
+// TestShedPaysOnlyValidation: a group refused at the watermark was
+// validated and nothing more — no region headers, no output slab. The
+// one allocation left is the OverloadError itself.
+func TestShedPaysOnlyValidation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	e := newTestEngine(t, Config{Workers: 1, Backlog: 64})
+	group := []Task{{Kind: "lu", Input: Input(mustKind(t, "lu"), 1, 1)}}
+	if _, _, err := e.Do(group); err != nil { // warm the request pool
+		t.Fatal(err)
+	}
+	e.queued.Add(1 << 20) // a backlog far past any watermark
+	defer e.queued.Add(-(1 << 20))
+	allocs := testing.AllocsPerRun(100, func() {
+		_, _, err := e.Do(group)
+		if _, shed := err.(*OverloadError); !shed {
+			t.Fatalf("err = %v, want *OverloadError", err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a shed group cost %v allocations, want 1 (its error)", allocs)
+	}
+}
+
 func mustKind(t testing.TB, name string) Kind {
 	t.Helper()
 	k, ok := KindByName(name)

@@ -154,11 +154,14 @@ var statusCodes = [...]int{
 }
 
 // route is one instrumented route: a request counter per status code
-// and an optional latency histogram.
+// and an optional latency histogram. A status outside statusCodes is
+// counted in other (code="other" on /metrics), so a handler that grows a
+// new status shows up there instead of vanishing from the counters.
 type route struct {
 	name  string
 	lat   *metrics.Histogram
 	codes [len(statusCodes)]atomic.Int64
+	other atomic.Int64
 }
 
 // handlerFunc is an http.HandlerFunc that returns the status it wrote.
@@ -209,6 +212,7 @@ func (rt *route) instrument(h handlerFunc) http.HandlerFunc {
 				return
 			}
 		}
+		rt.other.Add(1)
 	}
 }
 
@@ -409,6 +413,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 					[]metrics.Label{{Name: "route", Value: rt.name}, {Name: "code", Value: strconv.Itoa(code)}},
 					float64(n))
 			}
+		}
+		if n := rt.other.Load(); n > 0 {
+			p.Sample("atmd_requests_total",
+				[]metrics.Label{{Name: "route", Value: rt.name}, {Name: "code", Value: "other"}},
+				float64(n))
 		}
 	}
 

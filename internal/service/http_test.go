@@ -287,6 +287,23 @@ func TestHTTPMetricsAndStats(t *testing.T) {
 	}
 }
 
+// TestMetricsCountUnlistedStatus: a status outside statusCodes is still
+// counted, under code="other".
+func TestMetricsCountUnlistedStatus(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.handle("GET /teapot", "teapot", nil, func(w http.ResponseWriter, r *http.Request) int {
+		w.WriteHeader(http.StatusTeapot)
+		return http.StatusTeapot
+	})
+	if resp, _ := getBody(t, ts.URL+"/teapot"); resp.StatusCode != http.StatusTeapot {
+		t.Fatalf("teapot: HTTP %d", resp.StatusCode)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	if want := `atmd_requests_total{route="teapot",code="other"} 1`; !strings.Contains(string(body), want) {
+		t.Errorf("metrics missing %q", want)
+	}
+}
+
 func TestHTTPSnapshotNoPersistence(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", strings.NewReader("{}"))
