@@ -7,6 +7,7 @@
 //	atmd -chain warm.atmchain -delta-every 30s -recover salvage
 //	atmd -backlog 64        # fixed admission watermark (overload testing)
 //	atmd -tht-budget 64m -evict clock -tenant-shares acme=0.5,beta=0.25
+//	atmd -pprof 127.0.0.1:6060   # net/http/pprof on a listener of its own
 //
 // Routes: POST /v1/submit, GET /v1/lookup, POST /v1/snapshot,
 // GET /v1/stats, GET /metrics (Prometheus), GET /healthz. Load past the
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // served only on the -pprof listener
 	"os"
 	"os/signal"
 	"strings"
@@ -58,6 +60,7 @@ func main() {
 		evictStr   = flag.String("evict", "", "eviction policy under -tht-budget: fifo (default) | clock | tinylfu")
 		sharesStr  = flag.String("tenant-shares", "", "per-tenant budget shares, e.g. acme=0.5,beta=0.25 (requires -tht-budget)")
 		maxTenants = flag.Int("max-tenants", 0, "distinct tenant namespaces served (0 = 64)")
+		pprofAddr  = flag.String("pprof", os.Getenv("ATMD_PPROF"), "serve net/http/pprof on this address, a listener of its own and never the service port (empty = off; the default is $ATMD_PPROF, which reaches an atmd some other program spawns)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -165,6 +168,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "atmd: %v\n", err)
 		_ = engine.Close()
 		os.Exit(1)
+	}
+	if *pprofAddr != "" {
+		// The profiling routes live on http.DefaultServeMux, where
+		// importing net/http/pprof put them; the service has a mux of its
+		// own, so they are reachable only here. The listener lasts as long
+		// as the process.
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "atmd: -pprof: %v\n", err)
+			_ = engine.Close()
+			os.Exit(1)
+		}
+		fmt.Printf("atmd: pprof on http://%s/debug/pprof/\n", pln.Addr())
+		go func() { _ = http.Serve(pln, nil) }() // returns only if the listener breaks; the service carries on without it
 	}
 	// Printed only once the port is bound: a supervisor that waits for
 	// this line can connect.

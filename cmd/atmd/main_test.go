@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -25,6 +27,77 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// freeAddr returns a loopback address whose port was free a moment ago.
+// It is released before atmd binds it; nothing else on the loopback is
+// racing for it in a test run.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// atmd is one child process.
+type atmd struct {
+	addr   string
+	cmd    *exec.Cmd
+	log    bytes.Buffer
+	exited chan error
+}
+
+// startAtmd spawns atmd on a free port with the given extra flags and
+// returns the instant /healthz first answers.
+func startAtmd(t *testing.T, hc *http.Client, args ...string) *atmd {
+	t.Helper()
+	a := &atmd{addr: freeAddr(t), exited: make(chan error, 1)}
+	a.cmd = exec.Command(os.Args[0], append([]string{"-addr", a.addr, "-workers", "1"}, args...)...)
+	a.cmd.Env = append(os.Environ(), "ATMD_TEST_CHILD=1")
+	a.cmd.Stdout, a.cmd.Stderr = &a.log, &a.log
+	if err := a.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { a.exited <- a.cmd.Wait() }()
+
+	deadline := time.Now().Add(20 * time.Second)
+	for healthy := false; !healthy; {
+		select {
+		case err := <-a.exited:
+			t.Fatalf("atmd exited before serving: %v\n%s", err, a.log.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			_ = a.cmd.Process.Kill()
+			t.Fatalf("atmd not healthy after 20s\n%s", a.log.String())
+		}
+		if resp, err := hc.Get("http://" + a.addr + "/healthz"); err == nil {
+			resp.Body.Close()
+			healthy = resp.StatusCode == http.StatusOK
+		}
+	}
+	return a
+}
+
+// terminate sends SIGTERM and requires a clean exit.
+func (a *atmd) terminate(t *testing.T, hc *http.Client) {
+	t.Helper()
+	if err := a.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	hc.CloseIdleConnections() // Shutdown waits for idle keep-alives otherwise
+	select {
+	case err := <-a.exited:
+		if err != nil {
+			t.Fatalf("atmd did not exit cleanly on SIGTERM: %v\n%s", err, a.log.String())
+		}
+	case <-time.After(40 * time.Second):
+		_ = a.cmd.Process.Kill()
+		t.Fatalf("atmd ignored SIGTERM\n%s", a.log.String())
+	}
+}
+
 // TestEarlySIGTERMRunsFinalSave stops a child atmd the instant /healthz
 // first answers and requires the graceful path: exit status 0 and one
 // more delta record on the chain. atmd used to start listening before it
@@ -34,60 +107,58 @@ func TestEarlySIGTERMRunsFinalSave(t *testing.T) {
 	chain := filepath.Join(t.TempDir(), "warm.atmchain")
 	hc := &http.Client{Timeout: 2 * time.Second}
 	for round := 1; round <= 4; round++ {
-		// The port is free when picked and released before atmd binds it;
-		// nothing else on the loopback is racing for it in a test run.
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := l.Addr().String()
-		l.Close()
-
-		cmd := exec.Command(os.Args[0], "-addr", addr, "-workers", "1", "-chain", chain, "-nosync")
-		cmd.Env = append(os.Environ(), "ATMD_TEST_CHILD=1")
-		var log bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &log, &log
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		exited := make(chan error, 1)
-		go func() { exited <- cmd.Wait() }()
-
-		deadline := time.Now().Add(20 * time.Second)
-		for healthy := false; !healthy; {
-			select {
-			case err := <-exited:
-				t.Fatalf("round %d: atmd exited before serving: %v\n%s", round, err, log.String())
-			default:
-			}
-			if time.Now().After(deadline) {
-				_ = cmd.Process.Kill()
-				t.Fatalf("round %d: atmd not healthy after 20s\n%s", round, log.String())
-			}
-			if resp, err := hc.Get("http://" + addr + "/healthz"); err == nil {
-				resp.Body.Close()
-				healthy = resp.StatusCode == http.StatusOK
-			}
-		}
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
-		hc.CloseIdleConnections() // Shutdown waits for idle keep-alives otherwise
-		select {
-		case err := <-exited:
-			if err != nil {
-				t.Fatalf("round %d: atmd did not exit cleanly on an early SIGTERM: %v\n%s", round, err, log.String())
-			}
-		case <-time.After(40 * time.Second):
-			_ = cmd.Process.Kill()
-			t.Fatalf("round %d: atmd ignored SIGTERM\n%s", round, log.String())
-		}
+		a := startAtmd(t, hc, "-chain", chain, "-nosync")
+		a.terminate(t, hc)
 		_, deltas, err := persist.LoadChain(chain)
 		if err != nil {
-			t.Fatalf("round %d: chain after shutdown: %v\n%s", round, err, log.String())
+			t.Fatalf("round %d: chain after shutdown: %v\n%s", round, err, a.log.String())
 		}
 		if len(deltas) != round {
-			t.Fatalf("round %d: chain holds %d delta records, want %d: a final save was lost\n%s", round, len(deltas), round, log.String())
+			t.Fatalf("round %d: chain holds %d delta records, want %d: a final save was lost\n%s", round, len(deltas), round, a.log.String())
 		}
+	}
+}
+
+// TestPprofListener turns the profiling listener on, by the flag and by
+// the environment variable that is its default, and requires the pprof
+// routes there and nowhere on the service port.
+func TestPprofListener(t *testing.T) {
+	hc := &http.Client{Timeout: 5 * time.Second}
+	get := func(url string) (int, string) {
+		t.Helper()
+		resp, err := hc.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	for _, how := range []string{"flag", "env"} {
+		pprofAddr := freeAddr(t)
+		var a *atmd
+		if how == "flag" {
+			a = startAtmd(t, hc, "-pprof", pprofAddr)
+		} else {
+			t.Setenv("ATMD_PPROF", pprofAddr)
+			a = startAtmd(t, hc)
+		}
+		if code, body := get("http://" + pprofAddr + "/debug/pprof/cmdline"); code != http.StatusOK || !strings.Contains(body, "-addr") {
+			t.Errorf("%s: /debug/pprof/cmdline on the pprof listener: HTTP %d %q", how, code, body)
+		}
+		if code, _ := get("http://" + a.addr + "/debug/pprof/cmdline"); code != http.StatusNotFound {
+			t.Errorf("%s: the service port answers /debug/pprof/cmdline with HTTP %d", how, code)
+		}
+		a.terminate(t, hc)
+	}
+	// Off by default: no second listener, and still nothing on the service port.
+	t.Setenv("ATMD_PPROF", "")
+	a := startAtmd(t, hc)
+	if code, _ := get("http://" + a.addr + "/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("pprof off: the service port answers /debug/pprof/ with HTTP %d", code)
+	}
+	a.terminate(t, hc)
+	if strings.Contains(a.log.String(), "pprof") {
+		t.Errorf("pprof off, yet the log mentions it:\n%s", a.log.String())
 	}
 }

@@ -69,7 +69,9 @@
 //     binary task encoding), the six-kind workload catalog, and an
 //     open-loop load generator with coordinated-omission-free latency
 //     measurement. cmd/atmd serves it; cmd/atmload drives it
-//     (docs/service.md).
+//     (docs/service.md). internal/decfloat is that route's float text
+//     codec: strconv's and encoding/json's results from a one-pass
+//     Eisel-Lemire parser and a Schubfach formatter.
 //   - internal/region, internal/sampling, internal/jenkins,
 //     internal/trace — the supporting substrates; internal/metrics —
 //     dependency-free HDR latency histograms and a Prometheus

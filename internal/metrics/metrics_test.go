@@ -238,3 +238,107 @@ func TestLUResidualZeroMatrix(t *testing.T) {
 		t.Fatalf("0/0 must be 0, got %v", got)
 	}
 }
+
+// opaque hides a region's concrete type, so the metrics take their
+// element-by-element Float64At loop: the reference the slice loops for
+// float regions must match bit for bit.
+type opaque struct{ region.Region }
+
+func TestSliceLoopsMatchElementLoop(t *testing.T) {
+	vals := func(n int, seed uint64, scale float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			xs[i] = (float64(seed>>11)/(1<<53) - 0.5) * scale
+		}
+		return xs
+	}
+	// make builds a region of each kind from the same values.
+	kinds := map[string]func(xs []float64) region.Region{
+		"float64": func(xs []float64) region.Region { return region.WrapFloat64(xs) },
+		"float32": func(xs []float64) region.Region {
+			d := make([]float32, len(xs))
+			for i, x := range xs {
+				d[i] = float32(x)
+			}
+			return region.WrapFloat32(d)
+		},
+		"int32": func(xs []float64) region.Region {
+			d := make([]int32, len(xs))
+			for i, x := range xs {
+				d[i] = int32(x)
+			}
+			return region.WrapInt32(d)
+		},
+		"bytes": func(xs []float64) region.Region {
+			d := make([]byte, len(xs))
+			for i, x := range xs {
+				d[i] = byte(int(x))
+			}
+			return region.WrapBytes(d)
+		},
+	}
+	check := func(name string, correct, atm []region.Region) {
+		t.Helper()
+		var oc, oa []region.Region
+		for i := range correct {
+			oc, oa = append(oc, opaque{correct[i]}), append(oa, opaque{atm[i]})
+		}
+		if got, want := Chebyshev(correct, atm), Chebyshev(oc, oa); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Chebyshev = %v, element loop %v", name, got, want)
+		}
+		if got, want := Euclidean(correct, atm), Euclidean(oc, oa); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Euclidean = %v, element loop %v", name, got, want)
+		}
+	}
+	var mixedC, mixedA []region.Region
+	for cn, mkC := range kinds {
+		for an, mkA := range kinds {
+			for _, n := range []int{0, 1, 7, 1000} {
+				c, a := mkC(vals(n, 1, 200)), mkA(vals(n, 2, 200))
+				check(cn+"/"+an, []region.Region{c}, []region.Region{a})
+				check(cn+"/"+an+" equal", []region.Region{c}, []region.Region{mkA(vals(n, 1, 200))})
+				if n == 7 {
+					mixedC, mixedA = append(mixedC, c), append(mixedA, a)
+				}
+			}
+			// 0/0 and x/0, and what a NaN or an infinity does to a maximum.
+			check(cn+"/"+an+" 0/0", []region.Region{mkC([]float64{0, 0})}, []region.Region{mkA([]float64{0, 0})})
+			check(cn+"/"+an+" x/0", []region.Region{mkC([]float64{0, 0})}, []region.Region{mkA([]float64{3, 0})})
+		}
+	}
+	check("all kinds in one list", mixedC, mixedA)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, xs := range [][2][]float64{
+		{{1, nan, 3}, {1, 2, 3}}, {{1, 2, 3}, {nan, 2, 3}}, {{inf, 2}, {1, 2}}, {{1, 2}, {-inf, 2}}, {{inf}, {inf}}, {{nan}, {nan}},
+	} {
+		check("non-finite", []region.Region{region.WrapFloat64(xs[0])}, []region.Region{region.WrapFloat64(xs[1])})
+		check("non-finite", []region.Region{kinds["float32"](xs[0])}, []region.Region{kinds["float32"](xs[1])})
+	}
+	// The edge values themselves, through the slice loops.
+	if got := Chebyshev(regs(0, 0), regs(0, 0)); got != 0 {
+		t.Errorf("0/0 = %v", got)
+	}
+	if got := Euclidean([]region.Region{kinds["float32"]([]float64{0})}, []region.Region{kinds["float32"]([]float64{2})}); !math.IsInf(got, 1) {
+		t.Errorf("x/0 = %v", got)
+	}
+}
+
+func BenchmarkChebyshev(b *testing.B) {
+	xs, ys := make([]float64, 16384), make([]float64, 16384)
+	for i := range xs {
+		xs[i], ys[i] = float64(i), float64(i)+0.5
+	}
+	correct, atm := regs(xs...), regs(ys...)
+	b.Run("slices", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Chebyshev(correct, atm)
+		}
+	})
+	b.Run("elements", func(b *testing.B) {
+		oc, oa := []region.Region{opaque{correct[0]}}, []region.Region{opaque{atm[0]}}
+		for i := 0; i < b.N; i++ {
+			Chebyshev(oc, oa)
+		}
+	})
+}

@@ -10,15 +10,18 @@ import (
 	"strconv"
 	"unicode/utf8"
 	"unsafe"
+
+	"atm/internal/decfloat"
 )
 
 // The /v1/submit wire codec: the JSON and binary task decoders and the
 // JSON reply encoder. All three are written against this one route's
 // schema — no reflection, no intermediate request structs — and work in
 // caller-supplied buffers, so a pooled request decodes and encodes
-// without allocating. docs/service.md states the grammar; the
-// differential tests in codec_test.go hold the JSON decoder to
-// encoding/json's verdicts and the encoder to its bytes.
+// without allocating. Floats cross between text and binary in
+// internal/decfloat, in both directions. docs/service.md states the
+// grammar; the differential tests in codec_test.go hold the JSON decoder
+// to encoding/json's verdicts and the encoder to its bytes.
 
 // readBody reads r to EOF into buf[:0]. A positive hint (the request's
 // Content-Length) sizes the buffer up front, one byte over so the Read
@@ -638,14 +641,12 @@ func (d *jsonDecoder) inputMember(idx int) (bool, error) {
 	}
 	err := d.array(4, func() error {
 		if c := d.peek(); c == '-' || '0' <= c && c <= '9' {
-			num, err := d.number()
-			if err != nil {
-				return err
+			// One pass checks the grammar and reads the value.
+			f, n, ok := decfloat.Parse(d.b[d.i:])
+			if !ok {
+				return d.badFloat(idx)
 			}
-			f, err := strconv.ParseFloat(num, 64)
-			if err != nil {
-				return badJSON(fmt.Sprintf("task %d: input value %s is out of range", idx, num))
-			}
+			d.i += n
 			d.slab = append(d.slab, f)
 			return nil
 		}
@@ -661,6 +662,16 @@ func (d *jsonDecoder) inputMember(idx int) (bool, error) {
 		return nil
 	})
 	return err == nil, err
+}
+
+// badFloat reports the input value at d.i, which decfloat.Parse turned
+// down: where its grammar breaks, or else that no float64 holds it.
+func (d *jsonDecoder) badFloat(idx int) error {
+	num, err := d.number()
+	if err != nil {
+		return err
+	}
+	return badJSON(fmt.Sprintf("task %d: input value %s is out of range", idx, num))
 }
 
 // ---- JSON reply encoder ----
@@ -680,17 +691,12 @@ func appendSubmitReply(dst []byte, outs [][]float64, g GroupStats) ([]byte, erro
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `{"output":[`...)
-		for j, f := range out {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			if math.IsInf(f, 0) || math.IsNaN(f) {
-				return dst, errNonFinite
-			}
-			dst = appendJSONFloat(dst, f)
+		dst = append(dst, `{"output":`...)
+		var err error
+		if dst, err = appendFloats(dst, out); err != nil {
+			return dst, err
 		}
-		dst = append(dst, "]}"...)
+		dst = append(dst, '}')
 	}
 	dst = append(dst, `],"batch":{"tasks":`...)
 	dst = strconv.AppendInt(dst, g.Tasks, 10)
@@ -703,22 +709,37 @@ func appendSubmitReply(dst []byte, outs [][]float64, g GroupStats) ([]byte, erro
 	return append(dst, "}}\n"...), nil
 }
 
-// appendJSONFloat formats a finite float as encoding/json does: the
-// shortest text that round-trips, in %f form unless the exponent is
-// below -6 or at least 21 (ES6 number-to-string), then %e with the
-// exponent's leading zero dropped.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
-		// e-09 to e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
+// appendLookupReply appends the /v1/lookup reply, encoding/json's bytes
+// for {"hit":..,"output":[...]} with the output left out when empty.
+func appendLookupReply(dst []byte, hit bool, out []float64) ([]byte, error) {
+	dst = append(dst, `{"hit":`...)
+	dst = strconv.AppendBool(dst, hit)
+	if len(out) > 0 {
+		dst = append(dst, `,"output":`...)
+		var err error
+		if dst, err = appendFloats(dst, out); err != nil {
+			return dst, err
 		}
-		return dst
 	}
-	return strconv.AppendFloat(dst, f, 'f', -1, 64)
+	return append(dst, "}\n"...), nil
+}
+
+// appendFloats appends a JSON array of floats as encoding/json writes
+// one: each the shortest text that reads back as the same float64, in
+// positional form from 1e-6 up to 1e21 and d.ddde±x outside. A NaN or
+// an infinity is an error.
+func appendFloats(dst []byte, fs []float64) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, f := range fs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return dst, errNonFinite
+		}
+		dst = decfloat.AppendShortest(dst, f)
+	}
+	return append(dst, ']'), nil
 }
 
 // ---- binary request codec ----

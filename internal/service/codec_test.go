@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -105,6 +106,12 @@ type batchBreakdown struct {
 	Executed int64 `json:"executed"`
 	MemoTHT  int64 `json:"memo_tht"`
 	MemoIKT  int64 `json:"memo_ikt"`
+}
+
+// The old GET /v1/lookup reply shape.
+type lookupResponse struct {
+	Hit    bool      `json:"hit"`
+	Output []float64 `json:"output,omitempty"`
 }
 
 func catalog() map[string]Kind {
@@ -370,6 +377,114 @@ func TestSubmitReplyBytes(t *testing.T) {
 	}
 	if len(back.Results) != 2 || len(back.Results[0].Output) != 256 || back.Batch.Tasks != 2 {
 		t.Errorf("reply: %d results, batch %+v", len(back.Results), back.Batch)
+	}
+}
+
+// TestLookupReplyBytes pins the lookup reply to encoding/json's bytes for
+// the old reply struct: hit and miss, with and without an output.
+func TestLookupReplyBytes(t *testing.T) {
+	for _, want := range []lookupResponse{
+		{Hit: true, Output: []float64{0, -1.5, 1e21, 1e-7, 0.1, math.MaxFloat64, 123456789}},
+		{Hit: true, Output: []float64{42}},
+		{Hit: true, Output: []float64{}},
+		{Hit: true},
+		{Hit: false},
+	} {
+		var wantBuf bytes.Buffer
+		if err := json.NewEncoder(&wantBuf).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendLookupReply(nil, want.Hit, want.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBuf.Bytes()) {
+			t.Errorf("lookup reply bytes differ:\n got  %s\n want %s", got, wantBuf.Bytes())
+		}
+	}
+	if _, err := appendLookupReply(nil, true, []float64{math.Inf(1)}); err == nil {
+		t.Error("infinite output encoded without error")
+	}
+}
+
+// TestJSONAndBinarySubmitShareEntries: a task's key is the bits of its
+// input floats, so the text decoder must land on exactly the floats the
+// binary body carries. The same inputs sent once in each encoding: the
+// second request, whichever it is, hits the entries the first inserted.
+func TestJSONAndBinarySubmitShareEntries(t *testing.T) {
+	// Inputs whose text takes every path of the number parser: the
+	// workload's own seventeen-digit fractions, the strconv fallback's
+	// long mantissas and subnormals, both exponent spellings.
+	extra := []float64{0, math.Copysign(0, -1), 1, 0.1, 1e-7, 1e21, 5e-324, 2.2250738585072014e-308, math.MaxFloat64,
+		9007199254740993, 0.30000000000000004, 1.0 / 3, 123456789012345680000, 1e23}
+	for _, first := range []string{"json", "bin"} {
+		atm := core.New(core.Config{Mode: core.ModeStatic})
+		srv := NewServer(newTestEngine(t, Config{Workers: 1, Memo: atm}))
+		var tasks []Task
+		var specs []taskSpec
+		for i, name := range []string{"blackscholes", "kmeans", "lu", "stencil", "swaptions"} {
+			in := Input(mustKind(t, name), uint64(i), 7)
+			copy(in, extra[min(i*3, len(extra)):])
+			tasks = append(tasks, Task{Kind: name, Input: in})
+			specs = append(specs, taskSpec{Kind: name, Input: in})
+		}
+		jsonBody, err := json.Marshal(submitRequest{Tasks: specs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A second spelling of the same floats: more digits than the
+		// shortest form, which the fast path must hand to strconv.
+		longBody := []byte(`{"tasks":[`)
+		for i, task := range tasks {
+			if i > 0 {
+				longBody = append(longBody, ',')
+			}
+			longBody = append(longBody, fmt.Sprintf(`{"kind":%q,"input":[`, task.Kind)...)
+			for j, f := range task.Input {
+				if j > 0 {
+					longBody = append(longBody, ',')
+				}
+				longBody = strconv.AppendFloat(longBody, f, 'e', 25, 64)
+			}
+			longBody = append(longBody, "]}"...)
+		}
+		longBody = append(longBody, "]}"...)
+		binBody, err := EncodeBinaryTasks(tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies := map[string][]byte{"json": jsonBody, "long": longBody, "bin": binBody}
+		var replies [][]byte
+		order := []string{first, "json", "long", "bin"}
+		for i, enc := range order {
+			req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(bodies[enc]))
+			if enc == "bin" {
+				req.Header.Set("Content-Type", binaryContentType)
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s first, %s request: HTTP %d: %s", first, enc, rec.Code, rec.Body)
+			}
+			var reply submitResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+				t.Fatal(err)
+			}
+			wantHits := int64(len(tasks))
+			if i == 0 {
+				wantHits = 0
+			}
+			if reply.Batch.MemoTHT != wantHits || reply.Batch.Executed != int64(len(tasks))-wantHits {
+				t.Errorf("%s first, request %d (%s): batch %+v, want %d THT hits", first, i, enc, reply.Batch, wantHits)
+			}
+			results, _, _ := bytes.Cut(rec.Body.Bytes(), []byte(`"batch"`))
+			replies = append(replies, results)
+		}
+		for i := 1; i < len(replies); i++ {
+			if !bytes.Equal(replies[i], replies[0]) {
+				t.Errorf("%s first: request %d (%s) returned different outputs", first, i, order[i])
+			}
+		}
 	}
 }
 

@@ -40,11 +40,6 @@ const tenantHeader = "X-Atm-Tenant"
 // in well under 1 MiB of JSON; 8 MiB leaves generous headroom).
 const maxBodyBytes = 8 << 20
 
-type lookupResponse struct {
-	Hit    bool      `json:"hit"`
-	Output []float64 `json:"output,omitempty"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -282,10 +277,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) int {
 	if q.reply, err = appendSubmitReply(q.reply[:0], q.outs, q.group); err != nil {
 		return writeError(w, err)
 	}
+	return writeReply(w, q.reply)
+}
+
+// writeReply sends a 200 whose JSON body was built whole, with its
+// length declared.
+func writeReply(w http.ResponseWriter, body []byte) int {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(q.reply)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(q.reply) // a client that went away is not the server's error
+	_, _ = w.Write(body) // a client that went away is not the server's error
 	return http.StatusOK
 }
 
@@ -329,7 +330,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, err)
 	}
-	return writeJSON(w, http.StatusOK, lookupResponse{Hit: hit, Output: out})
+	// Built by the submit route's encoder, so a memoized vector reads the
+	// same from either route, and one it cannot carry is a 500 here too.
+	reply, err := appendLookupReply(make([]byte, 0, 32+24*len(out)), hit, out)
+	if err != nil {
+		return writeError(w, err)
+	}
+	return writeReply(w, reply)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) int {

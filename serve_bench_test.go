@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"atm/internal/core"
+	"atm/internal/decfloat"
 	"atm/internal/service"
 )
 
@@ -69,4 +70,56 @@ func BenchmarkServeHTTP(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFloatCodec measures the submit route's float text codec on the
+// floats that route moves: the five memoizable kinds' input vectors as
+// clients send them (encoding/json's text) through decfloat.Parse, and
+// the output vectors their kernels compute through
+// decfloat.AppendShortest. One op is one float, the vectors taken in
+// turn, so ns/op reads as the cost per number of a request or a reply
+// (BENCH_8.json).
+func BenchmarkFloatCodec(b *testing.B) {
+	var texts [][]byte
+	var outs []float64
+	for _, k := range service.Kinds() {
+		if !k.Memoize {
+			continue
+		}
+		for key := uint64(0); key < 4; key++ {
+			in := service.Input(k, key, 1)
+			out := make([]float64, k.Out)
+			k.Fn(in, out)
+			outs = append(outs, out...)
+			for _, f := range in {
+				text, err := json.Marshal(f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				texts = append(texts, append(text, ',')) // as in an array: the number ends at a delimiter
+			}
+		}
+	}
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i, j := 0, 0; i < b.N; i++ {
+			f, n, ok := decfloat.Parse(texts[j])
+			if !ok || n != len(texts[j])-1 {
+				b.Fatalf("Parse(%s) = %v, %d, %v", texts[j], f, n, ok)
+			}
+			if j++; j == len(texts) {
+				j = 0
+			}
+		}
+	})
+	b.Run("append", func(b *testing.B) {
+		buf := make([]byte, 0, 64)
+		b.ReportAllocs()
+		for i, j := 0, 0; i < b.N; i++ {
+			buf = decfloat.AppendShortest(buf[:0], outs[j])
+			if j++; j == len(outs) {
+				j = 0
+			}
+		}
+	})
 }
