@@ -62,13 +62,17 @@
 //     (0 clean, 2 torn-salvageable, 3 unrecoverable, 1 I/O error), and
 //     the whole surface is fuzzed with simulated crashes
 //     (internal/crashfuzz, internal/failpoint).
-//   - internal/service — memoization as a service: a coalescing engine
-//     loop that feeds concurrent network requests into SubmitBatch
-//     under the runtime's admission watermark (shed with 429 upstream,
-//     never queue unboundedly), an HTTP front-end (JSON and a compact
-//     binary task encoding), the six-kind workload catalog, and an
-//     open-loop load generator with coordinated-omission-free latency
-//     measurement. cmd/atmd serves it; cmd/atmload drives it
+//   - internal/service — memoization as a service: a request whose
+//     every task is a table hit is answered on its handler goroutine
+//     (core.ServeHits: quiet probe, then an all-or-nothing commit of
+//     what a worker would have recorded); the rest go through a
+//     coalescing engine loop that feeds concurrent network requests
+//     into SubmitBatch under the runtime's admission watermark (shed
+//     with 429 upstream, never queue unboundedly). Around it an HTTP
+//     front-end (JSON and a compact binary task encoding), the six-kind
+//     workload catalog, and an open-loop load generator with
+//     coordinated-omission-free latency measurement. cmd/atmd serves
+//     it; cmd/atmload drives it
 //     (docs/service.md). internal/decfloat is that route's float text
 //     codec: strconv's and encoding/json's results from a one-pass
 //     Eisel-Lemire parser and a Schubfach formatter.

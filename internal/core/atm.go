@@ -375,8 +375,8 @@ type ATM struct {
 	workers []workerState
 
 	// probePool recycles hashers for the out-of-band key paths (HashKey,
-	// Peek), which have no worker identity to borrow a hasher from:
-	// concurrent lookup front-ends (cmd/atmd) probe allocation-free.
+	// Peek, ServeHits), which have no worker identity to borrow a hasher
+	// from: concurrent front-ends (cmd/atmd) probe allocation-free.
 	// Pooled hashers keep their last seed, so seed-change detection in
 	// ResetSeed (hashx) skips re-derivation on repeated same-type probes.
 	probePool sync.Pool
@@ -640,8 +640,8 @@ func (a *ATM) hashKeyInto(t *taskrt.Task, ts *typeState, level int, h hashx.Hash
 }
 
 // hashIns is the shape-agnostic key computation shared by the worker
-// fast path (hashKeyInto) and out-of-band probes (Peek): callers that
-// have input regions but no carved task hash through here.
+// fast path (hashKeyInto) and out-of-band probes (Peek, ServeHits):
+// callers that have input regions but no carved task hash through here.
 func (a *ATM) hashIns(typeID int, ts *typeState, ins []region.Region, level int, h hashx.Hasher) uint64 {
 	sig := sampling.SignatureOf(ins)
 	seed := a.cfg.Seed ^ sig ^ (ts.seed|1)*0xc2b2ae3d27d4eb4f
@@ -665,36 +665,6 @@ func (a *ATM) hashIns(typeID int, ts *typeState, ins []region.Region, level int,
 		}
 	}
 	return h.Sum64()
-}
-
-// Peek probes the THT for the outputs the engine would currently serve
-// for a task of type tt with the given inputs, without submitting a
-// task: on a hit the stored outputs are copied into outs (which must
-// match the entry's shapes) and Peek reports true. It never mutates
-// engine state beyond the table's lookup/hit counters and is safe to
-// call from any goroutine — the memoization-lookup path of a network
-// front-end (GET /v1/lookup in cmd/atmd).
-//
-// A false return means only that no entry exists at the type's current
-// p level right now; a concurrent insert may land immediately after.
-func (a *ATM) Peek(tt *taskrt.TaskType, ins, outs []region.Region) bool {
-	ts := a.state(tt)
-	_, level := ts.load()
-	h := a.probeHasher()
-	key := a.hashIns(tt.ID(), ts, ins, level, h)
-	a.releaseProbe(h)
-	e := a.tht.Lookup(tt.ID(), key, int8(level))
-	if e == nil {
-		return false
-	}
-	defer e.Release()
-	if !outputShapesMatch(e.Outs, outs) {
-		return false
-	}
-	for i, o := range outs {
-		o.CopyFrom(e.Outs[i])
-	}
-	return true
 }
 
 // verifyHit confirms a THT key match by comparing the actual sampled input

@@ -98,9 +98,13 @@ type TaskTotals struct {
 	Tasks, Executed, MemoizedTHT, MemoizedIKT int64
 }
 
-// TaskTotals sums the per-type, per-worker activity counters. Lock-free:
-// one atomic load of the type slice plus four per shard.
-func (a *ATM) TaskTotals() TaskTotals {
+// WorkerTotals sums the activity counters of the runtime's workers over
+// all task types, and only theirs: the out-of-band shard, where
+// ServeHits commits from whatever goroutine called it, is left out, so
+// the difference of two readings taken around a completion fence is what
+// the runtime ran in between and nothing a concurrent ServeHits served.
+// Lock-free: one atomic load of the type slice plus four per shard.
+func (a *ATM) WorkerTotals() TaskTotals {
 	var t TaskTotals
 	sl := a.typeStates.Load()
 	if sl == nil {
@@ -110,7 +114,7 @@ func (a *ATM) TaskTotals() TaskTotals {
 		if ts == nil {
 			continue
 		}
-		for i := range ts.shards {
+		for i := range ts.shards[:len(ts.shards)-1] {
 			sh := &ts.shards[i]
 			t.Tasks += sh.tasks.Load()
 			t.Executed += sh.executed.Load()

@@ -202,16 +202,23 @@ func (t *THT) ConfigureBudget(budget int64, policy EvictPolicy) {
 // Budget reports the configured global budget and eviction policy.
 func (t *THT) Budget() (bytes int64, policy EvictPolicy) { return t.budget, t.policy }
 
-// Lookup returns the entry matching (typeID, key, level), or nil. A
-// non-nil result is retained for the caller, who must Release it after
-// copying from it (the table cannot recycle it before that).
+// Lookup returns the entry matching (typeID, key, level), or nil, and
+// counts the access: probe plus noteLookup. A non-nil result is retained
+// for the caller, who must Release it after copying from it (the table
+// cannot recycle it before that).
 func (t *THT) Lookup(typeID int, key uint64, level int8) *Entry {
-	t.lookups.Add(1)
-	if t.sketch != nil {
-		// TinyLFU: every access feeds the frequency sketch (lock-free
-		// nibble CAS), so the admission duel sees demand, not residency.
-		t.sketch.inc(key)
-	}
+	e := t.probe(typeID, key, level)
+	t.noteLookup(key, e)
+	return e
+}
+
+// probe is the table's one bucket scan: it returns the entry matching
+// (typeID, key, level), retained for the caller as Lookup's is, or nil,
+// and changes nothing else — no lookup or hit counter, no CLOCK bit, no
+// sketch increment. A caller that goes on to serve from the entry as a
+// task's hit applies those with noteLookup; one that only looks (Peek)
+// or gives up (an abandoned ServeHits) leaves the table as it found it.
+func (t *THT) probe(typeID int, key uint64, level int8) *Entry {
 	b := &t.buckets[key&t.mask]
 	b.mu.RLock()
 	// Newest entries are most likely to match; scan back to front.
@@ -219,16 +226,30 @@ func (t *THT) Lookup(typeID int, key uint64, level int8) *Entry {
 		e := b.entries[(b.head+i)%len(b.entries)]
 		if e.Key == key && e.TypeID == typeID && e.Level == level {
 			e.retain()
-			if t.markHits {
-				e.touched.Store(true) // CLOCK reference bit
-			}
 			b.mu.RUnlock()
-			t.hits.Add(1)
 			return e
 		}
 	}
 	b.mu.RUnlock()
 	return nil
+}
+
+// noteLookup applies what one counted access to key leaves behind; e is
+// what probe found (nil for a miss) and is still retained by the caller,
+// so it cannot be recycled under the CLOCK store.
+func (t *THT) noteLookup(key uint64, e *Entry) {
+	t.lookups.Add(1)
+	if t.sketch != nil {
+		// TinyLFU: every access feeds the frequency sketch (lock-free
+		// nibble CAS), so the admission duel sees demand, not residency.
+		t.sketch.inc(key)
+	}
+	if e != nil {
+		if t.markHits {
+			e.touched.Store(true) // CLOCK reference bit
+		}
+		t.hits.Add(1)
+	}
 }
 
 // GetEntry returns a recycled entry (with its previous output buffers

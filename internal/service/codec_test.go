@@ -531,11 +531,12 @@ func submitBodies(t testing.TB) (jsonBody, binBody []byte) {
 }
 
 // TestSubmitAllocs pins the allocations of one warm four-task ServeHTTP
-// on a recorder. The parent commit made 121 (JSON) and 78 (binary). What
-// is left is the recorder and request the test itself builds (15), the
-// reply's two header values, one array of region headers, and taskrt's
-// per-region dependence state and per-batch bookkeeping; the codec and
-// the engine's per-request state contribute none.
+// on a recorder, all four tasks table hits and so served inline. PR 12
+// brought it from 121 (JSON) and 78 (binary) to 34; the inline path
+// takes the region-header array and taskrt's eight per-region dependence
+// states with it. What is left is the recorder and request the test
+// itself builds, MaxBytesReader and the reply's header values; the
+// codec, the engine and core contribute none.
 func TestSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -546,8 +547,8 @@ func TestSubmitAllocs(t *testing.T) {
 		body              []byte
 		want              float64
 	}{
-		{"json", "application/json", jsonBody, 34},
-		{"bin", binaryContentType, binBody, 34},
+		{"json", "application/json", jsonBody, 25},
+		{"bin", binaryContentType, binBody, 25},
 	} {
 		atm := core.New(core.Config{Mode: core.ModeStatic})
 		srv := NewServer(newTestEngine(t, Config{Workers: 1, Memo: atm}))

@@ -66,7 +66,9 @@ type Task struct {
 // GroupStats is the ATM activity of the coalesced engine batch a
 // request rode in: requests coalesced into the same batch observe the
 // same numbers (per-batch, not per-request, attribution — the price of
-// request coalescing, documented in docs/service.md).
+// request coalescing, documented in docs/service.md). A request served
+// inline (Engine.serveInline) rode in no batch and reports exactly its
+// own tasks, all MemoTHT.
 type GroupStats struct {
 	// Tasks is the batch's task count; Executed of them ran their body,
 	// MemoTHT were served from the history table, MemoIKT deduplicated
@@ -76,12 +78,18 @@ type GroupStats struct {
 
 // Counters is the engine's monotonic operational state.
 type Counters struct {
-	// Requests / Tasks count admitted work; Shed* count work refused at
-	// the admission watermark (the 429 path).
+	// Requests / Tasks count served work, inline or through the loop;
+	// Shed* count work refused at the admission watermark (the 429 path).
 	Requests, Tasks         int64
 	ShedRequests, ShedTasks int64
-	// Batches counts SubmitBatch fences; Lookups/LookupHits the Peek
-	// path; Saves completed snapshot saves.
+	// InlineRequests / InlineTasks are the part of Requests / Tasks served
+	// on the caller's goroutine without reaching the loop: requests whose
+	// every task was a steady-state THT hit.
+	InlineRequests, InlineTasks int64
+	// Batches counts groups run to completion — SubmitBatch fences plus
+	// inline requests, each a group of its own — so Tasks ÷ Batches stays
+	// defined on a server that only ever hits; Lookups/LookupHits the
+	// Peek path; Saves completed snapshot saves.
 	Batches, Lookups, LookupHits, Saves int64
 	// Queued is the current admitted-but-uncompleted task count;
 	// BacklogLimit the current admission watermark.
@@ -154,6 +162,15 @@ type Engine struct {
 	lookHits atomic.Int64
 	saves    atomic.Int64
 
+	// inlineReqs and inlineTasks count what serveInline served; requests,
+	// tasks and batches above count what the loop ran, and Counters adds
+	// the inline share to each. noInline turns the inline hit path off.
+	// Tests only: the differential suite runs one stream through both
+	// paths.
+	inlineReqs  atomic.Int64
+	inlineTasks atomic.Int64
+	noInline    bool
+
 	saveMu  sync.Mutex
 	saveErr error
 
@@ -185,12 +202,36 @@ type request struct {
 	// output region pointer).
 	types []*taskrt.TaskType
 	regs  []region.Float64
+	// memoizable reports that every task's kind is memoizable
+	// (resolveTypes): only then is the inline hit path tried. hits and
+	// hitRegs are that attempt's task list and region headers; unlike
+	// regs they are pooled, because core.ServeHits never observes region
+	// identity and the runtime never sees them.
+	memoizable bool
+	hits       []core.HitTask
+	hitRegs    []hitRegions
 
 	body    []byte    // HTTP body
 	taskBuf []Task    // backing array of decoded tasks
 	in      []float64 // input slab: decoded tasks' Input vectors point into it
 	out     []float64 // output slab: outs point into it
 	reply   []byte    // encoded HTTP reply
+}
+
+// hitRegions is one task's region headers for an out-of-band probe
+// (serveInline, LookupTenant) and the interface values pointing at them,
+// so a core.HitTask's one-element Ins and Outs are slices of ref.
+type hitRegions struct {
+	in, out region.Float64
+	ref     [2]region.Region
+}
+
+// set points the headers at a task's input and output vectors and
+// returns the region lists core takes.
+func (h *hitRegions) set(in, out []float64) (ins, outs []region.Region) {
+	h.in.Data, h.out.Data = in, out
+	h.ref = [2]region.Region{&h.in, &h.out}
+	return h.ref[0:1], h.ref[1:2]
 }
 
 // maxPooledRequestBytes caps what one pooled request may keep alive. An
@@ -212,15 +253,20 @@ func (e *Engine) getRequest() *request {
 // must be done with r: release is only called before r was enqueued or
 // after its done token was received.
 func (e *Engine) release(r *request) {
-	// In bytes: a Task is 56, a type pointer 8, a slice header 24.
+	// In bytes: a Task is 56, a type pointer 8, a slice header 24, a
+	// HitTask 104, a hitRegions 128.
 	kept := cap(r.body) + cap(r.reply) + 8*(cap(r.in)+cap(r.out)) +
-		56*cap(r.taskBuf) + 8*cap(r.types) + 24*cap(r.outs)
+		56*cap(r.taskBuf) + 8*cap(r.types) + 24*cap(r.outs) +
+		104*cap(r.hits) + 128*cap(r.hitRegs)
 	if kept > maxPooledRequestBytes {
 		return
 	}
 	clear(r.taskBuf[:cap(r.taskBuf)]) // drop kind/tenant strings and input slices
 	clear(r.types[:cap(r.types)])
 	clear(r.outs[:cap(r.outs)])
+	// hits points at types, which live as long as the engine, and into
+	// hitRegs; only hitRegs points at memory that may be the caller's.
+	clear(r.hitRegs[:cap(r.hitRegs)])
 	r.tasks, r.regs, r.group = nil, nil, GroupStats{}
 	e.reqPool.Put(r)
 }
@@ -400,17 +446,20 @@ func (e *Engine) Kind(name string) (Kind, bool) {
 
 // Counters returns the engine's operational counters.
 func (e *Engine) Counters() Counters {
+	inlineReqs, inlineTasks := e.inlineReqs.Load(), e.inlineTasks.Load()
 	return Counters{
-		Requests:     e.requests.Load(),
-		Tasks:        e.tasks.Load(),
-		ShedRequests: e.shedReqs.Load(),
-		ShedTasks:    e.shedTask.Load(),
-		Batches:      e.batches.Load(),
-		Lookups:      e.lookups.Load(),
-		LookupHits:   e.lookHits.Load(),
-		Saves:        e.saves.Load(),
-		Queued:       e.queued.Load(),
-		BacklogLimit: int64(e.rt.BacklogLimit()),
+		Requests:       e.requests.Load() + inlineReqs,
+		Tasks:          e.tasks.Load() + inlineTasks,
+		ShedRequests:   e.shedReqs.Load(),
+		ShedTasks:      e.shedTask.Load(),
+		InlineRequests: inlineReqs,
+		InlineTasks:    inlineTasks,
+		Batches:        e.batches.Load() + inlineReqs,
+		Lookups:        e.lookups.Load(),
+		LookupHits:     e.lookHits.Load(),
+		Saves:          e.saves.Load(),
+		Queued:         e.queued.Load(),
+		BacklogLimit:   int64(e.rt.BacklogLimit()),
 	}
 }
 
@@ -436,6 +485,7 @@ func (e *Engine) resolveTypes(r *request) (nout int, err error) {
 		return 0, &BadTaskError{msg: "empty task list"}
 	}
 	r.types = r.types[:0]
+	r.memoizable = true
 	for i, t := range r.tasks {
 		k, ok := e.kinds[t.Kind]
 		if !ok {
@@ -452,36 +502,79 @@ func (e *Engine) resolveTypes(r *request) (nout int, err error) {
 			return 0, fmt.Errorf("task %d: %w", i, err)
 		}
 		r.types = append(r.types, tt)
+		r.memoizable = r.memoizable && k.Memoize
 		nout += k.Out
 	}
 	return nout, nil
 }
 
-// layout carves an admitted request's output vectors out of one slab of
-// nout floats and wires its regions.
-func (e *Engine) layout(r *request, nout int) {
-	tasks := r.tasks
-	// Outputs start zeroed, as a fresh region would: a kernel is not
-	// obliged to write every element.
+// carve sizes the request's output slab to nout floats, without zeroing
+// it, and cuts each task's output vector out of it.
+func (e *Engine) carve(r *request, nout int) {
 	if cap(r.out) < nout {
 		r.out = make([]float64, nout)
-	} else {
-		r.out = r.out[:nout]
-		clear(r.out)
 	}
-	if cap(r.outs) < len(tasks) {
-		r.outs = make([][]float64, len(tasks))
+	r.out = r.out[:nout]
+	if cap(r.outs) < len(r.tasks) {
+		r.outs = make([][]float64, len(r.tasks))
 	}
-	r.outs = r.outs[:len(tasks)]
-	r.regs = make([]region.Float64, 2*len(tasks))
+	r.outs = r.outs[:len(r.tasks)]
 	off := 0
-	for j, t := range tasks {
+	for j, t := range r.tasks {
 		n := e.kinds[t.Kind].Out
 		r.outs[j] = r.out[off : off+n : off+n]
-		r.regs[2*j].Data = t.Input
-		r.regs[2*j+1].Data = r.outs[j]
 		off += n
 	}
+}
+
+// layout carves an admitted request's output vectors out of one zeroed
+// slab of nout floats and wires its regions.
+func (e *Engine) layout(r *request, nout int) {
+	e.carve(r, nout)
+	// Outputs start zeroed, as a fresh region would: a kernel is not
+	// obliged to write every element. (A fresh slab is zero already; the
+	// slab an abandoned inline attempt carved is not.)
+	clear(r.out)
+	r.regs = make([]region.Float64, 2*len(r.tasks))
+	for j, t := range r.tasks {
+		r.regs[2*j].Data = t.Input
+		r.regs[2*j+1].Data = r.outs[j]
+	}
+}
+
+// serveInline is the inline hit path: it tries to serve r from the
+// table on the caller's goroutine (core.ServeHits) and reports whether
+// it did. All or nothing: when it reports false nothing was served,
+// counted or written and r goes to the loop whole, as if the attempt had
+// not been made — except that r.out is carved and holds whatever the
+// pooled slab held, which layout clears.
+func (e *Engine) serveInline(r *request, nout int) bool {
+	if e.memo == nil || e.noInline || !r.memoizable {
+		return false
+	}
+	e.carve(r, nout)
+	n := len(r.tasks)
+	if cap(r.hits) < n {
+		r.hits = make([]core.HitTask, n)
+	}
+	if cap(r.hitRegs) < n {
+		r.hitRegs = make([]hitRegions, n)
+	}
+	r.hits, r.hitRegs = r.hits[:n], r.hitRegs[:n]
+	for j, t := range r.tasks {
+		h := &r.hits[j]
+		h.Type = r.types[j]
+		h.Ins, h.Outs = r.hitRegs[j].set(t.Input, r.outs[j])
+	}
+	if !e.memo.ServeHits(r.hits) {
+		return false
+	}
+	// A group of its own, run to completion: Counters folds these into
+	// Requests, Tasks and Batches.
+	e.inlineReqs.Add(1)
+	e.inlineTasks.Add(int64(n))
+	r.group = GroupStats{Tasks: int64(n), MemoTHT: int64(n)}
+	return true
 }
 
 // Do submits a group of tasks and blocks until their outputs are
@@ -501,9 +594,10 @@ func (e *Engine) Do(tasks []Task) ([][]float64, GroupStats, error) {
 	return outs, g, nil
 }
 
-// submit runs r.tasks through the loop and blocks until r.outs and
-// r.group are filled in. On success the caller releases r once it has
-// consumed them; on error submit has disposed of r itself.
+// submit serves r.tasks — inline when every task is a table hit, else
+// through the loop — and blocks until r.outs and r.group are filled in.
+// On success the caller releases r once it has consumed them; on error
+// submit has disposed of r itself.
 func (e *Engine) submit(r *request) error {
 	if e.closed.Load() {
 		e.release(r)
@@ -513,6 +607,11 @@ func (e *Engine) submit(r *request) error {
 	if err != nil {
 		e.release(r)
 		return err
+	}
+	// Hits are served where the request is, ahead of admission: they are
+	// not queued, so they are not shed either.
+	if e.serveInline(r, nout) {
+		return nil
 	}
 	n := int64(len(r.tasks))
 	limit := int64(e.rt.BacklogLimit())
@@ -525,8 +624,9 @@ func (e *Engine) submit(r *request) error {
 	}
 	e.requests.Add(1)
 	e.tasks.Add(n)
-	// Only an admitted request pays for its regions and output slab: a
-	// request shed above was only validated.
+	// Only an admitted request pays for its region headers and a zeroed
+	// output slab: a request shed above was validated and, when all its
+	// kinds are memoizable, probed up to its first miss (serveInline).
 	e.layout(r, nout)
 	select {
 	case e.reqs <- r:
@@ -549,15 +649,18 @@ func (e *Engine) submit(r *request) error {
 // Lookup probes the memoization table for the outputs the engine would
 // serve for (kind, input) in the default namespace; see LookupTenant.
 func (e *Engine) Lookup(kind string, input []float64) ([]float64, bool, error) {
-	return e.LookupTenant("", kind, input)
+	return e.LookupTenant("", kind, input, nil)
 }
 
 // LookupTenant probes the memoization table for the outputs the engine
 // would serve for (tenant, kind, input) right now, without executing
-// anything. It runs entirely off the engine loop — a read-side fast
-// path. A tenant that never submitted is simply a miss: the read path
-// must not allocate namespaces.
-func (e *Engine) LookupTenant(tenant, kind string, input []float64) ([]float64, bool, error) {
+// anything; on a hit they are returned in dst's memory when it has room
+// (a caller that recycles dst looks up without allocating). It runs
+// entirely off the engine loop and is quiet (core.Peek): the table's
+// counters and its eviction state do not move, only Counters.Lookups
+// and LookupHits. A tenant that never submitted is simply a miss: the
+// read path must not allocate namespaces.
+func (e *Engine) LookupTenant(tenant, kind string, input, dst []float64) ([]float64, bool, error) {
 	k, ok := e.kinds[kind]
 	if !ok {
 		return nil, false, &BadTaskError{msg: fmt.Sprintf("unknown kind %q", kind)}
@@ -576,12 +679,24 @@ func (e *Engine) LookupTenant(tenant, kind string, input []float64) ([]float64, 
 	if tt == nil {
 		return nil, false, nil
 	}
-	out := region.NewFloat64(k.Out)
-	if !e.memo.Peek(tt, []region.Region{region.WrapFloat64(input)}, []region.Region{out}) {
+	if cap(dst) < k.Out {
+		dst = make([]float64, k.Out)
+	}
+	dst = dst[:k.Out]
+	// The region headers come from a pooled request, as serveInline's do.
+	r := e.getRequest()
+	if cap(r.hitRegs) == 0 {
+		r.hitRegs = make([]hitRegions, 1)
+	}
+	r.hitRegs = r.hitRegs[:1]
+	ins, outs := r.hitRegs[0].set(input, dst)
+	hit := e.memo.Peek(tt, ins, outs)
+	e.release(r)
+	if !hit {
 		return nil, false, nil
 	}
 	e.lookHits.Add(1)
-	return out.Data, true, nil
+	return dst, true, nil
 }
 
 // Snapshot persists the memoization state: path "" runs the configured
@@ -683,12 +798,14 @@ func (e *Engine) loop() {
 	}
 }
 
-// memoTotals reads the ATM activity counters the group diff needs.
+// memoTotals reads the ATM activity counters the group diff needs: the
+// runtime workers' only, so hits that handler goroutines commit inline
+// during the batch are not attributed to it.
 func (e *Engine) memoTotals() core.TaskTotals {
 	if e.memo == nil {
 		return core.TaskTotals{}
 	}
-	return e.memo.TaskTotals()
+	return e.memo.WorkerTotals()
 }
 
 // maxKeptEntries bounds the batch-entry buffer the loop keeps between

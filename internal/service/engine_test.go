@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -128,27 +129,52 @@ func TestEngineSheds(t *testing.T) {
 }
 
 // TestShedPaysOnlyValidation: a group refused at the watermark was
-// validated and nothing more — no region headers, no output slab. The
-// one allocation left is the OverloadError itself.
+// validated and nothing more was built for it — no region headers, no
+// output slab, no zeroing. The one allocation left is the OverloadError
+// itself. With a memoizer attached a shed group has also paid the inline
+// attempt it abandoned: the sampled hashes up to its first miss, out of
+// pooled memory, and nothing at all when any of its kinds is not
+// memoizable (checked before the first hash).
 func TestShedPaysOnlyValidation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	e := newTestEngine(t, Config{Workers: 1, Backlog: 64})
-	group := []Task{{Kind: "lu", Input: Input(mustKind(t, "lu"), 1, 1)}}
-	if _, _, err := e.Do(group); err != nil { // warm the request pool
-		t.Fatal(err)
-	}
-	e.queued.Add(1 << 20) // a backlog far past any watermark
-	defer e.queued.Add(-(1 << 20))
-	allocs := testing.AllocsPerRun(100, func() {
-		_, _, err := e.Do(group)
-		if _, shed := err.(*OverloadError); !shed {
-			t.Fatalf("err = %v, want *OverloadError", err)
+	lu, spin := mustKind(t, "lu"), mustKind(t, "spin")
+	warm := Task{Kind: "lu", Input: Input(lu, 1, 1)}
+	for _, tc := range []struct {
+		name string
+		memo bool
+		shed []Task
+	}{
+		{"no memoizer", false, []Task{warm}},
+		{"hit then miss", true, []Task{warm, {Kind: "lu", Input: Input(lu, 2, 1)}}},
+		{"hit then not memoizable", true, []Task{warm, {Kind: "spin", Input: Input(spin, 1, 1)}}},
+	} {
+		cfg := Config{Workers: 1, Backlog: 64}
+		if tc.memo {
+			cfg.Memo = core.New(core.Config{Mode: core.ModeStatic})
 		}
-	})
-	if allocs > 1 {
-		t.Errorf("a shed group cost %v allocations, want 1 (its error)", allocs)
+		e := newTestEngine(t, cfg)
+		// Warm the request pool with a group of the shed one's size, and
+		// the table with its first task.
+		if _, _, err := e.Do([]Task{warm, warm}); err != nil {
+			t.Fatal(err)
+		}
+		before := e.Stats()
+		e.queued.Add(1 << 20) // a backlog far past any watermark
+		allocs := testing.AllocsPerRun(100, func() {
+			_, _, err := e.Do(tc.shed)
+			if _, shed := err.(*OverloadError); !shed {
+				t.Fatalf("%s: err = %v, want *OverloadError", tc.name, err)
+			}
+		})
+		e.queued.Add(-(1 << 20))
+		if allocs > 1 {
+			t.Errorf("%s: a shed group cost %v allocations, want 1 (its error)", tc.name, allocs)
+		}
+		if after := e.Stats(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: shed groups left a trace in core.Stats\n%+v\n%+v", tc.name, before, after)
+		}
 	}
 }
 

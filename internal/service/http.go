@@ -17,14 +17,17 @@ import (
 // The wire API (documented in docs/service.md):
 //
 //	POST /v1/submit    JSON {"tasks":[{"kind":"...","input":[...]}]} or
-//	                   binary application/x-atm-tasks; batched bodies
-//	                   coalesce into one SubmitBatch on the engine loop.
+//	                   binary application/x-atm-tasks; a body whose
+//	                   every task is a table hit is answered on the
+//	                   handler goroutine, the rest coalesce into one
+//	                   SubmitBatch on the engine loop.
 //	                   A per-task "tenant" field (or the X-ATM-Tenant
 //	                   header for the whole request) selects the
 //	                   memoization namespace.
 //	GET  /v1/lookup    ?kind=...&input=1,2,... (or &key=N&seed=S):
-//	                   memoization probe, never executes; &tenant= (or
-//	                   X-ATM-Tenant) scopes the probe.
+//	                   memoization probe, never executes and leaves the
+//	                   table as it found it; &tenant= (or X-ATM-Tenant)
+//	                   scopes the probe.
 //	POST /v1/snapshot  optional JSON {"path":"..."}: persist the table.
 //	GET  /v1/stats     JSON operational counters + ATM statistics.
 //	GET  /metrics      Prometheus text format.
@@ -58,6 +61,11 @@ type StatsResponse struct {
 	Saves        int64 `json:"saves"`
 	Queued       int64 `json:"queued"`
 	BacklogLimit int64 `json:"backlog_limit"`
+
+	// InlineRequests / InlineTasks are the part of Requests / Tasks served
+	// on the handler goroutine, all hits, without reaching the loop.
+	InlineRequests int64 `json:"inline_requests"`
+	InlineTasks    int64 `json:"inline_tasks"`
 
 	Memoizing   bool   `json:"memoizing"`
 	ATMTasks    int64  `json:"atm_tasks"`
@@ -112,6 +120,8 @@ func (s StatsResponse) Sub(prev StatsResponse) StatsResponse {
 	d.ShedRequests -= prev.ShedRequests
 	d.ShedTasks -= prev.ShedTasks
 	d.Batches -= prev.Batches
+	d.InlineRequests -= prev.InlineRequests
+	d.InlineTasks -= prev.InlineTasks
 	d.Lookups -= prev.Lookups
 	d.LookupHits -= prev.LookupHits
 	d.Saves -= prev.Saves
@@ -326,7 +336,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
 	if tenant == "" {
 		tenant = r.Header.Get(tenantHeader)
 	}
-	out, hit, err := s.e.LookupTenant(tenant, kind, input)
+	out, hit, err := s.e.LookupTenant(tenant, kind, input, nil)
 	if err != nil {
 		return writeError(w, err)
 	}
@@ -365,7 +375,8 @@ func (s *Server) BuildStats() StatsResponse {
 	resp := StatsResponse{
 		Requests: c.Requests, Tasks: c.Tasks,
 		ShedRequests: c.ShedRequests, ShedTasks: c.ShedTasks,
-		Batches: c.Batches, Lookups: c.Lookups, LookupHits: c.LookupHits,
+		Batches: c.Batches, InlineRequests: c.InlineRequests, InlineTasks: c.InlineTasks,
+		Lookups: c.Lookups, LookupHits: c.LookupHits,
 		Saves: c.Saves, Queued: c.Queued, BacklogLimit: c.BacklogLimit,
 		Memoizing: s.e.Memoizing(),
 	}
@@ -428,11 +439,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 
-	p.Family("atmd_tasks_total", "counter", "Tasks admitted through /v1/submit.")
+	p.Family("atmd_tasks_total", "counter", "Tasks served through /v1/submit, inline or by the engine loop.")
 	p.Sample("atmd_tasks_total", nil, float64(c.Tasks))
+	p.Family("atmd_inline_requests_total", "counter", "Submit requests by where they ran: served on the handler goroutine (every task a table hit), or fallback to the engine loop.")
+	p.Sample("atmd_inline_requests_total", []metrics.Label{{Name: "outcome", Value: "served"}}, float64(c.InlineRequests))
+	p.Sample("atmd_inline_requests_total", []metrics.Label{{Name: "outcome", Value: "fallback"}}, float64(c.Requests-c.InlineRequests))
 	p.Family("atmd_shed_tasks_total", "counter", "Tasks shed at the admission watermark (429).")
 	p.Sample("atmd_shed_tasks_total", nil, float64(c.ShedTasks))
-	p.Family("atmd_batches_total", "counter", "Coalesced SubmitBatch fences run by the engine loop.")
+	p.Family("atmd_batches_total", "counter", "Groups run to completion: coalesced SubmitBatch fences plus requests served inline.")
 	p.Sample("atmd_batches_total", nil, float64(c.Batches))
 	p.Family("atmd_snapshot_saves_total", "counter", "Completed snapshot saves.")
 	p.Sample("atmd_snapshot_saves_total", nil, float64(c.Saves))

@@ -243,7 +243,10 @@ func TestHTTPShed(t *testing.T) {
 func TestHTTPMetricsAndStats(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeDynamic})
 	s, ts := newTestServer(t, Config{Workers: 1, Memo: atm})
-	for rep := 0; rep < 10; rep++ {
+	// One miss, then fifteen graded training hits (LTraining) take the
+	// type steady: the loop runs sixteen requests, the last four are
+	// served inline.
+	for rep := 0; rep < 20; rep++ {
 		postJSON(t, ts.URL+"/v1/submit", `{"tasks":[{"kind":"stencil","key":1}]}`)
 	}
 	resp, body := getBody(t, ts.URL+"/metrics")
@@ -254,15 +257,21 @@ func TestHTTPMetricsAndStats(t *testing.T) {
 		t.Errorf("metrics content type %q", ct)
 	}
 	text := string(body)
-	for _, want := range []string{
-		"# TYPE atmd_requests_total counter",
-		`atmd_requests_total{route="submit",code="200"} 10`,
-		"atmd_tasks_total 10",
-		"# TYPE atmd_submit_seconds histogram",
-		"atmd_submit_seconds_count 10",
-		`atm_type_tasks_total{type="svc/stencil"} 10`,
-		"atm_tht_entries",
-		"atmd_backlog_limit_tasks",
+	for _, want := range []string{ // a sample line is matched whole, value included
+		"# TYPE atmd_requests_total counter\n",
+		`atmd_requests_total{route="submit",code="200"} 20` + "\n",
+		"atmd_tasks_total 20\n",
+		"# TYPE atmd_inline_requests_total counter\n",
+		`atmd_inline_requests_total{outcome="served"} 4` + "\n",
+		`atmd_inline_requests_total{outcome="fallback"} 16` + "\n",
+		"atmd_batches_total 20\n",
+		"# TYPE atmd_submit_seconds histogram\n",
+		"atmd_submit_seconds_count 20\n",
+		`atm_type_tasks_total{type="svc/stencil"} 20` + "\n",
+		`atm_type_executed_total{type="svc/stencil"} 16` + "\n",
+		`atm_type_memo_tht_total{type="svc/stencil"} 4` + "\n",
+		"atm_tht_entries 1\n",
+		"atmd_backlog_limit_tasks ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
@@ -270,15 +279,22 @@ func TestHTTPMetricsAndStats(t *testing.T) {
 	}
 
 	st := s.BuildStats()
-	if st.Requests != 10 || st.Tasks != 10 || st.ATMTasks != 10 {
+	if st.Requests != 20 || st.Tasks != 20 || st.ATMTasks != 20 || st.Batches != 20 ||
+		st.InlineRequests != 4 || st.InlineTasks != 4 || st.MemoTHT != 4 {
 		t.Errorf("stats: %+v", st)
 	}
 	if !st.Memoizing {
 		t.Error("stats: memoizing false with an ATM attached")
 	}
-	diff := st.Sub(StatsResponse{Requests: 4, ATMTasks: 4})
-	if diff.Requests != 6 || diff.ATMTasks != 6 {
+	diff := st.Sub(StatsResponse{Requests: 4, ATMTasks: 4, InlineRequests: 1, InlineTasks: 1})
+	if diff.Requests != 16 || diff.ATMTasks != 16 || diff.InlineRequests != 3 || diff.InlineTasks != 3 {
 		t.Errorf("diff: %+v", diff)
+	}
+	// The new fields are additive: a client decoding the reply as before
+	// still reads what it read.
+	fetched, err := FetchStats(http.DefaultClient, ts.URL)
+	if err != nil || fetched.Requests != 20 || fetched.InlineRequests != 4 || fetched.InlineTasks != 4 {
+		t.Errorf("FetchStats: %+v, %v", fetched, err)
 	}
 
 	resp, _ = getBody(t, ts.URL+"/healthz")
