@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"atm/internal/apps"
-	"atm/internal/core"
 	"atm/internal/harness"
 	"atm/internal/hashx"
 	"atm/internal/persist"
@@ -68,7 +67,6 @@ func main() {
 		noSync     = flag.Bool("nosync", false, "skip fsync on snapshot saves (benchmarking only: a crash may lose or tear the most recent saves)")
 		hashStr    = flag.String("hash", "", "ATM key hash function: lookup3 (default) | xxh3 | wyhash — folded into the snapshot fingerprint, so warm state is per-function")
 		budgetStr  = flag.String("tht-budget", "", "stats: THT memory budget in bytes, k/m/g suffixes accepted (empty = unbounded)")
-		evictStr   = flag.String("evict", "", "stats: eviction policy under -tht-budget: fifo (default) | clock | tinylfu")
 	)
 	flag.Parse()
 
@@ -83,12 +81,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	evict, err := core.ParseEvictPolicy(*evictStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	hashFunc, err := hashx.ParseFunc(*hashStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -185,7 +177,7 @@ func main() {
 	case "fig9":
 		harness.Fig9(opt)
 	case "stats":
-		runStats(opt, *mode, *level, !*noIKT, *loadPath, *savePath, *chainPath, *deltaEvery, budget, evict)
+		runStats(opt, *mode, *level, !*noIKT, *loadPath, *savePath, *chainPath, *deltaEvery, budget)
 	case "sweep":
 		// The repeated-experiment-sweep scenario: N repetitions of each
 		// benchmark reusing a persisted snapshot (repetition 1 is cold).
@@ -258,8 +250,7 @@ func defaultWorkers() int {
 // from (and persist it to) a whole-table snapshot file; chain switches
 // to incremental persistence (append a delta record per save, plus one
 // every deltaEvery while running).
-func runStats(opt harness.Options, mode string, level int, ikt bool, load, save, chain string, deltaEvery time.Duration,
-	budget int64, evict core.EvictPolicy) {
+func runStats(opt harness.Options, mode string, level int, ikt bool, load, save, chain string, deltaEvery time.Duration, budget int64) {
 	var spec harness.ATMSpec
 	switch mode {
 	case "baseline":
@@ -300,7 +291,7 @@ func runStats(opt harness.Options, mode string, level int, ikt bool, load, save,
 			Deterministic: opt.Deterministic, DetSched: opt.DetSched,
 			SnapshotLoad: bload, SnapshotSave: bsave, SnapshotChain: bchain, SnapshotDeltaEvery: deltaEvery,
 			Recover: opt.Recover, Sync: opt.Sync,
-			THTBudgetBytes: budget, THTEviction: evict}
+			THTBudgetBytes: budget}
 		base := harness.RunOne(harness.FactoryFor(name), opt.Scale, opt.Workers, harness.Baseline(),
 			harness.RunOptions{Seed: opt.Seed, Hash: opt.Hash, Batch: opt.Batch, Policy: opt.Policy,
 				Deterministic: opt.Deterministic, DetSched: opt.DetSched})
@@ -336,8 +327,8 @@ func runStats(opt harness.Options, mode string, level int, ikt bool, load, save,
 			s.THTEntries, fmtBytes(s.THTBytes), s.THTLookups, s.THTHits, s.THTEvictions,
 			s.IKTInserts, s.IKTDefers, s.IKTRejected)
 		if s.THTBudgetBytes > 0 {
-			fmt.Printf("  budget: %s under %s eviction — budget evictions=%d admission rejects=%d\n",
-				fmtBytes(s.THTBudgetBytes), s.THTEvictionPolicy, s.THTBudgetEvictions, s.THTAdmissionRejects)
+			fmt.Printf("  budget: %s — budget evictions=%d admission rejects=%d\n",
+				fmtBytes(s.THTBudgetBytes), s.THTBudgetEvictions, s.THTAdmissionRejects)
 		}
 		fmt.Println()
 	}

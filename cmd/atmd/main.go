@@ -6,7 +6,7 @@
 //	atmd -addr :8080 -workers 8 -mode dynamic
 //	atmd -chain warm.atmchain -delta-every 30s -recover salvage
 //	atmd -backlog 64        # fixed admission watermark (overload testing)
-//	atmd -tht-budget 64m -evict clock -tenant-shares acme=0.5,beta=0.25
+//	atmd -tht-budget 64m -tenant-shares acme=0.5,beta=0.25
 //	atmd -pprof 127.0.0.1:6060   # net/http/pprof on a listener of its own
 //
 // Routes: POST /v1/submit, GET /v1/lookup, POST /v1/snapshot,
@@ -57,7 +57,6 @@ func main() {
 		noSync     = flag.Bool("nosync", false, "skip fsync on snapshot saves (a crash may lose or tear the most recent saves)")
 		hashStr    = flag.String("hash", "", "ATM key hash function: lookup3 (default) | xxh3 | wyhash — folded into the snapshot fingerprint, so warm state is per-function")
 		budgetStr  = flag.String("tht-budget", "", "THT memory budget in bytes, k/m/g suffixes accepted (empty = unbounded)")
-		evictStr   = flag.String("evict", "", "eviction policy under -tht-budget: fifo (default) | clock | tinylfu")
 		sharesStr  = flag.String("tenant-shares", "", "per-tenant budget shares, e.g. acme=0.5,beta=0.25 (requires -tht-budget)")
 		maxTenants = flag.Int("max-tenants", 0, "distinct tenant namespaces served (0 = 64)")
 		pprofAddr  = flag.String("pprof", os.Getenv("ATMD_PPROF"), "serve net/http/pprof on this address, a listener of its own and never the service port (empty = off; the default is $ATMD_PPROF, which reaches an atmd some other program spawns)")
@@ -85,17 +84,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	evict, err := core.ParseEvictPolicy(*evictStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	shares, err := harness.ParseTenantShares(*sharesStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := (core.Config{THTBudgetBytes: budget, THTEviction: evict, TenantShares: shares}).Validate(); err != nil {
+	if err := (core.Config{THTBudgetBytes: budget, TenantShares: shares}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -125,7 +119,6 @@ func main() {
 		SnapshotDeltaEvery: *deltaEvery,
 		Recover:            recoverPolicy,
 		THTBudgetBytes:     budget,
-		THTEviction:        evict,
 		TenantShares:       shares,
 	}
 	if *noSync {

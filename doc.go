@@ -34,11 +34,11 @@
 //     allocation- and lock-free (per-worker hashers and stat shards,
 //     atomic type/plan lookups, sampled overhead timing). For
 //     long-lived service use the THT can run bounded: a byte budget
-//     (Config.THTBudgetBytes) with pluggable eviction — FIFO, CLOCK
-//     second-chance, or TinyLFU admission duels — and tenant-prefixed
-//     type names partitioning the key space with optional per-tenant
-//     budget shares; the hit path stays 0-alloc under every policy
-//     and evictions feed the delta chains as tombstones so compaction
+//     (Config.THTBudgetBytes) enforced by one policy — oldest entry
+//     under a rotating hand, TinyLFU admission duel against it — and
+//     tenant-prefixed type names partitioning the key space with
+//     optional per-tenant budget shares; the hit path stays 0-alloc
+//     with a budget and evictions feed the delta chains as tombstones so compaction
 //     shrinks files (docs/service.md).
 //   - internal/persist — the versioned binary codec for memoization
 //     snapshots: core.(*ATM).Snapshot() extracts the serializable state
@@ -76,7 +76,7 @@
 //     (docs/service.md). internal/decfloat is that route's float text
 //     codec: strconv's and encoding/json's results from a one-pass
 //     Eisel-Lemire parser and a Schubfach formatter.
-//   - internal/region, internal/sampling, internal/jenkins,
+//   - internal/region, internal/sampling, internal/hashx,
 //     internal/trace — the supporting substrates; internal/metrics —
 //     dependency-free HDR latency histograms and a Prometheus
 //     text-format exporter backing atmd's /metrics.

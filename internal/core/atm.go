@@ -112,18 +112,14 @@ type Config struct {
 	HashFunc hashx.Func
 	// THTBudgetBytes caps the THT's payload memory (the table's
 	// MemoryBytes). Zero means unbounded — the paper's sweep behavior.
-	// With a budget set, inserts evict residents under THTEviction
-	// before publishing, so a sustained over-budget insert stream holds
-	// the table at or under the budget. Budgets are capacity knobs, not
-	// key-validity knobs: they are deliberately NOT folded into
-	// Fingerprint, so warm state persists across budget changes (a
-	// snapshot is a cache; restoring under a smaller budget simply
-	// evicts during install).
+	// With a budget set, inserts evict residents (oldest first, under a
+	// frequency-sketch admission check; see evict.go) before publishing,
+	// so a sustained over-budget insert stream holds the table at or
+	// under the budget. Budgets are capacity knobs, not key-validity
+	// knobs: they are deliberately NOT folded into Fingerprint, so warm
+	// state persists across budget changes (a snapshot is a cache;
+	// restoring under a smaller budget simply evicts during install).
 	THTBudgetBytes int64
-	// THTEviction selects the budget-eviction policy: EvictFIFO (the
-	// zero-cost default), EvictCLOCK, or EvictTinyLFU. Ignored without
-	// THTBudgetBytes. Not folded into Fingerprint (see THTBudgetBytes).
-	THTEviction EvictPolicy
 	// TenantShares maps tenant names (the prefix before the first '/'
 	// in a task type's name — see SplitTenant) to fractions of
 	// THTBudgetBytes. A tenant with a share is evicted down to its own
@@ -172,9 +168,6 @@ func (c Config) Validate() error {
 	}
 	if c.THTBudgetBytes < 0 {
 		return fmt.Errorf("%w: negative THTBudgetBytes %d", ErrConfig, c.THTBudgetBytes)
-	}
-	if c.THTEviction > EvictTinyLFU {
-		return fmt.Errorf("%w: unknown eviction policy %d", ErrConfig, c.THTEviction)
 	}
 	var total float64
 	for name, share := range c.TenantShares {
@@ -403,7 +396,7 @@ func New(cfg Config) *ATM {
 		names:     make(map[int]string),
 		tenantIDs: make(map[string]int32),
 	}
-	a.tht.ConfigureBudget(cfg.THTBudgetBytes, cfg.THTEviction)
+	a.tht.ConfigureBudget(cfg.THTBudgetBytes)
 	a.registerTenant("") // the default tenant always exists, id 0
 	a.probePool.New = func() any { return hashx.New(cfg.HashFunc, cfg.Seed) }
 	a.saveEpoch.Store(1)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -9,61 +8,16 @@ import (
 // This file is the THT's global-budget layer: with Config.THTBudgetBytes
 // set, Insert keeps the table's payload under the budget by evicting
 // residents before publishing the newcomer (so a sustained over-budget
-// insert stream never drives MemoryBytes past the budget), under one of
-// three policies selected by Config.THTEviction. Per-tenant budget
-// shares (Config.TenantShares) scope the same machinery to one tenant's
-// entries. The hit path stays allocation- and lock-free with eviction
-// enabled: FIFO adds nothing to Lookup, CLOCK one atomic store (the
-// reference bit), TinyLFU a handful of atomic nibble CASes into the
-// frequency sketch.
-
-// EvictPolicy selects the THT's budget-eviction policy.
-type EvictPolicy uint8
-
-const (
-	// EvictFIFO evicts the oldest entry of the next non-empty bucket
-	// under the eviction hand — the zero-cost default, the same
-	// replacement order the per-bucket rings already use.
-	EvictFIFO EvictPolicy = iota
-	// EvictCLOCK is second-chance FIFO over the existing ring buckets:
-	// Lookup hits set a reference bit, the eviction sweep clears set
-	// bits and evicts the first entry found clear, so recently-hit
-	// entries survive one sweep.
-	EvictCLOCK
-	// EvictTinyLFU adds a 4-bit count-min frequency sketch fed by every
-	// lookup: an insert under budget pressure duels the would-be victim,
-	// and is rejected outright when the resident's estimated frequency
-	// is higher — one-hit-wonder streams stop displacing the warm set.
-	EvictTinyLFU
-)
-
-// String returns the policy's flag spelling.
-func (p EvictPolicy) String() string {
-	switch p {
-	case EvictFIFO:
-		return "fifo"
-	case EvictCLOCK:
-		return "clock"
-	case EvictTinyLFU:
-		return "tinylfu"
-	default:
-		return fmt.Sprintf("EvictPolicy(%d)", uint8(p))
-	}
-}
-
-// ParseEvictPolicy parses a policy's flag spelling.
-func ParseEvictPolicy(s string) (EvictPolicy, error) {
-	switch s {
-	case "", "fifo":
-		return EvictFIFO, nil
-	case "clock":
-		return EvictCLOCK, nil
-	case "tinylfu":
-		return EvictTinyLFU, nil
-	default:
-		return 0, fmt.Errorf("unknown eviction policy %q (want fifo, clock or tinylfu)", s)
-	}
-}
+// insert stream never drives MemoryBytes past the budget). There is one
+// policy: the victim is the oldest entry of the next non-empty bucket
+// under the eviction hand (the per-bucket rings' own FIFO order), and a
+// 4-bit count-min frequency sketch fed by every lookup decides
+// admission — a newcomer estimated colder than that victim is rejected
+// outright, so one-hit-wonder streams stop displacing the warm set
+// (TinyLFU). Per-tenant budget shares (Config.TenantShares) scope the
+// same machinery to one tenant's entries. The hit path stays
+// allocation- and lock-free: a budgeted Lookup adds a handful of atomic
+// nibble CASes into the sketch, an unbudgeted one nothing.
 
 // tenantStat is one tenant's accounting row: live bytes/entries, its
 // eviction count, and its budget share in bytes (0 = capped by the
@@ -148,7 +102,7 @@ func (t *THT) TenantStats() []TenantStats {
 // admit enforces the per-tenant and global budgets before e is
 // published: it evicts residents until e fits, and reports false when
 // e must be rejected instead — larger than its budget outright, or a
-// lost TinyLFU admission duel. Evicting before adding (rather than
+// lost admission duel. Evicting before adding (rather than
 // adding and trimming) is what keeps MemoryBytes ≤ budget at every
 // instant of a single-threaded over-budget stream; concurrent
 // inserters can overshoot by at most one in-flight entry each.
@@ -184,43 +138,31 @@ func (t *THT) admit(e *Entry, size int64) bool {
 	return true
 }
 
-// evictOne scans buckets from the eviction hand for one victim under
-// the configured policy — restricted to the given tenant when tenant
-// ≥ 0 — removes it and adjusts the accounting. rejectNew reports a
-// TinyLFU admission duel lost by the newcomer cand (the resident stays
-// put and cand must not be inserted). The scan holds one bucket lock
-// at a time and the caller holds none, so eviction never nests bucket
-// locks.
+// evictOne scans buckets from the eviction hand for the oldest entry —
+// restricted to the given tenant when tenant ≥ 0 — removes it and
+// adjusts the accounting. rejectNew reports an admission duel lost by
+// the newcomer cand (the resident stays put and cand must not be
+// inserted). The scan holds one bucket lock at a time and the caller
+// holds none, so eviction never nests bucket locks.
 func (t *THT) evictOne(cand *Entry, tenant int32) (evicted, rejectNew bool) {
-	nb := len(t.buckets)
-	// One sweep finds a victim under FIFO/TinyLFU; CLOCK needs a second
-	// sweep, since the first may only clear reference bits.
-	limit := nb
-	if t.policy == EvictCLOCK {
-		limit = 2 * nb
-	}
-	for pass := 0; pass < limit; pass++ {
+	for range t.buckets {
 		b := &t.buckets[(t.hand.Add(1)-1)&t.mask]
 		b.mu.Lock()
 		idx := -1
 		for i := 0; i < b.n; i++ {
-			e := b.entries[(b.head+i)%len(b.entries)]
-			if tenant >= 0 && e.tenant != tenant {
-				continue
+			if tenant < 0 || b.entries[(b.head+i)%len(b.entries)].tenant == tenant {
+				idx = i
+				break
 			}
-			if t.policy == EvictCLOCK && pass < nb && e.touched.Load() {
-				e.touched.Store(false) // second chance: survive this sweep
-				continue
-			}
-			idx = i
-			break
 		}
 		if idx < 0 {
 			b.mu.Unlock()
 			continue
 		}
 		victim := b.entries[(b.head+idx)%len(b.entries)]
-		if t.sketch != nil && cand != nil && t.sketch.estimate(victim.Key) > t.sketch.estimate(cand.Key) {
+		// The sketch is nil only on a raw table given a tenant budget
+		// without a global one (ConfigureBudget never called).
+		if t.sketch != nil && t.sketch.estimate(victim.Key) > t.sketch.estimate(cand.Key) {
 			// TinyLFU admission: the resident is estimated hotter than
 			// the newcomer, so the newcomer loses.
 			b.mu.Unlock()

@@ -25,7 +25,7 @@ func TestTHTBudgetBoundedSingleThreaded(t *testing.T) {
 	// never after.
 	const budget = 10 * entrySize
 	tht := NewTHT(2, 8)
-	tht.ConfigureBudget(budget, EvictFIFO)
+	tht.ConfigureBudget(budget)
 	for i := 0; i < 200; i++ {
 		tht.Insert(entryWith(0, uint64(i), 15, 1, 2, 3, 4))
 		if got := tht.MemoryBytes(); got > budget {
@@ -54,7 +54,7 @@ func TestTHTBudgetBoundedConcurrent(t *testing.T) {
 		ceiling   = budget + workers*entrySize
 	)
 	tht := NewTHT(4, 4)
-	tht.ConfigureBudget(budget, EvictFIFO)
+	tht.ConfigureBudget(budget)
 
 	var (
 		wg      sync.WaitGroup
@@ -98,32 +98,32 @@ func TestTHTBudgetBoundedConcurrent(t *testing.T) {
 	}
 }
 
-func TestTHTCLOCKSecondChance(t *testing.T) {
-	// CLOCK: a lookup hit sets the reference bit, so the hit entry
-	// survives the next eviction sweep and the oldest untouched entry
-	// goes instead.
-	tht := NewTHT(0, 8)
-	tht.ConfigureBudget(4*entrySize, EvictCLOCK)
-	for i := 0; i < 4; i++ {
-		tht.Insert(entryWith(0, uint64(i), 15, 1, 2, 3, 4))
+func TestUnbudgetedTHTHasNoSketch(t *testing.T) {
+	// The admission sketch exists exactly when there is a budget: an
+	// unbounded table pays nothing for it, neither memory nor a sketch
+	// increment per lookup, and its Lookup stays allocation-free.
+	tht := NewTHT(2, 8)
+	tht.ConfigureBudget(0)
+	if tht.sketch != nil {
+		t.Fatal("unbudgeted table allocated an admission sketch")
 	}
-	e := tht.Lookup(0, 0, 15) // oldest entry, but recently hit
-	if e == nil {
-		t.Fatal("warm lookup missed")
+	tht.Insert(entryWith(0, 1, 15, 1, 2, 3, 4))
+	allocs := testing.AllocsPerRun(100, func() {
+		tht.Lookup(0, 1, 15).Release()
+		tht.Lookup(0, 2, 15).Release() // nil-safe miss
+	})
+	if allocs != 0 {
+		t.Fatalf("unbudgeted Lookup allocates %.1f times per call pair, want 0", allocs)
 	}
-	e.Release()
-	tht.Insert(entryWith(0, 99, 15, 1, 2, 3, 4))
-	if tht.Lookup(0, 0, 15) == nil {
-		t.Fatal("hit entry must survive the sweep (second chance)")
-	}
-	if tht.Lookup(0, 1, 15) != nil {
-		t.Fatal("oldest untouched entry must be the victim")
+	tht.ConfigureBudget(1 << 20)
+	if tht.sketch == nil {
+		t.Fatal("budgeted table has no admission sketch")
 	}
 }
 
 func TestTHTTinyLFUAdmissionDuel(t *testing.T) {
 	tht := NewTHT(0, 8)
-	tht.ConfigureBudget(2*entrySize, EvictTinyLFU)
+	tht.ConfigureBudget(2 * entrySize)
 	tht.Insert(entryWith(0, 1, 15, 1, 2, 3, 4))
 	tht.Insert(entryWith(0, 2, 15, 1, 2, 3, 4))
 	// Residents are hot: every lookup feeds the frequency sketch.
@@ -148,7 +148,7 @@ func TestTHTTinyLFUAdmissionDuel(t *testing.T) {
 	// The reverse: demand observed through lookups (even misses) warms
 	// the newcomer, which then wins the duel against a cold resident.
 	tht2 := NewTHT(0, 8)
-	tht2.ConfigureBudget(2*entrySize, EvictTinyLFU)
+	tht2.ConfigureBudget(2 * entrySize)
 	tht2.Insert(entryWith(0, 1, 15, 1, 2, 3, 4))
 	tht2.Insert(entryWith(0, 2, 15, 1, 2, 3, 4))
 	for i := 0; i < 8; i++ {
@@ -167,7 +167,7 @@ func TestTHTTenantBudgetShares(t *testing.T) {
 	// A tenant with a budget share is evicted down to its own slice
 	// before it can pressure anyone else; other tenants are untouched.
 	tht := NewTHT(2, 8)
-	tht.ConfigureBudget(100*entrySize, EvictFIFO)
+	tht.ConfigureBudget(100 * entrySize)
 	tht.EnsureTenant(0, "", 0)
 	tht.EnsureTenant(1, "acme", 3*entrySize)
 	for i := 0; i < 5; i++ {
@@ -200,7 +200,7 @@ func TestTHTBudgetEvictionLogsTombstone(t *testing.T) {
 	// appends a tombstone record (e == nil, victim identity copied) to
 	// its bucket's log, in operation order.
 	tht := NewTHT(0, 8)
-	tht.ConfigureBudget(2*entrySize, EvictFIFO)
+	tht.ConfigureBudget(2 * entrySize)
 	tht.SetLogging(true)
 	for i := 1; i <= 3; i++ {
 		tht.Insert(entryWith(0, uint64(i), 15, 1, 2, 3, 4))
@@ -240,7 +240,6 @@ func TestConfigValidateEdges(t *testing.T) {
 		{M: -1},
 		{Mode: ModeFixed + 1},
 		{THTBudgetBytes: -1},
-		{THTEviction: 99},
 		{THTBudgetBytes: 1 << 20, TenantShares: map[string]float64{"a": 1.5}},
 		{THTBudgetBytes: 1 << 20, TenantShares: map[string]float64{"a": -0.1}},
 		{THTBudgetBytes: 1 << 20, TenantShares: map[string]float64{"a": 0.6, "b": 0.6}},
@@ -255,7 +254,7 @@ func TestConfigValidateEdges(t *testing.T) {
 		{},
 		{NBits: MaxNBits},
 		{Mode: ModeFixed, FixedLevel: 7},
-		{THTBudgetBytes: 1 << 20, THTEviction: EvictTinyLFU, TenantShares: map[string]float64{"a": 0.5, "b": 0.5}},
+		{THTBudgetBytes: 1 << 20, TenantShares: map[string]float64{"a": 0.5, "b": 0.5}},
 	}
 	for i, c := range good {
 		if err := c.Validate(); err != nil {

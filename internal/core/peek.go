@@ -33,11 +33,10 @@ func (a *ATM) peekEntry(tt *taskrt.TaskType, ts *typeState, level int, ins, outs
 // task: on a hit the stored outputs are copied into outs (which must
 // match the entry's shapes) and Peek reports true. A lookup is a peek,
 // so it is quiet: no engine or table state changes — not the table's
-// lookup/hit counters, not the CLOCK reference bit, not the TinyLFU
-// sketch — and a probed key is no likelier to survive eviction for
-// having been looked at. Safe to call from any goroutine — the
-// memoization-lookup path of a network front-end (GET /v1/lookup in
-// cmd/atmd).
+// lookup/hit counters, not the admission sketch — and a probed key is
+// no likelier to be admitted or kept for having been looked at. Safe to
+// call from any goroutine — the memoization-lookup path of a network
+// front-end (GET /v1/lookup in cmd/atmd).
 //
 // A false return means only that no entry exists at the type's current
 // p level right now; a concurrent insert may land immediately after.
@@ -80,14 +79,14 @@ type HitTask struct {
 // task is a steady-state THT hit: then each task's stored outputs have
 // been copied into its Outs and the engine has recorded, per task,
 // exactly what a worker's OnReady records for a memoized task — the
-// table's lookup and hit counters, the CLOCK reference bit, the TinyLFU
-// increment, the type's Tasks and MemoizedTHT (on the out-of-band stats
-// shard, which WorkerTotals leaves out) and the sampled hash/copy time
-// estimate. On the first task that is not such a hit — a miss, a type
-// that is not memoizable, is still training or has an exclusion set,
-// Config.VerifyInputs, an attached tracer — it releases what it held and
-// reports false with Outs untouched and no counter, bit or sketch cell
-// changed: the caller then submits the request, whole, as if ServeHits
+// table's lookup and hit counters, the admission-sketch increment of a
+// budgeted table, the type's Tasks and MemoizedTHT (on the out-of-band
+// stats shard, which WorkerTotals leaves out) and the sampled hash/copy
+// time estimate. On the first task that is not such a hit — a miss, a
+// type that is not memoizable, is still training or has an exclusion
+// set, Config.VerifyInputs, an attached tracer — it releases what it
+// held and reports false with Outs untouched and no counter or sketch
+// cell changed: the caller then submits the request, whole, as if ServeHits
 // had never been called. Types are checked before the first hash, so a
 // request that can never be served inline costs no hashing.
 //

@@ -102,7 +102,6 @@ func (r *hitsRig) hitTasks(keys ...int) ([]HitTask, []*region.Float64) {
 type tableState struct {
 	lookups, hits int64
 	sketchAdds    int64
-	touched       int // entries with the CLOCK bit set
 	extraRefs     int // references beyond the table's own
 }
 
@@ -116,37 +115,36 @@ func (r *hitsRig) tableState() tableState {
 	for bi := range tht.buckets {
 		b := &tht.buckets[bi]
 		for i := 0; i < b.n; i++ {
-			e := b.entries[(b.head+i)%len(b.entries)]
-			if e.touched.Load() {
-				s.touched++
-			}
-			s.extraRefs += int(e.refs.Load()) - 1
+			s.extraRefs += int(b.entries[(b.head+i)%len(b.entries)].refs.Load()) - 1
 		}
 	}
 	return s
 }
 
-var evictPolicies = []EvictPolicy{EvictFIFO, EvictCLOCK, EvictTinyLFU}
+// budgets are the table shapes the lookup-side-effect tests run under:
+// unbudgeted (no sketch) and budgeted (every counted lookup feeds the
+// admission sketch).
+var budgets = []int64{0, 1 << 20}
 
 // TestPeekIsQuiet: a lookup is a peek. Hit or miss, it moves no table
-// counter, sets no CLOCK bit and feeds no sketch.
+// counter and feeds no sketch.
 func TestPeekIsQuiet(t *testing.T) {
-	for _, policy := range evictPolicies {
-		r := newHitsRig(t, Config{Mode: ModeStatic, THTBudgetBytes: 1 << 20, THTEviction: policy})
+	for _, budget := range budgets {
+		r := newHitsRig(t, Config{Mode: ModeStatic, THTBudgetBytes: budget})
 		r.run(1)
 		before, stats := r.tableState(), r.memo.Stats()
 		out := []region.Region{region.NewFloat64(16)}
 		if !r.memo.Peek(r.tt, []region.Region{mkInput(1)}, out) {
-			t.Fatalf("%v: Peek missed a stored entry", policy)
+			t.Fatalf("budget %d: Peek missed a stored entry", budget)
 		}
 		if r.memo.Peek(r.tt, []region.Region{mkInput(2)}, out) {
-			t.Fatalf("%v: Peek hit an input never run", policy)
+			t.Fatalf("budget %d: Peek hit an input never run", budget)
 		}
 		if after := r.tableState(); after != before {
-			t.Errorf("%v: Peek changed the table: %+v -> %+v", policy, before, after)
+			t.Errorf("budget %d: Peek changed the table: %+v -> %+v", budget, before, after)
 		}
 		if after := r.memo.Stats(); !reflect.DeepEqual(after, stats) {
-			t.Errorf("%v: Peek changed Stats:\n%+v\n%+v", policy, stats, after)
+			t.Errorf("budget %d: Peek changed Stats:\n%+v\n%+v", budget, stats, after)
 		}
 	}
 }
@@ -155,8 +153,8 @@ func TestPeekIsQuiet(t *testing.T) {
 // through a worker (OnReady) on one engine and through ServeHits on
 // another: outputs, Stats and the table's eviction state must agree.
 func TestServeHitsRecordsWhatWorkersRecord(t *testing.T) {
-	for _, policy := range evictPolicies {
-		cfg := Config{Mode: ModeStatic, THTBudgetBytes: 1 << 20, THTEviction: policy}
+	for _, budget := range budgets {
+		cfg := Config{Mode: ModeStatic, THTBudgetBytes: budget}
 		worker, inline := newHitsRig(t, cfg), newHitsRig(t, cfg)
 		worker.run(1, 2, 3)
 		inline.run(1, 2, 3)
@@ -164,12 +162,12 @@ func TestServeHitsRecordsWhatWorkersRecord(t *testing.T) {
 		worker.run(3, 1, 1, 2)
 		tasks, outs := inline.hitTasks(3, 1, 1, 2)
 		if !inline.memo.ServeHits(tasks) {
-			t.Fatalf("%v: ServeHits refused four warm tasks", policy)
+			t.Fatalf("budget %d: ServeHits refused four warm tasks", budget)
 		}
 		for i, k := range []int{3, 1, 1, 2} {
 			for j, v := range mkInput(k).Data {
 				if outs[i].Data[j] != 2*v {
-					t.Fatalf("%v: task %d output[%d] = %v, want %v", policy, i, j, outs[i].Data[j], 2*v)
+					t.Fatalf("budget %d: task %d output[%d] = %v, want %v", budget, i, j, outs[i].Data[j], 2*v)
 				}
 			}
 		}
@@ -179,41 +177,41 @@ func TestServeHitsRecordsWhatWorkersRecord(t *testing.T) {
 			is.Types[i].HashTime, is.Types[i].CopyTime = 0, 0
 		}
 		if !reflect.DeepEqual(ws, is) {
-			t.Errorf("%v: Stats differ\nworker %+v\ninline %+v", policy, ws, is)
+			t.Errorf("budget %d: Stats differ\nworker %+v\ninline %+v", budget, ws, is)
 		}
 		if w, i := worker.tableState(), inline.tableState(); w != i {
-			t.Errorf("%v: table state differs: worker %+v, inline %+v", policy, w, i)
+			t.Errorf("budget %d: table state differs: worker %+v, inline %+v", budget, w, i)
 		}
 		if got := inline.memo.Stats().Types[0]; got.HashTime <= 0 || got.CopyTime <= 0 {
-			t.Errorf("%v: warm-up tasks left no time estimate: hash %v copy %v", policy, got.HashTime, got.CopyTime)
+			t.Errorf("budget %d: warm-up tasks left no time estimate: hash %v copy %v", budget, got.HashTime, got.CopyTime)
 		}
 	}
 }
 
 // TestServeHitsAbandonedLeavesNoTrace: one miss among hits and the call
-// reports false having changed nothing — outputs, Stats, counters, CLOCK
-// bits, sketch, entry references.
+// reports false having changed nothing — outputs, Stats, counters,
+// sketch, entry references.
 func TestServeHitsAbandonedLeavesNoTrace(t *testing.T) {
-	for _, policy := range evictPolicies {
-		r := newHitsRig(t, Config{Mode: ModeStatic, THTBudgetBytes: 1 << 20, THTEviction: policy})
+	for _, budget := range budgets {
+		r := newHitsRig(t, Config{Mode: ModeStatic, THTBudgetBytes: budget})
 		r.run(1, 2)
 		before, stats := r.tableState(), r.memo.Stats()
 		tasks, outs := r.hitTasks(1, 9, 2) // 9 was never run
 		if r.memo.ServeHits(tasks) {
-			t.Fatalf("%v: ServeHits served a request holding a miss", policy)
+			t.Fatalf("budget %d: ServeHits served a request holding a miss", budget)
 		}
 		for i, o := range outs {
 			for j, v := range o.Data {
 				if v != -1 {
-					t.Fatalf("%v: abandoned attempt wrote output %d[%d] = %v", policy, i, j, v)
+					t.Fatalf("budget %d: abandoned attempt wrote output %d[%d] = %v", budget, i, j, v)
 				}
 			}
 		}
 		if after := r.tableState(); after != before {
-			t.Errorf("%v: abandoned attempt changed the table: %+v -> %+v", policy, before, after)
+			t.Errorf("budget %d: abandoned attempt changed the table: %+v -> %+v", budget, before, after)
 		}
 		if after := r.memo.Stats(); !reflect.DeepEqual(after, stats) {
-			t.Errorf("%v: abandoned attempt changed Stats:\n%+v\n%+v", policy, stats, after)
+			t.Errorf("budget %d: abandoned attempt changed Stats:\n%+v\n%+v", budget, stats, after)
 		}
 	}
 }
@@ -336,15 +334,21 @@ func TestServeHitsAllocationFree(t *testing.T) {
 }
 
 // TestServeHitsRacesInsertEvict: eight goroutines serve hot keys inline
-// while the runtime inserts and evicts under a byte budget with the
-// delta log on and drained. An entry recycled while a reader held it
+// while the runtime inserts and evicts — under a byte budget, or by ring
+// replacement in a small unbudgeted table — with the delta log on and
+// drained. An entry recycled while a reader held it
 // would show as a wrong output (or a race report); afterwards every
 // resident holds exactly the table's reference and the stats partition.
 // Run with -race.
 func TestServeHitsRacesInsertEvict(t *testing.T) {
-	for _, policy := range evictPolicies {
+	for _, cfg := range []Config{
 		// 16 floats out: 152 bytes an entry, so about 26 fit.
-		r := newHitsRig(t, Config{Mode: ModeStatic, THTBudgetBytes: 4 << 10, THTEviction: policy})
+		{Mode: ModeStatic, THTBudgetBytes: 4 << 10},
+		// Unbudgeted: four buckets of eight, so the rings replace.
+		{Mode: ModeStatic, NBits: 2, M: 8},
+	} {
+		budget := cfg.THTBudgetBytes
+		r := newHitsRig(t, cfg)
 		r.memo.EnableDeltaTracking()
 		hot := []int{1, 2, 3, 4}
 		var served atomic.Int64
@@ -369,7 +373,7 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 					for i, k := range keys {
 						for j, v := range mkInput(k).Data {
 							if outs[i].Data[j] != 2*v {
-								t.Errorf("%v: key %d output[%d] = %v, want %v", policy, k, j, outs[i].Data[j], 2*v)
+								t.Errorf("budget %d: key %d output[%d] = %v, want %v", budget, k, j, outs[i].Data[j], 2*v)
 								return
 							}
 						}
@@ -397,18 +401,18 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 			t.Fatal(err)
 		}
 		if served.Load() == 0 {
-			t.Errorf("%v: no inline request was ever served", policy)
+			t.Errorf("budget %d: no inline request was ever served", budget)
 		}
 		st := r.memo.Stats()
-		if st.THTBudgetEvictions == 0 {
-			t.Errorf("%v: the budget never evicted", policy)
+		if st.THTEvictions == 0 {
+			t.Errorf("budget %d: the table never evicted", budget)
 		}
 		ty := st.Types[0]
 		if ty.Executed+ty.MemoizedTHT+ty.MemoizedIKT != ty.Tasks {
-			t.Errorf("%v: %d executed + %d THT + %d IKT != %d tasks", policy, ty.Executed, ty.MemoizedTHT, ty.MemoizedIKT, ty.Tasks)
+			t.Errorf("budget %d: %d executed + %d THT + %d IKT != %d tasks", budget, ty.Executed, ty.MemoizedTHT, ty.MemoizedIKT, ty.Tasks)
 		}
 		if ts := r.tableState(); ts.extraRefs != 0 {
-			t.Errorf("%v: resident entries hold %d references beyond the table's own, want 0", policy, ts.extraRefs)
+			t.Errorf("budget %d: resident entries hold %d references beyond the table's own, want 0", budget, ts.extraRefs)
 		}
 	}
 }

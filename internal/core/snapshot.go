@@ -92,11 +92,10 @@ type EntrySnapshot struct {
 // configured engine. Defaults are applied first, so Config{} and the
 // spelled-out equivalent fingerprint identically.
 //
-// THTBudgetBytes, THTEviction and TenantShares are deliberately
-// excluded: they are capacity knobs, not key-validity knobs. A
-// snapshot is a cache — restoring it under a different budget or
-// eviction policy yields valid (merely fewer or differently chosen)
-// entries, and an operator must be able to resize a service's budget
+// THTBudgetBytes and TenantShares are deliberately excluded: they are
+// capacity knobs, not key-validity knobs. A snapshot is a cache —
+// restoring it under a different budget yields valid (merely fewer or
+// differently chosen) entries, and an operator must be able to resize a service's budget
 // across restarts without discarding its warm state. Tenancy needs no
 // fingerprint bit either: the tenant lives in the type name, which
 // seeds the key hash (typeSeed), so tenants' key spaces are disjoint

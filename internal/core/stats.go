@@ -62,12 +62,11 @@ type Stats struct {
 	// and budget evictions alike).
 	THTLookups, THTHits, THTEvictions int64
 	// THTBudgetBytes is the configured global memory budget (0 =
-	// unbounded) and THTEvictionPolicy the policy enforcing it.
-	THTBudgetBytes    int64
-	THTEvictionPolicy string
+	// unbounded).
+	THTBudgetBytes int64
 	// THTBudgetEvictions counts evictions forced by the global or
 	// per-tenant budget (a subset of THTEvictions); THTAdmissionRejects
-	// counts inserts rejected at admission (TinyLFU duels lost, or
+	// counts inserts rejected at admission (frequency duels lost, or
 	// entries larger than the budget).
 	THTBudgetEvictions, THTAdmissionRejects int64
 	// Tenants is the per-tenant THT accounting, in dense id order (the
@@ -164,11 +163,9 @@ func (a *ATM) Stats() Stats {
 	st.THTBytes = a.tht.MemoryBytes()
 	st.THTEntries = a.tht.Entries()
 	st.THTLookups, st.THTHits, st.THTEvictions = a.tht.Counters()
-	budget, policy := a.tht.Budget()
-	st.THTBudgetBytes = budget
-	st.THTEvictionPolicy = policy.String()
+	st.THTBudgetBytes = a.tht.Budget()
 	st.THTBudgetEvictions, st.THTAdmissionRejects = a.tht.BudgetCounters()
-	if tenants := a.tht.TenantStats(); budget > 0 || len(tenants) > 1 {
+	if tenants := a.tht.TenantStats(); st.THTBudgetBytes > 0 || len(tenants) > 1 {
 		st.Tenants = tenants
 	}
 	if a.ikt != nil {

@@ -37,11 +37,6 @@ type Entry struct {
 	// 0 is the default tenant. It scopes the per-tenant byte accounting
 	// and budget-share eviction.
 	tenant int32
-	// touched is the CLOCK reference bit, set on lookup hits when the
-	// table's eviction policy is EvictCLOCK (markHits) and cleared when
-	// the eviction hand sweeps past, giving recently-hit entries a
-	// second chance.
-	touched atomic.Bool
 }
 
 // retain marks an in-flight reader. Callers must pair it with Release.
@@ -75,13 +70,10 @@ type THT struct {
 
 	// Budget/eviction state, immutable after ConfigureBudget (called
 	// before the table is published): budget is the global payload cap
-	// in bytes (0 = unbounded), policy the eviction policy applied under
-	// budget pressure, markHits whether Lookup sets the CLOCK reference
-	// bit, sketch the TinyLFU frequency estimator (nil otherwise).
-	budget   int64
-	policy   EvictPolicy
-	markHits bool
-	sketch   *freqSketch
+	// in bytes (0 = unbounded), sketch the admission frequency estimator
+	// (non-nil exactly when budget > 0).
+	budget int64
+	sketch *freqSketch
 	// hand is the eviction scan position (a bucket index, advanced
 	// atomically so concurrent evictors spread over the table).
 	hand atomic.Uint64
@@ -182,25 +174,18 @@ func NewTHT(nbits, m int) *THT {
 }
 
 // ConfigureBudget sets the table's global memory budget (bytes; 0 =
-// unbounded) and eviction policy. Must be called before the table
-// serves traffic — the fields are read without synchronization on the
-// hot paths.
-func (t *THT) ConfigureBudget(budget int64, policy EvictPolicy) {
-	if budget < 0 {
-		budget = 0
-	}
-	t.budget = budget
-	t.policy = policy
-	t.markHits = policy == EvictCLOCK
-	if policy == EvictTinyLFU {
-		t.sketch = newFreqSketch()
-	} else {
-		t.sketch = nil
+// unbounded) and, with a budget, allocates the admission sketch. Must
+// be called before the table serves traffic — the fields are read
+// without synchronization on the hot paths.
+func (t *THT) ConfigureBudget(budget int64) {
+	t.budget, t.sketch = 0, nil
+	if budget > 0 {
+		t.budget, t.sketch = budget, newFreqSketch()
 	}
 }
 
-// Budget reports the configured global budget and eviction policy.
-func (t *THT) Budget() (bytes int64, policy EvictPolicy) { return t.budget, t.policy }
+// Budget reports the configured global budget (0 = unbounded).
+func (t *THT) Budget() int64 { return t.budget }
 
 // Lookup returns the entry matching (typeID, key, level), or nil, and
 // counts the access: probe plus noteLookup. A non-nil result is retained
@@ -214,8 +199,8 @@ func (t *THT) Lookup(typeID int, key uint64, level int8) *Entry {
 
 // probe is the table's one bucket scan: it returns the entry matching
 // (typeID, key, level), retained for the caller as Lookup's is, or nil,
-// and changes nothing else — no lookup or hit counter, no CLOCK bit, no
-// sketch increment. A caller that goes on to serve from the entry as a
+// and changes nothing else — no lookup or hit counter, no sketch
+// increment. A caller that goes on to serve from the entry as a
 // task's hit applies those with noteLookup; one that only looks (Peek)
 // or gives up (an abandoned ServeHits) leaves the table as it found it.
 func (t *THT) probe(typeID int, key uint64, level int8) *Entry {
@@ -235,19 +220,15 @@ func (t *THT) probe(typeID int, key uint64, level int8) *Entry {
 }
 
 // noteLookup applies what one counted access to key leaves behind; e is
-// what probe found (nil for a miss) and is still retained by the caller,
-// so it cannot be recycled under the CLOCK store.
+// what probe found (nil for a miss).
 func (t *THT) noteLookup(key uint64, e *Entry) {
 	t.lookups.Add(1)
 	if t.sketch != nil {
-		// TinyLFU: every access feeds the frequency sketch (lock-free
+		// Budgeted: every access feeds the frequency sketch (lock-free
 		// nibble CAS), so the admission duel sees demand, not residency.
 		t.sketch.inc(key)
 	}
 	if e != nil {
-		if t.markHits {
-			e.touched.Store(true) // CLOCK reference bit
-		}
 		t.hits.Add(1)
 	}
 }
@@ -284,8 +265,7 @@ func (t *THT) insert(e *Entry, logIt bool) {
 	size += 8 + 8 + 8 // key + provider id + header, the paper's 8-byte key cost
 	e.bytes = size
 	e.pool = &t.pool // set before publication: readers may Release anytime
-	e.touched.Store(false)
-	e.retain() // the table's reference
+	e.retain()       // the table's reference
 	if !t.admit(e, size) {
 		// Over budget and not worth a resident's slot (or larger than the
 		// budget outright): recycle without publishing.
@@ -478,7 +458,7 @@ func (t *THT) Counters() (lookups, hits, evicts int64) {
 
 // BudgetCounters returns the budget-pressure counters: evictions
 // forced by the global or per-tenant budget (a subset of Counters'
-// evictions) and inserts rejected at admission (TinyLFU duels lost, or
+// evictions) and inserts rejected at admission (frequency duels lost, or
 // entries larger than the budget).
 func (t *THT) BudgetCounters() (budgetEvicts, admitRejects int64) {
 	return t.budgetEvicts.Load(), t.admitRejects.Load()

@@ -76,15 +76,14 @@ func checkNoTmp(c *Ctx, dir, op string) {
 // salvaged prefix re-encodes bit-identically, and RepairChain followed
 // by a re-append of the lost delta converges on the canonical chain.
 func appendCrash(c *Ctx) {
-	// A tiny THT budget under a seeded eviction policy makes the deltas
-	// interleave inserts with tombstone records, so every crash offset
-	// also exercises the tombstone section of the chain format. The
-	// oracle below stays valid: Compact folds the tombstones, so its key
-	// set equals the live (evicted) table's.
+	// A tiny THT budget makes the deltas interleave inserts with
+	// tombstone records, so every crash offset also exercises the
+	// tombstone section of the chain format. The oracle below stays
+	// valid: Compact folds the tombstones, so its key set equals the live
+	// (evicted) table's.
 	cfg := core.Config{
 		Mode:           core.ModeStatic,
 		THTBudgetBytes: 8 * (16*8 + 24), // eight mkInput-sized entries
-		THTEviction:    core.EvictPolicy(c.Intn(3)),
 	}
 	memo := core.New(cfg)
 	memo.EnableDeltaTracking()

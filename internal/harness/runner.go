@@ -267,13 +267,11 @@ type RunOptions struct {
 	// crash-consistent service should; persist.SyncOff is for
 	// benchmarks that must not measure fsync latency.
 	Sync persist.SyncPolicy
-	// THTBudgetBytes caps the THT's payload memory (0 = unbounded) and
-	// THTEviction selects the policy enforcing the cap — the -tht-budget
-	// and -evict flags of atmbench and atmd. Capacity knobs only: they
-	// are not folded into the config fingerprint, so a snapshot written
-	// under one budget restores under another.
+	// THTBudgetBytes caps the THT's payload memory (0 = unbounded) — the
+	// -tht-budget flag of atmbench and atmd. A capacity knob only: it is
+	// not folded into the config fingerprint, so a snapshot written under
+	// one budget restores under another.
 	THTBudgetBytes int64
-	THTEviction    core.EvictPolicy
 	// TenantShares gives named tenants (the prefix before the first '/'
 	// in a task-type name) fractional shares of THTBudgetBytes.
 	TenantShares map[string]float64
@@ -332,7 +330,7 @@ func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 	load, save, loadOptional := opt.snapshotPaths()
 	st.chain = opt.SnapshotChain
 	cfg := core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed, HashFunc: opt.Hash,
-		THTBudgetBytes: opt.THTBudgetBytes, THTEviction: opt.THTEviction, TenantShares: opt.TenantShares}
+		THTBudgetBytes: opt.THTBudgetBytes, TenantShares: opt.TenantShares}
 	if err := cfg.Validate(); err != nil {
 		st.err = err
 		st.memo = core.New(core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed, HashFunc: opt.Hash})

@@ -10,7 +10,7 @@
 // Three functions are registered:
 //
 //   - Lookup3 — the original Bob Jenkins lookup3 streaming hash
-//     (package jenkins), the default for backward compatibility: its
+//     (lookup3.go), the default for backward compatibility: its
 //     streams, keys and fingerprints are bit-identical to every snapshot
 //     written before this layer existed.
 //   - XXH3 — an xxh3-style stripe hash: 64-byte stripes over 8 lanes of
@@ -24,8 +24,8 @@
 //     48-byte block loop (three 128-bit-multiply lanes per block): the
 //     fast path for builds and architectures without a vector kernel.
 //
-// Like jenkins.Streaming (whose API this package generalizes), the
-// streaming variants fold the total input length at finalization rather
+// Like Lookup3 (whose API this package generalizes), the streaming
+// variants fold the total input length at finalization rather
 // than front-loading it, and XXH3/Wyhash deliberately do not match their
 // namesakes' reference vectors: ATM only requires a deterministic,
 // self-consistent, well-mixed key, and the simplification keeps the
@@ -38,8 +38,8 @@ package hashx
 
 import "fmt"
 
-// Hasher is the streaming hash surface ATM's key computation uses: the
-// exact method set of jenkins.Streaming. A Hasher is single-goroutine
+// Hasher is the streaming hash surface ATM's key computation uses. A
+// Hasher is single-goroutine
 // state, reused across tasks via ResetSeed (the per-worker fast path
 // relies on this to stay allocation-free). Sum64 does not consume state:
 // writes may continue after it.

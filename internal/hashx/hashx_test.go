@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"atm/internal/jenkins"
 )
 
 // writeStream pushes a deterministic mixed-type stream through h using
@@ -73,23 +71,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if len(Names()) != 3 {
 		t.Errorf("Names() = %v, want 3", Names())
-	}
-}
-
-// TestLookup3MatchesJenkins pins the back-compat contract: the Lookup3
-// Func is jenkins.Streaming, bit-for-bit, so every key and fingerprint
-// computed before the hashx layer existed is unchanged.
-func TestLookup3MatchesJenkins(t *testing.T) {
-	for _, seed := range []uint64{0, 1, 0x5ee0, 0xdeadbeefcafef00d} {
-		h := New(Lookup3, seed)
-		j := jenkins.NewStreaming(seed)
-		rng1 := rand.New(rand.NewSource(42))
-		rng2 := rand.New(rand.NewSource(42))
-		writeStream(h, rng1, 64)
-		writeStream(j, rng2, 64)
-		if got, want := h.Sum64(), j.Sum64(); got != want {
-			t.Fatalf("seed %#x: Lookup3 %#x != jenkins %#x", seed, got, want)
-		}
 	}
 }
 

@@ -1,12 +1,287 @@
 package hashx
 
-import "atm/internal/jenkins"
+import "math"
 
-// Lookup3 is jenkins.Streaming behind the Hasher interface: the engine's
-// historical hash, bit-identical to every key and snapshot produced
-// before the hashx layer existed, which is why it is the default Func.
+// Lookup3 is Bob Jenkins' lookup3 block function run as a stream: the
+// engine's historical hash, bit-identical to every key and snapshot
+// produced before the hashx layer existed, which is why it is the
+// default Func. The paper (§III-B) keys tasks with "a hash key generator
+// [Jenkins], which is known to give a collision once in 2^32".
 func init() {
 	register(Lookup3, "lookup3", func(seed uint64) Hasher {
-		return jenkins.NewStreaming(seed)
+		s := &lookup3State{seed: seed}
+		s.Reset()
+		return s
 	})
+}
+
+// lookup3State buffers bytes in 12-byte lookup3 blocks and mixes them
+// with lookup3's mix/final rounds.
+//
+// Because lookup3 folds the total input length into its *initial* state
+// — unknowable while streaming — the length is folded at finalization
+// instead. Its values therefore differ from lookup3's hashlittle2 but
+// share its mixing quality; the function is deterministic and
+// self-consistent, which is all ATM requires of a key.
+type lookup3State struct {
+	a, b, c uint32
+	buf     [12]byte
+	n       int // bytes in buf
+	total   int // total bytes written
+	seed    uint64
+}
+
+// rot rotates x left by k bits.
+func rot(x uint32, k uint) uint32 { return x<<k | x>>(32-k) }
+
+// mix mixes three 32-bit values reversibly (lookup3 mix()).
+func mix(a, b, c uint32) (uint32, uint32, uint32) {
+	a -= c
+	a ^= rot(c, 4)
+	c += b
+	b -= a
+	b ^= rot(a, 6)
+	a += c
+	c -= b
+	c ^= rot(b, 8)
+	b += a
+	a -= c
+	a ^= rot(c, 16)
+	c += b
+	b -= a
+	b ^= rot(a, 19)
+	a += c
+	c -= b
+	c ^= rot(b, 4)
+	b += a
+	return a, b, c
+}
+
+// final forces all bits of c to avalanche (lookup3 final()).
+func final(a, b, c uint32) (uint32, uint32, uint32) {
+	c ^= b
+	c -= rot(b, 14)
+	a ^= c
+	a -= rot(c, 11)
+	b ^= a
+	b -= rot(a, 25)
+	c ^= b
+	c -= rot(b, 16)
+	a ^= c
+	a -= rot(c, 4)
+	b ^= a
+	b -= rot(a, 14)
+	c ^= b
+	c -= rot(b, 24)
+	return a, b, c
+}
+
+func le32(p []byte) uint32 {
+	_ = p[3]
+	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+}
+
+// Reset implements Hasher: the running state starts seeded as
+// hashlittle2's does, minus the length.
+func (s *lookup3State) Reset() {
+	s.a = 0xdeadbeef + uint32(s.seed)
+	s.b = s.a
+	s.c = s.a + uint32(s.seed>>32)
+	s.n = 0
+	s.total = 0
+}
+
+// ResetSeed implements Hasher.
+func (s *lookup3State) ResetSeed(seed uint64) {
+	s.seed = seed
+	s.Reset()
+}
+
+// WriteByte implements Hasher.
+func (s *lookup3State) WriteByte(x byte) error {
+	s.buf[s.n] = x
+	s.n++
+	s.total++
+	if s.n == 12 {
+		s.flushFull()
+	}
+	return nil
+}
+
+// WriteUint16 implements Hasher. It serves the sampled-hash path's short
+// contiguous offset runs (type-aware MSB selection on 4-byte elements
+// produces byte pairs at p = 50%).
+func (s *lookup3State) WriteUint16(u uint16) {
+	if s.n <= 10 {
+		s.buf[s.n] = byte(u)
+		s.buf[s.n+1] = byte(u >> 8)
+		s.n += 2
+		s.total += 2
+		if s.n == 12 {
+			s.flushFull()
+		}
+		return
+	}
+	_ = s.WriteByte(byte(u))
+	_ = s.WriteByte(byte(u >> 8))
+}
+
+// WriteUint32 implements Hasher.
+func (s *lookup3State) WriteUint32(u uint32) {
+	if s.n <= 8 {
+		s.buf[s.n] = byte(u)
+		s.buf[s.n+1] = byte(u >> 8)
+		s.buf[s.n+2] = byte(u >> 16)
+		s.buf[s.n+3] = byte(u >> 24)
+		s.n += 4
+		s.total += 4
+		if s.n == 12 {
+			s.flushFull()
+		}
+		return
+	}
+	s.WriteUint16(uint16(u))
+	s.WriteUint16(uint16(u >> 16))
+}
+
+// WriteUint64 implements Hasher.
+func (s *lookup3State) WriteUint64(u uint64) {
+	if s.n <= 4 {
+		s.buf[s.n] = byte(u)
+		s.buf[s.n+1] = byte(u >> 8)
+		s.buf[s.n+2] = byte(u >> 16)
+		s.buf[s.n+3] = byte(u >> 24)
+		s.buf[s.n+4] = byte(u >> 32)
+		s.buf[s.n+5] = byte(u >> 40)
+		s.buf[s.n+6] = byte(u >> 48)
+		s.buf[s.n+7] = byte(u >> 56)
+		s.n += 8
+		s.total += 8
+		if s.n == 12 {
+			s.flushFull()
+		}
+		return
+	}
+	s.WriteUint32(uint32(u))
+	s.WriteUint32(uint32(u >> 32))
+}
+
+func (s *lookup3State) flushFull() {
+	s.a += le32(s.buf[0:4])
+	s.b += le32(s.buf[4:8])
+	s.c += le32(s.buf[8:12])
+	s.a, s.b, s.c = mix(s.a, s.b, s.c)
+	s.n = 0
+}
+
+// The bulk writes fold whole typed slices into the block state in
+// 12-byte strides without any per-element call or buffer shuffling,
+// producing exactly the byte stream the element-wise writes would. 4- and
+// 8-byte elements return the buffer fill to zero every three elements
+// (lcm(4,12)/4, lcm(8,12)/8), so after at most two single-element writes
+// the tight block loops take over.
+
+// WriteFloat64s implements Hasher.
+func (s *lookup3State) WriteFloat64s(d []float64) {
+	i := 0
+	for ; i < len(d) && s.n != 0; i++ {
+		s.WriteUint64(math.Float64bits(d[i]))
+	}
+	a, b, c := s.a, s.b, s.c
+	for ; i+3 <= len(d); i += 3 {
+		u0 := math.Float64bits(d[i])
+		u1 := math.Float64bits(d[i+1])
+		u2 := math.Float64bits(d[i+2])
+		a += uint32(u0)
+		b += uint32(u0 >> 32)
+		c += uint32(u1)
+		a, b, c = mix(a, b, c)
+		a += uint32(u1 >> 32)
+		b += uint32(u2)
+		c += uint32(u2 >> 32)
+		a, b, c = mix(a, b, c)
+		s.total += 24
+	}
+	s.a, s.b, s.c = a, b, c
+	for ; i < len(d); i++ {
+		s.WriteUint64(math.Float64bits(d[i]))
+	}
+}
+
+// WriteFloat32s implements Hasher: three elements per block.
+func (s *lookup3State) WriteFloat32s(d []float32) {
+	i := 0
+	for ; i < len(d) && s.n != 0; i++ {
+		s.WriteUint32(math.Float32bits(d[i]))
+	}
+	a, b, c := s.a, s.b, s.c
+	for ; i+3 <= len(d); i += 3 {
+		a += math.Float32bits(d[i])
+		b += math.Float32bits(d[i+1])
+		c += math.Float32bits(d[i+2])
+		a, b, c = mix(a, b, c)
+		s.total += 12
+	}
+	s.a, s.b, s.c = a, b, c
+	for ; i < len(d); i++ {
+		s.WriteUint32(math.Float32bits(d[i]))
+	}
+}
+
+// WriteInt32s implements Hasher: three elements per block.
+func (s *lookup3State) WriteInt32s(d []int32) {
+	i := 0
+	for ; i < len(d) && s.n != 0; i++ {
+		s.WriteUint32(uint32(d[i]))
+	}
+	a, b, c := s.a, s.b, s.c
+	for ; i+3 <= len(d); i += 3 {
+		a += uint32(d[i])
+		b += uint32(d[i+1])
+		c += uint32(d[i+2])
+		a, b, c = mix(a, b, c)
+		s.total += 12
+	}
+	s.a, s.b, s.c = a, b, c
+	for ; i < len(d); i++ {
+		s.WriteUint32(uint32(d[i]))
+	}
+}
+
+// WriteBytes implements Hasher: 12 bytes per block once aligned.
+func (s *lookup3State) WriteBytes(p []byte) {
+	i := 0
+	for ; i < len(p) && s.n != 0; i++ {
+		_ = s.WriteByte(p[i])
+	}
+	a, b, c := s.a, s.b, s.c
+	for ; i+12 <= len(p); i += 12 {
+		a += le32(p[i : i+4])
+		b += le32(p[i+4 : i+8])
+		c += le32(p[i+8 : i+12])
+		a, b, c = mix(a, b, c)
+		s.total += 12
+	}
+	s.a, s.b, s.c = a, b, c
+	for ; i < len(p); i++ {
+		_ = s.WriteByte(p[i])
+	}
+}
+
+// Sum64 implements Hasher. It folds the total length and the buffered
+// tail into a copy of the running state, so writes may continue.
+func (s *lookup3State) Sum64() uint64 {
+	a, b, c := s.a+uint32(s.total), s.b, s.c
+	for i := 0; i < s.n; i++ {
+		switch {
+		case i < 4:
+			a += uint32(s.buf[i]) << (8 * uint(i))
+		case i < 8:
+			b += uint32(s.buf[i]) << (8 * uint(i-4))
+		default:
+			c += uint32(s.buf[i]) << (8 * uint(i-8))
+		}
+	}
+	a, b, c = final(a, b, c)
+	return uint64(c) | uint64(b)<<32
 }

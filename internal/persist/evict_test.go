@@ -20,7 +20,6 @@ func evictCfg() core.Config {
 		Mode:           core.ModeStatic,
 		Seed:           7,
 		THTBudgetBytes: 6 * evictEntryBytes,
-		THTEviction:    core.EvictFIFO,
 	}
 }
 

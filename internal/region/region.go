@@ -115,7 +115,7 @@ type Region interface {
 }
 
 // WordSink consumes a little-endian byte stream word-by-word.
-// Every hashx.Hasher (and so *jenkins.Streaming) satisfies it.
+// Every hashx.Hasher satisfies it.
 type WordSink interface {
 	WriteByte(b byte) error
 	WriteUint32(u uint32)

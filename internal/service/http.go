@@ -83,11 +83,10 @@ type StatsResponse struct {
 	// THTEvictions counts every displaced entry, THTBudgetEvictions
 	// the subset forced by the byte budget, THTAdmissionRejects inserts
 	// refused at admission.
-	THTBudgetBytes      int64  `json:"tht_budget_bytes,omitempty"`
-	THTEvictionPolicy   string `json:"tht_eviction_policy,omitempty"`
-	THTEvictions        int64  `json:"tht_evictions"`
-	THTBudgetEvictions  int64  `json:"tht_budget_evictions"`
-	THTAdmissionRejects int64  `json:"tht_admission_rejects"`
+	THTBudgetBytes      int64 `json:"tht_budget_bytes,omitempty"`
+	THTEvictions        int64 `json:"tht_evictions"`
+	THTBudgetEvictions  int64 `json:"tht_budget_evictions"`
+	THTAdmissionRejects int64 `json:"tht_admission_rejects"`
 	// Tenants is the per-tenant THT accounting (present once a
 	// non-default tenant registered or a budget is set).
 	Tenants []TenantStatsJSON `json:"tenants,omitempty"`
@@ -396,9 +395,6 @@ func (s *Server) BuildStats() StatsResponse {
 	resp.THTHits = st.THTHits
 	resp.IKTDefers = st.IKTDefers
 	resp.THTBudgetBytes = st.THTBudgetBytes
-	if st.THTBudgetBytes > 0 {
-		resp.THTEvictionPolicy = st.THTEvictionPolicy
-	}
 	resp.THTEvictions = st.THTEvictions
 	resp.THTBudgetEvictions = st.THTBudgetEvictions
 	resp.THTAdmissionRejects = st.THTAdmissionRejects

@@ -74,19 +74,15 @@ func inlineStream(t *testing.T, seed int64, n int) []inlineStreamReq {
 // TestInlineMatchesLoop sends one stream, one client, through an engine
 // with the inline path on and one with it off: every reply is the same
 // bytes, and afterwards core.Stats and the table's contents are equal —
-// under each eviction policy, budgeted and not, Static and Dynamic.
+// budgeted and not, Static and Dynamic.
 func TestInlineMatchesLoop(t *testing.T) {
 	type variant struct {
 		mode   core.Mode
 		budget int64
-		policy core.EvictPolicy
 	}
 	var variants []variant
 	for _, mode := range []core.Mode{core.ModeStatic, core.ModeDynamic} {
-		variants = append(variants, variant{mode: mode})
-		for _, policy := range []core.EvictPolicy{core.EvictFIFO, core.EvictCLOCK, core.EvictTinyLFU} {
-			variants = append(variants, variant{mode, 96 << 10, policy})
-		}
+		variants = append(variants, variant{mode, 0}, variant{mode, 96 << 10})
 	}
 	reqs := inlineStream(t, 22, 500)
 	bodies := make([][]byte, len(reqs))
@@ -97,14 +93,14 @@ func TestInlineMatchesLoop(t *testing.T) {
 		}
 	}
 	for _, v := range variants {
-		t.Run(fmt.Sprintf("%v/%v/%d", v.mode, v.policy, v.budget), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%v/%d", v.mode, v.budget), func(t *testing.T) {
 			type side struct {
 				eng *Engine
 				srv *Server
 			}
 			var sides [2]side // inline on, inline off
 			for i := range sides {
-				memo := core.New(core.Config{Mode: v.mode, THTBudgetBytes: v.budget, THTEviction: v.policy})
+				memo := core.New(core.Config{Mode: v.mode, THTBudgetBytes: v.budget})
 				eng := newTestEngine(t, Config{Workers: 1, Memo: memo})
 				eng.noInline = i == 1
 				sides[i] = side{eng, NewServer(eng)}
@@ -509,7 +505,7 @@ func TestLookupIsQuietAndAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: 1 << 20, THTEviction: core.EvictTinyLFU})
+	memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: 1 << 20})
 	e := newTestEngine(t, Config{Workers: 1, Memo: memo})
 	lu := mustKind(t, "lu")
 	in, miss := Input(lu, 1, 1), Input(lu, 2, 1)
