@@ -197,6 +197,43 @@ func TestLookup3Reset(t *testing.T) {
 	}
 }
 
+// TestLookup3ResetSeed: ResetSeed fully restores the seeded initial
+// state, and both seed halves matter (the high half seeds c).
+func TestLookup3ResetSeed(t *testing.T) {
+	a := New(Lookup3, 1)
+	a.WriteUint64(42)
+	k1 := a.Sum64()
+	for _, seed := range []uint64{2, 1 | 1<<32} {
+		a.ResetSeed(seed)
+		a.WriteUint64(42)
+		if a.Sum64() == k1 {
+			t.Fatalf("seeds 1 and %#x must give different keys", seed)
+		}
+	}
+	a.ResetSeed(1)
+	a.WriteUint64(42)
+	if a.Sum64() != k1 {
+		t.Fatal("ResetSeed must fully restore the seeded initial state")
+	}
+}
+
+// TestLookup3Sum64IsRepeatable: Sum64 over a buffered partial block
+// consumes nothing, and writes after it continue the same stream.
+func TestLookup3Sum64IsRepeatable(t *testing.T) {
+	s := New(Lookup3, 3)
+	s.WriteBytes([]byte("hello, tasks"))
+	h1 := s.Sum64()
+	if h2 := s.Sum64(); h1 != h2 {
+		t.Fatalf("Sum64 consumed state: %#x then %#x", h1, h2)
+	}
+	_ = s.WriteByte('!')
+	s2 := New(Lookup3, 3)
+	s2.WriteBytes([]byte("hello, tasks!"))
+	if s.Sum64() != s2.Sum64() {
+		t.Fatal("writes after Sum64 diverge from a fresh stream")
+	}
+}
+
 func TestLookup3LengthMatters(t *testing.T) {
 	// {1, 2} must differ from {1, 2, 0}: the length fold must tell a
 	// written zero byte from absence.
