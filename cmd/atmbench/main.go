@@ -37,7 +37,6 @@ import (
 
 	"atm/internal/apps"
 	"atm/internal/harness"
-	"atm/internal/hashx"
 	"atm/internal/persist"
 	"atm/internal/taskrt"
 )
@@ -65,7 +64,6 @@ func main() {
 		shardDir   = flag.String("shard-dir", "", "shardsweep: directory for the per-shard chain files and the merged snapshot (default: a temp directory)")
 		recoverStr = flag.String("recover", "strict", "damaged-snapshot policy: strict (report, run cold) | salvage (repair torn tails, warm-start the prefix) | cold (discard, run cold)")
 		noSync     = flag.Bool("nosync", false, "skip fsync on snapshot saves (benchmarking only: a crash may lose or tear the most recent saves)")
-		hashStr    = flag.String("hash", "", "ATM key hash function: lookup3 (default) | xxh3 | wyhash — folded into the snapshot fingerprint, so warm state is per-function")
 		budgetStr  = flag.String("tht-budget", "", "stats: THT memory budget in bytes, k/m/g suffixes accepted (empty = unbounded)")
 	)
 	flag.Parse()
@@ -77,11 +75,6 @@ func main() {
 	}
 
 	budget, err := harness.ParseByteSize(*budgetStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	hashFunc, err := hashx.ParseFunc(*hashStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -129,7 +122,6 @@ func main() {
 		Workers:       *workers,
 		Repeats:       *repeats,
 		Seed:          *seed,
-		Hash:          hashFunc,
 		Policy:        policy,
 		Deterministic: *det,
 		DetSched:      detSched,
@@ -287,13 +279,13 @@ func runStats(opt harness.Options, mode string, level int, ikt bool, load, save,
 				fmt.Printf("%s: chain file %s\n", name, bchain)
 			}
 		}
-		ro := harness.RunOptions{Seed: opt.Seed, Hash: opt.Hash, Batch: opt.Batch, Policy: opt.Policy,
+		ro := harness.RunOptions{Seed: opt.Seed, Batch: opt.Batch, Policy: opt.Policy,
 			Deterministic: opt.Deterministic, DetSched: opt.DetSched,
 			SnapshotLoad: bload, SnapshotSave: bsave, SnapshotChain: bchain, SnapshotDeltaEvery: deltaEvery,
 			Recover: opt.Recover, Sync: opt.Sync,
 			THTBudgetBytes: budget}
 		base := harness.RunOne(harness.FactoryFor(name), opt.Scale, opt.Workers, harness.Baseline(),
-			harness.RunOptions{Seed: opt.Seed, Hash: opt.Hash, Batch: opt.Batch, Policy: opt.Policy,
+			harness.RunOptions{Seed: opt.Seed, Batch: opt.Batch, Policy: opt.Policy,
 				Deterministic: opt.Deterministic, DetSched: opt.DetSched})
 		o := harness.RunOne(harness.FactoryFor(name), opt.Scale, opt.Workers, spec, ro)
 		if o.SnapshotErr != nil {

@@ -32,7 +32,6 @@ import (
 
 	"atm/internal/core"
 	"atm/internal/harness"
-	"atm/internal/hashx"
 	"atm/internal/persist"
 	"atm/internal/service"
 )
@@ -55,7 +54,6 @@ func main() {
 		deltaEvery = flag.Duration("delta-every", 0, "also save a snapshot every interval")
 		recoverStr = flag.String("recover", "strict", "damaged-snapshot policy: strict|salvage|cold")
 		noSync     = flag.Bool("nosync", false, "skip fsync on snapshot saves (a crash may lose or tear the most recent saves)")
-		hashStr    = flag.String("hash", "", "ATM key hash function: lookup3 (default) | xxh3 | wyhash — folded into the snapshot fingerprint, so warm state is per-function")
 		budgetStr  = flag.String("tht-budget", "", "THT memory budget in bytes, k/m/g suffixes accepted (empty = unbounded)")
 		sharesStr  = flag.String("tenant-shares", "", "per-tenant budget shares, e.g. acme=0.5,beta=0.25 (requires -tht-budget)")
 		maxTenants = flag.Int("max-tenants", 0, "distinct tenant namespaces served (0 = 64)")
@@ -68,12 +66,6 @@ func main() {
 	}
 
 	recoverPolicy, err := harness.ParseRecoverPolicy(*recoverStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	hashFunc, err := hashx.ParseFunc(*hashStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -111,7 +103,6 @@ func main() {
 
 	opt := harness.RunOptions{
 		Seed:               *seed,
-		Hash:               hashFunc,
 		SnapshotPath:       *snapshot,
 		SnapshotLoad:       *loadPath,
 		SnapshotSave:       *savePath,

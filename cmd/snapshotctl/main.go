@@ -114,10 +114,8 @@ func inspect(paths []string, out, errw io.Writer) int {
 			continue
 		}
 		fp := fingerprintOf(base, deltas)
-		// The hash name is a best-effort decode of the fingerprint's
-		// marker bits (see core.FingerprintHashFunc): display only.
-		fmt.Fprintf(out, "%s: version %d, fingerprint %#016x (hash %s), %d bytes\n",
-			path, ver, fp, core.FingerprintHashFunc(fp), len(data))
+		fmt.Fprintf(out, "%s: version %d, fingerprint %#016x, %d bytes\n",
+			path, ver, fp, len(data))
 		if base != nil {
 			entries, bytes := snapshotStats(base)
 			fmt.Fprintf(out, "  base: %d sections, %d entries, ~%d payload bytes (IKT inserts=%d defers=%d rejected=%d)\n",

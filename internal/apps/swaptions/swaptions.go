@@ -157,10 +157,9 @@ func price(in []float64, out []float64, trials, steps int) {
 	// common-random-numbers technique: swaptions with nearly identical
 	// parameters are priced on the same noise realization, so their
 	// price difference reflects the parameter difference rather than
-	// independent Monte-Carlo sampling error. The function is pinned to
-	// Lookup3 regardless of the engine's configured hash: the workload's
-	// outputs must be bit-identical across hash configurations, or
-	// cross-hash snapshot comparisons would diverge for the wrong reason.
+	// independent Monte-Carlo sampling error. This hash is part of the
+	// workload, not a task key: its seed (0x5ee0) is fixed, so the
+	// workload's outputs do not depend on the engine's configuration.
 	h := hashx.New(hashx.Lookup3, 0x5ee0)
 	for _, v := range in {
 		h.WriteUint32(uint32(math.Float64bits(v) >> 32))

@@ -103,13 +103,6 @@ type Config struct {
 	// Seed perturbs the shuffle plans and hash keys; runs with equal
 	// seeds are reproducible.
 	Seed uint64
-	// HashFunc selects the key hash function (package hashx). The zero
-	// value is hashx.Lookup3, the engine's historical hash: zero-valued
-	// configs produce bit-identical keys, snapshots and fingerprints to
-	// every release before the hash became pluggable. The choice is
-	// folded into Fingerprint, so warm state persisted under one
-	// function never restores into an engine running another.
-	HashFunc hashx.Func
 	// THTBudgetBytes caps the THT's payload memory (the table's
 	// MemoryBytes). Zero means unbounded — the paper's sweep behavior.
 	// With a budget set, inserts evict residents (oldest first, under a
@@ -370,8 +363,6 @@ type ATM struct {
 	// probePool recycles hashers for the out-of-band key paths (HashKey,
 	// Peek, ServeHits), which have no worker identity to borrow a hasher
 	// from: concurrent front-ends (cmd/atmd) probe allocation-free.
-	// Pooled hashers keep their last seed, so seed-change detection in
-	// ResetSeed (hashx) skips re-derivation on repeated same-type probes.
 	probePool sync.Pool
 }
 
@@ -398,7 +389,7 @@ func New(cfg Config) *ATM {
 	}
 	a.tht.ConfigureBudget(cfg.THTBudgetBytes)
 	a.registerTenant("") // the default tenant always exists, id 0
-	a.probePool.New = func() any { return hashx.New(cfg.HashFunc, cfg.Seed) }
+	a.probePool.New = func() any { return hashx.New(hashx.Lookup3, cfg.Seed) }
 	a.saveEpoch.Store(1)
 	return a
 }
@@ -430,7 +421,7 @@ func (a *ATM) BindRuntime(rt *taskrt.Runtime) {
 	a.ikt = NewIKT(rt.Workers())
 	a.workers = make([]workerState, rt.Workers())
 	for i := range a.workers {
-		a.workers[i].hasher = hashx.New(a.cfg.HashFunc, a.cfg.Seed)
+		a.workers[i].hasher = hashx.New(hashx.Lookup3, a.cfg.Seed)
 	}
 }
 
@@ -551,7 +542,7 @@ func (a *ATM) hasherFor(w int) hashx.Hasher {
 	if w >= 0 && w < len(a.workers) {
 		return a.workers[w].hasher
 	}
-	return hashx.New(a.cfg.HashFunc, a.cfg.Seed)
+	return hashx.New(hashx.Lookup3, a.cfg.Seed)
 }
 
 // probeHasher borrows a pooled hasher for an out-of-band key

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"atm/internal/hashx"
 	"atm/internal/region"
 	"atm/internal/taskrt"
 	"atm/internal/trace"
@@ -316,20 +315,18 @@ func TestWorkerTotalsLeaveOutServeHits(t *testing.T) {
 // TestServeHitsAllocationFree: with the caller's []HitTask reused, a
 // served request and an abandoned one both allocate nothing.
 func TestServeHitsAllocationFree(t *testing.T) {
-	for _, f := range hashx.Funcs() {
-		r := newHitsRig(t, Config{Mode: ModeFixed, FixedLevel: 13, HashFunc: f})
-		r.run(1, 2)
-		hits, _ := r.hitTasks(1, 2, 1)
-		miss, _ := r.hitTasks(1, 9)
-		if !r.memo.ServeHits(hits) || r.memo.ServeHits(miss) {
-			t.Fatalf("%v: warm-up calls did not behave", f)
-		}
-		if avg := testing.AllocsPerRun(200, func() { r.memo.ServeHits(hits) }); avg != 0 {
-			t.Errorf("%v: a served request allocates %.1f/op, want 0", f, avg)
-		}
-		if avg := testing.AllocsPerRun(200, func() { r.memo.ServeHits(miss) }); avg != 0 {
-			t.Errorf("%v: an abandoned request allocates %.1f/op, want 0", f, avg)
-		}
+	r := newHitsRig(t, Config{Mode: ModeFixed, FixedLevel: 13})
+	r.run(1, 2)
+	hits, _ := r.hitTasks(1, 2, 1)
+	miss, _ := r.hitTasks(1, 9)
+	if !r.memo.ServeHits(hits) || r.memo.ServeHits(miss) {
+		t.Fatal("warm-up calls did not behave")
+	}
+	if avg := testing.AllocsPerRun(200, func() { r.memo.ServeHits(hits) }); avg != 0 {
+		t.Errorf("a served request allocates %.1f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { r.memo.ServeHits(miss) }); avg != 0 {
+		t.Errorf("an abandoned request allocates %.1f/op, want 0", avg)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"atm/internal/hashx"
 	"atm/internal/region"
 	"atm/internal/sampling"
 )
@@ -121,43 +120,7 @@ func Fingerprint(cfg Config) uint64 {
 	mix(b2u(cfg.DisableTypeAware))
 	mix(b2u(cfg.VerifyInputs))
 	mix(cfg.Seed)
-	if cfg.HashFunc == hashx.Lookup3 {
-		// The default hash keeps the exact pre-hashx formula, so every
-		// fingerprint in previously persisted snapshots (including the
-		// golden corpus) is unchanged.
-		return h
-	}
-	// Non-default hash: mix the function id and name (the name so a
-	// renumbering cannot silently alias two functions), then stamp the
-	// low 16 bits with a recognizable marker so tooling can decode the
-	// hash choice from the otherwise opaque persisted fingerprint.
-	mix(uint64(cfg.HashFunc))
-	name := cfg.HashFunc.String()
-	for i := 0; i < len(name); i++ {
-		mix(uint64(name[i]))
-	}
-	return h&^0xffff | uint64(hashMarker) | uint64(cfg.HashFunc)
-}
-
-// hashMarker tags the low 16 bits of non-default-hash fingerprints as
-// 0xA5 <func id>, making the hash choice recoverable by inspection
-// tooling (FingerprintHashFunc). Lookup3 fingerprints are unmarked for
-// back compatibility.
-const hashMarker uint16 = 0xa500
-
-// FingerprintHashFunc decodes the hash function a fingerprint was
-// produced under. It is best-effort for display tooling only — a
-// pre-hashx or Lookup3 fingerprint has ~3/65536 odds of its low bits
-// aliasing the marker — so restore paths must keep comparing full
-// fingerprints and never trust this decode for validation.
-func FingerprintHashFunc(fp uint64) hashx.Func {
-	low := uint16(fp)
-	if low&0xff00 == hashMarker {
-		if f := hashx.Func(low & 0xff); f != hashx.Lookup3 && hashx.Registered(f) {
-			return f
-		}
-	}
-	return hashx.Lookup3
+	return h
 }
 
 // Snapshot extracts the engine's memoization state. It quiesces through

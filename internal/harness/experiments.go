@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"atm/internal/apps"
-	"atm/internal/hashx"
 	"atm/internal/persist"
 	"atm/internal/taskrt"
 	"atm/internal/trace"
@@ -24,8 +23,6 @@ type Options struct {
 	Benchmarks []string
 	// Seed perturbs ATM's sampling plans.
 	Seed uint64
-	// Hash selects ATM's key hash function (atmbench -hash).
-	Hash hashx.Func
 	// Batch is the submission batch size (0 = runtime default,
 	// negative = per-task Submit).
 	Batch int
@@ -55,7 +52,7 @@ func (o *Options) names() []string {
 }
 
 func (o *Options) runOpt() RunOptions {
-	return RunOptions{Seed: o.Seed, Hash: o.Hash, Batch: o.Batch, Policy: o.Policy,
+	return RunOptions{Seed: o.Seed, Batch: o.Batch, Policy: o.Policy,
 		Deterministic: o.Deterministic, DetSched: o.DetSched, Recover: o.Recover, Sync: o.Sync}
 }
 

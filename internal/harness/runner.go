@@ -18,7 +18,6 @@ import (
 	"atm/internal/apps/stencil"
 	"atm/internal/apps/swaptions"
 	"atm/internal/core"
-	"atm/internal/hashx"
 	"atm/internal/persist"
 	"atm/internal/taskrt"
 	"atm/internal/trace"
@@ -214,12 +213,6 @@ type RunOptions struct {
 	Trace bool
 	// Seed perturbs ATM's shuffle plans.
 	Seed uint64
-	// Hash selects ATM's key hash function (the -hash flag of atmbench
-	// and atmd). The zero value is hashx.Lookup3, the historical
-	// default; the choice is folded into the engine's config
-	// fingerprint, so snapshots only restore under the function that
-	// wrote them.
-	Hash hashx.Func
 	// Batch is the submission batch size handed to taskrt.Config:
 	// 0 = runtime default, negative = per-task Submit (the before/after
 	// knob of atmbench's -batch flag).
@@ -329,11 +322,11 @@ func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 	}
 	load, save, loadOptional := opt.snapshotPaths()
 	st.chain = opt.SnapshotChain
-	cfg := core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed, HashFunc: opt.Hash,
+	cfg := core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed,
 		THTBudgetBytes: opt.THTBudgetBytes, TenantShares: opt.TenantShares}
 	if err := cfg.Validate(); err != nil {
 		st.err = err
-		st.memo = core.New(core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed, HashFunc: opt.Hash})
+		st.memo = core.New(core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed})
 		return st
 	}
 	if st.chain != "" {

@@ -45,173 +45,127 @@ func writeStream(h Hasher, rng *rand.Rand, ops int) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	fs := Funcs()
-	if len(fs) != 3 {
-		t.Fatalf("Funcs() = %v, want 3 registered", fs)
-	}
-	wantNames := map[Func]string{Lookup3: "lookup3", XXH3: "xxh3", Wyhash: "wyhash"}
-	for f, name := range wantNames {
-		if !Registered(f) {
-			t.Errorf("Registered(%d) = false", f)
-		}
-		if f.String() != name {
-			t.Errorf("Func(%d).String() = %q, want %q", f, f.String(), name)
-		}
-		got, err := ParseFunc(name)
-		if err != nil || got != f {
-			t.Errorf("ParseFunc(%q) = %v, %v, want %v", name, got, err, f)
-		}
-	}
-	if f, err := ParseFunc(""); err != nil || f != Lookup3 {
-		t.Errorf("ParseFunc(\"\") = %v, %v, want Lookup3 default", f, err)
-	}
-	if _, err := ParseFunc("fnv"); err == nil {
-		t.Error("ParseFunc(\"fnv\") succeeded, want error")
-	}
-	if len(Names()) != 3 {
-		t.Errorf("Names() = %v, want 3", Names())
-	}
-}
-
-// TestStreamEquivalence checks the core Hasher contract for every
-// registered Func: any decomposition of the same logical byte stream —
-// byte-at-a-time, word writes, or bulk typed slices — yields the same
-// Sum64.
+// TestStreamEquivalence checks the core Hasher contract: any
+// decomposition of the same logical byte stream — byte-at-a-time, word
+// writes, or bulk typed slices — yields the same Sum64.
 func TestStreamEquivalence(t *testing.T) {
-	for _, f := range Funcs() {
-		t.Run(f.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			for trial := 0; trial < 50; trial++ {
-				n := rng.Intn(400)
-				d := make([]float64, n)
-				for i := range d {
-					d[i] = rng.NormFloat64()
-				}
-				seed := rng.Uint64()
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(400)
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		seed := rng.Uint64()
 
-				bulk := New(f, seed)
-				bulk.WriteFloat64s(d)
+		bulk := New(Lookup3, seed)
+		bulk.WriteFloat64s(d)
 
-				words := New(f, seed)
-				for _, v := range d {
-					words.WriteUint64(math.Float64bits(v))
-				}
+		words := New(Lookup3, seed)
+		for _, v := range d {
+			words.WriteUint64(math.Float64bits(v))
+		}
 
-				bytewise := New(f, seed)
-				for _, v := range d {
-					u := math.Float64bits(v)
-					for k := 0; k < 64; k += 8 {
-						_ = bytewise.WriteByte(byte(u >> k))
-					}
-				}
-
-				// Split the bulk write at a random point to cross
-				// stripe/block boundaries mid-slice.
-				split := New(f, seed)
-				cut := 0
-				if n > 0 {
-					cut = rng.Intn(n)
-				}
-				split.WriteFloat64s(d[:cut])
-				split.WriteFloat64s(d[cut:])
-
-				want := bulk.Sum64()
-				if got := words.Sum64(); got != want {
-					t.Fatalf("n=%d: word path %#x != bulk %#x", n, got, want)
-				}
-				if got := bytewise.Sum64(); got != want {
-					t.Fatalf("n=%d: byte path %#x != bulk %#x", n, got, want)
-				}
-				if got := split.Sum64(); got != want {
-					t.Fatalf("n=%d cut=%d: split path %#x != bulk %#x", n, cut, got, want)
-				}
+		bytewise := New(Lookup3, seed)
+		for _, v := range d {
+			u := math.Float64bits(v)
+			for k := 0; k < 64; k += 8 {
+				_ = bytewise.WriteByte(byte(u >> k))
 			}
-		})
+		}
+
+		// Split the bulk write at a random point to cross block
+		// boundaries mid-slice.
+		split := New(Lookup3, seed)
+		cut := 0
+		if n > 0 {
+			cut = rng.Intn(n)
+		}
+		split.WriteFloat64s(d[:cut])
+		split.WriteFloat64s(d[cut:])
+
+		want := bulk.Sum64()
+		if got := words.Sum64(); got != want {
+			t.Fatalf("n=%d: word path %#x != bulk %#x", n, got, want)
+		}
+		if got := bytewise.Sum64(); got != want {
+			t.Fatalf("n=%d: byte path %#x != bulk %#x", n, got, want)
+		}
+		if got := split.Sum64(); got != want {
+			t.Fatalf("n=%d cut=%d: split path %#x != bulk %#x", n, cut, got, want)
+		}
 	}
 }
 
 // TestStreamEquivalence32 is the 32-bit-element analogue: float32 and
 // int32 bulk writes must equal the equivalent word-wise writes.
 func TestStreamEquivalence32(t *testing.T) {
-	for _, f := range Funcs() {
-		t.Run(f.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			for trial := 0; trial < 30; trial++ {
-				n := rng.Intn(500)
-				f32 := make([]float32, n)
-				i32 := make([]int32, n)
-				for i := range f32 {
-					f32[i] = float32(rng.NormFloat64())
-					i32[i] = rng.Int31()
-				}
-				seed := rng.Uint64()
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		n := rng.Intn(500)
+		f32 := make([]float32, n)
+		i32 := make([]int32, n)
+		for i := range f32 {
+			f32[i] = float32(rng.NormFloat64())
+			i32[i] = rng.Int31()
+		}
+		seed := rng.Uint64()
 
-				a := New(f, seed)
-				a.WriteFloat32s(f32)
-				a.WriteInt32s(i32)
+		a := New(Lookup3, seed)
+		a.WriteFloat32s(f32)
+		a.WriteInt32s(i32)
 
-				b := New(f, seed)
-				for _, v := range f32 {
-					b.WriteUint32(math.Float32bits(v))
-				}
-				for _, v := range i32 {
-					b.WriteUint32(uint32(v))
-				}
+		b := New(Lookup3, seed)
+		for _, v := range f32 {
+			b.WriteUint32(math.Float32bits(v))
+		}
+		for _, v := range i32 {
+			b.WriteUint32(uint32(v))
+		}
 
-				if got, want := a.Sum64(), b.Sum64(); got != want {
-					t.Fatalf("n=%d: bulk %#x != word %#x", n, got, want)
-				}
-			}
-		})
+		if got, want := a.Sum64(), b.Sum64(); got != want {
+			t.Fatalf("n=%d: bulk %#x != word %#x", n, got, want)
+		}
 	}
 }
 
 // TestWriteBytesEquivalence checks WriteBytes against byte-at-a-time.
 func TestWriteBytesEquivalence(t *testing.T) {
-	for _, f := range Funcs() {
-		t.Run(f.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(13))
-			for _, n := range []int{0, 1, 11, 12, 47, 48, 63, 64, 65, 100, 1023, 1024, 1025, 4096} {
-				p := make([]byte, n)
-				rng.Read(p)
-				a := New(f, 99)
-				a.WriteBytes(p)
-				b := New(f, 99)
-				for _, x := range p {
-					_ = b.WriteByte(x)
-				}
-				if got, want := a.Sum64(), b.Sum64(); got != want {
-					t.Fatalf("n=%d: WriteBytes %#x != bytewise %#x", n, got, want)
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 11, 12, 47, 48, 63, 64, 65, 100, 1023, 1024, 1025, 4096} {
+		p := make([]byte, n)
+		rng.Read(p)
+		a := New(Lookup3, 99)
+		a.WriteBytes(p)
+		b := New(Lookup3, 99)
+		for _, x := range p {
+			_ = b.WriteByte(x)
+		}
+		if got, want := a.Sum64(), b.Sum64(); got != want {
+			t.Fatalf("n=%d: WriteBytes %#x != bytewise %#x", n, got, want)
+		}
 	}
 }
 
 // TestSumNonConsuming verifies Sum64 can be called mid-stream without
 // perturbing subsequent writes, and repeatedly with a stable result.
 func TestSumNonConsuming(t *testing.T) {
-	for _, f := range Funcs() {
-		t.Run(f.String(), func(t *testing.T) {
-			d := make([]float64, 77)
-			for i := range d {
-				d[i] = float64(i) * 1.5
-			}
-			a := New(f, 5)
-			a.WriteFloat64s(d[:30])
-			mid1 := a.Sum64()
-			if mid2 := a.Sum64(); mid2 != mid1 {
-				t.Fatalf("repeated Sum64: %#x then %#x", mid1, mid2)
-			}
-			a.WriteFloat64s(d[30:])
+	d := make([]float64, 77)
+	for i := range d {
+		d[i] = float64(i) * 1.5
+	}
+	a := New(Lookup3, 5)
+	a.WriteFloat64s(d[:30])
+	mid1 := a.Sum64()
+	if mid2 := a.Sum64(); mid2 != mid1 {
+		t.Fatalf("repeated Sum64: %#x then %#x", mid1, mid2)
+	}
+	a.WriteFloat64s(d[30:])
 
-			b := New(f, 5)
-			b.WriteFloat64s(d)
-			if got, want := a.Sum64(), b.Sum64(); got != want {
-				t.Fatalf("post-Sum64 writes diverge: %#x != %#x", got, want)
-			}
-		})
+	b := New(Lookup3, 5)
+	b.WriteFloat64s(d)
+	if got, want := a.Sum64(), b.Sum64(); got != want {
+		t.Fatalf("post-Sum64 writes diverge: %#x != %#x", got, want)
 	}
 }
 
@@ -219,95 +173,79 @@ func TestSumNonConsuming(t *testing.T) {
 // New under the new seed (including seed-unchanged resets, the worker
 // fast path), and that seeds actually matter.
 func TestResetSeed(t *testing.T) {
-	for _, f := range Funcs() {
-		t.Run(f.String(), func(t *testing.T) {
-			d := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-			h := New(f, 111)
-			h.WriteFloat64s(d)
-			first := h.Sum64()
+	d := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	h := New(Lookup3, 111)
+	h.WriteFloat64s(d)
+	first := h.Sum64()
 
-			h.ResetSeed(222)
-			h.WriteFloat64s(d)
-			second := h.Sum64()
-			fresh := New(f, 222)
-			fresh.WriteFloat64s(d)
-			if want := fresh.Sum64(); second != want {
-				t.Fatalf("ResetSeed(222) %#x != fresh New %#x", second, want)
-			}
-			if second == first {
-				t.Fatalf("seeds 111 and 222 collide: %#x", first)
-			}
+	h.ResetSeed(222)
+	h.WriteFloat64s(d)
+	second := h.Sum64()
+	fresh := New(Lookup3, 222)
+	fresh.WriteFloat64s(d)
+	if want := fresh.Sum64(); second != want {
+		t.Fatalf("ResetSeed(222) %#x != fresh New %#x", second, want)
+	}
+	if second == first {
+		t.Fatalf("seeds 111 and 222 collide: %#x", first)
+	}
 
-			h.ResetSeed(222) // unchanged-seed reset
-			h.WriteFloat64s(d)
-			if got := h.Sum64(); got != second {
-				t.Fatalf("same-seed ResetSeed diverges: %#x != %#x", got, second)
-			}
+	h.ResetSeed(222) // unchanged-seed reset
+	h.WriteFloat64s(d)
+	if got := h.Sum64(); got != second {
+		t.Fatalf("same-seed ResetSeed diverges: %#x != %#x", got, second)
+	}
 
-			h.ResetSeed(111)
-			h.WriteFloat64s(d)
-			if got := h.Sum64(); got != first {
-				t.Fatalf("ResetSeed back to 111: %#x != %#x", got, first)
-			}
-		})
+	h.ResetSeed(111)
+	h.WriteFloat64s(d)
+	if got := h.Sum64(); got != first {
+		t.Fatalf("ResetSeed back to 111: %#x != %#x", got, first)
 	}
 }
 
-// TestKnownAnswers pins one digest per Func so accidental algorithm
-// changes (which would orphan persisted snapshots keyed under the old
-// stream) fail loudly. Update these ONLY with a deliberate
-// format-breaking change.
+// TestKnownAnswers pins the Lookup3 digest of a fixed stream so an
+// accidental algorithm change (which would orphan every persisted
+// snapshot keyed under the old stream) fails loudly. Update it ONLY with
+// a deliberate format-breaking change.
 func TestKnownAnswers(t *testing.T) {
-	digest := func(f Func) uint64 {
-		h := New(f, 0x1234)
-		for i := 0; i < 300; i++ {
-			h.WriteUint64(uint64(i) * 0x9e3779b97f4a7c15)
-		}
-		h.WriteBytes([]byte("atm-hashx"))
-		return h.Sum64()
+	h := New(Lookup3, 0x1234)
+	for i := 0; i < 300; i++ {
+		h.WriteUint64(uint64(i) * 0x9e3779b97f4a7c15)
 	}
-	got := [3]uint64{digest(Lookup3), digest(XXH3), digest(Wyhash)}
-	t.Logf("digests: lookup3=%#016x xxh3=%#016x wyhash=%#016x", got[0], got[1], got[2])
-	want := knownAnswers
-	for i, w := range want {
-		if got[i] != w {
-			t.Errorf("Func %v digest = %#016x, want %#016x (algorithm changed?)", Func(i), got[i], w)
-		}
+	h.WriteBytes([]byte("atm-hashx"))
+	if got, want := h.Sum64(), uint64(0x1f4045e51843875d); got != want {
+		t.Errorf("Lookup3 digest = %#016x, want %#016x (algorithm changed?)", got, want)
 	}
 }
 
 // TestDistribution is a cheap sanity check that single-bit input flips
 // change the output (no stuck bits across a sample of flips).
 func TestDistribution(t *testing.T) {
-	for _, f := range Funcs() {
-		t.Run(f.String(), func(t *testing.T) {
-			base := make([]byte, 256)
-			for i := range base {
-				base[i] = byte(i)
-			}
-			ref := New(f, 1)
-			ref.WriteBytes(base)
-			r := ref.Sum64()
-			var orDiff, andDiff uint64 = 0, ^uint64(0)
-			for bit := 0; bit < 256*8; bit += 37 {
-				p := make([]byte, len(base))
-				copy(p, base)
-				p[bit/8] ^= 1 << (bit % 8)
-				h := New(f, 1)
-				h.WriteBytes(p)
-				d := h.Sum64() ^ r
-				if d == 0 {
-					t.Fatalf("bit flip %d: collision with base", bit)
-				}
-				orDiff |= d
-				andDiff &= d
-			}
-			if orDiff != ^uint64(0) {
-				t.Errorf("some output bits never flipped: or-diff %#016x", orDiff)
-			}
-			if andDiff != 0 {
-				t.Errorf("some output bits always flipped: and-diff %#016x", andDiff)
-			}
-		})
+	base := make([]byte, 256)
+	for i := range base {
+		base[i] = byte(i)
+	}
+	ref := New(Lookup3, 1)
+	ref.WriteBytes(base)
+	r := ref.Sum64()
+	var orDiff, andDiff uint64 = 0, ^uint64(0)
+	for bit := 0; bit < 256*8; bit += 37 {
+		p := make([]byte, len(base))
+		copy(p, base)
+		p[bit/8] ^= 1 << (bit % 8)
+		h := New(Lookup3, 1)
+		h.WriteBytes(p)
+		d := h.Sum64() ^ r
+		if d == 0 {
+			t.Fatalf("bit flip %d: collision with base", bit)
+		}
+		orDiff |= d
+		andDiff &= d
+	}
+	if orDiff != ^uint64(0) {
+		t.Errorf("some output bits never flipped: or-diff %#016x", orDiff)
+	}
+	if andDiff != 0 {
+		t.Errorf("some output bits always flipped: and-diff %#016x", andDiff)
 	}
 }

@@ -2,21 +2,10 @@ package hashx
 
 import "math"
 
-// Lookup3 is Bob Jenkins' lookup3 block function run as a stream: the
-// engine's historical hash, bit-identical to every key and snapshot
-// produced before the hashx layer existed, which is why it is the
-// default Func. The paper (§III-B) keys tasks with "a hash key generator
-// [Jenkins], which is known to give a collision once in 2^32".
-func init() {
-	register(Lookup3, "lookup3", func(seed uint64) Hasher {
-		s := &lookup3State{seed: seed}
-		s.Reset()
-		return s
-	})
-}
-
-// lookup3State buffers bytes in 12-byte lookup3 blocks and mixes them
-// with lookup3's mix/final rounds.
+// lookup3State is Bob Jenkins' lookup3 block function run as a stream:
+// the paper (§III-B) keys tasks with "a hash key generator [Jenkins],
+// which is known to give a collision once in 2^32". It buffers bytes in
+// 12-byte lookup3 blocks and mixes them with lookup3's mix/final rounds.
 //
 // Because lookup3 folds the total input length into its *initial* state
 // — unknowable while streaming — the length is folded at finalization

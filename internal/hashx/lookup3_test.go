@@ -63,7 +63,7 @@ func (l *byteLog) WriteInt32s(d []int32) {
 	}
 }
 
-// TestLookup3MatchesJenkins pins the Lookup3 Func to Jenkins' lookup3
+// TestLookup3MatchesJenkins pins the hasher to Jenkins' lookup3
 // rounds in their streaming form (lookup3Ref): a mixed stream through
 // every write method hashes as the one-shot reference does over the
 // same bytes. TestKnownAnswers pins the rounds themselves.

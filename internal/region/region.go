@@ -115,7 +115,7 @@ type Region interface {
 }
 
 // WordSink consumes a little-endian byte stream word-by-word.
-// Every hashx.Hasher satisfies it.
+// hashx.Hasher, the engine's key hasher, satisfies it.
 type WordSink interface {
 	WriteByte(b byte) error
 	WriteUint32(u uint32)
@@ -383,12 +383,11 @@ func TotalBytes(regions []Region) int {
 	return n
 }
 
-// Optional sink capabilities. Every hashx.Hasher implements all of them
-// (they are part of its interface), so any registered hash function —
-// including the SIMD-accelerated ones — engages the bulk fast paths;
-// plainer sinks fall back to the element-wise word/byte calls. Detecting
-// them once per region call (instead of dispatching per element) is what
-// makes the p = 100% hash run at memory speed.
+// Optional sink capabilities. hashx.Hasher implements all of them (they
+// are part of its interface), so the key hash engages the bulk fast
+// paths; plainer sinks fall back to the element-wise word/byte calls.
+// Detecting them once per region call (instead of dispatching per
+// element) is what makes the p = 100% hash run at memory speed.
 type (
 	float64sSink interface{ WriteFloat64s([]float64) }
 	float32sSink interface{ WriteFloat32s([]float32) }
