@@ -309,10 +309,10 @@ func BenchmarkSubmitBatch(b *testing.B) {
 		}
 		return rs
 	}
-	run := func(b *testing.B, batch int, submitAll func(rt *taskrt.Runtime, tt *taskrt.TaskType, rs []*region.Float64)) {
+	run := func(b *testing.B, submitAll func(rt *taskrt.Runtime, tt *taskrt.TaskType, rs []*region.Float64)) {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
-		rt := taskrt.New(taskrt.Config{Workers: 4, BatchSize: batch, ThrottleWindow: 2 * tasks})
+		rt := taskrt.New(taskrt.Config{Workers: 4, ThrottleWindow: 2 * tasks})
 		defer rt.Close()
 		rs := mkRegions()
 		tt := rt.RegisterType(taskrt.TypeConfig{Name: "noop", Run: func(*taskrt.Task) {}})
@@ -336,7 +336,7 @@ func BenchmarkSubmitBatch(b *testing.B) {
 		}
 	}
 	b.Run("pertask", func(b *testing.B) {
-		run(b, -1, func(rt *taskrt.Runtime, tt *taskrt.TaskType, rs []*region.Float64) {
+		run(b, func(rt *taskrt.Runtime, tt *taskrt.TaskType, rs []*region.Float64) {
 			for j := 0; j < tasks; j++ {
 				rt.Submit(tt, taskrt.Out(rs[j]))
 			}
@@ -344,9 +344,9 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	})
 	b.Run("batched", func(b *testing.B) {
 		var sb *taskrt.Batcher
-		run(b, 256, func(rt *taskrt.Runtime, tt *taskrt.TaskType, rs []*region.Float64) {
+		run(b, func(rt *taskrt.Runtime, tt *taskrt.TaskType, rs []*region.Float64) {
 			if sb == nil {
-				sb = rt.Batcher()
+				sb = rt.BatcherN(256)
 			}
 			for j := 0; j < tasks; j++ {
 				sb.Add(tt, taskrt.Out(rs[j]))
@@ -397,7 +397,7 @@ func BenchmarkWarmStartHit(b *testing.B) {
 			b.Fatal(err)
 		}
 		rt.Close()
-		data, err := persist.Marshal(snap)
+		data, err := persist.MarshalChain(snap, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,7 +409,7 @@ func BenchmarkWarmStartHit(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			snap, err := persist.Unmarshal(data)
+			snap, _, err := persist.UnmarshalChain(data)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -420,7 +420,7 @@ func BenchmarkWarmStartHit(b *testing.B) {
 	})
 
 	b.Run("hit", func(b *testing.B) {
-		snap, err := persist.Unmarshal(buildSnapshot(b))
+		snap, _, err := persist.UnmarshalChain(buildSnapshot(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -514,7 +514,7 @@ func BenchmarkDeltaSave(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			data, err := persist.Marshal(snap)
+			data, err := persist.MarshalChain(snap, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -18,12 +18,13 @@
 // amortization scenario of docs/persistence.md); -save/-load warm-start
 // individual stats runs, while -chain (optionally with -delta-every)
 // persists them incrementally — each save appends a delta record
-// instead of rewriting the table. shardsweep treats each benchmark as
-// one sweep shard saving per-rep deltas into its own chain, then
-// compacts + merges the chains and warm-starts every shard from the
-// single merged file (the snapshotctl merge workflow). See DESIGN.md
-// for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured results.
+// instead of rewriting the table. Every save writes one format (a
+// chain; -save's is a single base record), so -chain can continue a
+// file -save wrote. shardsweep treats each benchmark as one sweep shard
+// saving per-rep deltas into its own chain, then compacts + merges the
+// chains and warm-starts every shard from the single merged file (the
+// snapshotctl merge workflow). See docs/architecture.md for the layer
+// walk and PERFORMANCE.md for recorded measurements.
 package main
 
 import (
@@ -52,7 +53,6 @@ func main() {
 		mode       = flag.String("mode", "dynamic", "stats experiment: baseline|static|dynamic|fixed")
 		level      = flag.Int("level", 15, "stats experiment: p level for -mode fixed")
 		noIKT      = flag.Bool("no-ikt", false, "stats experiment: disable the IKT")
-		batch      = flag.Int("batch", taskrt.DefaultBatchSize, "submission batch size (0 = per-task Submit)")
 		policyStr  = flag.String("policy", "fifo", "scheduling policy: fifo|lifo")
 		det        = flag.Bool("det", false, "run under the deterministic replay executor: single goroutine, schedule drawn from -seed (see docs/determinism.md)")
 		schedStr   = flag.String("sched", "", "deterministic ready-queue discipline: fifo|lifo|random|adversarial (implies -det; default follows -policy)")
@@ -118,25 +118,20 @@ func main() {
 	}
 
 	opt := harness.Options{
-		Scale:         scale,
-		Workers:       *workers,
-		Repeats:       *repeats,
-		Seed:          *seed,
-		Policy:        policy,
-		Deterministic: *det,
-		DetSched:      detSched,
-		Recover:       recoverPolicy,
-		Out:           os.Stdout,
+		Scale:   scale,
+		Workers: *workers,
+		Repeats: *repeats,
+		Run: harness.RunOptions{
+			Seed:          *seed,
+			Policy:        policy,
+			Deterministic: *det,
+			DetSched:      detSched,
+			Recover:       recoverPolicy,
+		},
+		Out: os.Stdout,
 	}
 	if *noSync {
-		opt.Sync = persist.SyncOff
-	}
-	// -batch 0 means per-task Submit (the pre-batching baseline), which
-	// the runtime spells as a negative batch size; 0 would mean "default".
-	if *batch <= 0 {
-		opt.Batch = -1
-	} else {
-		opt.Batch = *batch
+		opt.Run.Sync = persist.SyncOff
 	}
 	if *benchList != "" {
 		for _, b := range strings.Split(*benchList, ",") {
@@ -279,14 +274,10 @@ func runStats(opt harness.Options, mode string, level int, ikt bool, load, save,
 				fmt.Printf("%s: chain file %s\n", name, bchain)
 			}
 		}
-		ro := harness.RunOptions{Seed: opt.Seed, Batch: opt.Batch, Policy: opt.Policy,
-			Deterministic: opt.Deterministic, DetSched: opt.DetSched,
-			SnapshotLoad: bload, SnapshotSave: bsave, SnapshotChain: bchain, SnapshotDeltaEvery: deltaEvery,
-			Recover: opt.Recover, Sync: opt.Sync,
-			THTBudgetBytes: budget}
-		base := harness.RunOne(harness.FactoryFor(name), opt.Scale, opt.Workers, harness.Baseline(),
-			harness.RunOptions{Seed: opt.Seed, Batch: opt.Batch, Policy: opt.Policy,
-				Deterministic: opt.Deterministic, DetSched: opt.DetSched})
+		ro := opt.Run
+		ro.SnapshotLoad, ro.SnapshotSave, ro.SnapshotChain, ro.SnapshotDeltaEvery = bload, bsave, bchain, deltaEvery
+		ro.THTBudgetBytes = budget
+		base := harness.RunOne(harness.FactoryFor(name), opt.Scale, opt.Workers, harness.Baseline(), opt.Run)
 		o := harness.RunOne(harness.FactoryFor(name), opt.Scale, opt.Workers, spec, ro)
 		if o.SnapshotErr != nil {
 			fmt.Fprintf(os.Stderr, "%s: snapshot: %v\n", name, o.SnapshotErr)
@@ -301,7 +292,7 @@ func runStats(opt harness.Options, mode string, level int, ikt bool, load, save,
 				name, o.Recovery.RecordsKept, o.Recovery.BytesKept, o.Recovery.BytesTruncated)
 		}
 		if o.ColdFallback {
-			fmt.Printf("%s: damaged snapshot could not warm-start (-recover %s); started cold\n", name, opt.Recover)
+			fmt.Printf("%s: damaged snapshot could not warm-start (-recover %s); started cold\n", name, opt.Run.Recover)
 		}
 		if bchain != "" {
 			fmt.Printf("%s: appended %d delta record(s), %d bytes, to %s\n", name, o.DeltaSaves, o.DeltaBytes, bchain)

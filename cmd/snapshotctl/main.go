@@ -1,6 +1,6 @@
 // Command snapshotctl operates on ATM memoization snapshot files —
-// version-1 whole-table snapshots and version-2 incremental chains
-// (docs/persistence.md):
+// version-2 chains, and the legacy version-1 whole-table layout, read
+// as a chain of one base record (docs/persistence.md):
 //
 //	snapshotctl inspect <file>...          summarize header, records and sections
 //	snapshotctl verify <file>...           classify file health (see exit codes)
@@ -71,30 +71,6 @@ func run(args []string, out, errw io.Writer) int {
 	}
 }
 
-// loadFile decodes one snapshot file of either version.
-func loadFile(path string) (*core.Snapshot, []*core.Delta, error) {
-	return persist.LoadChain(path)
-}
-
-// decodeAny decodes already-read bytes of either format version.
-func decodeAny(path string, data []byte) (ver uint32, base *core.Snapshot, deltas []*core.Delta, err error) {
-	if ver, err = persist.FileVersion(data); err != nil {
-		return 0, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	switch ver {
-	case persist.Version:
-		base, err = persist.Unmarshal(data)
-	case persist.Version2:
-		base, deltas, err = persist.UnmarshalChain(data)
-	default:
-		err = fmt.Errorf("unsupported file version %d", ver)
-	}
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return ver, base, deltas, nil
-}
-
 func inspect(paths []string, out, errw io.Writer) int {
 	if len(paths) == 0 {
 		return usage(errw)
@@ -107,12 +83,13 @@ func inspect(paths []string, out, errw io.Writer) int {
 			code = 1
 			continue
 		}
-		ver, base, deltas, err := decodeAny(path, data)
+		base, deltas, err := persist.UnmarshalChain(data)
 		if err != nil {
-			fmt.Fprintf(errw, "snapshotctl: %v\n", err)
+			fmt.Fprintf(errw, "snapshotctl: %s: %v\n", path, err)
 			code = 1
 			continue
 		}
+		ver, _ := persist.FileVersion(data) // the decode validated the header
 		fp := fingerprintOf(base, deltas)
 		fmt.Fprintf(out, "%s: version %d, fingerprint %#016x, %d bytes\n",
 			path, ver, fp, len(data))
@@ -377,7 +354,7 @@ func fold(args []string, out, errw io.Writer, merge bool) int {
 	if merge {
 		shards := make([]*core.Snapshot, 0, len(paths))
 		for _, path := range paths {
-			base, deltas, err := loadFile(path)
+			base, deltas, err := persist.LoadChain(path)
 			if err != nil {
 				fmt.Fprintf(errw, "snapshotctl: %v\n", err)
 				return 1
@@ -406,7 +383,7 @@ func fold(args []string, out, errw io.Writer, merge bool) int {
 		var base *core.Snapshot
 		var chain []*core.Delta
 		for i, path := range paths {
-			b, deltas, err := loadFile(path)
+			b, deltas, err := persist.LoadChain(path)
 			if err != nil {
 				fmt.Fprintf(errw, "snapshotctl: %v\n", err)
 				return 1

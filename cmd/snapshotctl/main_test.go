@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +47,23 @@ func buildShard(t *testing.T, from, n int) (*core.Snapshot, *core.Delta) {
 	return base, d
 }
 
+// writeV1 writes s in the legacy version-1 layout, which nothing writes
+// any more but every reader accepts: a base-only chain's 20-byte header
+// with the version set to 1, followed by its one record's body without
+// the 5-byte frame (kind, length) and 4-byte CRC around it.
+func writeV1(t *testing.T, path string, s *core.Snapshot) {
+	t.Helper()
+	chain, err := persist.MarshalChain(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append(chain[:20:20], chain[25:len(chain)-4]...)
+	binary.LittleEndian.PutUint32(v1[8:], persist.Version1)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errw bytes.Buffer
@@ -65,9 +83,7 @@ func TestInspectAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.Save(v1, full); err != nil {
-		t.Fatal(err)
-	}
+	writeV1(t, v1, full)
 
 	code, out, errw := runCmd(t, "inspect", chain, v1)
 	if code != 0 {

@@ -15,8 +15,8 @@
 //     random-start victim selection, and Nanos++-style submission
 //     throttling with an adaptive, LLC-sized watermark. Dependence
 //     state lives in generation-checked slots embedded in the regions
-//     themselves (region.DepSlot: one pointer load instead of a map
-//     probe, with a map fallback only for foreign regions), and tasks
+//     themselves (region.DepSlot, which every Region carries: one
+//     pointer load instead of a map probe), and tasks
 //     are carved from slabs that recycle through a bounded free list at
 //     completion fences (Wait/Fence) instead of returning to the GC.
 //     A deterministic replay mode (Config.Deterministic) re-runs any
@@ -43,13 +43,14 @@
 //   - internal/persist — the versioned binary codec for memoization
 //     snapshots: core.(*ATM).Snapshot() extracts the serializable state
 //     (THT entries, per-type adaptive levels, a config fingerprint),
-//     persist Save/Load move it to disk with strict, typed-error
-//     decoding (magic, format version, per-entry CRCs), and
+//     persist SaveChain/LoadChain move it to disk with strict,
+//     typed-error decoding (magic, format version, per-entry CRCs), and
 //     core.Restore warm-starts a fresh engine from it — repeated
 //     experiment sweeps pay the training phase once instead of per
 //     process (docs/persistence.md; atmbench -save/-load and the
-//     `sweep` experiment drive it). Incremental chains (format v2)
-//     make saves O(churn): core.(*ATM).SnapshotDelta() extracts only
+//     `sweep` experiment drive it). Every save writes format v2, an
+//     incremental chain (a whole-table save is a chain of one base
+//     record; v1 files still load): core.(*ATM).SnapshotDelta() extracts only
 //     the state changed since the previous save, persist
 //     AppendDelta/Compact/MergeSnapshots fold and combine chains, and
 //     cmd/snapshotctl operates on the files (inspect, verify, compact,

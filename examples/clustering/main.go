@@ -24,10 +24,10 @@ func run(label string, mode core.Mode, enabled bool) (time.Duration, apps.App, *
 		memo = core.New(core.Config{Mode: mode})
 		m = memo
 	}
-	// BatchSize feeds the Batcher the app submits through: kmeans batches
-	// its assignment tasks together with the fan-in update task, so the
-	// update's wide dependence set is wired without atomics.
-	rt := taskrt.New(taskrt.Config{Workers: 8, Memoizer: m, BatchSize: 128})
+	// kmeans submits through a Batcher: its assignment tasks are batched
+	// together with the fan-in update task, so the update's wide
+	// dependence set is wired without atomics.
+	rt := taskrt.New(taskrt.Config{Workers: 8, Memoizer: m})
 	start := time.Now()
 	app.Run(rt)
 	elapsed := time.Since(start)

@@ -22,9 +22,9 @@ func run(spec string, memo *core.ATM) (time.Duration, apps.App) {
 	if memo != nil {
 		m = memo
 	}
-	// The stencil submits its block sweep through the batched pipeline;
-	// BatchSize 0 selects taskrt.DefaultBatchSize (64 tasks per batch).
-	rt := taskrt.New(taskrt.Config{Workers: 8, Memoizer: m, BatchSize: 0})
+	// The stencil submits its block sweep through the batched pipeline
+	// (taskrt.DefaultBatch tasks per batch).
+	rt := taskrt.New(taskrt.Config{Workers: 8, Memoizer: m})
 	start := time.Now()
 	app.Run(rt)
 	elapsed := time.Since(start)

@@ -26,8 +26,8 @@ func run(label string, memo *core.ATM) (time.Duration, apps.App, *trace.Tracer) 
 		m = memo
 	}
 	// Blackscholes' flat independent block loop is the ideal SubmitBatch
-	// shape: large batches publish as one block push + one wake each.
-	rt := taskrt.New(taskrt.Config{Workers: 8, Memoizer: m, Tracer: tr, BatchSize: 256})
+	// shape: each batch publishes as one block push + one wake.
+	rt := taskrt.New(taskrt.Config{Workers: 8, Memoizer: m, Tracer: tr})
 	start := time.Now()
 	app.Run(rt)
 	elapsed := time.Since(start)

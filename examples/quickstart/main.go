@@ -102,11 +102,11 @@ func main() {
 		fmt.Println("snapshot:", err)
 		return
 	}
-	if err := persist.Save(snapPath, snap); err != nil {
+	if err := persist.SaveChain(snapPath, snap, nil); err != nil {
 		fmt.Println("save:", err)
 		return
 	}
-	loaded, err := persist.Load(snapPath)
+	loaded, _, err := persist.LoadChain(snapPath)
 	if err != nil {
 		fmt.Println("load:", err)
 		return
@@ -167,7 +167,7 @@ func main() {
 // loadedForChain re-reads the whole-table snapshot for the chain demo
 // (each Restore consumes its snapshot).
 func loadedForChain(path string) *core.Snapshot {
-	s, err := persist.Load(path)
+	s, _, err := persist.LoadChain(path)
 	if err != nil {
 		panic(err)
 	}

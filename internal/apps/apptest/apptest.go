@@ -86,11 +86,11 @@ func CheckWarmStart(t *testing.T, f apps.Factory) {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	data, err := persist.Marshal(snap)
+	data, err := persist.MarshalChain(snap, nil)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	decoded, err := persist.Unmarshal(data)
+	decoded, _, err := persist.UnmarshalChain(data)
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"atm/internal/region"
 	"atm/internal/taskrt"
@@ -378,7 +379,11 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 				}
 			}(g)
 		}
-		for round := 0; round < 100; round++ {
+		// Churn for 100 rounds, and on past them (up to a deadline) until
+		// some goroutine has served inline, so every counted serve raced
+		// the inserts and evictions.
+		deadline := time.Now().Add(10 * time.Second)
+		for round := 0; round < 100 || served.Load() == 0 && time.Now().Before(deadline); round++ {
 			// Re-run the hot keys (hits, or re-inserts after an eviction)
 			// among never-repeating ones that push residents out.
 			keys := append([]int(nil), hot...)

@@ -264,7 +264,7 @@ func saveCrash(c *Ctx) {
 
 	path := filepath.Join(c.Dir, "table.atmsnap")
 	snaps := []*core.Snapshot{snapA, snapB}
-	if err := persist.Save(path, snaps[0]); err != nil {
+	if err := persist.SaveChain(path, snaps[0], nil); err != nil {
 		c.Errorf("initial save: %v", err)
 		return
 	}
@@ -287,7 +287,7 @@ func saveCrash(c *Ctx) {
 		default:
 			failpoint.Enable(persist.FailpointRename, func() error { return failpoint.ErrCrash })
 		}
-		serr := persist.Save(path, next)
+		serr := persist.SaveChain(path, next, nil)
 		failpoint.DisableAll()
 		if !errors.Is(serr, failpoint.ErrCrash) {
 			c.Errorf("iter %d: crashed save returned %v", i, serr)
@@ -316,7 +316,7 @@ func saveCrash(c *Ctx) {
 		}
 		checkNoTmp(c, c.Dir, "sweep")
 		// Retry converges.
-		if err := persist.Save(path, next); err != nil {
+		if err := persist.SaveChain(path, next, nil); err != nil {
 			c.Errorf("iter %d: retry save: %v", i, err)
 			return
 		}
@@ -325,7 +325,7 @@ func saveCrash(c *Ctx) {
 			c.Errorf("iter %d: read retried save: %v", i, err)
 			return
 		}
-		if _, err := persist.Load(path); err != nil {
+		if _, _, err := persist.LoadChain(path); err != nil {
 			c.Errorf("iter %d: retried save does not load: %v", i, err)
 			return
 		}

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"atm/internal/apps"
-	"atm/internal/persist"
-	"atm/internal/taskrt"
 	"atm/internal/trace"
 )
 
@@ -21,25 +19,11 @@ type Options struct {
 	Repeats int
 	// Benchmarks filters the evaluated applications (nil = all six).
 	Benchmarks []string
-	// Seed perturbs ATM's sampling plans.
-	Seed uint64
-	// Batch is the submission batch size (0 = runtime default,
-	// negative = per-task Submit).
-	Batch int
-	// Policy selects the scheduling discipline (FIFO by default).
-	Policy taskrt.SchedPolicy
-	// Deterministic replays every run under taskrt's deterministic
-	// executor seeded by Seed (atmbench -det); timings then measure a
-	// single-goroutine replay, not parallel performance.
-	Deterministic bool
-	// DetSched is the deterministic discipline (atmbench -sched).
-	DetSched taskrt.DetSched
-	// Recover is the damaged-snapshot policy for every run of the
-	// experiment (atmbench -recover).
-	Recover RecoverPolicy
-	// Sync is the snapshot-save durability policy (atmbench -nosync
-	// maps to persist.SyncOff).
-	Sync persist.SyncPolicy
+	// Run holds the knobs every run of the experiment shares: seed,
+	// scheduling, recovery and durability policies, THT budget. The
+	// experiment owns the tracing and snapshot fields; runOpt clears
+	// them, so setting them here has no effect.
+	Run RunOptions
 	// Out receives the report.
 	Out io.Writer
 }
@@ -51,9 +35,14 @@ func (o *Options) names() []string {
 	return o.Benchmarks
 }
 
+// runOpt is the RunOptions every run of an experiment starts from: Run
+// with the experiment-owned tracing and snapshot fields cleared.
 func (o *Options) runOpt() RunOptions {
-	return RunOptions{Seed: o.Seed, Batch: o.Batch, Policy: o.Policy,
-		Deterministic: o.Deterministic, DetSched: o.DetSched, Recover: o.Recover, Sync: o.Sync}
+	ro := o.Run
+	ro.Detail, ro.Trace = false, false
+	ro.SnapshotPath, ro.SnapshotLoad, ro.SnapshotSave, ro.SnapshotChain = "", "", "", ""
+	ro.SnapshotDeltaEvery = 0
+	return ro
 }
 
 // Table1 reproduces Table I: benchmark descriptions with measured task

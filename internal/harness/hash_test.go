@@ -58,7 +58,7 @@ func TestForeignHashSnapshotStartsCold(t *testing.T) {
 	if o := RunOne(factory, apps.ScaleTest, 2, Static(true), opt); o.SnapshotErr != nil {
 		t.Fatal(o.SnapshotErr)
 	}
-	snap, err := persist.Load(path)
+	snap, _, err := persist.LoadChain(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestForeignHashSnapshotStartsCold(t *testing.T) {
 		t.Fatalf("the run's own fingerprint %#016x is not the pinned lookup3 one", snap.Fingerprint)
 	}
 	snap.Fingerprint = foreign
-	if err := persist.Save(path, snap); err != nil {
+	if err := persist.SaveChain(path, snap, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -213,10 +213,6 @@ type RunOptions struct {
 	Trace bool
 	// Seed perturbs ATM's shuffle plans.
 	Seed uint64
-	// Batch is the submission batch size handed to taskrt.Config:
-	// 0 = runtime default, negative = per-task Submit (the before/after
-	// knob of atmbench's -batch flag).
-	Batch int
 	// Policy selects the scheduling discipline (zero value = FIFO).
 	Policy taskrt.SchedPolicy
 	// Deterministic runs the workload under taskrt's deterministic
@@ -359,9 +355,9 @@ func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 			}
 		}
 	} else if load != "" {
-		// Chain-aware load: a v1 whole-table snapshot, a merged
-		// shard file, or a full v2 chain all warm-start here.
-		st.memo, st.warm, st.err = restoreChain(cfg, load, false)
+		// Chain-aware load: a whole-table snapshot (either version), a
+		// merged shard file, or a full chain all warm-start here.
+		st.memo, st.warm, st.err = restoreChain(cfg, load, false, opt.Sync)
 		switch {
 		case st.err == nil:
 		case errors.Is(st.err, os.ErrNotExist):
@@ -452,7 +448,8 @@ func (st *memoState) appendRecord(d *core.Delta) error {
 
 // saveNow persists the engine's current state under whichever mode the
 // state was opened in: a delta append in chain mode, a whole-table
-// rewrite in load/save mode, a no-op otherwise.
+// rewrite (a base-only chain, which a later chain-mode run can append
+// to) in load/save mode, a no-op otherwise.
 func (st *memoState) saveNow() error {
 	switch {
 	case st.memo == nil:
@@ -462,7 +459,7 @@ func (st *memoState) saveNow() error {
 	case st.save != "" && st.err == nil:
 		snap, err := st.memo.Snapshot()
 		if err == nil {
-			err = persist.SaveSync(st.save, snap, st.sync)
+			err = persist.SaveChainSync(st.save, snap, nil, st.sync)
 		}
 		if err != nil {
 			st.err = err
@@ -490,7 +487,7 @@ func RunOne(factory apps.Factory, scale apps.Scale, workers int, spec ATMSpec, o
 		memo = st.memo
 		m = memo
 	}
-	rt := taskrt.New(taskrt.Config{Workers: workers, Memoizer: m, Tracer: tr, Policy: opt.Policy, BatchSize: opt.Batch,
+	rt := taskrt.New(taskrt.Config{Workers: workers, Memoizer: m, Tracer: tr, Policy: opt.Policy,
 		Seed: opt.Seed, Deterministic: opt.Deterministic, DetSched: opt.DetSched})
 
 	stopSaver := make(chan struct{})
@@ -554,7 +551,7 @@ var (
 // (cold). A missing file always surfaces as os.ErrNotExist — the
 // ordinary first-repetition cold start, never a fallback.
 func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persist.SyncPolicy) (memo *core.ATM, warm, salvaged, cold bool, rep persist.RecoveryReport, err error) {
-	memo, warm, err = restoreChain(cfg, path, true)
+	memo, warm, err = restoreChain(cfg, path, true, sync)
 	if err == nil || errors.Is(err, os.ErrNotExist) || policy == RecoverStrict {
 		return memo, warm, false, false, rep, err
 	}
@@ -565,7 +562,7 @@ func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persi
 		rrep, rerr := persist.RepairChain(path, sync)
 		rep = rrep
 		if rerr == nil {
-			if m, w, lerr := restoreChain(cfg, path, true); lerr == nil {
+			if m, w, lerr := restoreChain(cfg, path, true, sync); lerr == nil {
 				return m, w, !rrep.Clean(), false, rrep, nil
 			}
 		}
@@ -584,18 +581,24 @@ func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persi
 
 // restoreChain loads a snapshot file of either format version and
 // builds a warm engine from it: the base is restored and any delta
-// records are replayed in order. requireBase distinguishes the chain
-// owner (a shard's own chain must start with its base) from generic
-// loads. Returns (nil, false, err) on any failure, including a missing
-// file (errors.Is os.ErrNotExist — the caller decides whether that is
-// a cold start or an error).
-func restoreChain(cfg core.Config, path string, requireBase bool) (*core.ATM, bool, error) {
-	base, deltas, err := persist.LoadChain(path)
+// records are replayed in order. owner marks the chain owner, whose
+// file must start with its base and takes this run's delta appends: a
+// legacy version-1 file, which cannot take one, is rewritten (durably,
+// under sync) as a base-only version-2 chain of the decoded base.
+// Returns (nil, false, err) on any failure, including a missing file
+// (errors.Is os.ErrNotExist — the caller decides whether that is a cold
+// start or an error).
+func restoreChain(cfg core.Config, path string, owner bool, sync persist.SyncPolicy) (*core.ATM, bool, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, err
 	}
+	base, deltas, err := persist.UnmarshalChain(data)
+	if err != nil {
+		return nil, false, fmt.Errorf("%s: %w", path, err)
+	}
 	if base == nil {
-		if requireBase {
+		if owner {
 			return nil, false, fmt.Errorf("%s: chain has no base record (a delta-only shard file cannot warm-start alone)", path)
 		}
 		return nil, false, fmt.Errorf("%s: snapshot has no base record", path)
@@ -603,6 +606,16 @@ func restoreChain(cfg core.Config, path string, requireBase bool) (*core.ATM, bo
 	memo, err := core.RestoreChain(cfg, base, deltas)
 	if err != nil {
 		return nil, false, fmt.Errorf("%s: %w", path, err)
+	}
+	// The engine now owns base, so the rewrite encodes a fresh decode.
+	if ver, _ := persist.FileVersion(data); owner && ver == persist.Version1 {
+		legacy, _, err := persist.UnmarshalChain(data)
+		if err == nil {
+			err = persist.SaveChainSync(path, legacy, nil, sync)
+		}
+		if err != nil {
+			return nil, false, err
+		}
 	}
 	return memo, true, nil
 }

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -150,6 +152,55 @@ func TestRunOneSnapshotChainSublinearAndCompactEquivalent(t *testing.T) {
 	if viaCompact.Reuse() != viaWhole.Reuse() {
 		t.Fatalf("reuse differs between compacted (%v) and whole-table (%v) warm starts",
 			viaCompact.Reuse(), viaWhole.Reuse())
+	}
+}
+
+// TestChainAppendsToWholeTableFiles runs chain mode on a file that a
+// whole-table save wrote (atmbench -save, atmd -snapshot) and on the
+// same table in the legacy version-1 layout. Each run must warm-start
+// and append its delta, leaving a version-2 chain whose base is the
+// saved table.
+func TestChainAppendsToWholeTableFiles(t *testing.T) {
+	f := FactoryFor("Blackscholes")
+	spec := Static(true)
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole.atmsnap")
+	if o := RunOne(f, apps.ScaleTest, 2, spec, RunOptions{SnapshotSave: whole}); o.SnapshotErr != nil {
+		t.Fatal(o.SnapshotErr)
+	}
+	saved, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The legacy layout of the same table: the 20-byte header carrying
+	// version 1, then the base record's body without its 5-byte frame
+	// and 4-byte CRC.
+	legacy := filepath.Join(dir, "legacy.atmsnap")
+	v1 := append(saved[:20:20], saved[25:len(saved)-4]...)
+	binary.LittleEndian.PutUint32(v1[8:], persist.Version1)
+	if err := os.WriteFile(legacy, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{whole, legacy} {
+		o := RunOne(f, apps.ScaleTest, 2, spec, RunOptions{SnapshotChain: path})
+		if o.SnapshotErr != nil || !o.WarmStart || o.DeltaSaves != 1 {
+			t.Fatalf("%s: chain run: warm=%v saves=%d err=%v", filepath.Base(path), o.WarmStart, o.DeltaSaves, o.SnapshotErr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := persist.FileVersion(data); v != persist.Version2 {
+			t.Fatalf("%s: chain mode left a version-%d file", filepath.Base(path), v)
+		}
+		base, deltas, err := persist.UnmarshalChain(data)
+		if err != nil || len(deltas) != 1 {
+			t.Fatalf("%s: want the saved base plus one delta: %d deltas, %v", filepath.Base(path), len(deltas), err)
+		}
+		if rebased, _ := persist.MarshalChain(base, nil); !bytes.Equal(rebased, saved) {
+			t.Fatalf("%s: the chain's base is not the saved table", filepath.Base(path))
+		}
 	}
 }
 

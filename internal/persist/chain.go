@@ -35,7 +35,7 @@ import (
 // kept elsewhere). At least one record is required.
 //
 //	base body:   3 × i64 IKT counters, u32 section count, sections
-//	             (the version-1 section encoding, per-entry CRC and all)
+//	             (the section encoding of persist.go, per-entry CRC and all)
 //	delta body:  u32 type count, then per type:
 //	               u16 name length + name bytes
 //	               u8 flags (bit 0: steady, bit 1: has-meta), u8 level
@@ -44,7 +44,7 @@ import (
 //	               unset — the type is present only as an entry target)
 //	             u32 insert count, then per insert:
 //	               u32 type index (into this delta's type table)
-//	               the version-1 entry encoding (length, body, CRC)
+//	               the entry encoding of persist.go (length, body, CRC)
 //	             optionally, when the delta carries eviction tombstones
 //	             (the body ends after the inserts otherwise — old
 //	             tombstone-free encodings are unchanged, and the section
@@ -59,19 +59,21 @@ import (
 //	                     insert/tombstone order replay depends on
 //	                 u64 key, u8 p level, u64 provider task id
 //
-// Decoding is as strict as version 1 — exact lengths, validated enums
-// and indices, verified CRCs, no trailing bytes, typed errors, never a
-// panic — with one deliberate exception: the record stream ends at
-// EOF, so a chain cut exactly at a record boundary decodes as a valid,
-// shorter chain. That is the price of O(delta) appends (no up-front
-// record count to rewrite); a snapshot is a cache, and a chain missing
-// its newest deltas merely restores less warm state. A tear anywhere
+// Decoding is strict — exact lengths, validated enums and indices,
+// verified CRCs, no trailing bytes, typed errors, never a panic — with
+// one deliberate exception: the record stream ends at EOF, so a chain
+// cut exactly at a record boundary decodes as a valid, shorter chain.
+// That is the price of O(delta) appends (no up-front record count to
+// rewrite); a snapshot is a cache, and a chain missing its newest
+// deltas merely restores less warm state. A tear anywhere
 // inside a record is rejected by UnmarshalChain; SalvageChain
 // (salvage.go) truncates such a torn tail back to the last valid
 // record boundary instead of discarding the file.
-
-// Version2 is the incremental chain format version.
-const Version2 = 2
+//
+// Every reader also accepts a version-1 file (see persist.go): the same
+// header, then one base body without record framing. It decodes as a
+// chain of that one base record, which cannot be salvaged and cannot
+// take an appended delta.
 
 // Record kinds.
 const (
@@ -83,7 +85,8 @@ const (
 const headerLen = 8 + 4 + 8
 
 // FileVersion reads the format version from an encoded snapshot
-// header without decoding the rest (snapshotctl inspect's dispatch).
+// header without decoding the rest: what snapshotctl inspect reports,
+// and how chain mode tells a legacy version-1 file it must rewrite.
 func FileVersion(data []byte) (uint32, error) {
 	if len(data) < 12 {
 		return 0, fmt.Errorf("%w: %d-byte header", ErrTruncated, len(data))
@@ -112,29 +115,19 @@ func MarshalChain(base *core.Snapshot, deltas []*core.Delta) ([]byte, error) {
 			return nil, fmt.Errorf("persist: delta %d fingerprint %#016x differs from chain %#016x", i, d.Fingerprint, fp)
 		}
 	}
-	buf := make([]byte, 0, 1024)
+	buf := make([]byte, 0, chainSize(base, deltas))
 	buf = append(buf, magic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, Version2)
 	buf = binary.LittleEndian.AppendUint64(buf, fp)
-	var body []byte // reused scratch
+	var err error
 	if base != nil {
-		var err error
-		body, err = appendBaseBody(body[:0], base)
-		if err != nil {
-			return nil, err
-		}
-		buf, err = appendRecord(buf, recordBase, body)
+		buf, err = appendRecord(buf, recordBase, func(b []byte) ([]byte, error) { return appendBaseBody(b, base) })
 		if err != nil {
 			return nil, err
 		}
 	}
 	for i, d := range deltas {
-		var err error
-		body, err = appendDeltaBody(body[:0], d, nil)
-		if err != nil {
-			return nil, fmt.Errorf("persist: delta %d: %w", i, err)
-		}
-		buf, err = appendRecord(buf, recordDelta, body)
+		buf, err = appendRecord(buf, recordDelta, func(b []byte) ([]byte, error) { return appendDeltaBody(b, d, nil) })
 		if err != nil {
 			return nil, fmt.Errorf("persist: delta %d: %w", i, err)
 		}
@@ -142,15 +135,35 @@ func MarshalChain(base *core.Snapshot, deltas []*core.Delta) ([]byte, error) {
 	return buf, nil
 }
 
-func appendRecord(buf []byte, kind byte, body []byte) ([]byte, error) {
+// chainSize is the number of bytes MarshalChain encodes base and deltas
+// to. MarshalChain allocates exactly that once, where growing the
+// buffer by appends would copy the table several times over.
+func chainSize(base *core.Snapshot, deltas []*core.Delta) int {
+	n := headerLen
+	if base != nil {
+		n += recordOverhead + baseBodySize(base)
+	}
+	for _, d := range deltas {
+		n += recordOverhead + deltaBodySize(d)
+	}
+	return n
+}
+
+// appendRecord appends one framed record whose body fill appends to
+// buf in place: the frame is reserved first, and its length and CRC are
+// patched over the body afterwards, so a record costs no scratch copy.
+func appendRecord(buf []byte, kind byte, fill func([]byte) ([]byte, error)) ([]byte, error) {
+	at := len(buf)
+	buf, err := fill(append(buf, kind, 0, 0, 0, 0))
+	if err != nil {
+		return nil, err
+	}
+	body := buf[at+5:]
 	if len(body) > math.MaxUint32 {
 		return nil, fmt.Errorf("persist: %d-byte record body overflows the format", len(body))
 	}
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-	return buf, nil
+	binary.LittleEndian.PutUint32(buf[at+1:], uint32(len(body)))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body)), nil
 }
 
 // recordOverhead is a record's framing: kind, body length, body CRC.
@@ -225,17 +238,24 @@ func deltaBodySize(d *core.Delta) int {
 			tombs++
 			continue
 		}
-		// type, length, key, level, provider, two region counts, CRC
-		n += 4 + 4 + 8 + 1 + 8 + 2 + 2 + 4
-		for _, r := range e.Outs {
-			n += 1 + 4 + r.NumBytes()
-		}
-		for _, r := range e.Ins {
-			n += 1 + 4 + r.NumBytes()
-		}
+		n += 4 + entrySize(e) // type index, entry
 	}
 	if tombs > 0 {
 		n += 4 + tombs*(4+4+8+1+8)
+	}
+	return n
+}
+
+// baseBodySize is the number of bytes appendBaseBody appends for s.
+func baseBodySize(s *core.Snapshot) int {
+	n := 3*8 + 4
+	for i := range s.Types {
+		sec := &s.Types[i]
+		// length, name, flags, level, successes, excluded, entry count
+		n += 4 + 2 + len(sec.Name) + 1 + 1 + 4 + 4 + 4
+		for j := range sec.Entries {
+			n += entrySize(&sec.Entries[j])
+		}
 	}
 	return n
 }
@@ -248,18 +268,19 @@ func appendBaseBody(body []byte, s *core.Snapshot) ([]byte, error) {
 		return nil, fmt.Errorf("persist: %d sections overflow the format", len(s.Types))
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(s.Types)))
-	var sec, entry []byte // reused scratch
 	for i := range s.Types {
+		// The section body is encoded in place behind its reserved length.
+		at := len(body)
 		var err error
-		sec, err = appendSectionBody(sec[:0], &s.Types[i], &entry)
+		body, err = appendSectionBody(append(body, 0, 0, 0, 0), &s.Types[i])
 		if err != nil {
 			return nil, err
 		}
-		if len(sec) > math.MaxUint32 {
-			return nil, fmt.Errorf("persist: type %q: %d-byte section overflows the format", s.Types[i].Name, len(sec))
+		n := len(body) - at - 4
+		if n > math.MaxUint32 {
+			return nil, fmt.Errorf("persist: type %q: %d-byte section overflows the format", s.Types[i].Name, n)
 		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(sec)))
-		body = append(body, sec...)
+		binary.LittleEndian.PutUint32(body[at:], uint32(n))
 	}
 	return body, nil
 }
@@ -323,24 +344,16 @@ func appendDeltaBody(body []byte, d *core.Delta, flush func([]byte) ([]byte, err
 		inserts++
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(inserts))
-	var entry []byte // reused scratch
 	for i := range d.Entries {
 		de := &d.Entries[i]
 		if de.Tombstone {
 			continue
 		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(de.Type))
-		eb, err := appendEntryBody(entry[:0], &de.EntrySnapshot)
+		var err error
+		body, err = appendEntry(binary.LittleEndian.AppendUint32(body, uint32(de.Type)), &de.EntrySnapshot)
 		if err != nil {
 			return nil, fmt.Errorf("entry %d: %w", i, err)
 		}
-		entry = eb
-		if len(eb) > math.MaxUint32 {
-			return nil, fmt.Errorf("entry %d: %d-byte body overflows the format", i, len(eb))
-		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(eb)))
-		body = append(body, eb...)
-		body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(eb))
 		if flush != nil && len(body) >= streamChunk {
 			if body, err = flush(body); err != nil {
 				return nil, err
@@ -362,9 +375,9 @@ func appendDeltaBody(body []byte, d *core.Delta, flush func([]byte) ([]byte, err
 	return body, nil
 }
 
-// UnmarshalChain decodes a version-2 chain, strictly (see the layout
-// comment for the one record-boundary caveat). The returned base is
-// nil for a delta-only file.
+// UnmarshalChain decodes a chain, strictly (see the layout comment for
+// the one record-boundary caveat). The returned base is nil for a
+// delta-only file; a version-1 file decodes as its base alone.
 func UnmarshalChain(data []byte) (*core.Snapshot, []*core.Delta, error) {
 	base, deltas, _, _, err := scanChain(data)
 	if err != nil {
@@ -385,7 +398,8 @@ func UnmarshalChain(data []byte) (*core.Snapshot, []*core.Delta, error) {
 // opposed to corruption (a CRC mismatch, an invalid enum or index, a
 // misplaced record) inside bytes that are all there. Header failures
 // are never torn: without magic, version and fingerprint nothing is
-// salvageable.
+// salvageable. Neither are version-1 failures: the legacy file is one
+// unframed record, so its boundary is the header or the whole file.
 func scanChain(data []byte) (base *core.Snapshot, deltas []*core.Delta, boundary int, torn bool, err error) {
 	d := &decoder{data: data}
 	head, err := d.need(8)
@@ -399,14 +413,20 @@ func scanChain(data []byte) (base *core.Snapshot, deltas []*core.Delta, boundary
 	if err != nil {
 		return nil, nil, 0, false, err
 	}
-	if ver != Version2 {
-		return nil, nil, 0, false, fmt.Errorf("%w: file version %d, want chain version %d", ErrVersion, ver, Version2)
+	if ver != Version1 && ver != Version2 {
+		return nil, nil, 0, false, fmt.Errorf("%w: file version %d, want %d or %d", ErrVersion, ver, Version1, Version2)
 	}
 	fp, err := d.u64()
 	if err != nil {
 		return nil, nil, 0, false, err
 	}
 	boundary = d.off
+	if ver == Version1 {
+		if base, err = decodeBaseBody(data[boundary:], fp); err != nil {
+			return nil, nil, boundary, false, err
+		}
+		return base, nil, len(data), false, nil
+	}
 	for rec := 0; d.remaining() > 0; rec++ {
 		// Framing: a failure here hit EOF inside the record — a torn
 		// tail, the valid prefix before it intact.
@@ -652,8 +672,9 @@ func decodeDeltaBody(body []byte, fp uint64) (*core.Delta, error) {
 }
 
 // SaveChain writes a chain atomically and durably (same-directory temp
-// file + fsync + rename + directory fsync, like Save). SaveChainSync
-// takes the SyncPolicy explicitly.
+// file + fsync + rename + directory fsync): the package's one file
+// writer, a whole-table save being SaveChain(path, snap, nil).
+// SaveChainSync takes the SyncPolicy explicitly.
 func SaveChain(path string, base *core.Snapshot, deltas []*core.Delta) error {
 	return SaveChainSync(path, base, deltas, SyncAlways)
 }
@@ -667,35 +688,20 @@ func SaveChainSync(path string, base *core.Snapshot, deltas []*core.Delta, sync 
 	return writeAtomic(path, data, sync)
 }
 
-// LoadChain reads a snapshot file of either version: a version-1 full
-// snapshot loads as (base, nil deltas), a version-2 chain as its base
-// (possibly nil) plus deltas in order. A missing file surfaces as an
-// error satisfying errors.Is(err, os.ErrNotExist) — a cold start.
+// LoadChain reads and decodes the snapshot file at path (UnmarshalChain:
+// a chain's base, possibly nil, plus deltas in order; a version-1 file's
+// base alone). A missing file surfaces as an error satisfying
+// errors.Is(err, os.ErrNotExist) — a cold start.
 func LoadChain(path string) (*core.Snapshot, []*core.Delta, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	ver, err := FileVersion(data)
+	base, deltas, err := UnmarshalChain(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	switch ver {
-	case Version:
-		s, err := Unmarshal(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return s, nil, nil
-	case Version2:
-		base, deltas, err := UnmarshalChain(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return base, deltas, nil
-	default:
-		return nil, nil, fmt.Errorf("%s: %w: file version %d", path, ErrVersion, ver)
-	}
+	return base, deltas, nil
 }
 
 // AppendDelta appends one delta record to an existing version-2 chain

@@ -79,6 +79,9 @@ func TestChainRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := chainSize(base, deltas); n != len(data) {
+		t.Fatalf("chain sized as %d bytes, encoded to %d", n, len(data))
+	}
 	gotBase, gotDeltas, err := UnmarshalChain(data)
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +119,7 @@ func TestDeltaRecordStreamed(t *testing.T) {
 	}
 	deltas = append(deltas, big)
 	for i, d := range deltas {
-		body, err := appendDeltaBody(nil, d, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := appendRecord(nil, recordDelta, body)
+		want, err := appendRecord(nil, recordDelta, func(b []byte) ([]byte, error) { return appendDeltaBody(b, d, nil) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,12 +191,21 @@ func TestChainTypedErrors(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
-	v1, err := Marshal(base)
-	if err != nil {
+	// A version-1 file decodes as its base alone, and refuses an
+	// appended delta with the typed version error.
+	v1 := v1Bytes(t, base)
+	if got, ds, err := UnmarshalChain(v1); err != nil || ds != nil || !reflect.DeepEqual(got, base) {
+		t.Fatalf("v1 file in UnmarshalChain: %v", err)
+	}
+	v1path := filepath.Join(t.TempDir(), "v1.atmsnap")
+	if err := os.WriteFile(v1path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := UnmarshalChain(v1); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 file in UnmarshalChain: %v", err)
+	if err := AppendDelta(v1path, deltas[0]); !errors.Is(err, ErrVersion) {
+		t.Fatalf("append to v1 file: %v", err)
+	}
+	if got, _ := os.ReadFile(v1path); !bytes.Equal(got, v1) {
+		t.Fatal("a refused append modified the v1 file")
 	}
 
 	// Flip one byte inside the first record's body: its CRC must trip.
@@ -289,15 +297,6 @@ func TestSaveChainLoadChainAppendDelta(t *testing.T) {
 	if err := AppendDelta(path, &skew); err == nil {
 		t.Fatal("appending a mismatched-fingerprint delta must fail")
 	}
-
-	// Appending to a version-1 file is a typed error.
-	v1path := filepath.Join(t.TempDir(), "v1.atmsnap")
-	if err := Save(v1path, base); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendDelta(v1path, deltas[0]); !errors.Is(err, ErrVersion) {
-		t.Fatalf("append to v1 file: %v", err)
-	}
 }
 
 func TestLoadChainReadsVersion1Files(t *testing.T) {
@@ -305,7 +304,7 @@ func TestLoadChainReadsVersion1Files(t *testing.T) {
 	// through the chain-aware loader as (base, no deltas).
 	snap := buildSnapshot(t)
 	path := filepath.Join(t.TempDir(), "v1.atmsnap")
-	if err := Save(path, snap); err != nil {
+	if err := os.WriteFile(path, v1Bytes(t, snap), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	base, deltas, err := LoadChain(path)
@@ -329,11 +328,7 @@ func TestFileVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := FileVersion(v1); err != nil || v != Version {
+	if v, err := FileVersion(v1Bytes(t, base)); err != nil || v != Version1 {
 		t.Fatalf("v1 header: %d, %v", v, err)
 	}
 	if v, err := FileVersion(v2); err != nil || v != Version2 {

@@ -21,7 +21,7 @@ func TestWriteAtomicErrorLeavesNoResidue(t *testing.T) {
 	defer failpoint.DisableAll()
 	base, _ := buildChain(t)
 	path := filepath.Join(t.TempDir(), "snap.atmsnap")
-	if err := Save(path, base); err != nil {
+	if err := SaveChain(path, base, nil); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -31,7 +31,7 @@ func TestWriteAtomicErrorLeavesNoResidue(t *testing.T) {
 
 	for _, point := range []string{FailpointWrite, FailpointSync, FailpointRename} {
 		failpoint.Enable(point, func() error { return failpoint.ErrInjected })
-		if err := Save(path, base); !errors.Is(err, failpoint.ErrInjected) {
+		if err := SaveChain(path, base, nil); !errors.Is(err, failpoint.ErrInjected) {
 			t.Fatalf("%s: save must surface the injected error, got %v", point, err)
 		}
 		failpoint.Disable(point)
@@ -43,7 +43,7 @@ func TestWriteAtomicErrorLeavesNoResidue(t *testing.T) {
 		}
 	}
 	// After the failures, a plain retry succeeds.
-	if err := Save(path, base); err != nil {
+	if err := SaveChain(path, base, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -56,7 +56,7 @@ func TestWriteAtomicCrashImage(t *testing.T) {
 	defer failpoint.DisableAll()
 	base, _ := buildChain(t)
 	path := filepath.Join(t.TempDir(), "snap.atmsnap")
-	if err := Save(path, base); err != nil {
+	if err := SaveChain(path, base, nil); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -68,7 +68,7 @@ func TestWriteAtomicCrashImage(t *testing.T) {
 	failpoint.EnablePartial(FailpointWrite, func(total int) (int, error) {
 		return total / 2, failpoint.ErrCrash
 	})
-	if err := Save(path, base); !crashed(err) {
+	if err := SaveChain(path, base, nil); !crashed(err) {
 		t.Fatalf("want crash error, got %v", err)
 	}
 	failpoint.Disable(FailpointWrite)
@@ -91,7 +91,7 @@ func TestWriteAtomicCrashImage(t *testing.T) {
 
 	// Crash at the rename: temp is complete but unpublished.
 	failpoint.Enable(FailpointRename, func() error { return failpoint.ErrCrash })
-	if err := Save(path, base); !crashed(err) {
+	if err := SaveChain(path, base, nil); !crashed(err) {
 		t.Fatalf("want crash error, got %v", err)
 	}
 	failpoint.Disable(FailpointRename)
@@ -102,7 +102,7 @@ func TestWriteAtomicCrashImage(t *testing.T) {
 	if _, err := RemoveStaleTemp(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(path, base); err != nil {
+	if err := SaveChain(path, base, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, before) {
@@ -212,10 +212,10 @@ func TestSyncOffSkipsSyncFailpoint(t *testing.T) {
 	dir := t.TempDir()
 	failpoint.Enable(FailpointSync, func() error { return failpoint.ErrInjected })
 
-	if err := SaveSync(filepath.Join(dir, "off.atmsnap"), base, SyncOff); err != nil {
+	if err := SaveChainSync(filepath.Join(dir, "off.atmsnap"), base, nil, SyncOff); err != nil {
 		t.Fatalf("SyncOff save must skip the fsync stage: %v", err)
 	}
-	if err := SaveSync(filepath.Join(dir, "on.atmsnap"), base, SyncAlways); !errors.Is(err, failpoint.ErrInjected) {
+	if err := SaveChainSync(filepath.Join(dir, "on.atmsnap"), base, nil, SyncAlways); !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("SyncAlways save must hit the fsync stage, got %v", err)
 	}
 

@@ -136,7 +136,7 @@ func TestEvictingChainRoundTrip(t *testing.T) {
 // the same table.
 func TestEvictingChainCompactRestore(t *testing.T) {
 	base, deltas, live := buildEvictChain(t)
-	liveBytes, err := Marshal(live)
+	liveBytes, err := MarshalChain(live, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestEvictingChainCompactRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBytes, err := Marshal(snap)
+	gotBytes, err := MarshalChain(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestEvictingChainCompactRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBytes2, err := Marshal(snap2)
+	gotBytes2, err := MarshalChain(snap2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

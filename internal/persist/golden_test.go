@@ -14,13 +14,18 @@ import (
 
 // The golden compatibility corpus pins the on-disk byte layout of both
 // format versions against drift: the files under testdata/ are
-// COMMITTED artifacts, and these tests assert that today's encoder
-// still produces them byte for byte and today's decoder still reads
-// them. A failure here means the format changed — which must be a
-// deliberate version bump (docs/persistence.md), never an accident.
+// COMMITTED artifacts, and these tests assert that today's decoder
+// still reads them and today's encoder still produces the version-2 one
+// byte for byte. A failure here means the format changed — which must
+// be a deliberate version bump (docs/persistence.md), never an
+// accident.
 //
-// Regenerate with:  go test ./internal/persist -run Golden -update
-// (only after a deliberate format change; commit the new files).
+// Regenerate the version-2 file with:
+//
+//	go test ./internal/persist -run Golden -update
+//
+// (only after a deliberate format change; commit the new file). The
+// version-1 file is never regenerated: nothing writes that layout.
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenFingerprint is a literal, not core.Fingerprint(...): the golden
@@ -123,38 +128,32 @@ func writeOrCompare(t *testing.T, path string, want []byte) {
 	}
 }
 
-// TestGoldenV1SnapshotLayout pins the version-1 byte layout and proves
-// the cross-version guarantee: a committed v1 full snapshot keeps
-// decoding — through both the v1 decoder and the chain-aware loader —
-// while version 2 exists.
+// TestGoldenV1SnapshotLayout proves the cross-version guarantee: the
+// committed version-1 full snapshot keeps decoding, through the bytes
+// and the file readers, to goldenV1Snapshot — and v1Bytes, the
+// test-side encoder of that layout, still reproduces it.
 func TestGoldenV1SnapshotLayout(t *testing.T) {
-	want, err := Marshal(goldenV1Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := goldenPath(t, "v1_full.atmsnap")
-	writeOrCompare(t, path, want)
-	if *updateGolden {
-		return
-	}
-
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := Unmarshal(data)
+	decoded, deltas, err := UnmarshalChain(data)
 	if err != nil {
 		t.Fatalf("committed v1 snapshot no longer decodes: %v", err)
 	}
-	if !reflect.DeepEqual(decoded, goldenV1Snapshot()) {
+	if deltas != nil || !reflect.DeepEqual(decoded, goldenV1Snapshot()) {
 		t.Fatal("committed v1 snapshot decodes to different content")
 	}
 	base, deltas, err := LoadChain(path)
 	if err != nil {
-		t.Fatalf("chain-aware loader must keep reading v1 files: %v", err)
+		t.Fatalf("the file loader must keep reading v1 files: %v", err)
 	}
 	if deltas != nil || !reflect.DeepEqual(base, decoded) {
-		t.Fatal("LoadChain(v1 golden) diverged from Unmarshal")
+		t.Fatal("LoadChain(v1 golden) diverged from UnmarshalChain")
+	}
+	if !bytes.Equal(v1Bytes(t, decoded), data) {
+		t.Fatal("v1Bytes no longer reproduces the committed v1 layout")
 	}
 }
 

@@ -2,33 +2,33 @@
 // core memoization snapshot: the on-disk format that lets a process
 // warm-start from a previous run's Task History Table instead of
 // re-paying the training phase (ROADMAP: warm-start memoization for
-// repeated experiment sweeps). Two format versions coexist: version 1
-// (this file) is one whole-table snapshot per file; version 2
-// (chain.go) is an appendable record stream of a full base plus
+// repeated experiment sweeps). Every save writes format version 2
+// (chain.go): an appendable record stream of an optional full base plus
 // incremental deltas, with Compact and MergeSnapshots to fold chains
-// and combine sweep shards.
+// and combine sweep shards. A whole-table save is a chain holding one
+// base record.
 //
-// The version-1 format is a length-prefixed little-endian binary
-// layout:
+// Version 1, the earlier one-table-per-file layout, is read but never
+// written: it is the version-2 header carrying version 1, followed by
+// the body of a base record without record framing. The readers treat
+// it as a chain of one base record that cannot be salvaged.
 //
-//	[8]  magic "ATMSNAP\x00"
-//	[4]  u32 format version (currently 1)
-//	[8]  u64 config fingerprint (core.Fingerprint)
-//	[24] 3 × i64 IKT counters (inserts, defers, rejected)
-//	[4]  u32 section count
-//	...  sections, each:
-//	       [4] u32 body length, then the body:
-//	         u16 name length + name bytes
-//	         u8 flags (bit 0: steady), u8 level
-//	         u32 successes, u32 excluded-region count
-//	         u32 entry count
-//	         entries, each:
-//	           [4] u32 body length, then the body:
+// Base bodies and delta inserts share one little-endian encoding of
+// sections and entries:
+//
+//	base body: 3 × i64 IKT counters (inserts, defers, rejected)
+//	           u32 section count, then sections, each:
+//	             [4] u32 body length, then the body:
+//	               u16 name length + name bytes
+//	               u8 flags (bit 0: steady), u8 level
+//	               u32 successes, u32 excluded-region count
+//	               u32 entry count, then entries
+//	entry:     [4] u32 body length, then the body:
 //	             u64 key, u8 level, u64 provider id
 //	             u16 output count + regions
 //	             u16 input-snapshot count + regions
 //	           [4] u32 CRC-32 (IEEE) of the entry body
-//	region encoding: u8 kind, u32 element count, raw little-endian payload
+//	region:    u8 kind, u32 element count, raw little-endian payload
 //
 // Decoding is strict: every length prefix must match its content
 // exactly, every enum must be in range, every entry CRC must verify,
@@ -38,7 +38,7 @@
 // fingerprint skew therefore degrades a warm start into a cold one
 // with a diagnosable error, not into wrong hits.
 //
-// Writes are crash-consistent (docs/persistence.md): whole-table saves
+// Writes are crash-consistent (docs/persistence.md): whole-file saves
 // publish through an fsynced temp file + rename + parent-directory
 // sync, delta appends fsync the record and self-truncate on any live
 // failure so a retry never double-appends, and a torn tail left by a
@@ -54,16 +54,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 
 	"atm/internal/core"
 	"atm/internal/region"
 )
 
-// Version is the current format version. Bump it when the layout
-// changes; Decode rejects every other version (there is no migration:
-// a snapshot is a cache, and a stale cache is discarded).
-const Version = 1
+// Format versions. Version2 is the only one written; Version1 files
+// still load, and the readers never rewrite them (harness chain mode
+// rewrites one as a version-2 chain before its first append). Any other
+// version is rejected: a snapshot is a cache, and a stale cache is
+// discarded.
+const (
+	Version1 = 1
+	Version2 = 2
+)
 
 // magic identifies a snapshot file. The trailing NUL guards against
 // text files that happen to start with the same letters.
@@ -85,37 +89,9 @@ var (
 	ErrCorrupt   = errors.New("persist: corrupt snapshot")
 )
 
-// Marshal encodes a snapshot into the versioned binary format.
-func Marshal(s *core.Snapshot) ([]byte, error) {
-	buf := make([]byte, 0, 1024)
-	buf = append(buf, magic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Fingerprint)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.IKT.Inserts))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.IKT.Defers))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.IKT.Rejected))
-	if len(s.Types) > math.MaxUint32 {
-		return nil, fmt.Errorf("persist: %d sections overflow the format", len(s.Types))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Types)))
-	var body, entry []byte // reused scratch
-	for i := range s.Types {
-		sec := &s.Types[i]
-		var err error
-		body, err = appendSectionBody(body[:0], sec, &entry)
-		if err != nil {
-			return nil, err
-		}
-		if len(body) > math.MaxUint32 {
-			return nil, fmt.Errorf("persist: type %q: %d-byte section overflows the format", sec.Name, len(body))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-		buf = append(buf, body...)
-	}
-	return buf, nil
-}
-
-func appendSectionBody(body []byte, sec *core.TypeSnapshot, entry *[]byte) ([]byte, error) {
+// appendSectionBody appends sec's section body, its entries encoded in
+// place.
+func appendSectionBody(body []byte, sec *core.TypeSnapshot) ([]byte, error) {
 	if len(sec.Name) > math.MaxUint16 {
 		return nil, fmt.Errorf("persist: type name %q overflows the format", sec.Name[:32])
 	}
@@ -133,19 +109,40 @@ func appendSectionBody(body []byte, sec *core.TypeSnapshot, entry *[]byte) ([]by
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(sec.Entries)))
 	for j := range sec.Entries {
-		eb, err := appendEntryBody((*entry)[:0], &sec.Entries[j])
-		if err != nil {
+		var err error
+		if body, err = appendEntry(body, &sec.Entries[j]); err != nil {
 			return nil, fmt.Errorf("persist: type %q entry %d: %w", sec.Name, j, err)
 		}
-		*entry = eb
-		if len(eb) > math.MaxUint32 {
-			return nil, fmt.Errorf("persist: type %q entry %d: %d-byte body overflows the format", sec.Name, j, len(eb))
-		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(eb)))
-		body = append(body, eb...)
-		body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(eb))
 	}
 	return body, nil
+}
+
+// entrySize is the number of bytes appendEntry appends for e.
+func entrySize(e *core.EntrySnapshot) int {
+	n := 4 + 8 + 1 + 8 + 2 + 2 + 4 // length, key, level, provider, two region counts, CRC
+	for _, rs := range [2][]region.Region{e.Outs, e.Ins} {
+		for _, r := range rs {
+			n += 1 + 4 + r.NumBytes()
+		}
+	}
+	return n
+}
+
+// appendEntry appends e's length-prefixed, CRC-suffixed entry. The body
+// is encoded in place behind a reserved length field, which is patched
+// once the body's size is known, so an entry costs no scratch copy.
+func appendEntry(b []byte, e *core.EntrySnapshot) ([]byte, error) {
+	at := len(b)
+	b, err := appendEntryBody(append(b, 0, 0, 0, 0), e)
+	if err != nil {
+		return nil, err
+	}
+	body := b[at+4:]
+	if len(body) > math.MaxUint32 {
+		return nil, fmt.Errorf("%d-byte body overflows the format", len(body))
+	}
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(body)))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(body)), nil
 }
 
 func appendEntryBody(b []byte, e *core.EntrySnapshot) ([]byte, error) {
@@ -202,7 +199,7 @@ func appendRegion(b []byte, r region.Region) ([]byte, error) {
 }
 
 // decoder is a bounds-checked cursor over an in-memory buffer. Every
-// read validates the remaining length first, so Decode can never panic
+// read validates the remaining length first, so decoding can never panic
 // on arbitrary input, and allocation sizes are implied by (and checked
 // against) the bytes actually present.
 type decoder struct {
@@ -251,65 +248,6 @@ func (d *decoder) u64() (uint64, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b), nil
-}
-
-// Unmarshal decodes a snapshot, strictly. See the package comment for
-// the error contract.
-func Unmarshal(data []byte) (*core.Snapshot, error) {
-	d := &decoder{data: data}
-	head, err := d.need(8)
-	if err != nil {
-		return nil, err
-	}
-	if [8]byte(head) != magic {
-		return nil, ErrBadMagic
-	}
-	ver, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrVersion, ver, Version)
-	}
-	s := &core.Snapshot{}
-	if s.Fingerprint, err = d.u64(); err != nil {
-		return nil, err
-	}
-	for _, p := range []*int64{&s.IKT.Inserts, &s.IKT.Defers, &s.IKT.Rejected} {
-		v, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		*p = int64(v)
-	}
-	nsec, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	for i := uint32(0); i < nsec; i++ {
-		blen, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		body, err := d.need(int(blen))
-		if err != nil {
-			return nil, err
-		}
-		sec, err := decodeSection(body)
-		if err != nil {
-			return nil, fmt.Errorf("section %d: %w", i, err)
-		}
-		if seen[sec.Name] {
-			return nil, fmt.Errorf("%w: duplicate section for type %q", ErrCorrupt, sec.Name)
-		}
-		seen[sec.Name] = true
-		s.Types = append(s.Types, *sec)
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
-	}
-	return s, nil
 }
 
 func decodeSection(body []byte) (*core.TypeSnapshot, error) {
@@ -458,38 +396,4 @@ func decodeRegion(d *decoder) (region.Region, error) {
 		copy(r.Data, payload)
 		return r, nil
 	}
-}
-
-// Save writes the snapshot to path via a same-directory temp file and
-// rename, so a crash mid-write leaves the previous snapshot (or no
-// file) rather than a truncated one — Load's strict decode would
-// reject the torn file anyway, but the rename keeps the warm state.
-// The write is durable (fsync before rename, directory fsync after);
-// SaveSync takes the SyncPolicy explicitly.
-func Save(path string, s *core.Snapshot) error {
-	return SaveSync(path, s, SyncAlways)
-}
-
-// SaveSync is Save under an explicit durability policy.
-func SaveSync(path string, s *core.Snapshot, sync SyncPolicy) error {
-	data, err := Marshal(s)
-	if err != nil {
-		return err
-	}
-	return writeAtomic(path, data, sync)
-}
-
-// Load reads and decodes the snapshot at path. A missing file surfaces
-// as an error satisfying errors.Is(err, os.ErrNotExist), which callers
-// treat as "cold start".
-func Load(path string) (*core.Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Unmarshal(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

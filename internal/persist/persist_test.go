@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -50,15 +51,34 @@ func buildSnapshot(t testing.TB) *core.Snapshot {
 	return snap
 }
 
-func TestRoundTrip(t *testing.T) {
-	snap := buildSnapshot(t)
-	data, err := Marshal(snap)
+// v1Bytes encodes s in the legacy version-1 layout, which the package
+// reads but no longer writes: the chain header carrying version 1, then
+// a base record's body without record framing.
+func v1Bytes(t testing.TB, s *core.Snapshot) []byte {
+	t.Helper()
+	b := binary.LittleEndian.AppendUint32(append([]byte(nil), magic[:]...), Version1)
+	b, err := appendBaseBody(binary.LittleEndian.AppendUint64(b, s.Fingerprint), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(data)
+	return b
+}
+
+func TestRoundTrip(t *testing.T) {
+	snap := buildSnapshot(t)
+	data, err := MarshalChain(snap, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := chainSize(snap, nil); n != len(data) {
+		t.Fatalf("whole table sized as %d bytes, encoded to %d", n, len(data))
+	}
+	got, deltas, err := UnmarshalChain(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deltas != nil {
+		t.Fatalf("whole-table chain decoded %d deltas", len(deltas))
 	}
 	if got.Fingerprint != snap.Fingerprint {
 		t.Fatalf("fingerprint: %#x vs %#x", got.Fingerprint, snap.Fingerprint)
@@ -93,7 +113,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Determinism: re-encoding the decoded snapshot is byte-identical.
-	data2, err := Marshal(got)
+	data2, err := MarshalChain(got, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,23 +122,21 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// The three decode tests below run on the legacy version-1 layout: the
+// readers must stay as strict on it as on chains (whose truncation and
+// corruption cases chain_test.go pins).
+
 func TestDecodeRejectsEveryTruncation(t *testing.T) {
-	data, err := Marshal(buildSnapshot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := v1Bytes(t, buildSnapshot(t))
 	for n := 0; n < len(data); n++ {
-		if _, err := Unmarshal(data[:n]); err == nil {
+		if _, _, err := UnmarshalChain(data[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes must not decode", n, len(data))
 		}
 	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	data, err := Marshal(buildSnapshot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := v1Bytes(t, buildSnapshot(t))
 	// Flipping any single byte must never produce a silently different
 	// snapshot: either the decode fails, or (for the rare flips that
 	// keep the structure valid, e.g. inside the informational IKT
@@ -126,47 +144,43 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for i := range data {
 		mut := bytes.Clone(data)
 		mut[i] ^= 0x40
-		s, err := Unmarshal(mut)
+		s, _, err := UnmarshalChain(mut)
 		if err != nil {
 			continue
 		}
-		re, err := Marshal(s)
-		if err != nil || !bytes.Equal(re, mut) {
+		if !bytes.Equal(v1Bytes(t, s), mut) {
 			t.Fatalf("flip at byte %d decoded to a different snapshot", i)
 		}
 	}
 }
 
 func TestDecodeTypedErrors(t *testing.T) {
-	data, err := Marshal(buildSnapshot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := v1Bytes(t, buildSnapshot(t))
 
 	bad := bytes.Clone(data)
 	bad[0] = 'X'
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := UnmarshalChain(bad); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("magic: %v", err)
 	}
 
 	bad = bytes.Clone(data)
 	bad[8] = 99 // version field
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrVersion) {
+	if _, _, err := UnmarshalChain(bad); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version: %v", err)
 	}
 
-	if _, err := Unmarshal(data[:len(data)-3]); !errors.Is(err, ErrTruncated) {
+	if _, _, err := UnmarshalChain(data[:len(data)-3]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncation: %v", err)
 	}
 
-	if _, err := Unmarshal(append(bytes.Clone(data), 0)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := UnmarshalChain(append(bytes.Clone(data), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 
 	// Flip a byte inside the last entry's region payload: CRC must trip.
 	bad = bytes.Clone(data)
 	bad[len(bad)-6] ^= 0xff
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := UnmarshalChain(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("payload corruption: %v", err)
 	}
 }
@@ -174,10 +188,10 @@ func TestDecodeTypedErrors(t *testing.T) {
 func TestSaveLoadAndRestore(t *testing.T) {
 	snap := buildSnapshot(t)
 	path := filepath.Join(t.TempDir(), "warm.atmsnap")
-	if err := Save(path, snap); err != nil {
+	if err := SaveChain(path, snap, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	loaded, _, err := LoadChain(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +217,7 @@ func TestSaveLoadAndRestore(t *testing.T) {
 	}
 
 	// A missing file is a cold start, distinguishable by errors.Is.
-	if _, err := Load(filepath.Join(t.TempDir(), "absent")); !errors.Is(err, os.ErrNotExist) {
+	if _, _, err := LoadChain(filepath.Join(t.TempDir(), "absent")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v", err)
 	}
 }

@@ -146,7 +146,7 @@ func TestCompactEquivalentToDeltaReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			enc, err := Marshal(snap)
+			enc, err := MarshalChain(snap, nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -236,7 +236,7 @@ func TestMergeSnapshotsDeterministicUnderShardReordering(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			enc, err := Marshal(merged)
+			enc, err := MarshalChain(merged, nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -298,10 +298,10 @@ func TestMergeTieBreakRule(t *testing.T) {
 	// in either argument order.
 	lo, hi := mk(5, 1.0), mk(5, 2.0)
 	var eLo, eHi []byte
-	if eLo, err = Marshal(lo); err != nil {
+	if eLo, err = MarshalChain(lo, nil); err != nil {
 		t.Fatal(err)
 	}
-	if eHi, err = Marshal(hi); err != nil {
+	if eHi, err = MarshalChain(hi, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantPayload := 2.0

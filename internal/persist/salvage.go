@@ -33,14 +33,15 @@ type RecoveryReport struct {
 // Clean reports whether the file needed no salvage.
 func (r RecoveryReport) Clean() bool { return r.BytesTruncated == 0 }
 
-// SalvageChain decodes as much of a version-2 chain as is valid. For a
-// clean chain it behaves as UnmarshalChain with a Clean report. For a
+// SalvageChain decodes as much of a chain as is valid. For a clean
+// chain it behaves as UnmarshalChain with a Clean report. For a
 // torn tail — the bytes ran out mid-record, the prefix before it
 // intact, which is exactly what a crash mid-append or a lost tail page
 // leaves — it returns the decoded prefix and a report saying what was
 // dropped. Anything else (bad header, CRC mismatch, invalid record
-// contents, a tear before the first record boundary) is unrecoverable:
-// the error is returned and the report's Reason records it.
+// contents, a tear before the first record boundary, any damage to a
+// version-1 file) is unrecoverable: the error is returned and the
+// report's Reason records it.
 func SalvageChain(data []byte) (*core.Snapshot, []*core.Delta, RecoveryReport, error) {
 	base, deltas, boundary, torn, err := scanChain(data)
 	rep := RecoveryReport{
@@ -66,41 +67,20 @@ func SalvageChain(data []byte) (*core.Snapshot, []*core.Delta, RecoveryReport, e
 	return nil, nil, rep, fmt.Errorf("persist: unsalvageable chain: %w", err)
 }
 
-// LoadChainSalvage is LoadChain with a torn tail tolerated: a version-2
+// LoadChainSalvage is LoadChain with a torn tail tolerated: a chain
 // file cut mid-record loads as its valid prefix, with the report saying
 // what was dropped. The file itself is not modified — call RepairChain
-// before appending to a torn chain. Version-1 files have a single
-// implicit record, so they are either clean or unrecoverable.
+// before appending to a torn chain.
 func LoadChainSalvage(path string) (*core.Snapshot, []*core.Delta, RecoveryReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, RecoveryReport{}, err
 	}
-	ver, err := FileVersion(data)
+	base, deltas, rep, err := SalvageChain(data)
 	if err != nil {
-		rep := RecoveryReport{BytesTruncated: int64(len(data)), Reason: err.Error()}
-		return nil, nil, rep, fmt.Errorf("%s: unsalvageable: %w", path, err)
+		return nil, nil, rep, fmt.Errorf("%s: %w", path, err)
 	}
-	switch ver {
-	case Version:
-		s, err := Unmarshal(data)
-		if err != nil {
-			rep := RecoveryReport{BytesTruncated: int64(len(data)), Reason: err.Error()}
-			return nil, nil, rep, fmt.Errorf("%s: unsalvageable: %w", path, err)
-		}
-		return s, nil, RecoveryReport{RecordsKept: 1, BytesKept: int64(len(data))}, nil
-	case Version2:
-		base, deltas, rep, err := SalvageChain(data)
-		if err != nil {
-			return nil, nil, rep, fmt.Errorf("%s: %w", path, err)
-		}
-		return base, deltas, rep, nil
-	default:
-		rep := RecoveryReport{BytesTruncated: int64(len(data))}
-		err := fmt.Errorf("%w: file version %d", ErrVersion, ver)
-		rep.Reason = err.Error()
-		return nil, nil, rep, fmt.Errorf("%s: unsalvageable: %w", path, err)
-	}
+	return base, deltas, rep, nil
 }
 
 // RepairChain makes a chain file valid again after a crash: it sweeps
@@ -118,18 +98,6 @@ func RepairChain(path string, sync SyncPolicy) (RecoveryReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return RecoveryReport{}, err
-	}
-	ver, err := FileVersion(data)
-	if err != nil {
-		rep := RecoveryReport{BytesTruncated: int64(len(data)), Reason: err.Error()}
-		return rep, fmt.Errorf("%s: unsalvageable: %w", path, err)
-	}
-	if ver == Version {
-		if _, err := Unmarshal(data); err != nil {
-			rep := RecoveryReport{BytesTruncated: int64(len(data)), Reason: err.Error()}
-			return rep, fmt.Errorf("%s: unsalvageable: %w", path, err)
-		}
-		return RecoveryReport{RecordsKept: 1, BytesKept: int64(len(data))}, nil
 	}
 	_, _, rep, err := SalvageChain(data)
 	if err != nil {

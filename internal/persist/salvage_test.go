@@ -291,7 +291,7 @@ func TestLoadChainSalvage(t *testing.T) {
 
 	// A version-1 file loads as a single clean record.
 	v1 := filepath.Join(dir, "v1.atmsnap")
-	if err := Save(v1, base); err != nil {
+	if err := os.WriteFile(v1, v1Bytes(t, base), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, ds, rep, err := LoadChainSalvage(v1)

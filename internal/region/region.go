@@ -112,6 +112,10 @@ type Region interface {
 	// byte-significance ranks (§III-C); the byte stream is identical to
 	// HashSample over the expanded offsets.
 	HashSampleRuns(runs []int32, sink WordSink)
+	// DepSlotHeader returns the region's dependence-state slot, where
+	// the task runtime keeps the region's dependence history. Embedding
+	// DepSlot provides it.
+	DepSlotHeader() *DepSlot
 }
 
 // WordSink consumes a little-endian byte stream word-by-word.
@@ -124,7 +128,7 @@ type WordSink interface {
 
 // Float64 is a Region over []float64. The embedded DepSlot lets the task
 // runtime resolve dependence state without a registry map probe (true of
-// all four concrete types; see DepSlot).
+// every region; see DepSlot).
 type Float64 struct {
 	DepSlot
 	Data []float64

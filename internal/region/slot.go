@@ -1,9 +1,9 @@
 package region
 
 // DepSlot is an embeddable dependence-state header. The task runtime
-// tracks dependences per region; with a slot embedded in the concrete
-// region types, the runtime reaches a region's dependence state with one
-// pointer load and a generation compare instead of a map probe — the
+// tracks dependences per region; with a slot embedded in every region,
+// the runtime reaches a region's dependence state with one pointer load
+// and a generation compare instead of a map probe — the
 // registry-elimination half of the submission-cost budget (the ATM paper
 // requires the runtime overhead of memoization to stay far below task
 // execution cost for its speedups to exist).
@@ -11,27 +11,23 @@ package region
 // The zero value is an unclaimed slot. A runtime claims it by stamping
 // its own generation (a process-unique id assigned per runtime instance
 // and re-assigned on reset) next to an opaque state pointer; a slot whose
-// generation does not match the reading runtime's is treated as
-// unclaimed, so regions can be reused across runtimes (sequentially)
+// generation belongs to a closed runtime or a pre-reset epoch is treated
+// as unclaimed, so regions can be reused across runtimes (sequentially)
 // without carrying stale dependence state over. The slot is plain memory
 // owned by the claiming runtime's master thread: a region must not be
-// submitted to two live runtimes concurrently (submission is
-// single-threaded per runtime by contract, and two live masters would
-// race on the slot; the runtime detects the stamp of another live
-// runtime and falls back to its map, but the detection itself assumes
-// the competing runtime is quiescent).
+// submitted to two live runtimes (the runtime panics on a slot stamped by
+// another live runtime — close that runtime first).
 //
-// All concrete region types of this package embed DepSlot and therefore
-// satisfy Slotted. Region implementations outside this package that do
-// not embed it still work — the runtime keeps a map fallback for such
-// foreign regions — they just pay the map probe per submission.
+// Region requires DepSlotHeader, and every concrete region type of this
+// package embeds DepSlot to provide it. A Region implementation outside
+// this package embeds DepSlot the same way.
 type DepSlot struct {
 	gen   uint64
 	state any
 }
 
 // DepSlotHeader returns the slot itself; embedding DepSlot in a region
-// type is what satisfies Slotted.
+// type is what provides Region's DepSlotHeader.
 func (s *DepSlot) DepSlotHeader() *DepSlot { return s }
 
 // DepGen returns the stamped generation (0 = unclaimed).
@@ -44,11 +40,4 @@ func (s *DepSlot) DepState() any { return s.state }
 // claiming runtime's master thread may call it.
 func (s *DepSlot) SetDepState(gen uint64, state any) {
 	s.gen, s.state = gen, state
-}
-
-// Slotted is a Region carrying an embedded DepSlot dependence-state
-// header.
-type Slotted interface {
-	Region
-	DepSlotHeader() *DepSlot
 }

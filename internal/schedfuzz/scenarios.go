@@ -484,11 +484,11 @@ func deltaPartition(c *Ctx) {
 }
 
 // persistFaults fuzzes the persistence error paths: seeded failpoint
-// arming makes Save/SaveChain/AppendDelta fail at the write, rename and
-// append boundaries, and the invariants are (a) a failed save surfaces
-// an error and leaves no *.tmp residue, (b) the chain stays loadable
-// after a failed append, (c) once disarmed, saving and loading recover
-// completely.
+// arming makes whole-table and chain saves and AppendDelta fail at the
+// write, rename and append boundaries, and the invariants are (a) a
+// failed save surfaces an error and leaves no *.tmp residue, (b) the
+// chain stays loadable after a failed append, (c) once disarmed, saving
+// and loading recover completely.
 func persistFaults(c *Ctx) {
 	memo := core.New(core.Config{Mode: core.ModeStatic})
 	memo.EnableDeltaTracking()
@@ -544,8 +544,8 @@ func persistFaults(c *Ctx) {
 	chainPath := filepath.Join(c.Dir, "chain.atm")
 	chainSaved := false
 	for i := 0; i < 16; i++ {
-		if err := persist.Save(snapPath, full); err != nil {
-			checkNoTmp("Save")
+		if err := persist.SaveChain(snapPath, full, nil); err != nil {
+			checkNoTmp("whole-table SaveChain")
 		}
 		if err := persist.SaveChain(chainPath, base, []*core.Delta{delta}); err == nil {
 			chainSaved = true
@@ -564,12 +564,12 @@ func persistFaults(c *Ctx) {
 	failpoint.DisableAll()
 
 	// Recovery: clean saves succeed and round-trip.
-	if err := persist.Save(snapPath, full); err != nil {
-		c.Errorf("recovery Save: %v", err)
+	if err := persist.SaveChain(snapPath, full, nil); err != nil {
+		c.Errorf("recovery whole-table SaveChain: %v", err)
 		return
 	}
-	if _, err := persist.Load(snapPath); err != nil {
-		c.Errorf("recovery Load: %v", err)
+	if _, _, err := persist.LoadChain(snapPath); err != nil {
+		c.Errorf("recovery whole-table LoadChain: %v", err)
 	}
 	if err := persist.SaveChain(chainPath, base, []*core.Delta{delta}); err != nil {
 		c.Errorf("recovery SaveChain: %v", err)

@@ -745,7 +745,7 @@ func (e *Engine) save(path string) error {
 	} else {
 		var snap *core.Snapshot
 		if snap, err = e.memo.Snapshot(); err == nil {
-			err = persist.Save(path, snap)
+			err = persist.SaveChain(path, snap, nil)
 		}
 	}
 	if err != nil {

@@ -259,12 +259,16 @@ func TestEngineSnapshot(t *testing.T) {
 	if err := e.Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := persist.Load(path)
+	snap, deltas, err := persist.LoadChain(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Types) == 0 {
-		t.Fatal("snapshot has no types")
+	if len(snap.Types) == 0 || deltas != nil {
+		t.Fatalf("snapshot has %d types and %d deltas, want a whole table", len(snap.Types), len(deltas))
+	}
+	// A whole-table save is a chain base: it takes a delta append.
+	if err := persist.AppendDelta(path, &core.Delta{Fingerprint: snap.Fingerprint}); err != nil {
+		t.Fatalf("append to a saved snapshot: %v", err)
 	}
 	if c := e.Counters(); c.Saves != 1 {
 		t.Fatalf("saves = %d, want 1", c.Saves)

@@ -149,7 +149,7 @@ func TestInlineMatchesLoop(t *testing.T) {
 				if err := sides[s].eng.Snapshot(path); err != nil {
 					t.Fatal(err)
 				}
-				snap, err := persist.Load(path)
+				snap, _, err := persist.LoadChain(path)
 				if err != nil {
 					t.Fatal(err)
 				}

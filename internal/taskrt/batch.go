@@ -235,8 +235,6 @@ func (rt *Runtime) submitBatch(batch []BatchEntry, dst []*Task) []*Task {
 // Batcher accumulates task descriptors and submits them through
 // SubmitBatch in fixed-size batches, reusing its buffers so a steady
 // submission loop allocates nothing for tasks with at most two accesses.
-// With a batch size of 1 (Config.BatchSize < 0, cmd/atmbench's
-// "-batch 0") it degrades to per-task Submit, the before/after baseline.
 //
 // A Batcher holds undelivered descriptors: call Flush before every
 // Wait, and before any point where previously submitted tasks' results
@@ -248,33 +246,23 @@ type Batcher struct {
 	tasks   []*Task
 }
 
-// Batcher returns a new Batcher with the runtime's configured batch size
-// (Config.BatchSize). Like Submit, it must be used only from the master
-// goroutine.
+// Batcher returns a new Batcher of DefaultBatch tasks per batch. Like
+// Submit, it must be used only from the master goroutine.
 func (rt *Runtime) Batcher() *Batcher {
-	return rt.BatcherN(rt.batchSize)
+	return rt.BatcherN(DefaultBatch)
 }
 
-// BatcherN returns a new Batcher with an explicit batch size.
+// BatcherN returns a new Batcher with an explicit batch size (at
+// least 1).
 func (rt *Runtime) BatcherN(size int) *Batcher {
-	if size < 1 {
-		size = 1
-	}
-	b := &Batcher{rt: rt, size: size}
-	if size > 1 {
-		b.entries = make([]BatchEntry, 0, size)
-	}
-	return b
+	size = max(size, 1)
+	return &Batcher{rt: rt, size: size, entries: make([]BatchEntry, 0, size)}
 }
 
 // Add appends one task descriptor, submitting the accumulated batch when
 // it reaches the configured size. The entry is built in place in the
 // batch buffer (no intermediate BatchEntry copy).
 func (b *Batcher) Add(tt *TaskType, accesses ...Access) {
-	if b.size <= 1 {
-		b.rt.Submit(tt, accesses...)
-		return
-	}
 	n := len(b.entries)
 	if n == cap(b.entries) {
 		b.entries = append(b.entries, BatchEntry{})

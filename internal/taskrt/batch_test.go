@@ -263,20 +263,20 @@ func TestSubmitBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestBatcherDegradesToSubmit pins the -batch 0 semantics: a size-1
-// batcher must behave exactly like per-task Submit (and never buffer).
+// TestBatcherDegradesToSubmit pins the size-1 batcher: it submits every
+// Add at once, like per-task Submit, and never buffers.
 func TestBatcherDegradesToSubmit(t *testing.T) {
-	rt := New(Config{Workers: 2, BatchSize: -1})
+	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	a := region.NewInt32(1)
 	inc := rt.RegisterType(TypeConfig{Name: "inc", Run: func(task *Task) {
 		task.Int32s(0)[0]++
 	}})
-	sb := rt.Batcher()
+	sb := rt.BatcherN(1)
 	for i := 0; i < 100; i++ {
 		sb.Add(inc, InOut(a))
 	}
-	// No Flush: per-task mode must have submitted everything already.
+	// No Flush: a batch of one must have submitted everything already.
 	rt.Wait()
 	if a.Data[0] != 100 {
 		t.Fatalf("per-task batcher ran %d of 100", a.Data[0])
@@ -286,13 +286,13 @@ func TestBatcherDegradesToSubmit(t *testing.T) {
 // TestBatcherFlushBoundaries drives a batcher whose adds never align with
 // its batch size, ensuring partial flushes deliver every task.
 func TestBatcherFlushBoundaries(t *testing.T) {
-	rt := New(Config{Workers: 4, BatchSize: 7})
+	rt := New(Config{Workers: 4})
 	defer rt.Close()
 	a := region.NewInt32(1)
 	inc := rt.RegisterType(TypeConfig{Name: "inc", Run: func(task *Task) {
 		task.Int32s(0)[0]++
 	}})
-	sb := rt.Batcher()
+	sb := rt.BatcherN(7)
 	const n = 100 // not a multiple of 7
 	for i := 0; i < n; i++ {
 		sb.Add(inc, InOut(a))

@@ -1,37 +1,13 @@
 package taskrt
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"atm/internal/region"
 )
-
-// plainRegion is a Region implementation that does NOT embed
-// region.DepSlot: the foreign-region shape that must keep working through
-// the registry map fallback. It forwards to an inner (non-embedded)
-// Bytes value so no DepSlot method is promoted.
-type plainRegion struct{ b region.Bytes }
-
-func newPlainRegion(n int) *plainRegion { return &plainRegion{b: region.Bytes{Data: make([]byte, n)}} }
-
-func (r *plainRegion) Kind() region.Kind          { return r.b.Kind() }
-func (r *plainRegion) NumElems() int              { return r.b.NumElems() }
-func (r *plainRegion) NumBytes() int              { return r.b.NumBytes() }
-func (r *plainRegion) ByteAt(i int) byte          { return r.b.ByteAt(i) }
-func (r *plainRegion) Float64At(i int) float64    { return r.b.Float64At(i) }
-func (r *plainRegion) Clone() region.Region       { return &plainRegion{b: region.Bytes{Data: append([]byte(nil), r.b.Data...)}} }
-func (r *plainRegion) HashInto(sink func(b byte)) { r.b.HashInto(sink) }
-func (r *plainRegion) CopyFrom(src region.Region) { copy(r.b.Data, src.(*plainRegion).b.Data) }
-func (r *plainRegion) EqualContents(o region.Region) bool {
-	s, ok := o.(*plainRegion)
-	return ok && r.b.EqualContents(&s.b)
-}
-func (r *plainRegion) HashWords(sink region.WordSink)                 { r.b.HashWords(sink) }
-func (r *plainRegion) HashSample(offsets []int32, sink region.WordSink) { r.b.HashSample(offsets, sink) }
-func (r *plainRegion) HashSampleRuns(runs []int32, sink region.WordSink) {
-	r.b.HashSampleRuns(runs, sink)
-}
 
 // submitGatedChain submits two writer tasks of the same region where the
 // first blocks until released. If the WAW edge between them is wired, the
@@ -57,9 +33,8 @@ func submitGatedChain(t *testing.T, rt *Runtime, r region.Region) {
 	}
 }
 
-// TestSlotSteadyStateNoMapEntries pins the tentpole property: submitting
-// slotted regions never populates the registry map — dependence state
-// lives in the regions' own DepSlots, on the live-slot list.
+// TestSlotSteadyStateNoMapEntries pins where dependence state lives: in
+// the regions' own DepSlots, one live-slot list entry per region.
 func TestSlotSteadyStateNoMapEntries(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
@@ -73,9 +48,6 @@ func TestSlotSteadyStateNoMapEntries(t *testing.T) {
 			rt.Submit(tt, InOut(r))
 		}
 		rt.Wait()
-	}
-	if len(rt.regs) != 0 {
-		t.Fatalf("registry map has %d entries for slotted regions, want 0", len(rt.regs))
 	}
 	if len(rt.slotStates) != len(regions) {
 		t.Fatalf("live-slot list has %d entries, want %d", len(rt.slotStates), len(regions))
@@ -107,73 +79,59 @@ func TestSlotReuseAcrossRuntimes(t *testing.T) {
 	if r.DepGen() != rt2.gen {
 		t.Fatalf("slot generation %d, want reclaimed by second runtime (%d)", r.DepGen(), rt2.gen)
 	}
-	if len(rt2.regs) != 0 {
-		t.Fatalf("second runtime fell back to the map (%d entries) for a reclaimable slot", len(rt2.regs))
-	}
 }
 
-// TestSlotHeldByLiveRuntimeFallsBackToMap shares a region between two
-// live runtimes (submitting alternately from one goroutine — concurrent
-// masters on one region are out of contract): the second runtime must
-// leave the first one's slot stamp alone and track the region in its
-// map, then promote the map state to the slot once the first runtime
-// closes — without losing its own dependence history.
-func TestSlotHeldByLiveRuntimeFallsBackToMap(t *testing.T) {
+// TestSlotHeldByLiveRuntimePanics shares a region between two live
+// runtimes: the second must panic with a message naming both
+// generations, and leave the first one's slot stamp alone. Once the
+// first runtime closes, its stamp is stale and a new runtime reclaims
+// the slot.
+func TestSlotHeldByLiveRuntimePanics(t *testing.T) {
 	r := region.NewFloat64(1)
 	rt1 := New(Config{Workers: 1})
 	tt1 := rt1.RegisterType(TypeConfig{Name: "n1", Run: func(*Task) {}})
 	rt1.Submit(tt1, InOut(r))
 	rt1.Wait()
 
-	rt2 := New(Config{Workers: 2})
-	defer rt2.Close()
+	// The panicking Submit leaves a carved task that never completes, so
+	// the second runtime is a deterministic one (no worker goroutines to
+	// leak) and is never closed.
+	rt2 := New(Config{Deterministic: true})
 	tt2 := rt2.RegisterType(TypeConfig{Name: "n2", Run: func(*Task) {}})
-	rt2.Submit(tt2, InOut(r))
-	rt2.Wait()
+	func() {
+		defer func() {
+			s, _ := recover().(string)
+			for _, want := range []string{
+				fmt.Sprintf("generation %d", rt1.gen), fmt.Sprintf("generation %d", rt2.gen), "Close the other runtime",
+			} {
+				if !strings.Contains(s, want) {
+					t.Fatalf("panic %q does not mention %q", s, want)
+				}
+			}
+		}()
+		rt2.Submit(tt2, InOut(r))
+	}()
 	if r.DepGen() != rt1.gen {
 		t.Fatalf("second runtime stole a live runtime's slot (gen %d, want %d)", r.DepGen(), rt1.gen)
 	}
-	if len(rt2.regs) != 1 {
-		t.Fatalf("second runtime tracks %d map entries, want 1 (the contended region)", len(rt2.regs))
-	}
 
 	rt1.Close()
-	// rt1's generation is now retired; rt2's next touch promotes its map
-	// state into the slot, and chained dependences keep working across
-	// the promotion.
-	submitGatedChain(t, rt2, r)
-	if r.DepGen() != rt2.gen {
-		t.Fatalf("slot not promoted after first runtime closed: gen %d, want %d", r.DepGen(), rt2.gen)
-	}
-	if len(rt2.regs) != 0 {
-		t.Fatalf("map entry not promoted to slot: %d entries left", len(rt2.regs))
-	}
-}
-
-// TestForeignRegionFallback drives a Region that does not embed DepSlot
-// through the full dependence flavors: it must work via the registry map.
-func TestForeignRegionFallback(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	defer rt.Close()
-	r := newPlainRegion(8)
-	submitGatedChain(t, rt, r)
-	if len(rt.regs) != 1 {
-		t.Fatalf("foreign region not tracked in the map: %d entries", len(rt.regs))
-	}
-	if len(rt.slotStates) != 0 {
-		t.Fatalf("foreign region leaked onto the live-slot list (%d entries)", len(rt.slotStates))
+	rt3 := New(Config{Workers: 2})
+	defer rt3.Close()
+	submitGatedChain(t, rt3, r)
+	if r.DepGen() != rt3.gen {
+		t.Fatalf("slot not reclaimed after the first runtime closed: gen %d, want %d", r.DepGen(), rt3.gen)
 	}
 }
 
 // TestResetMidStream interleaves Reset with submission waves on the same
-// regions: each epoch must wire correctly, and Reset must drop every
-// registry reference (live-slot list, map, lastReg cache) and invalidate
-// the slots by generation.
+// region: each epoch must wire correctly, and Reset must drop every
+// registry reference (live-slot list, lastReg cache) and invalidate the
+// slots by generation.
 func TestResetMidStream(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	slotted := region.NewFloat64(1)
-	foreign := newPlainRegion(8)
 	var ran atomic.Int64
 	tt := rt.RegisterType(TypeConfig{Name: "inc", Run: func(*Task) { ran.Add(1) }})
 
@@ -181,7 +139,7 @@ func TestResetMidStream(t *testing.T) {
 	for epoch := 0; epoch < 3; epoch++ {
 		for i := 0; i < 10; i++ {
 			rt.Submit(tt, InOut(slotted))
-			rt.Submit(tt, In(slotted), Out(foreign))
+			rt.Submit(tt, In(slotted))
 		}
 		if slotted.DepGen() != rt.gen {
 			t.Fatalf("epoch %d: slot generation %d, want %d", epoch, slotted.DepGen(), rt.gen)
@@ -191,8 +149,8 @@ func TestResetMidStream(t *testing.T) {
 		}
 		gens[rt.gen] = true
 		rt.Reset()
-		if len(rt.slotStates) != 0 || len(rt.regs) != 0 {
-			t.Fatalf("epoch %d: Reset left %d slot states, %d map entries", epoch, len(rt.slotStates), len(rt.regs))
+		if len(rt.slotStates) != 0 {
+			t.Fatalf("epoch %d: Reset left %d slot states", epoch, len(rt.slotStates))
 		}
 		if rt.lastReg != nil || rt.lastRS != nil {
 			t.Fatalf("epoch %d: Reset left the lastReg cache populated", epoch)

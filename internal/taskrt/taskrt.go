@@ -340,10 +340,6 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Policy selects the ready-queue discipline (default FIFO).
 	Policy SchedPolicy
-	// BatchSize is the batch size handed to Batcher(): 0 means
-	// DefaultBatchSize, 1 or negative degrades Batcher to per-task
-	// Submit (the before/after knob of cmd/atmbench's -batch flag).
-	BatchSize int
 	// ThrottleWindow fixes the submission-throttle high watermark (the
 	// maximum number of submitted-but-uncompleted tasks). Zero selects
 	// the adaptive watermark: an EWMA of observed task payload bytes
@@ -375,9 +371,8 @@ type Config struct {
 // when empty; master-thread submissions go through a sharded injector.
 // Dependence state is touched only by the master thread — reached
 // through generation-checked slots embedded in the regions themselves
-// (see depState; the regs map is only a fallback) — and per-task wiring
-// is guarded by the tasks' own locks, so there is no global runtime
-// mutex on any hot path.
+// (see depState) — and per-task wiring is guarded by the tasks' own
+// locks, so there is no global runtime mutex on any hot path.
 type Runtime struct {
 	workers  int
 	memo     Memoizer
@@ -437,13 +432,10 @@ type Runtime struct {
 
 	// Master-thread-only state (Submit is single-goroutine by contract).
 	//
-	// Dependence state: slotted regions (region.Slotted, i.e. every
-	// concrete region type) carry their *regState in an embedded DepSlot
-	// stamped with this runtime's generation — the steady-state submit
-	// path performs zero map operations. regs is the fallback registry,
-	// holding only foreign (unslotted) regions and regions whose slot is
-	// stamped by another live runtime; slotStates is the live-slot list
-	// the Close/Reset sweeps walk instead of a map iteration.
+	// Dependence state: every region carries its *regState in its
+	// DepSlot (region.Region.DepSlotHeader) stamped with this runtime's
+	// generation — the submit path performs zero map operations.
+	// slotStates is the live-slot list the Close/Reset sweeps walk.
 	//
 	// Task slabs: tasks are carved out of fixed-size slabs so a
 	// submission storm costs one allocation per taskSlabSize tasks
@@ -455,7 +447,6 @@ type Runtime struct {
 	// per-cell reset.
 	gen        uint64 // runtime generation stamped into claimed DepSlots
 	fenceSeq   uint64 // bumped per retire; regStates lazily resync to it
-	regs       map[region.Region]*regState
 	slotStates []*regState
 	lastReg    region.Region // 1-entry dependence-state cache
 	lastRS     *regState
@@ -487,7 +478,6 @@ type Runtime struct {
 	batchNpred  []int32
 	batchReady  []*Task
 	batchObs    BatchObserver
-	batchSize   int
 	ptrSlab     []*Task
 	ptrOff      int
 	oldPtrSlabs [][]*Task
@@ -514,9 +504,9 @@ type taskSlab struct {
 // Runtime generations. Every Runtime instance (and every Reset epoch
 // within one) gets a process-unique generation to stamp into region
 // DepSlots. The registry tracks the generations currently *live* — so a
-// later claimant can distinguish the stamp of a live runtime (fall back
-// to the map) from a stale one (closed runtime or pre-Reset epoch: safe
-// to reclaim). Tracking live rather than retired generations keeps the
+// later claimant can distinguish the stamp of a live runtime (a contract
+// violation: panic) from a stale one (closed runtime or pre-Reset epoch:
+// safe to reclaim). Tracking live rather than retired generations keeps the
 // map bounded by the number of live runtimes, not by how many have ever
 // existed — a long-running service Resetting per phase stays flat. All
 // of this is cold-path only: the steady state is a slot whose
@@ -575,8 +565,8 @@ const (
 	taskOverheadBytes = 256 // approximate Task struct + queue footprint
 )
 
-// DefaultBatchSize is the Batcher batch size when Config.BatchSize is 0.
-const DefaultBatchSize = 64
+// DefaultBatch is the batch size of Batcher().
+const DefaultBatch = 64
 
 // regState is the per-region dependence registry entry: the last task that
 // wrote the region and the readers since that write (the information OmpSs
@@ -625,8 +615,7 @@ func (rs *regState) clearReaders() {
 // New starts a runtime with cfg.Workers workers. Call Close when done —
 // it is required, not advisory: an abandoned Runtime leaks its worker
 // goroutines, and its region-slot generation stays registered as live,
-// demoting every region it stamped to the map-fallback path in all
-// later runtimes.
+// so any later runtime that submits a region it stamped panics.
 func New(cfg Config) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -645,7 +634,6 @@ func New(cfg Config) *Runtime {
 		policy:  cfg.Policy,
 		locals:  make([]readyQ, cfg.Workers),
 		inj:     make([]readyQ, nshards),
-		regs:    make(map[region.Region]*regState),
 		gen:     newGen(),
 		slab:    &taskSlab{},
 	}
@@ -659,14 +647,6 @@ func New(cfg Config) *Runtime {
 		rt.backlogHigh.Store(int64(cfg.ThrottleWindow))
 	} else {
 		rt.backlogHigh.Store(defaultBacklog)
-	}
-	switch {
-	case cfg.BatchSize == 0:
-		rt.batchSize = DefaultBatchSize
-	case cfg.BatchSize < 1:
-		rt.batchSize = 1
-	default:
-		rt.batchSize = cfg.BatchSize
 	}
 	rt.stealOrder, rt.stealSplit = buildStealOrder(cfg.Workers, tp)
 	rt.wlocal = make([]workerLocal, cfg.Workers)
@@ -1083,58 +1063,35 @@ func (rt *Runtime) wire(t *Task, batchStart uint64) int32 {
 }
 
 // depState resolves the dependence state for r. The steady state — a
-// slotted region whose DepSlot is already stamped with this runtime's
-// generation — is one interface assertion, one pointer load and two
-// compares, with zero map operations; everything else (first touch,
-// reclaiming a slot left by a closed runtime or a pre-Reset epoch,
-// foreign regions without a slot) is a cold path.
+// DepSlot already stamped with this runtime's generation — is one
+// pointer load and two compares, with zero map operations; first touch
+// and reclaiming a slot left by a closed runtime or a pre-Reset epoch
+// are the cold path.
 func (rt *Runtime) depState(r region.Region) *regState {
-	if h, ok := r.(region.Slotted); ok {
-		s := h.DepSlotHeader()
-		if s.DepGen() == rt.gen {
-			rs := s.DepState().(*regState)
-			rs.refresh(rt.fenceSeq)
-			return rs
-		}
-		return rt.claimSlot(r, s)
+	s := r.DepSlotHeader()
+	if s.DepGen() == rt.gen {
+		rs := s.DepState().(*regState)
+		rs.refresh(rt.fenceSeq)
+		return rs
 	}
-	return rt.mapState(r)
+	return rt.claimSlot(s)
 }
 
-// claimSlot stamps r's DepSlot with this runtime's generation, unless the
-// slot is held by another live runtime — then the map keeps r's state so
-// both runtimes stay consistent (the slot's owner keeps its one-load fast
-// path; this runtime pays the probe for this region only). A slot whose
+// claimSlot stamps s with this runtime's generation. A slot whose
 // generation is retired (closed runtime, pre-Reset epoch) is reclaimed:
 // its old state belongs to a dependence history that no longer exists.
-func (rt *Runtime) claimSlot(r region.Region, s *region.DepSlot) *regState {
+// A slot held by another live runtime is a contract violation, like
+// Submit after Close: two runtimes would each track half of the
+// region's dependences.
+func (rt *Runtime) claimSlot(s *region.DepSlot) *regState {
 	if g := s.DepGen(); g != 0 && genLive(g) {
-		return rt.mapState(r)
+		panic(fmt.Sprintf(
+			"taskrt: region submitted to runtime generation %d while live runtime generation %d holds its dependence slot; Close the other runtime first",
+			rt.gen, g))
 	}
-	rs := rt.regs[r]
-	if rs != nil {
-		// The region was tracked in the map while its slot belonged to a
-		// since-retired runtime; promote that state to the slot.
-		delete(rt.regs, r)
-		rs.refresh(rt.fenceSeq)
-	} else {
-		rs = &regState{fenceSeq: rt.fenceSeq}
-	}
+	rs := &regState{fenceSeq: rt.fenceSeq}
 	s.SetDepState(rt.gen, rs)
 	rt.slotStates = append(rt.slotStates, rs)
-	return rs
-}
-
-// mapState is the registry fallback for foreign (unslotted) regions and
-// for slots held by another live runtime.
-func (rt *Runtime) mapState(r region.Region) *regState {
-	rs := rt.regs[r]
-	if rs == nil {
-		rs = &regState{fenceSeq: rt.fenceSeq}
-		rt.regs[r] = rs
-	} else {
-		rs.refresh(rt.fenceSeq)
-	}
 	return rs
 }
 
@@ -1388,13 +1345,10 @@ func (rt *Runtime) Reset() {
 	retireGen(rt.gen)
 	rt.gen = newGen()
 	rt.sweepDepState()
-	rt.regs = make(map[region.Region]*regState)
 }
 
 // sweepDepState releases every task reference the dependence registry
-// holds, walking the live-slot list (a slice scan) plus the normally tiny
-// foreign-region map — not a whole-registry map iteration (regions claim
-// slots precisely so the map stays empty). Master-only; used by Reset and
+// holds, walking the live-slot list. Master-only; used by Reset and
 // Close.
 func (rt *Runtime) sweepDepState() {
 	for i, rs := range rt.slotStates {
@@ -1403,10 +1357,6 @@ func (rt *Runtime) sweepDepState() {
 		rt.slotStates[i] = nil
 	}
 	rt.slotStates = rt.slotStates[:0]
-	for _, rs := range rt.regs {
-		rs.lastWriter = nil
-		rs.clearReaders()
-	}
 	rt.lastReg, rt.lastRS = nil, nil
 }
 
@@ -1420,9 +1370,8 @@ func (rt *Runtime) Close() {
 	rt.parkMu.Unlock()
 	rt.wg.Wait()
 	// Every task is complete; release the dependence registry's task
-	// references (live-slot list + foreign map, not a whole-map sweep) so
-	// user-held regions whose slots reach regStates cannot pin task
-	// memory, and drop the slab lists themselves.
+	// references so user-held regions whose slots reach regStates cannot
+	// pin task memory, and drop the slab lists themselves.
 	rt.sweepDepState()
 	retireGen(rt.gen)
 	rt.slab = nil
