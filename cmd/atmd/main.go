@@ -39,13 +39,11 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers    = flag.Int("workers", 0, "task-runtime workers (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "task-runtime workers (0 = 1)")
 		mode       = flag.String("mode", "dynamic", "memoization mode: baseline|static|dynamic|fixed")
 		level      = flag.Int("level", 15, "p level for -mode fixed")
 		noIKT      = flag.Bool("no-ikt", false, "disable the In-flight Key Table")
-		coalesce   = flag.Int("coalesce", 0, "max tasks folded into one engine batch (0 = 512)")
 		backlog    = flag.Int("backlog", 0, "fixed admission watermark in tasks (0 = adaptive LLC-sized)")
-		resetEvery = flag.Int("reset-every", 0, "engine batches between runtime resets (0 = 64)")
 		seed       = flag.Uint64("seed", 0, "ATM shuffle-plan seed")
 		snapshot   = flag.String("snapshot", "", "whole-table snapshot file: warm-start from it when present, save back on shutdown/snapshot requests")
 		loadPath   = flag.String("load", "", "whole-table warm-start file (overrides -snapshot's load half)")
@@ -125,8 +123,6 @@ func main() {
 	engine, info := harness.Serve(spec, opt, service.Config{
 		Workers:    *workers,
 		Backlog:    *backlog,
-		Coalesce:   *coalesce,
-		ResetEvery: *resetEvery,
 		MaxTenants: *maxTenants,
 	})
 

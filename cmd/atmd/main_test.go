@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"atm/internal/persist"
+	"atm/internal/service"
 )
 
 // TestMain lets the test binary stand in for atmd: re-executed with
@@ -116,6 +118,49 @@ func TestEarlySIGTERMRunsFinalSave(t *testing.T) {
 		if len(deltas) != round {
 			t.Fatalf("round %d: chain holds %d delta records, want %d: a final save was lost\n%s", round, len(deltas), round, a.log.String())
 		}
+	}
+}
+
+// TestBacklogSheds checks that -backlog reaches admission in the real
+// binary. spin is not memoizable, so a spin request never takes the
+// inline hit path and always meets the watermark: one of 16 tasks
+// against -backlog 8 is shed whole with 429 and Retry-After, one of 4
+// is served, and /v1/stats counts exactly that.
+func TestBacklogSheds(t *testing.T) {
+	hc := &http.Client{Timeout: 30 * time.Second}
+	a := startAtmd(t, hc, "-backlog", "8")
+	defer a.terminate(t, hc)
+	url := "http://" + a.addr
+	spin := func(n int) string {
+		specs := make([]string, n)
+		for i := range specs {
+			specs[i] = fmt.Sprintf(`{"kind":"spin","key":%d}`, i)
+		}
+		return `{"tasks":[` + strings.Join(specs, ",") + `]}`
+	}
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := hc.Post(url+"/v1/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+
+	if resp := post(spin(16)); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("16 spin tasks against -backlog 8: HTTP %d, Retry-After %q; want 429, \"1\"", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if resp := post(spin(4)); resp.StatusCode != http.StatusOK {
+		t.Errorf("4 spin tasks against -backlog 8: HTTP %d, want 200", resp.StatusCode)
+	}
+	st, err := service.FetchStats(hc, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ShedRequests != 1 || st.ShedTasks != 16 || st.Queued != 0 {
+		t.Errorf("stats: shed_requests %d, shed_tasks %d, queued %d; want 1, 16, 0", st.ShedRequests, st.ShedTasks, st.Queued)
 	}
 }
 

@@ -70,16 +70,15 @@
 //     coalescing engine loop that feeds concurrent network requests
 //     into SubmitBatch under the runtime's admission watermark (shed
 //     with 429 upstream, never queue unboundedly). Around it an HTTP
-//     front-end (JSON and a compact binary task encoding), the six-kind
-//     workload catalog, and an open-loop load generator with
-//     coordinated-omission-free latency measurement. cmd/atmd serves
-//     it; cmd/atmload drives it
-//     (docs/service.md). internal/decfloat is that route's float text
-//     codec: strconv's and encoding/json's results from a one-pass
-//     Eisel-Lemire parser and a Schubfach formatter.
+//     front-end (JSON and a compact binary task encoding) and the
+//     six-kind workload catalog. cmd/atmd serves it; the repository
+//     benchmark (benchmark/) drives it (docs/service.md).
+//     internal/decfloat is that route's float text codec: strconv's
+//     and encoding/json's results from a one-pass Eisel-Lemire parser
+//     and a Schubfach formatter.
 //   - internal/region, internal/sampling, internal/hashx,
 //     internal/trace — the supporting substrates; internal/metrics —
-//     dependency-free HDR latency histograms and a Prometheus
+//     dependency-free fixed-ladder latency histograms and a Prometheus
 //     text-format exporter backing atmd's /metrics.
 //   - internal/apps/... — the evaluated benchmarks of Table I.
 //   - internal/harness and cmd/atmbench — the evaluation matrix

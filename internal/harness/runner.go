@@ -213,7 +213,8 @@ type RunOptions struct {
 	Trace bool
 	// Seed perturbs ATM's shuffle plans.
 	Seed uint64
-	// Policy selects the scheduling discipline (zero value = FIFO).
+	// Policy selects RunOne's scheduling discipline (zero value = FIFO;
+	// a Serve engine always runs FIFO).
 	Policy taskrt.SchedPolicy
 	// Deterministic runs the workload under taskrt's deterministic
 	// executor: every scheduling decision is drawn from Seed, so the same

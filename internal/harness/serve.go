@@ -31,9 +31,9 @@ type ServeInfo struct {
 
 // Serve opens the memoization state for spec under opt's persistence
 // options and starts a service engine over it. cfg supplies the
-// service-side knobs (workers, backlog watermark, coalescing);
-// cfg.Memo, cfg.Policy, cfg.Save and cfg.SaveEvery are overwritten
-// from spec and opt:
+// service-side knobs (workers, backlog watermark, tenant cap);
+// cfg.Memo, cfg.Save and cfg.SaveEvery are overwritten from spec and
+// opt:
 //
 //   - chain mode (opt.SnapshotChain): the engine warm-starts from the
 //     chain under opt.Recover, and the Save hook appends a delta record
@@ -61,7 +61,6 @@ func Serve(spec ATMSpec, opt RunOptions, cfg service.Config) (*service.Engine, S
 	} else {
 		cfg.Memo = nil
 	}
-	cfg.Policy = opt.Policy
 	cfg.Save = nil
 	cfg.SaveEvery = 0
 	if cfg.Memo != nil && (st.chain != "" || st.save != "") {

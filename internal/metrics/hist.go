@@ -1,154 +1,52 @@
 package metrics
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// Histogram bucket geometry: log-linear, HDR-style. Values below
-// 2^histSubBits nanoseconds get exact unit buckets; above that, each
-// power-of-two range is split into 2^histSubBits linear sub-buckets,
-// bounding the relative error of any recorded value by 1/2^histSubBits
-// (~3%). 60 groups cover the full int64 nanosecond range.
-const (
-	histSubBits = 5
-	histSubs    = 1 << histSubBits
-	histGroups  = 60
-	histBuckets = histSubs * histGroups
-)
+// latencyBounds is the le-bucket ladder a Histogram counts against and
+// LatencyHistogram exposes: coarse enough to stay readable, fine enough
+// to locate a p99 between 100µs and 10s.
+var latencyBounds = [...]time.Duration{
+	100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
+	1 * time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
+	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
+	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
+	1 * time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
+}
 
-// Histogram is a fixed-memory, concurrency-safe latency histogram:
-// Observe is one atomic add (plus a CAS loop for the max), so open-loop
-// load generators can record from many sender goroutines and a server
+// Histogram is a fixed-memory, concurrency-safe latency histogram over
+// the latencyBounds ladder: one counter per bound, holding the values
+// above the previous bound and at most this one (Prometheus's le is an
+// inclusive upper bound), one for the values above the last bound, and
+// the sum. Observe is a short scan plus two atomic adds, so a server
 // can record on the request path without locks. The zero value is ready
 // to use.
 type Histogram struct {
-	counts [histBuckets]atomic.Uint64
-	count  atomic.Uint64
-	sum    atomic.Int64 // nanoseconds
-	max    atomic.Int64 // nanoseconds
+	buckets [len(latencyBounds) + 1]atomic.Uint64
+	sum     atomic.Int64 // nanoseconds
 }
 
-// histIndex maps a nanosecond value to its bucket.
-func histIndex(v int64) int {
-	if v < 0 {
-		v = 0
-	}
-	if v < histSubs {
-		return int(v)
-	}
-	msb := bits.Len64(uint64(v)) - 1
-	g := msb - histSubBits + 1
-	sub := (v >> (msb - histSubBits)) & (histSubs - 1)
-	idx := g<<histSubBits | int(sub)
-	if idx >= histBuckets {
-		return histBuckets - 1
-	}
-	return idx
-}
-
-// histLower returns the inclusive lower bound of a bucket.
-func histLower(idx int) int64 {
-	g, sub := idx>>histSubBits, int64(idx&(histSubs-1))
-	if g == 0 {
-		return sub
-	}
-	return (histSubs + sub) << (g - 1)
-}
-
-// histMid returns a representative value for a bucket (its midpoint).
-func histMid(idx int) int64 {
-	g := idx >> histSubBits
-	if g == 0 {
-		return histLower(idx)
-	}
-	width := int64(1) << (g - 1)
-	return histLower(idx) + width/2
-}
-
-// Observe records one duration.
+// Observe records one duration; a negative one counts as zero.
 func (h *Histogram) Observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
+	d = max(d, 0)
+	i := 0
+	for i < len(latencyBounds) && d > latencyBounds[i] {
+		i++
 	}
-	h.counts[histIndex(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	for {
-		m := h.max.Load()
-		if ns <= m || h.max.CompareAndSwap(m, ns) {
-			return
-		}
-	}
+	h.buckets[i].Add(1)
+	h.sum.Add(int64(d))
 }
 
 // Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the total of all recorded durations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Max returns the largest recorded duration.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Mean returns the average recorded duration, 0 when empty.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(uint64(h.sum.Load()) / n)
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the recorded
-// values, accurate to the bucket resolution (~3% relative). A racing
-// Observe may or may not be counted; quantiles of a live histogram are
-// estimates, exact once recording has stopped.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(n))
-	if rank >= n {
-		rank = n - 1
-	}
-	var seen uint64
-	for i := 0; i < histBuckets; i++ {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		seen += c
-		if seen > rank {
-			mid := histMid(i)
-			if m := h.max.Load(); mid > m {
-				mid = m // the top bucket's midpoint can overshoot the max
-			}
-			return time.Duration(mid)
-		}
-	}
-	return time.Duration(h.max.Load())
-}
-
-// CountAtMost returns how many recorded values were ≤ d, to bucket
-// resolution: every bucket whose upper bound is ≤ d is included, plus
-// the bucket containing d itself (its values may straddle d by at most
-// the ~3% bucket width). This is the cumulative count a Prometheus
-// histogram's le-buckets need.
-func (h *Histogram) CountAtMost(d time.Duration) uint64 {
-	idx := histIndex(int64(d))
+func (h *Histogram) Count() uint64 {
 	var n uint64
-	for i := 0; i <= idx; i++ {
-		n += h.counts[i].Load()
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
 	}
 	return n
 }
+
+// Sum returns the total of all recorded durations.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }

@@ -1,17 +1,16 @@
 package metrics
 
 import (
-	"math"
-	"math/rand"
-	"sort"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatalf("empty histogram not zero: count=%d sum=%v max=%v", h.Count(), h.Sum(), h.Max())
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("empty histogram not zero: count=%d sum=%v", h.Count(), h.Sum())
 	}
 	h.Observe(1 * time.Millisecond)
 	h.Observe(2 * time.Millisecond)
@@ -22,57 +21,52 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Sum() != 6*time.Millisecond {
 		t.Fatalf("sum = %v, want 6ms", h.Sum())
 	}
-	if h.Max() != 3*time.Millisecond {
-		t.Fatalf("max = %v, want 3ms", h.Max())
-	}
-	if m := h.Mean(); m != 2*time.Millisecond {
-		t.Fatalf("mean = %v, want 2ms", m)
-	}
 }
 
-// TestHistogramQuantileAccuracy checks the log-linear bucketing holds
-// its documented ~3% relative error against exact order statistics.
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var h Histogram
-	exact := make([]time.Duration, 0, 10000)
-	for i := 0; i < 10000; i++ {
-		// Log-uniform over 10µs..1s: exercises many bucket groups.
-		d := time.Duration(float64(10*time.Microsecond) * math.Pow(1e5, rng.Float64()))
-		exact = append(exact, d)
-		h.Observe(d)
-	}
-	sort.Slice(exact, func(i, j int) bool { return exact[i] < exact[j] })
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		want := exact[int(q*float64(len(exact)-1))]
-		got := h.Quantile(q)
-		rel := float64(got-want) / float64(want)
-		if rel < 0 {
-			rel = -rel
+// TestHistogramBucketsAreExact observes each ladder bound b and b+10µs
+// and requires the le=b bucket to hold exactly one of them: le is an
+// inclusive upper bound, and a value just past it belongs to the next
+// bucket. Values at or below zero land in the first bucket, values past
+// the last bound only in +Inf.
+func TestHistogramBucketsAreExact(t *testing.T) {
+	render := func(h *Histogram) string {
+		var b strings.Builder
+		p := NewProm(&b)
+		p.LatencyHistogram("lat", nil, h)
+		if err := p.Err(); err != nil {
+			t.Fatal(err)
 		}
-		if rel > 0.05 {
-			t.Errorf("q%.3f: got %v, exact %v (rel err %.3f)", q, got, want, rel)
+		return b.String()
+	}
+	for _, b := range latencyBounds {
+		var h Histogram
+		h.Observe(b)
+		h.Observe(b + 10*time.Microsecond)
+		got := render(&h)
+		for _, want := range []string{
+			fmt.Sprintf(`lat_bucket{le="%s"} 1`+"\n", formatFloat(b.Seconds())),
+			`lat_bucket{le="+Inf"} 2` + "\n",
+			"lat_count 2\n",
+		} {
+			if !strings.Contains(got, want) {
+				t.Errorf("observed %v and %v: missing %q in:\n%s", b, b+10*time.Microsecond, want, got)
+			}
 		}
 	}
-	if h.Quantile(1) != h.Max() {
-		t.Errorf("q1 = %v, want max %v", h.Quantile(1), h.Max())
-	}
-}
 
-func TestHistogramCountAtMost(t *testing.T) {
 	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if c := h.CountAtMost(1 * time.Second); c != 100 {
-		t.Fatalf("CountAtMost(1s) = %d, want 100", c)
-	}
-	if c := h.CountAtMost(0); c != 0 {
-		t.Fatalf("CountAtMost(0) = %d, want 0", c)
-	}
-	// 50ms boundary: bucketing is ~3% coarse, allow slack.
-	c := h.CountAtMost(50 * time.Millisecond)
-	if c < 45 || c > 55 {
-		t.Fatalf("CountAtMost(50ms) = %d, want ≈50", c)
+	h.Observe(-time.Millisecond)
+	h.Observe(0)
+	h.Observe(11 * time.Second)
+	got := render(&h)
+	for _, want := range []string{
+		`lat_bucket{le="0.0001"} 2` + "\n",
+		`lat_bucket{le="10"} 2` + "\n",
+		`lat_bucket{le="+Inf"} 3` + "\n",
+		"lat_sum 11\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("missing %q in:\n%s", want, got)
+		}
 	}
 }

@@ -13,9 +13,8 @@
 //
 // Beyond the paper's measures, the package carries the operational
 // metrics substrate of the service layer (docs/service.md): a
-// fixed-memory log-linear latency Histogram (hist.go) shared by the
-// atmd request path and the atmload load generator, and a
-// dependency-free Prometheus text-format writer (prom.go) behind
+// fixed-ladder latency Histogram (hist.go) on the atmd request path,
+// and a dependency-free Prometheus text-format writer (prom.go) behind
 // atmd's GET /metrics.
 package metrics
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Prometheus text-exposition-format writer (version 0.0.4, the format
@@ -60,30 +59,22 @@ func (p *Prom) Sample(name string, labels []Label, v float64) {
 	p.printf("%s%s %s\n", name, renderLabels(labels), formatFloat(v))
 }
 
-// latencyBounds is the le-bucket ladder LatencyHistogram exposes:
-// coarse enough to stay readable, fine enough to locate a p99 between
-// 100µs and 10s.
-var latencyBounds = []time.Duration{
-	100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
-	1 * time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
-	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
-	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
-	1 * time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
-}
-
 // LatencyHistogram renders h as a Prometheus histogram in seconds:
-// name_bucket{le="..."} series over a fixed ladder, name_sum and
-// name_count. Bucket counts are accurate to h's ~3% bucket resolution.
-// Call Family(name, "histogram", ...) first.
+// cumulative name_bucket{le="..."} series over h's ladder, name_sum and
+// name_count (the +Inf bucket's value, so the two always agree). Call
+// Family(name, "histogram", ...) first.
 func (p *Prom) LatencyHistogram(name string, labels []Label, h *Histogram) {
-	for _, b := range latencyBounds {
+	var n uint64
+	for i, b := range latencyBounds {
+		n += h.buckets[i].Load()
 		le := append(append([]Label{}, labels...), Label{"le", formatFloat(b.Seconds())})
-		p.Sample(name+"_bucket", le, float64(h.CountAtMost(b)))
+		p.Sample(name+"_bucket", le, float64(n))
 	}
+	n += h.buckets[len(latencyBounds)].Load()
 	inf := append(append([]Label{}, labels...), Label{"le", "+Inf"})
-	p.Sample(name+"_bucket", inf, float64(h.Count()))
+	p.Sample(name+"_bucket", inf, float64(n))
 	p.Sample(name+"_sum", labels, h.Sum().Seconds())
-	p.Sample(name+"_count", labels, float64(h.Count()))
+	p.Sample(name+"_count", labels, float64(n))
 }
 
 func renderLabels(labels []Label) string {

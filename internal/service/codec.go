@@ -817,7 +817,8 @@ func decodeBinaryTasks(kinds map[string]Kind, body []byte, tenant string, tasks 
 }
 
 // EncodeBinaryTasks renders tasks in the binary submit encoding (the
-// client half, used by atmload's -binary mode and tests).
+// client half, used by the benchmark's serve_hot_bin workload and
+// tests).
 func EncodeBinaryTasks(tasks []Task) ([]byte, error) {
 	buf := make([]byte, 4, 4+len(tasks)*64)
 	binary.LittleEndian.PutUint32(buf, uint32(len(tasks)))

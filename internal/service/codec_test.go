@@ -24,14 +24,31 @@ import (
 // here, and only here, as the reference the hand-written decoder and
 // encoder are held to.
 
-// oracleRequest is the old submitRequest (loadgen.go keeps the original
-// for marshalling), with its two slices wrapped so that a repeated
-// member starts from an empty slice. encoding/json decodes a repeated
-// array member into the elements the first occurrence left behind —
-// merging task fields element by element, and keeping stale floats
-// where the second array holds a null — an accident of slice reuse
-// (golang/go#21092) the decoder deliberately does not reproduce: there
-// the last member wins whole. docs/service.md records the divergence.
+// submitRequest is that struct, which the tests also marshal with
+// encoding/json to build request bodies.
+type submitRequest struct {
+	Tasks []taskSpec `json:"tasks"`
+}
+
+// taskSpec is one task: a kind plus either an explicit input vector or
+// a (key, seed) pair the server expands through the deterministic
+// workload generator. Tenant selects the memoization namespace.
+type taskSpec struct {
+	Kind   string    `json:"kind"`
+	Tenant string    `json:"tenant,omitempty"`
+	Input  []float64 `json:"input,omitempty"`
+	Key    *uint64   `json:"key,omitempty"`
+	Seed   uint64    `json:"seed,omitempty"`
+}
+
+// oracleRequest is submitRequest with its two slices wrapped so that a
+// repeated member starts from an empty slice. encoding/json decodes a
+// repeated array member into the elements the first occurrence left
+// behind — merging task fields element by element, and keeping stale
+// floats where the second array holds a null — an accident of slice
+// reuse (golang/go#21092) the decoder deliberately does not reproduce:
+// there the last member wins whole. docs/service.md records the
+// divergence.
 type oracleRequest struct {
 	Tasks oracleSpecs `json:"tasks"`
 }

@@ -20,22 +20,11 @@ type Config struct {
 	// Memo is the ATM engine to memoize through; nil runs a plain
 	// baseline runtime (every task executes).
 	Memo *core.ATM
-	// Policy selects the runtime's scheduling discipline.
-	Policy taskrt.SchedPolicy
 	// Backlog fixes the admission watermark (and the runtime's
 	// throttle window) at this many in-flight tasks. Zero selects the
 	// adaptive LLC-sized watermark — admission control then tracks the
 	// same cache-sized backlog target as the submission throttle.
 	Backlog int
-	// Coalesce caps the tasks folded into one SubmitBatch call (0 =
-	// 512). Larger batches amortize submission cost; smaller ones bound
-	// the per-batch completion fence a request may wait behind.
-	Coalesce int
-	// ResetEvery is the number of engine batches between rt.Reset()
-	// calls (0 = 64). Every request's regions are fresh, so dependence
-	// state is garbage after each fence; periodic resets keep the
-	// runtime's live-slot list bounded on a long-lived server.
-	ResetEvery int
 	// Save persists the memoization state; it runs on the engine loop
 	// (quiesced, serialized with submissions). Nil disables POST
 	// /v1/snapshot's default save and periodic saves.
@@ -282,12 +271,6 @@ func New(cfg Config) *Engine {
 	if kindList == nil {
 		kindList = Kinds()
 	}
-	if cfg.Coalesce <= 0 {
-		cfg.Coalesce = 512
-	}
-	if cfg.ResetEvery <= 0 {
-		cfg.ResetEvery = 64
-	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 64
 	}
@@ -298,7 +281,6 @@ func New(cfg Config) *Engine {
 	rt := taskrt.New(taskrt.Config{
 		Workers:        cfg.Workers,
 		Memoizer:       m,
-		Policy:         cfg.Policy,
 		ThrottleWindow: cfg.Backlog,
 	})
 	e := &Engine{
@@ -770,8 +752,8 @@ func (e *Engine) loop() {
 	for {
 		select {
 		case r := <-e.reqs:
-			sinceReset += e.runGroup(r)
-			if sinceReset >= e.cfg.ResetEvery {
+			e.runGroup(r)
+			if sinceReset++; sinceReset >= resetEvery {
 				// All fresh regions from the drained batches are dead;
 				// drop their dependence state so the live-slot list
 				// stays bounded over a service lifetime.
@@ -808,19 +790,31 @@ func (e *Engine) memoTotals() core.TaskTotals {
 	return e.memo.WorkerTotals()
 }
 
-// maxKeptEntries bounds the batch-entry buffer the loop keeps between
-// batches: a full coalesced batch plus the request that overshot it.
-// One oversized request does not pin a buffer of its size.
-const maxKeptEntries = 4096
+const (
+	// coalesceTasks caps the tasks folded into one SubmitBatch call.
+	// Larger batches amortize submission cost; smaller ones bound the
+	// per-batch completion fence a request may wait behind.
+	coalesceTasks = 512
+	// resetEvery is the number of engine batches between rt.Reset()
+	// calls. Every request's regions are fresh, so dependence state is
+	// garbage after each fence; periodic resets keep the runtime's
+	// live-slot list bounded on a long-lived server.
+	resetEvery = 64
+	// maxKeptEntries bounds the batch-entry buffer the loop keeps
+	// between batches: a full coalesced batch plus the request that
+	// overshot it. One oversized request does not pin a buffer of its
+	// size.
+	maxKeptEntries = 4096
+)
 
 // runGroup coalesces the first request with whatever else is already
-// queued (up to Coalesce tasks), submits the whole group as one batch,
-// runs it to the completion fence and hands each request its token.
-// Returns the number of batches submitted (for the reset cadence).
-func (e *Engine) runGroup(first *request) int {
+// queued (up to coalesceTasks tasks), submits the whole group as one
+// batch, runs it to the completion fence and hands each request its
+// token.
+func (e *Engine) runGroup(first *request) {
 	group := append(e.group[:0], first)
 	total := len(first.tasks)
-	for total < e.cfg.Coalesce {
+	for total < coalesceTasks {
 		select {
 		case r := <-e.reqs:
 			group = append(group, r)
@@ -863,5 +857,4 @@ drained:
 	}
 	clear(entries)
 	e.entries = entries[:0]
-	return 1
 }

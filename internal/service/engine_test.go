@@ -78,7 +78,7 @@ func TestEngineMemoizes(t *testing.T) {
 // shed with OverloadError, none may be lost, and every accepted task
 // completes.
 func TestEngineSheds(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, Backlog: 64, Coalesce: 16})
+	e := newTestEngine(t, Config{Workers: 1, Backlog: 64})
 	in := Input(mustKind(t, "spin"), 1, 1)
 	// Each request carries 8 spin tasks, so 32 concurrent senders keep
 	// up to 256 tasks pending against the 64-task watermark.

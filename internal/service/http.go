@@ -48,8 +48,8 @@ type errorResponse struct {
 }
 
 // StatsResponse is the GET /v1/stats JSON shape: the engine's
-// operational counters plus the ATM totals a load generator diffs to
-// compute warm-hit ratios.
+// operational counters plus the ATM totals the repository benchmark
+// diffs (FetchStats, Sub) to compute warm-hit ratios.
 type StatsResponse struct {
 	Requests     int64 `json:"requests"`
 	Tasks        int64 `json:"tasks"`
@@ -110,8 +110,22 @@ func (s StatsResponse) WarmHitRatio() float64 {
 	return float64(s.MemoTHT+s.MemoIKT) / float64(s.ATMTasks)
 }
 
-// Sub returns s - prev counter-wise: the per-run diff a load generator
-// reports.
+// FetchStats GETs url's /v1/stats.
+func FetchStats(client *http.Client, url string) (StatsResponse, error) {
+	var s StatsResponse
+	resp, err := client.Get(url + "/v1/stats")
+	if err != nil {
+		return s, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return s, fmt.Errorf("stats: HTTP %d", resp.StatusCode)
+	}
+	return s, json.NewDecoder(resp.Body).Decode(&s)
+}
+
+// Sub returns s - prev counter-wise: the diff across one benchmark
+// phase.
 func (s StatsResponse) Sub(prev StatsResponse) StatsResponse {
 	d := s
 	d.Requests -= prev.Requests
@@ -367,8 +381,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, map[string]any{"saved": true})
 }
 
-// BuildStats assembles the stats JSON (also used by the loadgen's
-// before/after diff).
+// BuildStats assembles the GET /v1/stats JSON.
 func (s *Server) BuildStats() StatsResponse {
 	c := s.e.Counters()
 	resp := StatsResponse{

@@ -180,7 +180,7 @@ func TestHTTPBadRequests(t *testing.T) {
 // TestHTTPShed floods a tiny fixed watermark with non-memoizable spin
 // tasks: some requests must come back 429 with Retry-After.
 func TestHTTPShed(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Backlog: 64, Coalesce: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, Backlog: 64})
 	in := Input(mustKind(t, "spin"), 1, 1)
 	inJSON, _ := json.Marshal(in)
 	// 8 spin tasks per request: 32 concurrent senders keep up to 256

@@ -2,10 +2,11 @@
 // memoization service: a catalog of task kinds clients can submit
 // (workload.go), a single-master engine loop that coalesces concurrent
 // requests into SubmitBatch calls and sheds load past the adaptive
-// throttle watermark (engine.go), the HTTP front-end behind cmd/atmd
-// (http.go), and the open-loop load generator behind cmd/atmload
-// (loadgen.go). See docs/service.md for the wire API, the backpressure
-// semantics and the metrics catalog.
+// throttle watermark (engine.go), and the HTTP front-end behind
+// cmd/atmd (http.go) with its wire codec (codec.go). The load that
+// drives it comes from the repository benchmark (benchmark/). See
+// docs/service.md for the wire API, the backpressure semantics and the
+// metrics catalog.
 package service
 
 import (
@@ -118,9 +119,9 @@ func fillInput(in []float64, k Kind, key, seed uint64) {
 	}
 }
 
-// DefaultMix is atmload's default workload mix over the memoizable
-// kinds, weighted toward the cheap kernels like real lookup-heavy
-// traffic.
+// DefaultMix is the benchmark's workload mix over the memoizable
+// kinds, by wire name, weighted toward the cheap kernels like real
+// lookup-heavy traffic.
 func DefaultMix() map[string]float64 {
 	return map[string]float64{
 		"blackscholes": 0.30,

@@ -113,26 +113,20 @@ func TestInputDeterministic(t *testing.T) {
 	}
 }
 
+// TestDefaultMixValid pins what the benchmark's stream builder relies
+// on: every name in the mix is a known memoizable kind (so spin, the
+// overload kind, is out), and every weight is positive.
 func TestDefaultMixValid(t *testing.T) {
-	entries, err := buildMix(nil)
-	if err != nil {
-		t.Fatal(err)
+	mix := DefaultMix()
+	if len(mix) == 0 {
+		t.Fatal("empty default mix")
 	}
-	if got := entries[len(entries)-1].cum; got != 1 {
-		t.Errorf("cumulative mix ends at %v, want 1", got)
-	}
-	for _, e := range entries {
-		if e.kind.Name == "spin" {
-			t.Error("default mix must not include spin")
+	for name, w := range mix {
+		if k, ok := KindByName(name); !ok || !k.Memoize {
+			t.Errorf("mix names %q: known=%v, want a known memoizable kind", name, ok)
 		}
-	}
-	if _, err := buildMix(map[string]float64{"nope": 1}); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if _, err := buildMix(map[string]float64{"lu": -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := buildMix(map[string]float64{"lu": 0}); err == nil {
-		t.Error("empty effective mix accepted")
+		if !(w > 0) {
+			t.Errorf("mix weight for %q is %v, want > 0", name, w)
+		}
 	}
 }
