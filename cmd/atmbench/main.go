@@ -6,23 +6,18 @@
 //	atmbench -experiment fig3 -scale bench -workers 8
 //	atmbench -experiment all -bench Blackscholes,LU
 //	atmbench -experiment stats -bench Swaptions -mode dynamic
-//	atmbench -experiment stats -bench Kmeans -save warm.atmsnap   # then:
-//	atmbench -experiment stats -bench Kmeans -load warm.atmsnap
-//	atmbench -experiment stats -bench Kmeans -chain warm.atmchain # delta-append saves
-//	atmbench -experiment sweep -bench Jacobi -repeats 5
-//	atmbench -experiment shardsweep -bench Blackscholes,Kmeans -repeats 3
+//	atmbench -experiment stats -bench Kmeans -chain warm.atmchain # twice: the 2nd starts warm
+//	atmbench -experiment sweep -bench Blackscholes,Kmeans -repeats 3
 //
 // Experiments: table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-// stats sweep shardsweep all. sweep runs each benchmark -repeats times
-// reusing a persisted memoization snapshot between repetitions (the
-// amortization scenario of docs/persistence.md); -save/-load warm-start
-// individual stats runs, while -chain (optionally with -delta-every)
-// persists them incrementally — each save appends a delta record
-// instead of rewriting the table. Every save writes one format (a
-// chain; -save's is a single base record), so -chain can continue a
-// file -save wrote. shardsweep treats each benchmark as one sweep shard
-// saving per-rep deltas into its own chain, then compacts + merges the
-// chains and warm-starts every shard from the single merged file (the
+// stats sweep all. Warm state crosses processes in one way, the chain
+// file: -chain warm-starts a stats run from it and appends a delta
+// record of the run's churn (plus one every -delta-every while it
+// runs), and a file `snapshotctl merge` or `compact` wrote is a chain
+// too. sweep runs each benchmark -repeats times against a chain of its
+// own under -shard-dir (the amortization scenario of
+// docs/persistence.md), then compacts and merges the chains and
+// warm-starts every benchmark from a copy of the merged snapshot (the
 // snapshotctl merge workflow). See docs/architecture.md for the layer
 // walk and PERFORMANCE.md for recorded measurements.
 package main
@@ -31,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -44,7 +38,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "fig3", "table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|stats|sweep|shardsweep|all")
+		experiment = flag.String("experiment", "fig3", "table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|stats|sweep|all")
 		benchList  = flag.String("bench", "", "comma-separated benchmark filter (Blackscholes,GS,Jacobi,Kmeans,LU,Swaptions)")
 		scaleStr   = flag.String("scale", "bench", "workload scale: test|bench|paper")
 		workers    = flag.Int("workers", defaultWorkers(), "number of worker cores")
@@ -57,16 +51,18 @@ func main() {
 		det        = flag.Bool("det", false, "run under the deterministic replay executor: single goroutine, schedule drawn from -seed (see docs/determinism.md)")
 		schedStr   = flag.String("sched", "", "deterministic ready-queue discipline: fifo|lifo|random|adversarial (implies -det; default follows -policy)")
 		schedSeed  = flag.Uint64("schedseed", 0, "deterministic replay seed: implies -det and overrides -seed when nonzero")
-		savePath   = flag.String("save", "", "stats/sweep: save the ATM snapshot to this file after the run (suffixed per benchmark when several are selected)")
-		loadPath   = flag.String("load", "", "stats: warm-start the ATM from this snapshot file (suffixed per benchmark when several are selected)")
 		chainPath  = flag.String("chain", "", "stats: incremental chain file — warm-start from it when present and append a delta record of this run's churn (suffixed per benchmark when several are selected)")
-		deltaEvery = flag.Duration("delta-every", 0, "stats: with -chain, also append a delta record every interval while the run executes")
-		shardDir   = flag.String("shard-dir", "", "shardsweep: directory for the per-shard chain files and the merged snapshot (default: a temp directory)")
+		deltaEvery = flag.Duration("delta-every", 0, "stats: append a delta record to -chain every interval")
+		shardDir   = flag.String("shard-dir", "", "sweep: directory for the per-benchmark chain files and the merged snapshot copies (default: a temp directory)")
 		recoverStr = flag.String("recover", "strict", "damaged-snapshot policy: strict (report, run cold) | salvage (repair torn tails, warm-start the prefix) | cold (discard, run cold)")
 		noSync     = flag.Bool("nosync", false, "skip fsync on snapshot saves (benchmarking only: a crash may lose or tear the most recent saves)")
 		budgetStr  = flag.String("tht-budget", "", "stats: THT memory budget in bytes, k/m/g suffixes accepted (empty = unbounded)")
 	)
 	flag.Parse()
+	if *deltaEvery > 0 && *chainPath == "" {
+		fmt.Fprintln(os.Stderr, "-delta-every needs -chain: there is no file to append to")
+		os.Exit(2)
+	}
 
 	recoverPolicy, err := harness.ParseRecoverPolicy(*recoverStr)
 	if err != nil {
@@ -164,40 +160,24 @@ func main() {
 	case "fig9":
 		harness.Fig9(opt)
 	case "stats":
-		runStats(opt, *mode, *level, !*noIKT, *loadPath, *savePath, *chainPath, *deltaEvery, budget)
+		runStats(opt, *mode, *level, !*noIKT, *chainPath, *deltaEvery, budget)
 	case "sweep":
-		// The repeated-experiment-sweep scenario: N repetitions of each
-		// benchmark reusing a persisted snapshot (repetition 1 is cold).
+		// The repeated-experiment sweep: N repetitions of each benchmark
+		// appending to its own chain (repetition 1 is cold), then a warm
+		// restart of each from the merged chains.
 		reps := *repeats
 		if reps < 2 {
 			reps = 5
 		}
-		path := *savePath
-		if path == "" {
-			path = filepath.Join(os.TempDir(), "atmbench-sweep.atmsnap")
-		}
-		if err := harness.Sweep(opt, reps, path); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-	case "shardsweep":
-		// The sharded sweep + merge scenario: each benchmark is one
-		// shard saving per-rep deltas; the chains are compacted, merged
-		// and used for a warm restart of every shard.
-		reps := *repeats
-		if reps < 2 {
-			reps = 3
-		}
 		dir := *shardDir
 		if dir == "" {
-			var err error
-			if dir, err = os.MkdirTemp("", "atmbench-shardsweep"); err != nil {
-				fmt.Fprintf(os.Stderr, "shardsweep: %v\n", err)
+			if dir, err = os.MkdirTemp("", "atmbench-sweep"); err != nil {
+				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 				os.Exit(1)
 			}
 		}
-		if err := harness.ShardedSweep(opt, reps, dir); err != nil {
-			fmt.Fprintf(os.Stderr, "shardsweep: %v\n", err)
+		if err := harness.Sweep(opt, reps, dir); err != nil {
+			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 			os.Exit(1)
 		}
 	case "all":
@@ -233,11 +213,10 @@ func defaultWorkers() int {
 }
 
 // runStats runs each selected benchmark once under one configuration and
-// dumps the detailed ATM statistics. load/save warm-start the engine
-// from (and persist it to) a whole-table snapshot file; chain switches
-// to incremental persistence (append a delta record per save, plus one
+// dumps the detailed ATM statistics. chain warm-starts the engine from a
+// chain file and appends a delta record of the run's churn (plus one
 // every deltaEvery while running).
-func runStats(opt harness.Options, mode string, level int, ikt bool, load, save, chain string, deltaEvery time.Duration, budget int64) {
+func runStats(opt harness.Options, mode string, level int, ikt bool, chain string, deltaEvery time.Duration, budget int64) {
 	var spec harness.ATMSpec
 	switch mode {
 	case "baseline":
@@ -257,25 +236,16 @@ func runStats(opt harness.Options, mode string, level int, ikt bool, load, save,
 		names = harness.Benchmarks()
 	}
 	for _, name := range names {
-		// With several benchmarks selected, a shared snapshot file would
-		// be overwritten per benchmark (each run saves only its own
-		// types); key the file per benchmark like the sweep does.
-		bload, bsave, bchain := load, save, chain
-		if len(names) > 1 {
-			if bload != "" {
-				bload += "." + name
-			}
-			if bsave != "" {
-				bsave += "." + name
-				fmt.Printf("%s: snapshot file %s\n", name, bsave)
-			}
-			if bchain != "" {
-				bchain += "." + name
-				fmt.Printf("%s: chain file %s\n", name, bchain)
-			}
+		// With several benchmarks selected, key the chain per benchmark
+		// like the sweep does, so each keeps its warm state in a file of
+		// its own.
+		bchain := chain
+		if len(names) > 1 && bchain != "" {
+			bchain += "." + name
+			fmt.Printf("%s: chain file %s\n", name, bchain)
 		}
 		ro := opt.Run
-		ro.SnapshotLoad, ro.SnapshotSave, ro.SnapshotChain, ro.SnapshotDeltaEvery = bload, bsave, bchain, deltaEvery
+		ro.SnapshotChain, ro.SnapshotDeltaEvery = bchain, deltaEvery
 		ro.THTBudgetBytes = budget
 		base := harness.RunOne(harness.FactoryFor(name), opt.Scale, opt.Workers, harness.Baseline(), opt.Run)
 		o := harness.RunOne(harness.FactoryFor(name), opt.Scale, opt.Workers, spec, ro)

@@ -1,7 +1,8 @@
 // Command atmd serves the ATM engine as a network memoization service:
 // an HTTP front-end (docs/service.md) over the service engine's
-// coalescing master loop, with the harness's warm-start / delta-chain /
-// recovery-policy persistence behind it.
+// coalescing master loop, with the harness's persistence behind it: a
+// -chain file it warm-starts from under a -recover policy and appends
+// delta records to.
 //
 //	atmd -addr :8080 -workers 8 -mode dynamic
 //	atmd -chain warm.atmchain -delta-every 30s -recover salvage
@@ -11,9 +12,10 @@
 //
 // Routes: POST /v1/submit, GET /v1/lookup, POST /v1/snapshot,
 // GET /v1/stats, GET /metrics (Prometheus), GET /healthz. Load past the
-// admission watermark is shed with 429 + Retry-After. SIGINT/SIGTERM
-// drain the server and run a final snapshot save when persistence is
-// configured.
+// admission watermark is shed with 429 + Retry-After. POST /v1/snapshot
+// appends a delta record to the -chain file (409 without one); the
+// client never names a path. SIGINT/SIGTERM drain the server and append
+// a final record when -chain is set.
 package main
 
 import (
@@ -45,11 +47,8 @@ func main() {
 		noIKT      = flag.Bool("no-ikt", false, "disable the In-flight Key Table")
 		backlog    = flag.Int("backlog", 0, "fixed admission watermark in tasks (0 = adaptive LLC-sized)")
 		seed       = flag.Uint64("seed", 0, "ATM shuffle-plan seed")
-		snapshot   = flag.String("snapshot", "", "whole-table snapshot file: warm-start from it when present, save back on shutdown/snapshot requests")
-		loadPath   = flag.String("load", "", "whole-table warm-start file (overrides -snapshot's load half)")
-		savePath   = flag.String("save", "", "whole-table save file (overrides -snapshot's save half)")
-		chainPath  = flag.String("chain", "", "incremental chain file: warm-start from it and append delta records on saves (supersedes the whole-table flags)")
-		deltaEvery = flag.Duration("delta-every", 0, "also save a snapshot every interval")
+		chainPath  = flag.String("chain", "", "incremental chain file: warm-start from it and append delta records on saves")
+		deltaEvery = flag.Duration("delta-every", 0, "append a delta record to -chain every interval")
 		recoverStr = flag.String("recover", "strict", "damaged-snapshot policy: strict|salvage|cold")
 		noSync     = flag.Bool("nosync", false, "skip fsync on snapshot saves (a crash may lose or tear the most recent saves)")
 		budgetStr  = flag.String("tht-budget", "", "THT memory budget in bytes, k/m/g suffixes accepted (empty = unbounded)")
@@ -60,6 +59,10 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
+		os.Exit(2)
+	}
+	if *deltaEvery > 0 && *chainPath == "" {
+		fmt.Fprintln(os.Stderr, "-delta-every needs -chain: there is no file to append to")
 		os.Exit(2)
 	}
 
@@ -101,9 +104,6 @@ func main() {
 
 	opt := harness.RunOptions{
 		Seed:               *seed,
-		SnapshotPath:       *snapshot,
-		SnapshotLoad:       *loadPath,
-		SnapshotSave:       *savePath,
 		SnapshotChain:      *chainPath,
 		SnapshotDeltaEvery: *deltaEvery,
 		Recover:            recoverPolicy,

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -42,6 +44,14 @@ func freeAddr(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// atmdCommand is this test binary standing in for atmd with args,
+// killed when ctx ends.
+func atmdCommand(ctx context.Context, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "ATMD_TEST_CHILD=1")
+	return cmd
+}
+
 // atmd is one child process.
 type atmd struct {
 	addr   string
@@ -55,8 +65,7 @@ type atmd struct {
 func startAtmd(t *testing.T, hc *http.Client, args ...string) *atmd {
 	t.Helper()
 	a := &atmd{addr: freeAddr(t), exited: make(chan error, 1)}
-	a.cmd = exec.Command(os.Args[0], append([]string{"-addr", a.addr, "-workers", "1"}, args...)...)
-	a.cmd.Env = append(os.Environ(), "ATMD_TEST_CHILD=1")
+	a.cmd = atmdCommand(context.Background(), append([]string{"-addr", a.addr, "-workers", "1"}, args...)...)
 	a.cmd.Stdout, a.cmd.Stderr = &a.log, &a.log
 	if err := a.cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -118,6 +127,22 @@ func TestEarlySIGTERMRunsFinalSave(t *testing.T) {
 		if len(deltas) != round {
 			t.Fatalf("round %d: chain holds %d delta records, want %d: a final save was lost\n%s", round, len(deltas), round, a.log.String())
 		}
+	}
+}
+
+// TestDeltaEveryNeedsChain: -delta-every without -chain has no file to
+// append to, so atmd refuses it with exit status 2 before serving,
+// instead of ignoring it.
+func TestDeltaEveryNeedsChain(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := atmdCommand(ctx, "-addr", freeAddr(t), "-delta-every", "1s").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("atmd -delta-every without -chain: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-delta-every needs -chain") || strings.Contains(string(out), "serving on") {
+		t.Errorf("atmd -delta-every without -chain printed:\n%s", out)
 	}
 }
 

@@ -47,15 +47,15 @@
 //     typed-error decoding (magic, format version, per-entry CRCs), and
 //     core.Restore warm-starts a fresh engine from it — repeated
 //     experiment sweeps pay the training phase once instead of per
-//     process (docs/persistence.md; atmbench -save/-load and the
-//     `sweep` experiment drive it). Every save writes format v2, an
-//     incremental chain (a whole-table save is a chain of one base
-//     record; v1 files still load): core.(*ATM).SnapshotDelta() extracts only
-//     the state changed since the previous save, persist
+//     process (docs/persistence.md). Warm state crosses processes in
+//     one way, the chain file (format v2; v1 files still load): a run
+//     or a server (-chain) warm-starts from it and appends a delta
+//     record per save, core.(*ATM).SnapshotDelta() extracting only the
+//     state changed since the previous one; persist
 //     AppendDelta/Compact/MergeSnapshots fold and combine chains, and
 //     cmd/snapshotctl operates on the files (inspect, verify, compact,
 //     merge — the sharded-sweep merge workflow; atmbench -chain and
-//     the `shardsweep` experiment drive it end to end). Writes are
+//     the `sweep` experiment drive it end to end). Writes are
 //     crash-consistent (tmp+rename for whole files, CRC-framed records
 //     with torn-tail salvage for chains, fsync policies selectable via
 //     -nosync), recovery is policy-driven (-recover strict|salvage|

@@ -21,8 +21,9 @@ type Options struct {
 	Benchmarks []string
 	// Run holds the knobs every run of the experiment shares: seed,
 	// scheduling, recovery and durability policies, THT budget. The
-	// experiment owns the tracing and snapshot fields; runOpt clears
-	// them, so setting them here has no effect.
+	// experiment owns the tracing and chain fields (Detail, Trace,
+	// SnapshotChain, SnapshotDeltaEvery); runOpt clears them, so setting
+	// them here has no effect.
 	Run RunOptions
 	// Out receives the report.
 	Out io.Writer
@@ -36,12 +37,11 @@ func (o *Options) names() []string {
 }
 
 // runOpt is the RunOptions every run of an experiment starts from: Run
-// with the experiment-owned tracing and snapshot fields cleared.
+// with the experiment-owned tracing and chain fields cleared.
 func (o *Options) runOpt() RunOptions {
 	ro := o.Run
 	ro.Detail, ro.Trace = false, false
-	ro.SnapshotPath, ro.SnapshotLoad, ro.SnapshotSave, ro.SnapshotChain = "", "", "", ""
-	ro.SnapshotDeltaEvery = 0
+	ro.SnapshotChain, ro.SnapshotDeltaEvery = "", 0
 	return ro
 }
 

@@ -11,20 +11,20 @@ import (
 )
 
 // TestWarmStartRoundTrip: for every benchmark application, a static-ATM
-// run saved to a snapshot must warm-start a second run (entries
-// restored, outputs bit-identical to the cold run).
+// run that created a chain must warm-start a second run from it
+// (entries restored, outputs bit-identical to the cold run).
 func TestWarmStartRoundTrip(t *testing.T) {
 	for _, name := range Benchmarks() {
 		t.Run(name, func(t *testing.T) {
-			snap := filepath.Join(t.TempDir(), "warm.atmsnap")
+			opt := RunOptions{SnapshotChain: filepath.Join(t.TempDir(), "warm.atmchain")}
 			factory := FactoryFor(name)
 
-			cold := RunOne(factory, apps.ScaleTest, 2, Static(true), RunOptions{SnapshotSave: snap})
+			cold := RunOne(factory, apps.ScaleTest, 2, Static(true), opt)
 			if cold.SnapshotErr != nil {
 				t.Fatalf("cold save: %v", cold.SnapshotErr)
 			}
 
-			warm := RunOne(factory, apps.ScaleTest, 2, Static(true), RunOptions{SnapshotLoad: snap})
+			warm := RunOne(factory, apps.ScaleTest, 2, Static(true), opt)
 			if warm.SnapshotErr != nil {
 				t.Fatalf("warm load: %v", warm.SnapshotErr)
 			}
@@ -45,7 +45,7 @@ func TestWarmStartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestForeignHashSnapshotStartsCold: a snapshot file stamped with the
+// TestForeignHashSnapshotStartsCold: a chain stamped with the
 // fingerprint Config{Mode: ModeStatic, Seed: 42} had under a deleted
 // alternative key hash (core.TestFingerprintPinned holds the same
 // literals) is refused with the typed config-mismatch error under
@@ -53,12 +53,15 @@ func TestWarmStartRoundTrip(t *testing.T) {
 func TestForeignHashSnapshotStartsCold(t *testing.T) {
 	const foreign = 0x9c4708f0c043a501
 	factory := FactoryFor("Blackscholes")
-	path := filepath.Join(t.TempDir(), "foreign.atmsnap")
-	opt := RunOptions{Seed: 42, SnapshotSave: path}
-	if o := RunOne(factory, apps.ScaleTest, 2, Static(true), opt); o.SnapshotErr != nil {
+	path := filepath.Join(t.TempDir(), "foreign.atmchain")
+	if o := RunOne(factory, apps.ScaleTest, 2, Static(true), RunOptions{Seed: 42, SnapshotChain: path}); o.SnapshotErr != nil {
 		t.Fatal(o.SnapshotErr)
 	}
-	snap, _, err := persist.LoadChain(path)
+	base, deltas, err := persist.LoadChain(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := persist.Compact(base, deltas...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +73,12 @@ func TestForeignHashSnapshotStartsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	strict := RunOne(factory, apps.ScaleTest, 2, Static(true), RunOptions{Seed: 42, SnapshotLoad: path})
+	strict := RunOne(factory, apps.ScaleTest, 2, Static(true), RunOptions{Seed: 42, SnapshotChain: path})
 	if !errors.Is(strict.SnapshotErr, core.ErrSnapshotConfig) || strict.WarmStart {
 		t.Fatalf("strict load of a foreign-hash snapshot: warm=%v err=%v, want ErrSnapshotConfig",
 			strict.WarmStart, strict.SnapshotErr)
 	}
-	cold := RunOne(factory, apps.ScaleTest, 2, Static(true), RunOptions{Seed: 42, SnapshotLoad: path, Recover: RecoverCold})
+	cold := RunOne(factory, apps.ScaleTest, 2, Static(true), RunOptions{Seed: 42, SnapshotChain: path, Recover: RecoverCold})
 	if cold.SnapshotErr != nil || cold.WarmStart || !cold.ColdFallback || cold.RestoredEntries != 0 {
 		t.Fatalf("-recover cold on a foreign-hash snapshot: %+v (err=%v)", cold, cold.SnapshotErr)
 	}

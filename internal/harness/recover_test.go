@@ -111,44 +111,6 @@ func TestRecoverPolicyMatrix(t *testing.T) {
 	}
 }
 
-// TestRecoverPolicyLoadPath covers the whole-table -load path: salvage
-// warm-starts from a torn v2 file WITHOUT mutating it (the file may be
-// shared input), and both non-strict policies degrade unrecoverable
-// files to a cold run instead of an error.
-func TestRecoverPolicyLoadPath(t *testing.T) {
-	f := FactoryFor("Blackscholes")
-	dir := t.TempDir()
-	chain, healthy := buildChainFile(t, dir)
-	torn := healthy[:len(healthy)-3]
-	if err := os.WriteFile(chain, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	o := RunOne(f, apps.ScaleTest, 4, Static(true), RunOptions{SnapshotLoad: chain, Recover: RecoverSalvage})
-	if o.SnapshotErr != nil || !o.WarmStart || !o.Salvaged {
-		t.Fatalf("salvage load of torn file: %+v (err=%v)", o, o.SnapshotErr)
-	}
-	if got, _ := os.ReadFile(chain); !bytes.Equal(got, torn) {
-		t.Fatal("salvage via -load must not mutate the file")
-	}
-
-	// Corrupt beyond salvage: cold fallback, file untouched, no error.
-	bad := bytes.Clone(healthy)
-	bad[len(bad)-6] ^= 0xff
-	if err := os.WriteFile(chain, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, policy := range []RecoverPolicy{RecoverSalvage, RecoverCold} {
-		o = RunOne(f, apps.ScaleTest, 4, Static(true), RunOptions{SnapshotLoad: chain, Recover: policy})
-		if o.SnapshotErr != nil || o.WarmStart || !o.ColdFallback {
-			t.Fatalf("%v load of corrupt file: %+v (err=%v)", policy, o, o.SnapshotErr)
-		}
-		if got, _ := os.ReadFile(chain); !bytes.Equal(got, bad) {
-			t.Fatalf("%v via -load must not delete the input file", policy)
-		}
-	}
-}
-
 // TestSaverRetryAndFailureBudget pins the delta saver's bounded retry:
 // transient append failures are retried with backoff and succeed
 // silently (counted in SaverRetries), persistent failures exhaust the

@@ -113,9 +113,9 @@ type Outcome struct {
 	// actually installed from it.
 	WarmStart       bool
 	RestoredEntries int64
-	// SnapshotErr records a snapshot load/save failure (the run itself
-	// still happened, cold). A missing file under RunOptions.SnapshotPath
-	// is a normal cold start, not an error.
+	// SnapshotErr records a chain load/save failure (the run itself
+	// still happened, cold). A missing RunOptions.SnapshotChain file is
+	// a normal cold start that creates the chain, not an error.
 	SnapshotErr error
 	// DeltaSaves counts the incremental saves a chain-mode run
 	// performed (periodic plus the final one); DeltaBytes is the total
@@ -225,29 +225,19 @@ type RunOptions struct {
 	// DetSched is the deterministic ready-queue discipline
 	// (fifo|lifo|random|adversarial; zero value follows Policy).
 	DetSched taskrt.DetSched
-	// SnapshotPath names a warm-start snapshot file: when set (and the
-	// spec enables ATM) the engine is restored from it before the run if
-	// the file exists, and the engine's state is saved back to it after
-	// the run — the repeated-experiment-sweep amortization the paper's
-	// training cost asks for. SnapshotLoad / SnapshotSave override the
-	// two halves separately (atmbench's -load / -save); a load path set
-	// explicitly that fails to load is reported in Outcome.SnapshotErr.
-	SnapshotPath string
-	SnapshotLoad string
-	SnapshotSave string
-	// SnapshotChain switches persistence to the incremental chain
-	// format (persist version 2): the run warm-starts from the chain
-	// file when it exists (base restored, deltas replayed in order),
-	// and saves by APPENDING a delta record of just this run's changes
-	// instead of rewriting the whole table — O(churn) I/O per
-	// repetition. A missing file is a cold start that creates the chain
-	// with an empty base. Mutually exclusive with the whole-table
-	// fields above.
+	// SnapshotChain names the chain file that carries warm state across
+	// processes — the repeated-experiment-sweep amortization the paper's
+	// training cost asks for. When set (and the spec enables ATM) the
+	// run warm-starts from the file when it exists (base restored,
+	// deltas replayed in order) and saves by appending a delta record of
+	// just this run's changes: O(churn) I/O per repetition. A missing
+	// file is a cold start that creates the chain with an empty base.
+	// The run owns the file: Recover may repair or delete it.
 	SnapshotChain string
-	// SnapshotDeltaEvery additionally saves a delta every interval
-	// while the run executes (chain mode only): the long-lived-service
-	// scenario, where warm state must survive a crash mid-run. Each
-	// periodic save quiesces through the runtime's completion fence.
+	// SnapshotDeltaEvery additionally appends a delta every interval
+	// while the run executes: the long-lived-service scenario, where
+	// warm state must survive a crash mid-run. Each periodic save
+	// quiesces through the runtime's completion fence.
 	SnapshotDeltaEvery time.Duration
 	// Recover selects the reaction to a damaged snapshot or chain file
 	// (strict error / salvage torn tails / cold fallback).
@@ -267,26 +257,14 @@ type RunOptions struct {
 	TenantShares map[string]float64
 }
 
-// snapshotPaths resolves the effective load/save paths and whether a
-// failed load is tolerable (SnapshotPath doubles as "load if present").
-func (opt RunOptions) snapshotPaths() (load, save string, loadOptional bool) {
-	load, save = opt.SnapshotLoad, opt.SnapshotSave
-	if load == "" && opt.SnapshotPath != "" {
-		load, loadOptional = opt.SnapshotPath, true
-	}
-	if save == "" {
-		save = opt.SnapshotPath
-	}
-	return load, save, loadOptional
-}
-
 // memoState is the opened memoization state of a run or a served
 // engine: the engine itself (nil when the spec disables ATM), how it
-// warm-started, and the persistence configuration its saves use. It is
-// shared by RunOne (the evaluation path) and Serve (the service path);
-// its save methods must be called from one goroutine at a time (RunOne
-// serializes the periodic saver against the final save; the service
-// engine runs every save on its loop goroutine).
+// warm-started, and the chain its saves append to. It is shared by
+// RunOne (the evaluation path) and Serve (the service path), and it
+// alone decides where warm state is written. appendDelta must be called
+// from one goroutine at a time (RunOne serializes the periodic saver
+// against the final save; the service engine runs every save on its
+// loop goroutine).
 type memoState struct {
 	memo     *core.ATM
 	warm     bool
@@ -295,10 +273,8 @@ type memoState struct {
 	recovery persist.RecoveryReport
 	err      error
 
-	// chain is the incremental chain path ("" = whole-table mode);
-	// save the whole-table save path ("" = none).
+	// chain is the chain file path ("" = no persistence).
 	chain string
-	save  string
 	sync  persist.SyncPolicy
 
 	deltaSaves    int
@@ -308,16 +284,15 @@ type memoState struct {
 }
 
 // openMemo builds (and possibly warm-starts) the ATM engine for a spec
-// under the persistence options: chain mode restores + enables delta
-// tracking (creating the chain file on a cold start), whole-table load
-// mode restores under the recovery policy. For a disabled spec the
-// state is empty (nil memo).
+// under the persistence options: with a chain file it restores from it
+// under the recovery policy, enables delta tracking and creates the
+// file on a cold start. For a disabled spec the state is empty (nil
+// memo).
 func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 	st := &memoState{sync: opt.Sync}
 	if !spec.Enabled {
 		return st
 	}
-	load, save, loadOptional := opt.snapshotPaths()
 	st.chain = opt.SnapshotChain
 	cfg := core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed,
 		THTBudgetBytes: opt.THTBudgetBytes, TenantShares: opt.TenantShares}
@@ -326,77 +301,42 @@ func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 		st.memo = core.New(core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed})
 		return st
 	}
-	if st.chain != "" {
-		// Incremental chain mode supersedes the whole-table paths.
-		save = ""
-		st.memo, st.warm, st.salvaged, st.coldFB, st.recovery, st.err = recoverChain(cfg, st.chain, opt.Recover, opt.Sync)
-		if st.err != nil && errors.Is(st.err, os.ErrNotExist) {
-			st.err = nil // cold start: this repetition creates the chain
-		}
-		if st.memo == nil {
-			st.memo = core.New(cfg)
-		}
-		if st.err == nil {
-			// A failed chain load means no save will ever drain the
-			// insert log; don't start retaining entries for it.
-			st.memo.EnableDeltaTracking()
-		}
-		if !st.warm && st.err == nil {
-			// First repetition (or cold fallback): create the chain
-			// file, its base holding this engine's (empty) pre-run
-			// state, so the later saves can append O(churn) delta
-			// records.
-			if snap, err := st.memo.Snapshot(); err != nil {
-				st.err = err
-			} else if err := persist.SaveChainSync(st.chain, snap, nil, opt.Sync); err != nil {
-				st.err = err
-			}
-			if st.err != nil {
-				st.memo.DisableDeltaTracking() // nothing will drain the log
-			}
-		}
-	} else if load != "" {
-		// Chain-aware load: a whole-table snapshot (either version), a
-		// merged shard file, or a full chain all warm-start here.
-		st.memo, st.warm, st.err = restoreChain(cfg, load, false, opt.Sync)
-		switch {
-		case st.err == nil:
-		case errors.Is(st.err, os.ErrNotExist):
-			if loadOptional {
-				st.err = nil // cold start: the sweep's first repetition
-			}
-		case opt.Recover == RecoverStrict:
-			// The damage stays in SnapshotErr; the run proceeds cold.
-		default:
-			if opt.Recover == RecoverSalvage {
-				// The load path may be a shared input (-load): salvage
-				// in memory, never mutate the file.
-				if b, ds, rep, lerr := persist.LoadChainSalvage(load); lerr == nil && b != nil {
-					if warmed, rerr := core.RestoreChain(cfg, b, ds); rerr == nil {
-						st.memo, st.warm, st.err = warmed, true, nil
-						st.salvaged, st.recovery = !rep.Clean(), rep
-					}
-				}
-			}
-			if st.err != nil {
-				// Unrecoverable (or config skew): degrade to a cold
-				// run instead of surfacing an error.
-				st.err = nil
-				st.coldFB = true
-			}
-		}
+	if st.chain == "" {
+		st.memo = core.New(cfg)
+		return st
+	}
+	st.memo, st.warm, st.salvaged, st.coldFB, st.recovery, st.err = recoverChain(cfg, st.chain, opt.Recover, opt.Sync)
+	if st.err != nil && errors.Is(st.err, os.ErrNotExist) {
+		st.err = nil // cold start: this repetition creates the chain
 	}
 	if st.memo == nil {
 		st.memo = core.New(cfg)
 	}
-	st.save = save
+	if st.err == nil {
+		// A failed chain load means no save will ever drain the
+		// insert log; don't start retaining entries for it.
+		st.memo.EnableDeltaTracking()
+	}
+	if !st.warm && st.err == nil {
+		// First repetition (or cold fallback): create the chain file,
+		// its base holding this engine's (empty) pre-run state, so the
+		// later saves can append O(churn) delta records.
+		if snap, err := st.memo.Snapshot(); err != nil {
+			st.err = err
+		} else if err := persist.SaveChainSync(st.chain, snap, nil, opt.Sync); err != nil {
+			st.err = err
+		}
+		if st.err != nil {
+			st.memo.DisableDeltaTracking() // nothing will drain the log
+		}
+	}
 	return st
 }
 
 // appendDelta appends one delta record of the engine's churn since the
-// last save to the chain file, with bounded retry. In chain mode every
-// save appends one record; file growth is the honest measure of save
-// cost (it includes record framing). Returns the save's error (also
+// last save to the chain file, with bounded retry. Every save appends
+// one record; file growth is the honest measure of save cost (it
+// includes record framing). Returns the save's error (also
 // latched in st.err; a latched error disables all further saves).
 func (st *memoState) appendDelta() error {
 	if st.err != nil {
@@ -445,29 +385,6 @@ func (st *memoState) appendRecord(d *core.Delta) error {
 	}
 	st.deltaSaves++
 	return nil
-}
-
-// saveNow persists the engine's current state under whichever mode the
-// state was opened in: a delta append in chain mode, a whole-table
-// rewrite (a base-only chain, which a later chain-mode run can append
-// to) in load/save mode, a no-op otherwise.
-func (st *memoState) saveNow() error {
-	switch {
-	case st.memo == nil:
-		return nil
-	case st.chain != "":
-		return st.appendDelta()
-	case st.save != "" && st.err == nil:
-		snap, err := st.memo.Snapshot()
-		if err == nil {
-			err = persist.SaveChainSync(st.save, snap, nil, st.sync)
-		}
-		if err != nil {
-			st.err = err
-		}
-		return err
-	}
-	return st.err
 }
 
 // RunOne builds a fresh workload and executes it once under the spec.
@@ -530,7 +447,9 @@ func RunOne(factory apps.Factory, scale apps.Scale, workers int, spec ATMSpec, o
 		for _, ts := range out.Stats.Types {
 			out.ChosenLevels[ts.Name] = ts.Level
 		}
-		_ = st.saveNow() // the final save: this run's remaining churn
+		if st.chain != "" {
+			_ = st.appendDelta() // the final save: this run's remaining churn
+		}
 	}
 	out.SnapshotErr = st.err
 	out.DeltaSaves, out.DeltaBytes = st.deltaSaves, st.deltaBytes
@@ -552,7 +471,7 @@ var (
 // (cold). A missing file always surfaces as os.ErrNotExist — the
 // ordinary first-repetition cold start, never a fallback.
 func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persist.SyncPolicy) (memo *core.ATM, warm, salvaged, cold bool, rep persist.RecoveryReport, err error) {
-	memo, warm, err = restoreChain(cfg, path, true, sync)
+	memo, warm, err = restoreChain(cfg, path, sync)
 	if err == nil || errors.Is(err, os.ErrNotExist) || policy == RecoverStrict {
 		return memo, warm, false, false, rep, err
 	}
@@ -563,7 +482,7 @@ func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persi
 		rrep, rerr := persist.RepairChain(path, sync)
 		rep = rrep
 		if rerr == nil {
-			if m, w, lerr := restoreChain(cfg, path, true, sync); lerr == nil {
+			if m, w, lerr := restoreChain(cfg, path, sync); lerr == nil {
 				return m, w, !rrep.Clean(), false, rrep, nil
 			}
 		}
@@ -580,16 +499,15 @@ func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persi
 	return nil, false, false, true, rep, nil
 }
 
-// restoreChain loads a snapshot file of either format version and
-// builds a warm engine from it: the base is restored and any delta
-// records are replayed in order. owner marks the chain owner, whose
-// file must start with its base and takes this run's delta appends: a
-// legacy version-1 file, which cannot take one, is rewritten (durably,
-// under sync) as a base-only version-2 chain of the decoded base.
-// Returns (nil, false, err) on any failure, including a missing file
-// (errors.Is os.ErrNotExist — the caller decides whether that is a cold
-// start or an error).
-func restoreChain(cfg core.Config, path string, owner bool, sync persist.SyncPolicy) (*core.ATM, bool, error) {
+// restoreChain loads a chain file of either format version and builds
+// a warm engine from it: the base is restored and any delta records are
+// replayed in order. The file must start with its base, and it takes
+// this run's delta appends: a legacy version-1 file, which cannot take
+// one, is rewritten (durably, under sync) as a base-only version-2
+// chain of the decoded base. Returns (nil, false, err) on any failure,
+// including a missing file (errors.Is os.ErrNotExist — the caller's
+// cold start).
+func restoreChain(cfg core.Config, path string, sync persist.SyncPolicy) (*core.ATM, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, err
@@ -599,17 +517,14 @@ func restoreChain(cfg core.Config, path string, owner bool, sync persist.SyncPol
 		return nil, false, fmt.Errorf("%s: %w", path, err)
 	}
 	if base == nil {
-		if owner {
-			return nil, false, fmt.Errorf("%s: chain has no base record (a delta-only shard file cannot warm-start alone)", path)
-		}
-		return nil, false, fmt.Errorf("%s: snapshot has no base record", path)
+		return nil, false, fmt.Errorf("%s: chain has no base record (a delta-only shard file cannot warm-start alone)", path)
 	}
 	memo, err := core.RestoreChain(cfg, base, deltas)
 	if err != nil {
 		return nil, false, fmt.Errorf("%s: %w", path, err)
 	}
 	// The engine now owns base, so the rewrite encodes a fresh decode.
-	if ver, _ := persist.FileVersion(data); owner && ver == persist.Version1 {
+	if ver, _ := persist.FileVersion(data); ver == persist.Version1 {
 		legacy, _, err := persist.UnmarshalChain(data)
 		if err == nil {
 			err = persist.SaveChainSync(path, legacy, nil, sync)

@@ -14,9 +14,8 @@ import (
 // ServeInfo describes how a served engine came up: the same
 // warm-start and recovery fields RunOne reports in its Outcome.
 type ServeInfo struct {
-	// WarmStart reports the engine restored state from a snapshot or
-	// chain before serving; RestoredEntries counts the THT entries it
-	// installed.
+	// WarmStart reports the engine restored state from its chain before
+	// serving; RestoredEntries counts the THT entries it installed.
 	WarmStart       bool
 	RestoredEntries int64
 	// Salvaged / ColdFallback / Recovery mirror Outcome's recovery
@@ -33,17 +32,12 @@ type ServeInfo struct {
 // options and starts a service engine over it. cfg supplies the
 // service-side knobs (workers, backlog watermark, tenant cap);
 // cfg.Memo, cfg.Save and cfg.SaveEvery are overwritten from spec and
-// opt:
-//
-//   - chain mode (opt.SnapshotChain): the engine warm-starts from the
-//     chain under opt.Recover, and the Save hook appends a delta record
-//     of the churn since the last save — POST /v1/snapshot, the periodic
-//     opt.SnapshotDeltaEvery saver, and the final save on Close all go
-//     through it.
-//   - whole-table mode (opt.SnapshotPath / SnapshotLoad / SnapshotSave):
-//     warm-start from the load path if present, Save rewrites the save
-//     path.
-//   - neither: no persistence; POST /v1/snapshot needs an explicit path.
+// opt. With a chain (opt.SnapshotChain) the engine warm-starts from it
+// under opt.Recover, and the Save hook appends a delta record of the
+// churn since the last save — POST /v1/snapshot, the periodic
+// opt.SnapshotDeltaEvery saver and the final save on Close all go
+// through it. Without one there is no persistence, and POST
+// /v1/snapshot answers 409.
 //
 // The caller owns the returned engine and must Close it (which runs the
 // final save).
@@ -63,8 +57,8 @@ func Serve(spec ATMSpec, opt RunOptions, cfg service.Config) (*service.Engine, S
 	}
 	cfg.Save = nil
 	cfg.SaveEvery = 0
-	if cfg.Memo != nil && (st.chain != "" || st.save != "") {
-		cfg.Save = st.saveNow
+	if cfg.Memo != nil && st.chain != "" {
+		cfg.Save = st.appendDelta
 		cfg.SaveEvery = opt.SnapshotDeltaEvery
 	}
 	eng := service.New(cfg)

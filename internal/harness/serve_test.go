@@ -39,7 +39,7 @@ func TestServeChainWarmStart(t *testing.T) {
 		t.Fatalf("first serve: %+v", info1)
 	}
 	serveTasks(t, e1, "lu", 4, 30)
-	if err := e1.Snapshot(""); err != nil { // the Save hook: a delta append
+	if err := e1.Snapshot(); err != nil { // the Save hook: a delta append
 		t.Fatal(err)
 	}
 	if err := e1.Close(); err != nil {
@@ -81,34 +81,8 @@ func TestServeBaseline(t *testing.T) {
 	if info.WarmStart || e.Memoizing() {
 		t.Fatalf("baseline serve: %+v memoizing=%v", info, e.Memoizing())
 	}
-	if err := e.Snapshot(""); !errors.Is(err, service.ErrNoPersistence) {
+	if err := e.Snapshot(); !errors.Is(err, service.ErrNoPersistence) {
 		t.Fatalf("baseline snapshot: %v", err)
-	}
-}
-
-// TestServeWholeTable exercises the non-chain persistence mode: the
-// Save hook rewrites the snapshot file, and a second serve warm-starts
-// from it.
-func TestServeWholeTable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "svc.atmsnap")
-	opt := RunOptions{SnapshotPath: path, Sync: persist.SyncOff}
-
-	e1, info1 := Serve(Static(true), opt, service.Config{Workers: 1})
-	if info1.WarmStart || info1.SnapshotErr != nil {
-		t.Fatalf("first serve: %+v", info1)
-	}
-	serveTasks(t, e1, "stencil", 2, 30)
-	if err := e1.Close(); err != nil { // final save through the hook
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("snapshot not saved: %v", err)
-	}
-
-	e2, info2 := Serve(Static(true), opt, service.Config{Workers: 1})
-	defer e2.Close()
-	if !info2.WarmStart || info2.RestoredEntries == 0 {
-		t.Fatalf("second serve not warm: %+v", info2)
 	}
 }
 

@@ -10,60 +10,63 @@ import (
 	"atm/internal/persist"
 )
 
-// Sweep reproduces the repeated-experiment-sweep scenario the paper's
-// amortization argument rests on: the same workload executed reps
-// times, with the memoization state persisted between repetitions
-// through a snapshot file. Repetition 1 runs cold and saves the
-// snapshot; every later repetition warm-starts from it (and saves it
-// back, so incremental warm-up — e.g. a dynamic type finishing its
-// training in rep 2 — compounds). The report shows, per repetition,
-// the elapsed time, reuse fraction and THT hit ratio, and closes with
-// the warm-vs-cold deltas.
+// Sweep reproduces the repeated-experiment sweep the paper's
+// amortization argument rests on, with warm state carried between
+// repetitions by chain files (docs/persistence.md).
 //
-// Each benchmark gets its own snapshot file (path + "." + name): the
-// fingerprint is config-level, so heterogeneous workloads would
-// otherwise overwrite each other's warm state.
-func Sweep(opt Options, reps int, path string) error {
+// Each selected benchmark is one shard of the sweep: it runs reps
+// repetitions against a chain of its own under dir. Repetition 1
+// starts cold and creates the chain, every repetition appends a delta
+// record of just its churn, and every later one warm-starts from what
+// the earlier ones appended — so incremental warm-up, e.g. a dynamic
+// type finishing its training in rep 2, compounds. The report shows,
+// per repetition, the elapsed time and its speedup over rep 1, reuse,
+// THT hit ratio, restored entries and the bytes appended (a fully warm
+// repetition appends a near-empty record), and closes with the
+// warm-vs-cold deltas.
+//
+// The chains are then compacted and merged (persist.Compact +
+// persist.MergeSnapshots, what `snapshotctl merge` does for a sweep
+// split across machines), and each benchmark restarts warm from its own
+// copy of the merged snapshot, so no run mutates a file another reads.
+func Sweep(opt Options, reps int, dir string) error {
 	if reps < 2 {
 		reps = 2
 	}
 	spec := Dynamic(true)
-	fmt.Fprintf(opt.Out, "Warm-start sweep: %d repetitions under %s, snapshots at %s.<bench>\n",
-		reps, spec.Name(), path)
-	for _, name := range opt.names() {
-		f := FactoryFor(name)
-		file := path + "." + name
+	names := opt.names()
+	fmt.Fprintf(opt.Out, "Warm-start sweep: %d repetitions under %s, chains under %s\n",
+		reps, spec.Name(), dir)
+
+	colds := make([]Outcome, len(names))
+	fulls := make([]*core.Snapshot, len(names))
+	var chainBytes int64
+	for i, name := range names {
+		file := filepath.Join(dir, name+".atmchain")
 		t := newTable(opt.Out)
-		t.row("Bench", "Rep", "Start", "Elapsed", "Speedup", "Reuse", "THTHitRatio", "RestoredEntries")
-		var cold, last Outcome
+		t.row("Bench", "Rep", "Start", "Elapsed", "Speedup", "Reuse", "THTHitRatio", "RestoredEntries", "Append")
+		var last Outcome
 		for rep := 1; rep <= reps; rep++ {
 			ro := opt.runOpt()
-			if rep == 1 {
-				ro.SnapshotSave = file
-			} else {
-				ro.SnapshotLoad = file
-				ro.SnapshotSave = file
-			}
-			o := RunOne(f, opt.Scale, opt.Workers, spec, ro)
+			ro.SnapshotChain = file
+			o := RunOne(FactoryFor(name), opt.Scale, opt.Workers, spec, ro)
 			if o.SnapshotErr != nil {
 				return fmt.Errorf("sweep %s rep %d: %w", name, rep, o.SnapshotErr)
 			}
 			if rep == 1 {
-				cold = o
+				colds[i] = o
 			}
 			last = o
-			startKind := "cold"
-			if o.WarmStart {
-				startKind = "warm"
-			}
-			t.row(name, fmt.Sprint(rep), startKind,
+			t.row(name, fmt.Sprint(rep), startKind(o),
 				o.Elapsed.Round(time.Microsecond).String(),
-				fx(Speedup(cold, o)),
+				fx(Speedup(colds[i], o)),
 				fpct(100*o.Reuse()),
 				fpct(100*o.THTHitRatio()),
-				fmt.Sprint(o.RestoredEntries))
+				fmt.Sprint(o.RestoredEntries),
+				fmt.Sprintf("%dB", o.DeltaBytes))
 		}
 		t.flush()
+		cold := colds[i]
 		fmt.Fprintf(opt.Out,
 			"  %s warm-vs-cold: reuse %s -> %s, THT hit ratio %s -> %s, elapsed %v -> %v (%s)\n",
 			name,
@@ -71,125 +74,54 @@ func Sweep(opt Options, reps int, path string) error {
 			fpct(100*cold.THTHitRatio()), fpct(100*last.THTHitRatio()),
 			cold.Elapsed.Round(time.Microsecond), last.Elapsed.Round(time.Microsecond),
 			fx(Speedup(cold, last)))
-	}
-	return nil
-}
 
-// ShardedSweep reproduces the sharded sweep + merge workflow enabled
-// by incremental chains (docs/persistence.md): each selected benchmark
-// plays the role of one sweep shard, running reps repetitions against
-// its own chain file under dir — repetition 1 creates the chain (cold,
-// empty base) and every repetition appends a delta record of just its
-// churn, so per-rep save I/O is proportional to what the rep learned,
-// not to the table (the report's Append column shrinks toward the
-// ~20-byte empty record as the shard warms). The shards' chains are
-// then compacted and merged (persist.Compact + persist.MergeSnapshots
-// — the fingerprint is config-level, so one merged file can hold every
-// shard's types), and each benchmark re-runs warm-starting from the
-// single merged file, exactly what `snapshotctl merge` produces for
-// sweeps split across machines.
-func ShardedSweep(opt Options, reps int, dir string) error {
-	if reps < 2 {
-		reps = 2
-	}
-	spec := Dynamic(true)
-	names := opt.names()
-	fmt.Fprintf(opt.Out, "Sharded delta sweep: %d shard(s) x %d repetitions under %s, chains under %s\n",
-		len(names), reps, spec.Name(), dir)
-
-	type shard struct {
-		name string
-		file string
-		cold Outcome
-	}
-	shards := make([]shard, 0, len(names))
-	for _, name := range names {
-		file := filepath.Join(dir, "shard."+name+".atmchain")
-		t := newTable(opt.Out)
-		t.row("Shard", "Rep", "Start", "Elapsed", "Reuse", "THTHitRatio", "Append", "Chain")
-		sh := shard{name: name, file: file}
-		for rep := 1; rep <= reps; rep++ {
-			ro := opt.runOpt()
-			ro.SnapshotChain = file
-			o := RunOne(FactoryFor(name), opt.Scale, opt.Workers, spec, ro)
-			if o.SnapshotErr != nil {
-				return fmt.Errorf("shard %s rep %d: %w", name, rep, o.SnapshotErr)
-			}
-			if rep == 1 {
-				sh.cold = o
-			}
-			startKind := "cold"
-			if o.WarmStart {
-				startKind = "warm"
-			}
-			size := int64(0)
-			if fi, err := os.Stat(file); err == nil {
-				size = fi.Size()
-			}
-			t.row(name, fmt.Sprint(rep), startKind,
-				o.Elapsed.Round(time.Microsecond).String(),
-				fpct(100*o.Reuse()),
-				fpct(100*o.THTHitRatio()),
-				fmt.Sprintf("%dB", o.DeltaBytes),
-				fmt.Sprintf("%dB", size))
-		}
-		t.flush()
-		shards = append(shards, sh)
-	}
-
-	// Fold every shard chain into a full snapshot and merge them.
-	fulls := make([]*core.Snapshot, 0, len(shards))
-	var chainTotal int64
-	for _, sh := range shards {
-		base, deltas, err := persist.LoadChain(sh.file)
+		base, deltas, err := persist.LoadChain(file)
 		if err != nil {
-			return fmt.Errorf("shard %s: %w", sh.name, err)
+			return fmt.Errorf("sweep %s: %w", name, err)
 		}
-		full, err := persist.Compact(base, deltas...)
-		if err != nil {
-			return fmt.Errorf("shard %s: %w", sh.name, err)
+		if fulls[i], err = persist.Compact(base, deltas...); err != nil {
+			return fmt.Errorf("sweep %s: %w", name, err)
 		}
-		fulls = append(fulls, full)
-		if fi, err := os.Stat(sh.file); err == nil {
-			chainTotal += fi.Size()
+		if fi, err := os.Stat(file); err == nil {
+			chainBytes += fi.Size()
 		}
 	}
+
 	merged, err := persist.MergeSnapshots(fulls...)
 	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}
-	mergedFile := filepath.Join(dir, "merged.atmsnap")
-	if err := persist.SaveChain(mergedFile, merged, nil); err != nil {
-		return err
-	}
-	mergedSize := int64(0)
-	if fi, err := os.Stat(mergedFile); err == nil {
-		mergedSize = fi.Size()
-	}
-	fmt.Fprintf(opt.Out, "Merged %d shard chain(s) (%dB total) into %s (%dB, %d sections)\n",
-		len(shards), chainTotal, mergedFile, mergedSize, len(merged.Types))
+	fmt.Fprintf(opt.Out, "Merged %d chain(s) (%dB total) into one snapshot of %d sections\n",
+		len(names), chainBytes, len(merged.Types))
 
-	// Warm phase: every benchmark restarts from the single merged file.
 	t := newTable(opt.Out)
-	t.row("Shard", "Start", "Elapsed", "Speedup", "Reuse", "THTHitRatio", "RestoredEntries")
-	for _, sh := range shards {
+	t.row("Bench", "Start", "Elapsed", "Speedup", "Reuse", "THTHitRatio", "RestoredEntries")
+	for i, name := range names {
+		file := filepath.Join(dir, name+".merged.atmchain")
+		if err := persist.SaveChain(file, merged, nil); err != nil {
+			return err
+		}
 		ro := opt.runOpt()
-		ro.SnapshotLoad = mergedFile
-		o := RunOne(FactoryFor(sh.name), opt.Scale, opt.Workers, spec, ro)
+		ro.SnapshotChain = file
+		o := RunOne(FactoryFor(name), opt.Scale, opt.Workers, spec, ro)
 		if o.SnapshotErr != nil {
-			return fmt.Errorf("merged warm run %s: %w", sh.name, o.SnapshotErr)
+			return fmt.Errorf("merged warm run %s: %w", name, o.SnapshotErr)
 		}
-		startKind := "cold"
-		if o.WarmStart {
-			startKind = "warm"
-		}
-		t.row(sh.name, startKind,
+		t.row(name, startKind(o),
 			o.Elapsed.Round(time.Microsecond).String(),
-			fx(Speedup(sh.cold, o)),
+			fx(Speedup(colds[i], o)),
 			fpct(100*o.Reuse()),
 			fpct(100*o.THTHitRatio()),
 			fmt.Sprint(o.RestoredEntries))
 	}
 	t.flush()
 	return nil
+}
+
+// startKind names how a run's engine came up.
+func startKind(o Outcome) string {
+	if o.WarmStart {
+		return "warm"
+	}
+	return "cold"
 }

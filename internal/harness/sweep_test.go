@@ -3,81 +3,21 @@ package harness
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
 	"time"
 
 	"atm/internal/apps"
-	"atm/internal/core"
 	"atm/internal/persist"
 )
-
-func TestRunOneSnapshotPathWarmStarts(t *testing.T) {
-	f := FactoryFor("Blackscholes")
-	path := filepath.Join(t.TempDir(), "warm.atmsnap")
-	opt := RunOptions{SnapshotPath: path}
-
-	// First run: the file does not exist — a normal cold start that
-	// saves on finish.
-	cold := RunOne(f, apps.ScaleTest, 4, Static(true), opt)
-	if cold.SnapshotErr != nil {
-		t.Fatalf("cold run: %v", cold.SnapshotErr)
-	}
-	if cold.WarmStart || cold.RestoredEntries != 0 {
-		t.Fatalf("first run must be cold: %+v", cold)
-	}
-
-	// Second run: loads the saved snapshot and hits immediately.
-	warm := RunOne(f, apps.ScaleTest, 4, Static(true), opt)
-	if warm.SnapshotErr != nil {
-		t.Fatalf("warm run: %v", warm.SnapshotErr)
-	}
-	if !warm.WarmStart || warm.RestoredEntries == 0 {
-		t.Fatalf("second run must warm-start: %+v", warm)
-	}
-	if warm.Reuse() <= cold.Reuse() {
-		t.Fatalf("warm reuse %v must exceed cold %v", warm.Reuse(), cold.Reuse())
-	}
-	for i, r := range warm.App.Result() {
-		if !r.EqualContents(cold.App.Result()[i]) {
-			t.Fatalf("warm result region %d diverges", i)
-		}
-	}
-
-	// A mismatched spec (different fingerprint) must surface the typed
-	// error, not silently serve hits — and the run still completes cold.
-	bad := RunOne(f, apps.ScaleTest, 4, Static(true), RunOptions{SnapshotLoad: path, Seed: 99})
-	if !errors.Is(bad.SnapshotErr, core.ErrSnapshotConfig) {
-		t.Fatalf("fingerprint mismatch must be typed: %v", bad.SnapshotErr)
-	}
-	if bad.WarmStart || bad.RestoredEntries != 0 {
-		t.Fatal("mismatched snapshot must not warm-start or restore entries")
-	}
-}
-
-func TestSweepReportsWarmDeltas(t *testing.T) {
-	var buf bytes.Buffer
-	opt := testOpts(&buf, "Blackscholes")
-	if err := Sweep(opt, 3, filepath.Join(t.TempDir(), "sweep.atmsnap")); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"cold", "warm", "warm-vs-cold", "THTHitRatio"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("sweep report missing %q:\n%s", want, out)
-		}
-	}
-}
 
 // TestRunOneSnapshotChainSublinearAndCompactEquivalent drives the
 // acceptance scenario end to end: per-rep delta saves into one chain
 // file, the warm rep appending a near-empty record (sublinear in table
 // size), and a compaction of that chain warm-starting bit-identically
-// to the whole-table snapshot path.
+// to the replay of the chain itself.
 func TestRunOneSnapshotChainSublinearAndCompactEquivalent(t *testing.T) {
 	f := FactoryFor("Blackscholes")
 	dir := t.TempDir()
@@ -110,9 +50,8 @@ func TestRunOneSnapshotChainSublinearAndCompactEquivalent(t *testing.T) {
 		t.Fatalf("warm append %dB must be well below cold append %dB", warm.DeltaBytes, cold.DeltaBytes)
 	}
 
-	// Compact the chain and warm-start from the result; also warm-start
-	// from a classic whole-table snapshot of the same workload. The two
-	// paths must produce bit-identical outputs and full reuse.
+	// Compact the chain and warm-start from the result: it must behave
+	// exactly like the warm start that replayed the chain's delta.
 	base, deltas, err := persist.LoadChain(chain)
 	if err != nil {
 		t.Fatal(err)
@@ -125,48 +64,47 @@ func TestRunOneSnapshotChainSublinearAndCompactEquivalent(t *testing.T) {
 	if err := persist.SaveChain(compacted, full, nil); err != nil {
 		t.Fatal(err)
 	}
-	wholePath := filepath.Join(dir, "whole.atmsnap")
-	whole := RunOne(f, apps.ScaleTest, 4, spec, RunOptions{SnapshotSave: wholePath})
-	if whole.SnapshotErr != nil {
-		t.Fatal(whole.SnapshotErr)
+	viaCompact := RunOne(f, apps.ScaleTest, 4, spec, RunOptions{SnapshotChain: compacted})
+	if viaCompact.SnapshotErr != nil {
+		t.Fatal(viaCompact.SnapshotErr)
 	}
-
-	viaCompact := RunOne(f, apps.ScaleTest, 4, spec, RunOptions{SnapshotLoad: compacted})
-	viaWhole := RunOne(f, apps.ScaleTest, 4, spec, RunOptions{SnapshotLoad: wholePath})
-	for _, o := range []Outcome{viaCompact, viaWhole} {
-		if o.SnapshotErr != nil {
-			t.Fatal(o.SnapshotErr)
-		}
-		if !o.WarmStart || o.RestoredEntries == 0 {
-			t.Fatalf("restored run must warm-start: %+v", o)
-		}
+	if !viaCompact.WarmStart || viaCompact.RestoredEntries != warm.RestoredEntries {
+		t.Fatalf("compacted warm start restored %d entries, the chain replay %d: %+v",
+			viaCompact.RestoredEntries, warm.RestoredEntries, viaCompact)
 	}
 	for i, r := range viaCompact.App.Result() {
-		if !r.EqualContents(viaWhole.App.Result()[i]) {
-			t.Fatalf("compacted-chain warm start diverges from whole-table warm start on region %d", i)
-		}
 		if !r.EqualContents(cold.App.Result()[i]) {
 			t.Fatalf("compacted-chain warm start diverges from the cold run on region %d", i)
 		}
 	}
-	if viaCompact.Reuse() != viaWhole.Reuse() {
-		t.Fatalf("reuse differs between compacted (%v) and whole-table (%v) warm starts",
-			viaCompact.Reuse(), viaWhole.Reuse())
+	if viaCompact.Reuse() != warm.Reuse() {
+		t.Fatalf("reuse differs between compacted (%v) and replayed (%v) warm starts",
+			viaCompact.Reuse(), warm.Reuse())
 	}
 }
 
-// TestChainAppendsToWholeTableFiles runs chain mode on a file that a
-// whole-table save wrote (atmbench -save, atmd -snapshot) and on the
-// same table in the legacy version-1 layout. Each run must warm-start
-// and append its delta, leaving a version-2 chain whose base is the
-// saved table.
+// TestChainAppendsToWholeTableFiles runs a chain on a base-only file,
+// what `snapshotctl merge` and `compact` write, and on the same table in
+// the legacy version-1 layout. Each run must warm-start and append its
+// delta, leaving a version-2 chain whose base is the saved table.
 func TestChainAppendsToWholeTableFiles(t *testing.T) {
 	f := FactoryFor("Blackscholes")
 	spec := Static(true)
 	dir := t.TempDir()
 	whole := filepath.Join(dir, "whole.atmsnap")
-	if o := RunOne(f, apps.ScaleTest, 2, spec, RunOptions{SnapshotSave: whole}); o.SnapshotErr != nil {
+	if o := RunOne(f, apps.ScaleTest, 2, spec, RunOptions{SnapshotChain: whole}); o.SnapshotErr != nil {
 		t.Fatal(o.SnapshotErr)
+	}
+	base, deltas, err := persist.LoadChain(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := persist.Compact(base, deltas...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.SaveChain(whole, full, nil); err != nil {
+		t.Fatal(err)
 	}
 	saved, err := os.ReadFile(whole)
 	if err != nil {
@@ -229,16 +167,30 @@ func TestRunOneSnapshotDeltaEvery(t *testing.T) {
 	}
 }
 
-func TestShardedSweepMergesShards(t *testing.T) {
+// TestSweepReportsWarmDeltas runs the sweep over two benchmarks: each
+// appends its repetitions to a chain of its own and reports its
+// warm-vs-cold deltas, the chains merge, and each benchmark restarts
+// warm from a copy of the merged snapshot of its own.
+func TestSweepReportsWarmDeltas(t *testing.T) {
 	var buf bytes.Buffer
 	opt := testOpts(&buf, "Blackscholes", "Kmeans")
-	if err := ShardedSweep(opt, 2, t.TempDir()); err != nil {
+	dir := t.TempDir()
+	if err := Sweep(opt, 2, dir); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Sharded delta sweep", "cold", "warm", "Merged 2 shard chain(s)", "RestoredEntries"} {
+	for _, want := range []string{"cold", "warm", "Speedup", "THTHitRatio", "RestoredEntries", "Append",
+		"Blackscholes warm-vs-cold", "Kmeans warm-vs-cold", "Merged 2 chain(s)"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("sharded sweep report missing %q:\n%s", want, out)
+			t.Fatalf("sweep report missing %q:\n%s", want, out)
+		}
+	}
+	for _, name := range opt.Benchmarks {
+		for file, records := range map[string]int{name + ".atmchain": 2, name + ".merged.atmchain": 1} {
+			base, deltas, err := persist.LoadChain(filepath.Join(dir, file))
+			if err != nil || base == nil || len(deltas) != records {
+				t.Fatalf("%s: want a base and %d delta(s), got %d (%v)", file, records, len(deltas), err)
+			}
 		}
 	}
 }

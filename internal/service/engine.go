@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"atm/internal/core"
-	"atm/internal/persist"
 	"atm/internal/region"
 	"atm/internal/taskrt"
 )
@@ -27,7 +26,7 @@ type Config struct {
 	Backlog int
 	// Save persists the memoization state; it runs on the engine loop
 	// (quiesced, serialized with submissions). Nil disables POST
-	// /v1/snapshot's default save and periodic saves.
+	// /v1/snapshot (409) and periodic saves.
 	Save func() error
 	// SaveEvery additionally runs Save on this period (0 = never).
 	SaveEvery time.Duration
@@ -135,8 +134,8 @@ type Engine struct {
 	tenants map[string]bool
 
 	reqs     chan *request
-	reqPool  sync.Pool // *request: per-request memory, reused (size-capped in release)
-	ctl      chan *ctlReq
+	reqPool  sync.Pool       // *request: per-request memory, reused (size-capped in release)
+	ctl      chan chan error // Snapshot requests: the loop saves and replies on each
 	quit     chan struct{}
 	loopDone chan struct{}
 	closed   atomic.Bool
@@ -260,11 +259,6 @@ func (e *Engine) release(r *request) {
 	e.reqPool.Put(r)
 }
 
-type ctlReq struct {
-	path string // "" = the configured Save hook; else whole-table save to path
-	err  chan error
-}
-
 // New builds the engine and starts its loop. The caller must Close it.
 func New(cfg Config) *Engine {
 	kindList := cfg.KindList
@@ -293,7 +287,7 @@ func New(cfg Config) *Engine {
 		// one request minimum each), so an admitted request never blocks
 		// on the channel itself.
 		reqs:     make(chan *request, 32768),
-		ctl:      make(chan *ctlReq),
+		ctl:      make(chan chan error),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
@@ -681,25 +675,21 @@ func (e *Engine) LookupTenant(tenant, kind string, input, dst []float64) ([]floa
 	return dst, true, nil
 }
 
-// Snapshot persists the memoization state: path "" runs the configured
-// Save hook (the delta-chain saver under harness serve mode); a
-// non-empty path writes a whole-table snapshot there. Serialized on
-// the engine loop, quiesced at a completion fence.
-func (e *Engine) Snapshot(path string) error {
-	if e.memo == nil {
+// Snapshot runs the configured Save hook (the delta-chain append under
+// harness serve mode), serialized on the engine loop and quiesced at a
+// completion fence. The hook alone decides where state is written.
+func (e *Engine) Snapshot() error {
+	if e.memo == nil || e.cfg.Save == nil {
 		return ErrNoPersistence
 	}
-	if path == "" && e.cfg.Save == nil {
-		return ErrNoPersistence
-	}
-	c := &ctlReq{path: path, err: make(chan error, 1)}
+	c := make(chan error, 1)
 	select {
 	case e.ctl <- c:
 	case <-e.loopDone:
 		return ErrClosed
 	}
 	select {
-	case err := <-c.err:
+	case err := <-c:
 		return err
 	case <-e.loopDone:
 		return ErrClosed
@@ -719,17 +709,9 @@ func (e *Engine) Close() error {
 	return e.SaveErr()
 }
 
-// save runs a snapshot save on the loop goroutine.
-func (e *Engine) save(path string) error {
-	var err error
-	if path == "" {
-		err = e.cfg.Save()
-	} else {
-		var snap *core.Snapshot
-		if snap, err = e.memo.Snapshot(); err == nil {
-			err = persist.SaveChain(path, snap, nil)
-		}
-	}
+// save runs the Save hook on the loop goroutine.
+func (e *Engine) save() error {
+	err := e.cfg.Save()
 	if err != nil {
 		e.setSaveErr(err)
 	} else {
@@ -761,9 +743,9 @@ func (e *Engine) loop() {
 				sinceReset = 0
 			}
 		case c := <-e.ctl:
-			c.err <- e.save(c.path)
+			c <- e.save()
 		case <-tick:
-			_ = e.save("")
+			_ = e.save()
 		case <-e.quit:
 			for {
 				select {
@@ -771,7 +753,7 @@ func (e *Engine) loop() {
 					e.runGroup(r)
 				default:
 					if e.cfg.Save != nil {
-						_ = e.save("")
+						_ = e.save()
 					}
 					return
 				}

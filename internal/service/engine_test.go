@@ -2,13 +2,11 @@ package service
 
 import (
 	"errors"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"atm/internal/core"
-	"atm/internal/persist"
 )
 
 func newTestEngine(t *testing.T, cfg Config) *Engine {
@@ -242,42 +240,45 @@ func TestEngineLookup(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshot: Snapshot runs the Save hook on the loop goroutine,
+// where the table is quiescent, and counts the save; an engine without
+// a hook refuses it.
 func TestEngineSnapshot(t *testing.T) {
-	dir := t.TempDir()
 	atm := core.New(core.Config{Mode: core.ModeStatic})
-	e := newTestEngine(t, Config{Workers: 1, Memo: atm})
+	var snap *core.Snapshot
+	e := newTestEngine(t, Config{Workers: 1, Memo: atm, Save: func() (err error) {
+		snap, err = atm.Snapshot()
+		return err
+	}})
 	k := mustKind(t, "stencil")
 	for rep := 0; rep < 30; rep++ {
 		if _, _, err := e.Do([]Task{{Kind: "stencil", Input: Input(k, 1, 1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Snapshot(""); !errors.Is(err, ErrNoPersistence) {
-		t.Fatalf("pathless snapshot without Save hook: %v", err)
-	}
-	path := filepath.Join(dir, "svc.atmsnap")
-	if err := e.Snapshot(path); err != nil {
+	if err := e.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	snap, deltas, err := persist.LoadChain(path)
-	if err != nil {
-		t.Fatal(err)
+	var entries int
+	for _, ts := range snap.Types {
+		entries += len(ts.Entries)
 	}
-	if len(snap.Types) == 0 || deltas != nil {
-		t.Fatalf("snapshot has %d types and %d deltas, want a whole table", len(snap.Types), len(deltas))
-	}
-	// A whole-table save is a chain base: it takes a delta append.
-	if err := persist.AppendDelta(path, &core.Delta{Fingerprint: snap.Fingerprint}); err != nil {
-		t.Fatalf("append to a saved snapshot: %v", err)
+	if entries != 1 {
+		t.Fatalf("the hook read %d entries, want the one stencil entry", entries)
 	}
 	if c := e.Counters(); c.Saves != 1 {
 		t.Fatalf("saves = %d, want 1", c.Saves)
 	}
+
+	hookless := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
+	if err := hookless.Snapshot(); !errors.Is(err, ErrNoPersistence) {
+		t.Fatalf("snapshot without a Save hook: %v", err)
+	}
 }
 
 func TestEngineSnapshotWithoutMemo(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1})
-	if err := e.Snapshot("x"); !errors.Is(err, ErrNoPersistence) {
+	e := newTestEngine(t, Config{Workers: 1, Save: func() error { return nil }})
+	if err := e.Snapshot(); !errors.Is(err, ErrNoPersistence) {
 		t.Fatalf("baseline snapshot: %v", err)
 	}
 }

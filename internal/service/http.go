@@ -28,7 +28,8 @@ import (
 //	                   memoization probe, never executes and leaves the
 //	                   table as it found it; &tenant= (or X-ATM-Tenant)
 //	                   scopes the probe.
-//	POST /v1/snapshot  optional JSON {"path":"..."}: persist the table.
+//	POST /v1/snapshot  empty body or {}: run the configured save (409
+//	                   without one).
 //	GET  /v1/stats     JSON operational counters + ATM statistics.
 //	GET  /metrics      Prometheus text format.
 //	GET  /healthz      liveness.
@@ -362,17 +363,19 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
 	return writeReply(w, reply)
 }
 
+// handleSnapshot runs the engine's configured save. The server, not the
+// client, decides where state is written, so the body is empty or {}
+// and any other body — one naming a path included — is refused before
+// anything is saved.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) int {
-	var req struct {
-		Path string `json:"path"`
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err == nil && len(body) > 0 {
-		if jerr := json.Unmarshal(body, &req); jerr != nil {
-			return writeError(w, &BadTaskError{msg: "malformed JSON body: " + jerr.Error()})
-		}
+	if err != nil {
+		return writeError(w, &BadTaskError{msg: "body: " + err.Error()})
 	}
-	if err := s.e.Snapshot(req.Path); err != nil {
+	if b := strings.TrimSpace(string(body)); b != "" && b != "{}" {
+		return writeError(w, &BadTaskError{msg: "snapshot body must be empty or {}"})
+	}
+	if err := s.e.Snapshot(); err != nil {
 		if errors.Is(err, ErrNoPersistence) {
 			return writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 		}

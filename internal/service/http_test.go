@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -329,6 +332,38 @@ func TestHTTPSnapshotNoPersistence(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("snapshot without persistence: HTTP %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestHTTPSnapshotBody: POST /v1/snapshot runs the configured save for
+// an empty body or {}, and answers any other body 400 without saving —
+// one naming a path, since the server and not the client decides where
+// state is written, and one past the 64 KiB cap.
+func TestHTTPSnapshotBody(t *testing.T) {
+	memo := core.New(core.Config{Mode: core.ModeStatic})
+	s, ts := newTestServer(t, Config{Workers: 1, Memo: memo, Save: func() error { return nil }})
+	stolen := filepath.Join(t.TempDir(), "stolen.atmsnap")
+	for _, c := range []struct {
+		name, body string
+		code       int
+		saves      int64
+	}{
+		{"empty", "", http.StatusOK, 1},
+		{"{}", " {}\n", http.StatusOK, 1},
+		{"path", fmt.Sprintf(`{"path":%q}`, stolen), http.StatusBadRequest, 0},
+		{"over cap", "{}" + strings.Repeat(" ", 1<<16-1), http.StatusBadRequest, 0},
+	} {
+		before := s.e.Counters().Saves
+		resp, b := postJSON(t, ts.URL+"/v1/snapshot", c.body)
+		if resp.StatusCode != c.code {
+			t.Errorf("%s body: HTTP %d (%s), want %d", c.name, resp.StatusCode, b, c.code)
+		}
+		if saves := s.e.Counters().Saves - before; saves != c.saves {
+			t.Errorf("%s body: %d saves ran, want %d", c.name, saves, c.saves)
+		}
+	}
+	if _, err := os.Stat(stolen); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a client-chosen path was written: stat = %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"atm/internal/core"
-	"atm/internal/persist"
 )
 
 // These tests pin the inline hit path (Engine.serveInline over
@@ -97,13 +95,20 @@ func TestInlineMatchesLoop(t *testing.T) {
 			type side struct {
 				eng *Engine
 				srv *Server
+				// table is what the Save hook last read, on the loop
+				// goroutine.
+				table *core.Snapshot
 			}
 			var sides [2]side // inline on, inline off
 			for i := range sides {
+				s := &sides[i]
 				memo := core.New(core.Config{Mode: v.mode, THTBudgetBytes: v.budget})
-				eng := newTestEngine(t, Config{Workers: 1, Memo: memo})
-				eng.noInline = i == 1
-				sides[i] = side{eng, NewServer(eng)}
+				s.eng = newTestEngine(t, Config{Workers: 1, Memo: memo, Save: func() (err error) {
+					s.table, err = memo.Snapshot()
+					return err
+				}})
+				s.eng.noInline = i == 1
+				s.srv = NewServer(s.eng)
 			}
 			for i, body := range bodies {
 				var replies [2][]byte
@@ -145,15 +150,10 @@ func TestInlineMatchesLoop(t *testing.T) {
 				for i := range stats[s].Types { // estimates from a clock, not counts
 					stats[s].Types[i].HashTime, stats[s].Types[i].CopyTime = 0, 0
 				}
-				path := filepath.Join(t.TempDir(), "table.atmsnap")
-				if err := sides[s].eng.Snapshot(path); err != nil {
+				if err := sides[s].eng.Snapshot(); err != nil {
 					t.Fatal(err)
 				}
-				snap, _, err := persist.LoadChain(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tables[s] = snap.Types
+				tables[s] = sides[s].table.Types
 				for i := range tables[s] {
 					for j := range tables[s][i].Entries {
 						// A task id: the loop-only engine carved more tasks.
