@@ -167,11 +167,29 @@ func TestRunOneSnapshotDeltaEvery(t *testing.T) {
 	}
 }
 
-// TestSweepReportsWarmDeltas runs the sweep over two benchmarks: each
-// appends its repetitions to a chain of its own and reports its
-// warm-vs-cold deltas, the chains merge, and each benchmark restarts
-// warm from a copy of the merged snapshot of its own.
+// TestSweepReportsWarmDeltas runs the sweep over one benchmark: its
+// repetitions append to a chain of their own and the report carries
+// the Speedup column and the warm-vs-cold line.
 func TestSweepReportsWarmDeltas(t *testing.T) {
+	var buf bytes.Buffer
+	opt := testOpts(&buf, "Blackscholes")
+	dir := t.TempDir()
+	if err := Sweep(opt, 3, dir); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"cold", "warm", "Speedup", "THTHitRatio", "Append", "Blackscholes warm-vs-cold"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("sweep report missing %q:\n%s", want, out)
+		}
+	}
+	assertChainRecords(t, filepath.Join(dir, "Blackscholes.atmchain"), 3)
+}
+
+// TestShardedSweepMergesShards runs the sweep over two benchmarks: each
+// benchmark's chain is a shard, the shards merge, and each benchmark
+// restarts warm from a copy of the merged snapshot of its own.
+func TestShardedSweepMergesShards(t *testing.T) {
 	var buf bytes.Buffer
 	opt := testOpts(&buf, "Blackscholes", "Kmeans")
 	dir := t.TempDir()
@@ -179,18 +197,23 @@ func TestSweepReportsWarmDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"cold", "warm", "Speedup", "THTHitRatio", "RestoredEntries", "Append",
-		"Blackscholes warm-vs-cold", "Kmeans warm-vs-cold", "Merged 2 chain(s)"} {
+	for _, want := range []string{"RestoredEntries", "Blackscholes warm-vs-cold", "Kmeans warm-vs-cold", "Merged 2 chain(s)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("sweep report missing %q:\n%s", want, out)
 		}
 	}
 	for _, name := range opt.Benchmarks {
-		for file, records := range map[string]int{name + ".atmchain": 2, name + ".merged.atmchain": 1} {
-			base, deltas, err := persist.LoadChain(filepath.Join(dir, file))
-			if err != nil || base == nil || len(deltas) != records {
-				t.Fatalf("%s: want a base and %d delta(s), got %d (%v)", file, records, len(deltas), err)
-			}
-		}
+		assertChainRecords(t, filepath.Join(dir, name+".atmchain"), 2)
+		assertChainRecords(t, filepath.Join(dir, name+".merged.atmchain"), 1)
+	}
+}
+
+// assertChainRecords fails t unless path holds a chain of a base record
+// and want delta records.
+func assertChainRecords(t *testing.T, path string, want int) {
+	t.Helper()
+	base, deltas, err := persist.LoadChain(path)
+	if err != nil || base == nil || len(deltas) != want {
+		t.Fatalf("%s: want a base and %d delta(s), got %d (%v)", filepath.Base(path), want, len(deltas), err)
 	}
 }
