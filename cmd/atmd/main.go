@@ -7,7 +7,7 @@
 //	atmd -addr :8080 -workers 8 -mode dynamic
 //	atmd -chain warm.atmchain -delta-every 30s -recover salvage
 //	atmd -backlog 64        # fixed admission watermark (overload testing)
-//	atmd -tht-budget 64m -tenant-shares acme=0.5,beta=0.25
+//	atmd -tht-budget 64m -max-tenants 8
 //	atmd -pprof 127.0.0.1:6060   # net/http/pprof on a listener of its own
 //
 // Routes: POST /v1/submit, GET /v1/lookup, POST /v1/snapshot,
@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"atm/internal/core"
 	"atm/internal/harness"
 	"atm/internal/persist"
 	"atm/internal/service"
@@ -52,7 +51,6 @@ func main() {
 		recoverStr = flag.String("recover", "strict", "damaged-snapshot policy: strict|salvage|cold")
 		noSync     = flag.Bool("nosync", false, "skip fsync on snapshot saves (a crash may lose or tear the most recent saves)")
 		budgetStr  = flag.String("tht-budget", "", "THT memory budget in bytes, k/m/g suffixes accepted (empty = unbounded)")
-		sharesStr  = flag.String("tenant-shares", "", "per-tenant budget shares, e.g. acme=0.5,beta=0.25 (requires -tht-budget)")
 		maxTenants = flag.Int("max-tenants", 0, "distinct tenant namespaces served (0 = 64)")
 		pprofAddr  = flag.String("pprof", os.Getenv("ATMD_PPROF"), "serve net/http/pprof on this address, a listener of its own and never the service port (empty = off; the default is $ATMD_PPROF, which reaches an atmd some other program spawns)")
 	)
@@ -65,6 +63,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-delta-every needs -chain: there is no file to append to")
 		os.Exit(2)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"backlog", *backlog}, {"max-tenants", *maxTenants}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "-%s %d: want 0 (the default) or a positive count\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 
 	recoverPolicy, err := harness.ParseRecoverPolicy(*recoverStr)
 	if err != nil {
@@ -74,15 +81,6 @@ func main() {
 
 	budget, err := harness.ParseByteSize(*budgetStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	shares, err := harness.ParseTenantShares(*sharesStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := (core.Config{THTBudgetBytes: budget, TenantShares: shares}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -108,7 +106,6 @@ func main() {
 		SnapshotDeltaEvery: *deltaEvery,
 		Recover:            recoverPolicy,
 		THTBudgetBytes:     budget,
-		TenantShares:       shares,
 	}
 	if *noSync {
 		opt.Sync = persist.SyncOff

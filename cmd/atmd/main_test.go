@@ -146,6 +146,26 @@ func TestDeltaEveryNeedsChain(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsExit2: a negative -workers, -backlog or -max-tenants
+// is refused with exit status 2 before serving. Each used to be coerced
+// silently (to 1 worker, the adaptive watermark and 64 tenants).
+func TestNegativeCountsExit2(t *testing.T) {
+	for _, flagName := range []string{"-workers", "-backlog", "-max-tenants"} {
+		t.Run(flagName, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			out, err := atmdCommand(ctx, "-addr", freeAddr(t), flagName, "-1").CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("atmd %s -1: err = %v, want exit status 2\n%s", flagName, err, out)
+			}
+			if !strings.Contains(string(out), flagName+" -1") || strings.Contains(string(out), "serving on") {
+				t.Errorf("atmd %s -1 printed:\n%s", flagName, out)
+			}
+		})
+	}
+}
+
 // TestBacklogSheds checks that -backlog reaches admission in the real
 // binary. spin is not memoizable, so a spin request never takes the
 // inline hit path and always meets the watermark: one of 16 tasks

@@ -1,6 +1,6 @@
-// Command snapshotctl operates on ATM memoization snapshot files —
-// version-2 chains, and the legacy version-1 whole-table layout, read
-// as a chain of one base record (docs/persistence.md):
+// Command snapshotctl operates on ATM memoization snapshot files,
+// version-2 chains (docs/persistence.md); a file of any other version
+// is refused as unloadable:
 //
 //	snapshotctl inspect <file>...          summarize header, records and sections
 //	snapshotctl verify <file>...           classify file health (see exit codes)

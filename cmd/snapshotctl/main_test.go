@@ -47,23 +47,6 @@ func buildShard(t *testing.T, from, n int) (*core.Snapshot, *core.Delta) {
 	return base, d
 }
 
-// writeV1 writes s in the legacy version-1 layout, which nothing writes
-// any more but every reader accepts: a base-only chain's 20-byte header
-// with the version set to 1, followed by its one record's body without
-// the 5-byte frame (kind, length) and 4-byte CRC around it.
-func writeV1(t *testing.T, path string, s *core.Snapshot) {
-	t.Helper()
-	chain, err := persist.MarshalChain(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := append(chain[:20:20], chain[25:len(chain)-4]...)
-	binary.LittleEndian.PutUint32(v1[8:], persist.Version1)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errw bytes.Buffer
@@ -78,26 +61,47 @@ func TestInspectAndVerify(t *testing.T) {
 	if err := persist.SaveChain(chain, base, []*core.Delta{d}); err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(dir, "full.atmsnap")
+	whole := filepath.Join(dir, "full.atmsnap")
 	full, err := persist.Compact(base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeV1(t, v1, full)
+	if err := persist.SaveChain(whole, full, nil); err != nil {
+		t.Fatal(err)
+	}
 
-	code, out, errw := runCmd(t, "inspect", chain, v1)
+	code, out, errw := runCmd(t, "inspect", chain, whole)
 	if code != 0 {
 		t.Fatalf("inspect: code %d, stderr %s", code, errw)
 	}
-	for _, want := range []string{"version 2", "version 1", "delta 1:", `type "double"`, "4 entries"} {
+	for _, want := range []string{"version 2", "delta 1:", `type "double"`, "4 entries"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("inspect output missing %q:\n%s", want, out)
 		}
 	}
 
-	code, out, _ = runCmd(t, "verify", chain, v1)
+	code, out, _ = runCmd(t, "verify", chain, whole)
 	if code != 0 || strings.Count(out, "OK") != 2 {
 		t.Fatalf("verify: code %d, out %s", code, out)
+	}
+
+	// A version-1 file, the golden chain with its version field set to
+	// 1, is unrecoverable: verify exits 3 and leaves it as it was.
+	v1, err := os.ReadFile(filepath.Join("..", "..", "internal", "persist", "testdata", "v2_chain.atmsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(v1[8:12], 1)
+	old := filepath.Join(dir, "v1.atmsnap")
+	if err := os.WriteFile(old, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errw = runCmd(t, "verify", old)
+	if code != 3 || !strings.Contains(errw, "version") {
+		t.Fatalf("verify of a version-1 file: code %d, stderr %s", code, errw)
+	}
+	if got, _ := os.ReadFile(old); !bytes.Equal(got, v1) {
+		t.Fatal("verify modified a version-1 file")
 	}
 
 	// Corruption: flip one byte in the chain tail and verify must fail

@@ -7,7 +7,9 @@
 //   - internal/taskrt — an OmpSs-style task-dataflow runtime (task types,
 //     in/out/inout region annotations, dependence graph, scheduling
 //     policies) built on a work-stealing scheduler: per-worker deques
-//     with LIFO owner access and FIFO stealing, a sharded injector for
+//     whose owner pops the end the ready-queue policy picks (FIFO by
+//     default, LIFO on request) while thieves steal the oldest task, a
+//     sharded injector for
 //     master-thread submissions, direct handoff of single successors,
 //     lock-free dependence wiring, a batched submission pipeline
 //     (SubmitBatch/Batcher: intra-batch edges wired without atomics,
@@ -35,11 +37,11 @@
 //     atomic type/plan lookups, sampled overhead timing). For
 //     long-lived service use the THT can run bounded: a byte budget
 //     (Config.THTBudgetBytes) enforced by one policy — oldest entry
-//     under a rotating hand, TinyLFU admission duel against it — and
-//     tenant-prefixed type names partitioning the key space with
-//     optional per-tenant budget shares; the hit path stays 0-alloc
-//     with a budget and evictions feed the delta chains as tombstones so compaction
-//     shrinks files (docs/service.md).
+//     under a rotating hand, TinyLFU admission duel against it; the hit
+//     path stays 0-alloc with a budget and evictions feed the delta
+//     chains as tombstones so compaction shrinks files. The table
+//     knows no tenants: internal/service namespaces them by a type-name
+//     prefix, which the key hash already keeps apart (docs/service.md).
 //   - internal/persist — the versioned binary codec for memoization
 //     snapshots: core.(*ATM).Snapshot() extracts the serializable state
 //     (THT entries, per-type adaptive levels, a config fingerprint),
@@ -48,7 +50,7 @@
 //     core.Restore warm-starts a fresh engine from it — repeated
 //     experiment sweeps pay the training phase once instead of per
 //     process (docs/persistence.md). Warm state crosses processes in
-//     one way, the chain file (format v2; v1 files still load): a run
+//     one way, the chain file (format v2, the only one read): a run
 //     or a server (-chain) warm-starts from it and appends a delta
 //     record per save, core.(*ATM).SnapshotDelta() extracting only the
 //     state changed since the previous one; persist

@@ -113,13 +113,6 @@ type Config struct {
 	// state persists across budget changes (a snapshot is a cache;
 	// restoring under a smaller budget simply evicts during install).
 	THTBudgetBytes int64
-	// TenantShares maps tenant names (the prefix before the first '/'
-	// in a task type's name — see SplitTenant) to fractions of
-	// THTBudgetBytes. A tenant with a share is evicted down to its own
-	// slice of the budget before it can pressure other tenants; tenants
-	// without a share compete under the global budget only. Not folded
-	// into Fingerprint (see THTBudgetBytes).
-	TenantShares map[string]float64
 }
 
 func (c *Config) applyDefaults() {
@@ -162,42 +155,7 @@ func (c Config) Validate() error {
 	if c.THTBudgetBytes < 0 {
 		return fmt.Errorf("%w: negative THTBudgetBytes %d", ErrConfig, c.THTBudgetBytes)
 	}
-	var total float64
-	for name, share := range c.TenantShares {
-		if share < 0 || share > 1 {
-			return fmt.Errorf("%w: tenant %q share %v outside [0, 1]", ErrConfig, name, share)
-		}
-		total += share
-	}
-	if total > 1+1e-9 {
-		return fmt.Errorf("%w: tenant shares sum to %v > 1", ErrConfig, total)
-	}
-	if len(c.TenantShares) > 0 && c.THTBudgetBytes == 0 {
-		return fmt.Errorf("%w: TenantShares without THTBudgetBytes", ErrConfig)
-	}
 	return nil
-}
-
-// SplitTenant splits a tenant-qualified task-type name "tenant/kind"
-// into its tenant prefix and bare kind; a name without '/' belongs to
-// the default tenant "". The tenant rides in the type name itself, so
-// typeSeed — and with it every hash key and shuffle plan — is already
-// tenant-isolated: two tenants submitting identical inputs under the
-// same kind occupy disjoint key spaces.
-func SplitTenant(name string) (tenant, kind string) {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' {
-			return name[:i], name[i+1:]
-		}
-	}
-	return "", name
-}
-
-// TenantOf returns the tenant prefix of a type name ("" for the
-// default tenant).
-func TenantOf(name string) string {
-	tenant, _ := SplitTenant(name)
-	return tenant
 }
 
 // excludeAfter is the number of failed training approximations after
@@ -251,11 +209,6 @@ type typeState struct {
 	// after stateSlow publishes the state.
 	seed   uint64
 	shards []typeShard // one per worker, +1 for external callers
-	// tenant is the owning tenant's dense id (from the type name's
-	// '/'-prefix), stamped on every THT entry the type inserts so the
-	// table's per-tenant accounting and budget shares apply. Immutable
-	// after stateSlow publishes the state.
-	tenant int32
 
 	mu        sync.Mutex
 	successes int // consecutive correct approximations at this level
@@ -335,11 +288,6 @@ type ATM struct {
 	typeMu     sync.Mutex
 	typeStates atomic.Pointer[[]*typeState]
 	names      map[int]string
-	// tenantIDs assigns dense ids to tenant names (the '/'-prefix of
-	// type names — SplitTenant) as their types register; guarded by
-	// typeMu. Id 0 is the default tenant "". The THT mirrors the
-	// registry for per-tenant accounting (EnsureTenant).
-	tenantIDs map[string]int32
 	// pending holds restored snapshot sections (see Restore) not yet
 	// claimed by a registered task type, keyed by type name; guarded by
 	// typeMu. stateSlow installs and removes a section when its type
@@ -382,38 +330,15 @@ var (
 func New(cfg Config) *ATM {
 	cfg.applyDefaults()
 	a := &ATM{
-		cfg:       cfg,
-		tht:       NewTHT(cfg.NBits, cfg.M),
-		names:     make(map[int]string),
-		tenantIDs: make(map[string]int32),
+		cfg:   cfg,
+		tht:   NewTHT(cfg.NBits, cfg.M),
+		names: make(map[int]string),
 	}
 	a.tht.ConfigureBudget(cfg.THTBudgetBytes)
-	a.registerTenant("") // the default tenant always exists, id 0
 	a.probePool.New = func() any { return hashx.New(hashx.Lookup3, cfg.Seed) }
 	a.saveEpoch.Store(1)
 	return a
 }
-
-// registerTenant assigns (or returns) the dense id for a tenant name
-// and mirrors it into the THT's accounting with its budget share.
-// Caller holds typeMu (or, in New, no concurrency exists yet).
-func (a *ATM) registerTenant(name string) int32 {
-	if id, ok := a.tenantIDs[name]; ok {
-		return id
-	}
-	id := int32(len(a.tenantIDs))
-	a.tenantIDs[name] = id
-	var budget int64
-	if share, ok := a.cfg.TenantShares[name]; ok && a.cfg.THTBudgetBytes > 0 {
-		budget = int64(share * float64(a.cfg.THTBudgetBytes))
-	}
-	a.tht.EnsureTenant(id, name, budget)
-	return id
-}
-
-// Tenants reports the registered tenants' THT accounting, in dense id
-// order (the default tenant "" first).
-func (a *ATM) Tenants() []TenantStats { return a.tht.TenantStats() }
 
 // BindRuntime implements taskrt.RuntimeBinder.
 func (a *ATM) BindRuntime(rt *taskrt.Runtime) {
@@ -492,7 +417,6 @@ func (a *ATM) stateSlow(tt *taskrt.TaskType) *typeState {
 	}
 	ts := &typeState{
 		seed:      typeSeed(tt.Name()),
-		tenant:    a.registerTenant(TenantOf(tt.Name())),
 		shards:    make([]typeShard, nshards),
 		failCount: make(map[region.Region]int),
 		excluded:  make(map[region.Region]bool),
@@ -711,8 +635,8 @@ func outputShapesMatch(a, b []region.Region) bool {
 }
 
 // snapshotEntry builds (reusing pooled buffers when shapes allow) a THT
-// entry holding a copy of t's current outputs, stamped with ts's tenant.
-func (a *ATM) snapshotEntry(t *taskrt.Task, ts *typeState, key uint64, level int8, insSnap []region.Region) *Entry {
+// entry holding a copy of t's current outputs.
+func (a *ATM) snapshotEntry(t *taskrt.Task, key uint64, level int8, insSnap []region.Region) *Entry {
 	outs := t.Outputs()
 	e := a.tht.GetEntry()
 	if outputShapesMatch(e.Outs, outs) {
@@ -732,7 +656,6 @@ func (a *ATM) snapshotEntry(t *taskrt.Task, ts *typeState, key uint64, level int
 	e.ProviderID = t.ID()
 	e.Epoch = a.saveEpoch.Load() // diagnostic stamp; the insert log drives delta selection
 	e.Ins = insSnap
-	e.tenant = ts.tenant
 	return e
 }
 
@@ -888,7 +811,7 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	if sc.timed {
 		c0 = time.Now()
 	}
-	a.tht.Insert(a.snapshotEntry(t, ts, sc.key, sc.level, sc.insSnap))
+	a.tht.Insert(a.snapshotEntry(t, sc.key, sc.level, sc.insSnap))
 	if sc.timed {
 		// Extrapolate by the same factor as the OnReady measurements:
 		// past warmup only every timingSample-th task is timed, and an
@@ -951,7 +874,7 @@ func (a *ATM) grade(t *taskrt.Task, ts *typeState, sh *typeShard, sc *scratch) {
 		}
 		ts.mu.Unlock()
 		// Refresh the stale prediction with the true outputs.
-		a.tht.Insert(a.snapshotEntry(t, ts, sc.key, sc.level, sc.insSnap))
+		a.tht.Insert(a.snapshotEntry(t, sc.key, sc.level, sc.insSnap))
 		return
 	}
 	ts.successes++

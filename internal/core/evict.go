@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// This file is the THT's global-budget layer: with Config.THTBudgetBytes
+// This file is the THT's budget layer: with Config.THTBudgetBytes
 // set, Insert keeps the table's payload under the budget by evicting
 // residents before publishing the newcomer (so a sustained over-budget
 // insert stream never drives MemoryBytes past the budget). There is one
@@ -14,161 +14,57 @@ import (
 // 4-bit count-min frequency sketch fed by every lookup decides
 // admission — a newcomer estimated colder than that victim is rejected
 // outright, so one-hit-wonder streams stop displacing the warm set
-// (TinyLFU). Per-tenant budget shares (Config.TenantShares) scope the
-// same machinery to one tenant's entries. The hit path stays
-// allocation- and lock-free: a budgeted Lookup adds a handful of atomic
-// nibble CASes into the sketch, an unbudgeted one nothing.
+// (TinyLFU). The hit path stays allocation- and lock-free: a budgeted
+// Lookup adds a handful of atomic nibble CASes into the sketch, an
+// unbudgeted one nothing.
 
-// tenantStat is one tenant's accounting row: live bytes/entries, its
-// eviction count, and its budget share in bytes (0 = capped by the
-// global budget only). budget and name are immutable after
-// EnsureTenant publishes the row; the counters are written from the
-// insert/evict paths.
-type tenantStat struct {
-	name    string
-	budget  int64
-	bytes   atomic.Int64
-	entries atomic.Int64
-	evicts  atomic.Int64
-	_       [32]byte // keep hot tenants off each other's cache lines
-}
-
-// EnsureTenant registers tenant id with the table's accounting,
-// growing the dense tenant slice copy-on-write. budget is the tenant's
-// byte share (0 = no per-tenant cap). Idempotent per id; ids are
-// assigned densely by the engine's tenant registry.
-func (t *THT) EnsureTenant(id int32, name string, budget int64) {
-	if id < 0 {
-		return
-	}
-	t.tenantMu.Lock()
-	defer t.tenantMu.Unlock()
-	var cur []*tenantStat
-	if sl := t.tenants.Load(); sl != nil {
-		cur = *sl
-	}
-	if int(id) < len(cur) && cur[id] != nil {
-		return
-	}
-	grown := make([]*tenantStat, max(int(id)+1, len(cur)))
-	copy(grown, cur)
-	grown[id] = &tenantStat{name: name, budget: budget}
-	t.tenants.Store(&grown)
-}
-
-// tenantStat returns tenant id's accounting row, or nil when the
-// tenant was never registered (raw-THT tests): one atomic load plus an
-// index, no locks.
-func (t *THT) tenantStat(id int32) *tenantStat {
-	sl := t.tenants.Load()
-	if sl == nil || id < 0 || int(id) >= len(*sl) {
-		return nil
-	}
-	return (*sl)[id]
-}
-
-// TenantStats is one tenant's externally visible accounting.
-type TenantStats struct {
-	Name        string
-	BudgetBytes int64
-	Bytes       int64
-	Entries     int64
-	Evictions   int64
-}
-
-// TenantStats reports every registered tenant's accounting, in dense
-// id order.
-func (t *THT) TenantStats() []TenantStats {
-	sl := t.tenants.Load()
-	if sl == nil {
-		return nil
-	}
-	out := make([]TenantStats, 0, len(*sl))
-	for _, st := range *sl {
-		if st == nil {
-			continue
-		}
-		out = append(out, TenantStats{
-			Name:        st.name,
-			BudgetBytes: st.budget,
-			Bytes:       st.bytes.Load(),
-			Entries:     st.entries.Load(),
-			Evictions:   st.evicts.Load(),
-		})
-	}
-	return out
-}
-
-// admit enforces the per-tenant and global budgets before e is
-// published: it evicts residents until e fits, and reports false when
-// e must be rejected instead — larger than its budget outright, or a
-// lost admission duel. Evicting before adding (rather than
-// adding and trimming) is what keeps MemoryBytes ≤ budget at every
-// instant of a single-threaded over-budget stream; concurrent
-// inserters can overshoot by at most one in-flight entry each.
+// admit enforces the budget before e is published: it evicts residents
+// until e fits, and reports false when e must be rejected instead —
+// larger than the budget outright, or a lost admission duel. Evicting
+// before adding (rather than adding and trimming) is what keeps
+// MemoryBytes ≤ budget at every instant of a single-threaded
+// over-budget stream; concurrent inserters can overshoot by at most one
+// in-flight entry each.
 func (t *THT) admit(e *Entry, size int64) bool {
-	if st := t.tenantStat(e.tenant); st != nil && st.budget > 0 {
-		if size > st.budget {
-			return false
-		}
-		for st.bytes.Load()+size > st.budget {
-			evicted, reject := t.evictOne(e, e.tenant)
-			if reject {
-				return false
-			}
-			if !evicted {
-				break // no resident of this tenant left to evict
-			}
-		}
+	if t.budget == 0 {
+		return true
 	}
-	if t.budget > 0 {
-		if size > t.budget {
+	if size > t.budget {
+		return false
+	}
+	for t.memBytes.Load()+size > t.budget {
+		evicted, reject := t.evictOne(e)
+		if reject {
 			return false
 		}
-		for t.memBytes.Load()+size > t.budget {
-			evicted, reject := t.evictOne(e, -1)
-			if reject {
-				return false
-			}
-			if !evicted {
-				break // empty table racing concurrent evictors
-			}
+		if !evicted {
+			break // empty table racing concurrent evictors
 		}
 	}
 	return true
 }
 
-// evictOne scans buckets from the eviction hand for the oldest entry —
-// restricted to the given tenant when tenant ≥ 0 — removes it and
-// adjusts the accounting. rejectNew reports an admission duel lost by
-// the newcomer cand (the resident stays put and cand must not be
-// inserted). The scan holds one bucket lock at a time and the caller
+// evictOne scans buckets from the eviction hand for the next non-empty
+// one, removes its oldest entry and adjusts the accounting. rejectNew
+// reports an admission duel lost by the newcomer cand (the resident
+// stays put and cand must not be inserted). The scan holds one bucket lock at a time and the caller
 // holds none, so eviction never nests bucket locks.
-func (t *THT) evictOne(cand *Entry, tenant int32) (evicted, rejectNew bool) {
+func (t *THT) evictOne(cand *Entry) (evicted, rejectNew bool) {
 	for range t.buckets {
 		b := &t.buckets[(t.hand.Add(1)-1)&t.mask]
 		b.mu.Lock()
-		idx := -1
-		for i := 0; i < b.n; i++ {
-			if tenant < 0 || b.entries[(b.head+i)%len(b.entries)].tenant == tenant {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
+		if b.n == 0 {
 			b.mu.Unlock()
 			continue
 		}
-		victim := b.entries[(b.head+idx)%len(b.entries)]
-		// The sketch is nil only on a raw table given a tenant budget
-		// without a global one (ConfigureBudget never called).
-		if t.sketch != nil && t.sketch.estimate(victim.Key) > t.sketch.estimate(cand.Key) {
+		victim := b.entries[b.head]
+		if t.sketch.estimate(victim.Key) > t.sketch.estimate(cand.Key) {
 			// TinyLFU admission: the resident is estimated hotter than
 			// the newcomer, so the newcomer loses.
 			b.mu.Unlock()
 			return false, true
 		}
-		b.removeAt(idx)
+		b.removeAt(0)
 		if t.logging.Load() {
 			// Budget evictions are explicit tombstones in the operation
 			// log, in bucket order — the next delta snapshot records the
@@ -180,11 +76,6 @@ func (t *THT) evictOne(cand *Entry, tenant int32) (evicted, rejectNew bool) {
 		t.entries.Add(-1)
 		t.evicts.Add(1)
 		t.budgetEvicts.Add(1)
-		if st := t.tenantStat(victim.tenant); st != nil {
-			st.bytes.Add(-victim.bytes)
-			st.entries.Add(-1)
-			st.evicts.Add(1)
-		}
 		victim.Release()
 		return true, false
 	}

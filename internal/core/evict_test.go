@@ -7,13 +7,6 @@ import (
 	"testing"
 )
 
-// tenantEntry is entryWith for a non-default tenant.
-func tenantEntry(tenant int32, typeID int, key uint64, level int8, vals ...float64) *Entry {
-	e := entryWith(typeID, key, level, vals...)
-	e.tenant = tenant
-	return e
-}
-
 // entrySize is the byte cost of a 4-value entryWith: 32 bytes of
 // payload plus the 24-byte key/provider/header cost the accounting
 // charges (pinned by TestTHTMemoryAccounting).
@@ -163,38 +156,6 @@ func TestTHTTinyLFUAdmissionDuel(t *testing.T) {
 	}
 }
 
-func TestTHTTenantBudgetShares(t *testing.T) {
-	// A tenant with a budget share is evicted down to its own slice
-	// before it can pressure anyone else; other tenants are untouched.
-	tht := NewTHT(2, 8)
-	tht.ConfigureBudget(100 * entrySize)
-	tht.EnsureTenant(0, "", 0)
-	tht.EnsureTenant(1, "acme", 3*entrySize)
-	for i := 0; i < 5; i++ {
-		tht.Insert(tenantEntry(0, 0, uint64(1000+i), 15, 1, 2, 3, 4))
-	}
-	for i := 0; i < 10; i++ {
-		tht.Insert(tenantEntry(1, 0, uint64(i), 15, 1, 2, 3, 4))
-	}
-	stats := tht.TenantStats()
-	if len(stats) != 2 {
-		t.Fatalf("tenant rows=%d want 2", len(stats))
-	}
-	def, acme := stats[0], stats[1]
-	if def.Name != "" || acme.Name != "acme" {
-		t.Fatalf("tenant names %q, %q", def.Name, acme.Name)
-	}
-	if acme.Bytes > acme.BudgetBytes || acme.Entries != 3 {
-		t.Fatalf("acme bytes=%d entries=%d over its %d-byte share", acme.Bytes, acme.Entries, acme.BudgetBytes)
-	}
-	if acme.Evictions != 7 {
-		t.Fatalf("acme evictions=%d want 7", acme.Evictions)
-	}
-	if def.Bytes != 5*entrySize || def.Entries != 5 || def.Evictions != 0 {
-		t.Fatalf("default tenant disturbed: %+v", def)
-	}
-}
-
 func TestTHTBudgetEvictionLogsTombstone(t *testing.T) {
 	// Budget evictions must be visible to the delta machinery: each one
 	// appends a tombstone record (e == nil, victim identity copied) to
@@ -240,10 +201,6 @@ func TestConfigValidateEdges(t *testing.T) {
 		{M: -1},
 		{Mode: ModeFixed + 1},
 		{THTBudgetBytes: -1},
-		{THTBudgetBytes: 1 << 20, TenantShares: map[string]float64{"a": 1.5}},
-		{THTBudgetBytes: 1 << 20, TenantShares: map[string]float64{"a": -0.1}},
-		{THTBudgetBytes: 1 << 20, TenantShares: map[string]float64{"a": 0.6, "b": 0.6}},
-		{TenantShares: map[string]float64{"a": 0.5}}, // shares without a budget
 	}
 	for i, c := range bad {
 		if err := c.Validate(); !errors.Is(err, ErrConfig) {
@@ -254,7 +211,7 @@ func TestConfigValidateEdges(t *testing.T) {
 		{},
 		{NBits: MaxNBits},
 		{Mode: ModeFixed, FixedLevel: 7},
-		{THTBudgetBytes: 1 << 20, TenantShares: map[string]float64{"a": 0.5, "b": 0.5}},
+		{THTBudgetBytes: 1 << 20},
 	}
 	for i, c := range good {
 		if err := c.Validate(); err != nil {

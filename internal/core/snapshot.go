@@ -74,7 +74,7 @@ type TypeSnapshot struct {
 // identity of an entry the live table removed — and carries no
 // regions. Tombstones appear only inside delta operation streams
 // (Delta.Entries and pending sections mid-restore); a full Snapshot
-// never contains one, and the v1 entry codec rejects them.
+// never contains one, and persist's full-entry codec rejects them.
 type EntrySnapshot struct {
 	Key       uint64
 	Level     int8
@@ -91,14 +91,14 @@ type EntrySnapshot struct {
 // configured engine. Defaults are applied first, so Config{} and the
 // spelled-out equivalent fingerprint identically.
 //
-// THTBudgetBytes and TenantShares are deliberately excluded: they are
-// capacity knobs, not key-validity knobs. A snapshot is a cache —
-// restoring it under a different budget yields valid (merely fewer or
-// differently chosen) entries, and an operator must be able to resize a service's budget
-// across restarts without discarding its warm state. Tenancy needs no
-// fingerprint bit either: the tenant lives in the type name, which
-// seeds the key hash (typeSeed), so tenants' key spaces are disjoint
-// by construction.
+// THTBudgetBytes is deliberately excluded: it is a capacity knob, not
+// a key-validity knob. A snapshot is a cache — restoring it under a
+// different budget yields valid (merely fewer or differently chosen)
+// entries, and an operator must be able to resize a service's budget
+// across restarts without discarding its warm state. A type-name
+// prefix needs no fingerprint bit either: the name seeds the key hash
+// (typeSeed), so differently named types' key spaces are disjoint by
+// construction.
 func Fingerprint(cfg Config) uint64 {
 	cfg.applyDefaults()
 	h := uint64(fnvOffset64)
@@ -387,7 +387,6 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 			ProviderID: es.Provider,
 			Outs:       es.Outs,
 			Ins:        es.Ins,
-			tenant:     ts.tenant,
 		})
 		a.restored.Add(1)
 	}

@@ -61,18 +61,13 @@ type Stats struct {
 	// (THTEvictions counts every displaced entry — ring replacements
 	// and budget evictions alike).
 	THTLookups, THTHits, THTEvictions int64
-	// THTBudgetBytes is the configured global memory budget (0 =
-	// unbounded).
+	// THTBudgetBytes is the configured memory budget (0 = unbounded).
 	THTBudgetBytes int64
-	// THTBudgetEvictions counts evictions forced by the global or
-	// per-tenant budget (a subset of THTEvictions); THTAdmissionRejects
-	// counts inserts rejected at admission (frequency duels lost, or
-	// entries larger than the budget).
+	// THTBudgetEvictions counts evictions forced by the budget (a subset
+	// of THTEvictions); THTAdmissionRejects counts inserts rejected at
+	// admission (frequency duels lost, or entries larger than the
+	// budget).
 	THTBudgetEvictions, THTAdmissionRejects int64
-	// Tenants is the per-tenant THT accounting, in dense id order (the
-	// default tenant "" first); empty when only the default tenant
-	// exists and no budget is set.
-	Tenants []TenantStats
 	// IKTInserts / IKTDefers / IKTRejected are in-flight table counters.
 	IKTInserts, IKTDefers, IKTRejected int64
 }
@@ -165,9 +160,6 @@ func (a *ATM) Stats() Stats {
 	st.THTLookups, st.THTHits, st.THTEvictions = a.tht.Counters()
 	st.THTBudgetBytes = a.tht.Budget()
 	st.THTBudgetEvictions, st.THTAdmissionRejects = a.tht.BudgetCounters()
-	if tenants := a.tht.TenantStats(); st.THTBudgetBytes > 0 || len(tenants) > 1 {
-		st.Tenants = tenants
-	}
 	if a.ikt != nil {
 		st.IKTInserts, st.IKTDefers, st.IKTRejected = a.ikt.Counters()
 	}

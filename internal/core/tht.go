@@ -33,10 +33,6 @@ type Entry struct {
 	bytes int64
 	refs  atomic.Int32
 	pool  *sync.Pool // set by Insert; nil entries are never recycled
-	// tenant is the owning tenant's dense id (see ATM tenant registry);
-	// 0 is the default tenant. It scopes the per-tenant byte accounting
-	// and budget-share eviction.
-	tenant int32
 }
 
 // retain marks an in-flight reader. Callers must pair it with Release.
@@ -77,11 +73,6 @@ type THT struct {
 	// hand is the eviction scan position (a bucket index, advanced
 	// atomically so concurrent evictors spread over the table).
 	hand atomic.Uint64
-	// tenants is the per-tenant accounting table, grown copy-on-write
-	// under tenantMu; the insert/evict paths read it with one atomic
-	// load plus an index.
-	tenantMu sync.Mutex
-	tenants  atomic.Pointer[[]*tenantStat]
 
 	// logging enables the per-bucket operation logs for incremental
 	// snapshots (see thtBucket.log); DrainLog hands the accumulated
@@ -331,24 +322,6 @@ func (t *THT) insert(e *Entry, logIt bool) {
 	if dn != 0 {
 		t.entries.Add(dn)
 	}
-	if old != nil && old.tenant == e.tenant {
-		if st := t.tenantStat(e.tenant); st != nil {
-			st.bytes.Add(delta)
-			st.evicts.Add(1)
-		}
-	} else {
-		if st := t.tenantStat(e.tenant); st != nil {
-			st.bytes.Add(size)
-			st.entries.Add(1)
-		}
-		if old != nil {
-			if st := t.tenantStat(old.tenant); st != nil {
-				st.bytes.Add(-old.bytes)
-				st.entries.Add(-1)
-				st.evicts.Add(1)
-			}
-		}
-	}
 	if old != nil {
 		old.Release() // drop the table's reference; readers may linger
 	}
@@ -369,10 +342,6 @@ func (t *THT) Remove(typeID int, key uint64, level int8, provider uint64) bool {
 			b.mu.Unlock()
 			t.memBytes.Add(-e.bytes)
 			t.entries.Add(-1)
-			if st := t.tenantStat(e.tenant); st != nil {
-				st.bytes.Add(-e.bytes)
-				st.entries.Add(-1)
-			}
 			e.Release()
 			return true
 		}
@@ -457,9 +426,9 @@ func (t *THT) Counters() (lookups, hits, evicts int64) {
 }
 
 // BudgetCounters returns the budget-pressure counters: evictions
-// forced by the global or per-tenant budget (a subset of Counters'
-// evictions) and inserts rejected at admission (frequency duels lost, or
-// entries larger than the budget).
+// forced by the budget (a subset of Counters' evictions) and inserts
+// rejected at admission (frequency duels lost, or entries larger than
+// the budget).
 func (t *THT) BudgetCounters() (budgetEvicts, admitRejects int64) {
 	return t.budgetEvicts.Load(), t.admitRejects.Load()
 }

@@ -42,29 +42,3 @@ func ParseByteSize(s string) (int64, error) {
 	}
 	return n * mult, nil
 }
-
-// ParseTenantShares parses a tenant-shares flag value like
-// "acme=0.5,beta=0.25": tenant names mapped to fractions of the THT
-// budget. The empty string is nil. Range checks (each share in [0,1],
-// sum ≤ 1) are core.Config.Validate's job.
-func ParseTenantShares(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	shares := map[string]float64{}
-	for _, part := range strings.Split(s, ",") {
-		name, frac, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad tenant share %q (want name=fraction)", part)
-		}
-		v, err := strconv.ParseFloat(frac, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad tenant share %q: %v", part, err)
-		}
-		if _, dup := shares[name]; dup {
-			return nil, fmt.Errorf("tenant %q listed twice", name)
-		}
-		shares[name] = v
-	}
-	return shares, nil
-}

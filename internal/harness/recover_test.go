@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,6 +110,49 @@ func TestRecoverPolicyMatrix(t *testing.T) {
 	}
 	if _, _, err := persist.LoadChain(chain); err != nil {
 		t.Fatalf("recreated chain must load strictly: %v", err)
+	}
+}
+
+// TestRecoverPolicyOnVersionOneFile runs each recovery policy on a
+// version-1 file, the persist package's golden chain with its version
+// field set to 1. No reader takes that version, so strict reports the
+// typed error and leaves the file as it was, and salvage and cold
+// discard it like any unloadable file and recreate a version-2 chain.
+func TestRecoverPolicyOnVersionOneFile(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "persist", "testdata", "v2_chain.atmsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(v1[8:12], 1)
+	f := FactoryFor("Blackscholes")
+	chain := filepath.Join(t.TempDir(), "old.atmsnap")
+	for _, policy := range []RecoverPolicy{RecoverStrict, RecoverSalvage, RecoverCold} {
+		if err := os.WriteFile(chain, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o := RunOne(f, apps.ScaleTest, 2, Static(true), RunOptions{SnapshotChain: chain, Recover: policy})
+		data, err := os.ReadFile(chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if policy == RecoverStrict {
+			if !errors.Is(o.SnapshotErr, persist.ErrVersion) || o.WarmStart || o.ColdFallback || o.DeltaSaves != 0 {
+				t.Fatalf("strict: %+v (err=%v)", o, o.SnapshotErr)
+			}
+			if !bytes.Equal(data, v1) {
+				t.Fatal("strict: the refused file was modified")
+			}
+			continue
+		}
+		if o.SnapshotErr != nil || o.WarmStart || !o.ColdFallback || o.DeltaSaves != 1 {
+			t.Fatalf("%v: want a cold start that recreates the chain: %+v (err=%v)", policy, o, o.SnapshotErr)
+		}
+		if v, _ := persist.FileVersion(data); v != persist.Version2 {
+			t.Fatalf("%v: recreated a version-%d file", policy, v)
+		}
+		if _, _, err := persist.UnmarshalChain(data); err != nil {
+			t.Fatalf("%v: recreated chain must load strictly: %v", policy, err)
+		}
 	}
 }
 

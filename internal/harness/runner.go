@@ -252,9 +252,6 @@ type RunOptions struct {
 	// not folded into the config fingerprint, so a snapshot written under
 	// one budget restores under another.
 	THTBudgetBytes int64
-	// TenantShares gives named tenants (the prefix before the first '/'
-	// in a task-type name) fractional shares of THTBudgetBytes.
-	TenantShares map[string]float64
 }
 
 // memoState is the opened memoization state of a run or a served
@@ -295,7 +292,7 @@ func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 	}
 	st.chain = opt.SnapshotChain
 	cfg := core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed,
-		THTBudgetBytes: opt.THTBudgetBytes, TenantShares: opt.TenantShares}
+		THTBudgetBytes: opt.THTBudgetBytes}
 	if err := cfg.Validate(); err != nil {
 		st.err = err
 		st.memo = core.New(core.Config{Mode: spec.Mode, FixedLevel: spec.Level, DisableIKT: !spec.IKT, Seed: opt.Seed})
@@ -471,7 +468,7 @@ var (
 // (cold). A missing file always surfaces as os.ErrNotExist — the
 // ordinary first-repetition cold start, never a fallback.
 func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persist.SyncPolicy) (memo *core.ATM, warm, salvaged, cold bool, rep persist.RecoveryReport, err error) {
-	memo, warm, err = restoreChain(cfg, path, sync)
+	memo, warm, err = restoreChain(cfg, path)
 	if err == nil || errors.Is(err, os.ErrNotExist) || policy == RecoverStrict {
 		return memo, warm, false, false, rep, err
 	}
@@ -482,7 +479,7 @@ func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persi
 		rrep, rerr := persist.RepairChain(path, sync)
 		rep = rrep
 		if rerr == nil {
-			if m, w, lerr := restoreChain(cfg, path, sync); lerr == nil {
+			if m, w, lerr := restoreChain(cfg, path); lerr == nil {
 				return m, w, !rrep.Clean(), false, rrep, nil
 			}
 		}
@@ -499,22 +496,16 @@ func recoverChain(cfg core.Config, path string, policy RecoverPolicy, sync persi
 	return nil, false, false, true, rep, nil
 }
 
-// restoreChain loads a chain file of either format version and builds
-// a warm engine from it: the base is restored and any delta records are
-// replayed in order. The file must start with its base, and it takes
-// this run's delta appends: a legacy version-1 file, which cannot take
-// one, is rewritten (durably, under sync) as a base-only version-2
-// chain of the decoded base. Returns (nil, false, err) on any failure,
-// including a missing file (errors.Is os.ErrNotExist — the caller's
-// cold start).
-func restoreChain(cfg core.Config, path string, sync persist.SyncPolicy) (*core.ATM, bool, error) {
-	data, err := os.ReadFile(path)
+// restoreChain loads a chain file and builds a warm engine from it: the
+// base is restored and any delta records are replayed in order. The
+// file must start with its base. Returns (nil, false, err) on any
+// failure, including a missing file (errors.Is os.ErrNotExist — the
+// caller's cold start) and a file of another format version
+// (persist.ErrVersion).
+func restoreChain(cfg core.Config, path string) (*core.ATM, bool, error) {
+	base, deltas, err := persist.LoadChain(path)
 	if err != nil {
 		return nil, false, err
-	}
-	base, deltas, err := persist.UnmarshalChain(data)
-	if err != nil {
-		return nil, false, fmt.Errorf("%s: %w", path, err)
 	}
 	if base == nil {
 		return nil, false, fmt.Errorf("%s: chain has no base record (a delta-only shard file cannot warm-start alone)", path)
@@ -522,16 +513,6 @@ func restoreChain(cfg core.Config, path string, sync persist.SyncPolicy) (*core.
 	memo, err := core.RestoreChain(cfg, base, deltas)
 	if err != nil {
 		return nil, false, fmt.Errorf("%s: %w", path, err)
-	}
-	// The engine now owns base, so the rewrite encodes a fresh decode.
-	if ver, _ := persist.FileVersion(data); ver == persist.Version1 {
-		legacy, _, err := persist.UnmarshalChain(data)
-		if err == nil {
-			err = persist.SaveChainSync(path, legacy, nil, sync)
-		}
-		if err != nil {
-			return nil, false, err
-		}
 	}
 	return memo, true, nil
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,9 +83,8 @@ func TestRunOneSnapshotChainSublinearAndCompactEquivalent(t *testing.T) {
 }
 
 // TestChainAppendsToWholeTableFiles runs a chain on a base-only file,
-// what `snapshotctl merge` and `compact` write, and on the same table in
-// the legacy version-1 layout. Each run must warm-start and append its
-// delta, leaving a version-2 chain whose base is the saved table.
+// what `snapshotctl merge` and `compact` write. The run must warm-start
+// and append its delta, leaving a chain whose base is the saved table.
 func TestChainAppendsToWholeTableFiles(t *testing.T) {
 	f := FactoryFor("Blackscholes")
 	spec := Static(true)
@@ -110,35 +108,21 @@ func TestChainAppendsToWholeTableFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy layout of the same table: the 20-byte header carrying
-	// version 1, then the base record's body without its 5-byte frame
-	// and 4-byte CRC.
-	legacy := filepath.Join(dir, "legacy.atmsnap")
-	v1 := append(saved[:20:20], saved[25:len(saved)-4]...)
-	binary.LittleEndian.PutUint32(v1[8:], persist.Version1)
-	if err := os.WriteFile(legacy, v1, 0o644); err != nil {
+
+	o := RunOne(f, apps.ScaleTest, 2, spec, RunOptions{SnapshotChain: whole})
+	if o.SnapshotErr != nil || !o.WarmStart || o.DeltaSaves != 1 {
+		t.Fatalf("chain run: warm=%v saves=%d err=%v", o.WarmStart, o.DeltaSaves, o.SnapshotErr)
+	}
+	data, err := os.ReadFile(whole)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, path := range []string{whole, legacy} {
-		o := RunOne(f, apps.ScaleTest, 2, spec, RunOptions{SnapshotChain: path})
-		if o.SnapshotErr != nil || !o.WarmStart || o.DeltaSaves != 1 {
-			t.Fatalf("%s: chain run: warm=%v saves=%d err=%v", filepath.Base(path), o.WarmStart, o.DeltaSaves, o.SnapshotErr)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := persist.FileVersion(data); v != persist.Version2 {
-			t.Fatalf("%s: chain mode left a version-%d file", filepath.Base(path), v)
-		}
-		base, deltas, err := persist.UnmarshalChain(data)
-		if err != nil || len(deltas) != 1 {
-			t.Fatalf("%s: want the saved base plus one delta: %d deltas, %v", filepath.Base(path), len(deltas), err)
-		}
-		if rebased, _ := persist.MarshalChain(base, nil); !bytes.Equal(rebased, saved) {
-			t.Fatalf("%s: the chain's base is not the saved table", filepath.Base(path))
-		}
+	base, deltas, err = persist.UnmarshalChain(data)
+	if err != nil || len(deltas) != 1 {
+		t.Fatalf("want the saved base plus one delta: %d deltas, %v", len(deltas), err)
+	}
+	if rebased, _ := persist.MarshalChain(base, nil); !bytes.Equal(rebased, saved) {
+		t.Fatal("the chain's base is not the saved table")
 	}
 }
 

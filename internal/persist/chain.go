@@ -69,11 +69,6 @@ import (
 // inside a record is rejected by UnmarshalChain; SalvageChain
 // (salvage.go) truncates such a torn tail back to the last valid
 // record boundary instead of discarding the file.
-//
-// Every reader also accepts a version-1 file (see persist.go): the same
-// header, then one base body without record framing. It decodes as a
-// chain of that one base record, which cannot be salvaged and cannot
-// take an appended delta.
 
 // Record kinds.
 const (
@@ -86,7 +81,7 @@ const headerLen = 8 + 4 + 8
 
 // FileVersion reads the format version from an encoded snapshot
 // header without decoding the rest: what snapshotctl inspect reports,
-// and how chain mode tells a legacy version-1 file it must rewrite.
+// and how AppendDelta refuses a file of another version.
 func FileVersion(data []byte) (uint32, error) {
 	if len(data) < 12 {
 		return 0, fmt.Errorf("%w: %d-byte header", ErrTruncated, len(data))
@@ -377,7 +372,7 @@ func appendDeltaBody(body []byte, d *core.Delta, flush func([]byte) ([]byte, err
 
 // UnmarshalChain decodes a chain, strictly (see the layout comment for
 // the one record-boundary caveat). The returned base is nil for a
-// delta-only file; a version-1 file decodes as its base alone.
+// delta-only file.
 func UnmarshalChain(data []byte) (*core.Snapshot, []*core.Delta, error) {
 	base, deltas, _, _, err := scanChain(data)
 	if err != nil {
@@ -398,8 +393,7 @@ func UnmarshalChain(data []byte) (*core.Snapshot, []*core.Delta, error) {
 // opposed to corruption (a CRC mismatch, an invalid enum or index, a
 // misplaced record) inside bytes that are all there. Header failures
 // are never torn: without magic, version and fingerprint nothing is
-// salvageable. Neither are version-1 failures: the legacy file is one
-// unframed record, so its boundary is the header or the whole file.
+// salvageable.
 func scanChain(data []byte) (base *core.Snapshot, deltas []*core.Delta, boundary int, torn bool, err error) {
 	d := &decoder{data: data}
 	head, err := d.need(8)
@@ -413,20 +407,14 @@ func scanChain(data []byte) (base *core.Snapshot, deltas []*core.Delta, boundary
 	if err != nil {
 		return nil, nil, 0, false, err
 	}
-	if ver != Version1 && ver != Version2 {
-		return nil, nil, 0, false, fmt.Errorf("%w: file version %d, want %d or %d", ErrVersion, ver, Version1, Version2)
+	if ver != Version2 {
+		return nil, nil, 0, false, fmt.Errorf("%w: file version %d, want %d", ErrVersion, ver, Version2)
 	}
 	fp, err := d.u64()
 	if err != nil {
 		return nil, nil, 0, false, err
 	}
 	boundary = d.off
-	if ver == Version1 {
-		if base, err = decodeBaseBody(data[boundary:], fp); err != nil {
-			return nil, nil, boundary, false, err
-		}
-		return base, nil, len(data), false, nil
-	}
 	for rec := 0; d.remaining() > 0; rec++ {
 		// Framing: a failure here hit EOF inside the record — a torn
 		// tail, the valid prefix before it intact.
@@ -689,9 +677,9 @@ func SaveChainSync(path string, base *core.Snapshot, deltas []*core.Delta, sync 
 }
 
 // LoadChain reads and decodes the snapshot file at path (UnmarshalChain:
-// a chain's base, possibly nil, plus deltas in order; a version-1 file's
-// base alone). A missing file surfaces as an error satisfying
-// errors.Is(err, os.ErrNotExist) — a cold start.
+// a chain's base, possibly nil, plus deltas in order). A missing file
+// surfaces as an error satisfying errors.Is(err, os.ErrNotExist) — a
+// cold start.
 func LoadChain(path string) (*core.Snapshot, []*core.Delta, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

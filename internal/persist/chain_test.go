@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -191,23 +192,6 @@ func TestChainTypedErrors(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
-	// A version-1 file decodes as its base alone, and refuses an
-	// appended delta with the typed version error.
-	v1 := v1Bytes(t, base)
-	if got, ds, err := UnmarshalChain(v1); err != nil || ds != nil || !reflect.DeepEqual(got, base) {
-		t.Fatalf("v1 file in UnmarshalChain: %v", err)
-	}
-	v1path := filepath.Join(t.TempDir(), "v1.atmsnap")
-	if err := os.WriteFile(v1path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendDelta(v1path, deltas[0]); !errors.Is(err, ErrVersion) {
-		t.Fatalf("append to v1 file: %v", err)
-	}
-	if got, _ := os.ReadFile(v1path); !bytes.Equal(got, v1) {
-		t.Fatal("a refused append modified the v1 file")
-	}
-
 	// Flip one byte inside the first record's body: its CRC must trip.
 	flipped := bytes.Clone(data)
 	flipped[headerLen+1+4] ^= 0xff
@@ -299,26 +283,53 @@ func TestSaveChainLoadChainAppendDelta(t *testing.T) {
 	}
 }
 
-func TestLoadChainReadsVersion1Files(t *testing.T) {
-	// Cross-version load path: a v1 whole-table snapshot keeps loading
-	// through the chain-aware loader as (base, no deltas).
-	snap := buildSnapshot(t)
-	path := filepath.Join(t.TempDir(), "v1.atmsnap")
-	if err := os.WriteFile(path, v1Bytes(t, snap), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, deltas, err := LoadChain(path)
+// version1Golden is the committed golden chain with its version field
+// set to 1: the header of a file written before every save wrote
+// version 2.
+func version1Golden(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "v2_chain.atmsnap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deltas != nil {
-		t.Fatal("v1 file must load with no deltas")
+	binary.LittleEndian.PutUint32(data[8:12], 1)
+	return data
+}
+
+// TestVersionOneRefused: every reader refuses a version-1 file with the
+// typed ErrVersion, as unrecoverable as any header failure, and no
+// reader, repair or append changes its bytes.
+func TestVersionOneRefused(t *testing.T) {
+	data := version1Golden(t)
+	if v, err := FileVersion(data); err != nil || v != 1 {
+		t.Fatalf("FileVersion: %d, %v", v, err)
 	}
-	if !reflect.DeepEqual(base, snap) {
-		t.Fatal("v1 snapshot does not survive LoadChain")
+	if _, _, err := UnmarshalChain(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("UnmarshalChain: %v", err)
 	}
-	if _, _, err := LoadChain(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing file must surface os.ErrNotExist: %v", err)
+	if _, _, rep, err := SalvageChain(data); !errors.Is(err, ErrVersion) || rep.BytesKept != 0 {
+		t.Fatalf("SalvageChain: %v (%+v)", err, rep)
+	}
+
+	path := filepath.Join(t.TempDir(), "v1.atmsnap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadChain(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("LoadChain: %v", err)
+	}
+	if _, _, _, err := LoadChainSalvage(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("LoadChainSalvage: %v", err)
+	}
+	if _, err := RepairChain(path, SyncAlways); !errors.Is(err, ErrVersion) {
+		t.Fatalf("RepairChain: %v", err)
+	}
+	_, deltas := goldenV2Chain() // the golden's fingerprint: only the version differs
+	if err := AppendDelta(path, deltas[1]); !errors.Is(err, ErrVersion) {
+		t.Fatalf("AppendDelta: %v", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+		t.Fatal("a refused version-1 file was modified")
 	}
 }
 
@@ -327,9 +338,6 @@ func TestFileVersion(t *testing.T) {
 	v2, err := MarshalChain(base, deltas)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v, err := FileVersion(v1Bytes(t, base)); err != nil || v != Version1 {
-		t.Fatalf("v1 header: %d, %v", v, err)
 	}
 	if v, err := FileVersion(v2); err != nil || v != Version2 {
 		t.Fatalf("v2 header: %d, %v", v, err)

@@ -8,14 +8,10 @@ import (
 	"atm/internal/core"
 )
 
-// reencode encodes a decoded file in the layout it was read from: a
-// version-1 input through the test-side v1Bytes, anything else through
-// MarshalChain. The canonicality checks compare against it.
-func reencode(t *testing.T, data []byte, base *core.Snapshot, deltas []*core.Delta) []byte {
+// reencode encodes a decoded chain; the canonicality checks compare
+// against it.
+func reencode(t *testing.T, base *core.Snapshot, deltas []*core.Delta) []byte {
 	t.Helper()
-	if v, _ := FileVersion(data); v == Version1 {
-		return v1Bytes(t, base)
-	}
 	enc, err := MarshalChain(base, deltas)
 	if err != nil {
 		t.Fatalf("decoded chain failed to re-encode: %v", err)
@@ -25,10 +21,10 @@ func reencode(t *testing.T, data []byte, base *core.Snapshot, deltas []*core.Del
 
 // FuzzDeltaChainDecode feeds arbitrary bytes to the strict chain
 // decoder: decoding must never panic, and any accepted file is
-// canonical — re-encoding it in its own layout reproduces it byte for
-// byte (exact lengths, validated enums and type indices, zeroed meta
-// fields on meta-less type rows, records ending exactly at EOF), so a
-// chain that survives a load/append cycle can never drift.
+// canonical — re-encoding it reproduces it byte for byte (exact
+// lengths, validated enums and type indices, zeroed meta fields on
+// meta-less type rows, records ending exactly at EOF), so a chain that
+// survives a load/append cycle can never drift.
 func FuzzDeltaChainDecode(f *testing.F) {
 	base, deltas := buildChain(f)
 	if data, err := MarshalChain(base, deltas); err == nil {
@@ -47,7 +43,7 @@ func FuzzDeltaChainDecode(f *testing.F) {
 			f.Add(data[:len(data)*3/4])
 		}
 	}
-	f.Add(v1Bytes(f, base)) // the legacy layout
+	f.Add(version1Golden(f)) // refused by the header check
 	f.Add([]byte{})
 	f.Add([]byte("ATMSNAP\x00junk"))
 
@@ -61,7 +57,7 @@ func FuzzDeltaChainDecode(f *testing.F) {
 			if rep.BytesKept+rep.BytesTruncated != int64(len(data)) {
 				t.Fatalf("salvage report does not partition the input: %+v of %d bytes", rep, len(data))
 			}
-			if !bytes.Equal(reencode(t, data, sb, sds), data[:rep.BytesKept]) {
+			if !bytes.Equal(reencode(t, sb, sds), data[:rep.BytesKept]) {
 				t.Fatal("salvaged prefix must be canonical: encode(salvage(b)) != b[:BytesKept]")
 			}
 		}
@@ -76,7 +72,7 @@ func FuzzDeltaChainDecode(f *testing.F) {
 		if serr != nil || !rep.Clean() {
 			t.Fatalf("strictly-accepted chain must salvage clean: %v (%+v)", serr, rep)
 		}
-		enc := reencode(t, data, b, ds)
+		enc := reencode(t, b, ds)
 		if !bytes.Equal(enc, data) {
 			t.Fatal("accepted chain must be canonical: encode(decode(b)) != b")
 		}
@@ -140,50 +136,6 @@ func FuzzMergeSnapshots(f *testing.F) {
 		}
 		if decodeFull(encAB) == nil {
 			t.Fatal("merged snapshot failed to decode")
-		}
-	})
-}
-
-// FuzzSnapshotRoundTrip feeds arbitrary bytes to the decoder of the
-// legacy version-1 layout, which the package reads but no longer
-// writes. Three properties hold for every input:
-//
-//  1. Decoding never panics — corrupt snapshots must degrade a warm
-//     start into a typed error, not a crash.
-//  2. Any version-1 input the decoder accepts is canonical: v1Bytes
-//     reproduces it byte for byte (exact lengths, validated enums, no
-//     trailing bytes), so one logical snapshot has one encoding.
-//  3. It re-encodes as a version-2 base, the form every save writes,
-//     and that decodes back to the same bytes.
-//
-// The corpus is seeded with encoded snapshots (plus their truncations
-// and single-byte corruptions via the fuzzer's mutations).
-func FuzzSnapshotRoundTrip(f *testing.F) {
-	data := v1Bytes(f, buildSnapshot(f))
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Add(v1Bytes(f, &core.Snapshot{}))
-	f.Add([]byte{})
-	f.Add([]byte("ATMSNAP\x00junk"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, _, err := UnmarshalChain(data)
-		if v, _ := FileVersion(data); err != nil || v != Version1 {
-			return // rejected, or a chain (FuzzDeltaChainDecode's input)
-		}
-		if !bytes.Equal(v1Bytes(t, s), data) {
-			t.Fatal("accepted input must be canonical: encode(decode(b)) != b")
-		}
-		enc, err := MarshalChain(s, nil)
-		if err != nil {
-			t.Fatalf("decoded snapshot failed to re-encode as a chain base: %v", err)
-		}
-		back, deltas, err := UnmarshalChain(enc)
-		if err != nil || deltas != nil {
-			t.Fatalf("re-encoded chain base failed to decode: %v", err)
-		}
-		if again, _ := MarshalChain(back, nil); !bytes.Equal(again, enc) {
-			t.Fatal("the chain base of a v1 input decodes to a different snapshot")
 		}
 	})
 }

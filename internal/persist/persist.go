@@ -6,12 +6,8 @@
 // (chain.go): an appendable record stream of an optional full base plus
 // incremental deltas, with Compact and MergeSnapshots to fold chains
 // and combine sweep shards. A whole-table save is a chain holding one
-// base record.
-//
-// Version 1, the earlier one-table-per-file layout, is read but never
-// written: it is the version-2 header carrying version 1, followed by
-// the body of a base record without record framing. The readers treat
-// it as a chain of one base record that cannot be salvaged.
+// base record. Any other version, the earlier version 1 included, is
+// refused with ErrVersion.
 //
 // Base bodies and delta inserts share one little-endian encoding of
 // sections and entries:
@@ -59,15 +55,10 @@ import (
 	"atm/internal/region"
 )
 
-// Format versions. Version2 is the only one written; Version1 files
-// still load, and the readers never rewrite them (harness chain mode
-// rewrites one as a version-2 chain before its first append). Any other
-// version is rejected: a snapshot is a cache, and a stale cache is
-// discarded.
-const (
-	Version1 = 1
-	Version2 = 2
-)
+// Version2 is the format version every save writes and every reader
+// accepts. Any other version is rejected with ErrVersion: a snapshot is
+// a cache, and a stale cache is discarded.
+const Version2 = 2
 
 // magic identifies a snapshot file. The trailing NUL guards against
 // text files that happen to start with the same letters.
@@ -149,7 +140,7 @@ func appendEntryBody(b []byte, e *core.EntrySnapshot) ([]byte, error) {
 	if e.Tombstone {
 		// Tombstones exist only in delta operation streams, where they
 		// are serialized by the chain format's tombstone section; a full
-		// snapshot (or a v1 entry) carrying one is a caller bug.
+		// snapshot carrying one is a caller bug.
 		return nil, fmt.Errorf("tombstone entry in a full-entry encoding")
 	}
 	b = binary.LittleEndian.AppendUint64(b, e.Key)

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -49,19 +48,6 @@ func buildSnapshot(t testing.TB) *core.Snapshot {
 	}
 	rt.Close()
 	return snap
-}
-
-// v1Bytes encodes s in the legacy version-1 layout, which the package
-// reads but no longer writes: the chain header carrying version 1, then
-// a base record's body without record framing.
-func v1Bytes(t testing.TB, s *core.Snapshot) []byte {
-	t.Helper()
-	b := binary.LittleEndian.AppendUint32(append([]byte(nil), magic[:]...), Version1)
-	b, err := appendBaseBody(binary.LittleEndian.AppendUint64(b, s.Fingerprint), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -122,12 +108,22 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// The three decode tests below run on the legacy version-1 layout: the
-// readers must stay as strict on it as on chains (whose truncation and
-// corruption cases chain_test.go pins).
+// wholeTable encodes s as a whole-table save: a chain of one base
+// record.
+func wholeTable(t testing.TB, s *core.Snapshot) []byte {
+	t.Helper()
+	data, err := MarshalChain(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// The three decode tests below run on a whole-table save, a chain whose
+// only record boundaries are the header and the end of the file.
 
 func TestDecodeRejectsEveryTruncation(t *testing.T) {
-	data := v1Bytes(t, buildSnapshot(t))
+	data := wholeTable(t, buildSnapshot(t))
 	for n := 0; n < len(data); n++ {
 		if _, _, err := UnmarshalChain(data[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes must not decode", n, len(data))
@@ -136,7 +132,7 @@ func TestDecodeRejectsEveryTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	data := v1Bytes(t, buildSnapshot(t))
+	data := wholeTable(t, buildSnapshot(t))
 	// Flipping any single byte must never produce a silently different
 	// snapshot: either the decode fails, or (for the rare flips that
 	// keep the structure valid, e.g. inside the informational IKT
@@ -148,14 +144,14 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if !bytes.Equal(v1Bytes(t, s), mut) {
+		if !bytes.Equal(wholeTable(t, s), mut) {
 			t.Fatalf("flip at byte %d decoded to a different snapshot", i)
 		}
 	}
 }
 
 func TestDecodeTypedErrors(t *testing.T) {
-	data := v1Bytes(t, buildSnapshot(t))
+	data := wholeTable(t, buildSnapshot(t))
 
 	bad := bytes.Clone(data)
 	bad[0] = 'X'
@@ -173,7 +169,9 @@ func TestDecodeTypedErrors(t *testing.T) {
 		t.Fatalf("truncation: %v", err)
 	}
 
-	if _, _, err := UnmarshalChain(append(bytes.Clone(data), 0)); !errors.Is(err, ErrCorrupt) {
+	// Trailing bytes framed as an empty record of no known kind (the CRC
+	// of an empty body is 0).
+	if _, _, err := UnmarshalChain(append(bytes.Clone(data), 0, 0, 0, 0, 0, 0, 0, 0, 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 

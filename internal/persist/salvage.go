@@ -39,8 +39,7 @@ func (r RecoveryReport) Clean() bool { return r.BytesTruncated == 0 }
 // intact, which is exactly what a crash mid-append or a lost tail page
 // leaves — it returns the decoded prefix and a report saying what was
 // dropped. Anything else (bad header, CRC mismatch, invalid record
-// contents, a tear before the first record boundary, any damage to a
-// version-1 file) is unrecoverable: the error is returned and the
+// contents, a tear before the first record boundary) is unrecoverable: the error is returned and the
 // report's Reason records it.
 func SalvageChain(data []byte) (*core.Snapshot, []*core.Delta, RecoveryReport, error) {
 	base, deltas, boundary, torn, err := scanChain(data)

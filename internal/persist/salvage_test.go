@@ -289,19 +289,6 @@ func TestLoadChainSalvage(t *testing.T) {
 		t.Fatal("LoadChainSalvage must not modify the file")
 	}
 
-	// A version-1 file loads as a single clean record.
-	v1 := filepath.Join(dir, "v1.atmsnap")
-	if err := os.WriteFile(v1, v1Bytes(t, base), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, ds, rep, err := LoadChainSalvage(v1)
-	if err != nil || s == nil || ds != nil {
-		t.Fatalf("v1 salvage load: %v", err)
-	}
-	if !rep.Clean() || rep.RecordsKept != 1 {
-		t.Fatalf("v1 report: %+v", rep)
-	}
-
 	if _, _, _, err := LoadChainSalvage(filepath.Join(dir, "absent.atmsnap")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v", err)
 	}

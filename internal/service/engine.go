@@ -34,17 +34,14 @@ type Config struct {
 	KindList []Kind
 	// MaxTenants caps the number of distinct tenant namespaces the
 	// engine will register, the default catalog tenant included (0 =
-	// 64). Each tenant costs one task type per kind it touches plus a
-	// THT accounting row, so the cap bounds what untrusted clients can
-	// allocate.
+	// 64). Each tenant costs one task type per kind it touches, so the
+	// cap bounds what untrusted clients can allocate.
 	MaxTenants int
 }
 
 // Task is one unit of client work: a kind name plus its input vector.
 // Tenant selects the memoization namespace ("" = the default catalog
-// namespace): tasks of different tenants never share THT entries, and
-// with core.Config.TenantShares each tenant's entries are bounded by
-// its budget share.
+// namespace): tasks of different tenants never share THT entries.
 type Task struct {
 	Kind   string
 	Tenant string
@@ -126,8 +123,8 @@ type Engine struct {
 	kinds map[string]Kind
 
 	// types maps registered task-type names (tenant + "/" + kind) to
-	// their runtime types; tenants tracks the distinct tenant names
-	// against cfg.MaxTenants. Guarded by typeMu: the catalog tenant is
+	// their runtime types; tenants tracks the distinct tenant names ("" for
+	// the catalog) against cfg.MaxTenants. Guarded by typeMu: the catalog tenant is
 	// registered at construction, other tenants lazily at admission.
 	typeMu  sync.RWMutex
 	types   map[string]*taskrt.TaskType
@@ -310,9 +307,10 @@ func New(cfg Config) *Engine {
 }
 
 // typeName is the task-type name registered for (tenant, kind): the
-// tenant namespace prefix core.SplitTenant recognizes. The default
-// tenant is the catalog's historical "svc/" prefix, so default-tenant
-// snapshots stay compatible.
+// tenant is a "tenant/" prefix, and since the name seeds every hash key
+// (core's typeSeed), tenants' key spaces are disjoint at no per-task
+// cost. The default tenant is the catalog's historical "svc/" prefix,
+// so default-tenant snapshots stay compatible.
 func typeName(tenant string, k Kind) string {
 	if tenant == "" {
 		return k.TypeName()
@@ -370,8 +368,7 @@ func (e *Engine) registerTypeLocked(tenant string, k Kind) (*taskrt.TaskType, er
 	if tt := e.types[name]; tt != nil {
 		return tt, nil
 	}
-	tkey := core.TenantOf(name)
-	if !e.tenants[tkey] && len(e.tenants) >= e.cfg.MaxTenants {
+	if !e.tenants[tenant] && len(e.tenants) >= e.cfg.MaxTenants {
 		return nil, &BadTaskError{msg: fmt.Sprintf("tenant %q would exceed the %d-tenant limit", tenant, e.cfg.MaxTenants)}
 	}
 	tt := e.rt.RegisterType(taskrt.TypeConfig{
@@ -384,7 +381,7 @@ func (e *Engine) registerTypeLocked(tenant string, k Kind) (*taskrt.TaskType, er
 	if e.memo != nil && k.Memoize {
 		e.memo.ChosenLevel(tt)
 	}
-	e.tenants[tkey] = true
+	e.tenants[tenant] = true
 	e.types[name] = tt
 	return tt, nil
 }

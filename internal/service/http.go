@@ -88,18 +88,6 @@ type StatsResponse struct {
 	THTEvictions        int64 `json:"tht_evictions"`
 	THTBudgetEvictions  int64 `json:"tht_budget_evictions"`
 	THTAdmissionRejects int64 `json:"tht_admission_rejects"`
-	// Tenants is the per-tenant THT accounting (present once a
-	// non-default tenant registered or a budget is set).
-	Tenants []TenantStatsJSON `json:"tenants,omitempty"`
-}
-
-// TenantStatsJSON is one tenant's row in GET /v1/stats.
-type TenantStatsJSON struct {
-	Name        string `json:"name"`
-	BudgetBytes int64  `json:"budget_bytes,omitempty"`
-	Bytes       int64  `json:"bytes"`
-	Entries     int64  `json:"entries"`
-	Evictions   int64  `json:"evictions"`
 }
 
 // WarmHitRatio is the fraction of ATM-visible tasks served without
@@ -414,12 +402,6 @@ func (s *Server) BuildStats() StatsResponse {
 	resp.THTEvictions = st.THTEvictions
 	resp.THTBudgetEvictions = st.THTBudgetEvictions
 	resp.THTAdmissionRejects = st.THTAdmissionRejects
-	for _, ts := range st.Tenants {
-		resp.Tenants = append(resp.Tenants, TenantStatsJSON{
-			Name: ts.Name, BudgetBytes: ts.BudgetBytes,
-			Bytes: ts.Bytes, Entries: ts.Entries, Evictions: ts.Evictions,
-		})
-	}
 	return resp
 }
 
@@ -504,23 +486,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	p.Sample("atm_tht_budget_evictions_total", nil, float64(st.THTBudgetEvictions))
 	p.Family("atm_tht_admission_rejects_total", "counter", "THT inserts rejected at admission (budget or TinyLFU duel).")
 	p.Sample("atm_tht_admission_rejects_total", nil, float64(st.THTAdmissionRejects))
-	if len(st.Tenants) > 0 {
-		p.Family("atm_tenant_budget_bytes", "gauge", "Per-tenant THT budget share (0 = global budget only).")
-		p.Family("atm_tenant_bytes", "gauge", "Per-tenant THT payload bytes.")
-		p.Family("atm_tenant_entries", "gauge", "Per-tenant THT entries.")
-		p.Family("atm_tenant_evictions_total", "counter", "Per-tenant THT evictions.")
-		for _, ts := range st.Tenants {
-			name := ts.Name
-			if name == "" {
-				name = "default"
-			}
-			l := []metrics.Label{{Name: "tenant", Value: name}}
-			p.Sample("atm_tenant_budget_bytes", l, float64(ts.BudgetBytes))
-			p.Sample("atm_tenant_bytes", l, float64(ts.Bytes))
-			p.Sample("atm_tenant_entries", l, float64(ts.Entries))
-			p.Sample("atm_tenant_evictions_total", l, float64(ts.Evictions))
-		}
-	}
 	p.Family("atm_ikt_inserts_total", "counter", "In-flight Key Table inserts.")
 	p.Sample("atm_ikt_inserts_total", nil, float64(st.IKTInserts))
 	p.Family("atm_ikt_defers_total", "counter", "Tasks deferred to an in-flight provider.")

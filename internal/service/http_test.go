@@ -180,6 +180,102 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPTenantNamespace pins what a tenant is: a namespace the type
+// name carries, so one tenant never hits another's entries; a count
+// that -max-tenants bounds, the catalog included, before admission; and
+// a name validTenant bounds.
+func TestHTTPTenantNamespace(t *testing.T) {
+	atm := core.New(core.Config{Mode: core.ModeStatic})
+	s, ts := newTestServer(t, Config{Workers: 1, Memo: atm, MaxTenants: 2})
+
+	submit := func(body string) (int, batchBreakdown) {
+		t.Helper()
+		resp, b := postJSON(t, ts.URL+"/v1/submit", body)
+		var sub submitResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal(b, &sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, sub.Batch
+	}
+	lookup := func(query, header string) bool {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/lookup?kind=lu&seed=2&"+query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header != "" {
+			req.Header.Set("X-ATM-Tenant", header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var lr lookupResponse
+		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&lr) != nil {
+			t.Fatalf("lookup %s (tenant header %q): HTTP %d", query, header, resp.StatusCode)
+		}
+		return lr.Hit
+	}
+
+	// The same (kind, key) in two namespaces: each misses once and
+	// executes, then hits only its own entry.
+	catalog := `{"tasks":[{"kind":"lu","key":5,"seed":2}]}`
+	acme := `{"tasks":[{"kind":"lu","key":5,"seed":2,"tenant":"acme"}]}`
+	for i, body := range []string{catalog, acme, catalog, acme} {
+		code, g := submit(body)
+		wantHit := int64(i / 2)
+		if code != http.StatusOK || g.MemoTHT != wantHit || g.Executed != 1-wantHit {
+			t.Fatalf("submit %d: HTTP %d, %+v, want memo_tht %d", i, code, g, wantHit)
+		}
+	}
+	if n := atm.THT().Entries(); n != 2 {
+		t.Fatalf("THT holds %d entries, want one per namespace", n)
+	}
+
+	// Lookups see only their own namespace, by query parameter or header.
+	if code, _ := submit(`{"tasks":[{"kind":"lu","key":6,"seed":2,"tenant":"acme"}]}`); code != http.StatusOK {
+		t.Fatalf("acme submit of key 6: HTTP %d", code)
+	}
+	for _, c := range []struct {
+		query, header string
+		hit           bool
+	}{
+		{"key=6&tenant=acme", "", true},
+		{"key=6", "acme", true},
+		{"key=6", "", false},
+		{"key=5", "acme", true},
+		{"key=5", "", true},
+		{"key=7", "acme", false},
+	} {
+		if got := lookup(c.query, c.header); got != c.hit {
+			t.Errorf("lookup %s (tenant header %q): hit %v, want %v", c.query, c.header, got, c.hit)
+		}
+	}
+
+	// MaxTenants 2 is the catalog plus acme: a second client tenant is
+	// refused before admission, and the tenants already in stay served.
+	before := s.BuildStats().ATMTasks
+	if code, _ := submit(`{"tasks":[{"kind":"lu","key":5,"seed":2,"tenant":"beta"}]}`); code != http.StatusBadRequest {
+		t.Fatalf("third tenant: HTTP %d, want 400", code)
+	}
+	if after := s.BuildStats().ATMTasks; after != before {
+		t.Fatalf("a refused tenant reached admission: atm_tasks %d -> %d", before, after)
+	}
+	if code, g := submit(acme); code != http.StatusOK || g.MemoTHT != 1 {
+		t.Fatalf("acme after the refusal: HTTP %d, %+v", code, g)
+	}
+
+	// Names validTenant refuses.
+	for _, name := range []string{"svc", strings.Repeat("a", 65), "a/b"} {
+		if code, _ := submit(fmt.Sprintf(`{"tasks":[{"kind":"lu","key":5,"seed":2,"tenant":%q}]}`, name)); code != http.StatusBadRequest {
+			t.Errorf("tenant %q: HTTP %d, want 400", name, code)
+		}
+	}
+}
+
 // TestHTTPShed floods a tiny fixed watermark with non-memoizable spin
 // tasks: some requests must come back 429 with Retry-After.
 func TestHTTPShed(t *testing.T) {
