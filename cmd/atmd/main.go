@@ -40,7 +40,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers    = flag.Int("workers", 0, "task-runtime workers (0 = 1)")
+		workers    = flag.Int("workers", 0, "task-runtime workers, which run what handlers cannot serve: training types, types with an exclusion set, non-memoizable kinds (0 = 1)")
 		mode       = flag.String("mode", "dynamic", "memoization mode: baseline|static|dynamic|fixed")
 		level      = flag.Int("level", 15, "p level for -mode fixed")
 		noIKT      = flag.Bool("no-ikt", false, "disable the In-flight Key Table")

@@ -66,12 +66,14 @@
 //     the whole surface is fuzzed with simulated crashes
 //     (internal/crashfuzz, internal/failpoint).
 //   - internal/service — memoization as a service: a request whose
-//     every task is a table hit is answered on its handler goroutine
-//     (core.ServeHits: quiet probe, then an all-or-nothing commit of
-//     what a worker would have recorded); the rest go through a
-//     coalescing engine loop that feeds concurrent network requests
-//     into SubmitBatch under the runtime's admission watermark (shed
-//     with 429 upstream, never queue unboundedly). Around it an HTTP
+//     every task is memoizable and of a steady type is answered on its
+//     handler goroutine (core.Serve: quiet probe, admission for the
+//     misses, then hits copied and misses run and inserted, recording
+//     what a worker would have); the rest — training types, types with
+//     an exclusion set, non-memoizable kinds — go through a coalescing
+//     engine loop that feeds concurrent network requests into
+//     SubmitBatch under the runtime's admission watermark (shed with
+//     429 upstream, never queue unboundedly). Around it an HTTP
 //     front-end (JSON and a compact binary task encoding) and the
 //     six-kind workload catalog. cmd/atmd serves it; the repository
 //     benchmark (benchmark/) drives it (docs/service.md).

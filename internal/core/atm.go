@@ -309,9 +309,17 @@ type ATM struct {
 	workers []workerState
 
 	// probePool recycles hashers for the out-of-band key paths (HashKey,
-	// Peek, ServeHits), which have no worker identity to borrow a hasher
+	// Peek, Serve), which have no worker identity to borrow a hasher
 	// from: concurrent front-ends (cmd/atmd) probe allocation-free.
 	probePool sync.Pool
+
+	// serveInserts fences Serve's inserts against a full Snapshot, whose
+	// quiescence (the runtime's Wait) does not cover them: Serve holds it
+	// shared around each insert, Snapshot exclusively from its table scan
+	// to its log drain, so no insert lands in between and is dropped with
+	// the log. serveProviders numbers Serve's entries (outOfBandProvider).
+	serveInserts   sync.RWMutex
+	serveProviders atomic.Uint64
 }
 
 type planKey struct {
@@ -548,7 +556,7 @@ func (a *ATM) hashKeyInto(t *taskrt.Task, ts *typeState, level int, h hashx.Hash
 }
 
 // hashIns is the shape-agnostic key computation shared by the worker
-// fast path (hashKeyInto) and out-of-band probes (Peek, ServeHits):
+// fast path (hashKeyInto) and out-of-band probes (Peek, Serve):
 // callers that have input regions but no carved task hash through here.
 func (a *ATM) hashIns(typeID int, ts *typeState, ins []region.Region, level int, h hashx.Hasher) uint64 {
 	sig := sampling.SignatureOf(ins)
@@ -635,9 +643,8 @@ func outputShapesMatch(a, b []region.Region) bool {
 }
 
 // snapshotEntry builds (reusing pooled buffers when shapes allow) a THT
-// entry holding a copy of t's current outputs.
-func (a *ATM) snapshotEntry(t *taskrt.Task, key uint64, level int8, insSnap []region.Region) *Entry {
-	outs := t.Outputs()
+// entry of type typeID holding a copy of outs, produced by provider.
+func (a *ATM) snapshotEntry(typeID int, outs []region.Region, provider, key uint64, level int8, insSnap []region.Region) *Entry {
 	e := a.tht.GetEntry()
 	if outputShapesMatch(e.Outs, outs) {
 		for i, o := range outs {
@@ -650,10 +657,10 @@ func (a *ATM) snapshotEntry(t *taskrt.Task, key uint64, level int8, insSnap []re
 		}
 		e.Outs = cloned
 	}
-	e.TypeID = t.Type().ID()
+	e.TypeID = typeID
 	e.Key = key
 	e.Level = level
-	e.ProviderID = t.ID()
+	e.ProviderID = provider
 	e.Epoch = a.saveEpoch.Load() // diagnostic stamp; the insert log drives delta selection
 	e.Ins = insSnap
 	return e
@@ -811,7 +818,7 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	if sc.timed {
 		c0 = time.Now()
 	}
-	a.tht.Insert(a.snapshotEntry(t, sc.key, sc.level, sc.insSnap))
+	a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level, sc.insSnap))
 	if sc.timed {
 		// Extrapolate by the same factor as the OnReady measurements:
 		// past warmup only every timingSample-th task is timed, and an
@@ -874,7 +881,7 @@ func (a *ATM) grade(t *taskrt.Task, ts *typeState, sh *typeShard, sc *scratch) {
 		}
 		ts.mu.Unlock()
 		// Refresh the stale prediction with the true outputs.
-		a.tht.Insert(a.snapshotEntry(t, sc.key, sc.level, sc.insSnap))
+		a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level, sc.insSnap))
 		return
 	}
 	ts.successes++

@@ -254,13 +254,16 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
 		}
 		outs, ins := rec.e.Outs, rec.e.Ins
 		if !lend {
+			// Once released the entry may be recycled by a concurrent
+			// insert (core.Serve runs beside saves), so the identity comes
+			// from the record, not from the entry.
 			outs, ins = cloneRegions(outs), cloneRegions(ins)
 			rec.e.Release()
 		}
 		d.Entries = append(d.Entries, DeltaEntry{Type: ti, EntrySnapshot: EntrySnapshot{
-			Key:      rec.e.Key,
-			Level:    rec.e.Level,
-			Provider: rec.e.ProviderID,
+			Key:      rec.key,
+			Level:    rec.level,
+			Provider: rec.provider,
 			Outs:     outs,
 			Ins:      ins,
 		}})

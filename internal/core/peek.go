@@ -8,24 +8,30 @@ import (
 	"atm/internal/taskrt"
 )
 
-// This file is the engine's out-of-band read side: callers that hold a
-// task's regions but submit no task — a front-end's lookup route (Peek)
-// and its inline hit path (ServeHits). Both go through peekEntry, which
-// hashes on a pooled hasher and probes the table without leaving a
-// trace; only a ServeHits call that serves its whole request then
-// applies what the worker path (OnReady's steady hit branch) would have.
+// This file is the engine's out-of-band side: callers that hold a task's
+// regions but submit no task — a front-end's lookup route (Peek) and its
+// handler path (Serve). Both go through peekEntry, which hashes on a
+// pooled hasher and probes the table without leaving a trace; only a
+// Serve call that goes ahead then applies what the worker path (OnReady
+// and OnFinished of a steady type) would have.
 
 // peekEntry hashes ins at level on h and returns the table's entry for
 // that key, retained for the caller, when its outputs can be copied into
 // outs; nil otherwise. Nothing is counted or marked (THT.probe).
 func (a *ATM) peekEntry(tt *taskrt.TaskType, ts *typeState, level int, ins, outs []region.Region, h hashx.Hasher) (*Entry, uint64) {
 	key := a.hashIns(tt.ID(), ts, ins, level, h)
-	e := a.tht.probe(tt.ID(), key, int8(level))
+	return a.probeOuts(tt, key, int8(level), outs), key
+}
+
+// probeOuts is THT.probe for a task with outputs outs: an entry whose
+// outputs cannot be copied into them counts as no entry.
+func (a *ATM) probeOuts(tt *taskrt.TaskType, key uint64, level int8, outs []region.Region) *Entry {
+	e := a.tht.probe(tt.ID(), key, level)
 	if e != nil && !outputShapesMatch(e.Outs, outs) {
 		e.Release()
 		e = nil
 	}
-	return e, key
+	return e
 }
 
 // Peek probes the THT for the outputs the engine would currently serve
@@ -56,13 +62,25 @@ func (a *ATM) Peek(tt *taskrt.TaskType, ins, outs []region.Region) bool {
 	return true
 }
 
-// HitTask is one task of a ServeHits request: its type and the regions a
-// submitted task of that type would carry. The unexported fields are the
-// call's scratch, so a caller that reuses its []HitTask serves without
-// allocating; no entry is held once ServeHits has returned.
-type HitTask struct {
+// outOfBandProvider marks the provider ids of entries Serve inserts: a
+// range disjoint from the runtime's task ids (a creation counter from
+// 0), so an entry's (key, level, provider) identity — what an eviction
+// tombstone names — stays unique across both insert paths.
+const outOfBandProvider = 1 << 63
+
+// ServeTask is one task of a Serve request: its type, the regions a
+// submitted task of that type would carry, and its body. The unexported
+// fields are the call's scratch, so a caller that reuses its
+// []ServeTask serves without allocating; no entry is held once Serve has
+// returned.
+type ServeTask struct {
 	Type      *taskrt.TaskType
 	Ins, Outs []region.Region
+	// Run executes the task's body on Ins and Outs, as the type's
+	// runtime body would. Serve calls it on a miss only, with Outs as the
+	// caller left them: a body that need not write every output element
+	// must clear Outs first.
+	Run func(ins, outs []region.Region)
 
 	ts    *typeState
 	e     *Entry // the matched entry, retained between probe and commit
@@ -74,47 +92,61 @@ type HitTask struct {
 	hashNanos int64
 }
 
-// ServeHits serves a whole request from the table on the caller's
-// goroutine, or does nothing at all. It reports true only when every
-// task is a steady-state THT hit: then each task's stored outputs have
-// been copied into its Outs and the engine has recorded, per task,
-// exactly what a worker's OnReady records for a memoized task — the
-// table's lookup and hit counters, the admission-sketch increment of a
-// budgeted table, the type's Tasks and MemoizedTHT (on the out-of-band
-// stats shard, which WorkerTotals leaves out) and the sampled hash/copy
-// time estimate. On the first task that is not such a hit — a miss, a
-// type that is not memoizable, is still training or has an exclusion
-// set, Config.VerifyInputs, an attached tracer — it releases what it
-// held and reports false with Outs untouched and no counter or sketch
-// cell changed: the caller then submits the request, whole, as if ServeHits
-// had never been called. Types are checked before the first hash, so a
-// request that can never be served inline costs no hashing.
+// Serve runs a whole request of steady-state tasks on the caller's
+// goroutine — Fig. 1's ready-task protocol without the runtime: each
+// hit's stored outputs are copied into its Outs, and each miss runs its
+// body and inserts its outputs into the table as a worker's OnFinished
+// would. It reports ok and the number of bodies run when it served the
+// request, and false with Outs untouched and no counter, sketch cell or
+// table entry changed when it did not. It does not when:
 //
+//   - a task's type is not memoizable, is still training or has an
+//     exclusion set, or Config.VerifyInputs is set or a tracer is
+//     attached (checked before the first hash, so such a request costs
+//     no hashing, and admit is not called); the caller then submits the
+//     request, whole, to the runtime;
+//   - the request holds misses and admit(misses) refuses them. Hits are
+//     never refused: a request that is all hits does not call admit.
+//
+// Every task is probed first, quietly (THT.probe), holding what hits.
+// Then, in request order, a task records exactly what a worker's OnReady
+// (and, for a miss, OnFinished) records for it — the table's lookup and
+// hit counters, the admission-sketch increment of a budgeted table, the
+// type's Tasks, MemoizedTHT or Executed (on the out-of-band stats shard,
+// which WorkerTotals leaves out) and the sampled hash/copy time
+// estimate. A task that missed is probed again first, and so is every
+// task after this request's first insert: a sibling's insert (or a
+// concurrent one) may have added its key or evicted its entry since, so
+// a key repeated within one request hits its sibling, as it does on the
+// runtime.
+//
+// Misses take no IKT slot, so two concurrent identical misses may both
+// run; their entries carry provider ids of their own (outOfBandProvider).
 // Region identity is never observed (the exclusion set, keyed by output
-// region, sends its types down the false path), so callers may recycle
-// region headers. Safe to call from any goroutine, concurrently with
-// the runtime's workers and with snapshots.
-func (a *ATM) ServeHits(tasks []HitTask) bool {
+// region, sends its types to the runtime), so callers may recycle region
+// headers. Safe to call from any goroutine, concurrently with the
+// runtime's workers, delta saves and full snapshots.
+func (a *ATM) Serve(tasks []ServeTask, admit func(misses int) bool) (executed int, ok bool) {
 	if a.cfg.VerifyInputs || a.rt != nil && a.rt.Tracer() != nil {
-		return false
+		return 0, false
 	}
 	for i := range tasks {
 		t := &tasks[i]
 		if !t.Type.Config().Memoize {
-			return false
+			return 0, false
 		}
 		ts := a.state(t.Type)
 		ph, level := ts.load()
 		if ph != phaseSteady || a.cfg.Mode == ModeDynamic && ts.hasExcl.Load() {
-			return false
+			return 0, false
 		}
 		t.ts, t.level = ts, int8(level)
 	}
 
 	h := a.probeHasher()
-	held := 0
-	for ; held < len(tasks); held++ {
-		t := &tasks[held]
+	misses := 0
+	for i := range tasks {
+		t := &tasks[i]
 		// The worker path times the first timingWarmup tasks of a shard
 		// and every timingSample-th after; the shard's count only moves
 		// at commit, so the decision reads it one ahead.
@@ -131,7 +163,7 @@ func (a *ATM) ServeHits(tasks []HitTask) bool {
 		}
 		t.e, t.key = a.peekEntry(t.Type, t.ts, int(t.level), t.Ins, t.Outs, h)
 		if t.e == nil {
-			break
+			misses++
 		}
 		if t.tscale != 0 {
 			t.hashNanos = time.Since(h0).Nanoseconds() * t.tscale
@@ -139,21 +171,36 @@ func (a *ATM) ServeHits(tasks []HitTask) bool {
 	}
 	a.releaseProbe(h)
 
-	served := held == len(tasks)
+	if misses > 0 && !admit(misses) {
+		for i := range tasks {
+			tasks[i].e.Release() // nil-safe
+			tasks[i].e = nil
+		}
+		return 0, false
+	}
+	inserted := false
 	for i := range tasks {
 		t := &tasks[i]
-		if served {
-			a.commitHit(t)
+		if t.e == nil || inserted {
+			t.e.Release()
+			t.e = a.probeOuts(t.Type, t.key, t.level, t.Outs)
 		}
-		t.e.Release() // nil-safe: nothing is held from the first miss on
-		t.e = nil
+		if t.e != nil {
+			a.commitHit(t)
+			t.e.Release()
+			t.e = nil
+			continue
+		}
+		a.runMiss(t)
+		executed++
+		inserted = true
 	}
-	return served
+	return executed, true
 }
 
-// commitHit is ServeHits' per-task commit: the hit branch of OnReady and
-// the counting half of THT.Lookup, on the out-of-band shard.
-func (a *ATM) commitHit(t *HitTask) {
+// commitHit is Serve's hit: the hit branch of OnReady and the counting
+// half of THT.Lookup, on the out-of-band shard.
+func (a *ATM) commitHit(t *ServeTask) {
 	a.tht.noteLookup(t.key, t.e)
 	sh := t.ts.shard(-1)
 	var c0 time.Time
@@ -169,4 +216,28 @@ func (a *ATM) commitHit(t *HitTask) {
 	}
 	sh.tasks.Add(1)
 	sh.memoTHT.Add(1)
+}
+
+// runMiss is Serve's miss: OnReady's counted lookup, the body, and
+// OnFinished's insert, on the out-of-band shard. The insert holds the
+// snapshot fence shared, so a full Snapshot never scans the table
+// around it (see ATM.serveInserts).
+func (a *ATM) runMiss(t *ServeTask) {
+	a.tht.noteLookup(t.key, nil)
+	sh := t.ts.shard(-1)
+	t.Run(t.Ins, t.Outs)
+	var c0 time.Time
+	if t.tscale != 0 {
+		c0 = time.Now()
+	}
+	e := a.snapshotEntry(t.Type.ID(), t.Outs, outOfBandProvider|a.serveProviders.Add(1), t.key, t.level, nil)
+	a.serveInserts.RLock()
+	a.tht.Insert(e)
+	a.serveInserts.RUnlock()
+	if t.tscale != 0 {
+		sh.hashNanos.Add(t.hashNanos)
+		sh.copyNanos.Add(time.Since(c0).Nanoseconds() * t.tscale)
+	}
+	sh.tasks.Add(1)
+	sh.executed.Add(1)
 }

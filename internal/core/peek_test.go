@@ -83,19 +83,46 @@ func (r *hitsRig) run(keys ...int) {
 	r.rt.Wait()
 }
 
-// hitTasks builds a ServeHits request of one task per key; the outputs
+// doubleRegions is doubler as a ServeTask body.
+func doubleRegions(ins, outs []region.Region) {
+	in, out := ins[0].(*region.Float64).Data, outs[0].(*region.Float64).Data
+	for i := range out {
+		out[i] = 2 * in[i]
+	}
+}
+
+// serveTasks builds a Serve request of one task per key; the outputs
 // start at -1 everywhere so an untouched one is recognisable.
-func (r *hitsRig) hitTasks(keys ...int) ([]HitTask, []*region.Float64) {
-	tasks := make([]HitTask, len(keys))
+func (r *hitsRig) serveTasks(keys ...int) ([]ServeTask, []*region.Float64) {
+	tasks := make([]ServeTask, len(keys))
 	outs := make([]*region.Float64, len(keys))
 	for i, k := range keys {
 		outs[i] = region.NewFloat64(16)
 		for j := range outs[i].Data {
 			outs[i].Data[j] = -1
 		}
-		tasks[i] = HitTask{Type: r.tt, Ins: []region.Region{mkInput(k)}, Outs: []region.Region{outs[i]}}
+		tasks[i] = ServeTask{Type: r.tt, Ins: []region.Region{mkInput(k)}, Outs: []region.Region{outs[i]}, Run: doubleRegions}
 	}
 	return tasks, outs
+}
+
+// admitAll admits every miss; refuseAll none.
+func admitAll(int) bool  { return true }
+func refuseAll(int) bool { return false }
+
+// checkDoubled reports the first task whose output is not twice its
+// key's input, and whether there was none. Safe off the test goroutine.
+func checkDoubled(t *testing.T, keys []int, outs []*region.Float64) bool {
+	t.Helper()
+	for i, k := range keys {
+		for j, v := range mkInput(k).Data {
+			if outs[i].Data[j] != 2*v {
+				t.Errorf("task %d (key %d): output[%d] = %v, want %v", i, k, j, outs[i].Data[j], 2*v)
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // tableState is everything a lookup can leave behind in the table.
@@ -149,9 +176,21 @@ func TestPeekIsQuiet(t *testing.T) {
 	}
 }
 
-// TestServeHitsRecordsWhatWorkersRecord runs the same three warm tasks
-// through a worker (OnReady) on one engine and through ServeHits on
-// another: outputs, Stats and the table's eviction state must agree.
+// withoutPathDiffs zeroes what differs between the two paths by design:
+// time estimates (measurements, not counts) and the IKT counters, which
+// only runtime misses move.
+func withoutPathDiffs(st Stats) Stats {
+	for i := range st.Types {
+		st.Types[i].HashTime, st.Types[i].CopyTime = 0, 0
+	}
+	st.IKTInserts, st.IKTDefers, st.IKTRejected = 0, 0, 0
+	return st
+}
+
+// TestServeHitsRecordsWhatWorkersRecord runs the same warm tasks, then
+// the same misses — one key twice — through a worker (OnReady and
+// OnFinished) on one engine and through Serve on another: outputs,
+// Stats, the table's eviction state and its keys must agree.
 func TestServeHitsRecordsWhatWorkersRecord(t *testing.T) {
 	for _, budget := range budgets {
 		cfg := Config{Mode: ModeStatic, THTBudgetBytes: budget}
@@ -159,72 +198,101 @@ func TestServeHitsRecordsWhatWorkersRecord(t *testing.T) {
 		worker.run(1, 2, 3)
 		inline.run(1, 2, 3)
 
-		worker.run(3, 1, 1, 2)
-		tasks, outs := inline.hitTasks(3, 1, 1, 2)
-		if !inline.memo.ServeHits(tasks) {
-			t.Fatalf("budget %d: ServeHits refused four warm tasks", budget)
-		}
-		for i, k := range []int{3, 1, 1, 2} {
-			for j, v := range mkInput(k).Data {
-				if outs[i].Data[j] != 2*v {
-					t.Fatalf("budget %d: task %d output[%d] = %v, want %v", budget, i, j, outs[i].Data[j], 2*v)
-				}
+		for _, keys := range [][]int{{3, 1, 1, 2}, {9, 3, 9, 10}} {
+			worker.run(keys...)
+			tasks, outs := inline.serveTasks(keys...)
+			executed, ok := inline.memo.Serve(tasks, admitAll)
+			if !ok {
+				t.Fatalf("budget %d: Serve refused %v", budget, keys)
 			}
-		}
-		ws, is := worker.memo.Stats(), inline.memo.Stats()
-		for i := range ws.Types { // time estimates are measurements, not counts
-			ws.Types[i].HashTime, ws.Types[i].CopyTime = 0, 0
-			is.Types[i].HashTime, is.Types[i].CopyTime = 0, 0
-		}
-		if !reflect.DeepEqual(ws, is) {
-			t.Errorf("budget %d: Stats differ\nworker %+v\ninline %+v", budget, ws, is)
-		}
-		if w, i := worker.tableState(), inline.tableState(); w != i {
-			t.Errorf("budget %d: table state differs: worker %+v, inline %+v", budget, w, i)
+			checkDoubled(t, keys, outs)
+			if want := map[bool]int{false: 0, true: 2}[keys[0] == 9]; executed != want {
+				t.Errorf("budget %d: %v ran %d bodies, want %d", budget, keys, executed, want)
+			}
+			ws, is := withoutPathDiffs(worker.memo.Stats()), withoutPathDiffs(inline.memo.Stats())
+			if !reflect.DeepEqual(ws, is) {
+				t.Errorf("budget %d, %v: Stats differ\nworker %+v\ninline %+v", budget, keys, ws, is)
+			}
+			if w, i := worker.tableState(), inline.tableState(); w != i {
+				t.Errorf("budget %d, %v: table state differs: worker %+v, inline %+v", budget, keys, w, i)
+			}
 		}
 		if got := inline.memo.Stats().Types[0]; got.HashTime <= 0 || got.CopyTime <= 0 {
 			t.Errorf("budget %d: warm-up tasks left no time estimate: hash %v copy %v", budget, got.HashTime, got.CopyTime)
 		}
+		ws, err := worker.memo.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		is, err := inline.memo.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keysOf := func(s *Snapshot) map[uint64]int {
+			m := map[uint64]int{}
+			for _, e := range s.Types[0].Entries {
+				m[e.Key]++
+			}
+			return m
+		}
+		if !reflect.DeepEqual(keysOf(ws), keysOf(is)) {
+			t.Errorf("budget %d: table keys differ\nworker %v\ninline %v", budget, keysOf(ws), keysOf(is))
+		}
+		var served int
+		for _, e := range is.Types[0].Entries {
+			if e.Provider&outOfBandProvider != 0 {
+				served++
+			}
+		}
+		if served != 2 {
+			t.Errorf("budget %d: %d entries carry an out-of-band provider id, want Serve's 2", budget, served)
+		}
 	}
 }
 
-// TestServeHitsAbandonedLeavesNoTrace: one miss among hits and the call
-// reports false having changed nothing — outputs, Stats, counters,
-// sketch, entry references.
+// TestServeHitsAbandonedLeavesNoTrace: misses among hits whose admission
+// is refused, and the call reports false having changed nothing —
+// outputs, Stats, counters, sketch, entry references. admit hears every
+// miss of the probe, a repeated key once per task.
 func TestServeHitsAbandonedLeavesNoTrace(t *testing.T) {
 	for _, budget := range budgets {
 		r := newHitsRig(t, Config{Mode: ModeStatic, THTBudgetBytes: budget})
 		r.run(1, 2)
 		before, stats := r.tableState(), r.memo.Stats()
-		tasks, outs := r.hitTasks(1, 9, 2) // 9 was never run
-		if r.memo.ServeHits(tasks) {
-			t.Fatalf("budget %d: ServeHits served a request holding a miss", budget)
+		tasks, outs := r.serveTasks(1, 9, 2, 9) // 9 was never run
+		var asked int
+		if _, ok := r.memo.Serve(tasks, func(m int) bool { asked = m; return false }); ok {
+			t.Fatalf("budget %d: Serve served a request whose misses were refused", budget)
+		}
+		if asked != 2 {
+			t.Errorf("budget %d: admit asked for %d misses, want 2", budget, asked)
 		}
 		for i, o := range outs {
 			for j, v := range o.Data {
 				if v != -1 {
-					t.Fatalf("budget %d: abandoned attempt wrote output %d[%d] = %v", budget, i, j, v)
+					t.Fatalf("budget %d: refused request wrote output %d[%d] = %v", budget, i, j, v)
 				}
 			}
 		}
 		if after := r.tableState(); after != before {
-			t.Errorf("budget %d: abandoned attempt changed the table: %+v -> %+v", budget, before, after)
+			t.Errorf("budget %d: refused request changed the table: %+v -> %+v", budget, before, after)
 		}
 		if after := r.memo.Stats(); !reflect.DeepEqual(after, stats) {
-			t.Errorf("budget %d: abandoned attempt changed Stats:\n%+v\n%+v", budget, stats, after)
+			t.Errorf("budget %d: refused request changed Stats:\n%+v\n%+v", budget, stats, after)
 		}
 	}
 }
 
-// TestServeHitsFallbacks: every reason ServeHits hands a request back,
-// each with warm hits ahead of the offending task so that a partial
-// commit would show.
+// TestServeHitsFallbacks: every reason Serve hands a request back to the
+// runtime, each with warm hits ahead of the offending task so that a
+// partial commit would show, and none of them asks admit. An output
+// shape the stored entry does not fit is no such reason: it is a miss.
 func TestServeHitsFallbacks(t *testing.T) {
-	refuses := func(t *testing.T, r *hitsRig, tasks []HitTask) {
+	refuses := func(t *testing.T, r *hitsRig, tasks []ServeTask) {
 		t.Helper()
 		before, stats := r.tableState(), r.memo.Stats()
-		if r.memo.ServeHits(tasks) {
-			t.Fatal("ServeHits served the request")
+		if _, ok := r.memo.Serve(tasks, func(int) bool { t.Error("admit asked"); return true }); ok {
+			t.Fatal("Serve served the request")
 		}
 		if after := r.tableState(); after != before {
 			t.Errorf("table changed: %+v -> %+v", before, after)
@@ -237,7 +305,7 @@ func TestServeHitsFallbacks(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeStatic})
 		r.run(1)
 		plain := r.rt.RegisterType(taskrt.TypeConfig{Name: "plain", Run: doubler})
-		tasks, _ := r.hitTasks(1, 1)
+		tasks, _ := r.serveTasks(1, 1)
 		tasks[1].Type = plain
 		refuses(t, r, tasks)
 	})
@@ -247,7 +315,7 @@ func TestServeHitsFallbacks(t *testing.T) {
 		if _, steady := r.memo.ChosenLevel(r.tt); steady {
 			t.Fatal("type went steady after three tasks")
 		}
-		tasks, _ := r.hitTasks(1)
+		tasks, _ := r.serveTasks(1)
 		refuses(t, r, tasks)
 	})
 	t.Run("exclusion set", func(t *testing.T) {
@@ -256,8 +324,8 @@ func TestServeHitsFallbacks(t *testing.T) {
 		ts := r.memo.state(r.tt)
 		ts.phaseLevel.Store(packPhaseLevel(phaseSteady, 15))
 		r.run(1) // steady now: inserted at level 15
-		tasks, _ := r.hitTasks(1)
-		if !r.memo.ServeHits(tasks) {
+		tasks, _ := r.serveTasks(1)
+		if _, ok := r.memo.Serve(tasks, admitAll); !ok {
 			t.Fatal("steady type without exclusions must be served")
 		}
 		ts.mu.Lock()
@@ -269,7 +337,7 @@ func TestServeHitsFallbacks(t *testing.T) {
 	t.Run("VerifyInputs", func(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeStatic, VerifyInputs: true})
 		r.run(1)
-		tasks, _ := r.hitTasks(1)
+		tasks, _ := r.serveTasks(1)
 		refuses(t, r, tasks)
 	})
 	t.Run("tracer", func(t *testing.T) {
@@ -279,21 +347,29 @@ func TestServeHitsFallbacks(t *testing.T) {
 		r := &hitsRig{memo: memo, rt: rt}
 		r.tt = rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
 		r.run(1)
-		tasks, _ := r.hitTasks(1)
+		tasks, _ := r.serveTasks(1)
 		refuses(t, r, tasks)
 	})
 	t.Run("output shape", func(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeStatic})
 		r.run(1)
-		tasks, _ := r.hitTasks(1, 1)
-		tasks[1].Outs = []region.Region{region.NewFloat64(8)}
-		refuses(t, r, tasks)
+		tasks, _ := r.serveTasks(1, 1)
+		short := region.NewFloat64(8)
+		tasks[1].Outs = []region.Region{short}
+		if executed, ok := r.memo.Serve(tasks, admitAll); !ok || executed != 1 {
+			t.Fatalf("Serve = %d, %v; want the mismatched task run as a miss", executed, ok)
+		}
+		for j, v := range short.Data {
+			if want := 2 * mkInput(1).Data[j]; v != want {
+				t.Fatalf("short output[%d] = %v, want %v", j, v, want)
+			}
+		}
 	})
 }
 
-// TestWorkerTotalsLeaveOutServeHits: what ServeHits commits shows in
-// Stats and not in WorkerTotals, so a diff of WorkerTotals around a
-// fence is the runtime's own work.
+// TestWorkerTotalsLeaveOutServeHits: what Serve commits — hits and
+// executed misses — shows in Stats and not in WorkerTotals, so a diff of
+// WorkerTotals around a fence is the runtime's own work.
 func TestWorkerTotalsLeaveOutServeHits(t *testing.T) {
 	r := newHitsRig(t, Config{Mode: ModeStatic})
 	r.run(1, 2)
@@ -301,43 +377,47 @@ func TestWorkerTotalsLeaveOutServeHits(t *testing.T) {
 	if want := (TaskTotals{Tasks: 2, Executed: 2}); before != want {
 		t.Fatalf("WorkerTotals = %+v, want %+v", before, want)
 	}
-	tasks, _ := r.hitTasks(1, 2, 1)
-	if !r.memo.ServeHits(tasks) {
-		t.Fatal("ServeHits refused warm tasks")
+	tasks, _ := r.serveTasks(1, 2, 9, 1, 9)
+	if executed, ok := r.memo.Serve(tasks, admitAll); !ok || executed != 1 {
+		t.Fatalf("Serve = %d, %v; want one body run", executed, ok)
 	}
 	if after := r.memo.WorkerTotals(); after != before {
-		t.Errorf("ServeHits moved WorkerTotals: %+v -> %+v", before, after)
+		t.Errorf("Serve moved WorkerTotals: %+v -> %+v", before, after)
 	}
-	if st := r.memo.Stats().Types[0]; st.Tasks != 5 || st.MemoizedTHT != 3 || st.Executed != 2 {
-		t.Errorf("Stats after three inline hits: %+v", st)
+	if st := r.memo.Stats().Types[0]; st.Tasks != 7 || st.MemoizedTHT != 4 || st.Executed != 3 {
+		t.Errorf("Stats after four hits and one miss served: %+v", st)
 	}
 }
 
-// TestServeHitsAllocationFree: with the caller's []HitTask reused, a
-// served request and an abandoned one both allocate nothing.
+// TestServeHitsAllocationFree: with the caller's []ServeTask reused, a
+// served all-hit request and one whose misses are refused both allocate
+// nothing.
 func TestServeHitsAllocationFree(t *testing.T) {
 	r := newHitsRig(t, Config{Mode: ModeFixed, FixedLevel: 13})
 	r.run(1, 2)
-	hits, _ := r.hitTasks(1, 2, 1)
-	miss, _ := r.hitTasks(1, 9)
-	if !r.memo.ServeHits(hits) || r.memo.ServeHits(miss) {
-		t.Fatal("warm-up calls did not behave")
+	hits, _ := r.serveTasks(1, 2, 1)
+	miss, _ := r.serveTasks(1, 9)
+	if _, ok := r.memo.Serve(hits, refuseAll); !ok {
+		t.Fatal("an all-hit request was refused")
 	}
-	if avg := testing.AllocsPerRun(200, func() { r.memo.ServeHits(hits) }); avg != 0 {
+	if _, ok := r.memo.Serve(miss, refuseAll); ok {
+		t.Fatal("a refused miss was served")
+	}
+	if avg := testing.AllocsPerRun(200, func() { r.memo.Serve(hits, refuseAll) }); avg != 0 {
 		t.Errorf("a served request allocates %.1f/op, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(200, func() { r.memo.ServeHits(miss) }); avg != 0 {
-		t.Errorf("an abandoned request allocates %.1f/op, want 0", avg)
+	if avg := testing.AllocsPerRun(200, func() { r.memo.Serve(miss, refuseAll) }); avg != 0 {
+		t.Errorf("a refused request allocates %.1f/op, want 0", avg)
 	}
 }
 
-// TestServeHitsRacesInsertEvict: eight goroutines serve hot keys inline
-// while the runtime inserts and evicts — under a byte budget, or by ring
-// replacement in a small unbudgeted table — with the delta log on and
-// drained. An entry recycled while a reader held it
-// would show as a wrong output (or a race report); afterwards every
-// resident holds exactly the table's reference and the stats partition.
-// Run with -race.
+// TestServeHitsRacesInsertEvict: eight goroutines serve hot keys — hits,
+// or misses they run and insert when a key is out — while the runtime
+// inserts and evicts under a byte budget, or by ring replacement in a
+// small unbudgeted table, with the delta log on and drained. An entry
+// recycled while a reader held it would show as a wrong output (or a
+// race report); afterwards every resident holds exactly the table's
+// reference and the stats partition. Run with -race.
 func TestServeHitsRacesInsertEvict(t *testing.T) {
 	for _, cfg := range []Config{
 		// 16 floats out: 152 bytes an entry, so about 26 fit.
@@ -349,7 +429,7 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 		r := newHitsRig(t, cfg)
 		r.memo.EnableDeltaTracking()
 		hot := []int{1, 2, 3, 4}
-		var served atomic.Int64
+		var served, executed atomic.Int64
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		for g := 0; g < 8; g++ {
@@ -357,33 +437,34 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				keys := []int{hot[g%4], hot[(g+1)%4]}
-				tasks, outs := r.hitTasks(keys...)
+				tasks, outs := r.serveTasks(keys...)
 				for {
 					select {
 					case <-stop:
 						return
 					default:
 					}
-					if !r.memo.ServeHits(tasks) {
-						continue // a hot key is evicted for the moment
+					for _, o := range outs {
+						clear(o.Data)
+					}
+					n, ok := r.memo.Serve(tasks, admitAll)
+					if !ok {
+						t.Errorf("budget %d: Serve refused a steady request", budget)
+						return
 					}
 					served.Add(1)
-					for i, k := range keys {
-						for j, v := range mkInput(k).Data {
-							if outs[i].Data[j] != 2*v {
-								t.Errorf("budget %d: key %d output[%d] = %v, want %v", budget, k, j, outs[i].Data[j], 2*v)
-								return
-							}
-						}
+					executed.Add(int64(n))
+					if !checkDoubled(t, keys, outs) {
+						return
 					}
 				}
 			}(g)
 		}
 		// Churn for 100 rounds, and on past them (up to a deadline) until
-		// some goroutine has served inline, so every counted serve raced
+		// some goroutine has run a miss, so both of Serve's branches raced
 		// the inserts and evictions.
 		deadline := time.Now().Add(10 * time.Second)
-		for round := 0; round < 100 || served.Load() == 0 && time.Now().Before(deadline); round++ {
+		for round := 0; round < 100 || executed.Load() == 0 && time.Now().Before(deadline); round++ {
 			// Re-run the hot keys (hits, or re-inserts after an eviction)
 			// among never-repeating ones that push residents out.
 			keys := append([]int(nil), hot...)
@@ -402,8 +483,8 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 		if _, err := r.memo.SnapshotDelta(); err != nil { // the log's references go
 			t.Fatal(err)
 		}
-		if served.Load() == 0 {
-			t.Errorf("budget %d: no inline request was ever served", budget)
+		if served.Load() == 0 || executed.Load() == 0 {
+			t.Errorf("budget %d: %d requests served, %d misses run: a branch never raced", budget, served.Load(), executed.Load())
 		}
 		st := r.memo.Stats()
 		if st.THTEvictions == 0 {
@@ -416,5 +497,186 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 		if ts := r.tableState(); ts.extraRefs != 0 {
 			t.Errorf("budget %d: resident entries hold %d references beyond the table's own, want 0", budget, ts.extraRefs)
 		}
+	}
+}
+
+// entryID is what an eviction tombstone names.
+type entryID struct {
+	key      uint64
+	level    int8
+	provider uint64
+}
+
+// TestServeRacesSnapshots: four goroutines run misses through Serve,
+// inserting and evicting under a 4 KiB budget, while a saver takes a
+// delta every 2 ms (LendDelta and SnapshotDelta in turn) and, every
+// tenth save, a full Snapshot. A full
+// snapshot plus the deltas after it must replay to the table: every
+// tombstone finds its insert (none was lost in the window between a
+// snapshot's table scan and its log drain), and the last chain folds to
+// the live table (no entry kept after its eviction, none saved twice).
+// Run with -race.
+func TestServeRacesSnapshots(t *testing.T) {
+	r := newHitsRig(t, Config{Mode: ModeStatic, THTBudgetBytes: 4 << 10})
+	r.memo.EnableDeltaTracking()
+	type op struct {
+		id   entryID
+		tomb bool
+	}
+	var (
+		fulls  [][]entryID // each full snapshot's entries
+		fullAt []int       // the index of the first delta after each
+		deltas [][]op
+	)
+	idsOf := func(s *Snapshot) []entryID {
+		var ids []entryID
+		for _, sec := range s.Types {
+			for _, e := range sec.Entries {
+				ids = append(ids, entryID{e.Key, e.Level, e.Provider})
+			}
+		}
+		return ids
+	}
+	record := func(d *Delta) error {
+		ops := make([]op, len(d.Entries))
+		for i, de := range d.Entries {
+			ops[i] = op{entryID{de.Key, de.Level, de.Provider}, de.Tombstone}
+		}
+		deltas = append(deltas, ops)
+		return nil
+	}
+	// Both save forms: LendDelta, atmd's, and SnapshotDelta, which
+	// releases each logged entry — free for a racing insert to recycle —
+	// while it builds the delta.
+	save := func(lend bool) {
+		if lend {
+			if err := r.memo.LendDelta(record); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		d, err := r.memo.SnapshotDelta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(d)
+	}
+
+	var wg sync.WaitGroup
+	var executed atomic.Int64
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Fresh keys, each served twice: a miss, then mostly a hit.
+				k := 10000 + (g<<20 | i/2)
+				tasks, outs := r.serveTasks(k)
+				n, ok := r.memo.Serve(tasks, admitAll)
+				if !ok {
+					t.Error("Serve refused a steady request")
+					return
+				}
+				executed.Add(int64(n))
+				if !checkDoubled(t, []int{k}, outs) {
+					return
+				}
+			}
+		}(g)
+	}
+	for n := 0; n < 200; n++ {
+		time.Sleep(2 * time.Millisecond)
+		if n%10 != 5 {
+			save(n%2 == 0)
+			continue
+		}
+		snap, err := r.memo.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fulls, fullAt = append(fulls, idsOf(snap)), append(fullAt, len(deltas))
+	}
+	close(stop)
+	wg.Wait()
+	save(true)
+	live, err := r.memo.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[entryID]int{}
+	for _, id := range idsOf(live) {
+		want[id]++
+	}
+	if st := r.memo.Stats(); executed.Load() == 0 || st.THTBudgetEvictions == 0 {
+		t.Fatalf("%d misses run, %d budget evictions: nothing raced the saves", executed.Load(), st.THTBudgetEvictions)
+	}
+	// A full snapshot supersedes the chain before it, so full snapshot i
+	// stands with the deltas up to the next one: each of their tombstones
+	// must find its insert there, and the last snapshot's chain must fold
+	// to the live table.
+	fullAt = append(fullAt, len(deltas))
+	for i, base := range fulls {
+		got := map[entryID]int{}
+		for _, id := range base {
+			got[id]++
+		}
+		lost := 0
+		for _, ops := range deltas[fullAt[i]:fullAt[i+1]] {
+			for _, o := range ops {
+				switch {
+				case !o.tomb:
+					got[o.id]++
+				case got[o.id] == 0:
+					lost++ // evicted, so it was inserted: but saved nowhere
+				default:
+					if got[o.id]--; got[o.id] == 0 {
+						delete(got, o.id)
+					}
+				}
+			}
+		}
+		if lost != 0 {
+			t.Errorf("full snapshot %d: %d tombstones of the deltas after it name an insert neither holds", i, lost)
+		}
+		if i == len(fulls)-1 && !reflect.DeepEqual(got, want) {
+			t.Errorf("the last full snapshot plus the deltas after it replay to %d entries, the live table holds %d", len(got), len(want))
+		}
+	}
+}
+
+// TestServeReprobesAfterInsert: a hit held from the probe can be evicted
+// by a sibling's insert before its turn, and then a worker running the
+// request in order would miss it. In rings of one entry, request
+// (1, k, 1) with k in key 1's bucket runs two bodies on either path.
+func TestServeReprobesAfterInsert(t *testing.T) {
+	cfg := Config{Mode: ModeStatic, NBits: 1, M: 1}
+	worker, inline := newHitsRig(t, cfg), newHitsRig(t, cfg)
+	bucket := func(k int) uint64 {
+		h := inline.memo.probeHasher()
+		defer inline.memo.releaseProbe(h)
+		return inline.memo.hashIns(inline.tt.ID(), inline.memo.state(inline.tt), []region.Region{mkInput(k)}, 15, h) & inline.memo.tht.mask
+	}
+	k := 2
+	for bucket(k) != bucket(1) {
+		k++
+	}
+	worker.run(1)
+	inline.run(1)
+	keys := []int{1, k, 1}
+	worker.run(keys...)
+	tasks, outs := inline.serveTasks(keys...)
+	executed, ok := inline.memo.Serve(tasks, admitAll)
+	if !ok || executed != 2 {
+		t.Fatalf("Serve(1, %d, 1) = %d, %v; want 2 bodies run, the second 1 after %d replaced it", k, executed, ok, k)
+	}
+	checkDoubled(t, keys, outs)
+	if ws, is := withoutPathDiffs(worker.memo.Stats()), withoutPathDiffs(inline.memo.Stats()); !reflect.DeepEqual(ws, is) {
+		t.Errorf("Stats differ\nworker %+v\ninline %+v", ws, is)
 	}
 }

@@ -126,7 +126,8 @@ func Fingerprint(cfg Config) uint64 {
 // Snapshot extracts the engine's memoization state. It quiesces through
 // the runtime's completion fence (Wait) when the engine is bound, so
 // every in-flight task has published its THT insert and released its
-// IKT key before the tables are read; an unbound engine (tests driving
+// IKT key before the tables are read, and it holds concurrent Serve
+// calls' inserts off while it reads; an unbound engine (tests driving
 // the hooks directly) is the caller's responsibility to quiesce. The
 // returned regions are deep copies: the engine may keep running and
 // recycling entries afterwards.
@@ -134,6 +135,10 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 	if a.rt != nil {
 		a.rt.Wait()
 	}
+	// Serve inserts off the runtime, so Wait does not quiesce them: hold
+	// them off from the table scan to the log drain below.
+	a.serveInserts.Lock()
+	defer a.serveInserts.Unlock()
 	snap := &Snapshot{Fingerprint: Fingerprint(a.cfg)}
 	if a.ikt != nil {
 		if n := a.ikt.Len(); n != 0 {
@@ -163,8 +168,9 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 	// intact (draining up front would silently drop those inserts from
 	// every future delta). It also runs outside typeMu, preserving the
 	// snapMu→typeMu lock order SnapshotDelta uses. Under the full
-	// snapshot's quiescence contract no insert races the scan-then-
-	// drain window; racing saves belong to SnapshotDelta, whose drain
+	// snapshot's quiescence contract (the runtime's Wait, plus the
+	// serveInserts fence for Serve) no insert races the scan-then-drain
+	// window; racing saves belong to SnapshotDelta, whose drain
 	// partitions inserts exactly.
 	a.snapMu.Lock()
 	if a.tracking {

@@ -93,10 +93,11 @@ type TaskTotals struct {
 }
 
 // WorkerTotals sums the activity counters of the runtime's workers over
-// all task types, and only theirs: the out-of-band shard, where
-// ServeHits commits from whatever goroutine called it, is left out, so
-// the difference of two readings taken around a completion fence is what
-// the runtime ran in between and nothing a concurrent ServeHits served.
+// all task types, and only theirs: the out-of-band shard, where Serve
+// commits hits and executed misses from whatever goroutine called it, is
+// left out, so the difference of two readings taken around a completion
+// fence is what the runtime ran in between and nothing a concurrent
+// Serve served.
 // Lock-free: one atomic load of the type slice plus four per shard.
 func (a *ATM) WorkerTotals() TaskTotals {
 	var t TaskTotals

@@ -193,7 +193,8 @@ func (t *THT) Lookup(typeID int, key uint64, level int8) *Entry {
 // and changes nothing else — no lookup or hit counter, no sketch
 // increment. A caller that goes on to serve from the entry as a
 // task's hit applies those with noteLookup; one that only looks (Peek)
-// or gives up (an abandoned ServeHits) leaves the table as it found it.
+// or gives up (a Serve whose misses were refused) leaves the table as it
+// found it.
 func (t *THT) probe(typeID int, key uint64, level int8) *Entry {
 	b := &t.buckets[key&t.mask]
 	b.mu.RLock()

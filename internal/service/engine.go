@@ -53,7 +53,7 @@ type Task struct {
 // same numbers (per-batch, not per-request, attribution — the price of
 // request coalescing, documented in docs/service.md). A request served
 // inline (Engine.serveInline) rode in no batch and reports exactly its
-// own tasks, all MemoTHT.
+// own tasks: the misses it ran as Executed, the rest as MemoTHT.
 type GroupStats struct {
 	// Tasks is the batch's task count; Executed of them ran their body,
 	// MemoTHT were served from the history table, MemoIKT deduplicated
@@ -69,7 +69,7 @@ type Counters struct {
 	ShedRequests, ShedTasks int64
 	// InlineRequests / InlineTasks are the part of Requests / Tasks served
 	// on the caller's goroutine without reaching the loop: requests whose
-	// every task was a steady-state THT hit.
+	// every task is memoizable and of a steady type, hits and misses alike.
 	InlineRequests, InlineTasks int64
 	// Batches counts groups run to completion — SubmitBatch fences plus
 	// inline requests, each a group of its own — so Tasks ÷ Batches stays
@@ -149,7 +149,7 @@ type Engine struct {
 
 	// inlineReqs and inlineTasks count what serveInline served; requests,
 	// tasks and batches above count what the loop ran, and Counters adds
-	// the inline share to each. noInline turns the inline hit path off.
+	// the inline share to each. noInline turns the inline path off.
 	// Tests only: the differential suite runs one stream through both
 	// paths.
 	inlineReqs  atomic.Int64
@@ -158,6 +158,10 @@ type Engine struct {
 
 	saveMu  sync.Mutex
 	saveErr error
+
+	// kernels holds each served kind's body in the form core.Serve runs
+	// it on a handler goroutine (see kernel); immutable after New.
+	kernels map[string]func(ins, outs []region.Region)
 
 	// Loop-goroutine scratch, reused across batches (runGroup).
 	group   []*request
@@ -188,12 +192,12 @@ type request struct {
 	types []*taskrt.TaskType
 	regs  []region.Float64
 	// memoizable reports that every task's kind is memoizable
-	// (resolveTypes): only then is the inline hit path tried. hits and
+	// (resolveTypes): only then is the inline path tried. serve and
 	// hitRegs are that attempt's task list and region headers; unlike
-	// regs they are pooled, because core.ServeHits never observes region
+	// regs they are pooled, because core.Serve never observes region
 	// identity and the runtime never sees them.
 	memoizable bool
-	hits       []core.HitTask
+	serve      []core.ServeTask
 	hitRegs    []hitRegions
 
 	body    []byte    // HTTP body
@@ -239,18 +243,19 @@ func (e *Engine) getRequest() *request {
 // after its done token was received.
 func (e *Engine) release(r *request) {
 	// In bytes: a Task is 56, a type pointer 8, a slice header 24, a
-	// HitTask 104, a hitRegions 128.
+	// ServeTask 112, a hitRegions 128.
 	kept := cap(r.body) + cap(r.reply) + 8*(cap(r.in)+cap(r.out)) +
 		56*cap(r.taskBuf) + 8*cap(r.types) + 24*cap(r.outs) +
-		104*cap(r.hits) + 128*cap(r.hitRegs)
+		112*cap(r.serve) + 128*cap(r.hitRegs)
 	if kept > maxPooledRequestBytes {
 		return
 	}
 	clear(r.taskBuf[:cap(r.taskBuf)]) // drop kind/tenant strings and input slices
 	clear(r.types[:cap(r.types)])
 	clear(r.outs[:cap(r.outs)])
-	// hits points at types, which live as long as the engine, and into
-	// hitRegs; only hitRegs points at memory that may be the caller's.
+	// serve points at types and kernels, which live as long as the
+	// engine, and into hitRegs; only hitRegs points at memory that may be
+	// the caller's.
 	clear(r.hitRegs[:cap(r.hitRegs)])
 	r.tasks, r.regs, r.group = nil, nil, GroupStats{}
 	e.reqPool.Put(r)
@@ -275,11 +280,12 @@ func New(cfg Config) *Engine {
 		ThrottleWindow: cfg.Backlog,
 	})
 	e := &Engine{
-		cfg:   cfg,
-		rt:    rt,
-		memo:  cfg.Memo,
-		kinds: make(map[string]Kind, len(kindList)),
-		types: make(map[string]*taskrt.TaskType, len(kindList)),
+		cfg:     cfg,
+		rt:      rt,
+		memo:    cfg.Memo,
+		kinds:   make(map[string]Kind, len(kindList)),
+		kernels: make(map[string]func(ins, outs []region.Region), len(kindList)),
+		types:   make(map[string]*taskrt.TaskType, len(kindList)),
 		// The channel outlasts the watermark's hard cap (16384 tasks,
 		// one request minimum each), so an admitted request never blocks
 		// on the channel itself.
@@ -291,6 +297,7 @@ func New(cfg Config) *Engine {
 	e.tenants = map[string]bool{}
 	for _, k := range kindList {
 		e.kinds[k.Name] = k
+		e.kernels[k.Name] = kernel(k)
 		// Registering at construction also touches restored type state:
 		// snapshot sections install as types register, and a server
 		// should surface its warm-start entry count (and per-type
@@ -304,6 +311,18 @@ func New(cfg Config) *Engine {
 	}
 	go e.loop()
 	return e
+}
+
+// kernel adapts k's body to core.ServeTask.Run: one input and one output
+// region, both hitRegions' Float64 headers. The output is cleared first,
+// as layout clears it for the loop — a kernel is not obliged to write
+// every element, and the pooled slab holds an earlier request's floats.
+func kernel(k Kind) func(ins, outs []region.Region) {
+	return func(ins, outs []region.Region) {
+		out := outs[0].(*region.Float64).Data
+		clear(out)
+		k.Fn(ins[0].(*region.Float64).Data, out)
+	}
 }
 
 // typeName is the task-type name registered for (tenant, kind): the
@@ -505,8 +524,8 @@ func (e *Engine) carve(r *request, nout int) {
 func (e *Engine) layout(r *request, nout int) {
 	e.carve(r, nout)
 	// Outputs start zeroed, as a fresh region would: a kernel is not
-	// obliged to write every element. (A fresh slab is zero already; the
-	// slab an abandoned inline attempt carved is not.)
+	// obliged to write every element. (A fresh slab is zero already; a
+	// pooled one, or the one a declined inline attempt carved, is not.)
 	clear(r.out)
 	r.regs = make([]region.Float64, 2*len(r.tasks))
 	for j, t := range r.tasks {
@@ -515,39 +534,54 @@ func (e *Engine) layout(r *request, nout int) {
 	}
 }
 
-// serveInline is the inline hit path: it tries to serve r from the
-// table on the caller's goroutine (core.ServeHits) and reports whether
-// it did. All or nothing: when it reports false nothing was served,
-// counted or written and r goes to the loop whole, as if the attempt had
-// not been made — except that r.out is carved and holds whatever the
-// pooled slab held, which layout clears.
-func (e *Engine) serveInline(r *request, nout int) bool {
+// serveInline is the inline path: it tries to serve r on the caller's
+// goroutine (core.Serve) — hits copied from the table, misses run right
+// here and inserted — and reports whether r was answered, with err set
+// when it was shed. A request with misses is admitted for them alone,
+// against the loop's watermark and for as long as they run; one that is
+// all hits is never shed. When serveInline reports false nothing was
+// served, counted or written and r goes to the loop whole, as if the
+// attempt had not been made — except that r.out is carved and holds
+// whatever the pooled slab held, which layout clears.
+func (e *Engine) serveInline(r *request, nout int) (answered bool, err error) {
 	if e.memo == nil || e.noInline || !r.memoizable {
-		return false
+		return false, nil
 	}
 	e.carve(r, nout)
 	n := len(r.tasks)
-	if cap(r.hits) < n {
-		r.hits = make([]core.HitTask, n)
+	if cap(r.serve) < n {
+		r.serve = make([]core.ServeTask, n)
 	}
 	if cap(r.hitRegs) < n {
 		r.hitRegs = make([]hitRegions, n)
 	}
-	r.hits, r.hitRegs = r.hits[:n], r.hitRegs[:n]
+	r.serve, r.hitRegs = r.serve[:n], r.hitRegs[:n]
 	for j, t := range r.tasks {
-		h := &r.hits[j]
-		h.Type = r.types[j]
-		h.Ins, h.Outs = r.hitRegs[j].set(t.Input, r.outs[j])
+		st := &r.serve[j]
+		st.Type = r.types[j]
+		st.Ins, st.Outs = r.hitRegs[j].set(t.Input, r.outs[j])
+		st.Run = e.kernels[t.Kind]
 	}
-	if !e.memo.ServeHits(r.hits) {
-		return false
+	var admitted int64
+	var over *OverloadError
+	executed, ok := e.memo.Serve(r.serve, func(misses int) bool {
+		admitted = int64(misses)
+		over = e.admit(admitted)
+		return over == nil
+	})
+	if over != nil {
+		return true, e.shed(r, over)
 	}
+	if !ok {
+		return false, nil // declined before hashing
+	}
+	e.queued.Add(-admitted)
 	// A group of its own, run to completion: Counters folds these into
 	// Requests, Tasks and Batches.
 	e.inlineReqs.Add(1)
 	e.inlineTasks.Add(int64(n))
-	r.group = GroupStats{Tasks: int64(n), MemoTHT: int64(n)}
-	return true
+	r.group = GroupStats{Tasks: int64(n), Executed: int64(executed), MemoTHT: int64(n - executed)}
+	return true, nil
 }
 
 // Do submits a group of tasks and blocks until their outputs are
@@ -567,10 +601,10 @@ func (e *Engine) Do(tasks []Task) ([][]float64, GroupStats, error) {
 	return outs, g, nil
 }
 
-// submit serves r.tasks — inline when every task is a table hit, else
-// through the loop — and blocks until r.outs and r.group are filled in.
-// On success the caller releases r once it has consumed them; on error
-// submit has disposed of r itself.
+// submit serves r.tasks — inline when every task is memoizable and of a
+// steady type, else through the loop — and blocks until r.outs and
+// r.group are filled in. On success the caller releases r once it has
+// consumed them; on error submit has disposed of r itself.
 func (e *Engine) submit(r *request) error {
 	if e.closed.Load() {
 		e.release(r)
@@ -581,25 +615,19 @@ func (e *Engine) submit(r *request) error {
 		e.release(r)
 		return err
 	}
-	// Hits are served where the request is, ahead of admission: they are
-	// not queued, so they are not shed either.
-	if e.serveInline(r, nout) {
-		return nil
+	if answered, err := e.serveInline(r, nout); answered {
+		return err
 	}
 	n := int64(len(r.tasks))
-	limit := int64(e.rt.BacklogLimit())
-	if q := e.queued.Add(n); q > limit {
-		e.queued.Add(-n)
-		e.shedReqs.Add(1)
-		e.shedTask.Add(n)
-		e.release(r)
-		return &OverloadError{Queued: q - n, Limit: limit}
+	if over := e.admit(n); over != nil {
+		return e.shed(r, over)
 	}
 	e.requests.Add(1)
 	e.tasks.Add(n)
 	// Only an admitted request pays for its region headers and a zeroed
-	// output slab: a request shed above was validated and, when all its
-	// kinds are memoizable, probed up to its first miss (serveInline).
+	// output slab: a request shed above was validated and nothing more
+	// (the inline attempt, when all its kinds are memoizable, declined
+	// before hashing).
 	e.layout(r, nout)
 	select {
 	case e.reqs <- r:
@@ -617,6 +645,26 @@ func (e *Engine) submit(r *request) error {
 		// left to the garbage collector, not the pool.
 		return ErrClosed
 	}
+}
+
+// admit counts n tasks into the backlog, or leaves it as it was and
+// returns the overload when they would push it past the watermark.
+func (e *Engine) admit(n int64) *OverloadError {
+	limit := int64(e.rt.BacklogLimit())
+	if q := e.queued.Add(n); q > limit {
+		e.queued.Add(-n)
+		return &OverloadError{Queued: q - n, Limit: limit}
+	}
+	return nil
+}
+
+// shed refuses r, whole, at the watermark: it is counted and released,
+// and over is the caller's error.
+func (e *Engine) shed(r *request, over *OverloadError) error {
+	e.shedReqs.Add(1)
+	e.shedTask.Add(int64(len(r.tasks)))
+	e.release(r)
+	return over
 }
 
 // Lookup probes the memoization table for the outputs the engine would
@@ -760,8 +808,8 @@ func (e *Engine) loop() {
 }
 
 // memoTotals reads the ATM activity counters the group diff needs: the
-// runtime workers' only, so hits that handler goroutines commit inline
-// during the batch are not attributed to it.
+// runtime workers' only, so what handler goroutines serve inline during
+// the batch is not attributed to it.
 func (e *Engine) memoTotals() core.TaskTotals {
 	if e.memo == nil {
 		return core.TaskTotals{}

@@ -64,7 +64,7 @@ type StatsResponse struct {
 	BacklogLimit int64 `json:"backlog_limit"`
 
 	// InlineRequests / InlineTasks are the part of Requests / Tasks served
-	// on the handler goroutine, all hits, without reaching the loop.
+	// on the handler goroutine, hits and misses, without reaching the loop.
 	InlineRequests int64 `json:"inline_requests"`
 	InlineTasks    int64 `json:"inline_tasks"`
 
@@ -433,14 +433,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 
-	p.Family("atmd_tasks_total", "counter", "Tasks served through /v1/submit, inline or by the engine loop.")
+	p.Family("atmd_tasks_total", "counter", "Tasks served through /v1/submit, on the handler goroutine or by the engine loop.")
 	p.Sample("atmd_tasks_total", nil, float64(c.Tasks))
-	p.Family("atmd_inline_requests_total", "counter", "Submit requests by where they ran: served on the handler goroutine (every task a table hit), or fallback to the engine loop.")
+	p.Family("atmd_inline_requests_total", "counter", "Submit requests by where they ran: served on the handler goroutine (every task memoizable and steady; hits copied, misses run there), or fallback to the engine loop.")
 	p.Sample("atmd_inline_requests_total", []metrics.Label{{Name: "outcome", Value: "served"}}, float64(c.InlineRequests))
 	p.Sample("atmd_inline_requests_total", []metrics.Label{{Name: "outcome", Value: "fallback"}}, float64(c.Requests-c.InlineRequests))
 	p.Family("atmd_shed_tasks_total", "counter", "Tasks shed at the admission watermark (429).")
 	p.Sample("atmd_shed_tasks_total", nil, float64(c.ShedTasks))
-	p.Family("atmd_batches_total", "counter", "Groups run to completion: coalesced SubmitBatch fences plus requests served inline.")
+	p.Family("atmd_batches_total", "counter", "Groups run to completion: coalesced SubmitBatch fences plus requests served on the handler goroutine.")
 	p.Sample("atmd_batches_total", nil, float64(c.Batches))
 	p.Family("atmd_snapshot_saves_total", "counter", "Completed snapshot saves.")
 	p.Sample("atmd_snapshot_saves_total", nil, float64(c.Saves))

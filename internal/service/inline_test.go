@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,17 +17,18 @@ import (
 	"atm/internal/core"
 )
 
-// These tests pin the inline hit path (Engine.serveInline over
-// core.ServeHits): that it is invisible except in speed and in the two
-// inline counters, that every reason to decline hands the request to the
-// loop whole, and that it holds up against the loop's inserts, evictions
-// and saves.
+// These tests pin the inline path (Engine.serveInline over core.Serve):
+// that it is invisible except in speed, in the two inline counters and in
+// the IKT's, that every reason to decline hands the request to the loop
+// whole, and that it holds up against the loop's inserts, evictions and
+// saves.
 
 var memoKindNames = []string{"blackscholes", "kmeans", "lu", "stencil", "swaptions"}
 
 // inlineStream is one seeded request stream for the differential test:
 // hot keys, a skewed tail, scans of never-repeating keys, a request
-// carrying a spin task, two tenants.
+// carrying a spin task, a request naming one fresh key twice, two
+// tenants.
 type inlineStreamReq struct {
 	tenant string
 	tasks  []Task
@@ -65,6 +67,12 @@ func inlineStream(t *testing.T, seed int64, n int) []inlineStreamReq {
 		if shape >= 96 {
 			r.tasks = append(r.tasks, Task{Kind: "spin", Input: Input(spin, uint64(i), 7)})
 		}
+		if i%25 == 7 { // a miss, then its sibling's hit
+			k := kinds[rng.Intn(len(kinds))]
+			scanKey++
+			twice := Task{Kind: k.Name, Input: Input(k, scanKey, 7)}
+			r.tasks = append(append([]Task{twice}, r.tasks...), twice)
+		}
 	}
 	return reqs
 }
@@ -72,7 +80,9 @@ func inlineStream(t *testing.T, seed int64, n int) []inlineStreamReq {
 // TestInlineMatchesLoop sends one stream, one client, through an engine
 // with the inline path on and one with it off: every reply is the same
 // bytes, and afterwards core.Stats and the table's contents are equal —
-// budgeted and not, Static and Dynamic.
+// budgeted and not, Static and Dynamic — but for what differs by design:
+// the IKT counters (misses run on a handler take no IKT slot), provider
+// ids and clock estimates.
 func TestInlineMatchesLoop(t *testing.T) {
 	type variant struct {
 		mode   core.Mode
@@ -137,6 +147,9 @@ func TestInlineMatchesLoop(t *testing.T) {
 			if on.InlineRequests < int64(len(reqs))/10 {
 				t.Errorf("only %d of %d requests were served inline: the test compares little", on.InlineRequests, len(reqs))
 			}
+			if iktOn, iktOff := sides[0].eng.Stats().IKTInserts, sides[1].eng.Stats().IKTInserts; iktOn >= iktOff {
+				t.Errorf("the inline side registered %d IKT providers, the loop side %d: no miss ran on a handler", iktOn, iktOff)
+			}
 			on.InlineRequests, on.InlineTasks = 0, 0
 			on.BacklogLimit, off.BacklogLimit = 0, 0 // adaptive: follows what the runtime saw
 			if on != off {
@@ -150,13 +163,16 @@ func TestInlineMatchesLoop(t *testing.T) {
 				for i := range stats[s].Types { // estimates from a clock, not counts
 					stats[s].Types[i].HashTime, stats[s].Types[i].CopyTime = 0, 0
 				}
+				// Only the loop's misses register in the IKT.
+				stats[s].IKTInserts, stats[s].IKTDefers, stats[s].IKTRejected = 0, 0, 0
 				if err := sides[s].eng.Snapshot(); err != nil {
 					t.Fatal(err)
 				}
 				tables[s] = sides[s].table.Types
 				for i := range tables[s] {
 					for j := range tables[s][i].Entries {
-						// A task id: the loop-only engine carved more tasks.
+						// A task id, or core's own for an entry a handler
+						// inserted.
 						tables[s][i].Entries[j].Provider = 0
 					}
 				}
@@ -212,9 +228,11 @@ func checkOutputs(t testing.TB, got, want [][]float64) {
 
 // TestInlineFallbacks: one case per reason a request goes to the loop
 // instead, each checked by the batch it reports and by the inline
-// counters standing still.
+// counters standing still — and, as controls that nothing declines by
+// accident, requests of steady memoizable tasks served on the handler
+// whether they hit or miss.
 func TestInlineFallbacks(t *testing.T) {
-	viaLoop := func(t *testing.T, e *Engine, tasks []Task, want GroupStats) [][]float64 {
+	do := func(t *testing.T, e *Engine, tasks []Task, want GroupStats, inline bool) [][]float64 {
 		t.Helper()
 		before := e.Counters()
 		outs, g, err := e.Do(tasks)
@@ -225,37 +243,41 @@ func TestInlineFallbacks(t *testing.T) {
 			t.Errorf("batch = %+v, want %+v", g, want)
 		}
 		after := e.Counters()
-		if after.InlineRequests != before.InlineRequests || after.InlineTasks != before.InlineTasks {
-			t.Errorf("served inline: counters %+v -> %+v", before, after)
+		if served := after.InlineRequests != before.InlineRequests; served != inline {
+			t.Errorf("served inline %v, want %v: counters %+v -> %+v", served, inline, before, after)
 		}
 		if after.Requests != before.Requests+1 || after.Batches != before.Batches+1 {
 			t.Errorf("not counted once: counters %+v -> %+v", before, after)
 		}
 		return outs
 	}
+	viaLoop := func(t *testing.T, e *Engine, tasks []Task, want GroupStats) [][]float64 {
+		t.Helper()
+		return do(t, e, tasks, want, false)
+	}
+	inline := func(t *testing.T, e *Engine, tasks []Task, want GroupStats) [][]float64 {
+		t.Helper()
+		return do(t, e, tasks, want, true)
+	}
 	hot, want := hotTasks(t, 1)
 
-	t.Run("served", func(t *testing.T) { // the control: nothing below declines by accident
+	t.Run("served", func(t *testing.T) { // the control: misses, then hits
 		e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
-		viaLoop(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
-		outs, g, err := e.Do(hot)
-		if err != nil {
-			t.Fatal(err)
+		checkOutputs(t, inline(t, e, hot, GroupStats{Tasks: 5, Executed: 5}), want)
+		checkOutputs(t, inline(t, e, hot, GroupStats{Tasks: 5, MemoTHT: 5}), want)
+		if c := e.Counters(); c.InlineRequests != 2 || c.InlineTasks != 10 || c.Requests != 2 || c.Tasks != 10 || c.Batches != 2 {
+			t.Errorf("counters after two inline requests: %+v", c)
 		}
-		checkOutputs(t, outs, want)
-		if g != (GroupStats{Tasks: 5, MemoTHT: 5}) {
-			t.Errorf("batch = %+v, want five THT hits", g)
-		}
-		if c := e.Counters(); c.InlineRequests != 1 || c.InlineTasks != 5 || c.Requests != 2 || c.Tasks != 10 || c.Batches != 2 {
-			t.Errorf("counters after one loop and one inline request: %+v", c)
+		if st := e.Stats(); st.IKTInserts != 0 {
+			t.Errorf("handler misses took %d IKT slots, want 0", st.IKTInserts)
 		}
 	})
-	t.Run("first miss", func(t *testing.T) {
+	t.Run("first miss", func(t *testing.T) { // a miss behind hits is served too
 		e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
-		viaLoop(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
+		inline(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
 		cold, coldWant := hotTasks(t, 2)
 		mixed := append(append([]Task(nil), hot[:3]...), cold[3])
-		outs := viaLoop(t, e, mixed, GroupStats{Tasks: 4, Executed: 1, MemoTHT: 3})
+		outs := inline(t, e, mixed, GroupStats{Tasks: 4, Executed: 1, MemoTHT: 3})
 		checkOutputs(t, outs, append(append([][]float64(nil), want[:3]...), coldWant[3]))
 	})
 	t.Run("training", func(t *testing.T) {
@@ -266,7 +288,7 @@ func TestInlineFallbacks(t *testing.T) {
 	})
 	t.Run("not memoizable", func(t *testing.T) {
 		e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
-		viaLoop(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
+		inline(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
 		spin := mustKind(t, "spin")
 		mixed := append(append([]Task(nil), hot...), Task{Kind: "spin", Input: Input(spin, 1, 1)})
 		// The batch counts what ATM saw: the spin task is not among it.
@@ -285,30 +307,32 @@ func TestInlineFallbacks(t *testing.T) {
 	})
 }
 
-// TestAbandonedInlineLeavesOutputsZeroed: the inline attempt carves its
-// outputs from the pooled slab without zeroing it, so after it gives up
-// the loop must still hand a kernel zeroed outputs — a kernel is not
-// obliged to write every element.
+// TestAbandonedInlineLeavesOutputsZeroed: a request's output slab comes
+// from the pool uncleared, and a kernel is not obliged to write every
+// element — so a kernel that writes nothing must still return zeros, on
+// the handler path (a miss run inline) and on the loop (a request the
+// inline path declined), after requests that filled the slab.
 func TestAbandonedInlineLeavesOutputsZeroed(t *testing.T) {
 	var dirty atomic.Int64
+	none := func(in, out []float64) { // writes nothing, and counts what it was handed
+		for _, v := range out {
+			if v != 0 {
+				dirty.Add(1)
+			}
+		}
+	}
 	kinds := []Kind{
 		{Name: "fill", In: 1, Out: 32, Memoize: true, Fn: func(in, out []float64) {
 			for i := range out {
 				out[i] = in[0] + 1
 			}
 		}},
-		{Name: "first", In: 1, Out: 32, Memoize: true, Fn: func(in, out []float64) {
-			for _, v := range out {
-				if v != 0 {
-					dirty.Add(1)
-				}
-			}
-			out[0] = in[0] + 1 // and no other element
-		}},
+		{Name: "none", In: 1, Out: 32, Memoize: true, Fn: none},
+		{Name: "plain", In: 1, Out: 32, Fn: none}, // not memoizable: declined
 	}
 	e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic}), KindList: kinds})
 	srv := NewServer(e)
-	post := func(tasks ...Task) {
+	post := func(tasks ...Task) [][]float64 {
 		t.Helper()
 		body, err := EncodeBinaryTasks(tasks)
 		if err != nil {
@@ -321,32 +345,49 @@ func TestAbandonedInlineLeavesOutputsZeroed(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
 		}
+		var reply struct{ Results []struct{ Output []float64 } }
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatal(err)
+		}
+		outs := make([][]float64, len(reply.Results))
+		for i, r := range reply.Results {
+			outs[i] = r.Output
+		}
+		return outs
 	}
 	fill := Task{Kind: "fill", Input: []float64{1}}
 	post(fill, fill)
 	for rep := 1; rep <= 20; rep++ {
-		post(fill, fill) // served inline: the pooled slab now holds 2s throughout
-		// A hit, then a miss: abandoned after the first probe, run by the loop.
-		post(fill, Task{Kind: "first", Input: []float64{float64(rep)}})
+		for _, kind := range []string{"none", "plain"} {
+			post(fill, fill) // a hit: the pooled slab now holds 2s throughout
+			outs := post(fill, Task{Kind: kind, Input: []float64{float64(rep)}})
+			for j, v := range outs[1] {
+				if v != 0 {
+					t.Fatalf("%s, rep %d: output[%d] = %v, want 0", kind, rep, j, v)
+				}
+			}
+		}
 	}
-	if c := e.Counters(); c.InlineRequests != 20 {
-		t.Fatalf("%d requests served inline, want the 20 all-hit ones", c.InlineRequests)
+	if c := e.Counters(); c.InlineRequests != 61 || c.Requests != 81 {
+		t.Fatalf("%d of %d requests served inline, want the 61 without a plain task", c.InlineRequests, c.Requests)
 	}
 	if n := dirty.Load(); n != 0 {
-		t.Errorf("a kernel saw %d stale output elements after an abandoned inline attempt", n)
+		t.Errorf("a kernel saw %d stale output elements", n)
 	}
 }
 
-// TestInlineServedPastWatermark: hits are not queued, so a backlog past
-// the admission watermark does not shed them; a request that needs the
-// loop is shed as before.
+// TestInlineServedPastWatermark: a request served on the handler is
+// admitted for its misses alone. Past the watermark an all-hit request is
+// still served — hits are not queued, so they are not shed — and a
+// request with one miss is shed whole, leaving no trace in core: no
+// counter, no sketch cell, no entry.
 func TestInlineServedPastWatermark(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, Backlog: 64, Memo: core.New(core.Config{Mode: core.ModeStatic})})
+	e := newTestEngine(t, Config{Workers: 1, Backlog: 64, Memo: core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: 1 << 20})})
 	hot, want := hotTasks(t, 1)
 	if _, _, err := e.Do(hot); err != nil {
 		t.Fatal(err)
 	}
-	e.queued.Add(1 << 20) // the loop sits far past any watermark
+	e.queued.Add(1 << 20) // the engine sits far past any watermark
 	defer e.queued.Add(-(1 << 20))
 	outs, g, err := e.Do(hot)
 	if err != nil {
@@ -356,12 +397,17 @@ func TestInlineServedPastWatermark(t *testing.T) {
 	if g != (GroupStats{Tasks: 5, MemoTHT: 5}) {
 		t.Errorf("batch = %+v, want five THT hits", g)
 	}
+	before := e.Stats()
 	cold, _ := hotTasks(t, 2)
+	oneMiss := append(append([]Task(nil), hot[:4]...), cold[4])
 	var over *OverloadError
-	if _, _, err := e.Do(cold); !errors.As(err, &over) {
-		t.Fatalf("a request of misses past the watermark: err = %v, want *OverloadError", err)
+	if _, _, err := e.Do(oneMiss); !errors.As(err, &over) {
+		t.Fatalf("a request with a miss past the watermark: err = %v, want *OverloadError", err)
 	}
-	if c := e.Counters(); c.ShedRequests != 1 || c.InlineRequests != 1 || c.Requests != 2 {
+	if after := e.Stats(); !reflect.DeepEqual(after, before) {
+		t.Errorf("the shed request left a trace in core.Stats\n%+v\n%+v", before, after)
+	}
+	if c := e.Counters(); c.ShedRequests != 1 || c.ShedTasks != 5 || c.InlineRequests != 2 || c.Requests != 2 {
 		t.Errorf("counters: %+v", c)
 	}
 }
@@ -415,11 +461,14 @@ func TestLoopBatchStatsAreItsOwn(t *testing.T) {
 	}
 }
 
-// TestInlineRacesLoop: inline hits on eight goroutines against loop
-// batches that insert and evict under a 64 KiB budget, with a delta save
-// every 10 ms. Every reply equals Kind.Fn's outputs, and afterwards the
-// stats partition. Run with -race; core's TestServeHitsRacesInsertEvict
-// checks the entry reference counts underneath.
+// TestInlineRacesLoop: hot requests on eight goroutines — hits, or misses
+// run inline after an eviction — against loop batches that insert and
+// evict under a 64 KiB budget, with a delta save every 10 ms. The loop's
+// batches are two clients' never-repeating requests, each carrying a spin
+// task so the inline path declines them. Every reply equals Kind.Fn's
+// outputs, and afterwards the stats partition. Run with -race; core's
+// TestServeHitsRacesInsertEvict checks the entry reference counts
+// underneath.
 func TestInlineRacesLoop(t *testing.T) {
 	memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: 64 << 10})
 	memo.EnableDeltaTracking()
@@ -460,14 +509,20 @@ func TestInlineRacesLoop(t *testing.T) {
 		hot, want := hotTasks(t, uint64(g%3)) // evicted now and then, re-inserted by the next fallback
 		go client(func(int) ([]Task, [][]float64) { return hot, want })
 	}
+	spin := mustKind(t, "spin")
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		g := g
-		go client(func(i int) ([]Task, [][]float64) { return hotTasks(t, uint64(1000+2*i+g)) })
+		go client(func(i int) ([]Task, [][]float64) {
+			tasks, want := hotTasks(t, uint64(1000+2*i+g))
+			in, out := Input(spin, uint64(i), 1), make([]float64, spin.Out)
+			spin.Fn(in, out)
+			return append(tasks, Task{Kind: "spin", Input: in}), append(want, out)
+		})
 	}
 	deadline := time.After(30 * time.Second)
 wait:
-	for saves.Load() < 20 || e.Counters().InlineRequests < 200 {
+	for c := e.Counters(); saves.Load() < 20 || c.InlineRequests < 200 || c.Requests-c.InlineRequests < 20; c = e.Counters() {
 		select {
 		case <-deadline:
 			t.Errorf("after 30 s: %d saves, counters %+v", saves.Load(), e.Counters())
@@ -479,7 +534,8 @@ wait:
 	wg.Wait()
 
 	c, st := e.Counters(), e.Stats()
-	if c.Requests != requests.Load() || c.Tasks != 5*requests.Load() {
+	loop := c.Requests - c.InlineRequests
+	if c.Requests != requests.Load() || c.Tasks != 5*requests.Load()+loop {
 		t.Errorf("%d requests answered, counters say %+v", requests.Load(), c)
 	}
 	if st.THTBudgetEvictions == 0 {
@@ -492,8 +548,8 @@ wait:
 		}
 		tasks += ty.Tasks
 	}
-	if tasks != c.Tasks {
-		t.Errorf("ATM saw %d tasks, the engine served %d", tasks, c.Tasks)
+	if tasks != c.Tasks-loop { // less the spin tasks, which ATM does not see
+		t.Errorf("ATM saw %d tasks, the engine served %d memoizable ones", tasks, c.Tasks-loop)
 	}
 }
 

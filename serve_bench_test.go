@@ -20,10 +20,14 @@ import (
 // goroutine, reply encode. The body is the request ISSUE 12 profiled:
 // one blackscholes, kmeans, lu and stencil task, 624 input floats,
 // ≈12 KB as JSON. json and bin send the same tasks, so their difference
-// is the request decoder. bin-miss keeps the other path gated: one lu
-// task per request whose input never repeats, so every request misses,
-// goes through admission, the coalescing loop and a SubmitBatch fence,
-// runs its kernel and inserts under a 64 KiB budget (BENCH_8.json).
+// is the request decoder. bin-miss and bin-loop send one lu task per
+// request whose input never repeats, so every request misses and
+// inserts under a 64 KiB budget that evicts on every insert once full.
+// On bin-miss's Static engine the type is steady, so the miss is
+// admitted and run on the calling goroutine. bin-loop's engine sets
+// VerifyInputs, which the inline path refuses, so every request goes
+// through admission, the coalescing loop and a SubmitBatch fence: the
+// path the runtime still serves stays gated (BENCH_8.json).
 func BenchmarkServeHTTP(b *testing.B) {
 	var tasks []service.Task
 	type jsonTask struct {
@@ -52,20 +56,23 @@ func BenchmarkServeHTTP(b *testing.B) {
 	// The binary layout up to the first input float: u32 count, u8
 	// name length, name, u32 float count.
 	missFloat := missBody[4+1+len(tasks[2].Kind)+4:][:8]
+	nextMiss := func(i int) {
+		binary.LittleEndian.PutUint64(missFloat, math.Float64bits(float64(i)))
+	}
 	for _, enc := range []struct {
 		name, contentType string
 		body              []byte
 		budget            int64
+		verify            bool        // Config.VerifyInputs: the inline path declines
 		next              func(i int) // makes the body request i's
 	}{
-		{"json", "application/json", jsonBody, 0, func(int) {}},
-		{"bin", "application/x-atm-tasks", binBody, 0, func(int) {}},
-		{"bin-miss", "application/x-atm-tasks", missBody, 64 << 10, func(i int) {
-			binary.LittleEndian.PutUint64(missFloat, math.Float64bits(float64(i)))
-		}},
+		{"json", "application/json", jsonBody, 0, false, func(int) {}},
+		{"bin", "application/x-atm-tasks", binBody, 0, false, func(int) {}},
+		{"bin-miss", "application/x-atm-tasks", missBody, 64 << 10, false, nextMiss},
+		{"bin-loop", "application/x-atm-tasks", missBody, 64 << 10, true, nextMiss},
 	} {
 		b.Run(enc.name, func(b *testing.B) {
-			memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: enc.budget})
+			memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: enc.budget, VerifyInputs: enc.verify})
 			eng := service.New(service.Config{Workers: 1, Memo: memo})
 			defer eng.Close()
 			srv := service.NewServer(eng)
@@ -80,8 +87,9 @@ func BenchmarkServeHTTP(b *testing.B) {
 				}
 			}
 			// json, bin: the first pass executes and inserts, the rest are
-			// hits. bin-miss: the table fills to its budget (about 120
-			// entries) and from then on every insert evicts and recycles.
+			// hits. bin-miss, bin-loop: the table fills to its budget
+			// (about 120 entries, 60 with bin-loop's input copies) and
+			// from then on every insert evicts and recycles.
 			for i := 1; i <= 256; i++ {
 				serve(-i)
 			}
@@ -90,6 +98,10 @@ func BenchmarkServeHTTP(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				serve(i)
+			}
+			b.StopTimer()
+			if c := eng.Counters(); enc.verify && c.InlineRequests != 0 {
+				b.Fatalf("%d of %d requests were served inline on an engine the inline path must refuse", c.InlineRequests, c.Requests)
 			}
 		})
 	}
