@@ -1,8 +1,9 @@
 // Command atmd serves the ATM engine as a network memoization service:
-// an HTTP front-end (docs/service.md) over the service engine's
-// coalescing master loop, with the harness's persistence behind it: a
-// -chain file it warm-starts from under a -recover policy and appends
-// delta records to.
+// an HTTP front-end (docs/service.md) over the service engine, which
+// serves each request on its handler goroutine and runs what core.Serve
+// cannot answer under the task runtime's lock, with the harness's
+// persistence behind it: a -chain file it warm-starts from under a
+// -recover policy and appends delta records to.
 //
 //	atmd -addr :8080 -workers 8 -mode dynamic
 //	atmd -chain warm.atmchain -delta-every 30s -recover salvage

@@ -70,10 +70,10 @@
 //     handler goroutine (core.Serve: quiet probe, admission for the
 //     misses, then hits copied and misses run and inserted, recording
 //     what a worker would have); the rest — training types, types with
-//     an exclusion set, non-memoizable kinds — go through a coalescing
-//     engine loop that feeds concurrent network requests into
-//     SubmitBatch under the runtime's admission watermark (shed with
-//     429 upstream, never queue unboundedly). Around it an HTTP
+//     an exclusion set, non-memoizable kinds — run on their handler too,
+//     as one SubmitBatch under the task runtime's lock, admitted
+//     against the runtime's backlog watermark first (shed with 429
+//     upstream, never queue unboundedly). Around it an HTTP
 //     front-end (JSON and a compact binary task encoding) and the
 //     six-kind workload catalog. cmd/atmd serves it; the repository
 //     benchmark (benchmark/) drives it (docs/service.md).

@@ -24,8 +24,8 @@ type Config struct {
 	// adaptive LLC-sized watermark — admission control then tracks the
 	// same cache-sized backlog target as the submission throttle.
 	Backlog int
-	// Save persists the memoization state; it runs on the engine loop
-	// (quiesced, serialized with submissions). Nil disables POST
+	// Save persists the memoization state; it runs under the runtime
+	// lock (quiesced, serialized with runtime fences). Nil disables POST
 	// /v1/snapshot (409) and periodic saves.
 	Save func() error
 	// SaveEvery additionally runs Save on this period (0 = never).
@@ -48,32 +48,30 @@ type Task struct {
 	Input  []float64
 }
 
-// GroupStats is the ATM activity of the coalesced engine batch a
-// request rode in: requests coalesced into the same batch observe the
-// same numbers (per-batch, not per-request, attribution — the price of
-// request coalescing, documented in docs/service.md). A request served
-// inline (Engine.serveInline) rode in no batch and reports exactly its
-// own tasks: the misses it ran as Executed, the rest as MemoTHT.
+// GroupStats is the ATM activity of one request, exactly its own: a
+// request served inline (Engine.serveInline) reports the misses it ran
+// as Executed and the rest as MemoTHT; one run through the runtime
+// (Engine.run) reports the workers' counters diffed around its fence.
 type GroupStats struct {
-	// Tasks is the batch's task count; Executed of them ran their body,
-	// MemoTHT were served from the history table, MemoIKT deduplicated
-	// against an identical in-flight task.
+	// Tasks is the request's ATM-visible task count; Executed of them
+	// ran their body, MemoTHT were served from the history table, MemoIKT
+	// deduplicated against an identical in-flight task of the request.
 	Tasks, Executed, MemoTHT, MemoIKT int64
 }
 
 // Counters is the engine's monotonic operational state.
 type Counters struct {
-	// Requests / Tasks count served work, inline or through the loop;
+	// Requests / Tasks count served work, inline or through the runtime;
 	// Shed* count work refused at the admission watermark (the 429 path).
 	Requests, Tasks         int64
 	ShedRequests, ShedTasks int64
 	// InlineRequests / InlineTasks are the part of Requests / Tasks served
-	// on the caller's goroutine without reaching the loop: requests whose
-	// every task is memoizable and of a steady type, hits and misses alike.
+	// by core.Serve without the runtime: requests whose every task is
+	// memoizable and of a steady type, hits and misses alike.
 	InlineRequests, InlineTasks int64
-	// Batches counts groups run to completion — SubmitBatch fences plus
-	// inline requests, each a group of its own — so Tasks ÷ Batches stays
-	// defined on a server that only ever hits; Lookups/LookupHits the
+	// Batches counts groups run to completion. Every request is one, so
+	// it equals Requests; it stays because Tasks ÷ Batches is the
+	// benchmark's tasks-per-batch figure. Lookups/LookupHits count the
 	// Peek path; Saves completed snapshot saves.
 	Batches, Lookups, LookupHits, Saves int64
 	// Queued is the current admitted-but-uncompleted task count;
@@ -106,15 +104,16 @@ type BadTaskError struct{ msg string }
 
 func (e *BadTaskError) Error() string { return "service: " + e.msg }
 
-// Engine is the memoization service core: it owns the task runtime's
-// master thread. Concurrent callers (HTTP handler goroutines) enqueue
-// task groups through Do; a single loop goroutine coalesces them into
-// SubmitBatch calls — request coalescing over the batched submission
-// pipeline — runs each batch to its completion fence, and hands the
-// outputs back. Admission control reuses the runtime's adaptive
-// throttle watermark: work that would push the in-flight backlog past
-// it is shed immediately (OverloadError) instead of queueing
-// unboundedly, and identical in-flight tasks deduplicate through the
+// Engine is the memoization service core. Concurrent callers (HTTP
+// handler goroutines) submit task groups through Do, and each group is
+// served on its caller's goroutine: through core.Serve when every task
+// is memoizable and of a steady type (serveInline), else under the
+// runtime lock, whose holder is the task runtime's one submitter for a
+// SubmitBatch, Wait and Reset of its own tasks (run). Admission control
+// reuses the runtime's adaptive throttle watermark: work that would push
+// the in-flight backlog past it is shed immediately (OverloadError)
+// instead of queueing unboundedly — waiters for the runtime lock
+// included — and identical tasks of one group deduplicate through the
 // IKT as in any ATM run.
 type Engine struct {
 	cfg   Config
@@ -130,28 +129,35 @@ type Engine struct {
 	types   map[string]*taskrt.TaskType
 	tenants map[string]bool
 
-	reqs     chan *request
-	reqPool  sync.Pool       // *request: per-request memory, reused (size-capped in release)
-	ctl      chan chan error // Snapshot requests: the loop saves and replies on each
-	quit     chan struct{}
-	loopDone chan struct{}
-	closed   atomic.Bool
+	reqPool sync.Pool // *request: per-request memory, reused (size-capped in release)
+
+	// rtMu is the runtime lock. taskrt takes one submitter at a time, so
+	// every SubmitBatch, Wait and Reset runs under it, and so does the
+	// Save hook, which then sees a quiesced runtime.
+	rtMu sync.Mutex
+	// life is held shared by every request and requested save from its
+	// closed check to its reply, and exclusively by Close, which so waits
+	// them all out. It guards closed.
+	life      sync.RWMutex
+	closed    bool
+	closeOnce sync.Once
+	// stopSaves stops the periodic saver, which closes savesDone as it
+	// exits; both are nil without one.
+	stopSaves, savesDone chan struct{}
 
 	queued   atomic.Int64
 	requests atomic.Int64
 	tasks    atomic.Int64
 	shedReqs atomic.Int64
 	shedTask atomic.Int64
-	batches  atomic.Int64
 	lookups  atomic.Int64
 	lookHits atomic.Int64
 	saves    atomic.Int64
 
-	// inlineReqs and inlineTasks count what serveInline served; requests,
-	// tasks and batches above count what the loop ran, and Counters adds
-	// the inline share to each. noInline turns the inline path off.
-	// Tests only: the differential suite runs one stream through both
-	// paths.
+	// inlineReqs and inlineTasks count what serveInline served; requests
+	// and tasks above count what the runtime ran, and Counters adds the
+	// inline share to each. noInline turns the inline path off. Tests
+	// only: the differential suite runs one stream through both paths.
 	inlineReqs  atomic.Int64
 	inlineTasks atomic.Int64
 	noInline    bool
@@ -162,35 +168,30 @@ type Engine struct {
 	// kernels holds each served kind's body in the form core.Serve runs
 	// it on a handler goroutine (see kernel); immutable after New.
 	kernels map[string]func(ins, outs []region.Region)
-
-	// Loop-goroutine scratch, reused across batches (runGroup).
-	group   []*request
-	entries []taskrt.BatchEntry
 }
 
-// request is one submission on its way through the loop, plus the
-// memory a submission needs: the HTTP handler's body and reply buffers,
-// the decoded tasks and the slabs their input and output vectors are
-// carved from. Requests recycle through Engine.reqPool, so a warm server
-// allocates none of it per request. A pool per engine, not per process:
-// what a request holds is sized by this engine's catalog and traffic.
+// request is one submission plus the memory a submission needs: the
+// HTTP handler's body and reply buffers, the decoded tasks and the slabs
+// their input and output vectors are carved from. Requests recycle
+// through Engine.reqPool, so a warm server allocates none of it per
+// request. A pool per engine, not per process: what a request holds is
+// sized by this engine's catalog and traffic.
 type request struct {
 	tasks []Task
 	outs  [][]float64
 	group GroupStats
-	// done receives one token when the loop has run the request; its
-	// capacity of one means the loop never blocks on a requester.
-	done chan struct{}
 
-	// types is resolved before admission and regs laid out after it,
-	// both on the requester's goroutine, so the loop goroutine only
-	// wires batch entries and a shed request was only validated. regs
-	// holds the input and output region of task j at 2j and 2j+1. It is
-	// allocated afresh per submission and never reused: region identity
-	// is meaningful to core (the Dynamic-ATM exclusion set is keyed by
-	// output region pointer).
-	types []*taskrt.TaskType
-	regs  []region.Float64
+	// types is resolved before admission and regs laid out after it, so
+	// a shed request was only validated. regs holds the input and output
+	// region of task j at 2j and 2j+1. It is allocated afresh per
+	// submission and never reused: region identity is meaningful to core
+	// (the Dynamic-ATM exclusion set is keyed by output region pointer)
+	// and to taskrt (dependence state hangs off the header). entries are
+	// the batch run submits, pooled: they point at regs only until the
+	// fence.
+	types   []*taskrt.TaskType
+	regs    []region.Float64
+	entries []taskrt.BatchEntry
 	// memoizable reports that every task's kind is memoizable
 	// (resolveTypes): only then is the inline path tried. serve and
 	// hitRegs are that attempt's task list and region headers; unlike
@@ -234,19 +235,17 @@ func (e *Engine) getRequest() *request {
 	if r, _ := e.reqPool.Get().(*request); r != nil {
 		return r
 	}
-	return &request{done: make(chan struct{}, 1)}
+	return new(request)
 }
 
 // release returns r's memory to the pool. The caller must be done with
-// everything r handed out (decoded tasks, outs, reply), and the loop
-// must be done with r: release is only called before r was enqueued or
-// after its done token was received.
+// everything r handed out (decoded tasks, outs, reply).
 func (e *Engine) release(r *request) {
 	// In bytes: a Task is 56, a type pointer 8, a slice header 24, a
-	// ServeTask 112, a hitRegions 128.
+	// ServeTask 112, a hitRegions 128, a BatchEntry 88.
 	kept := cap(r.body) + cap(r.reply) + 8*(cap(r.in)+cap(r.out)) +
 		56*cap(r.taskBuf) + 8*cap(r.types) + 24*cap(r.outs) +
-		112*cap(r.serve) + 128*cap(r.hitRegs)
+		112*cap(r.serve) + 128*cap(r.hitRegs) + 88*cap(r.entries)
 	if kept > maxPooledRequestBytes {
 		return
 	}
@@ -261,7 +260,8 @@ func (e *Engine) release(r *request) {
 	e.reqPool.Put(r)
 }
 
-// New builds the engine and starts its loop. The caller must Close it.
+// New builds the engine and starts its periodic saver, if configured.
+// The caller must Close it.
 func New(cfg Config) *Engine {
 	kindList := cfg.KindList
 	if kindList == nil {
@@ -286,13 +286,6 @@ func New(cfg Config) *Engine {
 		kinds:   make(map[string]Kind, len(kindList)),
 		kernels: make(map[string]func(ins, outs []region.Region), len(kindList)),
 		types:   make(map[string]*taskrt.TaskType, len(kindList)),
-		// The channel outlasts the watermark's hard cap (16384 tasks,
-		// one request minimum each), so an admitted request never blocks
-		// on the channel itself.
-		reqs:     make(chan *request, 32768),
-		ctl:      make(chan chan error),
-		quit:     make(chan struct{}),
-		loopDone: make(chan struct{}),
 	}
 	e.tenants = map[string]bool{}
 	for _, k := range kindList {
@@ -309,13 +302,16 @@ func New(cfg Config) *Engine {
 			panic("service: catalog registration exceeded MaxTenants: " + err.Error())
 		}
 	}
-	go e.loop()
+	if cfg.Save != nil && cfg.SaveEvery > 0 {
+		e.stopSaves, e.savesDone = make(chan struct{}), make(chan struct{})
+		go e.saveEvery()
+	}
 	return e
 }
 
 // kernel adapts k's body to core.ServeTask.Run: one input and one output
 // region, both hitRegions' Float64 headers. The output is cleared first,
-// as layout clears it for the loop — a kernel is not obliged to write
+// as layout clears it for the runtime — a kernel is not obliged to write
 // every element, and the pooled slab holds an earlier request's floats.
 func kernel(k Kind) func(ins, outs []region.Region) {
 	return func(ins, outs []region.Region) {
@@ -439,14 +435,15 @@ func (e *Engine) Kind(name string) (Kind, bool) {
 // Counters returns the engine's operational counters.
 func (e *Engine) Counters() Counters {
 	inlineReqs, inlineTasks := e.inlineReqs.Load(), e.inlineTasks.Load()
+	reqs := e.requests.Load() + inlineReqs
 	return Counters{
-		Requests:       e.requests.Load() + inlineReqs,
+		Requests:       reqs,
 		Tasks:          e.tasks.Load() + inlineTasks,
 		ShedRequests:   e.shedReqs.Load(),
 		ShedTasks:      e.shedTask.Load(),
 		InlineRequests: inlineReqs,
 		InlineTasks:    inlineTasks,
-		Batches:        e.batches.Load() + inlineReqs,
+		Batches:        reqs,
 		Lookups:        e.lookups.Load(),
 		LookupHits:     e.lookHits.Load(),
 		Saves:          e.saves.Load(),
@@ -470,8 +467,8 @@ func (e *Engine) setSaveErr(err error) {
 }
 
 // resolveTypes checks a task group before admission and registers any
-// new (tenant, kind) types it names, so the loop goroutine only ever sees
-// resolved tasks. It returns the group's total output length.
+// new (tenant, kind) types it names. It returns the group's total output
+// length.
 func (e *Engine) resolveTypes(r *request) (nout int, err error) {
 	if len(r.tasks) == 0 {
 		return 0, &BadTaskError{msg: "empty task list"}
@@ -538,11 +535,11 @@ func (e *Engine) layout(r *request, nout int) {
 // goroutine (core.Serve) — hits copied from the table, misses run right
 // here and inserted — and reports whether r was answered, with err set
 // when it was shed. A request with misses is admitted for them alone,
-// against the loop's watermark and for as long as they run; one that is
-// all hits is never shed. When serveInline reports false nothing was
-// served, counted or written and r goes to the loop whole, as if the
-// attempt had not been made — except that r.out is carved and holds
-// whatever the pooled slab held, which layout clears.
+// against the watermark and for as long as they run; one that is all
+// hits is never shed. When serveInline reports false nothing was served,
+// counted or written and r goes to the runtime whole, as if the attempt
+// had not been made — except that r.out is carved and holds whatever the
+// pooled slab held, which layout clears.
 func (e *Engine) serveInline(r *request, nout int) (answered bool, err error) {
 	if e.memo == nil || e.noInline || !r.memoizable {
 		return false, nil
@@ -586,10 +583,12 @@ func (e *Engine) serveInline(r *request, nout int) (answered bool, err error) {
 
 // Do submits a group of tasks and blocks until their outputs are
 // ready. The group is admitted or shed atomically: on success every
-// task's output vector is returned in order, plus the stats of the
-// coalesced batch the group rode in; past the watermark it returns
-// *OverloadError without queueing anything.
+// task's output vector is returned in order, plus the group's own ATM
+// stats; past the watermark it returns *OverloadError without queueing
+// anything.
 func (e *Engine) Do(tasks []Task) ([][]float64, GroupStats, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
 	r := e.getRequest()
 	r.tasks = tasks
 	if err := e.submit(r); err != nil {
@@ -602,11 +601,12 @@ func (e *Engine) Do(tasks []Task) ([][]float64, GroupStats, error) {
 }
 
 // submit serves r.tasks — inline when every task is memoizable and of a
-// steady type, else through the loop — and blocks until r.outs and
-// r.group are filled in. On success the caller releases r once it has
-// consumed them; on error submit has disposed of r itself.
+// steady type, else through the runtime — and fills in r.outs and
+// r.group. The caller holds e.life shared until it has replied. On
+// success the caller releases r once it has consumed r.outs and r.group;
+// on error submit has disposed of r itself.
 func (e *Engine) submit(r *request) error {
-	if e.closed.Load() {
+	if e.closed {
 		e.release(r)
 		return ErrClosed
 	}
@@ -618,33 +618,61 @@ func (e *Engine) submit(r *request) error {
 	if answered, err := e.serveInline(r, nout); answered {
 		return err
 	}
+	// Admitted whole before it waits for the runtime lock, so the
+	// watermark bounds the lock's waiters too.
 	n := int64(len(r.tasks))
 	if over := e.admit(n); over != nil {
 		return e.shed(r, over)
 	}
-	e.requests.Add(1)
-	e.tasks.Add(n)
 	// Only an admitted request pays for its region headers and a zeroed
 	// output slab: a request shed above was validated and nothing more
 	// (the inline attempt, when all its kinds are memoizable, declined
 	// before hashing).
 	e.layout(r, nout)
-	select {
-	case e.reqs <- r:
-	case <-e.quit:
-		e.queued.Add(-n)
-		e.release(r)
-		return ErrClosed
+	e.run(r)
+	e.queued.Add(-n)
+	e.requests.Add(1)
+	e.tasks.Add(n)
+	return nil
+}
+
+// run submits r's tasks as one batch under the runtime lock, waits for
+// their fence and resets the runtime's dependence state: r's regions
+// are dead after its fence, so the live-slot list never holds more than
+// one request's slots. r.group is the diff of the workers' ATM counters
+// around the fence, r's alone: nothing else submits while the lock is
+// held, and what handlers serve inline meanwhile is not in the workers'
+// counters.
+func (e *Engine) run(r *request) {
+	for j, tt := range r.types {
+		r.entries = append(r.entries, taskrt.Desc(tt,
+			taskrt.In(&r.regs[2*j]), taskrt.Out(&r.regs[2*j+1])))
 	}
-	select {
-	case <-r.done:
-		return nil
-	case <-e.loopDone:
-		// The loop exited without processing this request (shutdown
-		// race): the work never ran. r may still sit in e.reqs, so it is
-		// left to the garbage collector, not the pool.
-		return ErrClosed
+	e.rtMu.Lock()
+	pre := e.memoTotals()
+	e.rt.SubmitBatch(r.entries)
+	e.rt.Wait()
+	post := e.memoTotals()
+	e.rt.Reset()
+	e.rtMu.Unlock()
+	clear(r.entries) // keep the buffer, not the regions it points at
+	r.entries = r.entries[:0]
+	r.group = GroupStats{
+		Tasks:    post.Tasks - pre.Tasks,
+		Executed: post.Executed - pre.Executed,
+		MemoTHT:  post.MemoizedTHT - pre.MemoizedTHT,
+		MemoIKT:  post.MemoizedIKT - pre.MemoizedIKT,
 	}
+}
+
+// memoTotals reads the ATM activity counters run diffs: the runtime
+// workers' only, so what handler goroutines serve inline during a fence
+// is not attributed to it.
+func (e *Engine) memoTotals() core.TaskTotals {
+	if e.memo == nil {
+		return core.TaskTotals{}
+	}
+	return e.memo.WorkerTotals()
 }
 
 // admit counts n tasks into the backlog, or leaves it as it was and
@@ -676,8 +704,8 @@ func (e *Engine) Lookup(kind string, input []float64) ([]float64, bool, error) {
 // LookupTenant probes the memoization table for the outputs the engine
 // would serve for (tenant, kind, input) right now, without executing
 // anything; on a hit they are returned in dst's memory when it has room
-// (a caller that recycles dst looks up without allocating). It runs
-// entirely off the engine loop and is quiet (core.Peek): the table's
+// (a caller that recycles dst looks up without allocating). It never
+// takes the runtime lock and is quiet (core.Peek): the table's
 // counters and its eviction state do not move, only Counters.Lookups
 // and LookupHits. A tenant that never submitted is simply a miss: the
 // read path must not allocate namespaces.
@@ -721,42 +749,48 @@ func (e *Engine) LookupTenant(tenant, kind string, input, dst []float64) ([]floa
 }
 
 // Snapshot runs the configured Save hook (the delta-chain append under
-// harness serve mode), serialized on the engine loop and quiesced at a
-// completion fence. The hook alone decides where state is written.
+// harness serve mode) under the runtime lock, so it is serialized with
+// runtime fences and sees a quiesced runtime. The hook alone decides
+// where state is written.
 func (e *Engine) Snapshot() error {
 	if e.memo == nil || e.cfg.Save == nil {
 		return ErrNoPersistence
 	}
-	c := make(chan error, 1)
-	select {
-	case e.ctl <- c:
-	case <-e.loopDone:
+	e.life.RLock()
+	defer e.life.RUnlock()
+	if e.closed {
 		return ErrClosed
 	}
-	select {
-	case err := <-c:
-		return err
-	case <-e.loopDone:
-		return ErrClosed
-	}
+	return e.save()
 }
 
-// Close drains queued requests, runs a final save (when configured)
-// and stops the runtime. It returns the final save's error, if any.
+// Close waits for every request and Snapshot that passed its closed
+// check before it, on either path, then stops the periodic saver, runs
+// a final save (when configured) and stops the runtime; requests and
+// Snapshots after it get ErrClosed. It returns the final save's error,
+// if any, and so does every later Close, once the first has returned.
 func (e *Engine) Close() error {
-	if !e.closed.CompareAndSwap(false, true) {
-		<-e.loopDone
-		return e.SaveErr()
-	}
-	close(e.quit)
-	<-e.loopDone
-	e.rt.Close()
+	e.closeOnce.Do(func() {
+		e.life.Lock()
+		e.closed = true
+		e.life.Unlock()
+		if e.stopSaves != nil {
+			close(e.stopSaves)
+			<-e.savesDone
+		}
+		if e.cfg.Save != nil {
+			_ = e.save()
+		}
+		e.rt.Close()
+	})
 	return e.SaveErr()
 }
 
-// save runs the Save hook on the loop goroutine.
+// save runs the Save hook under the runtime lock.
 func (e *Engine) save() error {
+	e.rtMu.Lock()
 	err := e.cfg.Save()
+	e.rtMu.Unlock()
 	if err != nil {
 		e.setSaveErr(err)
 	} else {
@@ -765,123 +799,18 @@ func (e *Engine) save() error {
 	return err
 }
 
-// loop is the engine's master goroutine: the only caller of
-// SubmitBatch/Wait/Reset, per taskrt's single-submitter contract.
-func (e *Engine) loop() {
-	defer close(e.loopDone)
-	var tick <-chan time.Time
-	if e.cfg.Save != nil && e.cfg.SaveEvery > 0 {
-		t := time.NewTicker(e.cfg.SaveEvery)
-		defer t.Stop()
-		tick = t.C
-	}
-	var sinceReset int
+// saveEvery is the periodic saver: it runs save every cfg.SaveEvery
+// until Close stops it.
+func (e *Engine) saveEvery() {
+	defer close(e.savesDone)
+	t := time.NewTicker(e.cfg.SaveEvery)
+	defer t.Stop()
 	for {
 		select {
-		case r := <-e.reqs:
-			e.runGroup(r)
-			if sinceReset++; sinceReset >= resetEvery {
-				// All fresh regions from the drained batches are dead;
-				// drop their dependence state so the live-slot list
-				// stays bounded over a service lifetime.
-				e.rt.Reset()
-				sinceReset = 0
-			}
-		case c := <-e.ctl:
-			c <- e.save()
-		case <-tick:
+		case <-t.C:
 			_ = e.save()
-		case <-e.quit:
-			for {
-				select {
-				case r := <-e.reqs:
-					e.runGroup(r)
-				default:
-					if e.cfg.Save != nil {
-						_ = e.save()
-					}
-					return
-				}
-			}
+		case <-e.stopSaves:
+			return
 		}
 	}
-}
-
-// memoTotals reads the ATM activity counters the group diff needs: the
-// runtime workers' only, so what handler goroutines serve inline during
-// the batch is not attributed to it.
-func (e *Engine) memoTotals() core.TaskTotals {
-	if e.memo == nil {
-		return core.TaskTotals{}
-	}
-	return e.memo.WorkerTotals()
-}
-
-const (
-	// coalesceTasks caps the tasks folded into one SubmitBatch call.
-	// Larger batches amortize submission cost; smaller ones bound the
-	// per-batch completion fence a request may wait behind.
-	coalesceTasks = 512
-	// resetEvery is the number of engine batches between rt.Reset()
-	// calls. Every request's regions are fresh, so dependence state is
-	// garbage after each fence; periodic resets keep the runtime's
-	// live-slot list bounded on a long-lived server.
-	resetEvery = 64
-	// maxKeptEntries bounds the batch-entry buffer the loop keeps
-	// between batches: a full coalesced batch plus the request that
-	// overshot it. One oversized request does not pin a buffer of its
-	// size.
-	maxKeptEntries = 4096
-)
-
-// runGroup coalesces the first request with whatever else is already
-// queued (up to coalesceTasks tasks), submits the whole group as one
-// batch, runs it to the completion fence and hands each request its
-// token.
-func (e *Engine) runGroup(first *request) {
-	group := append(e.group[:0], first)
-	total := len(first.tasks)
-	for total < coalesceTasks {
-		select {
-		case r := <-e.reqs:
-			group = append(group, r)
-			total += len(r.tasks)
-		default:
-			goto drained
-		}
-	}
-drained:
-	pre := e.memoTotals()
-	entries := e.entries[:0]
-	for _, r := range group {
-		for j, tt := range r.types {
-			entries = append(entries, taskrt.Desc(tt,
-				taskrt.In(&r.regs[2*j]), taskrt.Out(&r.regs[2*j+1])))
-		}
-	}
-	e.rt.SubmitBatch(entries)
-	e.rt.Wait()
-	e.batches.Add(1)
-
-	post := e.memoTotals()
-	g := GroupStats{
-		Tasks:    post.Tasks - pre.Tasks,
-		Executed: post.Executed - pre.Executed,
-		MemoTHT:  post.MemoizedTHT - pre.MemoizedTHT,
-		MemoIKT:  post.MemoizedIKT - pre.MemoizedIKT,
-	}
-	for _, r := range group {
-		r.group = g
-		r.done <- struct{}{}
-	}
-	e.queued.Add(-int64(total))
-
-	// Keep the buffers, not what they point to.
-	clear(group)
-	e.group = group[:0]
-	if cap(entries) > maxKeptEntries {
-		entries = nil
-	}
-	clear(entries)
-	e.entries = entries[:0]
 }

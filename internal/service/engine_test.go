@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"atm/internal/core"
 )
@@ -17,8 +21,8 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 }
 
 // TestEngineExecutesCorrectly checks Do's outputs equal the kernel run
-// directly — through the full submit/coalesce/fence path, memoized or
-// not.
+// directly — through the runtime's submit/fence path or the inline
+// path, memoized or not.
 func TestEngineExecutesCorrectly(t *testing.T) {
 	for _, memo := range []bool{false, true} {
 		var atm *core.ATM
@@ -240,8 +244,8 @@ func TestEngineLookup(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshot: Snapshot runs the Save hook on the loop goroutine,
-// where the table is quiescent, and counts the save; an engine without
+// TestEngineSnapshot: Snapshot runs the Save hook under the runtime
+// lock, where the table is quiescent, and counts the save; an engine without
 // a hook refuses it.
 func TestEngineSnapshot(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeStatic})
@@ -293,5 +297,77 @@ func TestEngineClose(t *testing.T) {
 	}
 	if _, _, err := e.Do([]Task{{Kind: "lu", Input: make([]float64, 64)}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Do after Close: %v", err)
+	}
+}
+
+// TestCloseWaitsForHandlerRequests: Close returns only after every
+// request that passed its closed check has replied — one served on its
+// handler goroutine included — and only then runs the final save, which
+// must hold what that request inserted. The request's kernel blocks
+// until Close has been called.
+func TestCloseWaitsForHandlerRequests(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	kinds := []Kind{{Name: "block", In: 1, Out: 1, Memoize: true, Fn: func(in, out []float64) {
+		close(entered)
+		<-release
+		out[0] = in[0] + 1
+	}}}
+	memo := core.New(core.Config{Mode: core.ModeStatic})
+	rec := httptest.NewRecorder()
+	var replied bool
+	var entries int
+	e := New(Config{Workers: 1, Memo: memo, KindList: kinds, Save: func() error {
+		replied = rec.Body.Len() > 0 // Close's final save, the only one
+		snap, err := memo.Snapshot()
+		for _, ts := range snap.Types {
+			entries += len(ts.Entries)
+		}
+		return err
+	}})
+	srv := NewServer(e)
+	body, err := EncodeBinaryTasks([]Task{{Kind: "block", Input: []float64{1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(body))
+	req.Header.Set("Content-Type", binaryContentType)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeHTTP(rec, req)
+	}()
+	<-entered
+	var closeErr error
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		closeErr = e.Close()
+	}()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-closed:
+		t.Error("Close returned while a handler was running its request's kernel")
+	default:
+	}
+	close(release)
+	<-closed
+	<-served
+	if closeErr != nil {
+		t.Fatal(closeErr)
+	}
+	if !replied {
+		t.Error("the final save ran before the request replied")
+	}
+	if entries != 1 {
+		t.Errorf("the final save holds %d entries, want the one the request inserted", entries)
+	}
+	if want := `{"results":[{"output":[2]}],"batch":{"tasks":1,"executed":1,"memo_tht":0,"memo_ikt":0}}` + "\n"; rec.Code != http.StatusOK || rec.Body.String() != want {
+		t.Errorf("reply: HTTP %d %s, want %s", rec.Code, rec.Body, want)
+	}
+	if c := e.Counters(); c.InlineRequests != 1 {
+		t.Errorf("the request was not served on its handler: %+v", c)
+	}
+	if _, _, err := e.Do([]Task{{Kind: "block", Input: []float64{2}}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Do after Close: %v", err)
 	}
 }

@@ -17,10 +17,11 @@ import (
 // The wire API (documented in docs/service.md):
 //
 //	POST /v1/submit    JSON {"tasks":[{"kind":"...","input":[...]}]} or
-//	                   binary application/x-atm-tasks; a body whose
-//	                   every task is a table hit is answered on the
-//	                   handler goroutine, the rest coalesce into one
-//	                   SubmitBatch on the engine loop.
+//	                   binary application/x-atm-tasks; answered on the
+//	                   handler goroutine, through core.Serve when every
+//	                   task is memoizable and of a steady type (hits
+//	                   copied, misses run there), else as one SubmitBatch
+//	                   under the runtime lock.
 //	                   A per-task "tenant" field (or the X-ATM-Tenant
 //	                   header for the whole request) selects the
 //	                   memoization namespace.
@@ -64,7 +65,7 @@ type StatsResponse struct {
 	BacklogLimit int64 `json:"backlog_limit"`
 
 	// InlineRequests / InlineTasks are the part of Requests / Tasks served
-	// on the handler goroutine, hits and misses, without reaching the loop.
+	// by core.Serve, hits and misses, without the runtime.
 	InlineRequests int64 `json:"inline_requests"`
 	InlineTasks    int64 `json:"inline_tasks"`
 
@@ -279,6 +280,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, err)
 	}
 	q.tasks = q.taskBuf
+	// Held from the closed check to the reply, so Close waits for it.
+	e.life.RLock()
+	defer e.life.RUnlock()
 	if err := e.submit(q); err != nil {
 		return writeError(w, err)
 	}
@@ -433,14 +437,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 
-	p.Family("atmd_tasks_total", "counter", "Tasks served through /v1/submit, on the handler goroutine or by the engine loop.")
+	p.Family("atmd_tasks_total", "counter", "Tasks served through /v1/submit, by core.Serve or through the task runtime.")
 	p.Sample("atmd_tasks_total", nil, float64(c.Tasks))
-	p.Family("atmd_inline_requests_total", "counter", "Submit requests by where they ran: served on the handler goroutine (every task memoizable and steady; hits copied, misses run there), or fallback to the engine loop.")
+	p.Family("atmd_inline_requests_total", "counter", "Submit requests by how they ran: served by core.Serve (every task memoizable and steady; hits copied, misses run on the handler), or fallback to the task runtime under its lock.")
 	p.Sample("atmd_inline_requests_total", []metrics.Label{{Name: "outcome", Value: "served"}}, float64(c.InlineRequests))
 	p.Sample("atmd_inline_requests_total", []metrics.Label{{Name: "outcome", Value: "fallback"}}, float64(c.Requests-c.InlineRequests))
 	p.Family("atmd_shed_tasks_total", "counter", "Tasks shed at the admission watermark (429).")
 	p.Sample("atmd_shed_tasks_total", nil, float64(c.ShedTasks))
-	p.Family("atmd_batches_total", "counter", "Groups run to completion: coalesced SubmitBatch fences plus requests served on the handler goroutine.")
+	p.Family("atmd_batches_total", "counter", "Groups run to completion: one per served submit request, so it equals the request count.")
 	p.Sample("atmd_batches_total", nil, float64(c.Batches))
 	p.Family("atmd_snapshot_saves_total", "counter", "Completed snapshot saves.")
 	p.Sample("atmd_snapshot_saves_total", nil, float64(c.Saves))

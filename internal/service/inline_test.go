@@ -19,9 +19,9 @@ import (
 
 // These tests pin the inline path (Engine.serveInline over core.Serve):
 // that it is invisible except in speed, in the two inline counters and in
-// the IKT's, that every reason to decline hands the request to the loop
-// whole, and that it holds up against the loop's inserts, evictions and
-// saves.
+// the IKT's, that every reason to decline hands the request to the
+// runtime whole, and that it holds up against the runtime's inserts,
+// evictions and saves. ("Loop" in a test name means the runtime path.)
 
 var memoKindNames = []string{"blackscholes", "kmeans", "lu", "stencil", "swaptions"}
 
@@ -105,8 +105,8 @@ func TestInlineMatchesLoop(t *testing.T) {
 			type side struct {
 				eng *Engine
 				srv *Server
-				// table is what the Save hook last read, on the loop
-				// goroutine.
+				// table is what the Save hook last read, under the
+				// runtime lock.
 				table *core.Snapshot
 			}
 			var sides [2]side // inline on, inline off
@@ -163,7 +163,7 @@ func TestInlineMatchesLoop(t *testing.T) {
 				for i := range stats[s].Types { // estimates from a clock, not counts
 					stats[s].Types[i].HashTime, stats[s].Types[i].CopyTime = 0, 0
 				}
-				// Only the loop's misses register in the IKT.
+				// Only the runtime's misses register in the IKT.
 				stats[s].IKTInserts, stats[s].IKTDefers, stats[s].IKTRejected = 0, 0, 0
 				if err := sides[s].eng.Snapshot(); err != nil {
 					t.Fatal(err)
@@ -226,7 +226,7 @@ func checkOutputs(t testing.TB, got, want [][]float64) {
 	}
 }
 
-// TestInlineFallbacks: one case per reason a request goes to the loop
+// TestInlineFallbacks: one case per reason a request goes to the runtime
 // instead, each checked by the batch it reports and by the inline
 // counters standing still — and, as controls that nothing declines by
 // accident, requests of steady memoizable tasks served on the handler
@@ -310,7 +310,7 @@ func TestInlineFallbacks(t *testing.T) {
 // TestAbandonedInlineLeavesOutputsZeroed: a request's output slab comes
 // from the pool uncleared, and a kernel is not obliged to write every
 // element — so a kernel that writes nothing must still return zeros, on
-// the handler path (a miss run inline) and on the loop (a request the
+// the handler path (a miss run inline) and on the runtime (a request the
 // inline path declined), after requests that filled the slab.
 func TestAbandonedInlineLeavesOutputsZeroed(t *testing.T) {
 	var dirty atomic.Int64
@@ -412,13 +412,14 @@ func TestInlineServedPastWatermark(t *testing.T) {
 	}
 }
 
-// TestLoopBatchStatsAreItsOwn: the loop attributes a batch by diffing
-// ATM's counters around its fence, and hits committed meanwhile on other
-// goroutines must not land in that difference. A miss-only request, the
-// only one to reach the loop, reports exactly its own tasks while eight
-// goroutines serve hot keys inline.
+// TestLoopBatchStatsAreItsOwn: every request run through the runtime
+// reports exactly its own tasks, the workers' ATM counters diffed around
+// its own fence, while three goroutines contend for the runtime lock and
+// eight serve hot keys inline, whose hits must not land in any diff.
+// Each runtime request is a hit, a never-seen lu task and a spin task,
+// which keeps it off the inline path and which ATM does not see.
 func TestLoopBatchStatsAreItsOwn(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
+	e := newTestEngine(t, Config{Workers: 2, Memo: core.New(core.Config{Mode: core.ModeStatic})})
 	hot, _ := hotTasks(t, 1)
 	if _, _, err := e.Do(hot); err != nil {
 		t.Fatal(err)
@@ -442,30 +443,47 @@ func TestLoopBatchStatsAreItsOwn(t *testing.T) {
 			}
 		}()
 	}
-	lu := mustKind(t, "lu")
-	for i := 0; i < 300; i++ {
-		cold := make([]Task, 3)
-		for j := range cold {
-			cold[j] = Task{Kind: "lu", Input: Input(lu, uint64(1000+3*i+j), 9)}
-		}
-		_, g, err := e.Do(cold)
-		if err != nil || g != (GroupStats{Tasks: 3, Executed: 3}) {
-			t.Errorf("miss-only request %d: batch = %+v, err %v, want its own three executed tasks", i, g, err)
-			break
-		}
+	lu, spin := mustKind(t, "lu"), mustKind(t, "spin")
+	const senders, each = 3, 15
+	var sendWG sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		sendWG.Add(1)
+		go func() {
+			defer sendWG.Done()
+			for i := 0; i < each; i++ {
+				tasks := []Task{
+					hot[0],
+					{Kind: "lu", Input: Input(lu, uint64(1000+senders*i+g), 9)},
+					{Kind: "spin", Input: Input(spin, uint64(i), 9)},
+				}
+				_, gs, err := e.Do(tasks)
+				if want := (GroupStats{Tasks: 2, Executed: 1, MemoTHT: 1}); err != nil || gs != want {
+					t.Errorf("runtime request %d of sender %d: batch = %+v, err %v, want %+v", i, g, gs, err, want)
+					return
+				}
+			}
+		}()
 	}
+	sendWG.Wait()
 	close(stop)
 	wg.Wait()
-	if c := e.Counters(); c.InlineRequests == 0 {
-		t.Error("no hot request was served inline: nothing raced the loop's batches")
+	c := e.Counters()
+	if loop := c.Requests - c.InlineRequests; loop != senders*each {
+		t.Errorf("%d requests reached the runtime, want %d", loop, senders*each)
+	}
+	if c.InlineRequests <= 1 {
+		t.Error("no hot request was served inline: nothing raced the runtime's fences")
+	}
+	if c.Batches != c.Requests {
+		t.Errorf("batches %d != requests %d: every request is a group of its own", c.Batches, c.Requests)
 	}
 }
 
 // TestInlineRacesLoop: hot requests on eight goroutines — hits, or misses
-// run inline after an eviction — against loop batches that insert and
-// evict under a 64 KiB budget, with a delta save every 10 ms. The loop's
-// batches are two clients' never-repeating requests, each carrying a spin
-// task so the inline path declines them. Every reply equals Kind.Fn's
+// run inline after an eviction — against runtime fences that insert and
+// evict under a 64 KiB budget, with a delta save every 10 ms. The
+// runtime's requests are two clients' never-repeating requests, each
+// carrying a spin task so the inline path declines them. Every reply equals Kind.Fn's
 // outputs, and afterwards the stats partition. Run with -race; core's
 // TestServeHitsRacesInsertEvict checks the entry reference counts
 // underneath.

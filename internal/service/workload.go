@@ -1,10 +1,11 @@
 // Package service turns the ATM engine into a network-facing
 // memoization service: a catalog of task kinds clients can submit
-// (workload.go), a single-master engine loop that coalesces concurrent
-// requests into SubmitBatch calls and sheds load past the adaptive
-// throttle watermark (engine.go), and the HTTP front-end behind
-// cmd/atmd (http.go) with its wire codec (codec.go). The load that
-// drives it comes from the repository benchmark (benchmark/). See
+// (workload.go), an engine that serves each request on its caller's
+// goroutine — steady memoizable tasks through core.Serve, the rest as
+// one SubmitBatch under the task runtime's lock — and sheds load past
+// the adaptive throttle watermark (engine.go), and the HTTP front-end
+// behind cmd/atmd (http.go) with its wire codec (codec.go). The load
+// that drives it comes from the repository benchmark (benchmark/). See
 // docs/service.md for the wire API, the backpressure semantics and the
 // metrics catalog.
 package service

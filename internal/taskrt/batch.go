@@ -82,8 +82,8 @@ func (e *BatchEntry) take() (accs []Access, owned bool) {
 // followed by a single wake sized to the number of tasks pushed; and the
 // submission throttle is consulted once per batch rather than per task.
 //
-// Like Submit, SubmitBatch must be called from the single master
-// goroutine. The returned slice is carved from a pointer slab owned by
+// Like Submit, SubmitBatch must be called by the one submitter (see
+// Submit). The returned slice is carved from a pointer slab owned by
 // the runtime; the tasks it points to live in recyclable slabs, so the
 // pointers are valid until the first submission after a completion
 // fence (Wait/Fence) — after that the cells may be reset and re-carved
@@ -247,7 +247,7 @@ type Batcher struct {
 }
 
 // Batcher returns a new Batcher of DefaultBatch tasks per batch. Like
-// Submit, it must be used only from the master goroutine.
+// Submit, it must be used only by the one submitter.
 func (rt *Runtime) Batcher() *Batcher {
 	return rt.BatcherN(DefaultBatch)
 }

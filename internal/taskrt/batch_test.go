@@ -71,6 +71,71 @@ func TestSubmitBatchCrossBatchDependences(t *testing.T) {
 	}
 }
 
+// TestSubmittersTakeTurnsUnderMutex: the one-submitter contract is about
+// overlap, not goroutine identity. Four goroutines take turns under a
+// mutex, each turn a SubmitBatch, a Submit, a Wait that consumes the
+// returned tasks, and on every other turn a Reset — the way a service
+// runs one request's tasks per turn. Dependences chain within a turn and,
+// between Resets, across turns on a shared region; slabs recycle across
+// goroutines (far more tasks than one slab). Run with -race.
+func TestSubmittersTakeTurnsUnderMutex(t *testing.T) {
+	rt := New(Config{Workers: 2})
+	defer rt.Close()
+	shared := region.NewInt32(1)
+	inc := rt.RegisterType(TypeConfig{Name: "inc", Run: func(task *Task) {
+		task.Int32s(0)[0]++
+	}})
+	double := rt.RegisterType(TypeConfig{Name: "double", Run: func(task *Task) {
+		task.Float64s(1)[0] = 2 * task.Float64s(0)[0]
+	}})
+	var mu sync.Mutex
+	var turns int
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]BatchEntry, 0, 9)
+			for i := 0; i < 50; i++ {
+				in, out := region.NewFloat64(1), region.NewFloat64(1)
+				in.Data[0] = float64(g*1000 + i)
+				mu.Lock()
+				batch = batch[:0]
+				for j := 0; j < 8; j++ {
+					batch = append(batch, Desc(inc, InOut(shared)))
+				}
+				batch = append(batch, Desc(double, In(in), Out(out)))
+				tasks := rt.SubmitBatch(batch)
+				last := rt.Submit(inc, InOut(shared))
+				rt.Wait()
+				turns++
+				ids := make([]uint64, 0, len(tasks)+1)
+				for _, task := range append(tasks, last) {
+					ids = append(ids, task.ID())
+				}
+				if rt.Completed() != rt.Submitted() || shared.Data[0] != int32(9*turns) || out.Data[0] != 2*in.Data[0] {
+					t.Errorf("goroutine %d, turn %d: shared = %d (want %d), out = %v (want %v)",
+						g, i, shared.Data[0], 9*turns, out.Data[0], 2*in.Data[0])
+				}
+				for j := 1; j < len(ids); j++ {
+					if ids[j] != ids[j-1]+1 {
+						t.Errorf("goroutine %d, turn %d: task ids %v not consecutive", g, i, ids)
+						break
+					}
+				}
+				if i%2 == 1 {
+					rt.Reset()
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if want := int32(9 * 4 * 50); shared.Data[0] != want {
+		t.Fatalf("shared = %d, want %d", shared.Data[0], want)
+	}
+}
+
 // TestSubmitBatchEdgeCases covers the empty batch, the 1-entry batch and
 // a batch larger than the task slab.
 func TestSubmitBatchEdgeCases(t *testing.T) {

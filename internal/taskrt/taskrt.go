@@ -430,7 +430,8 @@ type Runtime struct {
 	stealSplit []int
 	wlocal     []workerLocal
 
-	// Master-thread-only state (Submit is single-goroutine by contract).
+	// Master-thread-only state (one submitter at a time by contract; see
+	// Submit).
 	//
 	// Dependence state: every region carries its *regState in its
 	// DepSlot (region.Region.DepSlotHeader) stamped with this runtime's
@@ -1116,9 +1117,14 @@ func (rt *Runtime) finalizeWiring(t *Task, npred int32) bool {
 
 // Submit creates a task of type tt with the given accesses, wires its
 // dependences against previously submitted tasks, and schedules it when
-// ready. Submit must be called from a single goroutine (the "master
-// thread"); task bodies must not submit. For regular loop nests,
-// SubmitBatch (or a Batcher) amortizes the per-task submission cost.
+// ready. The runtime takes one submitter (the "master thread") at a
+// time: calls to Submit, SubmitBatch and Reset must not overlap, and
+// each must happen after the previous one returned — from one
+// goroutine, or from goroutines taking turns under a mutex, which orders
+// them. A submitter's Wait belongs to its turn, since task pointers stay
+// valid only until the next submission after a fence. Task bodies must
+// not submit. For regular loop nests, SubmitBatch (or a Batcher)
+// amortizes the per-task submission cost.
 func (rt *Runtime) Submit(tt *TaskType, accesses ...Access) *Task {
 	if rt.closed.Load() {
 		panic("taskrt: Submit after Close")
@@ -1339,7 +1345,7 @@ func (rt *Runtime) Fence() { rt.Wait() }
 // dropping all address-range tracking at a taskwait). Claimed region
 // slots are invalidated wholesale by retiring the runtime's generation
 // and assigning a new one — no per-region unstamping pass. Like Submit,
-// Reset must be called from the master goroutine.
+// Reset must be called by the one submitter.
 func (rt *Runtime) Reset() {
 	rt.Wait()
 	retireGen(rt.gen)

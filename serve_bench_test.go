@@ -26,8 +26,9 @@ import (
 // On bin-miss's Static engine the type is steady, so the miss is
 // admitted and run on the calling goroutine. bin-loop's engine sets
 // VerifyInputs, which the inline path refuses, so every request goes
-// through admission, the coalescing loop and a SubmitBatch fence: the
-// path the runtime still serves stays gated (BENCH_8.json).
+// through admission, the runtime lock and a SubmitBatch fence, still on
+// the calling goroutine: the path the runtime still serves stays gated
+// (BENCH_8.json).
 func BenchmarkServeHTTP(b *testing.B) {
 	var tasks []service.Task
 	type jsonTask struct {
