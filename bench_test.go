@@ -13,6 +13,7 @@ package atm
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
@@ -24,6 +25,7 @@ import (
 	"atm/internal/persist"
 	"atm/internal/region"
 	"atm/internal/sampling"
+	"atm/internal/service"
 	"atm/internal/taskrt"
 )
 
@@ -359,11 +361,15 @@ func BenchmarkSubmitBatch(b *testing.B) {
 // BenchmarkWarmStartHit measures the two costs a persisted snapshot
 // adds to a run (docs/persistence.md): "restore" is decoding and
 // restoring a 64-entry / ~1 MiB snapshot (what a warm start pays once,
-// before the first task), and "hit" is the steady warm-hit latency —
-// submit + THT hit + output copy + wait for a task whose entry came
-// from the restored snapshot rather than from this process's own
-// executions. Gated in BENCH_4.json so restore cost and warm-hit
-// latency cannot silently regress.
+// before the first task), "restore-catalog" is the same for a chain
+// file of many small entries laid out as atmd's (an empty base and one
+// delta of 1 024 keys of each memoizable service kind, loaded from
+// disk and installed), and "hit"
+// is the steady warm-hit latency — submit + THT hit + output copy +
+// wait for a task whose entry came from the restored snapshot rather
+// than from this process's own executions. Gated in BENCH_4.json so
+// restore cost, restore allocations and warm-hit latency cannot
+// silently regress.
 func BenchmarkWarmStartHit(b *testing.B) {
 	const (
 		nInputs = 64
@@ -416,6 +422,70 @@ func BenchmarkWarmStartHit(b *testing.B) {
 			if _, err := core.Restore(cfg, snap); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	b.Run("restore-catalog", func(b *testing.B) {
+		const keys = 1024
+		var kinds []service.Kind
+		for _, k := range service.Kinds() {
+			if k.Memoize {
+				kinds = append(kinds, k)
+			}
+		}
+		// Laid out as atmd leaves it: an empty base, then the delta of
+		// everything the server inserted.
+		base := &core.Snapshot{Fingerprint: core.Fingerprint(cfg)}
+		delta := &core.Delta{Fingerprint: base.Fingerprint}
+		x := uint64(1)
+		for ti, k := range kinds {
+			delta.Types = append(delta.Types, core.TypeDelta{Name: k.TypeName(), HasMeta: true, Steady: true, Level: sampling.MaxPLevel})
+			for i := 0; i < keys; i++ {
+				out := region.NewFloat64(k.Out)
+				for j := range out.Data {
+					x = x*6364136223846793005 + 1442695040888963407
+					out.Data[j] = float64(x>>11) / (1 << 53)
+				}
+				delta.Entries = append(delta.Entries, core.DeltaEntry{Type: ti, EntrySnapshot: core.EntrySnapshot{
+					Key: x, Level: sampling.MaxPLevel, Provider: uint64(i + 1),
+					Outs: []region.Region{out},
+				}})
+			}
+		}
+		data, err := persist.MarshalChain(base, []*core.Delta{delta})
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(b.TempDir(), "catalog.atmchain")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		load := func() {
+			base, deltas, err := persist.LoadChain(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			memo, err := core.RestoreChain(cfg, base, deltas)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
+			for _, k := range kinds {
+				memo.ChosenLevel(rt.RegisterType(taskrt.TypeConfig{Name: k.TypeName(), Memoize: true, Run: func(*taskrt.Task) {}}))
+			}
+			rt.Close()
+			if n := memo.RestoredEntries(); n != int64(len(kinds)*keys) {
+				b.Fatalf("installed %d restored entries, want %d", n, len(kinds)*keys)
+			}
+		}
+		// One load before the clock starts takes the process's one-time
+		// allocations out of allocs/op, which BENCH_4.json gates exactly.
+		load()
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			load()
 		}
 	})
 

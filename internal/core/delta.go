@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // This file implements incremental (delta) snapshots, the persistence
@@ -312,7 +313,14 @@ func (a *ATM) ApplyDelta(d *Delta) error {
 	if a.pending == nil {
 		a.pending = make(map[string]*TypeSnapshot, len(d.Types))
 	}
-	for _, td := range d.Types {
+	// Each pending section grows once, by its type's operation count,
+	// rather than by append per operation.
+	secs := make([]*TypeSnapshot, len(d.Types))
+	grow := make([]int, len(d.Types))
+	for i := range d.Entries {
+		grow[d.Entries[i].Type]++
+	}
+	for ti, td := range d.Types {
 		sec := a.pending[td.Name]
 		if sec == nil {
 			sec = &TypeSnapshot{Name: td.Name}
@@ -324,11 +332,14 @@ func (a *ATM) ApplyDelta(d *Delta) error {
 			sec.Successes = td.Successes
 			sec.Excluded = td.Excluded
 		}
+		if grow[ti] > 0 {
+			sec.Entries = slices.Grow(sec.Entries, grow[ti])
+		}
+		secs[ti] = sec
 	}
 	for i := range d.Entries {
 		de := &d.Entries[i]
-		sec := a.pending[d.Types[de.Type].Name]
-		sec.Entries = append(sec.Entries, de.EntrySnapshot)
+		secs[de.Type].Entries = append(secs[de.Type].Entries, de.EntrySnapshot)
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime/debug"
+	"unsafe"
 
 	"atm/internal/core"
 	"atm/internal/failpoint"
@@ -476,6 +478,9 @@ func decodeBaseBody(body []byte, fp uint64) (*core.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nsec > 0 {
+		s.Types = make([]core.TypeSnapshot, 0, capFor(d, nsec, minSectionLen))
+	}
 	seen := map[string]bool{}
 	for i := uint32(0); i < nsec; i++ {
 		blen, err := d.u32()
@@ -486,15 +491,15 @@ func decodeBaseBody(body []byte, fp uint64) (*core.Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		sec, err := decodeSection(sb)
-		if err != nil {
+		s.Types = append(s.Types, core.TypeSnapshot{})
+		sec := &s.Types[i]
+		if err := decodeSection(sec, sb); err != nil {
 			return nil, fmt.Errorf("section %d: %w", i, err)
 		}
 		if seen[sec.Name] {
 			return nil, fmt.Errorf("%w: duplicate section for type %q", ErrCorrupt, sec.Name)
 		}
 		seen[sec.Name] = true
-		s.Types = append(s.Types, *sec)
 	}
 	if d.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d stray bytes in base record", ErrCorrupt, d.remaining())
@@ -508,6 +513,9 @@ func decodeDeltaBody(body []byte, fp uint64) (*core.Delta, error) {
 	ntypes, err := d.u32()
 	if err != nil {
 		return nil, err
+	}
+	if ntypes > 0 {
+		dl.Types = make([]core.TypeDelta, 0, capFor(d, ntypes, minTypeRowLen))
 	}
 	seen := map[string]bool{}
 	for i := uint32(0); i < ntypes; i++ {
@@ -563,9 +571,12 @@ func decodeDeltaBody(body []byte, fp uint64) (*core.Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Grown by append (not preallocated) so an entry-less delta decodes
-	// with a nil Entries slice, exactly as it was encoded.
+	// Left nil without inserts, so an entry-less delta decodes with a
+	// nil Entries slice, exactly as it was encoded.
 	var inserts []core.DeltaEntry
+	if nent > 0 {
+		inserts = make([]core.DeltaEntry, 0, capFor(d, nent, minInsertLen))
+	}
 	for j := uint32(0); j < nent; j++ {
 		ti, err := d.u32()
 		if err != nil {
@@ -574,26 +585,14 @@ func decodeDeltaBody(body []byte, fp uint64) (*core.Delta, error) {
 		if int(ti) >= len(dl.Types) {
 			return nil, fmt.Errorf("%w: entry %d references type %d of %d", ErrCorrupt, j, ti, len(dl.Types))
 		}
-		elen, err := d.u32()
+		ebody, err := entryBody(d, j)
 		if err != nil {
 			return nil, err
 		}
-		ebody, err := d.need(int(elen))
-		if err != nil {
-			return nil, err
-		}
-		sum, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(ebody) != sum {
-			return nil, fmt.Errorf("%w: entry %d CRC mismatch", ErrCorrupt, j)
-		}
-		e, err := decodeEntry(ebody)
-		if err != nil {
+		inserts = append(inserts, core.DeltaEntry{Type: int(ti)})
+		if err := decodeEntry(&inserts[j].EntrySnapshot, ebody); err != nil {
 			return nil, fmt.Errorf("entry %d: %w", j, err)
 		}
-		inserts = append(inserts, core.DeltaEntry{Type: int(ti), EntrySnapshot: *e})
 	}
 	if d.remaining() == 0 {
 		// No tombstone section: the operation stream is the inserts.
@@ -610,7 +609,7 @@ func decodeDeltaBody(body []byte, fp uint64) (*core.Delta, error) {
 	if ntomb == 0 {
 		return nil, fmt.Errorf("%w: empty tombstone section", ErrCorrupt)
 	}
-	dl.Entries = make([]core.DeltaEntry, 0, int(nent)+int(ntomb))
+	dl.Entries = make([]core.DeltaEntry, 0, len(inserts)+capFor(d, ntomb, tombstoneLen))
 	next := 0 // inserts already emitted into the merged stream
 	for j := uint32(0); j < ntomb; j++ {
 		ti, err := d.u32()
@@ -679,17 +678,71 @@ func SaveChainSync(path string, base *core.Snapshot, deltas []*core.Delta, sync 
 // LoadChain reads and decodes the snapshot file at path (UnmarshalChain:
 // a chain's base, possibly nil, plus deltas in order). A missing file
 // surfaces as an error satisfying errors.Is(err, os.ErrNotExist) — a
-// cold start.
+// cold start. The file is read through decodeFile: mapped where that
+// is supported, and nothing returned aliases it.
 func LoadChain(path string) (*core.Snapshot, []*core.Delta, error) {
-	data, err := os.ReadFile(path)
+	var base *core.Snapshot
+	var deltas []*core.Delta
+	err := decodeFile(path, func(data []byte) (err error) {
+		base, deltas, err = UnmarshalChain(data)
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	base, deltas, err := UnmarshalChain(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
 	return base, deltas, nil
+}
+
+// decodeFile hands decode the bytes of the file at path, and wraps a
+// decode error with the path (an open or read error already names it).
+// A non-empty regular file is mapped read-only for the call and
+// unmapped after it (mapFile; decode must copy out whatever it keeps),
+// and anything else — an empty file, a directory, a system without
+// mappings, a failed mapping — is read into memory with os.ReadFile.
+func decodeFile(path string, decode func(data []byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	data, err := mapFile(f)
+	f.Close()
+	if err == nil && data != nil {
+		defer unmapFile(data)
+		if mappedHook != nil {
+			mappedHook(path)
+		}
+	} else if data, err = os.ReadFile(path); err != nil {
+		return err
+	}
+	if err := decodeGuarded(data, decode); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// mappedHook, when set, runs between mapping a file and decoding it:
+// the seam a test uses to shrink the file under the decoder.
+var mappedHook func(path string)
+
+// decodeGuarded runs decode over data with memory faults turned into
+// errors. A mapped file that shrinks under the decoder faults (SIGBUS)
+// on the pages it lost; that becomes an ErrTruncated error naming the
+// offset instead of killing the process. Any other panic is re-raised.
+func decodeGuarded(data []byte, decode func(data []byte) error) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		fault, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		at := fault.Addr() - uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+		err = fmt.Errorf("%w: file shrank under the decoder (fault at offset %d)", ErrTruncated, at)
+	}()
+	return decode(data)
 }
 
 // AppendDelta appends one delta record to an existing version-2 chain

@@ -206,6 +206,36 @@ func TestChainTypedErrors(t *testing.T) {
 	if _, _, err := UnmarshalChain(kindless); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown record kind: %v", err)
 	}
+
+	// Loading a file reports what reading it (os.ReadFile) or decoding
+	// its bytes (UnmarshalChain, behind the path) reports, whether the
+	// file is mapped or read: a missing file stays a cold start.
+	dir := t.TempDir()
+	if _, _, err := LoadChain(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing chain: %v", err)
+	}
+	_, rerr := os.ReadFile(dir)
+	if _, _, err := LoadChain(dir); err == nil || rerr == nil || err.Error() != rerr.Error() {
+		t.Fatalf("directory: LoadChain says %v, os.ReadFile %v", err, rerr)
+	}
+	for name, c := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"empty":   {nil, ErrTruncated},
+		"torn":    {data[:len(data)-3], ErrTruncated},
+		"corrupt": {flipped, ErrCorrupt},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, uerr := UnmarshalChain(c.data)
+		_, _, err := LoadChain(path)
+		if !errors.Is(err, c.want) || err.Error() != path+": "+uerr.Error() {
+			t.Fatalf("%s file: LoadChain says %v, want %v behind the path", name, err, uerr)
+		}
+	}
 }
 
 // TestChainTruncationBehavior pins the documented truncation contract:

@@ -19,12 +19,21 @@ func reencode(t *testing.T, base *core.Snapshot, deltas []*core.Delta) []byte {
 	return enc
 }
 
+// scribble changes every byte of b, so whatever aliases b changes too.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] ^= 0xff
+	}
+}
+
 // FuzzDeltaChainDecode feeds arbitrary bytes to the strict chain
 // decoder: decoding must never panic, and any accepted file is
 // canonical — re-encoding it reproduces it byte for byte (exact
 // lengths, validated enums and type indices, zeroed meta fields on
 // meta-less type rows, records ending exactly at EOF), so a chain that
-// survives a load/append cycle can never drift.
+// survives a load/append cycle can never drift. The decoders read a
+// private copy of the input that is overwritten before re-encoding,
+// so a decoded chain that aliased its input would fail the check.
 func FuzzDeltaChainDecode(f *testing.F) {
 	base, deltas := buildChain(f)
 	if data, err := MarshalChain(base, deltas); err == nil {
@@ -52,7 +61,9 @@ func FuzzDeltaChainDecode(f *testing.F) {
 		// SalvageChain never panics, and whatever it keeps re-encodes
 		// to exactly the bytes it reported keeping — salvage is a
 		// truncation to a valid prefix, never a rewrite.
-		sb, sds, rep, serr := SalvageChain(data)
+		own := bytes.Clone(data)
+		sb, sds, rep, serr := SalvageChain(own)
+		scribble(own)
 		if serr == nil {
 			if rep.BytesKept+rep.BytesTruncated != int64(len(data)) {
 				t.Fatalf("salvage report does not partition the input: %+v of %d bytes", rep, len(data))
@@ -62,7 +73,9 @@ func FuzzDeltaChainDecode(f *testing.F) {
 			}
 		}
 
-		b, ds, err := UnmarshalChain(data)
+		copy(own, data)
+		b, ds, err := UnmarshalChain(own)
+		scribble(own)
 		if err != nil {
 			if serr == nil && rep.Clean() {
 				t.Fatalf("salvage called a strictly-rejected chain clean: %v", err)

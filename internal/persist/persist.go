@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"unsafe"
 
 	"atm/internal/core"
 	"atm/internal/region"
@@ -241,112 +242,152 @@ func (d *decoder) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func decodeSection(body []byte) (*core.TypeSnapshot, error) {
+// Smallest encodings of the counted items. A count is checked against
+// the bytes left in its body before anything is sized from it, so a
+// hostile count in a few bytes costs nothing: a slice is presized to
+// at most what the remaining bytes could hold, and the decode loop
+// then fails at the first item that is not there, with the same error
+// it always did.
+const (
+	minSectionLen = 4 + 2 + 1 + 1 + 4 + 4 + 4 // body length, then an empty section
+	minEntryLen   = 4 + 8 + 1 + 8 + 2 + 2 + 4 // body length, empty entry, CRC
+	minRegionLen  = 1 + 4                     // kind, element count
+	minTypeRowLen = 2 + 1 + 1 + 4 + 4         // delta type row, empty name
+	minInsertLen  = 4 + minEntryLen           // type index, entry
+	tombstoneLen  = 4 + 4 + 8 + 1 + 8         // type index, position, key, level, provider
+)
+
+// capFor is how many items of at least size bytes each a slice decoded
+// from the remaining bytes of d is presized for: n, unless the bytes
+// left cannot hold n of them.
+func capFor(d *decoder, n uint32, size int) int {
+	return int(min(uint64(n), uint64(d.remaining()/size)))
+}
+
+// decodeSection decodes a section body into sec, its entries in place
+// in one slice presized from the section's entry count.
+func decodeSection(sec *core.TypeSnapshot, body []byte) error {
 	d := &decoder{data: body}
 	nlen, err := d.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	name, err := d.need(int(nlen))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sec := &core.TypeSnapshot{Name: string(name)}
+	sec.Name = string(name)
 	flags, err := d.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if flags > 1 {
-		return nil, fmt.Errorf("%w: unknown section flags %#x", ErrCorrupt, flags)
+		return fmt.Errorf("%w: unknown section flags %#x", ErrCorrupt, flags)
 	}
 	sec.Steady = flags&1 != 0
 	level, err := d.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if level > 15 {
-		return nil, fmt.Errorf("%w: p level %d out of range", ErrCorrupt, level)
+		return fmt.Errorf("%w: p level %d out of range", ErrCorrupt, level)
 	}
 	sec.Level = int(level)
 	succ, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sec.Successes = int(succ)
 	excl, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sec.Excluded = int(excl)
 	nent, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if nent > 0 {
+		sec.Entries = make([]core.EntrySnapshot, 0, capFor(d, nent, minEntryLen))
 	}
 	for j := uint32(0); j < nent; j++ {
-		elen, err := d.u32()
+		ebody, err := entryBody(d, j)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ebody, err := d.need(int(elen))
-		if err != nil {
-			return nil, err
+		sec.Entries = append(sec.Entries, core.EntrySnapshot{})
+		if err := decodeEntry(&sec.Entries[j], ebody); err != nil {
+			return fmt.Errorf("entry %d: %w", j, err)
 		}
-		sum, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(ebody) != sum {
-			return nil, fmt.Errorf("%w: entry %d CRC mismatch", ErrCorrupt, j)
-		}
-		e, err := decodeEntry(ebody)
-		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", j, err)
-		}
-		sec.Entries = append(sec.Entries, *e)
 	}
 	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d stray bytes in section body", ErrCorrupt, d.remaining())
+		return fmt.Errorf("%w: %d stray bytes in section body", ErrCorrupt, d.remaining())
 	}
-	return sec, nil
+	return nil
 }
 
-func decodeEntry(body []byte) (*core.EntrySnapshot, error) {
-	d := &decoder{data: body}
-	e := &core.EntrySnapshot{}
-	var err error
-	if e.Key, err = d.u64(); err != nil {
-		return nil, err
-	}
-	level, err := d.u8()
+// entryBody reads entry j's length-prefixed body and verifies its CRC.
+func entryBody(d *decoder, j uint32) ([]byte, error) {
+	elen, err := d.u32()
 	if err != nil {
 		return nil, err
 	}
+	ebody, err := d.need(int(elen))
+	if err != nil {
+		return nil, err
+	}
+	sum, err := d.u32()
+	if err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(ebody) != sum {
+		return nil, fmt.Errorf("%w: entry %d CRC mismatch", ErrCorrupt, j)
+	}
+	return ebody, nil
+}
+
+// decodeEntry decodes an entry body into e, which must be zero.
+func decodeEntry(e *core.EntrySnapshot, body []byte) error {
+	d := &decoder{data: body}
+	var err error
+	if e.Key, err = d.u64(); err != nil {
+		return err
+	}
+	level, err := d.u8()
+	if err != nil {
+		return err
+	}
 	if level > 15 {
-		return nil, fmt.Errorf("%w: p level %d out of range", ErrCorrupt, level)
+		return fmt.Errorf("%w: p level %d out of range", ErrCorrupt, level)
 	}
 	e.Level = int8(level)
 	if e.Provider, err = d.u64(); err != nil {
-		return nil, err
+		return err
 	}
-	for _, dst := range []*[]region.Region{&e.Outs, &e.Ins} {
+	for _, dst := range [2]*[]region.Region{&e.Outs, &e.Ins} {
 		n, err := d.u16()
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if n > 0 {
+			*dst = make([]region.Region, 0, capFor(d, uint32(n), minRegionLen))
 		}
 		for k := uint16(0); k < n; k++ {
 			r, err := decodeRegion(d)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			*dst = append(*dst, r)
 		}
 	}
 	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d stray bytes in entry body", ErrCorrupt, d.remaining())
+		return fmt.Errorf("%w: %d stray bytes in entry body", ErrCorrupt, d.remaining())
 	}
-	return e, nil
+	return nil
 }
 
+// decodeRegion decodes one region. Its payload is copied out of the
+// decoder's buffer (decodeWords), so no decoded region aliases it.
 func decodeRegion(d *decoder) (region.Region, error) {
 	kind, err := d.u8()
 	if err != nil {
@@ -366,25 +407,62 @@ func decodeRegion(d *decoder) (region.Region, error) {
 	switch region.Kind(kind) {
 	case region.KindFloat64:
 		r := region.NewFloat64(int(n))
-		for i := range r.Data {
-			r.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-		}
+		decodeWords(r.Data, payload)
 		return r, nil
 	case region.KindFloat32:
 		r := region.NewFloat32(int(n))
-		for i := range r.Data {
-			r.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-		}
+		decodeWords(r.Data, payload)
 		return r, nil
 	case region.KindInt32:
 		r := region.NewInt32(int(n))
-		for i := range r.Data {
-			r.Data[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
-		}
+		decodeWords(r.Data, payload)
 		return r, nil
 	default:
 		r := region.NewBytes(int(n))
 		copy(r.Data, payload)
 		return r, nil
+	}
+}
+
+// word is a region element type of a fixed-width numeric kind.
+type word interface{ float64 | float32 | int32 }
+
+// littleEndian reports whether the host stores words in the format's
+// byte order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeWords fills dst from its little-endian encoding in src
+// (len(src) == len(dst) × the element size): on a little-endian host
+// the encoding is the memory image, so one copy does it.
+func decodeWords[T word](dst []T, src []byte) {
+	if littleEndian {
+		copyWords(dst, src)
+	} else {
+		loopWords(dst, src)
+	}
+}
+
+// copyWords is decodeWords on a little-endian host.
+func copyWords[T word](dst []T, src []byte) {
+	if len(dst) > 0 {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), len(src)), src)
+	}
+}
+
+// loopWords is decodeWords on any host, element by element.
+func loopWords[T word](dst []T, src []byte) {
+	switch dst := any(dst).(type) {
+	case []float64:
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		}
+	case []float32:
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	case []int32:
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		}
 	}
 }

@@ -71,13 +71,15 @@ func SalvageChain(data []byte) (*core.Snapshot, []*core.Delta, RecoveryReport, e
 // what was dropped. The file itself is not modified — call RepairChain
 // before appending to a torn chain.
 func LoadChainSalvage(path string) (*core.Snapshot, []*core.Delta, RecoveryReport, error) {
-	data, err := os.ReadFile(path)
+	var base *core.Snapshot
+	var deltas []*core.Delta
+	var rep RecoveryReport
+	err := decodeFile(path, func(data []byte) (err error) {
+		base, deltas, rep, err = SalvageChain(data)
+		return err
+	})
 	if err != nil {
-		return nil, nil, RecoveryReport{}, err
-	}
-	base, deltas, rep, err := SalvageChain(data)
-	if err != nil {
-		return nil, nil, rep, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, rep, err
 	}
 	return base, deltas, rep, nil
 }
