@@ -137,9 +137,6 @@ func snapshotStats(s *core.Snapshot) (entries int, payload int64) {
 			for _, r := range e.Outs {
 				payload += int64(r.NumBytes())
 			}
-			for _, r := range e.Ins {
-				payload += int64(r.NumBytes())
-			}
 		}
 	}
 	return entries, payload

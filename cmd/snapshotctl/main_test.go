@@ -285,6 +285,12 @@ func TestVerifyExitCodes(t *testing.T) {
 		t.Fatalf("corrupt: code %d, stderr %s", code, errw)
 	}
 
+	// An entry that declares an input region is unrecoverable too.
+	inputRegion := filepath.Join("..", "..", "internal", "persist", "testdata", "v2_input_region.atmsnap")
+	if code, _, errw := runCmd(t, "verify", inputRegion); code != 3 || !strings.Contains(errw, "input region") {
+		t.Fatalf("input region: code %d, stderr %s", code, errw)
+	}
+
 	if code, _, _ := runCmd(t, "verify", filepath.Join(dir, "absent.atmsnap")); code != 1 {
 		t.Fatalf("unreadable: code %d", code)
 	}

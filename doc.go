@@ -20,7 +20,7 @@
 //     themselves (region.DepSlot, which every Region carries: one
 //     pointer load instead of a map probe), and tasks
 //     are carved from slabs that recycle through a bounded free list at
-//     completion fences (Wait/Fence) instead of returning to the GC.
+//     completion fences (Wait) instead of returning to the GC.
 //     A deterministic replay mode (Config.Deterministic) re-runs any
 //     schedule bit-identically from one seed — every scheduling
 //     decision, yield point and fence timing drawn from a seeded PRNG —

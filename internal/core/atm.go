@@ -90,16 +90,6 @@ type Config struct {
 	// DisableTypeAware turns off type-aware MSB-first input selection
 	// (§III-C) and uses the plain uniform shuffle.
 	DisableTypeAware bool
-	// VerifyInputs enables the paranoid final check the paper built and
-	// then dropped (§III-E): THT entries additionally store a snapshot
-	// of the (sampled) task inputs, and a key hit is confirmed by
-	// comparing the actual sampled bytes before the outputs are served.
-	// This eliminates hash-collision false positives at the price of
-	// roughly doubling the THT's memory and the hit-path work; the paper
-	// found "the obtained results did not justify such a complex
-	// approach" and observed no collisions in any benchmark, which the
-	// FalsePositives counter lets this implementation confirm too.
-	VerifyInputs bool
 	// Seed perturbs the shuffle plans and hash keys; runs with equal
 	// seeds are reproducible.
 	Seed uint64
@@ -253,10 +243,6 @@ type scratch struct {
 	trainEntry *Entry // training-phase THT hit to grade after execution (retained)
 	iktKey     iktKey
 	inIKT      bool
-	// insSnap holds pre-execution input clones when Config.VerifyInputs
-	// is set; inout inputs are mutated by the body, so the snapshot must
-	// be taken at hash time, not at THT-insert time.
-	insSnap []region.Region
 }
 
 // workerState is the per-worker reusable machinery: the streaming hasher
@@ -279,8 +265,6 @@ type ATM struct {
 	// readers load it with one atomic pointer read.
 	planMu sync.Mutex
 	plans  atomic.Pointer[map[planKey]*sampling.Plan]
-
-	falsePositives atomic.Int64
 
 	// typeStates is a dense slice indexed by task-type ID, grown
 	// copy-on-write under typeMu; the hot path is one atomic load plus an
@@ -583,52 +567,6 @@ func (a *ATM) hashIns(typeID int, ts *typeState, ins []region.Region, level int,
 	return h.Sum64()
 }
 
-// verifyHit confirms a THT key match by comparing the actual sampled input
-// bytes when Config.VerifyInputs is set (the §III-E final check). Without
-// verification it accepts the hit, like the paper's deployed design.
-func (a *ATM) verifyHit(e *Entry, t *taskrt.Task, ts *typeState, level int) bool {
-	if !a.cfg.VerifyInputs || e.Ins == nil {
-		return true
-	}
-	ins := t.Inputs()
-	if len(ins) != len(e.Ins) {
-		a.falsePositives.Add(1)
-		return false
-	}
-	if level >= sampling.MaxPLevel {
-		// Exact mode: the whole inputs must be bit-identical.
-		for i, in := range ins {
-			if !in.EqualContents(e.Ins[i]) {
-				a.falsePositives.Add(1)
-				return false
-			}
-		}
-		return true
-	}
-	// Approximate mode: only the sampled byte positions participate in
-	// the key, so only they are verified.
-	for i, in := range ins {
-		if in.Kind() != e.Ins[i].Kind() || in.NumBytes() != e.Ins[i].NumBytes() {
-			a.falsePositives.Add(1)
-			return false
-		}
-	}
-	plan := a.planFor(t.Type().ID(), ts.seed, sampling.SignatureOf(ins), ins)
-	for i, offsets := range plan.Segmented(level) {
-		for _, off := range offsets {
-			if ins[i].ByteAt(int(off)) != e.Ins[i].ByteAt(int(off)) {
-				a.falsePositives.Add(1)
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// FalsePositives reports the number of key matches rejected by the
-// VerifyInputs final check (always zero when verification is off).
-func (a *ATM) FalsePositives() int64 { return a.falsePositives.Load() }
-
 // outputShapesMatch reports whether two output lists are copy-compatible.
 func outputShapesMatch(a, b []region.Region) bool {
 	if len(a) != len(b) {
@@ -644,7 +582,7 @@ func outputShapesMatch(a, b []region.Region) bool {
 
 // snapshotEntry builds (reusing pooled buffers when shapes allow) a THT
 // entry of type typeID holding a copy of outs, produced by provider.
-func (a *ATM) snapshotEntry(typeID int, outs []region.Region, provider, key uint64, level int8, insSnap []region.Region) *Entry {
+func (a *ATM) snapshotEntry(typeID int, outs []region.Region, provider, key uint64, level int8) *Entry {
 	e := a.tht.GetEntry()
 	if outputShapesMatch(e.Outs, outs) {
 		for i, o := range outs {
@@ -661,8 +599,6 @@ func (a *ATM) snapshotEntry(typeID int, outs []region.Region, provider, key uint
 	e.Key = key
 	e.Level = level
 	e.ProviderID = provider
-	e.Epoch = a.saveEpoch.Load() // diagnostic stamp; the insert log drives delta selection
-	e.Ins = insSnap
 	return e
 }
 
@@ -707,19 +643,11 @@ func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
 		sh.hashNanos.Add(hashNanos)
 	}
 
-	var insSnap []region.Region
-	if a.cfg.VerifyInputs {
-		insSnap = make([]region.Region, len(t.Inputs()))
-		for i, in := range t.Inputs() {
-			insSnap[i] = in.Clone()
-		}
-	}
-
 	if ph == phaseTraining {
 		// Training: memoization is only emulated; the task always runs
 		// so τ can be measured against the stored outputs (§III-D).
 		sc := a.scratchFor(worker)
-		*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale, insSnap: insSnap}
+		*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale}
 		if e := a.tht.Lookup(t.Type().ID(), key, sc.level); e != nil {
 			if outputShapesMatch(e.Outs, t.Outputs()) {
 				sc.trainEntry = e // retained; released after grading
@@ -734,7 +662,7 @@ func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
 
 	// Steady state (or static / fixed-p from the start).
 	if e := a.tht.Lookup(t.Type().ID(), key, int8(level)); e != nil {
-		if outputShapesMatch(e.Outs, t.Outputs()) && a.verifyHit(e, t, ts, level) {
+		if outputShapesMatch(e.Outs, t.Outputs()) {
 			if tracer != nil {
 				tracer.SetState(worker, trace.StateMemo)
 			}
@@ -770,14 +698,14 @@ func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
 		}
 		if inserted {
 			sc := a.scratchFor(worker)
-			*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale, insSnap: insSnap, inIKT: true, iktKey: ik}
+			*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale, inIKT: true, iktKey: ik}
 			t.MemoScratch = sc
 			sh.executed.Add(1)
 			return taskrt.OutcomeRun
 		}
 	}
 	sc := a.scratchFor(worker)
-	*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale, insSnap: insSnap}
+	*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale}
 	t.MemoScratch = sc
 	sh.executed.Add(1)
 	return taskrt.OutcomeRun
@@ -818,7 +746,7 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	if sc.timed {
 		c0 = time.Now()
 	}
-	a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level, sc.insSnap))
+	a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level))
 	if sc.timed {
 		// Extrapolate by the same factor as the OnReady measurements:
 		// past warmup only every timingSample-th task is timed, and an
@@ -881,7 +809,7 @@ func (a *ATM) grade(t *taskrt.Task, ts *typeState, sh *typeShard, sc *scratch) {
 		}
 		ts.mu.Unlock()
 		// Refresh the stale prediction with the true outputs.
-		a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level, sc.insSnap))
+		a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level))
 		return
 	}
 	ts.successes++

@@ -10,7 +10,7 @@ import (
 // half of ROADMAP's "Snapshot compaction/merge": a long-lived service
 // or a sharded sweep should not re-serialize the whole Task History
 // Table on every save. With delta tracking enabled, the engine stamps
-// every mutation with a save epoch (Entry.Epoch, typeState.dirtyEpoch)
+// every metadata mutation with a save epoch (typeState.dirtyEpoch)
 // and keeps an ordered THT insert log; SnapshotDelta quiesces through
 // the runtime's completion fence and extracts only the state changed
 // since the previous save. The restore side chains deltas onto a full
@@ -253,12 +253,12 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
 			}})
 			continue
 		}
-		outs, ins := rec.e.Outs, rec.e.Ins
+		outs := rec.e.Outs
 		if !lend {
 			// Once released the entry may be recycled by a concurrent
 			// insert (core.Serve runs beside saves), so the identity comes
 			// from the record, not from the entry.
-			outs, ins = cloneRegions(outs), cloneRegions(ins)
+			outs = cloneRegions(outs)
 			rec.e.Release()
 		}
 		d.Entries = append(d.Entries, DeltaEntry{Type: ti, EntrySnapshot: EntrySnapshot{
@@ -266,7 +266,6 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
 			Level:    rec.level,
 			Provider: rec.provider,
 			Outs:     outs,
-			Ins:      ins,
 		}})
 	}
 	a.savedThrough = cur

@@ -101,10 +101,10 @@ type ServeTask struct {
 // table entry changed when it did not. It does not when:
 //
 //   - a task's type is not memoizable, is still training or has an
-//     exclusion set, or Config.VerifyInputs is set or a tracer is
-//     attached (checked before the first hash, so such a request costs
-//     no hashing, and admit is not called); the caller then submits the
-//     request, whole, to the runtime;
+//     exclusion set, or a tracer is attached (checked before the first
+//     hash, so such a request costs no hashing, and admit is not
+//     called); the caller then submits the request, whole, to the
+//     runtime;
 //   - the request holds misses and admit(misses) refuses them. Hits are
 //     never refused: a request that is all hits does not call admit.
 //
@@ -127,7 +127,7 @@ type ServeTask struct {
 // headers. Safe to call from any goroutine, concurrently with the
 // runtime's workers, delta saves and full snapshots.
 func (a *ATM) Serve(tasks []ServeTask, admit func(misses int) bool) (executed int, ok bool) {
-	if a.cfg.VerifyInputs || a.rt != nil && a.rt.Tracer() != nil {
+	if a.rt != nil && a.rt.Tracer() != nil {
 		return 0, false
 	}
 	for i := range tasks {
@@ -230,7 +230,7 @@ func (a *ATM) runMiss(t *ServeTask) {
 	if t.tscale != 0 {
 		c0 = time.Now()
 	}
-	e := a.snapshotEntry(t.Type.ID(), t.Outs, outOfBandProvider|a.serveProviders.Add(1), t.key, t.level, nil)
+	e := a.snapshotEntry(t.Type.ID(), t.Outs, outOfBandProvider|a.serveProviders.Add(1), t.key, t.level)
 	a.serveInserts.RLock()
 	a.tht.Insert(e)
 	a.serveInserts.RUnlock()

@@ -334,12 +334,6 @@ func TestServeHitsFallbacks(t *testing.T) {
 		ts.hasExcl.Store(true)
 		refuses(t, r, tasks)
 	})
-	t.Run("VerifyInputs", func(t *testing.T) {
-		r := newHitsRig(t, Config{Mode: ModeStatic, VerifyInputs: true})
-		r.run(1)
-		tasks, _ := r.serveTasks(1)
-		refuses(t, r, tasks)
-	})
 	t.Run("tracer", func(t *testing.T) {
 		memo := New(Config{Mode: ModeStatic})
 		rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo, Tracer: trace.New(1, false)})

@@ -69,18 +69,17 @@ type TypeSnapshot struct {
 }
 
 // EntrySnapshot is one THT entry: the key, the p level it was computed
-// at, and the provider's output (and, under VerifyInputs, input)
-// snapshots. With Tombstone set it is instead an eviction record — the
-// identity of an entry the live table removed — and carries no
-// regions. Tombstones appear only inside delta operation streams
-// (Delta.Entries and pending sections mid-restore); a full Snapshot
-// never contains one, and persist's full-entry codec rejects them.
+// at, and the provider's output snapshots. With Tombstone set it is
+// instead an eviction record — the identity of an entry the live table
+// removed — and carries no regions. Tombstones appear only inside delta
+// operation streams (Delta.Entries and pending sections mid-restore); a
+// full Snapshot never contains one, and persist's full-entry codec
+// rejects them.
 type EntrySnapshot struct {
 	Key       uint64
 	Level     int8
 	Provider  uint64
 	Outs      []region.Region
-	Ins       []region.Region
 	Tombstone bool
 }
 
@@ -118,7 +117,7 @@ func Fingerprint(cfg Config) uint64 {
 	mix(uint64(cfg.M))
 	mix(b2u(cfg.DisableIKT))
 	mix(b2u(cfg.DisableTypeAware))
-	mix(b2u(cfg.VerifyInputs))
+	mix(0) // a retired field's slot: keeps recorded fingerprints (TestFingerprintPinned)
 	mix(cfg.Seed)
 	return h
 }
@@ -153,7 +152,6 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 			Level:    e.Level,
 			Provider: e.ProviderID,
 			Outs:     cloneRegions(e.Outs),
-			Ins:      cloneRegions(e.Ins),
 		})
 	})
 	if err := a.collectTypeSections(snap, byType); err != nil {
@@ -281,7 +279,6 @@ func (a *ATM) collectTypeSections(snap *Snapshot, byType map[int][]EntrySnapshot
 				Level:    es.Level,
 				Provider: es.Provider,
 				Outs:     cloneRegions(es.Outs),
-				Ins:      cloneRegions(es.Ins),
 			}
 		}
 		snap.Types = append(snap.Types, cp)
@@ -384,7 +381,7 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 			a.tht.Remove(id, es.Key, es.Level, es.Provider)
 			continue
 		}
-		// Restored entries bypass the delta insert log (Epoch 0): the
+		// Restored entries bypass the delta insert log: the
 		// snapshot chain that produced them already persists them.
 		a.tht.InsertRestored(&Entry{
 			TypeID:     id,
@@ -392,7 +389,6 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 			Level:      es.Level,
 			ProviderID: es.Provider,
 			Outs:       es.Outs,
-			Ins:        es.Ins,
 		})
 		a.restored.Add(1)
 	}

@@ -20,19 +20,10 @@ type Entry struct {
 	Key        uint64
 	Level      int8
 	ProviderID uint64 // creation id of the task that produced the outputs
-	// Epoch is the save epoch the entry was inserted under (see
-	// ATM.saveEpoch), a diagnostic stamp: tests assert the epoch
-	// partition and tools can tell restored (epoch 0) from live
-	// entries. Delta extraction itself selects entries via the insert
-	// log below, not by comparing epochs.
-	Epoch uint64
-	Outs  []region.Region
-	// Ins snapshots the provider's inputs; populated only when
-	// Config.VerifyInputs is set (the §III-E final-check variant).
-	Ins   []region.Region
-	bytes int64
-	refs  atomic.Int32
-	pool  *sync.Pool // set by Insert; nil entries are never recycled
+	Outs       []region.Region
+	bytes      int64
+	refs       atomic.Int32
+	pool       *sync.Pool // set by Insert; nil entries are never recycled
 }
 
 // retain marks an in-flight reader. Callers must pair it with Release.
@@ -250,9 +241,6 @@ func (t *THT) insert(e *Entry, logIt bool) {
 	var size int64
 	for _, o := range e.Outs {
 		size += int64(o.NumBytes())
-	}
-	for _, in := range e.Ins {
-		size += int64(in.NumBytes())
 	}
 	size += 8 + 8 + 8 // key + provider id + header, the paper's 8-byte key cost
 	e.bytes = size

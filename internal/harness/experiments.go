@@ -225,9 +225,6 @@ func Fig3(opt Options) {
 	fmt.Fprintln(opt.Out, "paper: Static 1.4x geomean @100% correct; Dynamic 2.5x @99.3% avg")
 }
 
-// Fig4 is an alias of Fig3's second half (they share the same runs).
-func Fig4(opt Options) { Fig3(opt) }
-
 // Fig5 reproduces Fig. 5: final correctness when running with a constant
 // percentage p, for every p level, plus the configuration dynamic ATM
 // chooses (the star markers).

@@ -260,8 +260,8 @@ type RunOptions struct {
 // RunOne (the evaluation path) and Serve (the service path), and it
 // alone decides where warm state is written. appendDelta must be called
 // from one goroutine at a time (RunOne serializes the periodic saver
-// against the final save; the service engine runs every save on its
-// loop goroutine).
+// against the final save; the service engine runs every save under its
+// runtime lock).
 type memoState struct {
 	memo     *core.ATM
 	warm     bool

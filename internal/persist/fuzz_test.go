@@ -3,6 +3,8 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"atm/internal/core"
@@ -53,6 +55,11 @@ func FuzzDeltaChainDecode(f *testing.F) {
 		}
 	}
 	f.Add(version1Golden(f)) // refused by the header check
+	inputRegion, err := os.ReadFile(filepath.Join("testdata", "v2_input_region.atmsnap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(inputRegion) // refused: an entry declares an input region
 	f.Add([]byte{})
 	f.Add([]byte("ATMSNAP\x00junk"))
 

@@ -2,7 +2,10 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,5 +119,56 @@ func TestGoldenV2ChainLayout(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotDeltas, wantDeltas) {
 		t.Fatal("committed v2 deltas decode to different content")
+	}
+}
+
+// inputRegionChain is the golden base as an input-verifying engine
+// once wrote it: its one entry carries an input region beside its
+// output, and the entry, section and record lengths and CRCs match.
+func inputRegionChain(t testing.TB) []byte {
+	t.Helper()
+	base, _ := goldenV2Chain()
+	in := region.NewFloat64(2)
+	copy(in.Data, []float64{1, 2})
+	head, err := MarshalChain(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := appendRecord(head[:headerLen:headerLen], recordBase, func(b []byte) ([]byte, error) {
+		at := len(b)
+		b, err := appendBaseBody(b, base)
+		if err != nil {
+			return nil, err
+		}
+		// One section of one entry: the body ends with that entry's
+		// input-region count (0) and CRC.
+		entryAt := len(b) - entrySize(&base.Types[0].Entries[0])
+		b = binary.LittleEndian.AppendUint16(b[:len(b)-6], 1)
+		if b, err = appendRegion(b, in); err != nil {
+			return nil, err
+		}
+		binary.LittleEndian.PutUint32(b[entryAt:], uint32(len(b)-entryAt-4))
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[entryAt+4:]))
+		sectionAt := at + 3*8 + 4 // behind the IKT counters and the section count
+		binary.LittleEndian.PutUint32(b[sectionAt:], uint32(len(b)-sectionAt-4))
+		return b, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestInputRegionEntryRefused: an entry's input-region count is always
+// 0, and a committed chain whose entry declares one input region is
+// typed corruption to every strict reader.
+func TestInputRegionEntryRefused(t *testing.T) {
+	path := goldenPath(t, "v2_input_region.atmsnap")
+	writeOrCompare(t, path, inputRegionChain(t))
+	if *updateGolden {
+		return
+	}
+	if _, _, err := LoadChain(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LoadChain: %v, want ErrCorrupt", err)
 	}
 }

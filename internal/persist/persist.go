@@ -22,7 +22,7 @@
 //	entry:     [4] u32 body length, then the body:
 //	             u64 key, u8 level, u64 provider id
 //	             u16 output count + regions
-//	             u16 input-snapshot count + regions
+//	             u16 input-region count, always 0 (non-zero is ErrCorrupt)
 //	           [4] u32 CRC-32 (IEEE) of the entry body
 //	region:    u8 kind, u32 element count, raw little-endian payload
 //
@@ -112,10 +112,8 @@ func appendSectionBody(body []byte, sec *core.TypeSnapshot) ([]byte, error) {
 // entrySize is the number of bytes appendEntry appends for e.
 func entrySize(e *core.EntrySnapshot) int {
 	n := 4 + 8 + 1 + 8 + 2 + 2 + 4 // length, key, level, provider, two region counts, CRC
-	for _, rs := range [2][]region.Region{e.Outs, e.Ins} {
-		for _, r := range rs {
-			n += 1 + 4 + r.NumBytes()
-		}
+	for _, r := range e.Outs {
+		n += 1 + 4 + r.NumBytes()
 	}
 	return n
 }
@@ -147,20 +145,20 @@ func appendEntryBody(b []byte, e *core.EntrySnapshot) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint64(b, e.Key)
 	b = append(b, byte(e.Level))
 	b = binary.LittleEndian.AppendUint64(b, e.Provider)
-	for _, rs := range [2][]region.Region{e.Outs, e.Ins} {
-		if len(rs) > math.MaxUint16 {
-			return nil, fmt.Errorf("%d regions overflow the format", len(rs))
-		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(rs)))
-		for _, r := range rs {
-			var err error
-			b, err = appendRegion(b, r)
-			if err != nil {
-				return nil, err
-			}
+	if len(e.Outs) > math.MaxUint16 {
+		return nil, fmt.Errorf("%d regions overflow the format", len(e.Outs))
+	}
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(e.Outs)))
+	for _, r := range e.Outs {
+		var err error
+		b, err = appendRegion(b, r)
+		if err != nil {
+			return nil, err
 		}
 	}
-	return b, nil
+	// The input-region count: always 0, and decodeEntry refuses any
+	// other value.
+	return binary.LittleEndian.AppendUint16(b, 0), nil
 }
 
 func appendRegion(b []byte, r region.Region) ([]byte, error) {
@@ -364,21 +362,26 @@ func decodeEntry(e *core.EntrySnapshot, body []byte) error {
 	if e.Provider, err = d.u64(); err != nil {
 		return err
 	}
-	for _, dst := range [2]*[]region.Region{&e.Outs, &e.Ins} {
-		n, err := d.u16()
+	n, err := d.u16()
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		e.Outs = make([]region.Region, 0, capFor(d, uint32(n), minRegionLen))
+	}
+	for k := uint16(0); k < n; k++ {
+		r, err := decodeRegion(d)
 		if err != nil {
 			return err
 		}
-		if n > 0 {
-			*dst = make([]region.Region, 0, capFor(d, uint32(n), minRegionLen))
-		}
-		for k := uint16(0); k < n; k++ {
-			r, err := decodeRegion(d)
-			if err != nil {
-				return err
-			}
-			*dst = append(*dst, r)
-		}
+		e.Outs = append(e.Outs, r)
+	}
+	nins, err := d.u16()
+	if err != nil {
+		return err
+	}
+	if nins != 0 {
+		return fmt.Errorf("%w: entry declares %d input regions", ErrCorrupt, nins)
 	}
 	if d.remaining() != 0 {
 		return fmt.Errorf("%w: %d stray bytes in entry body", ErrCorrupt, d.remaining())

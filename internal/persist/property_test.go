@@ -373,7 +373,7 @@ func TestMergedSnapshotRestores(t *testing.T) {
 	if mEntries != aEntries {
 		t.Fatalf("fully overlapping shards must collapse: %d vs %d entries", mEntries, aEntries)
 	}
-	cfg := core.Config{Mode: core.ModeStatic, VerifyInputs: true, Seed: 7} // buildSnapshot's config
+	cfg := core.Config{Mode: core.ModeStatic, Seed: 7} // buildSnapshot's config
 	if _, err := core.Restore(cfg, merged); err != nil {
 		t.Fatal(err)
 	}

@@ -295,12 +295,6 @@ func TestInlineFallbacks(t *testing.T) {
 		outs := viaLoop(t, e, mixed, GroupStats{Tasks: 5, MemoTHT: 5})
 		checkOutputs(t, outs[:5], want)
 	})
-	t.Run("VerifyInputs", func(t *testing.T) {
-		e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic, VerifyInputs: true})})
-		viaLoop(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
-		outs := viaLoop(t, e, hot, GroupStats{Tasks: 5, MemoTHT: 5})
-		checkOutputs(t, outs, want)
-	})
 	t.Run("no memoizer", func(t *testing.T) {
 		e := newTestEngine(t, Config{Workers: 1})
 		viaLoop(t, e, hot, GroupStats{})

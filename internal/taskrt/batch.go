@@ -86,7 +86,7 @@ func (e *BatchEntry) take() (accs []Access, owned bool) {
 // Submit). The returned slice is carved from a pointer slab owned by
 // the runtime; the tasks it points to live in recyclable slabs, so the
 // pointers are valid until the first submission after a completion
-// fence (Wait/Fence) — after that the cells may be reset and re-carved
+// fence (Wait) — after that the cells may be reset and re-carved
 // into unrelated tasks. Consume task results between the Wait and the
 // next submission. Batch entries are consumed (see BatchEntry); the
 // entries slice itself may be reused after rebuilding its entries with

@@ -441,7 +441,7 @@ type Runtime struct {
 	// Task slabs: tasks are carved out of fixed-size slabs so a
 	// submission storm costs one allocation per taskSlabSize tasks
 	// instead of one per task. Filled slabs accumulate in liveSlabs; the
-	// first submission after a completion fence (Wait/Fence, which proves
+	// first submission after a completion fence (Wait, which proves
 	// every carved task has completed) retires them to the bounded
 	// freeSlabs list for reuse, bumping each slab's recycle generation —
 	// recycling replaces the GC-assist share of slab allocation with a
@@ -458,7 +458,7 @@ type Runtime struct {
 	liveSlabs  []*taskSlab
 	freeSlabs  []*taskSlab
 
-	// fencePending is set by Wait/Fence (any goroutine) and consumed by
+	// fencePending is set by Wait (any goroutine) and consumed by
 	// the master at its next submission, so all slab recycling happens on
 	// the master thread no matter who fences.
 	fencePending atomic.Bool
@@ -1333,11 +1333,6 @@ func (rt *Runtime) Wait() {
 	rt.waitMu.Unlock()
 	rt.fencePending.Store(true)
 }
-
-// Fence is Wait under its slab-recycling name: an explicit completion
-// fence after which the runtime reuses task memory. Use it at phase
-// boundaries where the point is recycling rather than consuming results.
-func (rt *Runtime) Fence() { rt.Wait() }
 
 // Reset discards all dependence-tracking state after a barrier: the
 // runtime detaches from every region it has seen, and subsequently

@@ -24,10 +24,12 @@ import (
 // request whose input never repeats, so every request misses and
 // inserts under a 64 KiB budget that evicts on every insert once full.
 // On bin-miss's Static engine the type is steady, so the miss is
-// admitted and run on the calling goroutine. bin-loop's engine sets
-// VerifyInputs, which the inline path refuses, so every request goes
-// through admission, the runtime lock and a SubmitBatch fence, still on
-// the calling goroutine: the path the runtime still serves stays gated
+// admitted and run on the calling goroutine. bin-loop's engine also
+// serves nop, a non-memoizable one-float kind, and each of its requests
+// carries one nop task beside the lu task; the inline path declines a
+// request with a non-memoizable task, so every request goes through
+// admission, the runtime lock and a SubmitBatch fence, still on the
+// calling goroutine: the path the runtime still serves stays gated
 // (BENCH_8.json).
 func BenchmarkServeHTTP(b *testing.B) {
 	var tasks []service.Task
@@ -54,27 +56,33 @@ func BenchmarkServeHTTP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The binary layout up to the first input float: u32 count, u8
+	nop := service.Kind{Name: "nop", In: 1, Out: 1, Fn: func(in, out []float64) { copy(out, in) }}
+	loopBody, err := service.EncodeBinaryTasks([]service.Task{tasks[2], {Kind: nop.Name, Input: []float64{0}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// nextMiss makes body, whose first task is lu, request i's: it sets
+	// the first input float. The binary layout up to it: u32 count, u8
 	// name length, name, u32 float count.
-	missFloat := missBody[4+1+len(tasks[2].Kind)+4:][:8]
-	nextMiss := func(i int) {
-		binary.LittleEndian.PutUint64(missFloat, math.Float64bits(float64(i)))
+	nextMiss := func(body []byte) func(i int) {
+		first := body[4+1+len(tasks[2].Kind)+4:][:8]
+		return func(i int) { binary.LittleEndian.PutUint64(first, math.Float64bits(float64(i))) }
 	}
 	for _, enc := range []struct {
 		name, contentType string
 		body              []byte
 		budget            int64
-		verify            bool        // Config.VerifyInputs: the inline path declines
-		next              func(i int) // makes the body request i's
+		kinds             []service.Kind // nil: the catalog; with nop, the inline path declines
+		next              func(i int)    // makes the body request i's
 	}{
-		{"json", "application/json", jsonBody, 0, false, func(int) {}},
-		{"bin", "application/x-atm-tasks", binBody, 0, false, func(int) {}},
-		{"bin-miss", "application/x-atm-tasks", missBody, 64 << 10, false, nextMiss},
-		{"bin-loop", "application/x-atm-tasks", missBody, 64 << 10, true, nextMiss},
+		{"json", "application/json", jsonBody, 0, nil, func(int) {}},
+		{"bin", "application/x-atm-tasks", binBody, 0, nil, func(int) {}},
+		{"bin-miss", "application/x-atm-tasks", missBody, 64 << 10, nil, nextMiss(missBody)},
+		{"bin-loop", "application/x-atm-tasks", loopBody, 64 << 10, append(service.Kinds(), nop), nextMiss(loopBody)},
 	} {
 		b.Run(enc.name, func(b *testing.B) {
-			memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: enc.budget, VerifyInputs: enc.verify})
-			eng := service.New(service.Config{Workers: 1, Memo: memo})
+			memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: enc.budget})
+			eng := service.New(service.Config{Workers: 1, Memo: memo, KindList: enc.kinds})
 			defer eng.Close()
 			srv := service.NewServer(eng)
 			serve := func(i int) {
@@ -89,8 +97,8 @@ func BenchmarkServeHTTP(b *testing.B) {
 			}
 			// json, bin: the first pass executes and inserts, the rest are
 			// hits. bin-miss, bin-loop: the table fills to its budget
-			// (about 120 entries, 60 with bin-loop's input copies) and
-			// from then on every insert evicts and recycles.
+			// (about 120 entries) and from then on every insert evicts
+			// and recycles.
 			for i := 1; i <= 256; i++ {
 				serve(-i)
 			}
@@ -101,7 +109,7 @@ func BenchmarkServeHTTP(b *testing.B) {
 				serve(i)
 			}
 			b.StopTimer()
-			if c := eng.Counters(); enc.verify && c.InlineRequests != 0 {
+			if c := eng.Counters(); enc.kinds != nil && c.InlineRequests != 0 {
 				b.Fatalf("%d of %d requests were served inline on an engine the inline path must refuse", c.InlineRequests, c.Requests)
 			}
 		})
