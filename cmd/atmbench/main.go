@@ -214,8 +214,9 @@ func defaultWorkers() int {
 
 // runStats runs each selected benchmark once under one configuration and
 // dumps the detailed ATM statistics. chain warm-starts the engine from a
-// chain file and appends a delta record of the run's churn (plus one
-// every deltaEvery while running).
+// chain file and saves the run's churn to it (plus a save every
+// deltaEvery while running): each save appends a delta, or rewrites the
+// chain as one base once the deltas outgrow it.
 func runStats(opt harness.Options, mode string, level int, ikt bool, chain string, deltaEvery time.Duration, budget int64) {
 	var spec harness.ATMSpec
 	switch mode {
@@ -265,7 +266,7 @@ func runStats(opt harness.Options, mode string, level int, ikt bool, chain strin
 			fmt.Printf("%s: damaged snapshot could not warm-start (-recover %s); started cold\n", name, opt.Run.Recover)
 		}
 		if bchain != "" {
-			fmt.Printf("%s: appended %d delta record(s), %d bytes, to %s\n", name, o.DeltaSaves, o.DeltaBytes, bchain)
+			fmt.Printf("%s: saved %d time(s), %d bytes written, to %s\n", name, o.DeltaSaves, o.DeltaBytes, bchain)
 		}
 		fmt.Printf("%s under %s (%s start): elapsed=%v speedup=%.2fx correctness=%.3f%% reuse=%.1f%% tht-hit-ratio=%.1f%%\n",
 			name, spec.Name(), start, o.Elapsed, harness.Speedup(base, o), o.App.Correctness(base.App), 100*o.Reuse(), 100*o.THTHitRatio())

@@ -3,7 +3,8 @@
 // serves each request on its handler goroutine and runs what core.Serve
 // cannot answer under the task runtime's lock, with the harness's
 // persistence behind it: a -chain file it warm-starts from under a
-// -recover policy and appends delta records to.
+// -recover policy and saves to (appends a delta, or rewrites the chain
+// as one base once the deltas outgrow it).
 //
 //	atmd -addr :8080 -workers 8 -mode dynamic
 //	atmd -chain warm.atmchain -delta-every 30s -recover salvage
@@ -14,9 +15,10 @@
 // Routes: POST /v1/submit, GET /v1/lookup, POST /v1/snapshot,
 // GET /v1/stats, GET /metrics (Prometheus), GET /healthz. Load past the
 // admission watermark is shed with 429 + Retry-After. POST /v1/snapshot
-// appends a delta record to the -chain file (409 without one); the
-// client never names a path. SIGINT/SIGTERM drain the server and append
-// a final record when -chain is set.
+// saves to the -chain file (409 without one): it appends a delta, or
+// rewrites the chain as one base once the deltas outgrow it; the client
+// never names a path. SIGINT/SIGTERM drain the server and run a final
+// save when -chain is set.
 package main
 
 import (

@@ -110,22 +110,43 @@ func (a *atmd) terminate(t *testing.T, hc *http.Client) {
 }
 
 // TestEarlySIGTERMRunsFinalSave stops a child atmd the instant /healthz
-// first answers and requires the graceful path: exit status 0 and one
-// more delta record on the chain. atmd used to start listening before it
-// installed its signal handler, so a SIGTERM this early could take the
-// default action and lose the final save.
+// first answers and requires the graceful path: exit status 0 and a
+// final save that changed the chain — the cold round's rewrite records
+// every catalog kind's section, each warm round appends a record. atmd
+// used to start listening before it installed its signal handler, so a
+// SIGTERM this early could take the default action and lose the final
+// save.
 func TestEarlySIGTERMRunsFinalSave(t *testing.T) {
 	chain := filepath.Join(t.TempDir(), "warm.atmchain")
 	hc := &http.Client{Timeout: 2 * time.Second}
 	for round := 1; round <= 4; round++ {
 		a := startAtmd(t, hc, "-chain", chain, "-nosync")
+		before, err := os.ReadFile(chain) // a cold start has created it by now
+		if err != nil {
+			t.Fatal(err)
+		}
 		a.terminate(t, hc)
-		_, deltas, err := persist.LoadChain(chain)
+		after, err := os.ReadFile(chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, deltas, err := persist.UnmarshalChain(after)
 		if err != nil {
 			t.Fatalf("round %d: chain after shutdown: %v\n%s", round, err, a.log.String())
 		}
-		if len(deltas) != round {
-			t.Fatalf("round %d: chain holds %d delta records, want %d: a final save was lost\n%s", round, len(deltas), round, a.log.String())
+		full, err := persist.Compact(base, deltas...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memoizable := 0
+		for _, k := range service.Kinds() {
+			if k.Memoize {
+				memoizable++
+			}
+		}
+		if bytes.Equal(before, after) || len(full.Types) != memoizable {
+			t.Fatalf("round %d: the chain (%d sections, %d deltas) is unchanged or lacks the catalog: a final save was lost\n%s",
+				round, len(full.Types), len(deltas), a.log.String())
 		}
 	}
 }

@@ -692,8 +692,10 @@ func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
 		ik := iktKey{typeID: t.Type().ID(), key: key, level: int8(level)}
 		inserted, deferred := a.ikt.Acquire(ik, t)
 		if deferred {
+			// t now belongs to its provider, which may complete it — and
+			// the master recycle its slot — at once: t is not touched
+			// again (its MemoScratch is still the nil it was carved with).
 			sh.memoIKT.Add(1)
-			t.MemoScratch = nil
 			return taskrt.OutcomeDeferred
 		}
 		if inserted {

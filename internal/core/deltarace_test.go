@@ -11,20 +11,22 @@ import (
 
 // TestDeltaSnapshotRacesSubmitBatchTraffic stresses the incremental
 // save path against live traffic (run it under -race): a background
-// goroutine takes periodic SnapshotDelta saves while the master keeps
-// submitting batches whose intra-batch duplicates exercise the IKT
-// defer → CompleteExternal path. The fence quiescence inside
-// SnapshotDelta (rt.Wait) plus the bucket-ordered insert log must keep
-// the deltas self-consistent: across all saves every insert is
-// recorded exactly once, and compacting the chain rebuilds the exact
-// table the live engine ended with.
+// goroutine takes periodic SnapshotDelta saves — every third one a full
+// snapshot, which restarts the chain as a rewriting save does — while
+// the master keeps submitting batches whose intra-batch duplicates
+// exercise the IKT defer → CompleteExternal path. The fence quiescence
+// inside each save (rt.Wait) plus the bucket-ordered insert log must
+// keep the chain self-consistent: every insert is recorded exactly once
+// (in the last full snapshot or a delta after it), and replaying the
+// chain rebuilds the exact table the live engine ended with.
 func TestDeltaSnapshotRacesSubmitBatchTraffic(t *testing.T) {
 	const (
 		rounds    = 40
 		batchSize = 32
-		saveEvery = time.Millisecond
+		saveEvery = 100 * time.Microsecond
+		minFulls  = 20 // full snapshots that must race the traffic
 	)
-	cfg := Config{Mode: ModeStatic}
+	cfg := Config{Mode: ModeStatic, NBits: 10} // room for every key: no bucket overflows
 	memo := New(cfg)
 	memo.EnableDeltaTracking()
 	rt := taskrt.New(taskrt.Config{Workers: 4, Memoizer: memo})
@@ -41,6 +43,7 @@ func TestDeltaSnapshotRacesSubmitBatchTraffic(t *testing.T) {
 	)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	saves := 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -49,6 +52,23 @@ func TestDeltaSnapshotRacesSubmitBatchTraffic(t *testing.T) {
 			case <-done:
 				return
 			case <-time.After(saveEvery):
+			}
+			mu.Lock()
+			saves++
+			full := saves%3 == 0
+			mu.Unlock()
+			if full {
+				// Inserts racing the scan must land in the snapshot or
+				// stay logged for the next delta.
+				full, err := memo.Snapshot()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				base, deltas = full, nil
+				mu.Unlock()
+				continue
 			}
 			d, err := memo.SnapshotDelta()
 			if err != nil {
@@ -66,7 +86,12 @@ func TestDeltaSnapshotRacesSubmitBatchTraffic(t *testing.T) {
 	// window where SnapshotDelta must not drop freshly-registered
 	// types' logged entries.
 	var late *taskrt.TaskType
-	for round := 0; round < rounds; round++ {
+	fulls := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return saves / 3
+	}
+	for round := 0; round < rounds || (fulls() < minFulls && round < 50*rounds); round++ {
 		if round == rounds/2 {
 			late = rt.RegisterType(taskrt.TypeConfig{Name: "late", Memoize: true, Run: doubler})
 		}
@@ -98,11 +123,15 @@ func TestDeltaSnapshotRacesSubmitBatchTraffic(t *testing.T) {
 	deltas = append(deltas, final)
 	mu.Unlock()
 
-	// Every insert must be logged exactly once across the save
-	// partition: in static mode each executed task inserts one entry.
+	// Every insert must be recorded exactly once across the save
+	// partition: in static mode each executed task inserts one entry, and
+	// the workload never evicts.
 	var executed, logged int64
 	for _, ts := range memo.Stats().Types {
 		executed += ts.Executed
+	}
+	for _, sec := range base.Types {
+		logged += int64(len(sec.Entries))
 	}
 	for _, d := range deltas {
 		logged += int64(len(d.Entries))

@@ -23,18 +23,20 @@ import (
 // (different hash seeds or shuffle plans), so it is rejected instead.
 var ErrSnapshotConfig = errors.New("core: snapshot config fingerprint mismatch")
 
-// Snapshot is the serializable state of a quiescent ATM engine. The
-// regions it references are deep copies on the Snapshot() side and are
-// adopted by the engine on the Restore() side — do not reuse a Snapshot
-// after passing it to Restore.
+// Snapshot is the serializable state of an ATM engine at its runtime's
+// completion fence (see (*ATM).Snapshot). The regions it references are
+// deep copies on the Snapshot() side and are adopted by the engine on
+// the Restore() side — do not reuse a Snapshot after passing it to
+// Restore.
 type Snapshot struct {
 	// Fingerprint identifies the Config the state was produced under
 	// (see Fingerprint); Restore rejects a mismatch.
 	Fingerprint uint64
 	// IKT carries the In-flight Key Table's lifetime counters at
-	// snapshot time. The table itself is empty at quiescence (every
-	// provider released its key at completion), so counters are its only
-	// content; they are informational and are not replayed by Restore.
+	// snapshot time. The table itself holds only tasks still in flight
+	// (every provider releases its key at completion, and their inserts
+	// are carried by the next delta), so counters are its only content;
+	// they are informational and are not replayed by Restore.
 	IKT IKTCounters
 	// Types are the per-task-type sections, in type-registration order
 	// with any carried-over (never re-registered) sections after them.
@@ -122,12 +124,14 @@ func Fingerprint(cfg Config) uint64 {
 	return h
 }
 
-// Snapshot extracts the engine's memoization state. It quiesces through
-// the runtime's completion fence (Wait) when the engine is bound, so
-// every in-flight task has published its THT insert and released its
-// IKT key before the tables are read, and it holds concurrent Serve
-// calls' inserts off while it reads; an unbound engine (tests driving
-// the hooks directly) is the caller's responsibility to quiesce. The
+// Snapshot extracts the engine's memoization state. It waits on the
+// runtime's completion fence (Wait) when the engine is bound, so every
+// task submitted before the call has published its THT insert, and it
+// holds concurrent Serve calls' inserts off while it reads. Traffic
+// that races the scan anyway (tasks submitted after the fence, or an
+// unbound engine driven by its hooks) is not lost: each bucket's
+// operation log is trimmed only up to where the scan read that bucket,
+// so a racing insert or eviction is carried by the next delta. The
 // returned regions are deep copies: the engine may keep running and
 // recycling entries afterwards.
 func (a *ATM) Snapshot() (*Snapshot, error) {
@@ -135,49 +139,57 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 		a.rt.Wait()
 	}
 	// Serve inserts off the runtime, so Wait does not quiesce them: hold
-	// them off from the table scan to the log drain below.
+	// them off from the table scan to the log trim below.
 	a.serveInserts.Lock()
 	defer a.serveInserts.Unlock()
+	// snapMu excludes every other drain of the operation log between the
+	// scan's cuts and the trim that applies them.
+	a.snapMu.Lock()
+	defer a.snapMu.Unlock()
+	// typeMu freezes the registry and the pending sections from the
+	// metadata read to the carried sections: no type registers, and no
+	// pending section installs into buckets the scan already passed.
+	a.typeMu.Lock()
+	defer a.typeMu.Unlock()
 	snap := &Snapshot{Fingerprint: Fingerprint(a.cfg)}
 	if a.ikt != nil {
-		if n := a.ikt.Len(); n != 0 {
-			return nil, fmt.Errorf("core: snapshot with %d in-flight IKT entries (engine not quiescent)", n)
-		}
+		// Tasks still in flight are fine: their inserts land after their
+		// bucket's scan and stay logged for the next delta.
 		snap.IKT.Inserts, snap.IKT.Defers, snap.IKT.Rejected = a.ikt.Counters()
 	}
-	byType := map[int][]EntrySnapshot{}
-	a.tht.forEach(func(e *Entry) {
-		byType[e.TypeID] = append(byType[e.TypeID], EntrySnapshot{
+	// Seal the current epoch and read the metadata before the scan, as
+	// SnapshotDelta does: a mutation racing this save stamps the next
+	// epoch and is carried again by the next delta, and the base never
+	// holds metadata newer than its entries.
+	cur := a.saveEpoch.Add(1) - 1
+	secOf, err := a.registeredSections(snap)
+	if err != nil {
+		return nil, err
+	}
+	cuts := a.tht.forEach(func(e *Entry) {
+		i, ok := secOf[e.TypeID]
+		if !ok {
+			return // every entry's type is registered; guard anyway
+		}
+		snap.Types[i].Entries = append(snap.Types[i].Entries, EntrySnapshot{
 			Key:      e.Key,
 			Level:    e.Level,
 			Provider: e.ProviderID,
 			Outs:     cloneRegions(e.Outs),
 		})
 	})
-	if err := a.collectTypeSections(snap, byType); err != nil {
-		return nil, err
-	}
+	a.carrySections(snap)
 	// A successful full snapshot supersedes the accumulated delta
-	// state: every insert the log references is covered by the table
-	// scan above, so the log is discarded and the current epoch sealed
-	// — the next SnapshotDelta carries only changes made after this
-	// point. The supersession commits only now, after every failure
-	// path is behind us: a failed Snapshot must leave the delta chain
-	// intact (draining up front would silently drop those inserts from
-	// every future delta). It also runs outside typeMu, preserving the
-	// snapMu→typeMu lock order SnapshotDelta uses. Under the full
-	// snapshot's quiescence contract (the runtime's Wait, plus the
-	// serveInserts fence for Serve) no insert races the scan-then-drain
-	// window; racing saves belong to SnapshotDelta, whose drain
-	// partitions inserts exactly.
-	a.snapMu.Lock()
+	// state: every operation logged before a bucket was scanned is
+	// covered by the scan, so those records are dropped and the epoch
+	// stays sealed — the next SnapshotDelta carries only what happened
+	// after each bucket's visit, even when an insert raced the scan.
+	// The supersession commits only now, after every failure path is
+	// behind us: a failed Snapshot must leave the delta chain intact.
 	if a.tracking {
-		for _, r := range a.tht.DrainLog() {
-			r.e.Release()
-		}
-		a.savedThrough = a.saveEpoch.Add(1) - 1
+		a.tht.trimLog(cuts)
+		a.savedThrough = cur
 	}
-	a.snapMu.Unlock()
 	return snap, nil
 }
 
@@ -190,7 +202,8 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 // mirrors it. Because the live table logs every eviction as an
 // explicit tombstone, replaying the folded list reproduces the same
 // table as replaying the operations (the property persist.Compact
-// builds on to make compacted chains shrink).
+// builds on to make compacted chains shrink). The fold is linear: each
+// identity keeps a FIFO of its uncancelled inserts, linked through next.
 func FoldEntryOps(ops []EntrySnapshot) []EntrySnapshot {
 	tombs := 0
 	for i := range ops {
@@ -201,32 +214,57 @@ func FoldEntryOps(ops []EntrySnapshot) []EntrySnapshot {
 	if tombs == 0 {
 		return ops
 	}
-	out := make([]EntrySnapshot, 0, len(ops)-tombs)
-	for _, op := range ops {
+	type identity struct {
+		key      uint64
+		level    int8
+		provider uint64
+	}
+	type fifo struct{ head, tail int } // head < 0: empty
+	live := make(map[identity]fifo, len(ops)-tombs)
+	next := make([]int, len(ops))
+	cancelled := make([]bool, len(ops))
+	kept := len(ops) - tombs
+	for i := range ops {
+		op := &ops[i]
+		id := identity{op.Key, op.Level, op.Provider}
+		q, ok := live[id]
 		if !op.Tombstone {
-			out = append(out, op)
+			next[i] = -1
+			if ok && q.head >= 0 {
+				next[q.tail] = i
+				q.tail = i
+			} else {
+				q = fifo{i, i}
+			}
+			live[id] = q
 			continue
 		}
-		for i := range out {
-			if out[i].Key == op.Key && out[i].Level == op.Level && out[i].Provider == op.Provider {
-				out = append(out[:i], out[i+1:]...)
-				break
-			}
+		cancelled[i] = true
+		if ok && q.head >= 0 {
+			cancelled[q.head] = true
+			q.head = next[q.head]
+			live[id] = q
+			kept--
+		}
+	}
+	out := make([]EntrySnapshot, 0, kept)
+	for i := range ops {
+		if !cancelled[i] {
+			out = append(out, ops[i])
 		}
 	}
 	return out
 }
 
-// collectTypeSections appends the per-type sections (registered types
-// first, then carried unclaimed pending sections) to snap, under
-// typeMu.
-func (a *ATM) collectTypeSections(snap *Snapshot, byType map[int][]EntrySnapshot) error {
-	a.typeMu.Lock()
-	defer a.typeMu.Unlock()
+// registeredSections appends a section holding the metadata of each
+// registered type to snap, entries to follow, and maps each type ID to
+// its section. The caller holds typeMu.
+func (a *ATM) registeredSections(snap *Snapshot) (map[int]int, error) {
 	var states []*typeState
 	if sl := a.typeStates.Load(); sl != nil {
 		states = *sl
 	}
+	secOf := make(map[int]int, len(states))
 	seen := make(map[string]bool, len(states))
 	for id, ts := range states {
 		if ts == nil {
@@ -238,7 +276,7 @@ func (a *ATM) collectTypeSections(snap *Snapshot, byType map[int][]EntrySnapshot
 			// snapshot's sections are name-keyed: writing the collision
 			// out would produce a file every later Load rejects. Fail at
 			// save time, where it is diagnosable.
-			return fmt.Errorf("core: two task types named %q: snapshot sections are keyed by type name", name)
+			return nil, fmt.Errorf("core: two task types named %q: snapshot sections are keyed by type name", name)
 		}
 		seen[name] = true
 		ph, level := ts.load()
@@ -246,23 +284,28 @@ func (a *ATM) collectTypeSections(snap *Snapshot, byType map[int][]EntrySnapshot
 		succ := ts.successes
 		excl := len(ts.excluded)
 		ts.mu.Unlock()
+		secOf[id] = len(snap.Types)
 		snap.Types = append(snap.Types, TypeSnapshot{
 			Name:      name,
 			Steady:    ph == phaseSteady,
 			Level:     level,
 			Successes: succ,
 			Excluded:  excl,
-			Entries:   byType[id],
 		})
 	}
-	// Sections restored into this engine whose types never re-registered
-	// carry through (a sweep alternating workloads must not lose the
-	// idle workload's warm state). Cloned: the pending map may later be
-	// installed into the THT, whose recycling mutates entries. Pending
-	// sections are operation streams — a chained delta may have left
-	// tombstones — and a full snapshot carries entries only, so the ops
-	// are folded first (FoldEntryOps replays removals textually, which
-	// installSection would otherwise do on the ring).
+	return secOf, nil
+}
+
+// carrySections appends the sections restored into this engine whose
+// types never re-registered: a sweep alternating workloads must not
+// lose the idle workload's warm state. Cloned: the pending map may
+// later be installed into the THT, whose recycling mutates entries.
+// Pending sections are operation streams — a chained delta may have
+// left tombstones — and a full snapshot carries entries only, so the
+// ops are folded first (FoldEntryOps replays removals textually, which
+// installSection would otherwise do on the ring). The caller holds
+// typeMu.
+func (a *ATM) carrySections(snap *Snapshot) {
 	carried := make([]string, 0, len(a.pending))
 	for name := range a.pending {
 		carried = append(carried, name)
@@ -283,7 +326,6 @@ func (a *ATM) collectTypeSections(snap *Snapshot, byType map[int][]EntrySnapshot
 		}
 		snap.Types = append(snap.Types, cp)
 	}
-	return nil
 }
 
 func cloneRegions(rs []region.Region) []region.Region {
@@ -377,8 +419,11 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 		if es.Tombstone {
 			// A chained delta recorded an eviction: replay the removal.
 			// Remove neither logs nor counts an eviction — the removal
-			// was already persisted by the chain being restored.
-			a.tht.Remove(id, es.Key, es.Level, es.Provider)
+			// was already persisted by the chain being restored — but
+			// the entry it takes out is no longer a restored one.
+			if a.tht.Remove(id, es.Key, es.Level, es.Provider) {
+				a.restored.Add(-1)
+			}
 			continue
 		}
 		// Restored entries bypass the delta insert log: the
@@ -398,5 +443,6 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 
 // RestoredEntries reports how many THT entries have been installed from
 // a restored snapshot so far (sections install lazily, when their task
-// type first registers).
+// type first registers): the inserts replayed, less those a replayed
+// tombstone removed again.
 func (a *ATM) RestoredEntries() int64 { return a.restored.Load() }

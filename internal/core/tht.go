@@ -344,9 +344,13 @@ func (t *THT) Remove(typeID int, key uint64, level int8, provider uint64) bool {
 // repeated snapshots of an idle table are byte-identical. Entries are
 // retained across the callback (fn may safely read their buffers while
 // concurrent inserts evict) and released afterwards; fn must not retain
-// references past its return.
-func (t *THT) forEach(fn func(e *Entry)) {
+// references past its return (it may retain one of its own). The
+// result cuts each non-empty operation log where the visit read its
+// bucket: every record before a cut is an operation whose outcome the
+// visit saw, which is what trimLog drops.
+func (t *THT) forEach(fn func(e *Entry)) []logCut {
 	var batch []*Entry
+	var cuts []logCut
 	for bi := range t.buckets {
 		b := &t.buckets[bi]
 		b.mu.RLock()
@@ -356,11 +360,39 @@ func (t *THT) forEach(fn func(e *Entry)) {
 			e.retain()
 			batch = append(batch, e)
 		}
+		if len(b.log) > 0 {
+			cuts = append(cuts, logCut{bucket: bi, n: len(b.log)})
+		}
 		b.mu.RUnlock()
 		for _, e := range batch {
 			fn(e)
 			e.Release()
 		}
+	}
+	return cuts
+}
+
+// logCut is the length of one bucket's operation log at a forEach visit.
+type logCut struct {
+	bucket, n int
+}
+
+// trimLog drops the log records before each cut and releases the
+// inserts' references, keeping whatever was logged after the visit for
+// the next delta. The caller must exclude every other drain between the
+// visit and the trim (the engine holds snapMu across both), so the
+// records before a cut are still the ones the visit saw.
+func (t *THT) trimLog(cuts []logCut) {
+	for _, c := range cuts {
+		b := &t.buckets[c.bucket]
+		b.mu.Lock()
+		for _, r := range b.log[:c.n] {
+			r.e.Release() // nil-safe: tombstones hold no reference
+		}
+		rest := copy(b.log, b.log[c.n:])
+		clear(b.log[rest:])
+		b.log = b.log[:rest]
+		b.mu.Unlock()
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"atm/internal/harness"
 	"atm/internal/persist"
 	"atm/internal/region"
+	"atm/internal/service"
 	"atm/internal/taskrt"
 )
 
@@ -19,8 +20,9 @@ import (
 // different layer of the persistence stack: append-crash tears delta
 // appends at seeded byte offsets and salvages the chain file directly,
 // save-crash kills atomic whole-table saves at the write/sync/rename
-// boundaries, and service-recovery drives the harness's RecoverPolicy
-// end to end across simulated service lifetimes.
+// boundaries, service-recovery drives the harness's RecoverPolicy end
+// to end across simulated service lifetimes, and compact-crash kills the
+// harness's own rewrite of a chain whose deltas outgrew its base.
 
 // Corpus returns the standard scenario corpus.
 func Corpus() []Scenario {
@@ -28,6 +30,7 @@ func Corpus() []Scenario {
 		{Name: "append-crash", Run: appendCrash},
 		{Name: "save-crash", Run: saveCrash},
 		{Name: "service-recovery", Run: serviceRecovery},
+		{Name: "compact-crash", Run: compactCrash},
 	}
 }
 
@@ -420,5 +423,146 @@ func serviceRecovery(c *Ctx) {
 			return
 		}
 		checkNoTmp(c, c.Dir, "recovery")
+	}
+}
+
+// compactCrash kills the rewrite a served engine's save makes once the
+// chain's deltas would outgrow its base: lifetime 0 saves a table of n
+// keys, lifetime 1 serves more fresh keys than that and crashes its
+// final save — the rewrite — at the write (a seeded partial-write
+// offset), sync or rename failpoint, on every retry. Oracle: the old
+// chain is byte-identical with at most one *.tmp beside it; a restart
+// under every RecoverPolicy sweeps the temp and restores exactly the
+// pre-rewrite table (lifetime 0's keys hit, lifetime 1's do not); and a
+// retried save converges on a chain holding both lifetimes' keys.
+func compactCrash(c *Ctx) {
+	chain := filepath.Join(c.Dir, "service.atmchain")
+	kind, _ := service.KindByName("swaptions")
+	serve := func(policy harness.RecoverPolicy) (*service.Engine, harness.ServeInfo) {
+		opt := harness.RunOptions{SnapshotChain: chain, Recover: policy}
+		return harness.Serve(harness.Static(true), opt, service.Config{Workers: 1})
+	}
+	tasks := func(from, n int) []service.Task {
+		ts := make([]service.Task, n)
+		for i := range ts {
+			ts[i] = service.Task{Kind: kind.Name, Input: service.Input(kind, uint64(from+i), 1)}
+		}
+		return ts
+	}
+	n := 4 + c.Intn(9)
+	old, fresh := tasks(0, n), tasks(1000, 2*n+4) // fresh outgrows old's base
+	do := func(e *service.Engine, ts []service.Task) bool {
+		if _, _, err := e.Do(ts); err != nil {
+			c.Errorf("serve: %v", err)
+			return false
+		}
+		return true
+	}
+
+	// Lifetime 0: a cold start whose final save writes n keys' base.
+	e, _ := serve(harness.RecoverStrict)
+	if !do(e, old) {
+		e.Close()
+		return
+	}
+	if err := e.Close(); err != nil {
+		c.Errorf("lifetime 0 save: %v", err)
+		return
+	}
+	good, err := os.ReadFile(chain)
+	if err != nil {
+		c.Errorf("read committed chain: %v", err)
+		return
+	}
+
+	// Lifetime 1: the final save rewrites, and crashes on every attempt.
+	switch c.Intn(3) {
+	case 0:
+		failpoint.EnablePartial(persist.FailpointWrite, func(total int) (int, error) {
+			return c.Intn(total + 1), failpoint.ErrCrash
+		})
+	case 1:
+		failpoint.Enable(persist.FailpointSync, func() error { return failpoint.ErrCrash })
+	default:
+		failpoint.Enable(persist.FailpointRename, func() error { return failpoint.ErrCrash })
+	}
+	e, _ = serve(harness.RecoverStrict)
+	ok := do(e, fresh)
+	cerr := e.Close()
+	failpoint.DisableAll()
+	if !ok {
+		return
+	}
+	if !errors.Is(cerr, failpoint.ErrCrash) {
+		c.Errorf("crashed rewrite returned %v", cerr)
+		return
+	}
+	img, err := os.ReadFile(chain)
+	if err != nil {
+		c.Errorf("read crash image: %v", err)
+		return
+	}
+	if !bytes.Equal(img, good) {
+		c.Errorf("crashed rewrite changed the chain (%d -> %d bytes)", len(good), len(img))
+		return
+	}
+	tmps, _ := filepath.Glob(filepath.Join(c.Dir, "*.tmp"))
+	if len(tmps) > 1 {
+		c.Errorf("crashed rewrite left %d temp files", len(tmps))
+	}
+	tmp, _ := os.ReadFile(chain + ".tmp")
+
+	// Restart under every policy from the crash image: warm, exactly
+	// the pre-rewrite table, temp swept.
+	for _, policy := range []harness.RecoverPolicy{harness.RecoverStrict, harness.RecoverSalvage, harness.RecoverCold} {
+		if err := os.WriteFile(chain, good, 0o644); err != nil {
+			c.Errorf("restore crash image: %v", err)
+			return
+		}
+		if tmp != nil {
+			if err := os.WriteFile(chain+".tmp", tmp, 0o644); err != nil {
+				c.Errorf("restore crash image: %v", err)
+				return
+			}
+		}
+		e, info := serve(policy)
+		if info.SnapshotErr != nil || !info.WarmStart || info.ColdFallback || info.RestoredEntries != int64(n) {
+			c.Errorf("%v restart: warm=%v cold=%v restored %d of %d entries (err %v)",
+				policy, info.WarmStart, info.ColdFallback, info.RestoredEntries, n, info.SnapshotErr)
+		}
+		checkNoTmp(c, c.Dir, "restart")
+		for i, ts := range [][]service.Task{old, fresh} {
+			for _, task := range ts {
+				_, hit, err := e.Lookup(task.Kind, task.Input)
+				if err != nil || hit != (i == 0) {
+					c.Errorf("%v restart: lookup of a lifetime-%d key: hit=%v err=%v", policy, i, hit, err)
+					break
+				}
+			}
+		}
+		if policy != harness.RecoverCold {
+			e.Close()
+			continue
+		}
+		// The retried save converges: both lifetimes' keys, one base.
+		do(e, fresh)
+		if err := e.Close(); err != nil {
+			c.Errorf("retried save: %v", err)
+			return
+		}
+		base, deltas, err := persist.LoadChain(chain)
+		if err != nil {
+			c.Errorf("retried save does not load: %v", err)
+			return
+		}
+		full, err := persist.Compact(base, deltas...)
+		if err != nil {
+			c.Errorf("compact retried chain: %v", err)
+			return
+		}
+		if got, want := len(keySet(full)), len(old)+len(fresh); got != want {
+			c.Errorf("retried save holds %d keys, want %d", got, want)
+		}
+		checkNoTmp(c, c.Dir, "compact-crash")
 	}
 }

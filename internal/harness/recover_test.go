@@ -156,10 +156,13 @@ func TestRecoverPolicyOnVersionOneFile(t *testing.T) {
 	}
 }
 
-// TestSaverRetryAndFailureBudget pins the delta saver's bounded retry:
-// transient append failures are retried with backoff and succeed
-// silently (counted in SaverRetries), persistent failures exhaust the
-// budget, land in SnapshotErr and count as a SaverFailure.
+// TestSaverRetryAndFailureBudget pins the saver's bounded retry on
+// both save paths: transient failures are retried with backoff and
+// succeed silently (counted in SaverRetries), persistent failures
+// exhaust the budget, land in SnapshotErr and count as a SaverFailure.
+// The cold run's final save rewrites its empty base (FailpointWrite,
+// after the one write that creates the chain); the warm runs'
+// near-empty deltas append (FailpointAppend).
 func TestSaverRetryAndFailureBudget(t *testing.T) {
 	defer failpoint.DisableAll()
 	oldBase, oldMax := saverBackoffBase, saverMaxAttempts
@@ -169,30 +172,40 @@ func TestSaverRetryAndFailureBudget(t *testing.T) {
 	f := FactoryFor("Blackscholes")
 	chain := filepath.Join(t.TempDir(), "warm.atmchain")
 
-	// Fail the first two append attempts; the third lands.
-	calls := 0
-	failpoint.Enable(persist.FailpointAppend, func() error {
-		calls++
-		if calls <= 2 {
-			return failpoint.ErrInjected
+	// failTwice lets skip writes through a failpoint, fails the next
+	// two attempts, and lets the third land.
+	failTwice := func(name string, skip int) {
+		calls := 0
+		failpoint.Enable(name, func() error {
+			calls++
+			if calls > skip && calls <= skip+2 {
+				return failpoint.ErrInjected
+			}
+			return nil
+		})
+	}
+	for _, fp := range []string{persist.FailpointWrite, persist.FailpointAppend} {
+		skip := 0
+		if fp == persist.FailpointWrite {
+			skip = 1 // the cold start's creation of the chain
 		}
-		return nil
-	})
-	o := RunOne(f, apps.ScaleTest, 4, Static(true), RunOptions{SnapshotChain: chain})
-	if o.SnapshotErr != nil {
-		t.Fatalf("transient failures within budget must not surface: %v", o.SnapshotErr)
-	}
-	if o.SaverRetries != 2 || o.SaverFailures != 0 || o.DeltaSaves != 1 {
-		t.Fatalf("retry accounting: retries=%d failures=%d saves=%d", o.SaverRetries, o.SaverFailures, o.DeltaSaves)
-	}
-	failpoint.Disable(persist.FailpointAppend)
-	if _, _, err := persist.LoadChain(chain); err != nil {
-		t.Fatalf("chain after retried save must load strictly: %v", err)
+		failTwice(fp, skip)
+		o := RunOne(f, apps.ScaleTest, 4, Static(true), RunOptions{SnapshotChain: chain})
+		failpoint.Disable(fp)
+		if o.SnapshotErr != nil {
+			t.Fatalf("%s: transient failures within budget must not surface: %v", fp, o.SnapshotErr)
+		}
+		if o.SaverRetries != 2 || o.SaverFailures != 0 || o.DeltaSaves != 1 {
+			t.Fatalf("%s: retry accounting: retries=%d failures=%d saves=%d", fp, o.SaverRetries, o.SaverFailures, o.DeltaSaves)
+		}
+		if _, _, err := persist.LoadChain(chain); err != nil {
+			t.Fatalf("%s: chain after retried save must load strictly: %v", fp, err)
+		}
 	}
 
 	// Persistent failure: the budget is spent, the save abandoned.
 	failpoint.Enable(persist.FailpointAppend, func() error { return failpoint.ErrInjected })
-	o = RunOne(f, apps.ScaleTest, 4, Static(true), RunOptions{SnapshotChain: chain})
+	o := RunOne(f, apps.ScaleTest, 4, Static(true), RunOptions{SnapshotChain: chain})
 	failpoint.Disable(persist.FailpointAppend)
 	if o.SnapshotErr == nil || o.SaverFailures != 1 || o.DeltaSaves != 0 {
 		t.Fatalf("exhausted budget: err=%v failures=%d saves=%d", o.SnapshotErr, o.SaverFailures, o.DeltaSaves)

@@ -117,9 +117,10 @@ type Outcome struct {
 	// still happened, cold). A missing RunOptions.SnapshotChain file is
 	// a normal cold start that creates the chain, not an error.
 	SnapshotErr error
-	// DeltaSaves counts the incremental saves a chain-mode run
-	// performed (periodic plus the final one); DeltaBytes is the total
-	// growth they appended to the chain file — the number that stays
+	// DeltaSaves counts the saves a chain-mode run performed (periodic
+	// plus the final one), each a delta append or a rewrite of the chain
+	// as one base record; DeltaBytes is the record bytes they wrote — an
+	// appended record's, a rewrite's base record — the number that stays
 	// sublinear in table size when inter-save churn is small.
 	DeltaSaves int
 	DeltaBytes int64
@@ -230,12 +231,16 @@ type RunOptions struct {
 	// training cost asks for. When set (and the spec enables ATM) the
 	// run warm-starts from the file when it exists (base restored,
 	// deltas replayed in order) and saves by appending a delta record of
-	// just this run's changes: O(churn) I/O per repetition. A missing
-	// file is a cold start that creates the chain with an empty base.
-	// The run owns the file: Recover may repair or delete it.
+	// just this run's changes: O(churn) I/O per repetition. Once the
+	// records appended since the base would outgrow it, the save
+	// rewrites the file as one base record of the live table instead, so
+	// the file stays under twice its base. A missing file is a cold
+	// start that creates the chain with an empty base, which the first
+	// save outgrows. The run owns the file: Recover may repair or
+	// delete it.
 	SnapshotChain string
-	// SnapshotDeltaEvery additionally appends a delta every interval
-	// while the run executes: the long-lived-service scenario, where
+	// SnapshotDeltaEvery additionally saves every interval while the
+	// run executes: the long-lived-service scenario, where
 	// warm state must survive a crash mid-run. Each periodic save
 	// quiesces through the runtime's completion fence.
 	SnapshotDeltaEvery time.Duration
@@ -256,12 +261,12 @@ type RunOptions struct {
 
 // memoState is the opened memoization state of a run or a served
 // engine: the engine itself (nil when the spec disables ATM), how it
-// warm-started, and the chain its saves append to. It is shared by
-// RunOne (the evaluation path) and Serve (the service path), and it
-// alone decides where warm state is written. appendDelta must be called
-// from one goroutine at a time (RunOne serializes the periodic saver
-// against the final save; the service engine runs every save under its
-// runtime lock).
+// warm-started, and the chain its saves write. It is shared by RunOne
+// (the evaluation path) and Serve (the service path), and it alone
+// decides where warm state is written. save must be called from one
+// goroutine at a time (RunOne serializes the periodic saver against the
+// final save; the service engine runs every save under its runtime
+// lock).
 type memoState struct {
 	memo     *core.ATM
 	warm     bool
@@ -273,6 +278,11 @@ type memoState struct {
 	// chain is the chain file path ("" = no persistence).
 	chain string
 	sync  persist.SyncPolicy
+	// base and tail are the chain file's layout (persist.ChainSizes):
+	// the bytes of its base record and of the delta records appended
+	// after it, read when the chain is opened or rewritten and advanced
+	// by each append.
+	base, tail int64
 
 	deltaSaves    int
 	deltaBytes    int64
@@ -281,10 +291,10 @@ type memoState struct {
 }
 
 // openMemo builds (and possibly warm-starts) the ATM engine for a spec
-// under the persistence options: with a chain file it restores from it
-// under the recovery policy, enables delta tracking and creates the
-// file on a cold start. For a disabled spec the state is empty (nil
-// memo).
+// under the persistence options: with a chain file it sweeps the temp
+// file a crashed save may have left, restores from the chain under the
+// recovery policy, enables delta tracking and creates the file on a
+// cold start. For a disabled spec the state is empty (nil memo).
 func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 	st := &memoState{sync: opt.Sync}
 	if !spec.Enabled {
@@ -302,6 +312,10 @@ func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 		st.memo = core.New(cfg)
 		return st
 	}
+	// A crash mid-rewrite leaves the old chain intact plus its temp
+	// file. Best effort: a temp the sweep cannot remove is truncated and
+	// reused by the next rewrite anyway.
+	_, _ = persist.RemoveStaleTemp(st.chain)
 	st.memo, st.warm, st.salvaged, st.coldFB, st.recovery, st.err = recoverChain(cfg, st.chain, opt.Recover, opt.Sync)
 	if st.err != nil && errors.Is(st.err, os.ErrNotExist) {
 		st.err = nil // cold start: this repetition creates the chain
@@ -309,64 +323,106 @@ func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 	if st.memo == nil {
 		st.memo = core.New(cfg)
 	}
-	if st.err == nil {
+	if st.err != nil {
 		// A failed chain load means no save will ever drain the
 		// insert log; don't start retaining entries for it.
-		st.memo.EnableDeltaTracking()
+		return st
 	}
-	if !st.warm && st.err == nil {
-		// First repetition (or cold fallback): create the chain file,
-		// its base holding this engine's (empty) pre-run state, so the
-		// later saves can append O(churn) delta records.
-		if snap, err := st.memo.Snapshot(); err != nil {
-			st.err = err
-		} else if err := persist.SaveChainSync(st.chain, snap, nil, opt.Sync); err != nil {
-			st.err = err
-		}
-		if st.err != nil {
-			st.memo.DisableDeltaTracking() // nothing will drain the log
-		}
+	st.memo.EnableDeltaTracking()
+	if st.warm {
+		st.base, st.tail, _ = persist.ChainSizes(st.chain) // unknown sizes: the first save rewrites
+		return st
+	}
+	// First repetition (or cold fallback): create the chain file, its
+	// base holding this engine's (empty) pre-run state, so the later
+	// saves have a file to append to or rewrite.
+	snap, err := st.memo.Snapshot()
+	if err == nil {
+		err = st.writeBase(snap)
+	}
+	if st.err = err; err != nil {
+		st.memo.DisableDeltaTracking() // nothing will drain the log
 	}
 	return st
 }
 
-// appendDelta appends one delta record of the engine's churn since the
-// last save to the chain file, with bounded retry. Every save appends
-// one record; file growth is the honest measure of save cost (it
-// includes record framing). Returns the save's error (also
+// save persists the engine's churn since the last save, with bounded
+// retry. While the records appended since the base, this save's
+// included, stay smaller than the base record, it appends one delta
+// record: O(churn) I/O. Otherwise it rewrites the chain as one base
+// record of the live table, through persist's temp + fsync + rename
+// path, so the file never exceeds twice its base record (plus the
+// header) and a restart replays only live entries. A cold start's empty
+// base is outgrown by the first save. Returns the save's error (also
 // latched in st.err; a latched error disables all further saves).
-func (st *memoState) appendDelta() error {
+func (st *memoState) save() error {
 	if st.err != nil {
 		return st.err
 	}
-	// The delta is only encoded and dropped, so it is borrowed from the
-	// table (LendDelta), not copied out of it.
-	err := st.memo.LendDelta(st.appendRecord)
+	// The delta is only encoded (or weighed and dropped), so it is
+	// borrowed from the table (LendDelta), not copied out of it.
+	err := st.memo.LendDelta(func(d *core.Delta) error {
+		n := persist.DeltaRecordSize(d)
+		if st.tail+n >= st.base {
+			// The live table supersedes the delta: a rewrite scans it
+			// after the delta's drain, so it holds every operation the
+			// delta carries.
+			if err := st.rewrite(); err != nil {
+				return err
+			}
+			st.deltaBytes += st.base
+			return nil
+		}
+		if err := st.retry(func() error { return persist.AppendDeltaSync(st.chain, d, st.sync) }); err != nil {
+			return err
+		}
+		st.tail += n
+		st.deltaBytes += n
+		return nil
+	})
 	if err != nil {
 		st.err = err
 		st.memo.DisableDeltaTracking() // no further saves will drain the log
+		return err
 	}
-	return err
+	st.deltaSaves++
+	return nil
 }
 
-// appendRecord appends d to the chain file, with bounded retry.
-func (st *memoState) appendRecord(d *core.Delta) error {
-	// The stats are best-effort: a failed Stat must not abort the
-	// save itself.
-	var preSize int64 = -1
-	if pre, err := os.Stat(st.chain); err == nil {
-		preSize = pre.Size()
+// rewrite replaces the chain file with one base record of the live
+// table, with bounded retry.
+func (st *memoState) rewrite() error {
+	snap, err := st.memo.Snapshot()
+	if err != nil {
+		return err
 	}
-	// Bounded retry with exponential backoff: transient I/O failures
-	// (ENOSPC racing a cleaner, a blip on network storage) must not
-	// permanently stop a long-lived service's saves. The retry is
-	// safe because a failed append truncates itself back to the
-	// record boundary (persist.AppendDeltaSync), so a retry can
-	// never double-append. After the budget the save is abandoned:
-	// the error latches and delta tracking stops, since nothing
-	// will drain the insert log.
+	return st.retry(func() error { return st.writeBase(snap) })
+}
+
+// writeBase writes the chain file as the one base record snap and
+// reads its layout back. Unknown sizes (a failed read) make the next
+// save rewrite again.
+func (st *memoState) writeBase(snap *core.Snapshot) error {
+	if err := persist.SaveChainSync(st.chain, snap, nil, st.sync); err != nil {
+		return err
+	}
+	st.base, st.tail, _ = persist.ChainSizes(st.chain)
+	return nil
+}
+
+// retry runs one chain write with bounded retry and exponential
+// backoff: transient I/O failures (ENOSPC racing a cleaner, a blip on
+// network storage) must not permanently stop a long-lived service's
+// saves. The retry is safe
+// because a failed write leaves the previous chain as it was: a failed
+// append truncates itself back to the record boundary
+// (persist.AppendDeltaSync) and a failed rewrite never reaches its
+// rename. After the budget the save is abandoned: the caller latches
+// the error and stops delta tracking, since nothing will drain the
+// insert log.
+func (st *memoState) retry(write func() error) error {
 	for attempt := 0; ; attempt++ {
-		err := persist.AppendDeltaSync(st.chain, d, st.sync)
+		err := write()
 		if err == nil {
 			break
 		}
@@ -377,10 +433,6 @@ func (st *memoState) appendRecord(d *core.Delta) error {
 		st.saverRetries++
 		time.Sleep(saverBackoffBase << attempt)
 	}
-	if post, err := os.Stat(st.chain); err == nil && preSize >= 0 {
-		st.deltaBytes += post.Size() - preSize
-	}
-	st.deltaSaves++
 	return nil
 }
 
@@ -422,7 +474,7 @@ func RunOne(factory apps.Factory, scale apps.Scale, workers int, spec ATMSpec, o
 				case <-stopSaver:
 					return
 				case <-tick.C:
-					_ = st.appendDelta() // quiesces via the runtime's completion fence
+					_ = st.save() // quiesces via the runtime's completion fence
 				}
 			}
 		}()
@@ -445,7 +497,7 @@ func RunOne(factory apps.Factory, scale apps.Scale, workers int, spec ATMSpec, o
 			out.ChosenLevels[ts.Name] = ts.Level
 		}
 		if st.chain != "" {
-			_ = st.appendDelta() // the final save: this run's remaining churn
+			_ = st.save() // the final save: this run's remaining churn
 		}
 	}
 	out.SnapshotErr = st.err

@@ -33,8 +33,10 @@ type ServeInfo struct {
 // service-side knobs (workers, backlog watermark, tenant cap);
 // cfg.Memo, cfg.Save and cfg.SaveEvery are overwritten from spec and
 // opt. With a chain (opt.SnapshotChain) the engine warm-starts from it
-// under opt.Recover, and the Save hook appends a delta record of the
-// churn since the last save — POST /v1/snapshot, the periodic
+// under opt.Recover, and the Save hook saves the churn since the last
+// save — a delta record appended, or the chain rewritten as one base
+// record once its deltas would outgrow the base (RunOptions.
+// SnapshotChain) — and POST /v1/snapshot, the periodic
 // opt.SnapshotDeltaEvery saver and the final save on Close all go
 // through it. Without one there is no persistence, and POST
 // /v1/snapshot answers 409.
@@ -58,7 +60,7 @@ func Serve(spec ATMSpec, opt RunOptions, cfg service.Config) (*service.Engine, S
 	cfg.Save = nil
 	cfg.SaveEvery = 0
 	if cfg.Memo != nil && st.chain != "" {
-		cfg.Save = st.appendDelta
+		cfg.Save = st.save
 		cfg.SaveEvery = opt.SnapshotDeltaEvery
 	}
 	eng := service.New(cfg)

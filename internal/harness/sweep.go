@@ -16,14 +16,15 @@ import (
 //
 // Each selected benchmark is one shard of the sweep: it runs reps
 // repetitions against a chain of its own under dir. Repetition 1
-// starts cold and creates the chain, every repetition appends a delta
-// record of just its churn, and every later one warm-starts from what
-// the earlier ones appended — so incremental warm-up, e.g. a dynamic
-// type finishing its training in rep 2, compounds. The report shows,
-// per repetition, the elapsed time and its speedup over rep 1, reuse,
-// THT hit ratio, restored entries and the bytes appended (a fully warm
-// repetition appends a near-empty record), and closes with the
-// warm-vs-cold deltas.
+// starts cold and creates the chain, every repetition saves just its
+// churn (a delta record, or a rewrite of the chain once its deltas
+// would outgrow the base — the cold repetition's save always rewrites),
+// and every later one warm-starts from what the earlier ones saved — so
+// incremental warm-up, e.g. a dynamic type finishing its training in
+// rep 2, compounds. The report shows, per repetition, the elapsed time
+// and its speedup over rep 1, reuse, THT hit ratio, restored entries
+// and the bytes saved (a fully warm repetition appends a near-empty
+// record), and closes with the warm-vs-cold deltas.
 //
 // The chains are then compacted and merged (persist.Compact +
 // persist.MergeSnapshots, what `snapshotctl merge` does for a sweep
@@ -44,7 +45,7 @@ func Sweep(opt Options, reps int, dir string) error {
 	for i, name := range names {
 		file := filepath.Join(dir, name+".atmchain")
 		t := newTable(opt.Out)
-		t.row("Bench", "Rep", "Start", "Elapsed", "Speedup", "Reuse", "THTHitRatio", "RestoredEntries", "Append")
+		t.row("Bench", "Rep", "Start", "Elapsed", "Speedup", "Reuse", "THTHitRatio", "RestoredEntries", "Saved")
 		var last Outcome
 		for rep := 1; rep <= reps; rep++ {
 			ro := opt.runOpt()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"atm/internal/apps"
+	"atm/internal/core"
 	"atm/internal/persist"
 )
 
@@ -126,29 +127,45 @@ func TestChainAppendsToWholeTableFiles(t *testing.T) {
 	}
 }
 
-// TestRunOneSnapshotDeltaEvery exercises the periodic mid-run saver:
-// every tick appends one loadable delta record, and the final record
-// count matches what the run reports.
+// TestRunOneSnapshotDeltaEvery exercises the periodic mid-run saver,
+// whose saves race the run's inserts: every entry in the table at the
+// end of the run is in the chain, which a warm start restores in full.
+// The first save rewrites the cold start's empty base, so the chain
+// holds fewer delta records than the run made saves.
 func TestRunOneSnapshotDeltaEvery(t *testing.T) {
 	chain := filepath.Join(t.TempDir(), "service.atmchain")
-	o := RunOne(FactoryFor("Kmeans"), apps.ScaleTest, 4, Static(true),
+	f := FactoryFor("Kmeans")
+	o := RunOne(f, apps.ScaleTest, 4, Static(true),
 		RunOptions{SnapshotChain: chain, SnapshotDeltaEvery: 200 * time.Microsecond})
 	if o.SnapshotErr != nil {
 		t.Fatal(o.SnapshotErr)
 	}
 	if o.DeltaSaves < 1 {
-		t.Fatalf("the final delta save must always happen: %+v", o)
+		t.Fatalf("the final save must always happen: %+v", o)
 	}
-	base, deltas, err := persist.LoadChain(chain)
+	_, deltas, err := persist.LoadChain(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base == nil {
-		t.Fatal("chain must start with its base record")
+	if len(deltas) >= o.DeltaSaves {
+		t.Fatalf("chain holds %d delta records after %d saves: the first save did not rewrite", len(deltas), o.DeltaSaves)
 	}
-	if len(deltas) != o.DeltaSaves {
-		t.Fatalf("chain holds %d delta records, run reported %d saves", len(deltas), o.DeltaSaves)
+	if n := entryCount(chainTable(t, chain)); n != o.Stats.THTEntries {
+		t.Fatalf("chain folds to %d entries, the table held %d at the end of the run", n, o.Stats.THTEntries)
 	}
+	warm := RunOne(f, apps.ScaleTest, 4, Static(true), RunOptions{SnapshotChain: chain})
+	if warm.SnapshotErr != nil || warm.RestoredEntries != o.Stats.THTEntries {
+		t.Fatalf("warm start restored %d entries of %d (err %v)", warm.RestoredEntries, o.Stats.THTEntries, warm.SnapshotErr)
+	}
+}
+
+// entryCount counts a snapshot's entries.
+func entryCount(s *core.Snapshot) int64 {
+	var n int64
+	for _, sec := range s.Types {
+		n += int64(len(sec.Entries))
+	}
+	return n
 }
 
 // TestSweepReportsWarmDeltas runs the sweep over one benchmark: its
@@ -162,12 +179,12 @@ func TestSweepReportsWarmDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"cold", "warm", "Speedup", "THTHitRatio", "Append", "Blackscholes warm-vs-cold"} {
+	for _, want := range []string{"cold", "warm", "Speedup", "THTHitRatio", "Saved", "Blackscholes warm-vs-cold"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("sweep report missing %q:\n%s", want, out)
 		}
 	}
-	assertChainRecords(t, filepath.Join(dir, "Blackscholes.atmchain"), 3)
+	assertChainRestores(t, dir, "Blackscholes", 3)
 }
 
 // TestShardedSweepMergesShards runs the sweep over two benchmarks: each
@@ -187,7 +204,7 @@ func TestShardedSweepMergesShards(t *testing.T) {
 		}
 	}
 	for _, name := range opt.Benchmarks {
-		assertChainRecords(t, filepath.Join(dir, name+".atmchain"), 2)
+		assertChainRestores(t, dir, name, 2)
 		assertChainRecords(t, filepath.Join(dir, name+".merged.atmchain"), 1)
 	}
 }
@@ -199,5 +216,32 @@ func assertChainRecords(t *testing.T, path string, want int) {
 	base, deltas, err := persist.LoadChain(path)
 	if err != nil || base == nil || len(deltas) != want {
 		t.Fatalf("%s: want a base and %d delta(s), got %d (%v)", filepath.Base(path), want, len(deltas), err)
+	}
+}
+
+// assertChainRestores fails t unless the chain a sweep's reps
+// repetitions of bench saved restores every entry it holds: a warm run
+// from a copy of it installs the chain's whole fold, which is not empty.
+// The cold repetition's save rewrites the empty base, so the chain holds
+// fewer than reps delta records.
+func assertChainRestores(t *testing.T, dir, bench string, reps int) {
+	t.Helper()
+	path := filepath.Join(dir, bench+".atmchain")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, deltas, err := persist.UnmarshalChain(data)
+	if err != nil || len(deltas) >= reps {
+		t.Fatalf("%s: %d delta records after %d saves (%v)", filepath.Base(path), len(deltas), reps, err)
+	}
+	want := entryCount(chainTable(t, path))
+	cp := filepath.Join(t.TempDir(), "copy.atmchain")
+	if err := os.WriteFile(cp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := RunOne(FactoryFor(bench), apps.ScaleTest, 2, Dynamic(true), RunOptions{SnapshotChain: cp})
+	if o.SnapshotErr != nil || !o.WarmStart || want == 0 || o.RestoredEntries != want {
+		t.Fatalf("%s: warm start restored %d of the chain's %d entries (err %v)", filepath.Base(path), o.RestoredEntries, want, o.SnapshotErr)
 	}
 }

@@ -205,6 +205,12 @@ func writeDeltaRecord(w io.Writer, d *core.Delta) error {
 	return err
 }
 
+// DeltaRecordSize is the number of bytes AppendDelta appends for d,
+// framing included.
+func DeltaRecordSize(d *core.Delta) int64 {
+	return int64(recordOverhead + deltaBodySize(d))
+}
+
 // landWriter lands the first n bytes written to it in w and drops the
 // rest: FailpointAppend's partial write, spread over a streamed record.
 type landWriter struct {
@@ -673,6 +679,40 @@ func SaveChainSync(path string, base *core.Snapshot, deltas []*core.Delta, sync 
 		return err
 	}
 	return writeAtomic(path, data, sync)
+}
+
+// ChainSizes reports the layout of the version-2 chain file at path
+// without decoding it: the bytes of its base record, framing included
+// (0 when the file starts with a delta), and the bytes of the records
+// after it. A save weighs them to choose between appending a delta and
+// rewriting the chain as one base.
+func ChainSizes(path string) (base, tail int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	var head [headerLen + 5]byte // header, then the first record's kind and length
+	n, _ := io.ReadFull(f, head[:])
+	if n < headerLen {
+		return 0, 0, fmt.Errorf("%s: %w: chain header", path, ErrTruncated)
+	}
+	ver, err := FileVersion(head[:])
+	if err != nil {
+		return 0, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if ver != Version2 {
+		return 0, 0, fmt.Errorf("%s: %w: file version %d, want %d", path, ErrVersion, ver, Version2)
+	}
+	rest := st.Size() - headerLen
+	if n == len(head) && head[headerLen] == recordBase {
+		base = min(recordOverhead+int64(binary.LittleEndian.Uint32(head[headerLen+1:])), rest)
+	}
+	return base, rest - base, nil
 }
 
 // LoadChain reads and decodes the snapshot file at path (UnmarshalChain:

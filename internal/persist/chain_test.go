@@ -140,6 +140,48 @@ func TestDeltaRecordStreamed(t *testing.T) {
 	}
 }
 
+// TestChainSizes pins ChainSizes against the records' actual sizes —
+// a base alone, one with empty sections, a delta-only chain and a base
+// plus deltas — and DeltaRecordSize against what each delta appends.
+func TestChainSizes(t *testing.T) {
+	base, deltas := buildChain(t)
+	empty := &core.Snapshot{Fingerprint: base.Fingerprint, Types: []core.TypeSnapshot{{Name: "a"}, {Name: "b", Steady: true}}}
+	path := filepath.Join(t.TempDir(), "c.atmchain")
+	for i, c := range []struct {
+		base   *core.Snapshot
+		deltas []*core.Delta
+	}{{base, nil}, {empty, nil}, {nil, deltas}, {base, deltas}} {
+		if err := SaveChainSync(path, c.base, c.deltas, SyncOff); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantBase int64
+		if c.base != nil {
+			wantBase = int64(recordOverhead + baseBodySize(c.base))
+		}
+		gotBase, tail, err := ChainSizes(path)
+		if err != nil || gotBase != wantBase || tail != st.Size()-headerLen-wantBase {
+			t.Fatalf("chain %d: ChainSizes = %d, %d, %v; want base %d of %d bytes", i, gotBase, tail, err, wantBase, st.Size())
+		}
+		var sum int64
+		for _, d := range c.deltas {
+			sum += DeltaRecordSize(d)
+		}
+		if sum != tail {
+			t.Fatalf("chain %d: delta records sized as %d bytes, the file holds %d after the base", i, sum, tail)
+		}
+	}
+	if err := os.WriteFile(path, []byte("ATMSNAP"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ChainSizes(path); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("ChainSizes on a torn header: %v, want ErrTruncated", err)
+	}
+}
+
 func TestChainDeltaOnlyFile(t *testing.T) {
 	_, deltas := buildChain(t)
 	data, err := MarshalChain(nil, deltas)
