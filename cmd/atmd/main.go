@@ -1,5 +1,7 @@
 // Command atmd serves the ATM engine as a network memoization service:
-// an HTTP front-end (docs/service.md) over the service engine, which
+// an HTTP/1.1 front-end (docs/service.md) on the service's own
+// connection loop (service.Server.Serve: one goroutine per connection,
+// each reply sent in one write) over the service engine, which
 // serves each request on its handler goroutine and runs what core.Serve
 // cannot answer under the task runtime's lock, with the harness's
 // persistence behind it: a -chain file it warm-starts from under a
@@ -17,8 +19,9 @@
 // admission watermark is shed with 429 + Retry-After. POST /v1/snapshot
 // saves to the -chain file (409 without one): it appends a delta, or
 // rewrites the chain as one base once the deltas outgrow it; the client
-// never names a path. SIGINT/SIGTERM drain the server and run a final
-// save when -chain is set.
+// never names a path. SIGINT/SIGTERM close idle connections at once,
+// let requests in flight finish, and run a final save when -chain is
+// set. net/http's server runs only on the -pprof listener.
 package main
 
 import (
@@ -139,10 +142,7 @@ func main() {
 		fmt.Println("atmd: damaged snapshot could not warm-start; serving cold")
 	}
 
-	srv := &http.Server{
-		Handler:           service.NewServer(engine),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := service.NewServer(engine)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "atmd: %v\n", err)
@@ -172,6 +172,8 @@ func main() {
 
 	select {
 	case s := <-sig:
+		// Idle connections close at once; requests in flight are
+		// answered first.
 		fmt.Printf("atmd: %v: draining\n", s)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		_ = srv.Shutdown(ctx)

@@ -97,7 +97,6 @@ func (a *atmd) terminate(t *testing.T, hc *http.Client) {
 	if err := a.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	hc.CloseIdleConnections() // Shutdown waits for idle keep-alives otherwise
 	select {
 	case err := <-a.exited:
 		if err != nil {
@@ -148,6 +147,47 @@ func TestEarlySIGTERMRunsFinalSave(t *testing.T) {
 			t.Fatalf("round %d: the chain (%d sections, %d deltas) is unchanged or lacks the catalog: a final save was lost\n%s",
 				round, len(full.Types), len(deltas), a.log.String())
 		}
+	}
+}
+
+// TestSIGTERMClosesUnusedConnection dials the service port, sends
+// nothing, and stops atmd: the connection is closed at once, so the
+// process exits with its final save well inside a second. Under
+// net/http's Server it counted as active for five seconds, and the
+// shutdown waited that long.
+func TestSIGTERMClosesUnusedConnection(t *testing.T) {
+	// A race-enabled child would sleep its race runtime's default second
+	// at exit; only atmd's own shutdown is timed here.
+	t.Setenv("GORACE", strings.TrimSpace(os.Getenv("GORACE")+" atexit_sleep_ms=0"))
+	chain := filepath.Join(t.TempDir(), "warm.atmchain")
+	hc := &http.Client{Timeout: 2 * time.Second}
+	a := startAtmd(t, hc, "-chain", chain, "-nosync")
+	before, err := os.ReadFile(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", a.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Let the accept happen, so the connection is the server's to close.
+	time.Sleep(50 * time.Millisecond)
+	t0 := time.Now()
+	a.terminate(t, hc)
+	if d := time.Since(t0); d >= time.Second {
+		t.Errorf("atmd took %v to exit on SIGTERM with a connection that never sent a byte, want < 1s\n%s", d, a.log.String())
+	}
+	after, err := os.ReadFile(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := persist.UnmarshalChain(after); err != nil || bytes.Equal(before, after) {
+		t.Errorf("no final save: chain unchanged %v, decode error %v\n%s", bytes.Equal(before, after), err, a.log.String())
+	}
+	_ = c.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := c.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Errorf("the unused connection read %d bytes, %v; want it closed", n, err)
 	}
 }
 

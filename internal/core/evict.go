@@ -20,28 +20,30 @@ import (
 
 // admit enforces the budget before e is published: it evicts residents
 // until e fits, and reports false when e must be rejected instead —
-// larger than the budget outright, or a lost admission duel. Evicting
+// larger than the budget outright, or a lost admission duel — and how
+// many residents it evicted either way. Evicting
 // before adding (rather than adding and trimming) is what keeps
 // MemoryBytes ≤ budget at every instant of a single-threaded
 // over-budget stream; concurrent inserters can overshoot by at most one
 // in-flight entry each.
-func (t *THT) admit(e *Entry, size int64) bool {
+func (t *THT) admit(e *Entry, size int64) (ok bool, evicted int) {
 	if t.budget == 0 {
-		return true
+		return true, 0
 	}
 	if size > t.budget {
-		return false
+		return false, 0
 	}
 	for t.memBytes.Load()+size > t.budget {
-		evicted, reject := t.evictOne(e)
+		one, reject := t.evictOne(e)
 		if reject {
-			return false
+			return false, evicted
 		}
-		if !evicted {
+		if !one {
 			break // empty table racing concurrent evictors
 		}
+		evicted++
 	}
-	return true
+	return true, evicted
 }
 
 // evictOne scans buckets from the eviction hand for the next non-empty

@@ -84,6 +84,41 @@ func TestRestoredEntriesCountsResident(t *testing.T) {
 	}
 }
 
+// TestRestoredEntriesCountsWhatABudgetKeeps restores 200 entries into a
+// table whose budget holds about 26: RestoredEntries must count the
+// entries the install left resident, not every one it replayed
+// (admission rejects some and evicts residents for others).
+func TestRestoredEntriesCountsWhatABudgetKeeps(t *testing.T) {
+	cold := New(Config{Mode: ModeStatic})
+	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: cold})
+	tt := rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
+	for v := 0; v < 200; v++ {
+		rt.Submit(tt, taskrt.In(mkInput(v)), taskrt.Out(region.NewFloat64(16)))
+	}
+	rt.Wait()
+	rt.Close()
+	snap, err := cold.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, 4 << 10} {
+		warm, err := Restore(Config{Mode: ModeStatic, THTBudgetBytes: budget}, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt2 := taskrt.New(taskrt.Config{Workers: 1, Memoizer: warm})
+		warm.ChosenLevel(rt2.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})) // installs the section
+		st := warm.Stats()
+		if got := warm.RestoredEntries(); got != st.THTEntries || got == 0 {
+			t.Errorf("budget %d: RestoredEntries %d, resident entries %d", budget, got, st.THTEntries)
+		}
+		if budget != 0 && st.THTEntries >= 200 {
+			t.Errorf("budget %d: all %d entries resident; the budget never bit", budget, st.THTEntries)
+		}
+		rt2.Close()
+	}
+}
+
 // foldEntryOpsQuadratic is the original FoldEntryOps, which scans the
 // output list per tombstone: the oracle the linear fold must match.
 func foldEntryOpsQuadratic(ops []EntrySnapshot) []EntrySnapshot {

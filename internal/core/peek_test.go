@@ -426,12 +426,27 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 		var served, executed atomic.Int64
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
+		// The churn starts only once a serving goroutine has probed a hot
+		// key and is running the miss: no round has inserted one yet, so
+		// Serve's miss branch races the first inserts by construction.
+		// (Once the admission sketch has learnt the hot keys, no newcomer
+		// evicts them, and a later miss may never come.)
+		probed := make(chan struct{})
+		var probedOnce sync.Once
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
+				defer probedOnce.Do(func() { close(probed) }) // a goroutine that fails must not hang the churn
 				keys := []int{hot[g%4], hot[(g+1)%4]}
 				tasks, outs := r.serveTasks(keys...)
+				for i := range tasks {
+					run := tasks[i].Run
+					tasks[i].Run = func(ins, outs []region.Region) {
+						probedOnce.Do(func() { close(probed) })
+						run(ins, outs)
+					}
+				}
 				for {
 					select {
 					case <-stop:
@@ -454,11 +469,8 @@ func TestServeHitsRacesInsertEvict(t *testing.T) {
 				}
 			}(g)
 		}
-		// Churn for 100 rounds, and on past them (up to a deadline) until
-		// some goroutine has run a miss, so both of Serve's branches raced
-		// the inserts and evictions.
-		deadline := time.Now().Add(10 * time.Second)
-		for round := 0; round < 100 || executed.Load() == 0 && time.Now().Before(deadline); round++ {
+		<-probed
+		for round := 0; round < 100; round++ {
 			// Re-run the hot keys (hits, or re-inserts after an eviction)
 			// among never-repeating ones that push residents out.
 			keys := append([]int(nil), hot...)

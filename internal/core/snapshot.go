@@ -428,14 +428,15 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 		}
 		// Restored entries bypass the delta insert log: the
 		// snapshot chain that produced them already persists them.
-		a.tht.InsertRestored(&Entry{
+		// Under a budget, admission may reject the entry or evict
+		// residents for it; only what the table keeps is counted.
+		a.restored.Add(int64(a.tht.InsertRestored(&Entry{
 			TypeID:     id,
 			Key:        es.Key,
 			Level:      es.Level,
 			ProviderID: es.Provider,
 			Outs:       es.Outs,
-		})
-		a.restored.Add(1)
+		})))
 	}
 	demoted := sec.Steady && sec.Excluded != 0
 	return level == sec.Level && !demoted
@@ -443,6 +444,8 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 
 // RestoredEntries reports how many THT entries have been installed from
 // a restored snapshot so far (sections install lazily, when their task
-// type first registers): the inserts replayed, less those a replayed
-// tombstone removed again.
+// type first registers): the inserts the table kept, less the residents
+// each one evicted under a budget or displaced from its bucket's ring,
+// less those a replayed tombstone removed again. On a table nothing
+// else writes during the install it equals the resident entry count.
 func (a *ATM) RestoredEntries() int64 { return a.restored.Load() }

@@ -234,10 +234,13 @@ func (t *THT) Insert(e *Entry) { t.insert(e, true) }
 
 // InsertRestored is Insert for entries installed from a persisted
 // snapshot: they are already saved, so they bypass the insert log (a
-// delta must carry only state the previous save did not).
-func (t *THT) InsertRestored(e *Entry) { t.insert(e, false) }
+// delta must carry only state the previous save did not). It returns
+// the change in resident entries: 1 for e kept, less each entry its
+// admission evicted or its bucket's ring replaced, and 0 or below when
+// admission rejected e.
+func (t *THT) InsertRestored(e *Entry) int { return t.insert(e, false) }
 
-func (t *THT) insert(e *Entry, logIt bool) {
+func (t *THT) insert(e *Entry, logIt bool) (resident int) {
 	var size int64
 	for _, o := range e.Outs {
 		size += int64(o.NumBytes())
@@ -246,12 +249,13 @@ func (t *THT) insert(e *Entry, logIt bool) {
 	e.bytes = size
 	e.pool = &t.pool // set before publication: readers may Release anytime
 	e.retain()       // the table's reference
-	if !t.admit(e, size) {
+	admitted, evicted := t.admit(e, size)
+	if !admitted {
 		// Over budget and not worth a resident's slot (or larger than the
 		// budget outright): recycle without publishing.
 		t.admitRejects.Add(1)
 		e.Release()
-		return
+		return -evicted
 	}
 	var old *Entry
 	b := &t.buckets[e.Key&t.mask]
@@ -314,6 +318,7 @@ func (t *THT) insert(e *Entry, logIt bool) {
 	if old != nil {
 		old.Release() // drop the table's reference; readers may linger
 	}
+	return int(dn) - evicted
 }
 
 // Remove deletes the oldest entry matching (typeID, key, level,

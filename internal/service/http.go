@@ -152,6 +152,8 @@ type Server struct {
 	// routes holds the instrumented routes in the order /metrics lists
 	// them, by name.
 	routes []*route
+
+	tr transport // Serve's connections (conn.go)
 }
 
 // statusCodes are the codes a handler can answer with (writeError's
@@ -176,7 +178,7 @@ type route struct {
 type handlerFunc func(http.ResponseWriter, *http.Request) int
 
 // NewServer wires the routes for an engine. The returned Server is an
-// http.Handler.
+// http.Handler, and Serve answers a listener's connections with it.
 func NewServer(e *Engine) *Server {
 	s := &Server{
 		e:         e,
@@ -193,6 +195,7 @@ func NewServer(e *Engine) *Server {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, "ok\n")
 	})
+	s.tr.h, s.tr.headerTimeout = s, readHeaderTimeout
 	return s
 }
 

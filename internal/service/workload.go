@@ -4,7 +4,8 @@
 // goroutine — steady memoizable tasks through core.Serve, the rest as
 // one SubmitBatch under the task runtime's lock — and sheds load past
 // the adaptive throttle watermark (engine.go), and the HTTP front-end
-// behind cmd/atmd (http.go) with its wire codec (codec.go). The load
+// behind cmd/atmd (http.go) with its wire codec (codec.go) and the
+// HTTP/1.1 connection loop cmd/atmd serves it on (conn.go). The load
 // that drives it comes from the repository benchmark (benchmark/). See
 // docs/service.md for the wire API, the backpressure semantics and the
 // metrics catalog.

@@ -1,10 +1,14 @@
 package atm
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -30,7 +34,11 @@ import (
 // request with a non-memoizable task, so every request goes through
 // admission, the runtime lock and a SubmitBatch fence, still on the
 // calling goroutine: the path the runtime still serves stays gated
-// (BENCH_8.json).
+// (BENCH_8.json). bin-conn sends bin's request through Server.Serve
+// instead: raw bytes written on one kept-alive loopback connection, the
+// reply read back with no net/http client, so allocs/op are the
+// server's alone and ns/op is the round trip, both sides' syscalls
+// included.
 func BenchmarkServeHTTP(b *testing.B) {
 	var tasks []service.Task
 	type jsonTask struct {
@@ -74,11 +82,13 @@ func BenchmarkServeHTTP(b *testing.B) {
 		budget            int64
 		kinds             []service.Kind // nil: the catalog; with nop, the inline path declines
 		next              func(i int)    // makes the body request i's
+		conn              bool           // through Serve on a loopback connection
 	}{
-		{"json", "application/json", jsonBody, 0, nil, func(int) {}},
-		{"bin", "application/x-atm-tasks", binBody, 0, nil, func(int) {}},
-		{"bin-miss", "application/x-atm-tasks", missBody, 64 << 10, nil, nextMiss(missBody)},
-		{"bin-loop", "application/x-atm-tasks", loopBody, 64 << 10, append(service.Kinds(), nop), nextMiss(loopBody)},
+		{"json", "application/json", jsonBody, 0, nil, func(int) {}, false},
+		{"bin", "application/x-atm-tasks", binBody, 0, nil, func(int) {}, false},
+		{"bin-miss", "application/x-atm-tasks", missBody, 64 << 10, nil, nextMiss(missBody), false},
+		{"bin-loop", "application/x-atm-tasks", loopBody, 64 << 10, append(service.Kinds(), nop), nextMiss(loopBody), false},
+		{"bin-conn", "application/x-atm-tasks", binBody, 0, nil, func(int) {}, true},
 	} {
 		b.Run(enc.name, func(b *testing.B) {
 			memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: enc.budget})
@@ -94,6 +104,9 @@ func BenchmarkServeHTTP(b *testing.B) {
 				if rec.Code != http.StatusOK {
 					b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.Bytes())
 				}
+			}
+			if enc.conn {
+				serve = serveOverConn(b, srv, enc.contentType, enc.body)
 			}
 			// json, bin: the first pass executes and inserts, the rest are
 			// hits. bin-miss, bin-loop: the table fills to its budget
@@ -166,4 +179,58 @@ func BenchmarkFloatCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// serveOverConn starts srv.Serve on a loopback listener and returns a
+// function that sends one POST /v1/submit of body on a kept-alive
+// connection and reads the reply, allocating nothing on the client's
+// side. The server shuts down when the benchmark ends.
+func serveOverConn(b *testing.B, srv *service.Server, contentType string, body []byte) func(int) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(ln)
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		c.Close()
+		_ = srv.Shutdown(context.Background())
+	})
+	req := fmt.Appendf(nil, "POST /v1/submit HTTP/1.1\r\nHost: bench\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n", contentType, len(body))
+	req = append(req, body...)
+	br := bufio.NewReaderSize(c, 64<<10)
+	return func(int) {
+		if _, err := c.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		status, err := br.ReadSlice('\n')
+		if err != nil || !bytes.HasPrefix(status, []byte("HTTP/1.1 200 ")) {
+			b.Fatalf("reply %q: %v", status, err)
+		}
+		n := -1
+		for {
+			line, err := br.ReadSlice('\n')
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(line) <= 2 {
+				break
+			}
+			if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
+				n = 0
+				for _, d := range bytes.TrimSpace(v) {
+					n = 10*n + int(d-'0')
+				}
+			}
+		}
+		if n < 0 {
+			b.Fatal("reply without Content-Length")
+		}
+		if _, err := br.Discard(n); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
