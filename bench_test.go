@@ -447,7 +447,7 @@ func BenchmarkWarmStartHit(b *testing.B) {
 					out.Data[j] = float64(x>>11) / (1 << 53)
 				}
 				delta.Entries = append(delta.Entries, core.DeltaEntry{Type: ti, EntrySnapshot: core.EntrySnapshot{
-					Key: x, Level: sampling.MaxPLevel, Provider: uint64(i + 1),
+					Key: mix64(x), Level: sampling.MaxPLevel, Provider: uint64(i + 1),
 					Outs: []region.Region{out},
 				}})
 			}
@@ -474,8 +474,9 @@ func BenchmarkWarmStartHit(b *testing.B) {
 				memo.ChosenLevel(rt.RegisterType(taskrt.TypeConfig{Name: k.TypeName(), Memoize: true, Run: func(*taskrt.Task) {}}))
 			}
 			rt.Close()
-			if n := memo.RestoredEntries(); n != int64(len(kinds)*keys) {
-				b.Fatalf("installed %d restored entries, want %d", n, len(kinds)*keys)
+			want := int64(len(kinds) * keys)
+			if n, resident := memo.RestoredEntries(), memo.Stats().THTEntries; n != want || resident != want {
+				b.Fatalf("installed %d restored entries, %d resident; want %d", n, resident, want)
 			}
 		}
 		// One load before the clock starts takes the process's one-time
@@ -523,6 +524,18 @@ func BenchmarkWarmStartHit(b *testing.B) {
 			b.Fatalf("%d warm tasks executed instead of hitting the restored THT", n)
 		}
 	})
+}
+
+// mix64 is splitmix64's finaliser. The restore-catalog fixture's keys
+// pass through it so that, like the lookup3 keys a server stores, their
+// low bits are spread: an LCG's own low bits repeat with a short period,
+// which would pile a kind's keys into a few table buckets.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // BenchmarkDeltaSave pins the incremental-save claim (docs/persistence.md):

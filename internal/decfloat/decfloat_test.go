@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -84,10 +85,55 @@ var parseSeeds = []string{
 	// Scanner behaviour: where the number ends, and what is no number.
 	"01", "-01", "00", "1.", "1.e5", ".5", "+1", "-", "", "-.5", "1e", "1e+", "1e-", "1E+5", "1e05", "1e+05x", "1.5.5", "1ee5", "1e5e5",
 	"0x10", "1_000", "Infinity", "-Infinity", "NaN", "inf", "1,2", "1]", "12 ", "1.25e2}", "-1e-2,", "0.", "0e", "0.e1", "-e", "1.0e0 ",
+	// Zeros of every spelling, on the exact path.
+	"0e5", "-0e5", "0.000e-5", "-0.0e22",
+}
+
+// digitRunSeeds are the texts where eight-at-a-time reading goes wrong:
+// runs one short of, at and past each multiple of eight (and the 19 that
+// still fit a uint64), runs ending in the buffer's last eight bytes, and
+// the bytes on either side of the digits in ASCII — '/' and ':' — and
+// with the top bit set (0xB0–0xB9, whose low nibbles are digits).
+func digitRunSeeds() []string {
+	const digits = "98765432109876543210"
+	var s []string
+	for _, n := range []int{7, 8, 9, 15, 16, 17, 19, 20} {
+		run := digits[:n]
+		s = append(s, run, "-"+run, run+",", "0."+run, "1."+run+"e-3", run+"."+run,
+			run[:n/2]+"."+run[n/2:], "0.0"+run+"]", "1e"+run[:min(n, 3)]+strings.Repeat("0", 7))
+	}
+	for _, tail := range []string{"/", ":", "\xb0", "\xb9", "\xb5\xb5\xb5\xb5\xb5\xb5\xb5\xb5", "/////////", "::::::::"} {
+		for _, n := range []int{1, 7, 8, 9, 15, 16} {
+			run := digits[:n]
+			s = append(s, run+tail, run+tail+"12345678", "0."+run+tail, "1."+run+tail+"9", run[:1]+tail+run)
+			for j := 1; j < n; j++ { // the odd byte inside an eight-byte word
+				s = append(s, run[:j]+tail[:1]+run[j:]+"12345678")
+			}
+		}
+	}
+	return s
+}
+
+// clingerSeeds are the ends of Clinger's exact path: mantissas either
+// side of 2^53 with exponents either side of ±22, in both spellings.
+func clingerSeeds() []string {
+	var s []string
+	for _, m := range []string{"9007199254740991", "9007199254740992", "9007199254740993", "1", "3", "4503599627370497"} {
+		for _, e := range []string{"22", "-22", "23", "-23", "0", "-1", "15", "-15"} {
+			s = append(s, m+"e"+e, "-"+m+"e"+e, m[:1]+"."+m[1:]+"e"+e)
+		}
+	}
+	return s
 }
 
 func TestParseSeeds(t *testing.T) {
 	for _, s := range parseSeeds {
+		checkParse(t, []byte(s))
+	}
+	for _, s := range digitRunSeeds() {
+		checkParse(t, []byte(s))
+	}
+	for _, s := range clingerSeeds() {
 		checkParse(t, []byte(s))
 	}
 }
@@ -152,7 +198,7 @@ func TestParseRandomDigits(t *testing.T) {
 }
 
 func FuzzParse(f *testing.F) {
-	for _, s := range parseSeeds {
+	for _, s := range slices.Concat(parseSeeds, digitRunSeeds(), clingerSeeds()) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) { checkParse(t, b) })
@@ -191,7 +237,75 @@ func appendSeeds() []float64 {
 		p, _ := strconv.ParseFloat("1e"+strconv.Itoa(e), 64)
 		s = append(s, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)), 5*p, 9*p)
 	}
+	s = append(s, everyLength()...)
 	return slices.DeleteFunc(s, func(f float64) bool { return math.IsInf(f, 0) }) // 9e308
+}
+
+// everyLength returns a float whose shortest text has n digits, for n
+// from 1 to 17, in each of AppendShortest's layouts: d.ddde-x, 0.000ddd,
+// dd.ddd, ddd000 and d.ddde+x.
+func everyLength() []float64 {
+	const digits = "12345678912345678"
+	var s []float64
+	for n := 1; n <= 17; n++ {
+		for _, pt := range []int{-9, -5, 0, n / 2, n, 21, 22, 300} {
+			// 0.d₁…dₙ × 10^pt, then the nearest float at or above whose
+			// shortest text has n digits: a 16- or 17-digit text may name
+			// a float that a shorter one names too.
+			f, _ := strconv.ParseFloat("0."+digits[:n]+"e"+strconv.Itoa(pt), 64)
+			for range 1000 {
+				if shortestDigits(f) == n {
+					s = append(s, f)
+					break
+				}
+				f = math.Nextafter(f, math.Inf(1))
+			}
+		}
+	}
+	return s
+}
+
+// shortestDigits is the number of significant digits in f's shortest
+// text.
+func shortestDigits(f float64) int {
+	m := strconv.FormatFloat(f, 'e', -1, 64)
+	m = m[:strings.IndexByte(m, 'e')]
+	return len(strings.Replace(m, ".", "", 1))
+}
+
+// TestAppendShortestEveryLength checks that everyLength, whose floats
+// TestAppendShortestSeeds compares with encoding/json, covers what it
+// says: each digit count in each layout.
+func TestAppendShortestEveryLength(t *testing.T) {
+	seen := map[[2]int]bool{}
+	for _, f := range everyLength() {
+		n := shortestDigits(f)
+		text := string(AppendShortest(nil, f))
+		layout := 0
+		switch {
+		case strings.Contains(text, "e-"):
+			layout = 1
+		case strings.Contains(text, "e+"):
+			layout = 5
+		case strings.HasPrefix(text, "0."):
+			layout = 2
+		case strings.Contains(text, "."):
+			layout = 3
+		default:
+			layout = 4
+		}
+		seen[[2]int{n, layout}] = true
+	}
+	for n := 1; n <= 17; n++ {
+		for layout := 1; layout <= 5; layout++ {
+			if layout == 3 && n == 1 { // one digit has no point to place
+				continue
+			}
+			if !seen[[2]int{n, layout}] {
+				t.Errorf("no %d-digit float in layout %d", n, layout)
+			}
+		}
+	}
 }
 
 func TestAppendShortestSeeds(t *testing.T) {

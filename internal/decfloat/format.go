@@ -1,22 +1,16 @@
 package decfloat
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
 )
 
-// maxLen is the longest text AppendShortest writes: a sign, "0." and
+// MaxLen is the longest text AppendShortest writes: a sign, "0." and
 // five zeros ahead of seventeen digits (-0.000001234567890123456); the
 // exponent forms and the 21-digit integers are shorter.
-const maxLen = 1 + 2 + 5 + 17
-
-// digitPairs holds "00" to "99": two digits per table read.
-const digitPairs = "0001020304050607080910111213141516171819" +
-	"2021222324252627282930313233343536373839" +
-	"4041424344454647484950515253545556575859" +
-	"6061626364656667686970717273747576777879" +
-	"8081828384858687888990919293949596979899"
+const MaxLen = 1 + 2 + 5 + 17
 
 // AppendShortest appends f as encoding/json writes a float64: the
 // shortest decimal that reads back as f, as digits with a decimal point
@@ -25,10 +19,10 @@ const digitPairs = "0001020304050607080910111213141516171819" +
 // encoding/json refuses them; they come out as strconv spells them.
 func AppendShortest(dst []byte, f float64) []byte {
 	b := math.Float64bits(f)
-	if cap(dst)-len(dst) < maxLen {
-		dst = slices.Grow(dst, maxLen)
+	if cap(dst)-len(dst) < MaxLen {
+		dst = slices.Grow(dst, MaxLen)
 	}
-	buf := dst[len(dst) : len(dst)+maxLen]
+	buf := dst[len(dst) : len(dst)+MaxLen]
 	i := 0
 	if b>>63 != 0 {
 		buf[0] = '-'
@@ -68,15 +62,14 @@ func AppendShortest(dst []byte, f float64) []byte {
 			buf[i+1] = '+'
 		}
 		i += 2
-		if x >= 100 {
-			buf[i] = byte('0' + x/100)
-			x %= 100
-			buf[i+1], buf[i+2] = digitPairs[2*x], digitPairs[2*x+1]
+		switch {
+		case x >= 100:
+			buf[i], buf[i+1], buf[i+2] = byte('0'+x/100), byte('0'+x/10%10), byte('0'+x%10)
 			i += 3
-		} else if x >= 10 {
-			buf[i], buf[i+1] = digitPairs[2*x], digitPairs[2*x+1]
+		case x >= 10:
+			buf[i], buf[i+1] = byte('0'+x/10), byte('0'+x%10)
 			i += 2
-		} else {
+		default:
 			buf[i] = byte('0' + x)
 			i++
 		}
@@ -106,40 +99,53 @@ func AppendShortest(dst []byte, f float64) []byte {
 	return dst[:len(dst)+i]
 }
 
-// writeDigits writes the n decimal digits of d into buf[:n], from the
-// right: eight at a time while there are that many, which cuts the chain
-// of divisions each depending on the last to two links, then two at a
-// time.
+// writeDigits writes the n decimal digits of d into buf[:n], eight at a
+// time from the right. Sixteen or seventeen digits (most floats) are
+// two halves and a leading digit, each split from d by its own division
+// and written independently of the others.
 func writeDigits(buf []byte, d uint64, n int) {
 	buf = buf[:n]
-	for n >= 8 {
+	if n >= 16 {
+		hi := d / 1e8
+		lo := d - hi*1e8
+		if n == 17 {
+			top := d / 1e16
+			buf[0] = byte('0' + top)
+			hi -= top * 1e8
+		}
+		binary.LittleEndian.PutUint64(buf[n-16:], digits8(uint32(hi)))
+		binary.LittleEndian.PutUint64(buf[n-8:], digits8(uint32(lo)))
+		return
+	}
+	if n > 8 {
 		q := d / 1e8
-		write8(buf[n-8:n], uint32(d-q*1e8))
+		binary.LittleEndian.PutUint64(buf[n-8:], digits8(uint32(d-q*1e8)))
 		d = q
 		n -= 8
 	}
-	v := uint32(d)
-	for n >= 2 {
-		q := v / 100
-		r := v - q*100
-		n -= 2
-		buf[n], buf[n+1] = digitPairs[2*r], digitPairs[2*r+1]
-		v = q
+	if n == 8 {
+		binary.LittleEndian.PutUint64(buf, digits8(uint32(d)))
+		return
 	}
-	if n == 1 {
-		buf[0] = byte('0' + v)
+	// The last n of the eight, leading zeros dropped.
+	w := digits8(uint32(d)) >> (8 * uint(8-n))
+	for j := range buf[:n] {
+		buf[j] = byte(w)
+		w >>= 8
 	}
 }
 
-// write8 writes v, below 10^8, as eight digits.
-func write8(buf []byte, v uint32) {
-	_ = buf[7]
-	hi, lo := v/1e4, v%1e4
-	a, b, c, d := 2*(hi/100), 2*(hi%100), 2*(lo/100), 2*(lo%100)
-	buf[0], buf[1] = digitPairs[a], digitPairs[a+1]
-	buf[2], buf[3] = digitPairs[b], digitPairs[b+1]
-	buf[4], buf[5] = digitPairs[c], digitPairs[c+1]
-	buf[6], buf[7] = digitPairs[d], digitPairs[d+1]
+// digits8 returns v, below 10^8, as eight ASCII digits, the first in the
+// low byte. The halves above and below 10^4 go into 32-bit lanes, each
+// lane is split at 100 into 16-bit lanes and each of those at 10 into
+// bytes, every lane at once: x×10486>>20 is x/100 for x < 10^4 and
+// x×103>>10 is x/10 for x < 100, neither product reaching the next lane.
+func digits8(v uint32) uint64 {
+	x := uint64(v/1e4) | uint64(v%1e4)<<32
+	hi := (x * 10486 >> 20) & 0x0000007F0000007F
+	x = hi | (x-100*hi)<<16
+	hi = (x * 103 >> 10) & 0x000F000F000F000F
+	return (hi | (x-10*hi)<<8) + 0x3030303030303030
 }
 
 // decimalLen is the number of decimal digits of d, which is not zero.

@@ -1,15 +1,19 @@
 // Package decfloat converts between float64 and the decimal text of a
-// JSON number, for the one route that moves floats as text by the
-// hundred per request (POST /v1/submit, internal/service/codec.go).
+// JSON number, for the service routes that take floats as text: POST
+// /v1/submit, which moves them by the hundred per request
+// (internal/service/codec.go), and GET /v1/lookup's input list, which
+// is held to the same grammar.
 //
 // Parse reads a JSON number in one pass — grammar, mantissa and exponent
-// together — and rounds it with the Eisel-Lemire algorithm; the inputs
-// that algorithm cannot decide go to strconv.ParseFloat, so every result
-// is strconv's, bit for bit. AppendShortest writes the shortest digits
-// that read back as the same float (Schubfach), laid out as
-// encoding/json lays them out, so every result is encoding/json's, byte
-// for byte. The differential fuzz targets in this package hold both to
-// that.
+// together — taking digit runs eight bytes at a time. A mantissa below
+// 2^53 scaled by at most 10^±22 is one exact float64 multiply or divide
+// (Clinger); other numbers are rounded with the Eisel-Lemire algorithm,
+// and the inputs that algorithm cannot decide go to strconv.ParseFloat,
+// so every result is strconv's, bit for bit. AppendShortest writes the
+// shortest digits that read back as the same float (Schubfach), eight
+// at a time without a table, laid out as encoding/json lays them out,
+// so every result is encoding/json's, byte for byte. The differential
+// fuzz targets in this package hold both to that.
 //
 // Both directions multiply by a power of ten taken from one static table
 // (pow10.go): 128-bit mantissas of 10^k, rounded down, as Eisel-Lemire
@@ -18,6 +22,7 @@
 package decfloat
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"strconv"
@@ -101,6 +106,21 @@ func Parse(b []byte) (f float64, n int, ok bool) {
 	}
 
 	if digits <= maxMantissaDigits {
+		if man < 1<<53 && -maxExactPow10f <= exp10 && exp10 <= maxExactPow10f {
+			// Clinger's fast path: man and 10^|exp10| are both exact
+			// float64s, so one IEEE multiply or divide rounds their
+			// product or quotient correctly.
+			f := float64(man)
+			if exp10 < 0 {
+				f /= exactPow10f[-exp10]
+			} else {
+				f *= exactPow10f[exp10]
+			}
+			if neg {
+				f = -f
+			}
+			return f, i, true
+		}
 		if f, ok := eiselLemire(man, exp10, neg); ok {
 			return f, i, true
 		}
@@ -113,10 +133,39 @@ func Parse(b []byte) (f float64, n int, ok bool) {
 	return f, i, err == nil
 }
 
+// maxExactPow10f is the largest k for which 10^k is a float64 exactly:
+// 5^22 < 2^53 < 5^23.
+const maxExactPow10f = 22
+
+// exactPow10f[k] is 10^k as a float64, exact.
+var exactPow10f = [maxExactPow10f + 1]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
 // scanDigits steps over the run of digits at b[i:], appending them to
 // the decimal number man (which wraps around past 64 bits), and returns
-// where the run ends.
+// where the run ends. It reads eight bytes at a time: a word of eight
+// digits is folded in whole, and the word the run ends in has its k
+// leading digits folded in at once, as the low k digits of an
+// eight-digit number. man×10^k + v wraps exactly as k steps of
+// man×10 + c do, since both are the same sum modulo 2^64. The last
+// seven bytes of b are read one at a time.
 func scanDigits(b []byte, i int, man uint64) (int, uint64) {
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:]) - 0x3030303030303030
+		// A byte was a digit when subtracting '0' left its top bit clear
+		// (it was at least '0') and adding a further 0x76 does too (it was
+		// at most '9'). A borrow or carry only leaves a byte that already
+		// failed, so the lowest failing byte is always marked.
+		notDigit := (w | (w + 0x7676767676767676)) & 0x8080808080808080
+		if notDigit != 0 {
+			k := bits.TrailingZeros64(notDigit) >> 3
+			// Shifted to the top of the word, the k digits read as an
+			// eight-digit number with 8-k leading zeros; k = 0 shifts
+			// everything out.
+			return i + k, man*tenTo[k] + uint64(eightDigits(w<<(64-8*uint(k))))
+		}
+		man = man*1e8 + uint64(eightDigits(w))
+	}
 	for ; i < len(b); i++ {
 		c := b[i] - '0'
 		if c > 9 {
@@ -125,6 +174,18 @@ func scanDigits(b []byte, i int, man uint64) (int, uint64) {
 		man = man*10 + uint64(c)
 	}
 	return i, man
+}
+
+// eightDigits returns the value of the eight digits w holds as bytes 0
+// to 9, the first in its low byte. Three multiplies fold them:
+// neighbouring digits into four pairs (×10 plus the next byte), then the
+// pairs into the two halves weighted 10^6, 10^4, 10^2 and 1 (Lemire,
+// "Number parsing at a gigabyte per second", 2021).
+func eightDigits(w uint64) uint32 {
+	w = w*10 + w>>8
+	const mask = 0x000000FF000000FF
+	w = ((w&mask)*(100+1000000<<32) + (w>>16&mask)*(1+10000<<32)) >> 32
+	return uint32(w)
 }
 
 // eiselLemire returns the float64 nearest (-1)^neg × man × 10^exp10, or

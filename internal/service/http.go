@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"atm/internal/decfloat"
 	"atm/internal/metrics"
 )
 
@@ -315,10 +316,12 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
 	var input []float64
 	switch {
 	case q.Get("input") != "":
+		// Each value is a JSON number, as in a submit body's input.
 		for _, f := range strings.Split(q.Get("input"), ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return writeError(w, &BadTaskError{msg: "bad input value: " + err.Error()})
+			f = strings.TrimSpace(f)
+			v, n, ok := decfloat.Parse([]byte(f))
+			if !ok || n != len(f) {
+				return writeError(w, &BadTaskError{msg: fmt.Sprintf("bad input value %q: not a JSON number a float64 holds", f)})
 			}
 			input = append(input, v)
 		}

@@ -172,6 +172,18 @@ func TestHTTPBadRequests(t *testing.T) {
 		"/v1/lookup?kind=lu&key=x",     // unparsable key
 		"/v1/lookup?kind=nope&key=1",   // unknown kind
 		"/v1/lookup?kind=lu&input=1,2", // wrong arity
+		// Not JSON numbers: the submit route refuses them, and so does
+		// lookup (spin takes eight floats).
+		"/v1/lookup?kind=spin&input=NaN,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=Inf,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=-Inf,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=infinity,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=0x1p-2,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=1e999,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=%2B1,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=.5,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=1_0,1,1,1,1,1,1,1",
+		"/v1/lookup?kind=spin&input=1,,1,1,1,1,1,1",
 	} {
 		resp, _ := getBody(t, ts.URL+url)
 		if resp.StatusCode != http.StatusBadRequest {
