@@ -85,7 +85,7 @@ var parseSeeds = []string{
 	// Scanner behaviour: where the number ends, and what is no number.
 	"01", "-01", "00", "1.", "1.e5", ".5", "+1", "-", "", "-.5", "1e", "1e+", "1e-", "1E+5", "1e05", "1e+05x", "1.5.5", "1ee5", "1e5e5",
 	"0x10", "1_000", "Infinity", "-Infinity", "NaN", "inf", "1,2", "1]", "12 ", "1.25e2}", "-1e-2,", "0.", "0e", "0.e1", "-e", "1.0e0 ",
-	// Zeros of every spelling, on the exact path.
+	// Zeros of every spelling.
 	"0e5", "-0e5", "0.000e-5", "-0.0e22",
 }
 
@@ -114,9 +114,10 @@ func digitRunSeeds() []string {
 	return s
 }
 
-// clingerSeeds are the ends of Clinger's exact path: mantissas either
-// side of 2^53 with exponents either side of ±22, in both spellings.
-func clingerSeeds() []string {
+// exactEdgeSeeds are the edges of exact float64 arithmetic: mantissas
+// either side of 2^53 with exponents either side of ±22 (10^22 is the
+// largest power of ten a float64 holds), in both spellings.
+func exactEdgeSeeds() []string {
 	var s []string
 	for _, m := range []string{"9007199254740991", "9007199254740992", "9007199254740993", "1", "3", "4503599627370497"} {
 		for _, e := range []string{"22", "-22", "23", "-23", "0", "-1", "15", "-15"} {
@@ -133,7 +134,7 @@ func TestParseSeeds(t *testing.T) {
 	for _, s := range digitRunSeeds() {
 		checkParse(t, []byte(s))
 	}
-	for _, s := range clingerSeeds() {
+	for _, s := range exactEdgeSeeds() {
 		checkParse(t, []byte(s))
 	}
 }
@@ -198,7 +199,7 @@ func TestParseRandomDigits(t *testing.T) {
 }
 
 func FuzzParse(f *testing.F) {
-	for _, s := range slices.Concat(parseSeeds, digitRunSeeds(), clingerSeeds()) {
+	for _, s := range slices.Concat(parseSeeds, digitRunSeeds(), exactEdgeSeeds()) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) { checkParse(t, b) })

@@ -7,10 +7,10 @@ import (
 	"slices"
 )
 
-// MaxLen is the longest text AppendShortest writes: a sign, "0." and
+// maxLen is the longest text AppendShortest writes: a sign, "0." and
 // five zeros ahead of seventeen digits (-0.000001234567890123456); the
 // exponent forms and the 21-digit integers are shorter.
-const MaxLen = 1 + 2 + 5 + 17
+const maxLen = 1 + 2 + 5 + 17
 
 // AppendShortest appends f as encoding/json writes a float64: the
 // shortest decimal that reads back as f, as digits with a decimal point
@@ -19,10 +19,10 @@ const MaxLen = 1 + 2 + 5 + 17
 // encoding/json refuses them; they come out as strconv spells them.
 func AppendShortest(dst []byte, f float64) []byte {
 	b := math.Float64bits(f)
-	if cap(dst)-len(dst) < MaxLen {
-		dst = slices.Grow(dst, MaxLen)
+	if cap(dst)-len(dst) < maxLen {
+		dst = slices.Grow(dst, maxLen)
 	}
-	buf := dst[len(dst) : len(dst)+MaxLen]
+	buf := dst[len(dst) : len(dst)+maxLen]
 	i := 0
 	if b>>63 != 0 {
 		buf[0] = '-'

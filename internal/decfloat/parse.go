@@ -5,15 +5,14 @@
 // is held to the same grammar.
 //
 // Parse reads a JSON number in one pass — grammar, mantissa and exponent
-// together — taking digit runs eight bytes at a time. A mantissa below
-// 2^53 scaled by at most 10^±22 is one exact float64 multiply or divide
-// (Clinger); other numbers are rounded with the Eisel-Lemire algorithm,
-// and the inputs that algorithm cannot decide go to strconv.ParseFloat,
-// so every result is strconv's, bit for bit. AppendShortest writes the
-// shortest digits that read back as the same float (Schubfach), eight
-// at a time without a table, laid out as encoding/json lays them out,
-// so every result is encoding/json's, byte for byte. The differential
-// fuzz targets in this package hold both to that.
+// together, taking digit runs eight bytes at a time — and rounds it
+// with the Eisel-Lemire algorithm; the inputs that algorithm cannot
+// decide go to strconv.ParseFloat, so every result is strconv's, bit
+// for bit. AppendShortest writes the shortest digits that read back as
+// the same float (Schubfach), eight at a time without a table, laid out
+// as encoding/json lays them out, so every result is encoding/json's,
+// byte for byte. The differential fuzz targets in this package hold
+// both to that.
 //
 // Both directions multiply by a power of ten taken from one static table
 // (pow10.go): 128-bit mantissas of 10^k, rounded down, as Eisel-Lemire
@@ -106,21 +105,6 @@ func Parse(b []byte) (f float64, n int, ok bool) {
 	}
 
 	if digits <= maxMantissaDigits {
-		if man < 1<<53 && -maxExactPow10f <= exp10 && exp10 <= maxExactPow10f {
-			// Clinger's fast path: man and 10^|exp10| are both exact
-			// float64s, so one IEEE multiply or divide rounds their
-			// product or quotient correctly.
-			f := float64(man)
-			if exp10 < 0 {
-				f /= exactPow10f[-exp10]
-			} else {
-				f *= exactPow10f[exp10]
-			}
-			if neg {
-				f = -f
-			}
-			return f, i, true
-		}
 		if f, ok := eiselLemire(man, exp10, neg); ok {
 			return f, i, true
 		}
@@ -132,14 +116,6 @@ func Parse(b []byte) (f float64, n int, ok bool) {
 	f, err := strconv.ParseFloat(unsafe.String(&b[0], i), 64)
 	return f, i, err == nil
 }
-
-// maxExactPow10f is the largest k for which 10^k is a float64 exactly:
-// 5^22 < 2^53 < 5^23.
-const maxExactPow10f = 22
-
-// exactPow10f[k] is 10^k as a float64, exact.
-var exactPow10f = [maxExactPow10f + 1]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // scanDigits steps over the run of digits at b[i:], appending them to
 // the decimal number man (which wraps around past 64 bits), and returns

@@ -639,26 +639,6 @@ func (d *jsonDecoder) inputMember(idx int) (bool, error) {
 	if d.peek() != '[' {
 		return false, d.wrongType(3, "task %d: input must be an array of numbers", idx)
 	}
-	// The shape clients send, [n,n,…,n] with no space and no null, in one
-	// loop. Anything else puts the slab and the position back and takes
-	// the general walk from the bracket, which reads the same values and
-	// words any error its own way.
-	start, slabLen := d.i, len(d.slab)
-	for i := d.i + 1; ; {
-		f, n, ok := decfloat.Parse(d.b[i:])
-		if !ok || i+n >= len(d.b) {
-			break
-		}
-		d.slab = append(d.slab, f)
-		i += n + 1
-		if c := d.b[i-1]; c == ']' {
-			d.i = i
-			return true, nil
-		} else if c != ',' {
-			break
-		}
-	}
-	d.slab, d.i = d.slab[:slabLen], start
 	err := d.array(4, func() error {
 		if c := d.peek(); c == '-' || '0' <= c && c <= '9' {
 			// One pass checks the grammar and reads the value.
@@ -749,13 +729,12 @@ func appendLookupReply(dst []byte, hit bool, out []float64) ([]byte, error) {
 // positional form from 1e-6 up to 1e21 and d.ddde±x outside. A NaN or
 // an infinity is an error.
 func appendFloats(dst []byte, fs []float64) ([]byte, error) {
-	dst = slices.Grow(dst, 2+len(fs)*(decfloat.MaxLen+1))
 	dst = append(dst, '[')
 	for i, f := range fs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if math.Float64bits(f)&(0x7FF<<52) == 0x7FF<<52 { // an infinity or a NaN
+		if math.IsInf(f, 0) || math.IsNaN(f) {
 			return dst, errNonFinite
 		}
 		dst = decfloat.AppendShortest(dst, f)
