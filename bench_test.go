@@ -292,8 +292,8 @@ func BenchmarkRuntimeSubmitWait(b *testing.B) {
 
 // BenchmarkSubmitBatch measures the master-side submission cost per task
 // for 10k independent 1-access tasks — the Blackscholes block-loop shape,
-// where every task is ready at submission — per-task Submit vs
-// SubmitBatch (PERFORMANCE.md §Batched submission). The headline metric,
+// where every task is ready at submission — per-task Submit (a batch of
+// one per task) vs 256-task batches (PERFORMANCE.md §Batched submission). The headline metric,
 // master-ns/task, is the master OS thread's own CPU time (LockOSThread +
 // RUSAGE_THREAD): exactly the carving, wiring, queue publication and
 // worker-wakeup work the batching pipeline amortizes. Thread CPU time

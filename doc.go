@@ -13,9 +13,10 @@
 //     master-thread submissions, direct handoff of single successors,
 //     lock-free dependence wiring, a batched submission pipeline
 //     (SubmitBatch/Batcher: intra-batch edges wired without atomics,
-//     block publication, one coalesced wake per batch), LLC-aware
-//     random-start victim selection, and Nanos++-style submission
-//     throttling with an adaptive, LLC-sized watermark. Dependence
+//     block publication, one coalesced wake per batch; per-task Submit
+//     is a batch of one), random-start victim selection, and
+//     Nanos++-style submission throttling with an adaptive, LLC-sized
+//     watermark. Dependence
 //     state lives in generation-checked slots embedded in the regions
 //     themselves (region.DepSlot, which every Region carries: one
 //     pointer load instead of a map probe), and tasks

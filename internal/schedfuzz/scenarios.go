@@ -14,10 +14,10 @@ import (
 // The scenario corpus. Each scenario is shaped by the Ctx stream and run
 // under the Ctx's seeded deterministic schedule; together they cover the
 // mechanisms whose bugs are interleaving-dependent: dependence wiring
-// (Submit and two-phase SubmitBatch, including the >32-predecessor spill
-// and WAR fans), the IKT defer/CompleteExternal handshake, the delta
-// insert-log partition racing quiesce points, persistence fault paths,
-// and Reset epoch churn over recycled slabs.
+// (Submit's one-task batches and wider SubmitBatch ones, including the
+// >32-predecessor spill and WAR fans), the IKT defer/CompleteExternal
+// handshake, the delta insert-log partition racing quiesce points,
+// persistence fault paths, and Reset epoch churn over recycled slabs.
 
 // Corpus returns the standard scenario corpus.
 func Corpus() []Scenario {
@@ -140,9 +140,9 @@ func recorderType(rt *taskrt.Runtime, name string, order *[]uint64) *taskrt.Task
 	}})
 }
 
-// submitChains fuzzes per-task Submit over a small region pool: random
-// RAW/WAW/WAR chains, occasional barriers, dependence order checked
-// against the oracle.
+// submitChains fuzzes per-task Submit (a batch of one) over a small
+// region pool: random RAW/WAW/WAR chains, occasional barriers,
+// dependence order checked against the oracle.
 func submitChains(c *Ctx) {
 	rt := c.Runtime(taskrt.Config{})
 	defer rt.Close()

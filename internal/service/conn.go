@@ -35,8 +35,9 @@ import (
 
 const (
 	// readHeaderTimeout bounds the time from a request's first byte (on
-	// a new connection: from the accept) to the end of its header block.
-	// An idle keep-alive connection has no deadline.
+	// a new connection: from the accept) to the end of its body: the
+	// header block, the handler's body reads and the drain of a body the
+	// handler left unread. An idle keep-alive connection has no deadline.
 	readHeaderTimeout = 10 * time.Second
 	// maxHeaderBytes bounds a request line plus header block: net/http's
 	// DefaultMaxHeaderBytes and the 4 KiB of slop its server adds.
@@ -248,9 +249,7 @@ func (c *conn) serve() {
 		if !first {
 			_ = c.rwc.SetReadDeadline(time.Now().Add(c.tr.headerTimeout))
 		}
-		err := c.readRequest()
-		_ = c.rwc.SetReadDeadline(time.Time{})
-		if err != nil {
+		if err := c.readRequest(); err != nil {
 			c.refuse(err)
 			return
 		}
@@ -827,6 +826,8 @@ func (c *conn) reply() (keep bool) {
 			connection = "close"
 		}
 	}
+	// The request is read: the next one waits idle, with no deadline.
+	_ = c.rwc.SetReadDeadline(time.Time{})
 
 	var ctype string
 	if allowed {

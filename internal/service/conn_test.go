@@ -380,10 +380,18 @@ func TestShutdownClosesIdleFinishesActive(t *testing.T) {
 
 // TestServeDeadlines: a request's header must arrive within the header
 // timeout of its first byte (of the accept, on a new connection) or the
-// connection closes without a reply, while a connection idle between
-// requests has no deadline.
+// connection closes without a reply; its body must arrive within the
+// same bound, whether the handler reads it or leaves it to the reply's
+// drain, or the reply goes out and the connection closes; a connection
+// idle between requests has no deadline.
 func TestServeDeadlines(t *testing.T) {
 	tr := &transport{headerTimeout: 100 * time.Millisecond, h: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/read" {
+			if _, err := io.ReadAll(r.Body); err != nil {
+				http.Error(w, "short body", http.StatusBadRequest)
+				return
+			}
+		}
 		io.WriteString(w, "ok")
 	})}
 	addr := serveLoopback(t, tr)
@@ -399,6 +407,28 @@ func TestServeDeadlines(t *testing.T) {
 		if err != nil || len(b) != 0 {
 			t.Errorf("%s: read %q, %v; want the connection closed without a reply", name, b, err)
 		}
+	}
+
+	// One byte of a 100-byte body, then silence.
+	for name, path := range map[string]string{"stalled body, read": "/read", "stalled body, unread": "/"} {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+		start := time.Now()
+		io.WriteString(c, "POST "+path+" HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\nx")
+		resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+		}
+		if err == nil && !resp.Close {
+			err = errors.New("reply kept the connection")
+		}
+		if took := time.Since(start); err != nil || took > 2*time.Second {
+			t.Errorf("%s: %v after %v; want a reply with Connection: close well within the 5 s client deadline", name, err, took)
+		}
+		c.Close()
 	}
 
 	c, err := net.Dial("tcp", addr)

@@ -2,7 +2,8 @@ package taskrt
 
 import "atm/internal/trace"
 
-// Batched task submission. A per-task Submit pays, for every task, a
+// Batched task submission, the runtime's one submission path (Submit is
+// a batch of one). Submitting task by task pays, for every task, a
 // throttle check, a submission-counter atomic, an injector lock and a
 // wake attempt — and every dependence edge costs a CAS or a lock, even
 // when both endpoints were created microseconds apart by the same master
@@ -72,7 +73,7 @@ func (e *BatchEntry) take() (accs []Access, owned bool) {
 }
 
 // SubmitBatch creates one task per batch entry, in order, with the same
-// dependence semantics as the equivalent sequence of Submit calls, and
+// dependence semantics as submitting the entries one at a time, and
 // returns the created tasks. The master-side cost is amortized across
 // the batch: tasks are carved from slabs in one pass; dependence edges
 // between two tasks of the same batch are wired with plain memory

@@ -183,30 +183,6 @@ func TestBatchEntryReusePanics(t *testing.T) {
 	rt.SubmitBatch(batch)
 }
 
-// TestSubmitBatchPriorities checks that block publication preserves the
-// priority discipline: the highest-priority ready task of a batch runs
-// first.
-func TestSubmitBatchPriorities(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	defer rt.Close()
-	var order []string
-	gate := make(chan struct{})
-	hold := rt.RegisterType(TypeConfig{Name: "hold", Run: func(*Task) { <-gate }})
-	lo := rt.RegisterType(TypeConfig{Name: "lo", Priority: 1, Run: func(*Task) { order = append(order, "lo") }})
-	hi := rt.RegisterType(TypeConfig{Name: "hi", Priority: 9, Run: func(*Task) { order = append(order, "hi") }})
-	rt.Submit(hold, Out(region.NewFloat64(1)))
-	rt.SubmitBatch([]BatchEntry{
-		Desc(lo, Out(region.NewFloat64(1))),
-		Desc(hi, Out(region.NewFloat64(1))),
-		Desc(lo, Out(region.NewFloat64(1))),
-	})
-	close(gate)
-	rt.Wait()
-	if len(order) != 3 || order[0] != "hi" {
-		t.Fatalf("priority violated through batch publish: %v", order)
-	}
-}
-
 // TestQuickBatchedDataflowMatchesSerial is the batched twin of
 // TestQuickDataflowMatchesSerial: any random access program, chopped into
 // random batch sizes (including interleaved per-task Submits), must equal
@@ -413,8 +389,8 @@ func (m *batchStressMemoizer) OnFinished(t *Task, worker int) {
 	}
 }
 
-// TestBatchSubmitStress interleaves Submit, SubmitBatch, prioritized
-// types and CompleteExternal under -race: every dependence flavor (intra-
+// TestBatchSubmitStress interleaves Submit, SubmitBatch and
+// CompleteExternal under -race: every dependence flavor (intra-
 // batch, cross-batch, cross-to-running) wires while workers complete,
 // steal and externally finish tasks.
 func TestBatchSubmitStress(t *testing.T) {
@@ -430,7 +406,7 @@ func TestBatchSubmitStress(t *testing.T) {
 		ran.Add(1)
 		task.Outputs()[0].(*region.Float64).Data[0] = 1
 	}})
-	prio := rt.RegisterType(TypeConfig{Name: "prio", Priority: 3, Run: func(task *Task) {
+	prio := rt.RegisterType(TypeConfig{Name: "prio", Run: func(task *Task) {
 		ran.Add(1)
 	}})
 	plain := rt.RegisterType(TypeConfig{Name: "plain", Run: func(task *Task) {
@@ -506,13 +482,15 @@ func (m *batchObserverProbe) OnFinished(t *Task, worker int) {}
 
 // TestBatchObserverOrdering pins the BatchObserver contract: called once
 // per batch, with every task of the batch, strictly before any of those
-// tasks' OnReady.
+// tasks' OnReady. A per-task Submit is a batch of one, observed the same
+// way.
 func TestBatchObserverOrdering(t *testing.T) {
 	m := &batchObserverProbe{observed: make(map[uint64]bool)}
 	rt := New(Config{Workers: 4, Memoizer: m})
 	defer rt.Close()
 	r := region.NewFloat64(1)
 	tt := rt.RegisterType(TypeConfig{Name: "t", Memoize: true, Run: func(*Task) {}})
+	var single []uint64
 	for round := 0; round < 20; round++ {
 		batch := make([]BatchEntry, 8)
 		for i := range batch {
@@ -524,6 +502,13 @@ func TestBatchObserverOrdering(t *testing.T) {
 			}
 		}
 		rt.SubmitBatch(batch)
+		// Alternate a task on the chain with an independent one, which
+		// is ready the moment it is wired.
+		acc := InOut(r)
+		if round%2 == 1 {
+			acc = Out(region.NewFloat64(1))
+		}
+		single = append(single, rt.Submit(tt, acc).ID())
 	}
 	rt.Wait()
 	if m.early.Load() != 0 {
@@ -531,12 +516,16 @@ func TestBatchObserverOrdering(t *testing.T) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.batches) != 20 {
-		t.Fatalf("observer called %d times for 20 batches", len(m.batches))
+	if len(m.batches) != 40 {
+		t.Fatalf("observer called %d times for 20 batches and 20 Submits", len(m.batches))
 	}
-	for _, ids := range m.batches {
-		if len(ids) != 8 {
-			t.Fatalf("observer saw %d of 8 tasks", len(ids))
+	for i, ids := range m.batches {
+		if i%2 == 0 {
+			if len(ids) != 8 {
+				t.Fatalf("observer saw %d of 8 tasks", len(ids))
+			}
+		} else if len(ids) != 1 || ids[0] != single[i/2] {
+			t.Fatalf("Submit %d observed as %v, want the batch [%d]", i/2, ids, single[i/2])
 		}
 	}
 }

@@ -115,7 +115,6 @@ type detExec struct {
 	yieldNum uint64   // yield-point firing threshold out of 256
 	depth    int      // current yield nesting depth
 	ready    []*Task  // the one ready queue, oldest first
-	candBuf  []int    // pick() scratch for priority filtering
 
 	// Lane occupancy. A yielded-to task must run on a lane no in-flight
 	// task occupies: memoizers carry per-worker scratch from OnReady to
@@ -192,33 +191,13 @@ func (d *detExec) chooseIdx(m int) int {
 }
 
 // pick removes and returns the task the discipline selects, or nil when
-// nothing is ready. Prioritized programs restrict the choice to the
-// highest-priority ready tasks first, mirroring the live scheduler's
-// central priority shard.
+// nothing is ready.
 func (d *detExec) pick() *Task {
 	n := len(d.ready)
 	if n == 0 {
 		return nil
 	}
-	var i int
-	if !d.rt.priority.Load() {
-		i = d.chooseIdx(n)
-	} else {
-		maxPr := d.ready[0].typ.cfg.Priority
-		for _, t := range d.ready[1:] {
-			if pr := t.typ.cfg.Priority; pr > maxPr {
-				maxPr = pr
-			}
-		}
-		cand := d.candBuf[:0]
-		for j, t := range d.ready {
-			if t.typ.cfg.Priority == maxPr {
-				cand = append(cand, j)
-			}
-		}
-		i = cand[d.chooseIdx(len(cand))]
-		d.candBuf = cand[:0]
-	}
+	i := d.chooseIdx(n)
 	t := d.ready[i]
 	copy(d.ready[i:], d.ready[i+1:])
 	d.ready[n-1] = nil

@@ -191,43 +191,6 @@ func TestDetFailpointDroppedCompletionStalls(t *testing.T) {
 	rt.Wait()
 }
 
-// TestDetPriorityRunsFirst pins the deterministic priority rule: among
-// ready tasks the highest-priority type always runs first, under every
-// discipline.
-func TestDetPriorityRunsFirst(t *testing.T) {
-	rt := New(Config{Workers: 2, Deterministic: true, Seed: 3, DetSched: DetSchedRandom})
-	defer rt.Close()
-	var order []string
-	lo := rt.RegisterType(TypeConfig{Name: "lo", Run: func(*Task) { order = append(order, "lo") }})
-	hi := rt.RegisterType(TypeConfig{Name: "hi", Priority: 5, Run: func(*Task) { order = append(order, "hi") }})
-	batch := make([]BatchEntry, 0, 8)
-	for i := 0; i < 4; i++ {
-		batch = append(batch, Desc(lo, InOut(region.NewFloat64(1))))
-	}
-	for i := 0; i < 4; i++ {
-		batch = append(batch, Desc(hi, InOut(region.NewFloat64(1))))
-	}
-	rt.SubmitBatch(batch)
-	rt.Wait()
-	if len(order) != 8 {
-		t.Fatalf("ran %d tasks, want 8", len(order))
-	}
-	// All independent and published as one batch: every hi must precede
-	// every lo regardless of what the yield points did afterwards.
-	lastHi, firstLo := -1, len(order)
-	for i, s := range order {
-		if s == "hi" && i > lastHi {
-			lastHi = i
-		}
-		if s == "lo" && i < firstLo {
-			firstLo = i
-		}
-	}
-	if lastHi > firstLo {
-		t.Fatalf("priority inversion: hi at %d after lo at %d (order %v)", lastHi, firstLo, order)
-	}
-}
-
 // TestResetRacesInflightBatch exercises Reset (barrier + registry drop +
 // generation retirement) immediately after SubmitBatch, while the batch
 // is still executing on live workers, then reuses the same regions in a

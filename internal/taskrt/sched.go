@@ -1,9 +1,6 @@
 package taskrt
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // This file implements the runtime's work-stealing scheduler.
 //
@@ -17,7 +14,7 @@ import (
 //     so owner and thieves contend on opposite ends of the deque.
 //
 //   - A sharded injector (Runtime.inj): tasks readied by the master thread
-//     (Submit/SubmitBatch) or by external completions (CompleteExternal)
+//     (SubmitBatch) or by external completions (CompleteExternal)
 //     round-robin across the shards; workers drain the shards when their
 //     own deque is empty, before resorting to stealing. With a single
 //     worker the injector collapses to one shard so the global FIFO/LIFO
@@ -25,18 +22,10 @@ import (
 //     SubmitBatch publishes each batch's initially-ready tasks as block
 //     pushes — one lock acquisition per stripe instead of one per task.
 //
-// Priorities (the OmpSs priority clause) are handled with per-priority
-// buckets inside each queue, allocated lazily and only consulted when a
-// prioritized type has been registered — unprioritized programs never pay
-// for them.
-//
-// Victim selection is topology-aware: stealOrder lists LLC-sharing
-// workers before remote ones (a stolen task's inputs are then likelier
-// to be read from the shared cache slice rather than across the die),
-// and every scan starts at a per-worker pseudorandom position within
-// each tier so thieves do not probe victims in lockstep — the convoy
-// that a fixed round-robin order produces when many workers go idle at
-// once.
+// Victim selection is flat: a thief probes every other worker's deque
+// once, in index order, starting at a per-worker pseudorandom position so
+// thieves do not probe victims in lockstep — the convoy that a fixed
+// round-robin order produces when many workers go idle at once.
 //
 // Idle workers park on a condition variable. Producers hand out wake
 // tokens only when the parked-worker count is nonzero, so the busy steady
@@ -97,119 +86,43 @@ func (r *taskRing) popBack() *Task {
 	return t
 }
 
-// prioRing is one lazily-created priority bucket.
-type prioRing struct {
-	pr   int
-	ring taskRing
-}
-
-// readyQ is one mutex-guarded scheduling queue: a plain ring for
-// priority-0 tasks plus optional per-priority buckets, kept sorted by
-// descending priority. It backs both the per-worker deques and the
-// injector shards.
+// readyQ is one mutex-guarded scheduling queue. It backs both the
+// per-worker deques and the injector shards.
 type readyQ struct {
-	mu    sync.Mutex
-	plain taskRing
-	prios []*prioRing  // sorted by pr descending; nil when unused
-	size  atomic.Int32 // total queued tasks; read lock-free by the wake heuristic
-	_     [20]byte     // pad to keep adjacent queues off one cache line
+	mu   sync.Mutex
+	ring taskRing
+	_    [16]byte // pad to a cache line so adjacent queues do not share one
 }
 
-func (q *readyQ) bucket(pr int) *taskRing {
-	for _, b := range q.prios {
-		if b.pr == pr {
-			return &b.ring
-		}
-	}
-	nb := &prioRing{pr: pr}
-	q.prios = append(q.prios, nb)
-	for i := len(q.prios) - 1; i > 0 && q.prios[i-1].pr < pr; i-- {
-		q.prios[i], q.prios[i-1] = q.prios[i-1], q.prios[i]
-	}
-	return &nb.ring
-}
-
-// push enqueues t. pr is the task's effective priority (always 0 when the
-// runtime has no prioritized types, which keeps the plain ring hot).
-func (q *readyQ) push(t *Task, pr int) {
+// push enqueues t.
+func (q *readyQ) push(t *Task) {
 	q.mu.Lock()
-	if pr == 0 {
-		q.plain.pushBack(t)
-	} else {
-		q.bucket(pr).pushBack(t)
-	}
-	q.size.Add(1)
+	q.ring.pushBack(t)
 	q.mu.Unlock()
 }
 
-// pushBlock enqueues a block of priority-0 tasks under one lock.
+// pushBlock enqueues a block of tasks under one lock.
 func (q *readyQ) pushBlock(ts []*Task) {
 	q.mu.Lock()
 	for _, t := range ts {
-		q.plain.pushBack(t)
+		q.ring.pushBack(t)
 	}
-	q.size.Add(int32(len(ts)))
 	q.mu.Unlock()
 }
 
-// pushBlockPrio enqueues a block of tasks into their per-type priority
-// buckets under one lock (the prioritized-program batch publish path).
-func (q *readyQ) pushBlockPrio(ts []*Task) {
-	q.mu.Lock()
-	for _, t := range ts {
-		if pr := t.typ.cfg.Priority; pr == 0 {
-			q.plain.pushBack(t)
-		} else {
-			q.bucket(pr).pushBack(t)
-		}
-	}
-	q.size.Add(int32(len(ts)))
-	q.mu.Unlock()
-}
-
-// pop dequeues the task the policy selects: the highest-priority bucket
-// wins; within a bucket FIFO takes the oldest task and LIFO the newest.
-// steal forces oldest-first regardless of policy (thieves steal FIFO).
+// pop dequeues the task the policy selects: FIFO takes the oldest task
+// and LIFO the newest. steal forces oldest-first regardless of policy
+// (thieves steal FIFO).
 func (q *readyQ) pop(policy SchedPolicy, steal bool) *Task {
 	q.mu.Lock()
-	t := q.popLocked(policy, steal)
+	var t *Task
+	if policy == PolicyLIFO && !steal {
+		t = q.ring.popBack()
+	} else {
+		t = q.ring.popFront()
+	}
 	q.mu.Unlock()
 	return t
-}
-
-func (q *readyQ) popLocked(policy SchedPolicy, steal bool) *Task {
-	lifo := policy == PolicyLIFO && !steal
-	take := func(r *taskRing) *Task {
-		if lifo {
-			return r.popBack()
-		}
-		return r.popFront()
-	}
-	// Positive-priority buckets beat the plain (priority 0) ring, which
-	// beats negative buckets; q.prios is sorted descending.
-	for _, b := range q.prios {
-		if b.pr < 0 {
-			break
-		}
-		if t := take(&b.ring); t != nil {
-			q.size.Add(-1)
-			return t
-		}
-	}
-	if t := take(&q.plain); t != nil {
-		q.size.Add(-1)
-		return t
-	}
-	for _, b := range q.prios {
-		if b.pr >= 0 {
-			continue
-		}
-		if t := take(&b.ring); t != nil {
-			q.size.Add(-1)
-			return t
-		}
-	}
-	return nil
 }
 
 // enqueue places a ready task on the queue the readying context dictates,
@@ -227,18 +140,8 @@ func (rt *Runtime) enqueue(t *Task, w int) {
 		rt.det.add(t)
 		return
 	}
-	if rt.priority.Load() {
-		// Prioritized programs funnel every ready task through one
-		// central shard: its per-priority buckets reproduce the old
-		// global queue's "highest priority first" order exactly, which
-		// decentralized deques cannot (a local priority-0 pop could
-		// overtake a queued high-priority task). Unprioritized programs —
-		// the common case — never take this branch.
-		rt.inj[0].push(t, t.typ.cfg.Priority)
-		return
-	}
 	if w >= 0 {
-		rt.locals[w].push(t, 0)
+		rt.locals[w].push(t)
 		return
 	}
 	// Stripe the injector in blocks of consecutive submissions rather
@@ -249,21 +152,12 @@ func (rt *Runtime) enqueue(t *Task, w int) {
 	// cross-pattern comparisons it needs). Block striping keeps every
 	// shard a faithful, locally-FIFO sample of the submission stream.
 	shard := int((rt.injSeq.Add(1)-1)/injStripe) % len(rt.inj)
-	rt.inj[shard].push(t, 0)
-}
-
-// ready enqueues one master-readied task and wakes at most one worker
-// (the single-task Submit path; multi-task producers use enqueue + one
-// coalesced wake, or publishBlock).
-func (rt *Runtime) ready(t *Task) {
-	rt.enqueue(t, -1)
-	rt.wake(1)
+	rt.inj[shard].push(t)
 }
 
 // publishBlock publishes a batch's initially-ready tasks: block pushes
-// (one lock acquisition per injector stripe, or one total for
-// prioritized programs) followed by a single wake sized to the number of
-// tasks actually pushed.
+// (one lock acquisition per injector stripe) followed by a single wake
+// sized to the number of tasks actually pushed.
 func (rt *Runtime) publishBlock(block []*Task) {
 	n := len(block)
 	if n == 0 {
@@ -278,13 +172,8 @@ func (rt *Runtime) publishBlock(block []*Task) {
 		rt.det.addBlock(block) // seeded publication interleaving
 		return
 	}
-	if rt.priority.Load() {
-		rt.inj[0].pushBlockPrio(block)
-		rt.wake(n)
-		return
-	}
-	// Reserve a contiguous stripe range so interleaved Submit calls and
-	// batches stripe coherently, then push each stripe as one block.
+	// Reserve a contiguous stripe range so consecutive batches stripe
+	// coherently, then push each stripe as one block.
 	base := rt.injSeq.Add(uint32(n)) - uint32(n)
 	ns := len(rt.inj)
 	for i := 0; i < n; {
@@ -347,8 +236,8 @@ func (rt *Runtime) nextRand(w int) uint64 {
 
 // scan makes one full pass over every queue from worker w's point of
 // view: own deque first, then the injector shards, then stealing the
-// oldest task from a victim's deque — LLC-sharing victims first, each
-// tier probed from a pseudorandom starting offset (see the file comment).
+// oldest task from each other worker's deque in turn, starting at a
+// pseudorandom victim (see the file comment).
 func (rt *Runtime) scan(w int) *Task {
 	if t := rt.locals[w].pop(rt.policy, false); t != nil {
 		return t
@@ -359,20 +248,13 @@ func (rt *Runtime) scan(w int) *Task {
 			return t
 		}
 	}
-	order := rt.stealOrder[w]
-	if len(order) == 0 {
+	nv := rt.workers - 1 // victims: every other worker
+	if nv == 0 {
 		return nil
 	}
 	r := int(rt.nextRand(w) >> 33) // top bits: xorshift lows are weaker
-	near, far := order[:rt.stealSplit[w]], order[rt.stealSplit[w]:]
-	for i := 0; i < len(near); i++ {
-		v := near[(r+i)%len(near)]
-		if t := rt.locals[v].pop(rt.policy, true); t != nil {
-			return t
-		}
-	}
-	for i := 0; i < len(far); i++ {
-		v := far[(r+i)%len(far)]
+	for i := 0; i < nv; i++ {
+		v := (w + 1 + (r+i)%nv) % rt.workers
 		if t := rt.locals[v].pop(rt.policy, true); t != nil {
 			return t
 		}

@@ -144,47 +144,6 @@ func TestFIFOOrderSingleWorker(t *testing.T) {
 	}
 }
 
-// TestPriorityWithDependences mixes priorities with a dependence chain:
-// priorities reorder ready tasks but must never override dataflow.
-func TestPriorityWithDependences(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	defer rt.Close()
-	var order []string
-	gate := make(chan struct{})
-	hold := rt.RegisterType(TypeConfig{Name: "hold", Run: func(*Task) { <-gate }})
-	lo := rt.RegisterType(TypeConfig{Name: "lo", Priority: 1, Run: func(*Task) { order = append(order, "lo") }})
-	hi := rt.RegisterType(TypeConfig{Name: "hi", Priority: 5, Run: func(*Task) { order = append(order, "hi") }})
-	dep := region.NewFloat64(1)
-	depTail := rt.RegisterType(TypeConfig{Name: "tail", Priority: 9, Run: func(*Task) { order = append(order, "tail") }})
-
-	rt.Submit(hold, Out(region.NewFloat64(1)))
-	rt.Submit(lo, InOut(dep))
-	rt.Submit(hi, Out(region.NewFloat64(1)))
-	// Highest priority but blocked behind lo's write: must still run last
-	// of the dependent pair, though its priority cannot help it jump lo.
-	rt.Submit(depTail, In(dep), Out(region.NewFloat64(1)))
-	close(gate)
-	rt.Wait()
-	if len(order) != 3 {
-		t.Fatalf("order=%v", order)
-	}
-	if order[0] != "hi" {
-		t.Fatalf("highest ready priority must run first: %v", order)
-	}
-	iLo, iTail := -1, -1
-	for i, s := range order {
-		switch s {
-		case "lo":
-			iLo = i
-		case "tail":
-			iTail = i
-		}
-	}
-	if iLo == -1 || iTail == -1 || iTail < iLo {
-		t.Fatalf("dependence violated by priority: %v", order)
-	}
-}
-
 // TestLIFOEquivalenceSingleWorker cross-checks the deque-based LIFO
 // against the old queue's newest-first semantics with interleaved
 // dependent tasks.

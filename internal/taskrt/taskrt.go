@@ -81,10 +81,6 @@ type TypeConfig struct {
 	// required before entering steady state (Table II). Zero means 15,
 	// the minimum that lets training reach p = 100%.
 	LTraining int
-	// Priority biases the ready queue: among ready tasks, higher
-	// priority runs first (OmpSs's priority clause). Ties follow the
-	// runtime's scheduling policy.
-	Priority int
 }
 
 // TaskType is a registered task type.
@@ -297,12 +293,13 @@ type RuntimeBinder interface {
 }
 
 // BatchObserver is optionally implemented by memoizers that want to see
-// whole submitted batches. SubmitBatch calls OnBatchSubmitted after every
-// task of the batch has been carved and its dependences fully wired, but
-// before any task of the batch can be published to a worker — so the
-// memoizer never observes a half-wired batch, and whatever per-type or
-// per-layout state it prepares here is guaranteed to be in place before
-// the first OnReady of the batch.
+// whole submitted batches. SubmitBatch calls OnBatchSubmitted after
+// every task of the batch has been carved and its dependences fully
+// wired, but before any task of the batch can be published to a worker —
+// so the memoizer never observes a half-wired batch, and whatever
+// per-type or per-layout state it prepares here is guaranteed to be in
+// place before the first OnReady of the batch. Submit is a batch of one,
+// so every submitted task is observed.
 type BatchObserver interface {
 	OnBatchSubmitted(tasks []*Task)
 }
@@ -374,11 +371,10 @@ type Config struct {
 // (see depState) — and per-task wiring is guarded by the tasks' own
 // locks, so there is no global runtime mutex on any hot path.
 type Runtime struct {
-	workers  int
-	memo     Memoizer
-	tracer   *trace.Tracer
-	policy   SchedPolicy
-	priority atomic.Bool // any registered type has a non-zero priority
+	workers int
+	memo    Memoizer
+	tracer  *trace.Tracer
+	policy  SchedPolicy
 
 	typeMu   sync.Mutex
 	nextType int
@@ -423,12 +419,8 @@ type Runtime struct {
 	// integration point is one predictable nil check.
 	det *detExec
 
-	// Victim selection: stealOrder[w] lists worker w's victims with
-	// LLC-sharing workers first (stealSplit[w] is the tier boundary);
-	// see topology.go and sched.go.
-	stealOrder [][]int32
-	stealSplit []int
-	wlocal     []workerLocal
+	// Per-worker steal-scan RNG state (see sched.go).
+	wlocal []workerLocal
 
 	// Master-thread-only state (one submitter at a time by contract; see
 	// Submit).
@@ -472,7 +464,8 @@ type Runtime struct {
 	llcTarget   int64
 	fixedWindow bool
 
-	// SubmitBatch scratch (master-only), reused across batches.
+	// SubmitBatch scratch (master-only), reused across batches; Submit
+	// passes its one task through oneEntry and oneTask.
 	// oldPtrSlabs holds used portions of replaced pointer slabs until the
 	// next fence scrubs them (they may carry still-valid result slices
 	// until then, so replacement time is too early to scrub).
@@ -482,6 +475,8 @@ type Runtime struct {
 	ptrSlab     []*Task
 	ptrOff      int
 	oldPtrSlabs [][]*Task
+	oneEntry    [1]BatchEntry
+	oneTask     [1]*Task
 
 	wg sync.WaitGroup
 }
@@ -641,15 +636,13 @@ func New(cfg Config) *Runtime {
 	rt.parkCond = sync.NewCond(&rt.parkMu)
 	rt.waitCond = sync.NewCond(&rt.waitMu)
 	rt.throttleCond = sync.NewCond(&rt.throttleMu)
-	tp := topology()
-	rt.llcTarget = tp.effectiveLLCBytes() / 2
+	rt.llcTarget = topology().effectiveLLCBytes() / 2
 	if cfg.ThrottleWindow > 0 {
 		rt.fixedWindow = true
 		rt.backlogHigh.Store(int64(cfg.ThrottleWindow))
 	} else {
 		rt.backlogHigh.Store(defaultBacklog)
 	}
-	rt.stealOrder, rt.stealSplit = buildStealOrder(cfg.Workers, tp)
 	rt.wlocal = make([]workerLocal, cfg.Workers)
 	seed := cfg.Seed
 	for w := range rt.wlocal {
@@ -704,9 +697,6 @@ func (rt *Runtime) RegisterType(cfg TypeConfig) *TaskType {
 	defer rt.typeMu.Unlock()
 	tt := &TaskType{id: rt.nextType, cfg: cfg, rt: rt}
 	rt.nextType++
-	if cfg.Priority != 0 {
-		rt.priority.Store(true)
-	}
 	return tt
 }
 
@@ -934,7 +924,7 @@ func (rt *Runtime) carveOwned(tt *TaskType, accesses []Access) *Task {
 // possibly executing) tasks use the lock-free registration path; before
 // the first such edge the submission guard is installed in t.npred, so a
 // racing predecessor completion can never drive it to zero early.
-// Callers must pass the result to finalizeWiring.
+// SubmitBatch's pass 3 publishes the result.
 func (rt *Runtime) wire(t *Task, batchStart uint64) int32 {
 	// Predecessor dedup: a linear scan over a small inline buffer for the
 	// ubiquitous few-predecessor shape, spilling to a map once the count
@@ -1096,63 +1086,22 @@ func (rt *Runtime) claimSlot(s *region.DepSlot) *regState {
 	return rs
 }
 
-// finalizeWiring publishes t's predecessor count and reports whether the
-// task is initially ready: the single-task (Submit) finalize, where every
-// predecessor is an older task. If the guard was installed the balancing
-// Add folds in the wired-predecessor count, and a zero result means every
-// predecessor already completed; with no guard there were no live
-// predecessors at all. SubmitBatch uses its own two-phase finalize — with
-// intra-batch edges, all plain counts must be installed before any guard
-// drops (see batch.go pass 3).
-func (rt *Runtime) finalizeWiring(t *Task, npred int32) bool {
-	if t.npred.Load() != 0 { // guard installed by wire()
-		return t.npred.Add(npred-npredGuard) == 0
-	}
-	if npred == 0 {
-		return true
-	}
-	t.npred.Store(npred)
-	return false
-}
-
 // Submit creates a task of type tt with the given accesses, wires its
 // dependences against previously submitted tasks, and schedules it when
-// ready. The runtime takes one submitter (the "master thread") at a
-// time: calls to Submit, SubmitBatch and Reset must not overlap, and
-// each must happen after the previous one returned — from one
-// goroutine, or from goroutines taking turns under a mutex, which orders
-// them. A submitter's Wait belongs to its turn, since task pointers stay
-// valid only until the next submission after a fence. Task bodies must
-// not submit. For regular loop nests, SubmitBatch (or a Batcher)
-// amortizes the per-task submission cost.
+// ready. It is SubmitBatch with a batch of one: the same yield points in
+// deterministic mode, and a BatchObserver sees the one-task batch before
+// the task can run. The runtime takes one submitter (the "master
+// thread") at a time: calls to Submit, SubmitBatch and Reset must not
+// overlap, and each must happen after the previous one returned — from
+// one goroutine, or from goroutines taking turns under a mutex, which
+// orders them. A submitter's Wait belongs to its turn, since task
+// pointers stay valid only until the next submission after a fence.
+// Task bodies must not submit. For regular loop nests, SubmitBatch (or a
+// Batcher) amortizes the per-task submission cost.
 func (rt *Runtime) Submit(tt *TaskType, accesses ...Access) *Task {
-	if rt.closed.Load() {
-		panic("taskrt: Submit after Close")
-	}
-	rt.consumeFence()
-	rt.throttle()
-	t := rt.carve(tt, accesses)
-
-	if rt.tracer != nil {
-		rt.tracer.SetState(rt.tracer.MasterLane(), trace.StateCreate)
-		rt.tracer.TaskCreated()
-	}
-
-	rt.submitted.Add(1)
-	rt.notePayload(t)
-
-	npred := rt.wire(t, t.id) // batchStart = t.id: no intra-batch edges
-	if rt.finalizeWiring(t, npred) {
-		rt.ready(t)
-	}
-	if rt.det != nil {
-		// Yield point: workers may run between consecutive Submit calls.
-		rt.det.maybeYield()
-	}
-
-	if rt.tracer != nil {
-		rt.tracer.SetState(rt.tracer.MasterLane(), trace.StateOther)
-	}
+	rt.oneEntry[0].fill(tt, accesses)
+	t := rt.submitBatch(rt.oneEntry[:], rt.oneTask[:0])[0]
+	rt.oneTask[0] = nil // do not pin the task's slab past its fence
 	return t
 }
 
@@ -1211,9 +1160,8 @@ func (rt *Runtime) step(t *Task, w int) *Task {
 // worker (w >= 0) the first readied successor is returned for direct
 // handoff — the worker runs it next without a queue round-trip — and any
 // further ones go to the worker's own deque. External completions
-// (w == -1) route everything through the injector. Direct handoff is
-// skipped when prioritized types exist: a readied task must not overtake
-// a queued higher-priority one. A completion that readies k tasks issues
+// (w == -1) route everything through the injector. A completion that
+// readies k tasks issues
 // a single wake of min(k, parked) instead of k independent wakes, so a
 // wide fan-out no longer stampedes the park lock.
 func (rt *Runtime) complete(t *Task, w int) *Task {
@@ -1221,7 +1169,7 @@ func (rt *Runtime) complete(t *Task, w int) *Task {
 	nq := 0
 	// Deterministic mode disables direct handoff: a handed-off successor
 	// would bypass the seeded pick, hardwiring chain order.
-	handoff := w >= 0 && rt.det == nil && !rt.priority.Load()
+	handoff := w >= 0 && rt.det == nil
 	release := func(s *Task) {
 		if s.npred.Add(-1) == 0 {
 			if handoff && keep == nil {

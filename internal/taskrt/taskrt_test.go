@@ -495,29 +495,6 @@ func TestLIFOPolicyOrder(t *testing.T) {
 	}
 }
 
-func TestPriorityBeatsSubmissionOrder(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	defer rt.Close()
-	var order []string
-	gate := make(chan struct{})
-	hold := rt.RegisterType(TypeConfig{Name: "hold", Run: func(*Task) { <-gate }})
-	low := rt.RegisterType(TypeConfig{Name: "low", Priority: 1, Run: func(*Task) {
-		order = append(order, "low")
-	}})
-	high := rt.RegisterType(TypeConfig{Name: "high", Priority: 9, Run: func(*Task) {
-		order = append(order, "high")
-	}})
-	a, b, c := region.NewFloat64(1), region.NewFloat64(1), region.NewFloat64(1)
-	rt.Submit(hold, Out(a))
-	rt.Submit(low, Out(b))
-	rt.Submit(high, Out(c))
-	close(gate)
-	rt.Wait()
-	if len(order) != 2 || order[0] != "high" || order[1] != "low" {
-		t.Fatalf("priority order=%v", order)
-	}
-}
-
 func TestPolicyStrings(t *testing.T) {
 	if PolicyFIFO.String() != "fifo" || PolicyLIFO.String() != "lifo" {
 		t.Fatal("policy names")

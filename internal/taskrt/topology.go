@@ -8,29 +8,16 @@ import (
 	"sync"
 )
 
-// Cache-topology discovery for the scheduler's two locality decisions:
-//
-//   - the adaptive submission-throttle watermark targets a live task
-//     graph that is a fixed fraction of the last-level cache, so the
-//     LLC size is needed, and
-//   - victim selection steals first from workers that (heuristically)
-//     share an LLC slice, so the CPU→LLC grouping is needed.
-//
-// Both come from /sys/devices/system/cpu/cpu*/cache on Linux. On other
-// platforms, or when sysfs is absent, the zero topology is returned and
-// the scheduler falls back to a default LLC size and a flat random-start
-// victim order.
+// Last-level-cache discovery for the adaptive submission-throttle
+// watermark, which targets a live task graph that is a fixed fraction of
+// the LLC. The size comes from /sys/devices/system/cpu/cpu*/cache on
+// Linux. On other platforms, or when sysfs is absent, the zero topology
+// is returned and the throttle falls back to a default LLC size.
 
-// cacheTopo describes the machine's last-level cache layout.
+// cacheTopo describes the machine's last-level cache.
 type cacheTopo struct {
 	// llcBytes is the size of one LLC slice in bytes (0 when unknown).
 	llcBytes int64
-	// cpuLLC maps a CPU id to its LLC group id (nil when unknown).
-	cpuLLC map[int]int
-	// nLLC is the number of distinct LLC groups (0 when unknown).
-	nLLC int
-	// ncpu is the number of CPUs seen during discovery.
-	ncpu int
 }
 
 var (
@@ -49,63 +36,36 @@ func topology() cacheTopo {
 // readCacheTopology parses a sysfs-style CPU tree. It is split from
 // topology() so tests can point it at a synthetic tree.
 func readCacheTopology(root string) cacheTopo {
-	cpuDirs, err := filepath.Glob(filepath.Join(root, "cpu[0-9]*"))
-	if err != nil || len(cpuDirs) == 0 {
-		return cacheTopo{}
-	}
-	tp := cacheTopo{cpuLLC: make(map[int]int)}
-	groupIDs := make(map[string]int) // canonical shared_cpu_list -> group id
+	// Glob fails only on a malformed pattern, and these are constant.
+	cpuDirs, _ := filepath.Glob(filepath.Join(root, "cpu[0-9]*"))
+	var tp cacheTopo
 	for _, dir := range cpuDirs {
-		cpu, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(dir), "cpu"))
-		if err != nil {
-			continue // cpufreq, cpuidle, ...
-		}
-		tp.ncpu++
-		level, size, shared := lastLevelCache(filepath.Join(dir, "cache"))
-		if level == 0 {
-			continue
-		}
-		if size > tp.llcBytes {
+		if size := lastLevelCacheBytes(filepath.Join(dir, "cache")); size > tp.llcBytes {
 			tp.llcBytes = size
 		}
-		id, ok := groupIDs[shared]
-		if !ok {
-			id = len(groupIDs)
-			groupIDs[shared] = id
-		}
-		tp.cpuLLC[cpu] = id
-	}
-	tp.nLLC = len(groupIDs)
-	if tp.nLLC == 0 {
-		return cacheTopo{ncpu: tp.ncpu}
 	}
 	return tp
 }
 
-// lastLevelCache scans one cpu's cache/index* entries and returns the
-// highest-level unified/data cache's (level, size bytes, shared_cpu_list).
-func lastLevelCache(cacheDir string) (level int, size int64, shared string) {
-	idxDirs, err := filepath.Glob(filepath.Join(cacheDir, "index[0-9]*"))
-	if err != nil {
-		return 0, 0, ""
-	}
+// lastLevelCacheBytes scans one cpu's cache/index* entries and returns
+// the size in bytes of the highest-level unified/data cache (0 when
+// none is listed).
+func lastLevelCacheBytes(cacheDir string) (size int64) {
+	idxDirs, _ := filepath.Glob(filepath.Join(cacheDir, "index[0-9]*"))
+	level := 0
 	for _, idx := range idxDirs {
-		typ := readTrimmed(filepath.Join(idx, "type"))
-		if typ == "Instruction" {
+		if readTrimmed(filepath.Join(idx, "type")) == "Instruction" {
 			continue
 		}
 		lv, err := strconv.Atoi(readTrimmed(filepath.Join(idx, "level")))
 		if err != nil || lv <= level {
 			continue
 		}
-		sz := parseCacheSize(readTrimmed(filepath.Join(idx, "size")))
-		if sz <= 0 {
-			continue
+		if sz := parseCacheSize(readTrimmed(filepath.Join(idx, "size"))); sz > 0 {
+			level, size = lv, sz
 		}
-		level, size = lv, sz
-		shared = readTrimmed(filepath.Join(idx, "shared_cpu_list"))
 	}
-	return level, size, shared
+	return size
 }
 
 func readTrimmed(path string) string {
@@ -158,41 +118,4 @@ func (tp cacheTopo) effectiveLLCBytes() int64 {
 		return maxLLC
 	}
 	return b
-}
-
-// buildStealOrder precomputes each worker's victim list, LLC-sharing
-// victims first. Returned split[w] is the boundary: order[w][:split[w]]
-// are same-LLC victims, the rest are remote. Workers are mapped to CPUs
-// in index order (worker w ~ CPU w mod ncpu) — Go does not pin
-// goroutines, so this is a locality heuristic that matches the common
-// GOMAXPROCS = NumCPU deployment; when the topology is unknown or the
-// machine has a single LLC, every victim lands in the remote tier and
-// scan()'s random start is the only (portable) de-convoying mechanism.
-func buildStealOrder(workers int, tp cacheTopo) (order [][]int32, split []int) {
-	order = make([][]int32, workers)
-	split = make([]int, workers)
-	groupOf := func(w int) int {
-		if tp.nLLC <= 1 || tp.ncpu == 0 || tp.cpuLLC == nil {
-			return 0
-		}
-		if g, ok := tp.cpuLLC[w%tp.ncpu]; ok {
-			return g
-		}
-		return 0
-	}
-	multi := tp.nLLC > 1
-	for w := 0; w < workers; w++ {
-		var near, far []int32
-		for i := 1; i < workers; i++ {
-			v := (w + i) % workers
-			if multi && groupOf(v) == groupOf(w) {
-				near = append(near, int32(v))
-			} else {
-				far = append(far, int32(v))
-			}
-		}
-		order[w] = append(near, far...)
-		split[w] = len(near)
-	}
-	return order, split
 }
