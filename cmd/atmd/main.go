@@ -2,13 +2,14 @@
 // an HTTP/1.1 front-end (docs/service.md) on the service's own
 // connection loop (service.Server.Serve: one goroutine per connection,
 // each reply sent in one write) over the service engine, which
-// serves each request on its handler goroutine and runs what core.Serve
-// cannot answer under the task runtime's lock, with the harness's
+// serves each request on its handler goroutine through core.Serve —
+// hits copied, misses, training and non-memoizable tasks run there —
+// with the harness's
 // persistence behind it: a -chain file it warm-starts from under a
 // -recover policy and saves to (appends a delta, or rewrites the chain
 // as one base once the deltas outgrow it).
 //
-//	atmd -addr :8080 -workers 8 -mode dynamic
+//	atmd -addr :8080 -mode dynamic
 //	atmd -chain warm.atmchain -delta-every 30s -recover salvage
 //	atmd -backlog 64        # fixed admission watermark (overload testing)
 //	atmd -tht-budget 64m -max-tenants 8
@@ -46,11 +47,11 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers    = flag.Int("workers", 0, "task-runtime workers, which run what handlers cannot serve: training types, types with an exclusion set, non-memoizable kinds (0 = 1)")
+		workers    = flag.Int("workers", 0, "ignored: every request runs on its handler goroutine")
 		mode       = flag.String("mode", "dynamic", "memoization mode: baseline|static|dynamic|fixed")
 		level      = flag.Int("level", 15, "p level for -mode fixed")
 		noIKT      = flag.Bool("no-ikt", false, "disable the In-flight Key Table")
-		backlog    = flag.Int("backlog", 0, "fixed admission watermark in tasks (0 = adaptive LLC-sized)")
+		backlog    = flag.Int("backlog", 0, "admission watermark in running tasks (0 = 4096)")
 		seed       = flag.Uint64("seed", 0, "ATM shuffle-plan seed")
 		chainPath  = flag.String("chain", "", "incremental chain file: warm-start from it and append delta records on saves")
 		deltaEvery = flag.Duration("delta-every", 0, "append a delta record to -chain every interval")
@@ -124,7 +125,6 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	engine, info := harness.Serve(spec, opt, service.Config{
-		Workers:    *workers,
 		Backlog:    *backlog,
 		MaxTenants: *maxTenants,
 	})

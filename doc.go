@@ -66,15 +66,12 @@
 //     (0 clean, 2 torn-salvageable, 3 unrecoverable, 1 I/O error), and
 //     the whole surface is fuzzed with simulated crashes
 //     (internal/crashfuzz, internal/failpoint).
-//   - internal/service — memoization as a service: a request whose
-//     every task is memoizable and of a steady type is answered on its
-//     handler goroutine (core.Serve: quiet probe, admission for the
-//     misses, then hits copied and misses run and inserted, recording
-//     what a worker would have); the rest — training types, types with
-//     an exclusion set, non-memoizable kinds — run on their handler too,
-//     as one SubmitBatch under the task runtime's lock, admitted
-//     against the runtime's backlog watermark first (shed with 429
-//     upstream, never queue unboundedly). Around it an HTTP
+//   - internal/service — memoization as a service: every request is
+//     answered on its handler goroutine by core.Serve (quiet probe,
+//     admission for the bodies to run against a fixed watermark — shed
+//     with 429 upstream, never queued — then hits copied, misses run
+//     and inserted, training tasks run and graded, non-memoizable tasks
+//     run, recording what a worker would have). Around it an HTTP
 //     front-end (JSON and a compact binary task encoding) and the
 //     six-kind workload catalog. cmd/atmd serves it; the repository
 //     benchmark (benchmark/) drives it (docs/service.md).

@@ -735,7 +735,10 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	tracer := a.rt.Tracer()
 
 	if sc.trainEntry != nil {
-		a.grade(t, ts, sh, sc)
+		if a.grade(t.Type(), ts, sh, t.Outputs(), sc.trainEntry, sc.level, true) {
+			// Refresh the stale prediction with the true outputs.
+			a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level))
+		}
 		sc.trainEntry = nil
 		return
 	}
@@ -771,52 +774,58 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	}
 }
 
-// grade measures a training-phase approximation: the task executed, so its
-// fresh outputs are the ground truth against the THT entry's prediction.
-func (a *ATM) grade(t *taskrt.Task, ts *typeState, sh *typeShard, sc *scratch) {
-	tau := metrics.Chebyshev(t.Outputs(), sc.trainEntry.Outs)
-	tauMax := t.Type().TauMax()
-	sc.trainEntry.Release()
+// grade measures a training-phase approximation of a task of type tt
+// hashed at level: the task executed, so outs, its fresh outputs, are the
+// ground truth against pred, the THT entry's prediction, which grade
+// releases. It reports a failed grade, after which the caller inserts
+// outs to refresh the stale prediction. Only a worker's task counts a
+// failure toward the exclusion set (excl): its output regions persist
+// across tasks, while Serve's region headers are the caller's, pooled,
+// and identify nothing.
+func (a *ATM) grade(tt *taskrt.TaskType, ts *typeState, sh *typeShard, outs []region.Region, pred *Entry, level int8, excl bool) (failed bool) {
+	tau := metrics.Chebyshev(outs, pred.Outs)
+	pred.Release()
 
 	ts.mu.Lock()
-	ph, level := ts.load()
-	if ph != phaseTraining || int(sc.level) != level {
+	ph, cur := ts.load()
+	if ph != phaseTraining || int(level) != cur {
 		// The level moved while this task was in flight; its grade is
 		// stale. Count it as a hit observation only.
 		ts.mu.Unlock()
 		sh.trainHits.Add(1)
-		return
+		return false
 	}
 	sh.trainHits.Add(1)
 	ts.dirtyEpoch = a.saveEpoch.Load() // every branch below mutates the metadata
-	if tau >= tauMax {
+	if tau >= tt.TauMax() {
 		sh.trainFailures.Add(1)
-		alreadyChaotic := true
-		for _, o := range t.Outputs() {
-			if !ts.excluded[o] {
-				alreadyChaotic = false
-			}
-			ts.failCount[o]++
-			if ts.failCount[o] >= excludeAfter {
-				ts.excluded[o] = true
-				ts.hasExcl.Store(true)
+		alreadyChaotic := excl
+		if excl {
+			for _, o := range outs {
+				if !ts.excluded[o] {
+					alreadyChaotic = false
+				}
+				ts.failCount[o]++
+				if ts.failCount[o] >= excludeAfter {
+					ts.excluded[o] = true
+					ts.hasExcl.Store(true)
+				}
 			}
 		}
 		// Failures on already-excluded (chaotic) outputs must not keep
 		// doubling p: raising it would not stabilize them (§III-D's
 		// rationale for the exclusion set).
-		if !alreadyChaotic && level < sampling.MaxPLevel {
-			ts.phaseLevel.Store(packPhaseLevel(phaseTraining, level+1)) // double p
+		if !alreadyChaotic && cur < sampling.MaxPLevel {
+			ts.phaseLevel.Store(packPhaseLevel(phaseTraining, cur+1)) // double p
 			ts.successes = 0
 		}
 		ts.mu.Unlock()
-		// Refresh the stale prediction with the true outputs.
-		a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level))
-		return
+		return true
 	}
 	ts.successes++
-	if ts.successes >= t.Type().LTraining() {
-		ts.phaseLevel.Store(packPhaseLevel(phaseSteady, level))
+	if ts.successes >= tt.LTraining() {
+		ts.phaseLevel.Store(packPhaseLevel(phaseSteady, cur))
 	}
 	ts.mu.Unlock()
+	return false
 }

@@ -23,7 +23,7 @@ type iktEntry struct {
 // IKT is the In-flight Key Table of §III-A. It stores at most as many hash
 // keys as there are threads in the parallel execution and is protected by
 // a single lock: accesses are very fast compared to the THT because they
-// involve no output copies. Only runtime tasks register: a miss that
+// involve no output copies. Only runtime tasks register: a body that
 // ATM.Serve runs on a caller's goroutine takes no slot, so its counters
 // count the runtime's providers and deferrals alone.
 type IKT struct {

@@ -10,18 +10,9 @@ import (
 
 // This file is the engine's out-of-band side: callers that hold a task's
 // regions but submit no task — a front-end's lookup route (Peek) and its
-// handler path (Serve). Both go through peekEntry, which hashes on a
-// pooled hasher and probes the table without leaving a trace; only a
-// Serve call that goes ahead then applies what the worker path (OnReady
-// and OnFinished of a steady type) would have.
-
-// peekEntry hashes ins at level on h and returns the table's entry for
-// that key, retained for the caller, when its outputs can be copied into
-// outs; nil otherwise. Nothing is counted or marked (THT.probe).
-func (a *ATM) peekEntry(tt *taskrt.TaskType, ts *typeState, level int, ins, outs []region.Region, h hashx.Hasher) (*Entry, uint64) {
-	key := a.hashIns(tt.ID(), ts, ins, level, h)
-	return a.probeOuts(tt, key, int8(level), outs), key
-}
+// handler path (Serve). Both hash on a pooled hasher and probe the table
+// without leaving a trace; only a Serve call that goes ahead then applies
+// what the worker path (OnReady and OnFinished) would have.
 
 // probeOuts is THT.probe for a task with outputs outs: an entry whose
 // outputs cannot be copied into them counts as no entry.
@@ -50,8 +41,9 @@ func (a *ATM) Peek(tt *taskrt.TaskType, ins, outs []region.Region) bool {
 	ts := a.state(tt)
 	_, level := ts.load()
 	h := a.probeHasher()
-	e, _ := a.peekEntry(tt, ts, level, ins, outs, h)
+	key := a.hashIns(tt.ID(), ts, ins, level, h)
 	a.releaseProbe(h)
+	e := a.probeOuts(tt, key, int8(level), outs)
 	if e == nil {
 		return false
 	}
@@ -77,111 +69,108 @@ type ServeTask struct {
 	Type      *taskrt.TaskType
 	Ins, Outs []region.Region
 	// Run executes the task's body on Ins and Outs, as the type's
-	// runtime body would. Serve calls it on a miss only, with Outs as the
-	// caller left them: a body that need not write every output element
-	// must clear Outs first.
+	// runtime body would. Serve calls it for every task it does not
+	// serve from the table, with Outs as the caller left them: a body
+	// that need not write every output element must clear Outs first.
 	Run func(ins, outs []region.Region)
 
-	ts    *typeState
-	e     *Entry // the matched entry, retained between probe and commit
+	ts    *typeState // nil for a type that is not memoizable
+	e     *Entry     // the matched entry, retained between probe and commit
 	key   uint64
-	level int8
+	level int8 // the level key was hashed at; -1 before it is
 	// tscale is the extrapolation factor of this task's sampled timing
 	// (0 = untimed), hashNanos its hash time already scaled.
 	tscale    int64
 	hashNanos int64
 }
 
-// Serve runs a whole request of steady-state tasks on the caller's
-// goroutine — Fig. 1's ready-task protocol without the runtime: each
-// hit's stored outputs are copied into its Outs, and each miss runs its
-// body and inserts its outputs into the table as a worker's OnFinished
-// would. It reports ok and the number of bodies run when it served the
-// request, and false with Outs untouched and no counter, sketch cell or
-// table entry changed when it did not. It does not when:
+// Serve runs a whole request on the caller's goroutine — Fig. 1's
+// ready-task protocol without the runtime — and reports the number of
+// memoizable tasks whose body ran. A steady task that hits has the
+// stored outputs copied into its Outs; one that misses runs its body and
+// inserts its outputs as a worker's OnFinished would. A task of a type
+// still training runs its body and is graded against the entry its key
+// matched at the type's level, as a worker grades it, or inserts when
+// none matched. A task whose type is not memoizable runs its body and
+// leaves nothing in the engine.
 //
-//   - a task's type is not memoizable, is still training or has an
-//     exclusion set, or a tracer is attached (checked before the first
-//     hash, so such a request costs no hashing, and admit is not
-//     called); the caller then submits the request, whole, to the
-//     runtime;
-//   - the request holds misses and admit(misses) refuses them. Hits are
-//     never refused: a request that is all hits does not call admit.
-//
-// Every task is probed first, quietly (THT.probe), holding what hits.
-// Then, in request order, a task records exactly what a worker's OnReady
-// (and, for a miss, OnFinished) records for it — the table's lookup and
+// Every steady task is probed first, quietly (THT.probe), holding what
+// hits; every other task is a body to run. When there are bodies to run,
+// admit hears their number, and if it refuses, Serve returns false with
+// Outs untouched and no counter, sketch cell or table entry changed.
+// That is Serve's only false return, and a request of hits alone never
+// calls admit. Then, in request order, a task records exactly what a
+// worker's OnReady and OnFinished record for it — the table's lookup and
 // hit counters, the admission-sketch increment of a budgeted table, the
-// type's Tasks, MemoizedTHT or Executed (on the out-of-band stats shard,
-// which WorkerTotals leaves out) and the sampled hash/copy time
-// estimate. A task that missed is probed again first, and so is every
-// task after this request's first insert: a sibling's insert (or a
-// concurrent one) may have added its key or evicted its entry since, so
-// a key repeated within one request hits its sibling, as it does on the
-// runtime.
+// type's Tasks, MemoizedTHT or Executed, training hits and failures and
+// the level they move (on the out-of-band stats shard), and the sampled
+// hash/copy time estimate. A training task is hashed only then, at the
+// level its type is at: a grade since the probe, a sibling's or a
+// concurrent one, may have moved it or ended training. A steady task
+// that missed is probed again first, and so is every task after this
+// request's first body: a sibling's insert (or a concurrent one) may
+// have added its key or evicted its entry since, so a key repeated
+// within one request hits its sibling, as it does on the runtime.
 //
-// Misses take no IKT slot, so two concurrent identical misses may both
+// Bodies take no IKT slot, so two concurrent identical misses may both
 // run; their entries carry provider ids of their own (outOfBandProvider).
-// Region identity is never observed (the exclusion set, keyed by output
-// region, sends its types to the runtime), so callers may recycle region
-// headers. Safe to call from any goroutine, concurrently with the
-// runtime's workers, delta saves and full snapshots.
-func (a *ATM) Serve(tasks []ServeTask, admit func(misses int) bool) (executed int, ok bool) {
-	if a.rt != nil && a.rt.Tracer() != nil {
-		return 0, false
-	}
-	for i := range tasks {
-		t := &tasks[i]
-		if !t.Type.Config().Memoize {
-			return 0, false
-		}
-		ts := a.state(t.Type)
-		ph, level := ts.load()
-		if ph != phaseSteady || a.cfg.Mode == ModeDynamic && ts.hasExcl.Load() {
-			return 0, false
-		}
-		t.ts, t.level = ts, int8(level)
-	}
-
+// Region identity is never observed: Serve neither consults the
+// exclusion set nor counts a failed grade toward it, so callers may
+// recycle region headers. Serve does not trace. Safe to call from any
+// goroutine, concurrently with the runtime's workers, delta saves and
+// full snapshots.
+func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed int, ok bool) {
 	h := a.probeHasher()
-	misses := 0
+	defer a.releaseProbe(h)
+	bodies := 0
 	for i := range tasks {
 		t := &tasks[i]
-		// The worker path times the first timingWarmup tasks of a shard
-		// and every timingSample-th after; the shard's count only moves
-		// at commit, so the decision reads it one ahead.
-		n := t.ts.shard(-1).tasks.Load() + 1
-		t.tscale = 0
-		if n <= timingWarmup {
-			t.tscale = 1
-		} else if n%timingSample == 0 {
-			t.tscale = timingSample
+		t.ts, t.e, t.level = nil, nil, -1
+		if !t.Type.Config().Memoize {
+			bodies++
+			continue
 		}
-		var h0 time.Time
-		if t.tscale != 0 {
-			h0 = time.Now()
+		t.ts = a.state(t.Type)
+		ph, level := t.ts.load()
+		if ph != phaseSteady {
+			bodies++
+			continue
 		}
-		t.e, t.key = a.peekEntry(t.Type, t.ts, int(t.level), t.Ins, t.Outs, h)
-		if t.e == nil {
-			misses++
-		}
-		if t.tscale != 0 {
-			t.hashNanos = time.Since(h0).Nanoseconds() * t.tscale
+		a.hashTask(t, level, h)
+		if t.e = a.probeOuts(t.Type, t.key, t.level, t.Outs); t.e == nil {
+			bodies++
 		}
 	}
-	a.releaseProbe(h)
 
-	if misses > 0 && !admit(misses) {
+	if bodies > 0 && !admit(bodies) {
 		for i := range tasks {
 			tasks[i].e.Release() // nil-safe
 			tasks[i].e = nil
 		}
 		return 0, false
 	}
-	inserted := false
+	ran := false // a memoizable body ran, and may have inserted
 	for i := range tasks {
 		t := &tasks[i]
-		if t.e == nil || inserted {
+		if t.ts == nil {
+			t.Run(t.Ins, t.Outs)
+			continue
+		}
+		ph, level := t.ts.load()
+		if t.level < 0 {
+			a.hashTask(t, level, h) // a training task, at the level it trains at now
+		}
+		if ph != phaseSteady {
+			// OnReady's counted lookup at the type's level: the task runs
+			// whatever it finds, and a match is graded.
+			pred := a.probeOuts(t.Type, t.key, t.level, t.Outs)
+			a.tht.noteLookup(t.key, pred)
+			a.runBody(t, pred)
+			executed++
+			ran = true
+			continue
+		}
+		if t.e == nil || ran {
 			t.e.Release()
 			t.e = a.probeOuts(t.Type, t.key, t.level, t.Outs)
 		}
@@ -191,11 +180,35 @@ func (a *ATM) Serve(tasks []ServeTask, admit func(misses int) bool) (executed in
 			t.e = nil
 			continue
 		}
-		a.runMiss(t)
+		a.tht.noteLookup(t.key, nil)
+		a.runBody(t, nil)
 		executed++
-		inserted = true
+		ran = true
 	}
 	return executed, true
+}
+
+// hashTask hashes t's inputs at level into t.key, timed as a worker
+// times its tasks: the first timingWarmup of a shard and every
+// timingSample-th after. The shard's count only moves at commit, so the
+// decision reads it one ahead.
+func (a *ATM) hashTask(t *ServeTask, level int, h hashx.Hasher) {
+	n := t.ts.shard(-1).tasks.Load() + 1
+	t.tscale = 0
+	if n <= timingWarmup {
+		t.tscale = 1
+	} else if n%timingSample == 0 {
+		t.tscale = timingSample
+	}
+	var h0 time.Time
+	if t.tscale != 0 {
+		h0 = time.Now()
+	}
+	t.key = a.hashIns(t.Type.ID(), t.ts, t.Ins, level, h)
+	t.level = int8(level)
+	if t.tscale != 0 {
+		t.hashNanos = time.Since(h0).Nanoseconds() * t.tscale
+	}
 }
 
 // commitHit is Serve's hit: the hit branch of OnReady and the counting
@@ -218,25 +231,30 @@ func (a *ATM) commitHit(t *ServeTask) {
 	sh.memoTHT.Add(1)
 }
 
-// runMiss is Serve's miss: OnReady's counted lookup, the body, and
-// OnFinished's insert, on the out-of-band shard. The insert holds the
-// snapshot fence shared, so a full Snapshot never scans the table
-// around it (see ATM.serveInserts).
-func (a *ATM) runMiss(t *ServeTask) {
-	a.tht.noteLookup(t.key, nil)
+// runBody is Serve's executed task, after OnReady's counted lookup: the
+// body, then OnFinished on the out-of-band shard — a grade against pred,
+// the entry a training task matched, or else the insert of its outputs,
+// which a failed grade makes too. The insert holds the snapshot fence
+// shared, so a full Snapshot never scans the table around it (see
+// ATM.serveInserts).
+func (a *ATM) runBody(t *ServeTask, pred *Entry) {
 	sh := t.ts.shard(-1)
 	t.Run(t.Ins, t.Outs)
-	var c0 time.Time
-	if t.tscale != 0 {
-		c0 = time.Now()
+	if pred == nil || a.grade(t.Type, t.ts, sh, t.Outs, pred, t.level, false) {
+		var c0 time.Time
+		if t.tscale != 0 {
+			c0 = time.Now()
+		}
+		e := a.snapshotEntry(t.Type.ID(), t.Outs, outOfBandProvider|a.serveProviders.Add(1), t.key, t.level)
+		a.serveInserts.RLock()
+		a.tht.Insert(e)
+		a.serveInserts.RUnlock()
+		if t.tscale != 0 {
+			sh.copyNanos.Add(time.Since(c0).Nanoseconds() * t.tscale)
+		}
 	}
-	e := a.snapshotEntry(t.Type.ID(), t.Outs, outOfBandProvider|a.serveProviders.Add(1), t.key, t.level)
-	a.serveInserts.RLock()
-	a.tht.Insert(e)
-	a.serveInserts.RUnlock()
 	if t.tscale != 0 {
 		sh.hashNanos.Add(t.hashNanos)
-		sh.copyNanos.Add(time.Since(c0).Nanoseconds() * t.tscale)
 	}
 	sh.tasks.Add(1)
 	sh.executed.Add(1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -94,14 +95,23 @@ func doubleRegions(ins, outs []region.Region) {
 // serveTasks builds a Serve request of one task per key; the outputs
 // start at -1 everywhere so an untouched one is recognisable.
 func (r *hitsRig) serveTasks(keys ...int) ([]ServeTask, []*region.Float64) {
-	tasks := make([]ServeTask, len(keys))
-	outs := make([]*region.Float64, len(keys))
+	ins := make([]*region.Float64, len(keys))
 	for i, k := range keys {
+		ins[i] = mkInput(k)
+	}
+	return r.serveInputs(ins...)
+}
+
+// serveInputs is serveTasks for given inputs.
+func (r *hitsRig) serveInputs(ins ...*region.Float64) ([]ServeTask, []*region.Float64) {
+	tasks := make([]ServeTask, len(ins))
+	outs := make([]*region.Float64, len(ins))
+	for i, in := range ins {
 		outs[i] = region.NewFloat64(16)
 		for j := range outs[i].Data {
 			outs[i].Data[j] = -1
 		}
-		tasks[i] = ServeTask{Type: r.tt, Ins: []region.Region{mkInput(k)}, Outs: []region.Region{outs[i]}, Run: doubleRegions}
+		tasks[i] = ServeTask{Type: r.tt, Ins: []region.Region{in}, Outs: []region.Region{outs[i]}, Run: doubleRegions}
 	}
 	return tasks, outs
 }
@@ -190,7 +200,13 @@ func withoutPathDiffs(st Stats) Stats {
 // TestServeHitsRecordsWhatWorkersRecord runs the same warm tasks, then
 // the same misses — one key twice — through a worker (OnReady and
 // OnFinished) on one engine and through Serve on another: outputs,
-// Stats, the table's eviction state and its keys must agree.
+// Stats, the table's eviction state and its keys must agree. Then the
+// same for a Dynamic type, training included: dynamicStream through a
+// worker one task at a time, and through Serve in requests of one to
+// four tasks, must leave equal outputs for every task, equal Stats and
+// chosen level, equal eviction state and equal saved table keys and
+// type metadata — unbudgeted, budgeted, and under a budget small enough
+// to evict.
 func TestServeHitsRecordsWhatWorkersRecord(t *testing.T) {
 	for _, budget := range budgets {
 		cfg := Config{Mode: ModeStatic, THTBudgetBytes: budget}
@@ -248,6 +264,99 @@ func TestServeHitsRecordsWhatWorkersRecord(t *testing.T) {
 			t.Errorf("budget %d: %d entries carry an out-of-band provider id, want Serve's 2", budget, served)
 		}
 	}
+
+	for _, budget := range append(budgets, 4<<10) {
+		cfg := Config{Mode: ModeDynamic, THTBudgetBytes: budget}
+		worker, inline := newHitsRig(t, cfg), newHitsRig(t, cfg)
+		stream := dynamicStream()
+		for i, n := 0, 1; i < len(stream); i, n = i+n, 1+(n%4) {
+			req := stream[i:min(i+n, len(stream))]
+			tasks, outs := inline.serveInputs(req...)
+			if _, ok := inline.memo.Serve(tasks, admitAll); !ok {
+				t.Fatalf("budget %d: Serve refused request %d", budget, i)
+			}
+			for j, in := range req {
+				want := region.NewFloat64(16)
+				worker.rt.Submit(worker.tt, taskrt.In(in), taskrt.Out(want))
+				worker.rt.Wait()
+				if !reflect.DeepEqual(outs[j].Data, want.Data) {
+					t.Fatalf("budget %d, task %d: Serve answered %v, the worker %v", budget, i+j, outs[j].Data, want.Data)
+				}
+			}
+		}
+		ws, is := withoutPathDiffs(worker.memo.Stats()), withoutPathDiffs(inline.memo.Stats())
+		if !reflect.DeepEqual(ws, is) {
+			t.Errorf("budget %d: Stats differ\nworker %+v\ninline %+v", budget, ws, is)
+		}
+		// Under the small budget admission keeps too few entries for
+		// training to end; that table must evict instead.
+		small := budget == 4<<10
+		if ty := ws.Types[0]; ty.TrainingFailures == 0 || !small && (!ty.Steady || ty.MemoizedTHT == 0) {
+			t.Errorf("budget %d: the stream left %+v: no failed grade, no steady phase or no hit to compare", budget, ty)
+		}
+		if small && ws.THTBudgetEvictions == 0 {
+			t.Errorf("budget %d: nothing was evicted", budget)
+		}
+		wl, wsteady := worker.memo.ChosenLevel(worker.tt)
+		il, isteady := inline.memo.ChosenLevel(inline.tt)
+		if wl != il || wsteady != isteady {
+			t.Errorf("budget %d: chosen level: worker %d/%v, inline %d/%v", budget, wl, wsteady, il, isteady)
+		}
+		if w, i := worker.tableState(), inline.tableState(); w != i {
+			t.Errorf("budget %d: table state differs: worker %+v, inline %+v", budget, w, i)
+		}
+		wsnap, err := worker.memo.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		isnap, err := inline.memo.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Snapshot{wsnap, isnap} {
+			for i := range s.Types[0].Entries {
+				s.Types[0].Entries[i].Provider = 0 // a task id, or Serve's own
+			}
+		}
+		if !reflect.DeepEqual(wsnap.Types, isnap.Types) {
+			t.Errorf("budget %d: saved tables differ\nworker %+v\ninline %+v", budget, wsnap.Types, isnap.Types)
+		}
+	}
+}
+
+// nearInput is key k's input with every element's top mantissa bit
+// flipped: each element moves by a quarter to a half of itself while its
+// sign and exponent, the most significant byte the low p levels sample
+// first, stay as they were. Its key matches k's until the level samples
+// the next byte down, and a grade of it against k's outputs fails τmax.
+func nearInput(k int) *region.Float64 {
+	in := mkInput(k)
+	for i, v := range in.Data {
+		in.Data[i] = math.Float64frombits(math.Float64bits(v) ^ 1<<51)
+	}
+	return in
+}
+
+// dynamicStream is a Dynamic type's life: fresh keys, each followed by an
+// exact repeat (a grade that passes) and a near repeat (one that fails
+// while the level is low, a miss once it is not), until training ends;
+// then steady traffic of repeats, near repeats and fresh keys.
+func dynamicStream() []*region.Float64 {
+	var ins []*region.Float64
+	for k := 1; k <= 60; k++ {
+		ins = append(ins, mkInput(k), mkInput(k), nearInput(k))
+	}
+	for i := 0; i < 60; i++ {
+		switch k := 1 + i%7; i % 3 {
+		case 0:
+			ins = append(ins, mkInput(k))
+		case 1:
+			ins = append(ins, nearInput(k))
+		default:
+			ins = append(ins, mkInput(1000+i))
+		}
+	}
+	return ins
 }
 
 // TestServeHitsAbandonedLeavesNoTrace: misses among hits whose admission
@@ -283,31 +392,35 @@ func TestServeHitsAbandonedLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestServeHitsFallbacks: every reason Serve hands a request back to the
-// runtime, each with warm hits ahead of the offending task so that a
-// partial commit would show, and none of them asks admit. An output
-// shape the stored entry does not fit is no such reason: it is a miss.
+// TestServeHitsFallbacks: Serve serves every kind of task. Each case is
+// one of the requests Serve used to hand back whole to a task runtime,
+// with a warm hit ahead of the task that made it do so, and admit hears
+// the number of bodies to run.
 func TestServeHitsFallbacks(t *testing.T) {
-	refuses := func(t *testing.T, r *hitsRig, tasks []ServeTask) {
+	serves := func(t *testing.T, r *hitsRig, tasks []ServeTask, bodies, executed int) {
 		t.Helper()
-		before, stats := r.tableState(), r.memo.Stats()
-		if _, ok := r.memo.Serve(tasks, func(int) bool { t.Error("admit asked"); return true }); ok {
-			t.Fatal("Serve served the request")
-		}
-		if after := r.tableState(); after != before {
-			t.Errorf("table changed: %+v -> %+v", before, after)
-		}
-		if after := r.memo.Stats(); !reflect.DeepEqual(after, stats) {
-			t.Errorf("Stats changed:\n%+v\n%+v", stats, after)
+		asked := 0
+		n, ok := r.memo.Serve(tasks, func(m int) bool { asked = m; return true })
+		if !ok || n != executed || asked != bodies {
+			t.Fatalf("Serve = %d, %v with admit asked for %d; want %d executed of %d bodies", n, ok, asked, executed, bodies)
 		}
 	}
 	t.Run("not memoizable", func(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeStatic})
 		r.run(1)
 		plain := r.rt.RegisterType(taskrt.TypeConfig{Name: "plain", Run: doubler})
-		tasks, _ := r.serveTasks(1, 1)
+		tasks, outs := r.serveTasks(1, 2)
 		tasks[1].Type = plain
-		refuses(t, r, tasks)
+		before := r.tableState()
+		serves(t, r, tasks, 1, 0) // the plain body runs, and ATM does not see it
+		checkDoubled(t, []int{1, 2}, outs)
+		after := r.tableState()
+		if after.lookups != before.lookups+1 || after.hits != before.hits+1 {
+			t.Errorf("table: %+v -> %+v, want the hit's lookup alone", before, after)
+		}
+		if st := r.memo.Stats(); len(st.Types) != 1 || st.Types[0].Tasks != 2 || st.THTEntries != 1 {
+			t.Errorf("the plain task left a trace in core: %+v", st)
+		}
 	})
 	t.Run("training", func(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeDynamic})
@@ -315,24 +428,45 @@ func TestServeHitsFallbacks(t *testing.T) {
 		if _, steady := r.memo.ChosenLevel(r.tt); steady {
 			t.Fatal("type went steady after three tasks")
 		}
-		tasks, _ := r.serveTasks(1)
-		refuses(t, r, tasks)
+		before := r.memo.Stats().Types[0]
+		tasks, outs := r.serveTasks(1)
+		serves(t, r, tasks, 1, 1)
+		checkDoubled(t, []int{1}, outs)
+		after := r.memo.Stats().Types[0]
+		if after.Tasks != before.Tasks+1 || after.Executed != before.Executed+1 || after.TrainingHits != before.TrainingHits+1 {
+			t.Errorf("a training task served: %+v -> %+v, want one more task, run and graded", before, after)
+		}
 	})
 	t.Run("exclusion set", func(t *testing.T) {
+		// Three failed grades on one output region: a worker's task would
+		// put that region in the exclusion set. Serve's headers identify
+		// nothing, so nothing is recorded, and p doubles each time.
 		r := newHitsRig(t, Config{Mode: ModeDynamic})
-		r.run(1)
-		ts := r.memo.state(r.tt)
-		ts.phaseLevel.Store(packPhaseLevel(phaseSteady, 15))
-		r.run(1) // steady now: inserted at level 15
-		tasks, _ := r.serveTasks(1)
-		if _, ok := r.memo.Serve(tasks, admitAll); !ok {
-			t.Fatal("steady type without exclusions must be served")
+		out := region.NewFloat64(16)
+		task := func(run func(ins, outs []region.Region)) []ServeTask {
+			return []ServeTask{{Type: r.tt, Ins: []region.Region{mkInput(1)}, Outs: []region.Region{out}, Run: run}}
 		}
+		triple := func(ins, outs []region.Region) {
+			in, out := ins[0].(*region.Float64).Data, outs[0].(*region.Float64).Data
+			for i := range out {
+				out[i] = 3 * in[i]
+			}
+		}
+		level, _ := r.memo.ChosenLevel(r.tt)
+		for i := 0; i < excludeAfter; i++ {
+			serves(t, r, task(doubleRegions), 1, 1) // no entry at this level: inserted
+			serves(t, r, task(triple), 1, 1)        // graded against it: fails
+		}
+		st := r.memo.Stats().Types[0]
+		if st.TrainingFailures != excludeAfter || st.Level != level+excludeAfter {
+			t.Errorf("after %d failed grades: %+v, want as many failures and levels up from %d", excludeAfter, st, level)
+		}
+		ts := r.memo.state(r.tt)
 		ts.mu.Lock()
-		ts.excluded[region.NewFloat64(1)] = true
-		ts.mu.Unlock()
-		ts.hasExcl.Store(true)
-		refuses(t, r, tasks)
+		defer ts.mu.Unlock()
+		if len(ts.failCount) != 0 || len(ts.excluded) != 0 || ts.hasExcl.Load() {
+			t.Errorf("Serve recorded region identity: failCount %v, excluded %v", ts.failCount, ts.excluded)
+		}
 	})
 	t.Run("tracer", func(t *testing.T) {
 		memo := New(Config{Mode: ModeStatic})
@@ -341,8 +475,9 @@ func TestServeHitsFallbacks(t *testing.T) {
 		r := &hitsRig{memo: memo, rt: rt}
 		r.tt = rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
 		r.run(1)
-		tasks, _ := r.serveTasks(1)
-		refuses(t, r, tasks)
+		tasks, outs := r.serveTasks(1, 2)
+		serves(t, r, tasks, 1, 1)
+		checkDoubled(t, []int{1, 2}, outs)
 	})
 	t.Run("output shape", func(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeStatic})
@@ -350,37 +485,13 @@ func TestServeHitsFallbacks(t *testing.T) {
 		tasks, _ := r.serveTasks(1, 1)
 		short := region.NewFloat64(8)
 		tasks[1].Outs = []region.Region{short}
-		if executed, ok := r.memo.Serve(tasks, admitAll); !ok || executed != 1 {
-			t.Fatalf("Serve = %d, %v; want the mismatched task run as a miss", executed, ok)
-		}
+		serves(t, r, tasks, 1, 1) // the mismatched task runs as a miss
 		for j, v := range short.Data {
 			if want := 2 * mkInput(1).Data[j]; v != want {
 				t.Fatalf("short output[%d] = %v, want %v", j, v, want)
 			}
 		}
 	})
-}
-
-// TestWorkerTotalsLeaveOutServeHits: what Serve commits — hits and
-// executed misses — shows in Stats and not in WorkerTotals, so a diff of
-// WorkerTotals around a fence is the runtime's own work.
-func TestWorkerTotalsLeaveOutServeHits(t *testing.T) {
-	r := newHitsRig(t, Config{Mode: ModeStatic})
-	r.run(1, 2)
-	before := r.memo.WorkerTotals()
-	if want := (TaskTotals{Tasks: 2, Executed: 2}); before != want {
-		t.Fatalf("WorkerTotals = %+v, want %+v", before, want)
-	}
-	tasks, _ := r.serveTasks(1, 2, 9, 1, 9)
-	if executed, ok := r.memo.Serve(tasks, admitAll); !ok || executed != 1 {
-		t.Fatalf("Serve = %d, %v; want one body run", executed, ok)
-	}
-	if after := r.memo.WorkerTotals(); after != before {
-		t.Errorf("Serve moved WorkerTotals: %+v -> %+v", before, after)
-	}
-	if st := r.memo.Stats().Types[0]; st.Tasks != 7 || st.MemoizedTHT != 4 || st.Executed != 3 {
-		t.Errorf("Stats after four hits and one miss served: %+v", st)
-	}
 }
 
 // TestServeHitsAllocationFree: with the caller's []ServeTask reused, a

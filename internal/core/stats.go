@@ -85,41 +85,6 @@ func (s Stats) TotalReuse() float64 {
 	return float64(memo) / float64(tasks)
 }
 
-// TaskTotals is the sum over all task types of the four activity
-// counters: what a caller that diffs ATM activity around a batch needs,
-// without the locks, table walks and allocations of a full Stats.
-type TaskTotals struct {
-	Tasks, Executed, MemoizedTHT, MemoizedIKT int64
-}
-
-// WorkerTotals sums the activity counters of the runtime's workers over
-// all task types, and only theirs: the out-of-band shard, where Serve
-// commits hits and executed misses from whatever goroutine called it, is
-// left out, so the difference of two readings taken around a completion
-// fence is what the runtime ran in between and nothing a concurrent
-// Serve served.
-// Lock-free: one atomic load of the type slice plus four per shard.
-func (a *ATM) WorkerTotals() TaskTotals {
-	var t TaskTotals
-	sl := a.typeStates.Load()
-	if sl == nil {
-		return t
-	}
-	for _, ts := range *sl {
-		if ts == nil {
-			continue
-		}
-		for i := range ts.shards[:len(ts.shards)-1] {
-			sh := &ts.shards[i]
-			t.Tasks += sh.tasks.Load()
-			t.Executed += sh.executed.Load()
-			t.MemoizedTHT += sh.memoTHT.Load()
-			t.MemoizedIKT += sh.memoIKT.Load()
-		}
-	}
-	return t
-}
-
 // Stats snapshots the engine's counters, summing the per-worker shards.
 func (a *ATM) Stats() Stats {
 	var st Stats

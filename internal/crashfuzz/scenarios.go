@@ -440,7 +440,7 @@ func compactCrash(c *Ctx) {
 	kind, _ := service.KindByName("swaptions")
 	serve := func(policy harness.RecoverPolicy) (*service.Engine, harness.ServeInfo) {
 		opt := harness.RunOptions{SnapshotChain: chain, Recover: policy}
-		return harness.Serve(harness.Static(true), opt, service.Config{Workers: 1})
+		return harness.Serve(harness.Static(true), opt, service.Config{})
 	}
 	tasks := func(from, n int) []service.Task {
 		ts := make([]service.Task, n)

@@ -29,8 +29,9 @@ type ServeInfo struct {
 }
 
 // Serve opens the memoization state for spec under opt's persistence
-// options and starts a service engine over it. cfg supplies the
-// service-side knobs (workers, backlog watermark, tenant cap);
+// options and starts a service engine over it, which serves every
+// request on its handler goroutine through core.Serve. cfg supplies the
+// service-side knobs (backlog watermark, tenant cap);
 // cfg.Memo, cfg.Save and cfg.SaveEvery are overwritten from spec and
 // opt. With a chain (opt.SnapshotChain) the engine warm-starts from it
 // under opt.Recover, and the Save hook saves the churn since the last

@@ -34,7 +34,7 @@ func TestServeChainWarmStart(t *testing.T) {
 	chain := filepath.Join(t.TempDir(), "svc.atmchain")
 	opt := RunOptions{SnapshotChain: chain, Sync: persist.SyncOff}
 
-	e1, info1 := Serve(Dynamic(true), opt, service.Config{Workers: 2})
+	e1, info1 := Serve(Dynamic(true), opt, service.Config{})
 	if info1.WarmStart || info1.SnapshotErr != nil {
 		t.Fatalf("first serve: %+v", info1)
 	}
@@ -49,7 +49,7 @@ func TestServeChainWarmStart(t *testing.T) {
 		t.Fatalf("chain file not created: %v", err)
 	}
 
-	e2, info2 := Serve(Dynamic(true), opt, service.Config{Workers: 2})
+	e2, info2 := Serve(Dynamic(true), opt, service.Config{})
 	defer e2.Close()
 	if info2.SnapshotErr != nil {
 		t.Fatalf("second serve: %v", info2.SnapshotErr)
@@ -76,7 +76,7 @@ func TestServeChainWarmStart(t *testing.T) {
 // TestServeBaseline checks a disabled spec serves without ATM and
 // rejects snapshots.
 func TestServeBaseline(t *testing.T) {
-	e, info := Serve(Baseline(), RunOptions{}, service.Config{Workers: 1})
+	e, info := Serve(Baseline(), RunOptions{}, service.Config{})
 	defer e.Close()
 	if info.WarmStart || e.Memoizing() {
 		t.Fatalf("baseline serve: %+v memoizing=%v", info, e.Memoizing())
@@ -91,7 +91,7 @@ func TestServeBaseline(t *testing.T) {
 func TestServeRecoverSalvage(t *testing.T) {
 	chain := filepath.Join(t.TempDir(), "svc.atmchain")
 	opt := RunOptions{SnapshotChain: chain, Sync: persist.SyncOff}
-	e1, _ := Serve(Dynamic(true), opt, service.Config{Workers: 1})
+	e1, _ := Serve(Dynamic(true), opt, service.Config{})
 	serveTasks(t, e1, "lu", 4, 30)
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestServeRecoverSalvage(t *testing.T) {
 	f.Close()
 
 	// Strict refuses (serves cold, error surfaced)...
-	eStrict, infoStrict := Serve(Dynamic(true), opt, service.Config{Workers: 1})
+	eStrict, infoStrict := Serve(Dynamic(true), opt, service.Config{})
 	eStrict.Close()
 	if infoStrict.SnapshotErr == nil || infoStrict.WarmStart {
 		t.Fatalf("strict on torn chain: %+v", infoStrict)
@@ -116,7 +116,7 @@ func TestServeRecoverSalvage(t *testing.T) {
 	// ...salvage repairs and warm-starts.
 	optS := opt
 	optS.Recover = RecoverSalvage
-	e2, info2 := Serve(Dynamic(true), optS, service.Config{Workers: 1})
+	e2, info2 := Serve(Dynamic(true), optS, service.Config{})
 	defer e2.Close()
 	if info2.SnapshotErr != nil || !info2.WarmStart || !info2.Salvaged {
 		t.Fatalf("salvage on torn chain: %+v", info2)

@@ -383,7 +383,7 @@ func TestSubmitReplyBytes(t *testing.T) {
 	// Through the handler: the reply of a real request is what
 	// encoding/json makes of its outputs, with its length declared.
 	atm := core.New(core.Config{Mode: core.ModeStatic})
-	srv := NewServer(newTestEngine(t, Config{Workers: 1, Memo: atm}))
+	srv := NewServer(newTestEngine(t, Config{Memo: atm}))
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/submit",
 		strings.NewReader(`{"tasks":[{"kind":"stencil","key":3},{"kind":"swaptions","key":4}]}`)))
@@ -448,7 +448,7 @@ func TestJSONAndBinarySubmitShareEntries(t *testing.T) {
 		9007199254740993, 0.30000000000000004, 1.0 / 3, 123456789012345680000, 1e23}
 	for _, first := range []string{"json", "bin"} {
 		atm := core.New(core.Config{Mode: core.ModeStatic})
-		srv := NewServer(newTestEngine(t, Config{Workers: 1, Memo: atm}))
+		srv := NewServer(newTestEngine(t, Config{Memo: atm}))
 		var tasks []Task
 		var specs []taskSpec
 		for i, name := range []string{"blackscholes", "kmeans", "lu", "stencil", "swaptions"} {
@@ -521,7 +521,7 @@ func TestJSONAndBinarySubmitShareEntries(t *testing.T) {
 // a 200 whose body stopped mid-array; it is a 500 with a JSON error now.
 func TestSubmitNonFiniteOutput(t *testing.T) {
 	nan := Kind{Name: "nan", In: 1, Out: 2, Fn: func(in, out []float64) { out[0], out[1] = 1, math.NaN() }}
-	srv := NewServer(newTestEngine(t, Config{Workers: 1, KindList: []Kind{nan}}))
+	srv := NewServer(newTestEngine(t, Config{KindList: []Kind{nan}}))
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/submit", strings.NewReader(`{"tasks":[{"kind":"nan","input":[1]}]}`)))
 	if rec.Code != http.StatusInternalServerError {
@@ -560,10 +560,10 @@ func submitBodies(t testing.TB) (jsonBody, binBody []byte) {
 }
 
 // TestSubmitAllocs pins the allocations of one warm four-task ServeHTTP
-// on a recorder, all four tasks table hits and so served inline. PR 12
-// brought it from 121 (JSON) and 78 (binary) to 34; the inline path
-// takes the region-header array and taskrt's eight per-region dependence
-// states with it. What is left is the recorder and request the test
+// on a recorder, all four tasks table hits. It went from 121 (JSON) and
+// 78 (binary) to 34 with the pooled request, and to 25 once hits were
+// served on the handler, without a region-header array and taskrt's
+// eight per-region dependence states. What is left is the recorder and request the test
 // itself builds, MaxBytesReader and the reply's header values; the
 // codec, the engine and core contribute none.
 func TestSubmitAllocs(t *testing.T) {
@@ -580,7 +580,7 @@ func TestSubmitAllocs(t *testing.T) {
 		{"bin", binaryContentType, binBody, 25},
 	} {
 		atm := core.New(core.Config{Mode: core.ModeStatic})
-		srv := NewServer(newTestEngine(t, Config{Workers: 1, Memo: atm}))
+		srv := NewServer(newTestEngine(t, Config{Memo: atm}))
 		serve := func() {
 			req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(enc.body))
 			req.Header.Set("Content-Type", enc.contentType)
@@ -604,7 +604,7 @@ func TestSubmitAllocs(t *testing.T) {
 // TestSubmitBodyCap: the 8 MiB cap still holds, and a body of exactly
 // the cap is still read.
 func TestSubmitBodyCap(t *testing.T) {
-	srv := NewServer(newTestEngine(t, Config{Workers: 1}))
+	srv := NewServer(newTestEngine(t, Config{}))
 	post := func(body []byte, declare bool) int {
 		req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(body))
 		if !declare {
@@ -632,7 +632,7 @@ func TestSubmitBodyCap(t *testing.T) {
 // once would show as a wrong output (and as a race under -race).
 func TestSubmitPooledRequestsDoNotAlias(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeStatic})
-	_, ts := newTestServer(t, Config{Workers: 2, Memo: atm})
+	_, ts := newTestServer(t, Config{Memo: atm})
 	kinds := []Kind{mustKind(t, "lu"), mustKind(t, "swaptions"), mustKind(t, "blackscholes")}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -738,7 +738,7 @@ func FuzzDecodeBinaryTasks(f *testing.F) {
 // looked at. Now the count is checked against the bytes present first,
 // and the whole 400 costs under 4 KiB.
 func TestBinaryHugeCountAllocatesNothing(t *testing.T) {
-	srv := NewServer(newTestEngine(t, Config{Workers: 1}))
+	srv := NewServer(newTestEngine(t, Config{}))
 	body := []byte{0, 0, 16, 0}
 	const runs = 50
 	reqs := make([]*http.Request, runs)

@@ -25,7 +25,7 @@ import (
 // two of them given the same requests answer byte for byte alike.
 func newStaticServer(t *testing.T) *Server {
 	t.Helper()
-	return NewServer(newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})}))
+	return NewServer(newTestEngine(t, Config{Memo: core.New(core.Config{Mode: core.ModeStatic})}))
 }
 
 // serveLoopback runs tr's loop on a loopback listener until the test

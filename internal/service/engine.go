@@ -14,19 +14,16 @@ import (
 
 // Config configures a service Engine.
 type Config struct {
-	// Workers is the task-runtime worker count (0 = 1, taskrt's rule).
+	// Workers is ignored: every request runs on its caller's goroutine.
 	Workers int
-	// Memo is the ATM engine to memoize through; nil runs a plain
-	// baseline runtime (every task executes).
+	// Memo is the ATM engine to memoize through; nil serves a plain
+	// baseline (every task executes).
 	Memo *core.ATM
-	// Backlog fixes the admission watermark (and the runtime's
-	// throttle window) at this many in-flight tasks. Zero selects the
-	// adaptive LLC-sized watermark — admission control then tracks the
-	// same cache-sized backlog target as the submission throttle.
+	// Backlog fixes the admission watermark at this many tasks whose
+	// bodies are running (0 = 4096).
 	Backlog int
-	// Save persists the memoization state; it runs under the runtime
-	// lock (quiesced, serialized with runtime fences). Nil disables POST
-	// /v1/snapshot (409) and periodic saves.
+	// Save persists the memoization state; saves run one at a time.
+	// Nil disables POST /v1/snapshot (409) and periodic saves.
 	Save func() error
 	// SaveEvery additionally runs Save on this period (0 = never).
 	SaveEvery time.Duration
@@ -48,34 +45,30 @@ type Task struct {
 	Input  []float64
 }
 
-// GroupStats is the ATM activity of one request, exactly its own: a
-// request served inline (Engine.serveInline) reports the misses it ran
-// as Executed and the rest as MemoTHT; one run through the runtime
-// (Engine.run) reports the workers' counters diffed around its fence.
+// GroupStats is the ATM activity of one request, exactly its own, as
+// core.Serve reports it: of its memoizable tasks, those that ran their
+// body (misses and training tasks) are Executed and the rest MemoTHT.
 type GroupStats struct {
 	// Tasks is the request's ATM-visible task count; Executed of them
-	// ran their body, MemoTHT were served from the history table, MemoIKT
-	// deduplicated against an identical in-flight task of the request.
+	// ran their body, MemoTHT were served from the history table.
+	// MemoIKT, deduplication against an identical in-flight task, is
+	// always 0: handlers take no IKT slot. It stays for the wire format.
 	Tasks, Executed, MemoTHT, MemoIKT int64
 }
 
 // Counters is the engine's monotonic operational state.
 type Counters struct {
-	// Requests / Tasks count served work, inline or through the runtime;
-	// Shed* count work refused at the admission watermark (the 429 path).
+	// Requests / Tasks count served work; Shed* count work refused at
+	// the admission watermark (the 429 path).
 	Requests, Tasks         int64
 	ShedRequests, ShedTasks int64
-	// InlineRequests / InlineTasks are the part of Requests / Tasks served
-	// by core.Serve without the runtime: requests whose every task is
-	// memoizable and of a steady type, hits and misses alike.
-	InlineRequests, InlineTasks int64
 	// Batches counts groups run to completion. Every request is one, so
 	// it equals Requests; it stays because Tasks ÷ Batches is the
 	// benchmark's tasks-per-batch figure. Lookups/LookupHits count the
 	// Peek path; Saves completed snapshot saves.
 	Batches, Lookups, LookupHits, Saves int64
-	// Queued is the current admitted-but-uncompleted task count;
-	// BacklogLimit the current admission watermark.
+	// Queued is the current count of admitted bodies still running;
+	// BacklogLimit the admission watermark.
 	Queued, BacklogLimit int64
 }
 
@@ -106,20 +99,19 @@ func (e *BadTaskError) Error() string { return "service: " + e.msg }
 
 // Engine is the memoization service core. Concurrent callers (HTTP
 // handler goroutines) submit task groups through Do, and each group is
-// served on its caller's goroutine: through core.Serve when every task
-// is memoizable and of a steady type (serveInline), else under the
-// runtime lock, whose holder is the task runtime's one submitter for a
-// SubmitBatch, Wait and Reset of its own tasks (run). Admission control
-// reuses the runtime's adaptive throttle watermark: work that would push
-// the in-flight backlog past it is shed immediately (OverloadError)
-// instead of queueing unboundedly — waiters for the runtime lock
-// included — and identical tasks of one group deduplicate through the
-// IKT as in any ATM run.
+// served on its caller's goroutine by core.Serve: hits copied from the
+// table, and misses, training tasks and non-memoizable tasks run right
+// there. Admission control counts the bodies a request will run against
+// a fixed watermark: a request that would push the running backlog past
+// it is shed immediately (OverloadError), whole.
 type Engine struct {
-	cfg   Config
-	rt    *taskrt.Runtime
-	memo  *core.ATM
-	kinds map[string]Kind
+	cfg     Config
+	backlog int64 // the admission watermark
+	memo    *core.ATM
+	kinds   map[string]Kind
+	// rt holds the registered task types, and core binds to it; nothing
+	// is submitted to it.
+	rt *taskrt.Runtime
 
 	// types maps registered task-type names (tenant + "/" + kind) to
 	// their runtime types; tenants tracks the distinct tenant names ("" for
@@ -131,10 +123,6 @@ type Engine struct {
 
 	reqPool sync.Pool // *request: per-request memory, reused (size-capped in release)
 
-	// rtMu is the runtime lock. taskrt takes one submitter at a time, so
-	// every SubmitBatch, Wait and Reset runs under it, and so does the
-	// Save hook, which then sees a quiesced runtime.
-	rtMu sync.Mutex
 	// life is held shared by every request and requested save from its
 	// closed check to its reply, and exclusively by Close, which so waits
 	// them all out. It guards closed.
@@ -154,15 +142,10 @@ type Engine struct {
 	lookHits atomic.Int64
 	saves    atomic.Int64
 
-	// inlineReqs and inlineTasks count what serveInline served; requests
-	// and tasks above count what the runtime ran, and Counters adds the
-	// inline share to each. noInline turns the inline path off. Tests
-	// only: the differential suite runs one stream through both paths.
-	inlineReqs  atomic.Int64
-	inlineTasks atomic.Int64
-	noInline    bool
-
+	// saveMu serializes saves; handler inserts are ordered against a
+	// save by core (ATM.Snapshot). errMu guards saveErr.
 	saveMu  sync.Mutex
+	errMu   sync.Mutex
 	saveErr error
 
 	// kernels holds each served kind's body in the form core.Serve runs
@@ -181,25 +164,12 @@ type request struct {
 	outs  [][]float64
 	group GroupStats
 
-	// types is resolved before admission and regs laid out after it, so
-	// a shed request was only validated. regs holds the input and output
-	// region of task j at 2j and 2j+1. It is allocated afresh per
-	// submission and never reused: region identity is meaningful to core
-	// (the Dynamic-ATM exclusion set is keyed by output region pointer)
-	// and to taskrt (dependence state hangs off the header). entries are
-	// the batch run submits, pooled: they point at regs only until the
-	// fence.
+	// types are the tasks' registered types; serve and hitRegs are the
+	// task list core.Serve takes and its region headers, pooled, because
+	// core.Serve never observes region identity.
 	types   []*taskrt.TaskType
-	regs    []region.Float64
-	entries []taskrt.BatchEntry
-	// memoizable reports that every task's kind is memoizable
-	// (resolveTypes): only then is the inline path tried. serve and
-	// hitRegs are that attempt's task list and region headers; unlike
-	// regs they are pooled, because core.Serve never observes region
-	// identity and the runtime never sees them.
-	memoizable bool
-	serve      []core.ServeTask
-	hitRegs    []hitRegions
+	serve   []core.ServeTask
+	hitRegs []hitRegions
 
 	body    []byte    // HTTP body
 	taskBuf []Task    // backing array of decoded tasks
@@ -208,9 +178,9 @@ type request struct {
 	reply   []byte    // encoded HTTP reply
 }
 
-// hitRegions is one task's region headers for an out-of-band probe
-// (serveInline, LookupTenant) and the interface values pointing at them,
-// so a core.HitTask's one-element Ins and Outs are slices of ref.
+// hitRegions is one task's region headers for core (submit,
+// LookupTenant) and the interface values pointing at them, so a
+// core.ServeTask's one-element Ins and Outs are slices of ref.
 type hitRegions struct {
 	in, out region.Float64
 	ref     [2]region.Region
@@ -242,10 +212,10 @@ func (e *Engine) getRequest() *request {
 // everything r handed out (decoded tasks, outs, reply).
 func (e *Engine) release(r *request) {
 	// In bytes: a Task is 56, a type pointer 8, a slice header 24, a
-	// ServeTask 112, a hitRegions 128, a BatchEntry 88.
+	// ServeTask 112, a hitRegions 128.
 	kept := cap(r.body) + cap(r.reply) + 8*(cap(r.in)+cap(r.out)) +
 		56*cap(r.taskBuf) + 8*cap(r.types) + 24*cap(r.outs) +
-		112*cap(r.serve) + 128*cap(r.hitRegs) + 88*cap(r.entries)
+		112*cap(r.serve) + 128*cap(r.hitRegs)
 	if kept > maxPooledRequestBytes {
 		return
 	}
@@ -256,7 +226,7 @@ func (e *Engine) release(r *request) {
 	// engine, and into hitRegs; only hitRegs points at memory that may be
 	// the caller's.
 	clear(r.hitRegs[:cap(r.hitRegs)])
-	r.tasks, r.regs, r.group = nil, nil, GroupStats{}
+	r.tasks, r.group = nil, GroupStats{}
 	e.reqPool.Put(r)
 }
 
@@ -274,14 +244,14 @@ func New(cfg Config) *Engine {
 	if cfg.Memo != nil {
 		m = cfg.Memo
 	}
-	rt := taskrt.New(taskrt.Config{
-		Workers:        cfg.Workers,
-		Memoizer:       m,
-		ThrottleWindow: cfg.Backlog,
-	})
+	backlog := int64(cfg.Backlog)
+	if backlog <= 0 {
+		backlog = 4096
+	}
 	e := &Engine{
 		cfg:     cfg,
-		rt:      rt,
+		backlog: backlog,
+		rt:      taskrt.New(taskrt.Config{Memoizer: m}),
 		memo:    cfg.Memo,
 		kinds:   make(map[string]Kind, len(kindList)),
 		kernels: make(map[string]func(ins, outs []region.Region), len(kindList)),
@@ -310,9 +280,9 @@ func New(cfg Config) *Engine {
 }
 
 // kernel adapts k's body to core.ServeTask.Run: one input and one output
-// region, both hitRegions' Float64 headers. The output is cleared first,
-// as layout clears it for the runtime — a kernel is not obliged to write
-// every element, and the pooled slab holds an earlier request's floats.
+// region, both hitRegions' Float64 headers. The output is cleared first:
+// a kernel is not obliged to write every element, and the pooled slab
+// holds an earlier request's floats.
 func kernel(k Kind) func(ins, outs []region.Region) {
 	return func(ins, outs []region.Region) {
 		out := outs[0].(*region.Float64).Data
@@ -386,13 +356,7 @@ func (e *Engine) registerTypeLocked(tenant string, k Kind) (*taskrt.TaskType, er
 	if !e.tenants[tenant] && len(e.tenants) >= e.cfg.MaxTenants {
 		return nil, &BadTaskError{msg: fmt.Sprintf("tenant %q would exceed the %d-tenant limit", tenant, e.cfg.MaxTenants)}
 	}
-	tt := e.rt.RegisterType(taskrt.TypeConfig{
-		Name:    name,
-		Memoize: k.Memoize,
-		Run: func(t *taskrt.Task) {
-			k.Fn(t.Float64s(0), t.Float64s(1))
-		},
-	})
+	tt := e.rt.RegisterType(taskrt.TypeConfig{Name: name, Memoize: k.Memoize})
 	if e.memo != nil && k.Memoize {
 		e.memo.ChosenLevel(tt)
 	}
@@ -400,9 +364,6 @@ func (e *Engine) registerTypeLocked(tenant string, k Kind) (*taskrt.TaskType, er
 	e.types[name] = tt
 	return tt, nil
 }
-
-// Runtime exposes the underlying task runtime (tests, stats).
-func (e *Engine) Runtime() *taskrt.Runtime { return e.rt }
 
 // Memoizing reports whether an ATM engine is attached.
 func (e *Engine) Memoizing() bool { return e.memo != nil }
@@ -434,36 +395,33 @@ func (e *Engine) Kind(name string) (Kind, bool) {
 
 // Counters returns the engine's operational counters.
 func (e *Engine) Counters() Counters {
-	inlineReqs, inlineTasks := e.inlineReqs.Load(), e.inlineTasks.Load()
-	reqs := e.requests.Load() + inlineReqs
+	reqs := e.requests.Load()
 	return Counters{
-		Requests:       reqs,
-		Tasks:          e.tasks.Load() + inlineTasks,
-		ShedRequests:   e.shedReqs.Load(),
-		ShedTasks:      e.shedTask.Load(),
-		InlineRequests: inlineReqs,
-		InlineTasks:    inlineTasks,
-		Batches:        reqs,
-		Lookups:        e.lookups.Load(),
-		LookupHits:     e.lookHits.Load(),
-		Saves:          e.saves.Load(),
-		Queued:         e.queued.Load(),
-		BacklogLimit:   int64(e.rt.BacklogLimit()),
+		Requests:     reqs,
+		Tasks:        e.tasks.Load(),
+		ShedRequests: e.shedReqs.Load(),
+		ShedTasks:    e.shedTask.Load(),
+		Batches:      reqs,
+		Lookups:      e.lookups.Load(),
+		LookupHits:   e.lookHits.Load(),
+		Saves:        e.saves.Load(),
+		Queued:       e.queued.Load(),
+		BacklogLimit: e.backlog,
 	}
 }
 
 // SaveErr returns the most recent snapshot-save failure (periodic or
 // requested), nil if none.
 func (e *Engine) SaveErr() error {
-	e.saveMu.Lock()
-	defer e.saveMu.Unlock()
+	e.errMu.Lock()
+	defer e.errMu.Unlock()
 	return e.saveErr
 }
 
 func (e *Engine) setSaveErr(err error) {
-	e.saveMu.Lock()
+	e.errMu.Lock()
 	e.saveErr = err
-	e.saveMu.Unlock()
+	e.errMu.Unlock()
 }
 
 // resolveTypes checks a task group before admission and registers any
@@ -474,7 +432,6 @@ func (e *Engine) resolveTypes(r *request) (nout int, err error) {
 		return 0, &BadTaskError{msg: "empty task list"}
 	}
 	r.types = r.types[:0]
-	r.memoizable = true
 	for i, t := range r.tasks {
 		k, ok := e.kinds[t.Kind]
 		if !ok {
@@ -491,7 +448,6 @@ func (e *Engine) resolveTypes(r *request) (nout int, err error) {
 			return 0, fmt.Errorf("task %d: %w", i, err)
 		}
 		r.types = append(r.types, tt)
-		r.memoizable = r.memoizable && k.Memoize
 		nout += k.Out
 	}
 	return nout, nil
@@ -516,75 +472,10 @@ func (e *Engine) carve(r *request, nout int) {
 	}
 }
 
-// layout carves an admitted request's output vectors out of one zeroed
-// slab of nout floats and wires its regions.
-func (e *Engine) layout(r *request, nout int) {
-	e.carve(r, nout)
-	// Outputs start zeroed, as a fresh region would: a kernel is not
-	// obliged to write every element. (A fresh slab is zero already; a
-	// pooled one, or the one a declined inline attempt carved, is not.)
-	clear(r.out)
-	r.regs = make([]region.Float64, 2*len(r.tasks))
-	for j, t := range r.tasks {
-		r.regs[2*j].Data = t.Input
-		r.regs[2*j+1].Data = r.outs[j]
-	}
-}
-
-// serveInline is the inline path: it tries to serve r on the caller's
-// goroutine (core.Serve) — hits copied from the table, misses run right
-// here and inserted — and reports whether r was answered, with err set
-// when it was shed. A request with misses is admitted for them alone,
-// against the watermark and for as long as they run; one that is all
-// hits is never shed. When serveInline reports false nothing was served,
-// counted or written and r goes to the runtime whole, as if the attempt
-// had not been made — except that r.out is carved and holds whatever the
-// pooled slab held, which layout clears.
-func (e *Engine) serveInline(r *request, nout int) (answered bool, err error) {
-	if e.memo == nil || e.noInline || !r.memoizable {
-		return false, nil
-	}
-	e.carve(r, nout)
-	n := len(r.tasks)
-	if cap(r.serve) < n {
-		r.serve = make([]core.ServeTask, n)
-	}
-	if cap(r.hitRegs) < n {
-		r.hitRegs = make([]hitRegions, n)
-	}
-	r.serve, r.hitRegs = r.serve[:n], r.hitRegs[:n]
-	for j, t := range r.tasks {
-		st := &r.serve[j]
-		st.Type = r.types[j]
-		st.Ins, st.Outs = r.hitRegs[j].set(t.Input, r.outs[j])
-		st.Run = e.kernels[t.Kind]
-	}
-	var admitted int64
-	var over *OverloadError
-	executed, ok := e.memo.Serve(r.serve, func(misses int) bool {
-		admitted = int64(misses)
-		over = e.admit(admitted)
-		return over == nil
-	})
-	if over != nil {
-		return true, e.shed(r, over)
-	}
-	if !ok {
-		return false, nil // declined before hashing
-	}
-	e.queued.Add(-admitted)
-	// A group of its own, run to completion: Counters folds these into
-	// Requests, Tasks and Batches.
-	e.inlineReqs.Add(1)
-	e.inlineTasks.Add(int64(n))
-	r.group = GroupStats{Tasks: int64(n), Executed: int64(executed), MemoTHT: int64(n - executed)}
-	return true, nil
-}
-
 // Do submits a group of tasks and blocks until their outputs are
 // ready. The group is admitted or shed atomically: on success every
 // task's output vector is returned in order, plus the group's own ATM
-// stats; past the watermark it returns *OverloadError without queueing
+// stats; past the watermark it returns *OverloadError without running
 // anything.
 func (e *Engine) Do(tasks []Task) ([][]float64, GroupStats, error) {
 	e.life.RLock()
@@ -600,11 +491,13 @@ func (e *Engine) Do(tasks []Task) ([][]float64, GroupStats, error) {
 	return outs, g, nil
 }
 
-// submit serves r.tasks — inline when every task is memoizable and of a
-// steady type, else through the runtime — and fills in r.outs and
-// r.group. The caller holds e.life shared until it has replied. On
-// success the caller releases r once it has consumed r.outs and r.group;
-// on error submit has disposed of r itself.
+// submit serves r.tasks on the caller's goroutine and fills in r.outs
+// and r.group. The request is admitted for the bodies it runs — misses,
+// training tasks and non-memoizable tasks; every task on a baseline
+// engine — against the watermark and for as long as they run; one that
+// is all hits is never shed. The caller holds e.life shared until it has
+// replied. On success the caller releases r once it has consumed r.outs
+// and r.group; on error submit has disposed of r itself.
 func (e *Engine) submit(r *request) error {
 	if e.closed {
 		e.release(r)
@@ -615,73 +508,58 @@ func (e *Engine) submit(r *request) error {
 		e.release(r)
 		return err
 	}
-	if answered, err := e.serveInline(r, nout); answered {
-		return err
+	e.carve(r, nout)
+	n := len(r.tasks)
+	if cap(r.serve) < n {
+		r.serve = make([]core.ServeTask, n)
 	}
-	// Admitted whole before it waits for the runtime lock, so the
-	// watermark bounds the lock's waiters too.
-	n := int64(len(r.tasks))
-	if over := e.admit(n); over != nil {
+	if cap(r.hitRegs) < n {
+		r.hitRegs = make([]hitRegions, n)
+	}
+	r.serve, r.hitRegs = r.serve[:n], r.hitRegs[:n]
+	memoizable := 0
+	for j, t := range r.tasks {
+		st := &r.serve[j]
+		st.Type = r.types[j]
+		st.Ins, st.Outs = r.hitRegs[j].set(t.Input, r.outs[j])
+		st.Run = e.kernels[t.Kind]
+		if st.Type.Config().Memoize {
+			memoizable++
+		}
+	}
+	var admitted int64
+	var over *OverloadError
+	admit := func(bodies int) bool {
+		admitted = int64(bodies)
+		over = e.admit(admitted)
+		return over == nil
+	}
+	if e.memo == nil {
+		if admit(n) {
+			for j := range r.serve {
+				st := &r.serve[j]
+				st.Run(st.Ins, st.Outs)
+			}
+		}
+	} else {
+		executed, _ := e.memo.Serve(r.serve, admit)
+		r.group = GroupStats{Tasks: int64(memoizable), Executed: int64(executed), MemoTHT: int64(memoizable - executed)}
+	}
+	if over != nil {
 		return e.shed(r, over)
 	}
-	// Only an admitted request pays for its region headers and a zeroed
-	// output slab: a request shed above was validated and nothing more
-	// (the inline attempt, when all its kinds are memoizable, declined
-	// before hashing).
-	e.layout(r, nout)
-	e.run(r)
-	e.queued.Add(-n)
+	e.queued.Add(-admitted)
 	e.requests.Add(1)
-	e.tasks.Add(n)
+	e.tasks.Add(int64(n))
 	return nil
 }
 
-// run submits r's tasks as one batch under the runtime lock, waits for
-// their fence and resets the runtime's dependence state: r's regions
-// are dead after its fence, so the live-slot list never holds more than
-// one request's slots. r.group is the diff of the workers' ATM counters
-// around the fence, r's alone: nothing else submits while the lock is
-// held, and what handlers serve inline meanwhile is not in the workers'
-// counters.
-func (e *Engine) run(r *request) {
-	for j, tt := range r.types {
-		r.entries = append(r.entries, taskrt.Desc(tt,
-			taskrt.In(&r.regs[2*j]), taskrt.Out(&r.regs[2*j+1])))
-	}
-	e.rtMu.Lock()
-	pre := e.memoTotals()
-	e.rt.SubmitBatch(r.entries)
-	e.rt.Wait()
-	post := e.memoTotals()
-	e.rt.Reset()
-	e.rtMu.Unlock()
-	clear(r.entries) // keep the buffer, not the regions it points at
-	r.entries = r.entries[:0]
-	r.group = GroupStats{
-		Tasks:    post.Tasks - pre.Tasks,
-		Executed: post.Executed - pre.Executed,
-		MemoTHT:  post.MemoizedTHT - pre.MemoizedTHT,
-		MemoIKT:  post.MemoizedIKT - pre.MemoizedIKT,
-	}
-}
-
-// memoTotals reads the ATM activity counters run diffs: the runtime
-// workers' only, so what handler goroutines serve inline during a fence
-// is not attributed to it.
-func (e *Engine) memoTotals() core.TaskTotals {
-	if e.memo == nil {
-		return core.TaskTotals{}
-	}
-	return e.memo.WorkerTotals()
-}
-
-// admit counts n tasks into the backlog, or leaves it as it was and
+// admit counts n bodies into the backlog, or leaves it as it was and
 // returns the overload when they would push it past the watermark.
 func (e *Engine) admit(n int64) *OverloadError {
-	limit := int64(e.rt.BacklogLimit())
-	if q := e.queued.Add(n); q > limit {
+	if q := e.queued.Add(n); q > e.backlog {
 		e.queued.Add(-n)
-		return &OverloadError{Queued: q - n, Limit: limit}
+		return &OverloadError{Queued: q - n, Limit: e.backlog}
 	}
 	return nil
 }
@@ -704,8 +582,8 @@ func (e *Engine) Lookup(kind string, input []float64) ([]float64, bool, error) {
 // LookupTenant probes the memoization table for the outputs the engine
 // would serve for (tenant, kind, input) right now, without executing
 // anything; on a hit they are returned in dst's memory when it has room
-// (a caller that recycles dst looks up without allocating). It never
-// takes the runtime lock and is quiet (core.Peek): the table's
+// (a caller that recycles dst looks up without allocating). It is
+// quiet (core.Peek): the table's
 // counters and its eviction state do not move, only Counters.Lookups
 // and LookupHits. A tenant that never submitted is simply a miss: the
 // read path must not allocate namespaces.
@@ -732,7 +610,7 @@ func (e *Engine) LookupTenant(tenant, kind string, input, dst []float64) ([]floa
 		dst = make([]float64, k.Out)
 	}
 	dst = dst[:k.Out]
-	// The region headers come from a pooled request, as serveInline's do.
+	// The region headers come from a pooled request, as submit's do.
 	r := e.getRequest()
 	if cap(r.hitRegs) == 0 {
 		r.hitRegs = make([]hitRegions, 1)
@@ -749,9 +627,8 @@ func (e *Engine) LookupTenant(tenant, kind string, input, dst []float64) ([]floa
 }
 
 // Snapshot runs the configured Save hook (the delta-chain append under
-// harness serve mode) under the runtime lock, so it is serialized with
-// runtime fences and sees a quiesced runtime. The hook alone decides
-// where state is written.
+// harness serve mode), after any save already running. The hook alone
+// decides where state is written.
 func (e *Engine) Snapshot() error {
 	if e.memo == nil || e.cfg.Save == nil {
 		return ErrNoPersistence
@@ -765,7 +642,7 @@ func (e *Engine) Snapshot() error {
 }
 
 // Close waits for every request and Snapshot that passed its closed
-// check before it, on either path, then stops the periodic saver, runs
+// check before it, then stops the periodic saver, runs
 // a final save (when configured) and stops the runtime; requests and
 // Snapshots after it get ErrClosed. It returns the final save's error,
 // if any, and so does every later Close, once the first has returned.
@@ -786,11 +663,11 @@ func (e *Engine) Close() error {
 	return e.SaveErr()
 }
 
-// save runs the Save hook under the runtime lock.
+// save runs the Save hook, one save at a time.
 func (e *Engine) save() error {
-	e.rtMu.Lock()
+	e.saveMu.Lock()
 	err := e.cfg.Save()
-	e.rtMu.Unlock()
+	e.saveMu.Unlock()
 	if err != nil {
 		e.setSaveErr(err)
 	} else {

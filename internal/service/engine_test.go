@@ -21,15 +21,14 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 }
 
 // TestEngineExecutesCorrectly checks Do's outputs equal the kernel run
-// directly — through the runtime's submit/fence path or the inline
-// path, memoized or not.
+// directly, memoized or not.
 func TestEngineExecutesCorrectly(t *testing.T) {
 	for _, memo := range []bool{false, true} {
 		var atm *core.ATM
 		if memo {
 			atm = core.New(core.Config{Mode: core.ModeStatic})
 		}
-		e := newTestEngine(t, Config{Workers: 2, Memo: atm})
+		e := newTestEngine(t, Config{Memo: atm})
 		k, _ := KindByName("lu")
 		in := Input(k, 3, 7)
 		want := make([]float64, k.Out)
@@ -52,7 +51,7 @@ func TestEngineExecutesCorrectly(t *testing.T) {
 // engine to serve later rounds from the table.
 func TestEngineMemoizes(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeDynamic})
-	e := newTestEngine(t, Config{Workers: 2, Memo: atm})
+	e := newTestEngine(t, Config{Memo: atm})
 	k, _ := KindByName("blackscholes")
 	tasks := make([]Task, 8)
 	for i := range tasks {
@@ -80,7 +79,7 @@ func TestEngineMemoizes(t *testing.T) {
 // shed with OverloadError, none may be lost, and every accepted task
 // completes.
 func TestEngineSheds(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, Backlog: 64})
+	e := newTestEngine(t, Config{Backlog: 64})
 	in := Input(mustKind(t, "spin"), 1, 1)
 	// Each request carries 8 spin tasks, so 32 concurrent senders keep
 	// up to 256 tasks pending against the 64-task watermark.
@@ -133,10 +132,8 @@ func TestEngineSheds(t *testing.T) {
 // TestShedPaysOnlyValidation: a group refused at the watermark was
 // validated and nothing more was built for it — no region headers, no
 // output slab, no zeroing. The one allocation left is the OverloadError
-// itself. With a memoizer attached a shed group has also paid the inline
-// attempt it abandoned: the sampled hashes up to its first miss, out of
-// pooled memory, and nothing at all when any of its kinds is not
-// memoizable (checked before the first hash).
+// itself. With a memoizer attached a shed group has also paid core.Serve's
+// probe: the sampled hashes of its steady tasks, out of pooled memory.
 func TestShedPaysOnlyValidation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -152,7 +149,7 @@ func TestShedPaysOnlyValidation(t *testing.T) {
 		{"hit then miss", true, []Task{warm, {Kind: "lu", Input: Input(lu, 2, 1)}}},
 		{"hit then not memoizable", true, []Task{warm, {Kind: "spin", Input: Input(spin, 1, 1)}}},
 	} {
-		cfg := Config{Workers: 1, Backlog: 64}
+		cfg := Config{Backlog: 64}
 		if tc.memo {
 			cfg.Memo = core.New(core.Config{Mode: core.ModeStatic})
 		}
@@ -190,7 +187,7 @@ func mustKind(t testing.TB, name string) Kind {
 }
 
 func TestEngineValidates(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1})
+	e := newTestEngine(t, Config{})
 	var bad *BadTaskError
 	if _, _, err := e.Do(nil); !errors.As(err, &bad) {
 		t.Errorf("empty list: %v", err)
@@ -205,7 +202,7 @@ func TestEngineValidates(t *testing.T) {
 
 func TestEngineLookup(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeStatic})
-	e := newTestEngine(t, Config{Workers: 1, Memo: atm})
+	e := newTestEngine(t, Config{Memo: atm})
 	k := mustKind(t, "lu")
 	in := Input(k, 11, 0)
 	if _, hit, err := e.Lookup("lu", in); err != nil || hit {
@@ -244,13 +241,12 @@ func TestEngineLookup(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshot: Snapshot runs the Save hook under the runtime
-// lock, where the table is quiescent, and counts the save; an engine without
-// a hook refuses it.
+// TestEngineSnapshot: Snapshot runs the Save hook and counts the save;
+// an engine without a hook refuses it.
 func TestEngineSnapshot(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeStatic})
 	var snap *core.Snapshot
-	e := newTestEngine(t, Config{Workers: 1, Memo: atm, Save: func() (err error) {
+	e := newTestEngine(t, Config{Memo: atm, Save: func() (err error) {
 		snap, err = atm.Snapshot()
 		return err
 	}})
@@ -274,21 +270,21 @@ func TestEngineSnapshot(t *testing.T) {
 		t.Fatalf("saves = %d, want 1", c.Saves)
 	}
 
-	hookless := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
+	hookless := newTestEngine(t, Config{Memo: core.New(core.Config{Mode: core.ModeStatic})})
 	if err := hookless.Snapshot(); !errors.Is(err, ErrNoPersistence) {
 		t.Fatalf("snapshot without a Save hook: %v", err)
 	}
 }
 
 func TestEngineSnapshotWithoutMemo(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, Save: func() error { return nil }})
+	e := newTestEngine(t, Config{Save: func() error { return nil }})
 	if err := e.Snapshot(); !errors.Is(err, ErrNoPersistence) {
 		t.Fatalf("baseline snapshot: %v", err)
 	}
 }
 
 func TestEngineClose(t *testing.T) {
-	e := New(Config{Workers: 1})
+	e := New(Config{})
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +312,7 @@ func TestCloseWaitsForHandlerRequests(t *testing.T) {
 	rec := httptest.NewRecorder()
 	var replied bool
 	var entries int
-	e := New(Config{Workers: 1, Memo: memo, KindList: kinds, Save: func() error {
+	e := New(Config{Memo: memo, KindList: kinds, Save: func() error {
 		replied = rec.Body.Len() > 0 // Close's final save, the only one
 		snap, err := memo.Snapshot()
 		for _, ts := range snap.Types {
@@ -364,8 +360,8 @@ func TestCloseWaitsForHandlerRequests(t *testing.T) {
 	if want := `{"results":[{"output":[2]}],"batch":{"tasks":1,"executed":1,"memo_tht":0,"memo_ikt":0}}` + "\n"; rec.Code != http.StatusOK || rec.Body.String() != want {
 		t.Errorf("reply: HTTP %d %s, want %s", rec.Code, rec.Body, want)
 	}
-	if c := e.Counters(); c.InlineRequests != 1 {
-		t.Errorf("the request was not served on its handler: %+v", c)
+	if c := e.Counters(); c.Requests != 1 {
+		t.Errorf("the request was not counted: %+v", c)
 	}
 	if _, _, err := e.Do([]Task{{Kind: "block", Input: []float64{2}}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Do after Close: %v", err)

@@ -19,10 +19,9 @@ import (
 //
 //	POST /v1/submit    JSON {"tasks":[{"kind":"...","input":[...]}]} or
 //	                   binary application/x-atm-tasks; answered on the
-//	                   handler goroutine, through core.Serve when every
-//	                   task is memoizable and of a steady type (hits
-//	                   copied, misses run there), else as one SubmitBatch
-//	                   under the runtime lock.
+//	                   handler goroutine by core.Serve (hits copied;
+//	                   misses, training and non-memoizable tasks run
+//	                   there).
 //	                   A per-task "tenant" field (or the X-ATM-Tenant
 //	                   header for the whole request) selects the
 //	                   memoization namespace.
@@ -64,11 +63,6 @@ type StatsResponse struct {
 	Saves        int64 `json:"saves"`
 	Queued       int64 `json:"queued"`
 	BacklogLimit int64 `json:"backlog_limit"`
-
-	// InlineRequests / InlineTasks are the part of Requests / Tasks served
-	// by core.Serve, hits and misses, without the runtime.
-	InlineRequests int64 `json:"inline_requests"`
-	InlineTasks    int64 `json:"inline_tasks"`
 
 	Memoizing   bool   `json:"memoizing"`
 	ATMTasks    int64  `json:"atm_tasks"`
@@ -124,8 +118,6 @@ func (s StatsResponse) Sub(prev StatsResponse) StatsResponse {
 	d.ShedRequests -= prev.ShedRequests
 	d.ShedTasks -= prev.ShedTasks
 	d.Batches -= prev.Batches
-	d.InlineRequests -= prev.InlineRequests
-	d.InlineTasks -= prev.InlineTasks
 	d.Lookups -= prev.Lookups
 	d.LookupHits -= prev.LookupHits
 	d.Saves -= prev.Saves
@@ -388,7 +380,7 @@ func (s *Server) BuildStats() StatsResponse {
 	resp := StatsResponse{
 		Requests: c.Requests, Tasks: c.Tasks,
 		ShedRequests: c.ShedRequests, ShedTasks: c.ShedTasks,
-		Batches: c.Batches, InlineRequests: c.InlineRequests, InlineTasks: c.InlineTasks,
+		Batches: c.Batches,
 		Lookups: c.Lookups, LookupHits: c.LookupHits,
 		Saves: c.Saves, Queued: c.Queued, BacklogLimit: c.BacklogLimit,
 		Memoizing: s.e.Memoizing(),
@@ -443,20 +435,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 
-	p.Family("atmd_tasks_total", "counter", "Tasks served through /v1/submit, by core.Serve or through the task runtime.")
+	p.Family("atmd_tasks_total", "counter", "Tasks served through /v1/submit, each on its request's handler by core.Serve.")
 	p.Sample("atmd_tasks_total", nil, float64(c.Tasks))
-	p.Family("atmd_inline_requests_total", "counter", "Submit requests by how they ran: served by core.Serve (every task memoizable and steady; hits copied, misses run on the handler), or fallback to the task runtime under its lock.")
-	p.Sample("atmd_inline_requests_total", []metrics.Label{{Name: "outcome", Value: "served"}}, float64(c.InlineRequests))
-	p.Sample("atmd_inline_requests_total", []metrics.Label{{Name: "outcome", Value: "fallback"}}, float64(c.Requests-c.InlineRequests))
 	p.Family("atmd_shed_tasks_total", "counter", "Tasks shed at the admission watermark (429).")
 	p.Sample("atmd_shed_tasks_total", nil, float64(c.ShedTasks))
 	p.Family("atmd_batches_total", "counter", "Groups run to completion: one per served submit request, so it equals the request count.")
 	p.Sample("atmd_batches_total", nil, float64(c.Batches))
 	p.Family("atmd_snapshot_saves_total", "counter", "Completed snapshot saves.")
 	p.Sample("atmd_snapshot_saves_total", nil, float64(c.Saves))
-	p.Family("atmd_queue_tasks", "gauge", "Tasks admitted but not yet completed.")
+	p.Family("atmd_queue_tasks", "gauge", "Admitted task bodies still running.")
 	p.Sample("atmd_queue_tasks", nil, float64(c.Queued))
-	p.Family("atmd_backlog_limit_tasks", "gauge", "Current admission watermark (adaptive unless -backlog fixed it).")
+	p.Family("atmd_backlog_limit_tasks", "gauge", "Admission watermark in running task bodies (-backlog, or 4096).")
 	p.Sample("atmd_backlog_limit_tasks", nil, float64(c.BacklogLimit))
 	p.Family("atmd_uptime_seconds", "gauge", "Seconds since the server started.")
 	p.Sample("atmd_uptime_seconds", nil, time.Since(s.start).Seconds())

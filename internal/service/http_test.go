@@ -38,7 +38,7 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 
 func TestHTTPSubmitAndLookup(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeStatic})
-	_, ts := newTestServer(t, Config{Workers: 2, Memo: atm})
+	_, ts := newTestServer(t, Config{Memo: atm})
 
 	// Submit by key: the server expands the input deterministically.
 	var sub submitResponse
@@ -106,7 +106,7 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 func TestHTTPSubmitBinary(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	k, _ := KindByName("swaptions")
 	in := Input(k, 9, 9)
 	payload, err := EncodeBinaryTasks([]Task{{Kind: "swaptions", Input: in}})
@@ -147,7 +147,7 @@ func TestHTTPSubmitBinary(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	cases := []string{
 		`not json at all`,
 		`{"tasks":[]}`,
@@ -198,7 +198,7 @@ func TestHTTPBadRequests(t *testing.T) {
 // a name validTenant bounds.
 func TestHTTPTenantNamespace(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeStatic})
-	s, ts := newTestServer(t, Config{Workers: 1, Memo: atm, MaxTenants: 2})
+	s, ts := newTestServer(t, Config{Memo: atm, MaxTenants: 2})
 
 	submit := func(body string) (int, batchBreakdown) {
 		t.Helper()
@@ -291,7 +291,7 @@ func TestHTTPTenantNamespace(t *testing.T) {
 // TestHTTPShed floods a tiny fixed watermark with non-memoizable spin
 // tasks: some requests must come back 429 with Retry-After.
 func TestHTTPShed(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Backlog: 64})
+	_, ts := newTestServer(t, Config{Backlog: 64})
 	in := Input(mustKind(t, "spin"), 1, 1)
 	inJSON, _ := json.Marshal(in)
 	// 8 spin tasks per request: 32 concurrent senders keep up to 256
@@ -353,10 +353,9 @@ func TestHTTPShed(t *testing.T) {
 
 func TestHTTPMetricsAndStats(t *testing.T) {
 	atm := core.New(core.Config{Mode: core.ModeDynamic})
-	s, ts := newTestServer(t, Config{Workers: 1, Memo: atm})
+	s, ts := newTestServer(t, Config{Memo: atm})
 	// One miss, then fifteen graded training hits (LTraining) take the
-	// type steady: the loop runs sixteen requests, the last four are
-	// served inline.
+	// type steady: sixteen requests run the kernel, the last four hit.
 	for rep := 0; rep < 20; rep++ {
 		postJSON(t, ts.URL+"/v1/submit", `{"tasks":[{"kind":"stencil","key":1}]}`)
 	}
@@ -372,9 +371,6 @@ func TestHTTPMetricsAndStats(t *testing.T) {
 		"# TYPE atmd_requests_total counter\n",
 		`atmd_requests_total{route="submit",code="200"} 20` + "\n",
 		"atmd_tasks_total 20\n",
-		"# TYPE atmd_inline_requests_total counter\n",
-		`atmd_inline_requests_total{outcome="served"} 4` + "\n",
-		`atmd_inline_requests_total{outcome="fallback"} 16` + "\n",
 		"atmd_batches_total 20\n",
 		"# TYPE atmd_submit_seconds histogram\n",
 		"atmd_submit_seconds_count 20\n",
@@ -391,20 +387,19 @@ func TestHTTPMetricsAndStats(t *testing.T) {
 
 	st := s.BuildStats()
 	if st.Requests != 20 || st.Tasks != 20 || st.ATMTasks != 20 || st.Batches != 20 ||
-		st.InlineRequests != 4 || st.InlineTasks != 4 || st.MemoTHT != 4 {
+		st.ATMExecuted != 16 || st.MemoTHT != 4 {
 		t.Errorf("stats: %+v", st)
 	}
 	if !st.Memoizing {
 		t.Error("stats: memoizing false with an ATM attached")
 	}
-	diff := st.Sub(StatsResponse{Requests: 4, ATMTasks: 4, InlineRequests: 1, InlineTasks: 1})
-	if diff.Requests != 16 || diff.ATMTasks != 16 || diff.InlineRequests != 3 || diff.InlineTasks != 3 {
+	diff := st.Sub(StatsResponse{Requests: 4, ATMTasks: 4, MemoTHT: 1})
+	if diff.Requests != 16 || diff.ATMTasks != 16 || diff.MemoTHT != 3 {
 		t.Errorf("diff: %+v", diff)
 	}
-	// The new fields are additive: a client decoding the reply as before
-	// still reads what it read.
+	// FetchStats reads what BuildStats built.
 	fetched, err := FetchStats(http.DefaultClient, ts.URL)
-	if err != nil || fetched.Requests != 20 || fetched.InlineRequests != 4 || fetched.InlineTasks != 4 {
+	if err != nil || fetched.Requests != 20 || fetched.MemoTHT != 4 {
 		t.Errorf("FetchStats: %+v, %v", fetched, err)
 	}
 
@@ -417,7 +412,7 @@ func TestHTTPMetricsAndStats(t *testing.T) {
 // TestMetricsCountUnlistedStatus: a status outside statusCodes is still
 // counted, under code="other".
 func TestMetricsCountUnlistedStatus(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	s.handle("GET /teapot", "teapot", nil, func(w http.ResponseWriter, r *http.Request) int {
 		w.WriteHeader(http.StatusTeapot)
 		return http.StatusTeapot
@@ -432,7 +427,7 @@ func TestMetricsCountUnlistedStatus(t *testing.T) {
 }
 
 func TestHTTPSnapshotNoPersistence(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +444,7 @@ func TestHTTPSnapshotNoPersistence(t *testing.T) {
 // state is written, and one past the 64 KiB cap.
 func TestHTTPSnapshotBody(t *testing.T) {
 	memo := core.New(core.Config{Mode: core.ModeStatic})
-	s, ts := newTestServer(t, Config{Workers: 1, Memo: memo, Save: func() error { return nil }})
+	s, ts := newTestServer(t, Config{Memo: memo, Save: func() error { return nil }})
 	stolen := filepath.Join(t.TempDir(), "stolen.atmsnap")
 	for _, c := range []struct {
 		name, body string

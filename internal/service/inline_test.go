@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,19 +10,22 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"atm/internal/core"
+	"atm/internal/region"
+	"atm/internal/taskrt"
 )
 
-// These tests pin the inline path (Engine.serveInline over core.Serve):
-// that it is invisible except in speed, in the two inline counters and in
-// the IKT's, that every reason to decline hands the request to the
-// runtime whole, and that it holds up against the runtime's inserts,
-// evictions and saves. ("Loop" in a test name means the runtime path.)
+// These tests pin the handler path (Engine.submit over core.Serve): that
+// it answers as the task runtime's workers would, that every kind of
+// request is served on it, and that it holds up against concurrent
+// training, inserts, evictions and saves. ("Loop" in a test name means a
+// task runtime's workers, the reference the handler path is held to.)
 
 var memoKindNames = []string{"blackscholes", "kmeans", "lu", "stencil", "swaptions"}
 
@@ -77,12 +81,79 @@ func inlineStream(t *testing.T, seed int64, n int) []inlineStreamReq {
 	return reqs
 }
 
-// TestInlineMatchesLoop sends one stream, one client, through an engine
-// with the inline path on and one with it off: every reply is the same
-// bytes, and afterwards core.Stats and the table's contents are equal —
-// budgeted and not, Static and Dynamic — but for what differs by design:
-// the IKT counters (misses run on a handler take no IKT slot), provider
-// ids and clock estimates.
+// loopRef is the reference the handler path is held to: a task runtime
+// with one worker over an ATM engine of its own, with the service's
+// types registered in the engine's order, running a request's tasks one
+// at a time.
+type loopRef struct {
+	rt    *taskrt.Runtime
+	memo  *core.ATM
+	types map[string]*taskrt.TaskType
+}
+
+func newLoopRef(t *testing.T, memo *core.ATM) *loopRef {
+	l := &loopRef{memo: memo, types: map[string]*taskrt.TaskType{}}
+	l.rt = taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
+	t.Cleanup(l.rt.Close)
+	for _, k := range Kinds() {
+		l.typeOf("", k)
+	}
+	return l
+}
+
+// typeOf registers (tenant, k) on first use, as Engine.registerType does.
+func (l *loopRef) typeOf(tenant string, k Kind) *taskrt.TaskType {
+	name := typeName(tenant, k)
+	if tt := l.types[name]; tt != nil {
+		return tt
+	}
+	tt := l.rt.RegisterType(taskrt.TypeConfig{Name: name, Memoize: k.Memoize, Run: func(t *taskrt.Task) {
+		k.Fn(t.Float64s(0), t.Float64s(1))
+	}})
+	if k.Memoize {
+		l.memo.ChosenLevel(tt)
+	}
+	l.types[name] = tt
+	return tt
+}
+
+// run runs tasks in order and returns their outputs and the ATM
+// activity they caused.
+func (l *loopRef) run(t *testing.T, tenant string, tasks []Task) ([][]float64, GroupStats) {
+	totals := func() (g GroupStats) {
+		for _, ty := range l.memo.Stats().Types {
+			g.Tasks += ty.Tasks
+			g.Executed += ty.Executed
+			g.MemoTHT += ty.MemoizedTHT
+			g.MemoIKT += ty.MemoizedIKT
+		}
+		return g
+	}
+	pre := totals()
+	outs := make([][]float64, len(tasks))
+	for j, task := range tasks {
+		k := mustKind(t, task.Kind)
+		out := region.NewFloat64(k.Out)
+		l.rt.Submit(l.typeOf(tenant, k), taskrt.In(&region.Float64{Data: task.Input}), taskrt.Out(out))
+		l.rt.Wait()
+		outs[j] = out.Data
+	}
+	post := totals()
+	return outs, GroupStats{
+		Tasks:    post.Tasks - pre.Tasks,
+		Executed: post.Executed - pre.Executed,
+		MemoTHT:  post.MemoTHT - pre.MemoTHT,
+		MemoIKT:  post.MemoIKT - pre.MemoIKT,
+	}
+}
+
+// TestInlineMatchesLoop sends one stream, one client, through the
+// service's submit route and through a task runtime's worker (loopRef):
+// every reply holds the worker's outputs bit for bit and the batch the
+// worker's counters moved by, and afterwards core.Stats and the table's
+// contents are equal — budgeted and not, Static and Dynamic, so training
+// included — but for what differs by design: the IKT counters (handlers
+// take no IKT slot), provider ids and clock estimates.
 func TestInlineMatchesLoop(t *testing.T) {
 	type variant struct {
 		mode   core.Mode
@@ -93,110 +164,93 @@ func TestInlineMatchesLoop(t *testing.T) {
 		variants = append(variants, variant{mode, 0}, variant{mode, 96 << 10})
 	}
 	reqs := inlineStream(t, 22, 500)
-	bodies := make([][]byte, len(reqs))
-	for i, r := range reqs {
-		var err error
-		if bodies[i], err = EncodeBinaryTasks(r.tasks); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, v := range variants {
 		t.Run(fmt.Sprintf("%v/%d", v.mode, v.budget), func(t *testing.T) {
-			type side struct {
-				eng *Engine
-				srv *Server
-				// table is what the Save hook last read, under the
-				// runtime lock.
-				table *core.Snapshot
-			}
-			var sides [2]side // inline on, inline off
-			for i := range sides {
-				s := &sides[i]
-				memo := core.New(core.Config{Mode: v.mode, THTBudgetBytes: v.budget})
-				s.eng = newTestEngine(t, Config{Workers: 1, Memo: memo, Save: func() (err error) {
-					s.table, err = memo.Snapshot()
-					return err
-				}})
-				s.eng.noInline = i == 1
-				s.srv = NewServer(s.eng)
-			}
-			for i, body := range bodies {
-				var replies [2][]byte
-				for s := range sides {
-					req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(body))
-					req.Header.Set("Content-Type", binaryContentType)
-					if reqs[i].tenant != "" {
-						req.Header.Set("X-ATM-Tenant", reqs[i].tenant)
-					}
-					rec := httptest.NewRecorder()
-					sides[s].srv.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						t.Fatalf("request %d, side %d: HTTP %d: %s", i, s, rec.Code, rec.Body)
-					}
-					replies[s] = rec.Body.Bytes()
+			cfg := core.Config{Mode: v.mode, THTBudgetBytes: v.budget}
+			memo := core.New(cfg)
+			var table *core.Snapshot // what the Save hook last read
+			eng := newTestEngine(t, Config{Memo: memo, Save: func() (err error) {
+				table, err = memo.Snapshot()
+				return err
+			}})
+			srv := NewServer(eng)
+			loop := newLoopRef(t, core.New(cfg))
+			tasks := 0
+			for i, r := range reqs {
+				body, err := EncodeBinaryTasks(r.tasks)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !bytes.Equal(replies[0], replies[1]) {
-					t.Fatalf("request %d: replies differ\ninline %s\nloop   %s", i, replies[0], replies[1])
+				req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(body))
+				req.Header.Set("Content-Type", binaryContentType)
+				if r.tenant != "" {
+					req.Header.Set("X-ATM-Tenant", r.tenant)
 				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("request %d: HTTP %d: %s", i, rec.Code, rec.Body)
+				}
+				var reply submitResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+					t.Fatal(err)
+				}
+				want, wantBatch := loop.run(t, r.tenant, r.tasks)
+				for j, res := range reply.Results {
+					if !reflect.DeepEqual(res.Output, want[j]) {
+						t.Fatalf("request %d, task %d: the handler answered %v, the worker %v", i, j, res.Output, want[j])
+					}
+				}
+				if got := (GroupStats{reply.Batch.Tasks, reply.Batch.Executed, reply.Batch.MemoTHT, reply.Batch.MemoIKT}); got != wantBatch {
+					t.Fatalf("request %d: batch %+v, the worker's %+v", i, got, wantBatch)
+				}
+				tasks += len(r.tasks)
+			}
+			if c := eng.Counters(); c.Requests != int64(len(reqs)) || c.Tasks != int64(tasks) || c.Batches != c.Requests {
+				t.Errorf("counters %+v after %d requests of %d tasks", c, len(reqs), tasks)
 			}
 
-			on, off := sides[0].eng.Counters(), sides[1].eng.Counters()
-			if off.InlineRequests != 0 {
-				t.Fatalf("the loop-only engine served %d requests inline", off.InlineRequests)
-			}
-			if on.InlineRequests < int64(len(reqs))/10 {
-				t.Errorf("only %d of %d requests were served inline: the test compares little", on.InlineRequests, len(reqs))
-			}
-			if iktOn, iktOff := sides[0].eng.Stats().IKTInserts, sides[1].eng.Stats().IKTInserts; iktOn >= iktOff {
-				t.Errorf("the inline side registered %d IKT providers, the loop side %d: no miss ran on a handler", iktOn, iktOff)
-			}
-			on.InlineRequests, on.InlineTasks = 0, 0
-			on.BacklogLimit, off.BacklogLimit = 0, 0 // adaptive: follows what the runtime saw
-			if on != off {
-				t.Errorf("engine counters differ\ninline %+v\nloop   %+v", on, off)
-			}
-
-			var stats [2]core.Stats
-			var tables [2][]core.TypeSnapshot
-			for s := range sides {
-				stats[s] = sides[s].eng.Stats()
+			stats := [2]core.Stats{eng.Stats(), loop.memo.Stats()}
+			for s := range stats {
 				for i := range stats[s].Types { // estimates from a clock, not counts
 					stats[s].Types[i].HashTime, stats[s].Types[i].CopyTime = 0, 0
 				}
-				// Only the runtime's misses register in the IKT.
+				// Only the worker's misses register in the IKT.
 				stats[s].IKTInserts, stats[s].IKTDefers, stats[s].IKTRejected = 0, 0, 0
-				if err := sides[s].eng.Snapshot(); err != nil {
-					t.Fatal(err)
-				}
-				tables[s] = sides[s].table.Types
-				for i := range tables[s] {
-					for j := range tables[s][i].Entries {
-						// A task id, or core's own for an entry a handler
-						// inserted.
-						tables[s][i].Entries[j].Provider = 0
-					}
-				}
 			}
 			a, b := stats[0], stats[1]
-			if len(a.Types) != len(b.Types) {
-				t.Fatalf("type counts differ: %d vs %d", len(a.Types), len(b.Types))
-			}
-			for i := range a.Types {
-				if a.Types[i] != b.Types[i] {
-					t.Errorf("type %s differs\ninline %+v\nloop   %+v", a.Types[i].Name, a.Types[i], b.Types[i])
-				}
-			}
-			if a.THTLookups != b.THTLookups || a.THTHits != b.THTHits || a.THTEvictions != b.THTEvictions ||
-				a.THTBudgetEvictions != b.THTBudgetEvictions || a.THTAdmissionRejects != b.THTAdmissionRejects {
-				t.Errorf("table counters differ\ninline %+v\nloop   %+v", a, b)
-			}
 			if !reflect.DeepEqual(a, b) {
-				t.Errorf("core.Stats differ\ninline %+v\nloop   %+v", a, b)
+				t.Errorf("core.Stats differ\nhandler %+v\nworker  %+v", a, b)
 			}
 			if v.budget > 0 && a.THTBudgetEvictions == 0 {
 				t.Error("the budget never evicted: the test compares no eviction order")
 			}
-			if !reflect.DeepEqual(tables[0], tables[1]) {
+			if v.mode == core.ModeDynamic {
+				trained := 0
+				for _, ty := range a.Types {
+					if ty.TrainingHits > 0 && ty.Steady {
+						trained++
+					}
+				}
+				if trained == 0 {
+					t.Error("no type trained to steady: the test compares no training")
+				}
+			}
+			if err := eng.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := loop.memo.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*core.Snapshot{table, ref} {
+				for i := range s.Types {
+					for j := range s.Types[i].Entries {
+						s.Types[i].Entries[j].Provider = 0 // a task id, or core's own for a handler's insert
+					}
+				}
+			}
+			if !reflect.DeepEqual(table.Types, ref.Types) {
 				t.Error("table contents differ")
 			}
 		})
@@ -226,13 +280,13 @@ func checkOutputs(t testing.TB, got, want [][]float64) {
 	}
 }
 
-// TestInlineFallbacks: one case per reason a request goes to the runtime
-// instead, each checked by the batch it reports and by the inline
-// counters standing still — and, as controls that nothing declines by
-// accident, requests of steady memoizable tasks served on the handler
-// whether they hit or miss.
+// TestInlineFallbacks: one case per kind of request the handler once
+// handed to a task runtime instead — a training type, a non-memoizable
+// kind, a baseline engine — each served now with its outputs and the
+// batch its own tasks make; and, as controls, steady requests that miss
+// and hit.
 func TestInlineFallbacks(t *testing.T) {
-	do := func(t *testing.T, e *Engine, tasks []Task, want GroupStats, inline bool) [][]float64 {
+	do := func(t *testing.T, e *Engine, tasks []Task, want GroupStats) [][]float64 {
 		t.Helper()
 		before := e.Counters()
 		outs, g, err := e.Do(tasks)
@@ -243,69 +297,63 @@ func TestInlineFallbacks(t *testing.T) {
 			t.Errorf("batch = %+v, want %+v", g, want)
 		}
 		after := e.Counters()
-		if served := after.InlineRequests != before.InlineRequests; served != inline {
-			t.Errorf("served inline %v, want %v: counters %+v -> %+v", served, inline, before, after)
-		}
-		if after.Requests != before.Requests+1 || after.Batches != before.Batches+1 {
+		if after.Requests != before.Requests+1 || after.Tasks != before.Tasks+int64(len(tasks)) || after.Queued != 0 {
 			t.Errorf("not counted once: counters %+v -> %+v", before, after)
 		}
 		return outs
 	}
-	viaLoop := func(t *testing.T, e *Engine, tasks []Task, want GroupStats) [][]float64 {
-		t.Helper()
-		return do(t, e, tasks, want, false)
-	}
-	inline := func(t *testing.T, e *Engine, tasks []Task, want GroupStats) [][]float64 {
-		t.Helper()
-		return do(t, e, tasks, want, true)
-	}
 	hot, want := hotTasks(t, 1)
 
 	t.Run("served", func(t *testing.T) { // the control: misses, then hits
-		e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
-		checkOutputs(t, inline(t, e, hot, GroupStats{Tasks: 5, Executed: 5}), want)
-		checkOutputs(t, inline(t, e, hot, GroupStats{Tasks: 5, MemoTHT: 5}), want)
-		if c := e.Counters(); c.InlineRequests != 2 || c.InlineTasks != 10 || c.Requests != 2 || c.Tasks != 10 || c.Batches != 2 {
-			t.Errorf("counters after two inline requests: %+v", c)
-		}
+		e := newTestEngine(t, Config{Memo: core.New(core.Config{Mode: core.ModeStatic})})
+		checkOutputs(t, do(t, e, hot, GroupStats{Tasks: 5, Executed: 5}), want)
+		checkOutputs(t, do(t, e, hot, GroupStats{Tasks: 5, MemoTHT: 5}), want)
 		if st := e.Stats(); st.IKTInserts != 0 {
 			t.Errorf("handler misses took %d IKT slots, want 0", st.IKTInserts)
 		}
 	})
 	t.Run("first miss", func(t *testing.T) { // a miss behind hits is served too
-		e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
-		inline(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
+		e := newTestEngine(t, Config{Memo: core.New(core.Config{Mode: core.ModeStatic})})
+		do(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
 		cold, coldWant := hotTasks(t, 2)
 		mixed := append(append([]Task(nil), hot[:3]...), cold[3])
-		outs := inline(t, e, mixed, GroupStats{Tasks: 4, Executed: 1, MemoTHT: 3})
+		outs := do(t, e, mixed, GroupStats{Tasks: 4, Executed: 1, MemoTHT: 3})
 		checkOutputs(t, outs, append(append([][]float64(nil), want[:3]...), coldWant[3]))
 	})
 	t.Run("training", func(t *testing.T) {
-		e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeDynamic})})
+		e := newTestEngine(t, Config{Memo: core.New(core.Config{Mode: core.ModeDynamic})})
 		for rep := 0; rep < 3; rep++ { // far from LTraining: every task still runs
-			viaLoop(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
+			checkOutputs(t, do(t, e, hot, GroupStats{Tasks: 5, Executed: 5}), want)
+		}
+		for _, ty := range e.Stats().Types {
+			if ty.Tasks > 0 && (ty.Steady || ty.TrainingHits != 2) {
+				t.Errorf("%s: %+v, want two grades and still training", ty.Name, ty)
+			}
 		}
 	})
 	t.Run("not memoizable", func(t *testing.T) {
-		e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic})})
-		inline(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
+		e := newTestEngine(t, Config{Memo: core.New(core.Config{Mode: core.ModeStatic})})
+		do(t, e, hot, GroupStats{Tasks: 5, Executed: 5})
 		spin := mustKind(t, "spin")
-		mixed := append(append([]Task(nil), hot...), Task{Kind: "spin", Input: Input(spin, 1, 1)})
+		in := Input(spin, 1, 1)
+		spinWant := make([]float64, spin.Out)
+		spin.Fn(in, spinWant)
+		mixed := append(append([]Task(nil), hot...), Task{Kind: "spin", Input: in})
 		// The batch counts what ATM saw: the spin task is not among it.
-		outs := viaLoop(t, e, mixed, GroupStats{Tasks: 5, MemoTHT: 5})
-		checkOutputs(t, outs[:5], want)
+		outs := do(t, e, mixed, GroupStats{Tasks: 5, MemoTHT: 5})
+		checkOutputs(t, outs, append(append([][]float64(nil), want...), spinWant))
 	})
 	t.Run("no memoizer", func(t *testing.T) {
-		e := newTestEngine(t, Config{Workers: 1})
-		viaLoop(t, e, hot, GroupStats{})
+		e := newTestEngine(t, Config{})
+		checkOutputs(t, do(t, e, hot, GroupStats{}), want)
 	})
 }
 
 // TestAbandonedInlineLeavesOutputsZeroed: a request's output slab comes
 // from the pool uncleared, and a kernel is not obliged to write every
-// element — so a kernel that writes nothing must still return zeros, on
-// the handler path (a miss run inline) and on the runtime (a request the
-// inline path declined), after requests that filled the slab.
+// element — so a kernel that writes nothing must still return zeros,
+// for a memoizable miss and for a non-memoizable task, after requests
+// that filled the slab.
 func TestAbandonedInlineLeavesOutputsZeroed(t *testing.T) {
 	var dirty atomic.Int64
 	none := func(in, out []float64) { // writes nothing, and counts what it was handed
@@ -322,9 +370,9 @@ func TestAbandonedInlineLeavesOutputsZeroed(t *testing.T) {
 			}
 		}},
 		{Name: "none", In: 1, Out: 32, Memoize: true, Fn: none},
-		{Name: "plain", In: 1, Out: 32, Fn: none}, // not memoizable: declined
+		{Name: "plain", In: 1, Out: 32, Fn: none}, // not memoizable
 	}
-	e := newTestEngine(t, Config{Workers: 1, Memo: core.New(core.Config{Mode: core.ModeStatic}), KindList: kinds})
+	e := newTestEngine(t, Config{Memo: core.New(core.Config{Mode: core.ModeStatic}), KindList: kinds})
 	srv := NewServer(e)
 	post := func(tasks ...Task) [][]float64 {
 		t.Helper()
@@ -362,8 +410,8 @@ func TestAbandonedInlineLeavesOutputsZeroed(t *testing.T) {
 			}
 		}
 	}
-	if c := e.Counters(); c.InlineRequests != 61 || c.Requests != 81 {
-		t.Fatalf("%d of %d requests served inline, want the 61 without a plain task", c.InlineRequests, c.Requests)
+	if c := e.Counters(); c.Requests != 81 {
+		t.Fatalf("%d requests served, want 81", c.Requests)
 	}
 	if n := dirty.Load(); n != 0 {
 		t.Errorf("a kernel saw %d stale output elements", n)
@@ -376,7 +424,7 @@ func TestAbandonedInlineLeavesOutputsZeroed(t *testing.T) {
 // request with one miss is shed whole, leaving no trace in core: no
 // counter, no sketch cell, no entry.
 func TestInlineServedPastWatermark(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, Backlog: 64, Memo: core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: 1 << 20})})
+	e := newTestEngine(t, Config{Backlog: 64, Memo: core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: 1 << 20})})
 	hot, want := hotTasks(t, 1)
 	if _, _, err := e.Do(hot); err != nil {
 		t.Fatal(err)
@@ -401,167 +449,204 @@ func TestInlineServedPastWatermark(t *testing.T) {
 	if after := e.Stats(); !reflect.DeepEqual(after, before) {
 		t.Errorf("the shed request left a trace in core.Stats\n%+v\n%+v", before, after)
 	}
-	if c := e.Counters(); c.ShedRequests != 1 || c.ShedTasks != 5 || c.InlineRequests != 2 || c.Requests != 2 {
+	if c := e.Counters(); c.ShedRequests != 1 || c.ShedTasks != 5 || c.Requests != 2 {
 		t.Errorf("counters: %+v", c)
 	}
 }
 
-// TestLoopBatchStatsAreItsOwn: every request run through the runtime
-// reports exactly its own tasks, the workers' ATM counters diffed around
-// its own fence, while three goroutines contend for the runtime lock and
-// eight serve hot keys inline, whose hits must not land in any diff.
-// Each runtime request is a hit, a never-seen lu task and a spin task,
-// which keeps it off the inline path and which ATM does not see.
-func TestLoopBatchStatsAreItsOwn(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 2, Memo: core.New(core.Config{Mode: core.ModeStatic})})
-	hot, _ := hotTasks(t, 1)
-	if _, _, err := e.Do(hot); err != nil {
+// TestHandlersTrainAgainstSaves: four clients train one Dynamic type on
+// their handlers — grades that pass and fail, levels that move, refresh
+// inserts and evictions under a 64 KiB budget — while the engine saves,
+// back to back, into a chain held in memory: a delta each time, and
+// every fifth save a full snapshot that starts the chain anew. After Close's
+// final save, the chain restored into a fresh engine holds the live
+// engine's type metadata and table. Run with -race.
+func TestHandlersTrainAgainstSaves(t *testing.T) {
+	cfg := core.Config{Mode: core.ModeDynamic, THTBudgetBytes: 64 << 10}
+	memo := core.New(cfg)
+	memo.EnableDeltaTracking()
+	base, err := memo.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
+	var deltas []*core.Delta
+	var saves, trainingSaves atomic.Int64
+	luStats := func() (s core.TypeStats) {
+		for _, ty := range memo.Stats().Types {
+			if ty.Name == "svc/lu" {
+				s = ty
+			}
+		}
+		return s
+	}
+	trains := func() bool { return !luStats().Steady }
+	e := New(Config{Memo: memo, Save: func() error {
+		// Saves run one at a time: base and deltas need no lock of their own.
+		if trains() {
+			trainingSaves.Add(1)
+		}
+		if saves.Add(1)%5 == 0 {
+			snap, err := memo.Snapshot()
+			if err != nil {
+				return err
+			}
+			base, deltas = snap, nil
+			return nil
+		}
+		d, err := memo.SnapshotDelta()
+		if err != nil {
+			return err
+		}
+		deltas = append(deltas, d)
+		return nil
+	}})
+	lu := mustKind(t, "lu")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for g := 0; g < 8; g++ {
+	for c := 0; c < 4; c++ {
 		wg.Add(1)
-		go func() {
+		go func(c int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, g, err := e.Do(hot); err != nil || g != (GroupStats{Tasks: 5, MemoTHT: 5}) {
-					t.Errorf("hot request: batch %+v, err %v", g, err)
-					return
-				}
-			}
-		}()
-	}
-	lu, spin := mustKind(t, "lu"), mustKind(t, "spin")
-	const senders, each = 3, 15
-	var sendWG sync.WaitGroup
-	for g := 0; g < senders; g++ {
-		sendWG.Add(1)
-		go func() {
-			defer sendWG.Done()
-			for i := 0; i < each; i++ {
 				tasks := []Task{
-					hot[0],
-					{Kind: "lu", Input: Input(lu, uint64(1000+senders*i+g), 9)},
-					{Kind: "spin", Input: Input(spin, uint64(i), 9)},
+					{Kind: "lu", Input: Input(lu, uint64(rng.Intn(40)), 1)},
+					{Kind: "lu", Input: Input(lu, uint64(rng.Intn(400)), 1)},
 				}
-				_, gs, err := e.Do(tasks)
-				if want := (GroupStats{Tasks: 2, Executed: 1, MemoTHT: 1}); err != nil || gs != want {
-					t.Errorf("runtime request %d of sender %d: batch = %+v, err %v, want %+v", i, g, gs, err, want)
+				if _, _, err := e.Do(tasks); err != nil {
+					t.Error(err)
 					return
 				}
+				if trains() {
+					time.Sleep(time.Millisecond) // let saves land while the type trains
+				}
 			}
-		}()
+		}(c)
 	}
-	sendWG.Wait()
+	deadline := time.Now().Add(30 * time.Second)
+	for trains() || saves.Load() < 40 || memo.Stats().THTBudgetEvictions == 0 {
+		if time.Now().After(deadline) {
+			t.Errorf("after 30 s: %d saves, %d evictions; training done: %v", saves.Load(), memo.Stats().THTBudgetEvictions, !trains())
+			break
+		}
+		if err := e.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	close(stop)
 	wg.Wait()
-	c := e.Counters()
-	if loop := c.Requests - c.InlineRequests; loop != senders*each {
-		t.Errorf("%d requests reached the runtime, want %d", loop, senders*each)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if c.InlineRequests <= 1 {
-		t.Error("no hot request was served inline: nothing raced the runtime's fences")
+	if st := e.Stats(); st.THTBudgetEvictions == 0 || luStats().TrainingFailures == 0 || trainingSaves.Load() < 3 {
+		t.Errorf("%d saves while training; nothing was evicted or no grade failed: %+v", trainingSaves.Load(), st)
 	}
-	if c.Batches != c.Requests {
-		t.Errorf("batches %d != requests %d: every request is a group of its own", c.Batches, c.Requests)
+
+	// Restored without the budget, whose admission decisions a replay
+	// would not repeat: the chain then folds to exactly what it recorded.
+	unbounded := cfg
+	unbounded.THTBudgetBytes = 0
+	restored, err := core.RestoreChain(unbounded, base, deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newLoopRef(t, restored) // registers the types, and so installs their sections
+	liveSnap, err := memo.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSnap, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := func(s *core.Snapshot) map[string]core.TypeSnapshot {
+		m := map[string]core.TypeSnapshot{}
+		for _, sec := range s.Types {
+			if sec.Steady {
+				sec.Successes = 0 // a steady type's count is not restored, and not used
+			}
+			slices.SortFunc(sec.Entries, func(a, b core.EntrySnapshot) int {
+				return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Level, b.Level), cmp.Compare(a.Provider, b.Provider))
+			})
+			m[sec.Name] = sec
+		}
+		return m
+	}
+	live, got := sections(liveSnap), sections(gotSnap)
+	if sec := live["svc/lu"]; !sec.Steady || len(sec.Entries) == 0 {
+		t.Fatalf("live lu section: steady %v, %d entries", sec.Steady, len(sec.Entries))
+	}
+	if !reflect.DeepEqual(live, got) {
+		for name, sec := range live {
+			g := got[name]
+			t.Errorf("%s: live steady %v level %d successes %d, %d entries; restored steady %v level %d successes %d, %d entries",
+				name, sec.Steady, sec.Level, sec.Successes, len(sec.Entries), g.Steady, g.Level, g.Successes, len(g.Entries))
+		}
 	}
 }
 
-// TestInlineRacesLoop: hot requests on eight goroutines — hits, or misses
-// run inline after an eviction — against runtime fences that insert and
-// evict under a 64 KiB budget, with a delta save every 10 ms. The
-// runtime's requests are two clients' never-repeating requests, each
-// carrying a spin task so the inline path declines them. Every reply equals Kind.Fn's
-// outputs, and afterwards the stats partition. Run with -race; core's
-// TestServeHitsRacesInsertEvict checks the entry reference counts
-// underneath.
-func TestInlineRacesLoop(t *testing.T) {
-	memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: 64 << 10})
-	memo.EnableDeltaTracking()
-	var saves atomic.Int64
-	e := newTestEngine(t, Config{
-		Workers: 2, Memo: memo, SaveEvery: 10 * time.Millisecond,
-		Save: func() error {
-			saves.Add(1)
-			return memo.LendDelta(func(*core.Delta) error { return nil })
-		},
-	})
+// TestColdDynamicTrainsOnHandlers: two clients drive a cold Dynamic
+// engine with requests of one task of each memoizable kind, over four
+// keys, until every kind is steady. Training runs on the handlers, so
+// every reply served while its type trains is its kernel's output bit
+// for bit.
+func TestColdDynamicTrainsOnHandlers(t *testing.T) {
+	memo := core.New(core.Config{Mode: core.ModeDynamic})
+	e := newTestEngine(t, Config{Memo: memo})
+	steady := func(name string) bool {
+		_, s := memo.ChosenLevel(e.taskType("", mustKind(t, name)))
+		return s
+	}
+	allSteady := func() bool {
+		for _, name := range memoKindNames {
+			if !steady(name) {
+				return false
+			}
+		}
+		return true
+	}
+	var exact atomic.Int64
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var requests atomic.Int64
-	client := func(next func(i int) ([]Task, [][]float64)) {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tasks, want := next(i)
-			outs, g, err := e.Do(tasks)
-			if err != nil {
-				t.Errorf("Do: %v", err)
-				return
-			}
-			requests.Add(1)
-			if !reflect.DeepEqual(outs, want) {
-				t.Errorf("reply differs from Kind.Fn's outputs (batch %+v)", g)
-				return
-			}
-		}
-	}
-	for g := 0; g < 8; g++ {
+	deadline := time.Now().Add(30 * time.Second)
+	for c := 0; c < 2; c++ {
 		wg.Add(1)
-		hot, want := hotTasks(t, uint64(g%3)) // evicted now and then, re-inserted by the next fallback
-		go client(func(int) ([]Task, [][]float64) { return hot, want })
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for !allSteady() && time.Now().Before(deadline) {
+				tasks, want := hotTasks(t, uint64(rng.Intn(4)))
+				outs, _, err := e.Do(tasks)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, name := range memoKindNames {
+					if steady(name) {
+						continue // it may have been served from the table
+					}
+					// Still training after the reply: the task ran its kernel.
+					exact.Add(1)
+					if !reflect.DeepEqual(outs[j], want[j]) {
+						t.Errorf("%s, served while training: %v, want %v", name, outs[j], want[j])
+						return
+					}
+				}
+			}
+		}(c)
 	}
-	spin := mustKind(t, "spin")
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		g := g
-		go client(func(i int) ([]Task, [][]float64) {
-			tasks, want := hotTasks(t, uint64(1000+2*i+g))
-			in, out := Input(spin, uint64(i), 1), make([]float64, spin.Out)
-			spin.Fn(in, out)
-			return append(tasks, Task{Kind: "spin", Input: in}), append(want, out)
-		})
-	}
-	deadline := time.After(30 * time.Second)
-wait:
-	for c := e.Counters(); saves.Load() < 20 || c.InlineRequests < 200 || c.Requests-c.InlineRequests < 20; c = e.Counters() {
-		select {
-		case <-deadline:
-			t.Errorf("after 30 s: %d saves, counters %+v", saves.Load(), e.Counters())
-			break wait
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	close(stop)
 	wg.Wait()
-
-	c, st := e.Counters(), e.Stats()
-	loop := c.Requests - c.InlineRequests
-	if c.Requests != requests.Load() || c.Tasks != 5*requests.Load()+loop {
-		t.Errorf("%d requests answered, counters say %+v", requests.Load(), c)
-	}
-	if st.THTBudgetEvictions == 0 {
-		t.Error("the budget never evicted")
-	}
-	var tasks int64
-	for _, ty := range st.Types {
-		if ty.Executed+ty.MemoizedTHT+ty.MemoizedIKT != ty.Tasks {
-			t.Errorf("%s: %d executed + %d THT + %d IKT != %d tasks", ty.Name, ty.Executed, ty.MemoizedTHT, ty.MemoizedIKT, ty.Tasks)
+	for _, name := range memoKindNames {
+		if !steady(name) {
+			t.Errorf("%s never left training", name)
 		}
-		tasks += ty.Tasks
 	}
-	if tasks != c.Tasks-loop { // less the spin tasks, which ATM does not see
-		t.Errorf("ATM saw %d tasks, the engine served %d memoizable ones", tasks, c.Tasks-loop)
+	if exact.Load() == 0 {
+		t.Error("no reply was served while its type trained")
 	}
 }
 
@@ -574,7 +659,7 @@ func TestLookupIsQuietAndAllocationFree(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: 1 << 20})
-	e := newTestEngine(t, Config{Workers: 1, Memo: memo})
+	e := newTestEngine(t, Config{Memo: memo})
 	lu := mustKind(t, "lu")
 	in, miss := Input(lu, 1, 1), Input(lu, 2, 1)
 	want, _, err := e.Do([]Task{{Kind: "lu", Input: in}})

@@ -1,9 +1,8 @@
 // Package service turns the ATM engine into a network-facing
 // memoization service: a catalog of task kinds clients can submit
 // (workload.go), an engine that serves each request on its caller's
-// goroutine — steady memoizable tasks through core.Serve, the rest as
-// one SubmitBatch under the task runtime's lock — and sheds load past
-// the adaptive throttle watermark (engine.go), and the HTTP front-end
+// goroutine through core.Serve and sheds load past a fixed watermark of
+// running task bodies (engine.go), and the HTTP front-end
 // behind cmd/atmd (http.go) with its wire codec (codec.go) and the
 // HTTP/1.1 connection loop cmd/atmd serves it on (conn.go). The load
 // that drives it comes from the repository benchmark (benchmark/). See

@@ -24,21 +24,19 @@ import (
 // goroutine, reply encode. The body is the request ISSUE 12 profiled:
 // one blackscholes, kmeans, lu and stencil task, 624 input floats,
 // ≈12 KB as JSON. json and bin send the same tasks, so their difference
-// is the request decoder. bin-miss and bin-loop send one lu task per
-// request whose input never repeats, so every request misses and
-// inserts under a 64 KiB budget that evicts on every insert once full.
-// On bin-miss's Static engine the type is steady, so the miss is
-// admitted and run on the calling goroutine. bin-loop's engine also
-// serves nop, a non-memoizable one-float kind, and each of its requests
-// carries one nop task beside the lu task; the inline path declines a
-// request with a non-memoizable task, so every request goes through
-// admission, the runtime lock and a SubmitBatch fence, still on the
-// calling goroutine: the path the runtime still serves stays gated
-// (BENCH_8.json). bin-conn sends bin's request through Server.Serve
-// instead: raw bytes written on one kept-alive loopback connection, the
-// reply read back with no net/http client, so allocs/op are the
-// server's alone and ns/op is the round trip, both sides' syscalls
-// included.
+// is the request decoder. bin-miss and bin-train send one lu task per
+// request whose input never repeats, so every request runs its kernel
+// and inserts under a 64 KiB budget that evicts on every insert once
+// full. On bin-miss's Static engine the type is steady, so the task is
+// a miss. On bin-train's Dynamic engine the type trains throughout:
+// each task makes the counted lookup at the type's level, runs, and is
+// graded against what its key matched or inserted (the benchmark fails
+// if the type leaves training). Both are admitted and run on the calling
+// goroutine (BENCH_8.json). bin-conn sends bin's request through
+// Server.Serve instead: raw bytes written on one kept-alive loopback
+// connection, the reply read back with no net/http client, so allocs/op
+// are the server's alone and ns/op is the round trip, both sides'
+// syscalls included.
 func BenchmarkServeHTTP(b *testing.B) {
 	var tasks []service.Task
 	type jsonTask struct {
@@ -64,35 +62,48 @@ func BenchmarkServeHTTP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nop := service.Kind{Name: "nop", In: 1, Out: 1, Fn: func(in, out []float64) { copy(out, in) }}
-	loopBody, err := service.EncodeBinaryTasks([]service.Task{tasks[2], {Kind: nop.Name, Input: []float64{0}}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// nextMiss makes body, whose first task is lu, request i's: it sets
-	// the first input float. The binary layout up to it: u32 count, u8
-	// name length, name, u32 float count.
+	trainBody := bytes.Clone(missBody)
+	// The binary layout of a request of one lu task up to its input
+	// floats: u32 count, u8 name length, name, u32 float count.
+	luFloats := func(body []byte) []byte { return body[4+1+len(tasks[2].Kind)+4:] }
+	// nextMiss makes body request i's: it sets the first input float.
 	nextMiss := func(body []byte) func(i int) {
-		first := body[4+1+len(tasks[2].Kind)+4:][:8]
+		first := luFloats(body)[:8]
 		return func(i int) { binary.LittleEndian.PutUint64(first, math.Float64bits(float64(i))) }
+	}
+	// nextTrain makes body request i's by changing every input float, in
+	// [0, 1) as the kinds take them: a grade of its outputs against
+	// another request's then fails τmax, so the type never leaves
+	// training.
+	nextTrain := func(body []byte) func(i int) {
+		floats := luFloats(body)
+		return func(i int) {
+			for j := 0; j < len(floats); j += 8 {
+				x := uint64(i)<<16 | uint64(j) // splitmix64's finalizer
+				x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+				x = (x ^ x>>27) * 0x94d049bb133111eb
+				x ^= x >> 31
+				binary.LittleEndian.PutUint64(floats[j:], math.Float64bits(float64(x>>11)/(1<<53)))
+			}
+		}
 	}
 	for _, enc := range []struct {
 		name, contentType string
 		body              []byte
+		mode              core.Mode
 		budget            int64
-		kinds             []service.Kind // nil: the catalog; with nop, the inline path declines
-		next              func(i int)    // makes the body request i's
-		conn              bool           // through Serve on a loopback connection
+		next              func(i int) // makes the body request i's
+		conn              bool        // through Serve on a loopback connection
 	}{
-		{"json", "application/json", jsonBody, 0, nil, func(int) {}, false},
-		{"bin", "application/x-atm-tasks", binBody, 0, nil, func(int) {}, false},
-		{"bin-miss", "application/x-atm-tasks", missBody, 64 << 10, nil, nextMiss(missBody), false},
-		{"bin-loop", "application/x-atm-tasks", loopBody, 64 << 10, append(service.Kinds(), nop), nextMiss(loopBody), false},
-		{"bin-conn", "application/x-atm-tasks", binBody, 0, nil, func(int) {}, true},
+		{"json", "application/json", jsonBody, core.ModeStatic, 0, func(int) {}, false},
+		{"bin", "application/x-atm-tasks", binBody, core.ModeStatic, 0, func(int) {}, false},
+		{"bin-miss", "application/x-atm-tasks", missBody, core.ModeStatic, 64 << 10, nextMiss(missBody), false},
+		{"bin-train", "application/x-atm-tasks", trainBody, core.ModeDynamic, 64 << 10, nextTrain(trainBody), false},
+		{"bin-conn", "application/x-atm-tasks", binBody, core.ModeStatic, 0, func(int) {}, true},
 	} {
 		b.Run(enc.name, func(b *testing.B) {
-			memo := core.New(core.Config{Mode: core.ModeStatic, THTBudgetBytes: enc.budget})
-			eng := service.New(service.Config{Workers: 1, Memo: memo, KindList: enc.kinds})
+			memo := core.New(core.Config{Mode: enc.mode, THTBudgetBytes: enc.budget})
+			eng := service.New(service.Config{Memo: memo})
 			defer eng.Close()
 			srv := service.NewServer(eng)
 			serve := func(i int) {
@@ -109,7 +120,7 @@ func BenchmarkServeHTTP(b *testing.B) {
 				serve = serveOverConn(b, srv, enc.contentType, enc.body)
 			}
 			// json, bin: the first pass executes and inserts, the rest are
-			// hits. bin-miss, bin-loop: the table fills to its budget
+			// hits. bin-miss, bin-train: the table fills to its budget
 			// (about 120 entries) and from then on every insert evicts
 			// and recycles.
 			for i := 1; i <= 256; i++ {
@@ -122,8 +133,10 @@ func BenchmarkServeHTTP(b *testing.B) {
 				serve(i)
 			}
 			b.StopTimer()
-			if c := eng.Counters(); enc.kinds != nil && c.InlineRequests != 0 {
-				b.Fatalf("%d of %d requests were served inline on an engine the inline path must refuse", c.InlineRequests, c.Requests)
+			for _, ty := range memo.Stats().Types {
+				if enc.mode == core.ModeDynamic && ty.Tasks > 0 && ty.Steady {
+					b.Fatalf("%s left training: %+v", ty.Name, ty)
+				}
 			}
 		})
 	}
