@@ -50,7 +50,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "ignored: every request runs on its handler goroutine")
 		mode       = flag.String("mode", "dynamic", "memoization mode: baseline|static|dynamic|fixed")
 		level      = flag.Int("level", 15, "p level for -mode fixed")
-		noIKT      = flag.Bool("no-ikt", false, "disable the In-flight Key Table")
 		backlog    = flag.Int("backlog", 0, "admission watermark in running tasks (0 = 4096)")
 		seed       = flag.Uint64("seed", 0, "ATM shuffle-plan seed")
 		chainPath  = flag.String("chain", "", "incremental chain file: warm-start from it and append delta records on saves")
@@ -92,16 +91,18 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Handlers take no IKT slot, so the specs' IKT setting reaches only
+	// the chain's config fingerprint; it stays on, the default.
 	spec := harness.ATMSpec{}
 	switch *mode {
 	case "baseline", "off":
 		// No memoization: every task executes (for A/B load tests).
 	case "static":
-		spec = harness.Static(!*noIKT)
+		spec = harness.Static(true)
 	case "dynamic":
-		spec = harness.Dynamic(!*noIKT)
+		spec = harness.Dynamic(true)
 	case "fixed":
-		spec = harness.Fixed(*level, !*noIKT)
+		spec = harness.Fixed(*level, true)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		os.Exit(2)

@@ -186,17 +186,26 @@ type typeShard struct {
 	_             [56]byte
 }
 
-// typeState is the per-task-type adaptive state of §III-D. The steady
-// state hot path reads only phaseLevel and hasExcl (both atomic); the
-// mutex guards the training-phase bookkeeping.
-type typeState struct {
+// Type is a task type's adaptive state of §III-D, and the handle a
+// caller without a task runtime names the type by (NewType, PeekType,
+// ServeTask). The steady state hot path reads only phaseLevel and
+// hasExcl (both atomic); the mutex guards the training-phase
+// bookkeeping.
+type Type struct {
 	phaseLevel atomic.Uint32 // phase<<8 | level
 	hasExcl    atomic.Bool   // any region in the exclusion set
+	// id indexes ATM.typeStates and tags the type's THT entries; name
+	// keys its snapshot section. tauMax and lTraining are the training
+	// parameters grade applies. All immutable.
+	id        int
+	name      string
+	tauMax    float64
+	lTraining int
 	// seed is the type's stable hash-seed component, derived from the
 	// type name (typeSeed) rather than the runtime-assigned dense ID:
 	// hash keys and shuffle plans must be identical across processes for
 	// persisted snapshots (snapshot.go) to hit on restore. Immutable
-	// after stateSlow publishes the state.
+	// after addTypeLocked publishes the state.
 	seed   uint64
 	shards []typeShard // one per worker, +1 for external callers
 
@@ -222,7 +231,7 @@ type typeState struct {
 
 func packPhaseLevel(ph phase, level int) uint32 { return uint32(ph)<<8 | uint32(level) }
 
-func (ts *typeState) load() (phase, int) {
+func (ts *Type) load() (phase, int) {
 	pl := ts.phaseLevel.Load()
 	return phase(pl >> 8), int(pl & 0xff)
 }
@@ -266,15 +275,14 @@ type ATM struct {
 	planMu sync.Mutex
 	plans  atomic.Pointer[map[planKey]*sampling.Plan]
 
-	// typeStates is a dense slice indexed by task-type ID, grown
-	// copy-on-write under typeMu; the hot path is one atomic load plus an
-	// index.
+	// typeStates is a dense slice indexed by task-type ID, never nil,
+	// grown copy-on-write under typeMu; the hot path is one atomic load
+	// plus an index.
 	typeMu     sync.Mutex
-	typeStates atomic.Pointer[[]*typeState]
-	names      map[int]string
+	typeStates atomic.Pointer[[]*Type]
 	// pending holds restored snapshot sections (see Restore) not yet
 	// claimed by a registered task type, keyed by type name; guarded by
-	// typeMu. stateSlow installs and removes a section when its type
+	// typeMu. addTypeLocked installs and removes a section when its type
 	// first appears.
 	pending  map[string]*TypeSnapshot
 	restored atomic.Int64 // THT entries installed from a snapshot
@@ -297,11 +305,14 @@ type ATM struct {
 	// from: concurrent front-ends (cmd/atmd) probe allocation-free.
 	probePool sync.Pool
 
-	// serveInserts fences Serve's inserts against a full Snapshot, whose
-	// quiescence (the runtime's Wait) does not cover them: Serve holds it
-	// shared around each insert, Snapshot exclusively from its table scan
-	// to its log drain, so no insert lands in between and is dropped with
-	// the log. serveProviders numbers Serve's entries (outOfBandProvider).
+	// serveInserts fences Serve's inserts against a full Snapshot, which
+	// no runtime's Wait quiesces: Serve holds it shared around each
+	// insert, Snapshot exclusively from its table scan to its log trim.
+	// forEach's per-bucket cut already saves a racing insert exactly once
+	// (scanned and trimmed, or left logged for the next delta;
+	// TestTrimLogCutsEachBucketAtItsVisit), and no test fails without the
+	// fence; it stays until a change of its own removes it.
+	// serveProviders numbers Serve's entries (outOfBandProvider).
 	serveInserts   sync.RWMutex
 	serveProviders atomic.Uint64
 }
@@ -322,18 +333,25 @@ var (
 func New(cfg Config) *ATM {
 	cfg.applyDefaults()
 	a := &ATM{
-		cfg:   cfg,
-		tht:   NewTHT(cfg.NBits, cfg.M),
-		names: make(map[int]string),
+		cfg: cfg,
+		tht: NewTHT(cfg.NBits, cfg.M),
 	}
+	a.typeStates.Store(&[]*Type{})
 	a.tht.ConfigureBudget(cfg.THTBudgetBytes)
 	a.probePool.New = func() any { return hashx.New(hashx.Lookup3, cfg.Seed) }
 	a.saveEpoch.Store(1)
 	return a
 }
 
-// BindRuntime implements taskrt.RuntimeBinder.
+// BindRuntime implements taskrt.RuntimeBinder. It panics on an unbound
+// engine that has types, which NewType made: the runtime numbers its
+// own types, and the two ID spaces must not mix.
 func (a *ATM) BindRuntime(rt *taskrt.Runtime) {
+	a.typeMu.Lock()
+	defer a.typeMu.Unlock()
+	if a.rt == nil && len(*a.typeStates.Load()) > 0 {
+		panic("core: BindRuntime on an engine whose types NewType made")
+	}
 	a.rt = rt
 	a.ikt = NewIKT(rt.Workers())
 	a.workers = make([]workerState, rt.Workers())
@@ -356,7 +374,7 @@ func (a *ATM) IKT() *IKT { return a.ikt }
 // its tasks can reach a worker, so the engine-side state a ready task
 // needs is prepared batch-wide instead of lazily on the worker hot path.
 // Per memoizable type (deduplicated against the consecutive same-type
-// runs loop nests produce) it materializes the typeState — the one
+// runs loop nests produce) it materializes the Type — the one
 // stateSlow mutex acquisition a type would otherwise pay under worker
 // contention — and pre-builds the shuffle plan for the batch's input
 // layout, so the first OnReady of a new (type, layout) pair finds the
@@ -382,33 +400,51 @@ func (a *ATM) OnBatchSubmitted(tasks []*taskrt.Task) {
 
 // state returns (creating if needed) the per-type adaptive state. The hit
 // path costs one atomic load and an index into the dense type slice.
-func (a *ATM) state(tt *taskrt.TaskType) *typeState {
-	id := tt.ID()
-	if sl := a.typeStates.Load(); sl != nil && id < len(*sl) {
-		if ts := (*sl)[id]; ts != nil {
-			return ts
-		}
+func (a *ATM) state(tt *taskrt.TaskType) *Type {
+	if sl := *a.typeStates.Load(); tt.ID() < len(sl) && sl[tt.ID()] != nil {
+		return sl[tt.ID()]
 	}
 	return a.stateSlow(tt)
 }
 
-func (a *ATM) stateSlow(tt *taskrt.TaskType) *typeState {
+func (a *ATM) stateSlow(tt *taskrt.TaskType) *Type {
 	a.typeMu.Lock()
 	defer a.typeMu.Unlock()
-	id := tt.ID()
-	var cur []*typeState
-	if sl := a.typeStates.Load(); sl != nil {
-		cur = *sl
+	if sl := *a.typeStates.Load(); tt.ID() < len(sl) && sl[tt.ID()] != nil {
+		return sl[tt.ID()]
 	}
-	if id < len(cur) && cur[id] != nil {
-		return cur[id]
+	return a.addTypeLocked(tt.ID(), tt.Name(), tt.TauMax(), tt.LTraining())
+}
+
+// NewType makes a task type for a caller that runs no task runtime (the
+// service's handlers, through Serve and PeekType). Types are numbered in
+// the order they are made, as a runtime numbers registrations, and get
+// the default τmax and L_training. A restored snapshot section of the
+// same name installs now. NewType panics on an engine a runtime has
+// bound, whose types the runtime numbers.
+func (a *ATM) NewType(name string) *Type {
+	a.typeMu.Lock()
+	defer a.typeMu.Unlock()
+	if a.rt != nil {
+		panic("core: NewType on an engine bound to a task runtime")
 	}
+	return a.addTypeLocked(len(*a.typeStates.Load()), name, taskrt.DefaultTauMax, taskrt.DefaultLTraining)
+}
+
+// addTypeLocked builds type id's state, installs its pending snapshot
+// section, if any, and publishes it. Called under typeMu.
+func (a *ATM) addTypeLocked(id int, name string, tauMax float64, lTraining int) *Type {
+	cur := *a.typeStates.Load()
 	nshards := len(a.workers) + 1
 	if nshards < 2 {
 		nshards = 2
 	}
-	ts := &typeState{
-		seed:      typeSeed(tt.Name()),
+	ts := &Type{
+		id:        id,
+		name:      name,
+		tauMax:    tauMax,
+		lTraining: lTraining,
+		seed:      typeSeed(name),
 		shards:    make([]typeShard, nshards),
 		failCount: make(map[region.Region]int),
 		excluded:  make(map[region.Region]bool),
@@ -421,9 +457,9 @@ func (a *ATM) stateSlow(tt *taskrt.TaskType) *typeState {
 	default:
 		ts.phaseLevel.Store(packPhaseLevel(phaseTraining, sampling.MinPLevel))
 	}
-	if sec, ok := a.pending[tt.Name()]; ok {
-		delete(a.pending, tt.Name())
-		if !a.installSection(id, ts, sec) {
+	if sec, ok := a.pending[name]; ok {
+		delete(a.pending, name)
+		if !a.installSection(ts, sec) {
 			// The installed metadata differs from what the snapshot
 			// recorded (level clamped, or an excluded steady type demoted
 			// to training): the next delta must re-record it.
@@ -434,18 +470,17 @@ func (a *ATM) stateSlow(tt *taskrt.TaskType) *typeState {
 		// definition.
 		ts.dirtyEpoch = a.saveEpoch.Load()
 	}
-	grown := make([]*typeState, max(id+1, len(cur)))
+	grown := make([]*Type, max(id+1, len(cur)))
 	copy(grown, cur)
 	grown[id] = ts
 	a.typeStates.Store(&grown)
-	a.names[id] = tt.Name()
 	return ts
 }
 
 // shard returns the stats shard for worker w of ts (the last shard
 // absorbs out-of-range callers such as tests driving the engine
 // directly).
-func (ts *typeState) shard(w int) *typeShard {
+func (ts *Type) shard(w int) *typeShard {
 	if w < 0 || w >= len(ts.shards)-1 {
 		w = len(ts.shards) - 1
 	}
@@ -492,7 +527,7 @@ func typeSeed(name string) uint64 {
 
 // planFor returns the cached shuffle plan for a task's input layout,
 // building it on first use. The fast path is one atomic map load.
-// tseed is the type's stable seed (typeState.seed): the plan cache is
+// tseed is the type's stable seed (Type.seed): the plan cache is
 // keyed by the per-runtime dense type ID, but the shuffle itself is
 // seeded by the stable name hash so plans reproduce across processes.
 func (a *ATM) planFor(typeID int, tseed uint64, sig uint64, ins []region.Region) *sampling.Plan {
@@ -535,14 +570,14 @@ func (a *ATM) HashKey(t *taskrt.Task, level int) uint64 {
 
 // hashKeyInto is HashKey on a caller-owned hasher: the worker fast path,
 // free of allocation and locks.
-func (a *ATM) hashKeyInto(t *taskrt.Task, ts *typeState, level int, h hashx.Hasher) uint64 {
-	return a.hashIns(t.Type().ID(), ts, t.Inputs(), level, h)
+func (a *ATM) hashKeyInto(t *taskrt.Task, ts *Type, level int, h hashx.Hasher) uint64 {
+	return a.hashIns(ts, t.Inputs(), level, h)
 }
 
 // hashIns is the shape-agnostic key computation shared by the worker
 // fast path (hashKeyInto) and out-of-band probes (Peek, Serve):
 // callers that have input regions but no carved task hash through here.
-func (a *ATM) hashIns(typeID int, ts *typeState, ins []region.Region, level int, h hashx.Hasher) uint64 {
+func (a *ATM) hashIns(ts *Type, ins []region.Region, level int, h hashx.Hasher) uint64 {
 	sig := sampling.SignatureOf(ins)
 	seed := a.cfg.Seed ^ sig ^ (ts.seed|1)*0xc2b2ae3d27d4eb4f
 	h.ResetSeed(seed)
@@ -552,7 +587,7 @@ func (a *ATM) hashIns(typeID int, ts *typeState, ins []region.Region, level int,
 		}
 		return h.Sum64()
 	}
-	plan := a.planFor(typeID, ts.seed, sig, ins)
+	plan := a.planFor(ts.id, ts.seed, sig, ins)
 	runs := plan.SegmentedRuns(level)
 	for i, offsets := range plan.Segmented(level) {
 		if len(offsets) == 0 {
@@ -735,7 +770,7 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	tracer := a.rt.Tracer()
 
 	if sc.trainEntry != nil {
-		if a.grade(t.Type(), ts, sh, t.Outputs(), sc.trainEntry, sc.level, true) {
+		if a.grade(ts, sh, t.Outputs(), sc.trainEntry, sc.level, true) {
 			// Refresh the stale prediction with the true outputs.
 			a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level))
 		}
@@ -774,15 +809,15 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	}
 }
 
-// grade measures a training-phase approximation of a task of type tt
-// hashed at level: the task executed, so outs, its fresh outputs, are the
-// ground truth against pred, the THT entry's prediction, which grade
-// releases. It reports a failed grade, after which the caller inserts
+// grade measures a training-phase approximation of a task of type ts
+// hashed at level, against ts's τmax and L_training: the task executed,
+// so outs, its fresh outputs, are the ground truth against pred, the THT
+// entry's prediction, which grade releases. It reports a failed grade, after which the caller inserts
 // outs to refresh the stale prediction. Only a worker's task counts a
 // failure toward the exclusion set (excl): its output regions persist
 // across tasks, while Serve's region headers are the caller's, pooled,
 // and identify nothing.
-func (a *ATM) grade(tt *taskrt.TaskType, ts *typeState, sh *typeShard, outs []region.Region, pred *Entry, level int8, excl bool) (failed bool) {
+func (a *ATM) grade(ts *Type, sh *typeShard, outs []region.Region, pred *Entry, level int8, excl bool) (failed bool) {
 	tau := metrics.Chebyshev(outs, pred.Outs)
 	pred.Release()
 
@@ -797,7 +832,7 @@ func (a *ATM) grade(tt *taskrt.TaskType, ts *typeState, sh *typeShard, outs []re
 	}
 	sh.trainHits.Add(1)
 	ts.dirtyEpoch = a.saveEpoch.Load() // every branch below mutates the metadata
-	if tau >= tt.TauMax() {
+	if tau >= ts.tauMax {
 		sh.trainFailures.Add(1)
 		alreadyChaotic := excl
 		if excl {
@@ -823,7 +858,7 @@ func (a *ATM) grade(tt *taskrt.TaskType, ts *typeState, sh *typeShard, outs []re
 		return true
 	}
 	ts.successes++
-	if ts.successes >= tt.LTraining() {
+	if ts.successes >= ts.lTraining {
 		ts.phaseLevel.Store(packPhaseLevel(phaseSteady, cur))
 	}
 	ts.mu.Unlock()

@@ -10,7 +10,7 @@ import (
 
 // TestOnBatchSubmittedWarmsEngineState pins the BatchObserver integration:
 // a batch submitted through SubmitBatch must leave the memoizable types'
-// typeState materialized and (below p = 100%) their shuffle plans built
+// state (Type) materialized and (below p = 100%) their shuffle plans built
 // before any worker consults them, so the first OnReady of a new type or
 // layout finds everything by atomic loads.
 func TestOnBatchSubmittedWarmsEngineState(t *testing.T) {
@@ -33,9 +33,9 @@ func TestOnBatchSubmittedWarmsEngineState(t *testing.T) {
 		taskrt.Desc(plain, taskrt.Out(region.NewFloat64(1))),
 	})
 
-	if sl := a.typeStates.Load(); sl == nil || memo.ID() >= len(*sl) || (*sl)[memo.ID()] == nil {
+	if sl := *a.typeStates.Load(); memo.ID() >= len(sl) || sl[memo.ID()] == nil {
 		t.Fatal("memoizable type state not materialized by OnBatchSubmitted")
-	} else if plain.ID() < len(*sl) && (*sl)[plain.ID()] != nil {
+	} else if plain.ID() < len(sl) && sl[plain.ID()] != nil {
 		t.Fatal("non-memoizable type must not get engine state")
 	}
 	pk := planKey{typeID: memo.ID(), sig: sampling.SignatureOf([]region.Region{in})}

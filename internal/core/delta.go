@@ -10,7 +10,7 @@ import (
 // half of ROADMAP's "Snapshot compaction/merge": a long-lived service
 // or a sharded sweep should not re-serialize the whole Task History
 // Table on every save. With delta tracking enabled, the engine stamps
-// every metadata mutation with a save epoch (typeState.dirtyEpoch)
+// every metadata mutation with a save epoch (Type.dirtyEpoch)
 // and keeps an ordered THT insert log; SnapshotDelta quiesces through
 // the runtime's completion fence and extracts only the state changed
 // since the previous save. The restore side chains deltas onto a full
@@ -166,24 +166,14 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
 	cur := a.saveEpoch.Add(1) - 1
 	d := &Delta{Fingerprint: Fingerprint(a.cfg)}
 
-	a.typeMu.Lock()
-	var states []*typeState
-	if sl := a.typeStates.Load(); sl != nil {
-		states = *sl
-	}
-	names := make(map[int]string, len(a.names))
-	for id, name := range a.names {
-		names[id] = name
-	}
-	a.typeMu.Unlock()
-
+	states := *a.typeStates.Load()
 	idx := make(map[string]int)
 	seen := make(map[string]bool, len(states))
-	for id, ts := range states {
+	for _, ts := range states {
 		if ts == nil {
 			continue
 		}
-		name := names[id]
+		name := ts.name
 		if seen[name] {
 			// Same policy as Snapshot: name-keyed sections cannot carry a
 			// collision; fail at save time, where it is diagnosable.
@@ -215,28 +205,24 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
 	// the next save — never the reverse, so a restored chain cannot hold
 	// metadata for entries it does not have.
 	log := a.tht.DrainLog()
-	// Refresh the id→name view AFTER the drain: a type that registered
-	// since the scan above may already have logged inserts, and resolving
-	// them against the stale copy would drop them from every delta (the
-	// log is already drained). The registry is append-only, so the
-	// refreshed map is a superset of the one the scan used; such a
-	// type's entries ship in this delta under a meta-less row and its
-	// metadata follows with the next save, per the invariant above.
-	a.typeMu.Lock()
-	for id, name := range a.names {
-		names[id] = name
-	}
-	a.typeMu.Unlock()
+	// Reload the registry AFTER the drain: a type that registered since
+	// the scan above may already have logged inserts, and resolving them
+	// against the stale slice would drop them from every delta (the log
+	// is already drained). The registry is append-only, so the reloaded
+	// slice is a superset of the one the scan used; such a type's
+	// entries ship in this delta under a meta-less row and its metadata
+	// follows with the next save, per the invariant above.
+	states = *a.typeStates.Load()
 	d.Entries = make([]DeltaEntry, 0, len(log))
 	for i, rec := range log {
-		name, ok := names[rec.typeID]
-		if !ok {
-			// An operation from a type absent from the refreshed registry
+		if rec.typeID >= len(states) || states[rec.typeID] == nil {
+			// An operation from a type absent from the reloaded registry
 			// cannot happen through the engine; guard anyway.
 			rec.e.Release()
 			log[i].e = nil
 			continue
 		}
+		name := states[rec.typeID].name
 		ti, ok := idx[name]
 		if !ok {
 			ti = len(d.Types)
@@ -288,9 +274,11 @@ func (a *ATM) ApplyDelta(d *Delta) error {
 	}
 	a.typeMu.Lock()
 	defer a.typeMu.Unlock()
-	registered := make(map[string]bool, len(a.names))
-	for _, name := range a.names {
-		registered[name] = true
+	registered := make(map[string]bool)
+	for _, ts := range *a.typeStates.Load() {
+		if ts != nil {
+			registered[ts.name] = true
+		}
 	}
 	// Validate everything before mutating anything: a rejected delta
 	// must leave the pending sections untouched, not half-applied.

@@ -37,6 +37,41 @@ func TestTrimLogKeepsRecordsAfterTheScan(t *testing.T) {
 	}
 }
 
+// TestTrimLogCutsEachBucketAtItsVisit pins forEach's per-bucket cut
+// rule, which a full Snapshot relies on for inserts racing its scan. An
+// insert into a bucket the scan has already read is not in the scan and
+// stays logged for the next delta; an insert into a bucket the scan has
+// yet to read is in the scan and trimmed with it. Either way it is
+// saved exactly once.
+func TestTrimLogCutsEachBucketAtItsVisit(t *testing.T) {
+	tht := NewTHT(2, 8) // four buckets, keys land in key & 3
+	tht.SetLogging(true)
+	for k := uint64(0); k < 4; k++ {
+		tht.Insert(entryWith(0, k, 15, float64(k)))
+	}
+	const behind, ahead = 4, 7 // buckets 0 and 3
+	scanned := map[uint64]bool{}
+	cuts := tht.forEach(func(e *Entry) {
+		scanned[e.Key] = true
+		if e.Key == 1 { // visiting bucket 1: bucket 0 is read, bucket 3 is not
+			tht.Insert(entryWith(0, behind, 15, behind))
+			tht.Insert(entryWith(0, ahead, 15, ahead))
+		}
+	})
+	tht.trimLog(cuts)
+	if scanned[behind] || !scanned[ahead] {
+		t.Errorf("scan holds key %d: %v, key %d: %v; want only the insert ahead of the scan", behind, scanned[behind], ahead, scanned[ahead])
+	}
+	logged := map[uint64]bool{}
+	for _, r := range tht.DrainLog() {
+		logged[r.key] = true
+		r.e.Release()
+	}
+	if len(logged) != 1 || !logged[behind] {
+		t.Errorf("log left holds keys %v; want only %d, the insert behind the scan", logged, behind)
+	}
+}
+
 // TestRestoredEntriesCountsResident: a chain whose delta removes some of
 // its own inserts again (ring replacements logged as tombstones)
 // restores fewer entries than it replays inserts, and RestoredEntries

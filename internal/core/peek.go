@@ -9,15 +9,16 @@ import (
 )
 
 // This file is the engine's out-of-band side: callers that hold a task's
-// regions but submit no task — a front-end's lookup route (Peek) and its
-// handler path (Serve). Both hash on a pooled hasher and probe the table
-// without leaving a trace; only a Serve call that goes ahead then applies
-// what the worker path (OnReady and OnFinished) would have.
+// regions but submit no task — a front-end's lookup route (PeekType) and
+// its handler path (Serve), on types NewType made. Both hash on a pooled
+// hasher and probe the table without leaving a trace; only a Serve call
+// that goes ahead then applies what the worker path (OnReady and
+// OnFinished) would have.
 
 // probeOuts is THT.probe for a task with outputs outs: an entry whose
 // outputs cannot be copied into them counts as no entry.
-func (a *ATM) probeOuts(tt *taskrt.TaskType, key uint64, level int8, outs []region.Region) *Entry {
-	e := a.tht.probe(tt.ID(), key, level)
+func (a *ATM) probeOuts(ts *Type, key uint64, level int8, outs []region.Region) *Entry {
+	e := a.tht.probe(ts.id, key, level)
 	if e != nil && !outputShapesMatch(e.Outs, outs) {
 		e.Release()
 		e = nil
@@ -25,10 +26,10 @@ func (a *ATM) probeOuts(tt *taskrt.TaskType, key uint64, level int8, outs []regi
 	return e
 }
 
-// Peek probes the THT for the outputs the engine would currently serve
-// for a task of type tt with the given inputs, without submitting a
-// task: on a hit the stored outputs are copied into outs (which must
-// match the entry's shapes) and Peek reports true. A lookup is a peek,
+// PeekType probes the THT for the outputs the engine would currently
+// serve for a task of type ts with the given inputs, without submitting
+// a task: on a hit the stored outputs are copied into outs (which must
+// match the entry's shapes) and PeekType reports true. A lookup is a peek,
 // so it is quiet: no engine or table state changes — not the table's
 // lookup/hit counters, not the admission sketch — and a probed key is
 // no likelier to be admitted or kept for having been looked at. Safe to
@@ -37,13 +38,12 @@ func (a *ATM) probeOuts(tt *taskrt.TaskType, key uint64, level int8, outs []regi
 //
 // A false return means only that no entry exists at the type's current
 // p level right now; a concurrent insert may land immediately after.
-func (a *ATM) Peek(tt *taskrt.TaskType, ins, outs []region.Region) bool {
-	ts := a.state(tt)
+func (a *ATM) PeekType(ts *Type, ins, outs []region.Region) bool {
 	_, level := ts.load()
 	h := a.probeHasher()
-	key := a.hashIns(tt.ID(), ts, ins, level, h)
+	key := a.hashIns(ts, ins, level, h)
 	a.releaseProbe(h)
-	e := a.probeOuts(tt, key, int8(level), outs)
+	e := a.probeOuts(ts, key, int8(level), outs)
 	if e == nil {
 		return false
 	}
@@ -52,6 +52,11 @@ func (a *ATM) Peek(tt *taskrt.TaskType, ins, outs []region.Region) bool {
 	}
 	e.Release()
 	return true
+}
+
+// Peek is PeekType for a type tt of the runtime bound to the engine.
+func (a *ATM) Peek(tt *taskrt.TaskType, ins, outs []region.Region) bool {
+	return a.PeekType(a.state(tt), ins, outs)
 }
 
 // outOfBandProvider marks the provider ids of entries Serve inserts: a
@@ -66,7 +71,9 @@ const outOfBandProvider = 1 << 63
 // []ServeTask serves without allocating; no entry is held once Serve has
 // returned.
 type ServeTask struct {
-	Type      *taskrt.TaskType
+	// Type is the task's type (NewType); nil marks a task that is not
+	// memoizable.
+	Type      *Type
 	Ins, Outs []region.Region
 	// Run executes the task's body on Ins and Outs, as the type's
 	// runtime body would. Serve calls it for every task it does not
@@ -74,8 +81,7 @@ type ServeTask struct {
 	// that need not write every output element must clear Outs first.
 	Run func(ins, outs []region.Region)
 
-	ts    *typeState // nil for a type that is not memoizable
-	e     *Entry     // the matched entry, retained between probe and commit
+	e     *Entry // the matched entry, retained between probe and commit
 	key   uint64
 	level int8 // the level key was hashed at; -1 before it is
 	// tscale is the extrapolation factor of this task's sampled timing
@@ -91,8 +97,8 @@ type ServeTask struct {
 // inserts its outputs as a worker's OnFinished would. A task of a type
 // still training runs its body and is graded against the entry its key
 // matched at the type's level, as a worker grades it, or inserts when
-// none matched. A task whose type is not memoizable runs its body and
-// leaves nothing in the engine.
+// none matched. A task with no Type is not memoizable: it runs its body
+// and leaves nothing in the engine.
 //
 // Every steady task is probed first, quietly (THT.probe), holding what
 // hits; every other task is a body to run. When there are bodies to run,
@@ -110,28 +116,27 @@ type ServeTask struct {
 // that missed is probed again first, and so is every task after this
 // request's first body: a sibling's insert (or a concurrent one) may
 // have added its key or evicted its entry since, so a key repeated
-// within one request hits its sibling, as it does on the runtime.
+// within one request hits its sibling, as it would on a runtime.
 //
 // Bodies take no IKT slot, so two concurrent identical misses may both
 // run; their entries carry provider ids of their own (outOfBandProvider).
 // Region identity is never observed: Serve neither consults the
 // exclusion set nor counts a failed grade toward it, so callers may
 // recycle region headers. Serve does not trace. Safe to call from any
-// goroutine, concurrently with the runtime's workers, delta saves and
-// full snapshots.
+// goroutine, concurrently with a bound runtime's workers, delta saves
+// and full snapshots.
 func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed int, ok bool) {
 	h := a.probeHasher()
 	defer a.releaseProbe(h)
 	bodies := 0
 	for i := range tasks {
 		t := &tasks[i]
-		t.ts, t.e, t.level = nil, nil, -1
-		if !t.Type.Config().Memoize {
+		t.e, t.level = nil, -1
+		if t.Type == nil {
 			bodies++
 			continue
 		}
-		t.ts = a.state(t.Type)
-		ph, level := t.ts.load()
+		ph, level := t.Type.load()
 		if ph != phaseSteady {
 			bodies++
 			continue
@@ -152,11 +157,11 @@ func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed in
 	ran := false // a memoizable body ran, and may have inserted
 	for i := range tasks {
 		t := &tasks[i]
-		if t.ts == nil {
+		if t.Type == nil {
 			t.Run(t.Ins, t.Outs)
 			continue
 		}
-		ph, level := t.ts.load()
+		ph, level := t.Type.load()
 		if t.level < 0 {
 			a.hashTask(t, level, h) // a training task, at the level it trains at now
 		}
@@ -193,7 +198,7 @@ func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed in
 // timingSample-th after. The shard's count only moves at commit, so the
 // decision reads it one ahead.
 func (a *ATM) hashTask(t *ServeTask, level int, h hashx.Hasher) {
-	n := t.ts.shard(-1).tasks.Load() + 1
+	n := t.Type.shard(-1).tasks.Load() + 1
 	t.tscale = 0
 	if n <= timingWarmup {
 		t.tscale = 1
@@ -204,7 +209,7 @@ func (a *ATM) hashTask(t *ServeTask, level int, h hashx.Hasher) {
 	if t.tscale != 0 {
 		h0 = time.Now()
 	}
-	t.key = a.hashIns(t.Type.ID(), t.ts, t.Ins, level, h)
+	t.key = a.hashIns(t.Type, t.Ins, level, h)
 	t.level = int8(level)
 	if t.tscale != 0 {
 		t.hashNanos = time.Since(h0).Nanoseconds() * t.tscale
@@ -215,7 +220,7 @@ func (a *ATM) hashTask(t *ServeTask, level int, h hashx.Hasher) {
 // half of THT.Lookup, on the out-of-band shard.
 func (a *ATM) commitHit(t *ServeTask) {
 	a.tht.noteLookup(t.key, t.e)
-	sh := t.ts.shard(-1)
+	sh := t.Type.shard(-1)
 	var c0 time.Time
 	if t.tscale != 0 {
 		c0 = time.Now()
@@ -238,14 +243,14 @@ func (a *ATM) commitHit(t *ServeTask) {
 // shared, so a full Snapshot never scans the table around it (see
 // ATM.serveInserts).
 func (a *ATM) runBody(t *ServeTask, pred *Entry) {
-	sh := t.ts.shard(-1)
+	sh := t.Type.shard(-1)
 	t.Run(t.Ins, t.Outs)
-	if pred == nil || a.grade(t.Type, t.ts, sh, t.Outs, pred, t.level, false) {
+	if pred == nil || a.grade(t.Type, sh, t.Outs, pred, t.level, false) {
 		var c0 time.Time
 		if t.tscale != 0 {
 			c0 = time.Now()
 		}
-		e := a.snapshotEntry(t.Type.ID(), t.Outs, outOfBandProvider|a.serveProviders.Add(1), t.key, t.level)
+		e := a.snapshotEntry(t.Type.id, t.Outs, outOfBandProvider|a.serveProviders.Add(1), t.key, t.level)
 		a.serveInserts.RLock()
 		a.tht.Insert(e)
 		a.serveInserts.RUnlock()

@@ -111,7 +111,7 @@ func (r *hitsRig) serveInputs(ins ...*region.Float64) ([]ServeTask, []*region.Fl
 		for j := range outs[i].Data {
 			outs[i].Data[j] = -1
 		}
-		tasks[i] = ServeTask{Type: r.tt, Ins: []region.Region{in}, Outs: []region.Region{outs[i]}, Run: doubleRegions}
+		tasks[i] = ServeTask{Type: r.memo.state(r.tt), Ins: []region.Region{in}, Outs: []region.Region{outs[i]}, Run: doubleRegions}
 	}
 	return tasks, outs
 }
@@ -408,9 +408,8 @@ func TestServeHitsFallbacks(t *testing.T) {
 	t.Run("not memoizable", func(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeStatic})
 		r.run(1)
-		plain := r.rt.RegisterType(taskrt.TypeConfig{Name: "plain", Run: doubler})
 		tasks, outs := r.serveTasks(1, 2)
-		tasks[1].Type = plain
+		tasks[1].Type = nil // a type that is not memoizable
 		before := r.tableState()
 		serves(t, r, tasks, 1, 0) // the plain body runs, and ATM does not see it
 		checkDoubled(t, []int{1, 2}, outs)
@@ -444,7 +443,7 @@ func TestServeHitsFallbacks(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeDynamic})
 		out := region.NewFloat64(16)
 		task := func(run func(ins, outs []region.Region)) []ServeTask {
-			return []ServeTask{{Type: r.tt, Ins: []region.Region{mkInput(1)}, Outs: []region.Region{out}, Run: run}}
+			return []ServeTask{{Type: r.memo.state(r.tt), Ins: []region.Region{mkInput(1)}, Outs: []region.Region{out}, Run: run}}
 		}
 		triple := func(ins, outs []region.Region) {
 			in, out := ins[0].(*region.Float64).Data, outs[0].(*region.Float64).Data
@@ -777,7 +776,7 @@ func TestServeReprobesAfterInsert(t *testing.T) {
 	bucket := func(k int) uint64 {
 		h := inline.memo.probeHasher()
 		defer inline.memo.releaseProbe(h)
-		return inline.memo.hashIns(inline.tt.ID(), inline.memo.state(inline.tt), []region.Region{mkInput(k)}, 15, h) & inline.memo.tht.mask
+		return inline.memo.hashIns(inline.memo.state(inline.tt), []region.Region{mkInput(k)}, 15, h) & inline.memo.tht.mask
 	}
 	k := 2
 	for bucket(k) != bucket(1) {

@@ -260,17 +260,14 @@ func FoldEntryOps(ops []EntrySnapshot) []EntrySnapshot {
 // registered type to snap, entries to follow, and maps each type ID to
 // its section. The caller holds typeMu.
 func (a *ATM) registeredSections(snap *Snapshot) (map[int]int, error) {
-	var states []*typeState
-	if sl := a.typeStates.Load(); sl != nil {
-		states = *sl
-	}
+	states := *a.typeStates.Load()
 	secOf := make(map[int]int, len(states))
 	seen := make(map[string]bool, len(states))
 	for id, ts := range states {
 		if ts == nil {
 			continue
 		}
-		name := a.names[id]
+		name := ts.name
 		if seen[name] {
 			// The runtime does not enforce type-name uniqueness, but the
 			// snapshot's sections are name-keyed: writing the collision
@@ -381,14 +378,14 @@ func RestoreChain(cfg Config, base *Snapshot, deltas []*Delta) (*ATM, error) {
 }
 
 // installSection adopts a restored section into a freshly created
-// typeState. Called from stateSlow under typeMu, before the state is
+// Type. Called from addTypeLocked under typeMu, before the state is
 // published, so no task of the type can race the installation: the
 // first OnReady already sees the warm level and the warm THT. The
 // return value reports whether the metadata installed verbatim — false
 // means the installed state diverged from the snapshot (clamped level,
 // or an excluded steady type demoted to training) and the caller must
 // mark the type dirty for the next delta save.
-func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
+func (a *ATM) installSection(ts *Type, sec *TypeSnapshot) bool {
 	level := sec.Level
 	if level < sampling.MinPLevel {
 		level = sampling.MinPLevel
@@ -421,7 +418,7 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 			// Remove neither logs nor counts an eviction — the removal
 			// was already persisted by the chain being restored — but
 			// the entry it takes out is no longer a restored one.
-			if a.tht.Remove(id, es.Key, es.Level, es.Provider) {
+			if a.tht.Remove(ts.id, es.Key, es.Level, es.Provider) {
 				a.restored.Add(-1)
 			}
 			continue
@@ -431,7 +428,7 @@ func (a *ATM) installSection(id int, ts *typeState, sec *TypeSnapshot) bool {
 		// Under a budget, admission may reject the entry or evict
 		// residents for it; only what the table keeps is counted.
 		a.restored.Add(int64(a.tht.InsertRestored(&Entry{
-			TypeID:     id,
+			TypeID:     ts.id,
 			Key:        es.Key,
 			Level:      es.Level,
 			ProviderID: es.Provider,

@@ -88,16 +88,11 @@ func (s Stats) TotalReuse() float64 {
 // Stats snapshots the engine's counters, summing the per-worker shards.
 func (a *ATM) Stats() Stats {
 	var st Stats
-	a.typeMu.Lock()
-	var states []*typeState
-	if sl := a.typeStates.Load(); sl != nil {
-		states = *sl
-	}
-	for id, ts := range states {
+	for _, ts := range *a.typeStates.Load() {
 		if ts == nil {
 			continue
 		}
-		t := TypeStats{Name: a.names[id]}
+		t := TypeStats{Name: ts.name}
 		for i := range ts.shards {
 			sh := &ts.shards[i]
 			t.Tasks += sh.tasks.Load()
@@ -119,7 +114,6 @@ func (a *ATM) Stats() Stats {
 		ts.mu.Unlock()
 		st.Types = append(st.Types, t)
 	}
-	a.typeMu.Unlock()
 
 	st.THTBytes = a.tht.MemoryBytes()
 	st.THTEntries = a.tht.Entries()

@@ -9,7 +9,6 @@ import (
 
 	"atm/internal/core"
 	"atm/internal/region"
-	"atm/internal/taskrt"
 )
 
 // Config configures a service Engine.
@@ -109,16 +108,15 @@ type Engine struct {
 	backlog int64 // the admission watermark
 	memo    *core.ATM
 	kinds   map[string]Kind
-	// rt holds the registered task types, and core binds to it; nothing
-	// is submitted to it.
-	rt *taskrt.Runtime
 
 	// types maps registered task-type names (tenant + "/" + kind) to
-	// their runtime types; tenants tracks the distinct tenant names ("" for
-	// the catalog) against cfg.MaxTenants. Guarded by typeMu: the catalog tenant is
-	// registered at construction, other tenants lazily at admission.
+	// their core types: nil for a kind that is not memoizable, and for
+	// every kind on a baseline engine. tenants tracks the distinct tenant
+	// names ("" for the catalog) against cfg.MaxTenants. Guarded by
+	// typeMu: the catalog tenant is registered at construction, other
+	// tenants lazily at admission.
 	typeMu  sync.RWMutex
-	types   map[string]*taskrt.TaskType
+	types   map[string]*core.Type
 	tenants map[string]bool
 
 	reqPool sync.Pool // *request: per-request memory, reused (size-capped in release)
@@ -164,10 +162,10 @@ type request struct {
 	outs  [][]float64
 	group GroupStats
 
-	// types are the tasks' registered types; serve and hitRegs are the
-	// task list core.Serve takes and its region headers, pooled, because
-	// core.Serve never observes region identity.
-	types   []*taskrt.TaskType
+	// types are the tasks' core types (nil when not memoizable); serve
+	// and hitRegs are the task list core.Serve takes and its region
+	// headers, pooled, because core.Serve never observes region identity.
+	types   []*core.Type
 	serve   []core.ServeTask
 	hitRegs []hitRegions
 
@@ -212,10 +210,10 @@ func (e *Engine) getRequest() *request {
 // everything r handed out (decoded tasks, outs, reply).
 func (e *Engine) release(r *request) {
 	// In bytes: a Task is 56, a type pointer 8, a slice header 24, a
-	// ServeTask 112, a hitRegions 128.
+	// ServeTask 104, a hitRegions 128.
 	kept := cap(r.body) + cap(r.reply) + 8*(cap(r.in)+cap(r.out)) +
 		56*cap(r.taskBuf) + 8*cap(r.types) + 24*cap(r.outs) +
-		112*cap(r.serve) + 128*cap(r.hitRegs)
+		104*cap(r.serve) + 128*cap(r.hitRegs)
 	if kept > maxPooledRequestBytes {
 		return
 	}
@@ -240,10 +238,6 @@ func New(cfg Config) *Engine {
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 64
 	}
-	var m taskrt.Memoizer
-	if cfg.Memo != nil {
-		m = cfg.Memo
-	}
 	backlog := int64(cfg.Backlog)
 	if backlog <= 0 {
 		backlog = 4096
@@ -251,26 +245,20 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:     cfg,
 		backlog: backlog,
-		rt:      taskrt.New(taskrt.Config{Memoizer: m}),
 		memo:    cfg.Memo,
 		kinds:   make(map[string]Kind, len(kindList)),
 		kernels: make(map[string]func(ins, outs []region.Region), len(kindList)),
-		types:   make(map[string]*taskrt.TaskType, len(kindList)),
+		types:   make(map[string]*core.Type, len(kindList)),
 	}
 	e.tenants = map[string]bool{}
 	for _, k := range kindList {
 		e.kinds[k.Name] = k
 		e.kernels[k.Name] = kernel(k)
-		// Registering at construction also touches restored type state:
-		// snapshot sections install as types register, and a server
+		// Registering at construction also installs restored type state:
+		// snapshot sections install as core makes the types, and a server
 		// should surface its warm-start entry count (and per-type
 		// metrics) from construction, not from the first request.
-		e.typeMu.Lock()
-		_, err := e.registerTypeLocked("", k)
-		e.typeMu.Unlock()
-		if err != nil {
-			panic("service: catalog registration exceeded MaxTenants: " + err.Error())
-		}
+		_, _ = e.registerType("", k) // the first tenant: MaxTenants ≥ 1 admits it
 	}
 	if cfg.Save != nil && cfg.SaveEvery > 0 {
 		e.stopSaves, e.savesDone = make(chan struct{}), make(chan struct{})
@@ -326,39 +314,35 @@ func validTenant(t string) error {
 	return nil
 }
 
-// taskType returns the registered runtime type for (tenant, kind), or
-// nil when that pair was never admitted.
-func (e *Engine) taskType(tenant string, k Kind) *taskrt.TaskType {
+// taskType returns the core type of (tenant, kind), and whether that
+// pair was ever admitted.
+func (e *Engine) taskType(tenant string, k Kind) (*core.Type, bool) {
 	e.typeMu.RLock()
-	tt := e.types[typeName(tenant, k)]
+	tt, ok := e.types[typeName(tenant, k)]
 	e.typeMu.RUnlock()
-	return tt
+	return tt, ok
 }
 
-// registerType resolves (tenant, kind) to its runtime type,
-// registering the type (and the tenant) on first use. The MaxTenants
-// cap is enforced here: a request naming one tenant too many is
-// rejected before admission.
-func (e *Engine) registerType(tenant string, k Kind) (*taskrt.TaskType, error) {
-	if tt := e.taskType(tenant, k); tt != nil {
+// registerType resolves (tenant, kind) to its core type, registering
+// the pair (and the tenant) on first use. The MaxTenants cap is
+// enforced here: a request naming one tenant too many is rejected
+// before admission.
+func (e *Engine) registerType(tenant string, k Kind) (*core.Type, error) {
+	if tt, ok := e.taskType(tenant, k); ok {
 		return tt, nil
 	}
 	e.typeMu.Lock()
 	defer e.typeMu.Unlock()
-	return e.registerTypeLocked(tenant, k)
-}
-
-func (e *Engine) registerTypeLocked(tenant string, k Kind) (*taskrt.TaskType, error) {
 	name := typeName(tenant, k)
-	if tt := e.types[name]; tt != nil {
+	if tt, ok := e.types[name]; ok {
 		return tt, nil
 	}
 	if !e.tenants[tenant] && len(e.tenants) >= e.cfg.MaxTenants {
 		return nil, &BadTaskError{msg: fmt.Sprintf("tenant %q would exceed the %d-tenant limit", tenant, e.cfg.MaxTenants)}
 	}
-	tt := e.rt.RegisterType(taskrt.TypeConfig{Name: name, Memoize: k.Memoize})
+	var tt *core.Type
 	if e.memo != nil && k.Memoize {
-		e.memo.ChosenLevel(tt)
+		tt = e.memo.NewType(name)
 	}
 	e.tenants[tenant] = true
 	e.types[name] = tt
@@ -523,7 +507,7 @@ func (e *Engine) submit(r *request) error {
 		st.Type = r.types[j]
 		st.Ins, st.Outs = r.hitRegs[j].set(t.Input, r.outs[j])
 		st.Run = e.kernels[t.Kind]
-		if st.Type.Config().Memoize {
+		if st.Type != nil {
 			memoizable++
 		}
 	}
@@ -583,7 +567,7 @@ func (e *Engine) Lookup(kind string, input []float64) ([]float64, bool, error) {
 // would serve for (tenant, kind, input) right now, without executing
 // anything; on a hit they are returned in dst's memory when it has room
 // (a caller that recycles dst looks up without allocating). It is
-// quiet (core.Peek): the table's
+// quiet (core.PeekType): the table's
 // counters and its eviction state do not move, only Counters.Lookups
 // and LookupHits. A tenant that never submitted is simply a miss: the
 // read path must not allocate namespaces.
@@ -599,10 +583,7 @@ func (e *Engine) LookupTenant(tenant, kind string, input, dst []float64) ([]floa
 		return nil, false, err
 	}
 	e.lookups.Add(1)
-	if e.memo == nil || !k.Memoize {
-		return nil, false, nil
-	}
-	tt := e.taskType(tenant, k)
+	tt, _ := e.taskType(tenant, k)
 	if tt == nil {
 		return nil, false, nil
 	}
@@ -617,7 +598,7 @@ func (e *Engine) LookupTenant(tenant, kind string, input, dst []float64) ([]floa
 	}
 	r.hitRegs = r.hitRegs[:1]
 	ins, outs := r.hitRegs[0].set(input, dst)
-	hit := e.memo.Peek(tt, ins, outs)
+	hit := e.memo.PeekType(tt, ins, outs)
 	e.release(r)
 	if !hit {
 		return nil, false, nil
@@ -642,9 +623,8 @@ func (e *Engine) Snapshot() error {
 }
 
 // Close waits for every request and Snapshot that passed its closed
-// check before it, then stops the periodic saver, runs
-// a final save (when configured) and stops the runtime; requests and
-// Snapshots after it get ErrClosed. It returns the final save's error,
+// check before it, then stops the periodic saver and runs a final save
+// (when configured); requests and Snapshots after it get ErrClosed. It returns the final save's error,
 // if any, and so does every later Close, once the first has returned.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
@@ -658,7 +638,6 @@ func (e *Engine) Close() error {
 		if e.cfg.Save != nil {
 			_ = e.save()
 		}
-		e.rt.Close()
 	})
 	return e.SaveErr()
 }

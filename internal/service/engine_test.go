@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,28 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	e := New(cfg)
 	t.Cleanup(func() { _ = e.Close() })
 	return e
+}
+
+// TestEngineStartsNoGoroutine: the engine builds no task runtime and
+// serves on its callers' goroutines, so a memoizing engine without a
+// periodic saver starts no goroutine from New through Close. The counts
+// may only fall, as goroutines earlier tests left finish exiting.
+func TestEngineStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New(Config{Memo: core.New(core.Config{Mode: core.ModeDynamic})})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("New started %d goroutines", n-before)
+	}
+	k, _ := KindByName("lu")
+	if _, _, err := e.Do([]Task{{Kind: "lu", Input: Input(k, 1, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines outlive Close", n-before)
+	}
 }
 
 // TestEngineExecutesCorrectly checks Do's outputs equal the kernel run

@@ -599,8 +599,12 @@ func TestColdDynamicTrainsOnHandlers(t *testing.T) {
 	memo := core.New(core.Config{Mode: core.ModeDynamic})
 	e := newTestEngine(t, Config{Memo: memo})
 	steady := func(name string) bool {
-		_, s := memo.ChosenLevel(e.taskType("", mustKind(t, name)))
-		return s
+		for _, ty := range memo.Stats().Types {
+			if ty.Name == mustKind(t, name).TypeName() {
+				return ty.Steady
+			}
+		}
+		return false
 	}
 	allSteady := func() bool {
 		for _, name := range memoKindNames {

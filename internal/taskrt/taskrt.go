@@ -99,18 +99,26 @@ func (tt *TaskType) Name() string { return tt.cfg.Name }
 // Config returns the type's configuration.
 func (tt *TaskType) Config() TypeConfig { return tt.cfg }
 
-// TauMax returns the effective τmax (default 0.01).
+// The training parameters a type gets when its TypeConfig leaves them
+// zero.
+const (
+	DefaultTauMax    = 0.01
+	DefaultLTraining = 15
+)
+
+// TauMax returns the effective τmax (default DefaultTauMax).
 func (tt *TaskType) TauMax() float64 {
 	if tt.cfg.TauMax <= 0 {
-		return 0.01
+		return DefaultTauMax
 	}
 	return tt.cfg.TauMax
 }
 
-// LTraining returns the effective training length (default 15).
+// LTraining returns the effective training length (default
+// DefaultLTraining).
 func (tt *TaskType) LTraining() int {
 	if tt.cfg.LTraining <= 0 {
-		return 15
+		return DefaultLTraining
 	}
 	return tt.cfg.LTraining
 }
