@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -14,13 +13,17 @@ import (
 // Sample per series, and the writer takes care of HELP/TYPE headers,
 // label escaping and float formatting.
 //
+// It writes into memory, where a write cannot fail, so a scrape handler
+// renders the whole exposition first and then sends it with its length.
+//
 // Usage:
 //
-//	p := metrics.NewProm(w)
+//	var b strings.Builder
+//	p := metrics.NewProm(&b)
 //	p.Family("atmd_requests_total", "counter", "HTTP requests by route and code.")
 //	p.Sample("atmd_requests_total", []metrics.Label{{"route", "submit"}, {"code", "200"}}, 123)
 //	p.LatencyHistogram("atmd_submit_seconds", nil, hist)
-//	err := p.Err()
+//	body := b.String()
 
 // Label is one name="value" pair of a sample.
 type Label struct {
@@ -29,22 +32,14 @@ type Label struct {
 
 // Prom writes metric families in the Prometheus text format.
 type Prom struct {
-	w   io.Writer
-	err error
+	b *strings.Builder
 }
 
-// NewProm returns a writer targeting w. Errors are sticky: check Err()
-// once after the last family.
-func NewProm(w io.Writer) *Prom { return &Prom{w: w} }
-
-// Err returns the first write error, if any.
-func (p *Prom) Err() error { return p.err }
+// NewProm returns a writer appending to b.
+func NewProm(b *strings.Builder) *Prom { return &Prom{b: b} }
 
 func (p *Prom) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
+	fmt.Fprintf(p.b, format, args...)
 }
 
 // Family emits the HELP/TYPE header for a metric name. typ is one of

@@ -24,14 +24,14 @@ import (
 // goroutine per connection reads HTTP/1.1 requests into a reused
 // *http.Request, calls Server.ServeHTTP with a ResponseWriter that
 // buffers the whole reply, and sends the status line, headers and body
-// in one Write. Handlers, routes and status codes are the ones an
-// httptest.Server reaches; what the loop adds on the wire follows
-// net/http's server: the same Date, Content-Length, Content-Type
-// sniffing, chunked framing of a large reply of unknown length, and
-// Connection rules. It is stricter than net/http on the request side
-// only: a header folded over two lines, a duplicate Content-Length,
+// in one Write. It carries atmd's routes, not any http.Handler: every
+// reply is framed by a Content-Length, the one its handler declared or,
+// for ServeMux's own 404, 405 and 301 replies, the buffered body's; no
+// reply is chunked or has its type sniffed. Date, Connection and the
+// request side follow net/http's server, stricter only in refusing
+// with 400 a header folded over two lines, a duplicate Content-Length,
 // Content-Length beside Transfer-Encoding, trailers and a CONNECT to an
-// authority are refused with 400.
+// authority.
 
 const (
 	// readHeaderTimeout bounds the time from a request's first byte (on
@@ -46,10 +46,6 @@ const (
 	// and discarded to keep the connection; past it the connection closes
 	// (net/http's maxPostHandlerReadBytes).
 	maxDrainBytes = 256 << 10
-	// smallReplyBytes: a reply whose handler declared no length gets a
-	// Content-Length up to this size and chunked framing past it, as
-	// net/http's 2 KiB response buffer decides.
-	smallReplyBytes = 2048
 	// connReadBuffer holds a binary submit request, header and body, in
 	// one read (net/http reads through 4 KiB).
 	connReadBuffer = 16 << 10
@@ -707,19 +703,17 @@ func (b *body) Close() error {
 
 // response is the ResponseWriter: the status, header and body of the
 // reply, buffered whole until the handler returns. The header as it
-// stands then is the one sent; an informational (1xx) status is not
-// sent.
+// stands then is the one sent.
 type response struct {
 	header http.Header
 	status int
-	cl     int64 // the Content-Length the handler declared, or -1
 	body   []byte
 	head   bool
 }
 
 func (w *response) reset(head bool) {
 	clear(w.header)
-	w.status, w.cl, w.body, w.head = 0, -1, w.body[:0], head
+	w.status, w.body, w.head = 0, w.body[:0], head
 }
 
 func (w *response) Header() http.Header { return w.header }
@@ -728,16 +722,8 @@ func (w *response) WriteHeader(code int) {
 	if code < 100 || code > 999 {
 		panic(fmt.Sprintf("invalid WriteHeader code %v", code))
 	}
-	if w.status != 0 || code < 200 {
-		return
-	}
-	w.status = code
-	if cl := first(w.header["Content-Length"]); cl != "" {
-		if n, ok := parseContentLength(cl); ok {
-			w.cl = n
-		} else {
-			delete(w.header, "Content-Length")
-		}
+	if w.status == 0 {
+		w.status = code
 	}
 }
 
@@ -746,20 +732,10 @@ func (w *response) WriteString(s string) (int, error) { return appendBody(w, s) 
 
 func appendBody[T string | []byte](w *response, p T) (int, error) {
 	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	if !bodyAllowed(w.status) {
-		return 0, http.ErrBodyNotAllowed
-	}
-	if w.cl >= 0 && int64(len(w.body)+len(p)) > w.cl {
-		return 0, http.ErrContentLength
+		w.status = http.StatusOK
 	}
 	w.body = append(w.body, p...)
 	return len(p), nil
-}
-
-func bodyAllowed(status int) bool {
-	return status >= 200 && status != http.StatusNoContent && status != http.StatusNotModified
 }
 
 func first(vs []string) string {
@@ -769,26 +745,21 @@ func first(vs []string) string {
 	return vs[0]
 }
 
-// reply sends the buffered reply in one Write, with the headers
-// net/http's server would add, and reports whether the connection
-// serves another request. A body its handler left unread is drained up
-// to maxDrainBytes first; past that the connection closes.
+// reply sends the buffered reply in one Write, framed by its
+// Content-Length, and reports whether the connection serves another
+// request. A body its handler left unread is drained up to
+// maxDrainBytes first; past that the connection closes.
 func (c *conn) reply() (keep bool) {
 	w, r := &c.w, &c.req
 	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
+		w.status = http.StatusOK
 	}
 	h := w.header
 	is11 := r.ProtoMinor >= 1
-	allowed := bodyAllowed(w.status)
 	closeAfter, linger := false, false
 	var connection string // a Connection header the loop adds
 
-	cl, autoCL := w.cl, false
-	if cl < 0 && allowed && (!w.head || len(w.body) > 0) && len(w.body) <= smallReplyBytes {
-		cl, autoCL = int64(len(w.body)), true
-	}
-	if c.wants10KeepAlive && (w.head || cl >= 0 || !allowed) {
+	if c.wants10KeepAlive {
 		if _, ok := h["Connection"]; !ok {
 			connection = "keep-alive"
 		}
@@ -829,27 +800,6 @@ func (c *conn) reply() (keep bool) {
 	// The request is read: the next one waits idle, with no deadline.
 	_ = c.rwc.SetReadDeadline(time.Time{})
 
-	var ctype string
-	if allowed {
-		if _, ok := h["Content-Type"]; !ok && first(h["Content-Encoding"]) == "" && len(w.body) > 0 {
-			ctype = http.DetectContentType(w.body)
-		}
-	} else {
-		delete(h, "Content-Length")
-		delete(h, "Transfer-Encoding")
-		if w.status == http.StatusNotModified {
-			delete(h, "Content-Type")
-		}
-	}
-	sendBody := !w.head && allowed
-	chunked := false
-	if sendBody && cl < 0 {
-		if is11 {
-			chunked = true
-		} else {
-			closeAfter = true
-		}
-	}
 	delete(h, "Transfer-Encoding")
 	if closeAfter && (!hasToken(h["Connection"], "close") || c.tr.closing.Load()) {
 		delete(h, "Connection")
@@ -865,36 +815,19 @@ func (c *conn) reply() (keep bool) {
 	if _, ok := h["Date"]; !ok {
 		headerLine(b, "Date", c.httpDate())
 	}
-	if autoCL {
+	// atmd's handlers declare their length, and it is sent as declared;
+	// ServeMux's own replies get the buffered body's.
+	if _, ok := h["Content-Length"]; !ok {
 		b.WriteString("Content-Length: ")
-		b.Write(strconv.AppendInt(b.AvailableBuffer(), cl, 10))
+		b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(len(w.body)), 10))
 		b.WriteString("\r\n")
-	}
-	if ctype != "" {
-		headerLine(b, "Content-Type", ctype)
 	}
 	if connection != "" {
 		headerLine(b, "Connection", connection)
 	}
-	if chunked {
-		headerLine(b, "Transfer-Encoding", "chunked")
-	}
 	b.WriteString("\r\n")
-	switch {
-	case !sendBody:
-	case chunked:
-		if len(w.body) > 0 {
-			b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(len(w.body)), 16))
-			b.WriteString("\r\n")
-			b.Write(w.body)
-			b.WriteString("\r\n")
-		}
-		b.WriteString("0\r\n\r\n")
-	default:
+	if !w.head {
 		b.Write(w.body)
-		if int64(len(w.body)) != cl {
-			closeAfter = true // shorter than the handler declared
-		}
 	}
 	if _, err := c.rwc.Write(b.Bytes()); err != nil {
 		return false

@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -77,7 +78,8 @@ var dateLine = regexp.MustCompile("Date: [^\r]*\r\n")
 // TestServeMatchesNetHTTP sends the same requests through
 // httptest.NewServer and through Serve, each over its own Static engine
 // with the same history, and requires the same status, header set (Date
-// excepted) and body: through a Go client on kept-alive connections,
+// excepted), length and body: through a Go client on kept-alive
+// connections, the length less the volatile /metrics lines it counts,
 // and as raw bytes for what a client library would not send — each
 // reply compared byte for byte with its Date line removed.
 func TestServeMatchesNetHTTP(t *testing.T) {
@@ -129,7 +131,11 @@ func TestServeMatchesNetHTTP(t *testing.T) {
 			t.Fatalf("%s %s: body: %v", method, path, err)
 		}
 		resp.Header.Del("Date")
-		return reply{resp.StatusCode, resp.Header, volatile.ReplaceAllString(string(b), ""), resp.ContentLength, resp.TransferEncoding, resp.Close}
+		// The declared length is compared as cl, less the bytes of the
+		// volatile lines /metrics counts in it.
+		resp.Header.Del("Content-Length")
+		kept := volatile.ReplaceAllString(string(b), "")
+		return reply{resp.StatusCode, resp.Header, kept, resp.ContentLength - int64(len(b)-len(kept)), resp.TransferEncoding, resp.Close}
 	}
 	for _, c := range []struct {
 		method, path, ctype string
@@ -224,6 +230,98 @@ func TestServeMatchesNetHTTP(t *testing.T) {
 	}
 	if got, want := continued(loopAddr), continued(refAddr); got != want {
 		t.Errorf("100-continue:\n loop     %.300q\n net/http %.300q", got, want)
+	}
+}
+
+// serveServer runs s.Serve on a loopback listener until the test ends
+// and returns the address.
+func serveServer(t *testing.T, s *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestServeFramesEveryRoute: every reply on atmd's port — each route's
+// 200s and JSON errors, and ServeMux's own 404, 405 and 301 — carries a
+// Content-Type and exactly one Content-Length, equal to the body it
+// sends (for HEAD, to the body the same GET sent), and none is chunked.
+func TestServeFramesEveryRoute(t *testing.T) {
+	memo := serveServer(t, NewServer(newTestEngine(t, Config{
+		Memo: core.New(core.Config{Mode: core.ModeStatic}),
+		Save: func() error { return nil },
+	})))
+	// A baseline engine with no save (409) and a one-task watermark,
+	// which sheds any two-task submit (429).
+	bare := serveServer(t, NewServer(newTestEngine(t, Config{Backlog: 1})))
+	binBody, err := EncodeBinaryTasks([]Task{{Kind: "lu", Input: Input(mustKind(t, "lu"), 3, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lu := `{"tasks":[{"kind":"lu","key":5,"seed":2}]}`
+	sent := map[string]int{} // path -> body length its GET sent
+	for _, c := range []struct {
+		addr, method, path, ctype, body string
+		code                            int
+	}{
+		{memo, "POST", "/v1/submit", "application/json", lu, http.StatusOK},
+		{memo, "POST", "/v1/submit", binaryContentType, string(binBody), http.StatusOK},
+		{memo, "GET", "/v1/lookup?kind=lu&key=5&seed=2", "", "", http.StatusOK},
+		{memo, "GET", "/v1/stats", "", "", http.StatusOK},
+		{memo, "HEAD", "/v1/stats", "", "", http.StatusOK},
+		{memo, "GET", "/metrics", "", "", http.StatusOK},
+		{memo, "GET", "/healthz", "", "", http.StatusOK},
+		{memo, "HEAD", "/healthz", "", "", http.StatusOK},
+		{memo, "POST", "/v1/snapshot", "", "", http.StatusOK},
+		{memo, "POST", "/v1/submit", "application/json", `{"tasks":[{"kind":"nope"}]}`, http.StatusBadRequest},
+		{bare, "POST", "/v1/snapshot", "", "", http.StatusConflict},
+		{bare, "POST", "/v1/submit", "application/json", `{"tasks":[{"kind":"lu","key":1},{"kind":"lu","key":2}]}`, http.StatusTooManyRequests},
+		{memo, "GET", "/nothing", "", "", http.StatusNotFound},
+		{memo, "DELETE", "/v1/submit", "", "", http.StatusMethodNotAllowed},
+		{memo, "POST", "/healthz", "text/plain", "unread", http.StatusMethodNotAllowed},
+		{memo, "GET", "/v1//stats", "", "", http.StatusMovedPermanently},
+	} {
+		name := c.method + " " + c.path
+		req := fmt.Sprintf("%s %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: %d\r\n", c.method, c.path, len(c.body))
+		if c.ctype != "" {
+			req += "Content-Type: " + c.ctype + "\r\n"
+		}
+		raw := exchange(t, c.addr, req+"\r\n"+c.body)
+		resp, err := http.ReadResponse(bufio.NewReader(strings.NewReader(raw)), &http.Request{Method: c.method})
+		if err != nil {
+			t.Fatalf("%s: %v in %q", name, err, raw)
+		}
+		_, body, _ := strings.Cut(raw, "\r\n\r\n")
+		cls := resp.Header["Content-Length"]
+		switch {
+		case resp.StatusCode != c.code:
+			t.Errorf("%s: HTTP %d, want %d", name, resp.StatusCode, c.code)
+		case resp.Header.Get("Content-Type") == "":
+			t.Errorf("%s: no Content-Type", name)
+		case len(resp.TransferEncoding) > 0 || resp.Header["Transfer-Encoding"] != nil:
+			t.Errorf("%s: Transfer-Encoding %q", name, resp.TransferEncoding)
+		case len(cls) != 1:
+			t.Errorf("%s: Content-Length %q, want one", name, cls)
+		case c.method == "HEAD" && (body != "" || cls[0] != strconv.Itoa(sent[c.path])):
+			t.Errorf("%s: Content-Length %s and %d body bytes, want %d and none", name, cls[0], len(body), sent[c.path])
+		case c.method != "HEAD" && cls[0] != strconv.Itoa(len(body)):
+			t.Errorf("%s: Content-Length %s, sent %d body bytes", name, cls[0], len(body))
+		}
+		sent[c.path] = len(body)
 	}
 }
 

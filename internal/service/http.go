@@ -186,7 +186,7 @@ func NewServer(e *Engine) *Server {
 	s.handle("GET /v1/stats", "stats", nil, s.handleStats)
 	s.handle("POST /v1/submit", "submit", s.submitLat, s.handleSubmit)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, "ok\n")
+		writeReply(w, http.StatusOK, "text/plain; charset=utf-8", healthzBody)
 	})
 	s.tr.h, s.tr.headerTimeout = s, readHeaderTimeout
 	return s
@@ -220,10 +220,24 @@ func (rt *route) instrument(h handlerFunc) http.HandlerFunc {
 	}
 }
 
+var healthzBody = []byte("ok\n")
+
+// writeJSON answers code with v as JSON and a newline, as json.Encoder
+// writes it, through writeReply. Its callers' values (errorResponse,
+// StatsResponse, the snapshot route's map) always encode.
 func writeJSON(w http.ResponseWriter, code int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
+	body, _ := json.Marshal(v)
+	return writeReply(w, code, "application/json", append(body, '\n'))
+}
+
+// writeReply answers code with a body built whole, declaring its type
+// and length: the connection loop frames every reply by the length its
+// handler declared. It returns code.
+func writeReply(w http.ResponseWriter, code int, ctype string, body []byte) int {
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a client that went away is not the server's error
 	return code
 }
 
@@ -289,17 +303,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) int {
 	if q.reply, err = appendSubmitReply(q.reply[:0], q.outs, q.group); err != nil {
 		return writeError(w, err)
 	}
-	return writeReply(w, q.reply)
-}
-
-// writeReply sends a 200 whose JSON body was built whole, with its
-// length declared.
-func writeReply(w http.ResponseWriter, body []byte) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // a client that went away is not the server's error
-	return http.StatusOK
+	return writeReply(w, http.StatusOK, "application/json", q.reply)
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
@@ -350,7 +354,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, err)
 	}
-	return writeReply(w, reply)
+	return writeReply(w, http.StatusOK, "application/json", reply)
 }
 
 // handleSnapshot runs the engine's configured save. The server, not the
@@ -413,10 +417,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) int {
 
 // handleMetrics renders the Prometheus exposition: the engine and HTTP
 // counters plus the ATM per-type and table statistics (the metrics
-// catalog of docs/service.md).
+// catalog of docs/service.md), built whole so its length is declared.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := metrics.NewProm(w)
+	var b strings.Builder
+	p := metrics.NewProm(&b)
 	c := s.e.Counters()
 
 	p.Family("atmd_requests_total", "counter", "HTTP requests by route and status code.")
@@ -489,6 +493,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	p.Sample("atm_ikt_inserts_total", nil, float64(st.IKTInserts))
 	p.Family("atm_ikt_defers_total", "counter", "Tasks deferred to an in-flight provider.")
 	p.Sample("atm_ikt_defers_total", nil, float64(st.IKTDefers))
-	_ = p.Err()
-	return http.StatusOK
+	return writeReply(w, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", []byte(b.String()))
 }
