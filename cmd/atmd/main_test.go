@@ -209,7 +209,7 @@ func TestDeltaEveryNeedsChain(t *testing.T) {
 
 // TestNegativeCountsExit2: a negative -workers, -backlog or -max-tenants
 // is refused with exit status 2 before serving. Each used to be coerced
-// silently (to 1 worker, the adaptive watermark and 64 tenants).
+// silently (to 1 worker, the default watermark and 64 tenants).
 func TestNegativeCountsExit2(t *testing.T) {
 	for _, flagName := range []string{"-workers", "-backlog", "-max-tenants"} {
 		t.Run(flagName, func(t *testing.T) {

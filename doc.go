@@ -15,8 +15,7 @@
 //     (SubmitBatch/Batcher: intra-batch edges wired without atomics,
 //     block publication, one coalesced wake per batch; per-task Submit
 //     is a batch of one), random-start victim selection, and
-//     Nanos++-style submission throttling with an adaptive, LLC-sized
-//     watermark. Dependence
+//     Nanos++-style submission throttling at a fixed window. Dependence
 //     state lives in generation-checked slots embedded in the regions
 //     themselves (region.DepSlot, which every Region carries: one
 //     pointer load instead of a map probe), and tasks

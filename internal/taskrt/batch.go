@@ -162,7 +162,6 @@ func (rt *Runtime) submitBatch(batch []BatchEntry, dst []*Task) []*Task {
 			// batch is half-carved — the window the npred guard protects.
 			rt.det.maybeYield()
 		}
-		rt.notePayload(t) // internally sampled, 1 in 8
 		if rt.tracer != nil {
 			rt.tracer.TaskCreated()
 		}

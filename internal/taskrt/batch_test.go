@@ -568,37 +568,28 @@ func TestSubmitBatchChainHammer(t *testing.T) {
 	}
 }
 
-// TestAdaptiveThrottleWatermark checks the EWMA-driven window: large task
-// payloads must shrink it toward the floor, tiny payloads must raise it
-// toward the cap, and a fixed window must never move.
-func TestAdaptiveThrottleWatermark(t *testing.T) {
-	run := func(elems, n int, window int) int {
+// TestThrottleWindowIgnoresPayload checks that the submission window is a
+// constant: unset, it is defaultWindow whatever the tasks' payload, and a
+// pinned window stays as pinned.
+func TestThrottleWindowIgnoresPayload(t *testing.T) {
+	run := func(elems, window int) int64 {
 		rt := New(Config{Workers: 2, ThrottleWindow: window})
 		defer rt.Close()
 		tt := rt.RegisterType(TypeConfig{Name: "t", Run: func(*Task) {}})
 		r := region.NewFloat64(elems)
-		for i := 0; i < n; i++ {
+		for i := 0; i < 2048; i++ {
 			rt.Submit(tt, InOut(r))
 		}
 		rt.Wait()
-		return rt.BacklogLimit()
+		return rt.window
 	}
-	const n = 4 * 8 * watermarkRefresh // 1-in-8 payload sampling
-	big := run(1<<20, n, 0)            // 8 MiB payload per task
-	if big >= defaultBacklog {
-		t.Fatalf("8 MiB tasks should shrink the watermark below %d, got %d", defaultBacklog, big)
+	if got := run(1<<20, 0); got != 4096 { // 8 MiB payload per task
+		t.Fatalf("8 MiB tasks: window %d, want 4096", got)
 	}
-	small := run(1, n, 0) // 8 B payload per task
-	if small <= defaultBacklog {
-		t.Fatalf("tiny tasks should raise the watermark above %d, got %d", defaultBacklog, small)
+	if got := run(1, 0); got != 4096 { // 8 B payload per task
+		t.Fatalf("8 B tasks: window %d, want 4096", got)
 	}
-	if small > maxBacklogCap {
-		t.Fatalf("watermark exceeded cap: %d", small)
-	}
-	if fixed := run(1<<20, n, 777); fixed != 777 {
-		t.Fatalf("fixed window moved: %d", fixed)
-	}
-	if big >= small {
-		t.Fatalf("watermark not payload-sensitive: big=%d small=%d", big, small)
+	if got := run(1<<20, 777); got != 777 {
+		t.Fatalf("pinned window moved: %d", got)
 	}
 }

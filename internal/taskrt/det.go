@@ -299,7 +299,7 @@ func (d *detExec) drain() {
 // pool to wait for, so the master works the backlog down itself).
 func (d *detExec) drainBacklog() {
 	rt := d.rt
-	for rt.submitted.Load()-rt.completed.Load() >= rt.backlogHigh.Load()/2 {
+	for rt.submitted.Load()-rt.completed.Load() >= rt.window/2 {
 		if !d.runOne() {
 			d.stall()
 		}

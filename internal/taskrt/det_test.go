@@ -13,27 +13,34 @@ import (
 // its own PRNG stream, identical across calls) under the deterministic
 // executor and returns the task execution order.
 func detRunOrder(seed uint64, sched DetSched) []uint64 {
-	rt := New(Config{
+	return detOrder(Config{
 		Workers:        4,
 		Deterministic:  true,
 		Seed:           seed,
 		DetSched:       sched,
 		ThrottleWindow: 256,
-	})
+	}, 300, 8, 1, 64)
+}
+
+// detOrder submits n tasks over nregs regions of elems float64s each,
+// fencing after a batch with probability 1/fenceOneIn (never when 0), and
+// returns the execution order under cfg, which must be deterministic.
+func detOrder(cfg Config, n, nregs, elems int, fenceOneIn uint64) []uint64 {
+	rt := New(cfg)
 	defer rt.Close()
 	var order []uint64
 	tt := rt.RegisterType(TypeConfig{Name: "rec", Run: func(task *Task) {
 		order = append(order, task.ID()) // det mode: bodies run on this goroutine
 	}})
-	regs := make([]*region.Float64, 8)
+	regs := make([]*region.Float64, nregs)
 	for i := range regs {
-		regs[i] = region.NewFloat64(1)
+		regs[i] = region.NewFloat64(elems)
 	}
 	shape := uint64(0xabcdef12345)
 	b := rt.BatcherN(16)
-	for i := 0; i < 300; i++ {
-		r1 := regs[splitmix64(&shape)%8]
-		r2 := regs[splitmix64(&shape)%8]
+	for i := 0; i < n; i++ {
+		r1 := regs[splitmix64(&shape)%uint64(nregs)]
+		r2 := regs[splitmix64(&shape)%uint64(nregs)]
 		switch splitmix64(&shape) % 3 {
 		case 0:
 			b.Add(tt, In(r1), Out(r2))
@@ -42,7 +49,7 @@ func detRunOrder(seed uint64, sched DetSched) []uint64 {
 		default:
 			b.Add(tt, In(r1), In(r2))
 		}
-		if splitmix64(&shape)%64 == 0 {
+		if fenceOneIn != 0 && splitmix64(&shape)%fenceOneIn == 0 {
 			b.Flush()
 			rt.Wait()
 		}
@@ -50,6 +57,53 @@ func detRunOrder(seed uint64, sched DetSched) []uint64 {
 	b.Flush()
 	rt.Wait()
 	return order
+}
+
+// TestDetDefaultWindowIgnoresPayload pins that a deterministic schedule
+// depends on nothing but its configuration: with the window unset, a
+// stream of 8 MiB-payload tasks over two regions, which piles up many
+// tasks in flight, runs in the same order as under an explicit
+// ThrottleWindow of 4096.
+func TestDetDefaultWindowIgnoresPayload(t *testing.T) {
+	for _, sched := range []DetSched{DetSchedFIFO, DetSchedRandom, DetSchedAdversarial} {
+		cfg := Config{Workers: 4, Deterministic: true, Seed: 7, DetSched: sched}
+		unset := detOrder(cfg, 3000, 2, 1<<20, 0)
+		cfg.ThrottleWindow = 4096
+		pinned := detOrder(cfg, 3000, 2, 1<<20, 0)
+		if len(unset) != 3000 || len(pinned) != 3000 {
+			t.Fatalf("%v: ran %d and %d tasks, want 3000", sched, len(unset), len(pinned))
+		}
+		for i := range unset {
+			if unset[i] != pinned[i] {
+				t.Fatalf("%v: unset window diverged from 4096 at step %d: %d vs %d", sched, i, unset[i], pinned[i])
+			}
+		}
+	}
+}
+
+// TestDetDrainsAtWindow runs the dependence soup through a window of 16,
+// so the master drains the backlog itself (drainBacklog) many times: every
+// task still runs, the same seed replays the same order, and the order
+// differs from an undrained run under the default window.
+func TestDetDrainsAtWindow(t *testing.T) {
+	cfg := Config{Workers: 4, Deterministic: true, Seed: 7, DetSched: DetSchedRandom, ThrottleWindow: 16}
+	a := detOrder(cfg, 3000, 2, 1, 0)
+	b := detOrder(cfg, 3000, 2, 1, 0)
+	cfg.ThrottleWindow = 0
+	wide := detOrder(cfg, 3000, 2, 1, 0)
+	if len(a) != 3000 || len(b) != 3000 || len(wide) != 3000 {
+		t.Fatalf("ran %d, %d and %d tasks, want 3000", len(a), len(b), len(wide))
+	}
+	same := true
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverged at step %d: %d vs %d", i, a[i], b[i])
+		}
+		same = same && a[i] == wide[i]
+	}
+	if same {
+		t.Fatal("a window of 16 ran the same order as the default window: the drain never fired")
+	}
 }
 
 // TestDetSameSeedBitIdenticalOrder pins the mode's defining property and

@@ -345,11 +345,8 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Policy selects the ready-queue discipline (default FIFO).
 	Policy SchedPolicy
-	// ThrottleWindow fixes the submission-throttle high watermark (the
-	// maximum number of submitted-but-uncompleted tasks). Zero selects
-	// the adaptive watermark: an EWMA of observed task payload bytes
-	// sizes the window so the live task graph stays at roughly half the
-	// last-level cache.
+	// ThrottleWindow is the submission-throttle high watermark (the
+	// maximum number of submitted-but-uncompleted tasks). 0 = 4096.
 	ThrottleWindow int
 	// Seed seeds every source of scheduling randomness. In live mode it
 	// derives the per-worker steal-scan RNGs, so two runs with the same
@@ -408,17 +405,14 @@ type Runtime struct {
 	waiting   atomic.Bool // true while waiters > 0
 
 	// Submission throttling (Nanos++-style task creation throttling): a
-	// master that outruns the workers is paused once backlogHigh tasks
-	// are in flight, keeping the live task graph cache-sized and GC
-	// pressure flat. throttled is read-mostly on the completion path.
-	// backlogHigh is the current high watermark; with an adaptive window
-	// (Config.ThrottleWindow == 0) the master retunes it from a payload
-	// EWMA so live-graph bytes track llcTarget, and completers read it
-	// atomically for the low-watermark check.
+	// master that outruns the workers is paused once window tasks are in
+	// flight, keeping the live task graph and GC pressure bounded.
+	// throttled is read-mostly on the completion path. window is set once
+	// in New, before any worker or completer can read it.
 	throttleMu   sync.Mutex
 	throttleCond *sync.Cond
 	throttled    atomic.Bool
-	backlogHigh  atomic.Int64
+	window       int64
 
 	closed atomic.Bool
 	depth  atomic.Int64 // ready-task count, maintained only when tracing
@@ -462,15 +456,6 @@ type Runtime struct {
 	// the master at its next submission, so all slab recycling happens on
 	// the master thread no matter who fences.
 	fencePending atomic.Bool
-
-	// Adaptive-throttle state (master-only): a sampled EWMA of task
-	// payload bytes, refreshed into backlogHigh every watermarkRefresh
-	// samples.
-	payloadEWMA float64
-	noteSeq     uint64
-	ewmaTasks   int
-	llcTarget   int64
-	fixedWindow bool
 
 	// SubmitBatch scratch (master-only), reused across batches; Submit
 	// passes its one task through oneEntry and oneTask.
@@ -551,23 +536,14 @@ const npredGuard = 1 << 30
 // slot holds it, no further successors may register there.
 var succDone = new(Task)
 
-// Submission-throttle sizing: the high watermark bounds submitted-but-
-// uncompleted tasks; Submit/SubmitBatch pause the master above it and
-// resume below the low watermark (half). Every in-flight task is
-// executable without further submissions (dependences point only
-// backwards, and IKT-deferred tasks are completed by an earlier
-// in-flight provider), so throttling cannot deadlock. The adaptive
-// watermark starts at defaultBacklog and is retuned every
-// watermarkRefresh payload samples (one task in eight is sampled) to
-// llcTarget / (payload EWMA + task overhead), clamped to
-// [minBacklog, maxBacklogCap].
-const (
-	defaultBacklog    = 4096
-	minBacklog        = 64
-	maxBacklogCap     = 16384
-	watermarkRefresh  = 64
-	taskOverheadBytes = 256 // approximate Task struct + queue footprint
-)
+// defaultWindow is the submission-throttle high watermark when
+// Config.ThrottleWindow is 0. The window bounds submitted-but-uncompleted
+// tasks; Submit/SubmitBatch pause the master at it and resume below the
+// low watermark (half). Every in-flight task is executable without
+// further submissions (dependences point only backwards, and
+// IKT-deferred tasks are completed by an earlier in-flight provider), so
+// throttling cannot deadlock.
+const defaultWindow = 4096
 
 // DefaultBatch is the batch size of Batcher().
 const DefaultBatch = 64
@@ -644,12 +620,9 @@ func New(cfg Config) *Runtime {
 	rt.parkCond = sync.NewCond(&rt.parkMu)
 	rt.waitCond = sync.NewCond(&rt.waitMu)
 	rt.throttleCond = sync.NewCond(&rt.throttleMu)
-	rt.llcTarget = topology().effectiveLLCBytes() / 2
+	rt.window = defaultWindow
 	if cfg.ThrottleWindow > 0 {
-		rt.fixedWindow = true
-		rt.backlogHigh.Store(int64(cfg.ThrottleWindow))
-	} else {
-		rt.backlogHigh.Store(defaultBacklog)
+		rt.window = int64(cfg.ThrottleWindow)
 	}
 	rt.wlocal = make([]workerLocal, cfg.Workers)
 	seed := cfg.Seed
@@ -711,7 +684,7 @@ func (rt *Runtime) RegisterType(cfg TypeConfig) *TaskType {
 // throttle pauses the master while the in-flight task count is at or
 // above the high watermark, resuming below the low watermark (half).
 func (rt *Runtime) throttle() {
-	if rt.submitted.Load()-rt.completed.Load() < rt.backlogHigh.Load() {
+	if rt.submitted.Load()-rt.completed.Load() < rt.window {
 		return
 	}
 	if rt.det != nil {
@@ -720,58 +693,12 @@ func (rt *Runtime) throttle() {
 	}
 	rt.throttleMu.Lock()
 	rt.throttled.Store(true)
-	for rt.submitted.Load()-rt.completed.Load() >= rt.backlogHigh.Load()/2 {
+	for rt.submitted.Load()-rt.completed.Load() >= rt.window/2 {
 		rt.throttleCond.Wait()
 	}
 	rt.throttled.Store(false)
 	rt.throttleMu.Unlock()
 }
-
-// notePayload feeds one task's payload bytes into the adaptive-throttle
-// EWMA and periodically retunes the high watermark so that
-// (watermark × mean task bytes) tracks the LLC target. Master-only. Only
-// one task in eight is actually measured — submission streams are
-// uniform loop nests, so the sampled mean converges to the true mean and
-// the steady path pays a counter increment instead of per-access
-// NumBytes calls.
-func (rt *Runtime) notePayload(t *Task) {
-	if rt.fixedWindow {
-		return
-	}
-	rt.noteSeq++
-	if rt.noteSeq&7 != 0 {
-		return
-	}
-	bytes := 0
-	for _, a := range t.accesses {
-		bytes += a.Region.NumBytes()
-	}
-	if rt.payloadEWMA == 0 {
-		rt.payloadEWMA = float64(bytes)
-	} else {
-		rt.payloadEWMA += (float64(bytes) - rt.payloadEWMA) / 64
-	}
-	rt.ewmaTasks++
-	if rt.ewmaTasks < watermarkRefresh {
-		return
-	}
-	rt.ewmaTasks = 0
-	hw := int64(float64(rt.llcTarget) / (rt.payloadEWMA + taskOverheadBytes))
-	lo := int64(minBacklog)
-	if m := int64(8 * rt.workers); m > lo {
-		lo = m
-	}
-	if hw < lo {
-		hw = lo
-	}
-	if hw > maxBacklogCap {
-		hw = maxBacklogCap
-	}
-	rt.backlogHigh.Store(hw)
-}
-
-// BacklogLimit reports the current submission-throttle high watermark.
-func (rt *Runtime) BacklogLimit() int { return int(rt.backlogHigh.Load()) }
 
 // carveRaw allocates the next task from the master-side slab and stamps
 // its type and id; the caller fills the accesses (the input/output
@@ -869,7 +796,7 @@ func (rt *Runtime) retireSlabs() {
 // the most tasks that can be in flight, so more slabs than this cannot
 // all hold live tasks anyway.
 func (rt *Runtime) slabTrackLimit() int {
-	return int(rt.backlogHigh.Load())/taskSlabSize + 2
+	return int(rt.window)/taskSlabSize + 2
 }
 
 // consumeFence runs the deferred fence work (slab retirement) if a fence
@@ -1218,7 +1145,7 @@ func (rt *Runtime) complete(t *Task, w int) *Task {
 		rt.waitCond.Broadcast()
 		rt.waitMu.Unlock()
 	}
-	if rt.throttled.Load() && rt.submitted.Load()-done <= rt.backlogHigh.Load()/2 {
+	if rt.throttled.Load() && rt.submitted.Load()-done <= rt.window/2 {
 		rt.throttleMu.Lock()
 		rt.throttleCond.Signal()
 		rt.throttleMu.Unlock()
