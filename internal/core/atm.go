@@ -312,7 +312,7 @@ type ATM struct {
 	// (scanned and trimmed, or left logged for the next delta;
 	// TestTrimLogCutsEachBucketAtItsVisit), and no test fails without the
 	// fence; it stays until a change of its own removes it.
-	// serveProviders numbers Serve's entries (outOfBandProvider).
+	// serveProviders numbers Serve's admitted entries (outOfBandProvider).
 	serveInserts   sync.RWMutex
 	serveProviders atomic.Uint64
 }
@@ -615,9 +615,20 @@ func outputShapesMatch(a, b []region.Region) bool {
 	return true
 }
 
-// snapshotEntry builds (reusing pooled buffers when shapes allow) a THT
-// entry of type typeID holding a copy of outs, produced by provider.
-func (a *ATM) snapshotEntry(typeID int, outs []region.Region, provider, key uint64, level int8) *Entry {
+// memoize is updateTHT: it stores a copy of outs, the outputs of a task
+// of type typeID hashed to key at level, produced by provider. The
+// budget's admission runs first, on the key and the outputs' size, so a
+// task it rejects builds no entry and copies nothing; only an admitted
+// one takes a pooled entry (its buffers reused when the shapes match)
+// and copies its outputs in. provider outOfBandProvider asks for the
+// next of Serve's own ids, drawn only once the entry is admitted.
+func (a *ATM) memoize(typeID int, outs []region.Region, provider, key uint64, level int8) {
+	if !a.tht.Admit(key, entryBytes(outs)) {
+		return
+	}
+	if provider == outOfBandProvider {
+		provider |= a.serveProviders.Add(1)
+	}
 	e := a.tht.GetEntry()
 	if outputShapesMatch(e.Outs, outs) {
 		for i, o := range outs {
@@ -634,7 +645,7 @@ func (a *ATM) snapshotEntry(typeID int, outs []region.Region, provider, key uint
 	e.Key = key
 	e.Level = level
 	e.ProviderID = provider
-	return e
+	a.tht.Publish(e)
 }
 
 // OnReady implements taskrt.Memoizer: Fig. 1's ready-task protocol.
@@ -772,7 +783,7 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	if sc.trainEntry != nil {
 		if a.grade(ts, sh, t.Outputs(), sc.trainEntry, sc.level, true) {
 			// Refresh the stale prediction with the true outputs.
-			a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level))
+			a.memoize(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level)
 		}
 		sc.trainEntry = nil
 		return
@@ -786,7 +797,7 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	if sc.timed {
 		c0 = time.Now()
 	}
-	a.tht.Insert(a.snapshotEntry(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level))
+	a.memoize(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level)
 	if sc.timed {
 		// Extrapolate by the same factor as the OnReady measurements:
 		// past warmup only every timingSample-th task is timed, and an

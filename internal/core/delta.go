@@ -136,21 +136,22 @@ func (a *ATM) SnapshotDelta() (*Delta, error) {
 // SnapshotDelta. The epoch is sealed and the log drained whether or not
 // fn succeeds, exactly as when a save fails after SnapshotDelta.
 func (a *ATM) LendDelta(fn func(d *Delta) error) error {
-	d, log, err := a.snapshotDelta(true)
+	d, held, err := a.snapshotDelta(true)
 	if err != nil {
 		return err
 	}
 	err = fn(d)
-	for _, rec := range log {
-		rec.e.Release() // nil-safe: tombstones hold no reference
+	for _, e := range held {
+		e.Release()
 	}
 	return err
 }
 
 // snapshotDelta is SnapshotDelta. With lend set the delta's regions alias
-// the logged entries' instead of cloning them, and the drained log comes
-// back still holding the entries' references for the caller to release.
-func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
+// the logged entries' instead of cloning them, and the inserted entries
+// come back still holding the log's references for the caller to
+// release.
+func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 	if a.rt != nil {
 		a.rt.Wait()
 	}
@@ -203,24 +204,28 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
 	// Drain the insert log after the metadata scan: an insert landing
 	// between the two is saved now and its (possibly newer) metadata by
 	// the next save — never the reverse, so a restored chain cannot hold
-	// metadata for entries it does not have.
-	log := a.tht.DrainLog()
-	// Reload the registry AFTER the drain: a type that registered since
-	// the scan above may already have logged inserts, and resolving them
-	// against the stale slice would drop them from every delta (the log
-	// is already drained). The registry is append-only, so the reloaded
-	// slice is a superset of the one the scan used; such a type's
-	// entries ship in this delta under a meta-less row and its metadata
-	// follows with the next save, per the invariant above.
-	states = *a.typeStates.Load()
-	d.Entries = make([]DeltaEntry, 0, len(log))
-	for i, rec := range log {
+	// metadata for entries it does not have. The records go straight
+	// into the delta, which is sized from the logs' length, with no
+	// intermediate copy of the log.
+	n := a.tht.logLen()
+	d.Entries = make([]DeltaEntry, 0, n)
+	held := make([]*Entry, 0, n)
+	a.tht.drainLog(func(rec logRec) {
+		if rec.typeID >= len(states) {
+			// A type that registered since the scan above may already
+			// have logged operations: resolve them against the registry
+			// as it is now, or the drained log would lose them. The
+			// registry is append-only, so the reloaded slice is a
+			// superset; such a type's entries ship in this delta under a
+			// meta-less row and its metadata follows with the next save,
+			// per the invariant above.
+			states = *a.typeStates.Load()
+		}
 		if rec.typeID >= len(states) || states[rec.typeID] == nil {
 			// An operation from a type absent from the reloaded registry
 			// cannot happen through the engine; guard anyway.
 			rec.e.Release()
-			log[i].e = nil
-			continue
+			return
 		}
 		name := states[rec.typeID].name
 		ti, ok := idx[name]
@@ -229,36 +234,34 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []logRec, error) {
 			idx[name] = ti
 			d.Types = append(d.Types, TypeDelta{Name: name})
 		}
-		if rec.e == nil {
-			// An eviction tombstone: identity only, no region payload.
-			d.Entries = append(d.Entries, DeltaEntry{Type: ti, EntrySnapshot: EntrySnapshot{
-				Key:       rec.key,
-				Level:     rec.level,
-				Provider:  rec.provider,
-				Tombstone: true,
-			}})
-			continue
+		de := DeltaEntry{Type: ti, EntrySnapshot: EntrySnapshot{
+			Key:       rec.key,
+			Level:     rec.level,
+			Provider:  rec.provider,
+			Tombstone: rec.e == nil, // an eviction: identity only, no payload
+		}}
+		if rec.e != nil {
+			de.Outs = rec.e.Outs
+			held = append(held, rec.e)
 		}
-		outs := rec.e.Outs
-		if !lend {
-			// Once released the entry may be recycled by a concurrent
-			// insert (core.Serve runs beside saves), so the identity comes
-			// from the record, not from the entry.
-			outs = cloneRegions(outs)
-			rec.e.Release()
-		}
-		d.Entries = append(d.Entries, DeltaEntry{Type: ti, EntrySnapshot: EntrySnapshot{
-			Key:      rec.key,
-			Level:    rec.level,
-			Provider: rec.provider,
-			Outs:     outs,
-		}})
-	}
+		d.Entries = append(d.Entries, de)
+	})
 	a.savedThrough = cur
 	if !lend {
-		log = nil
+		// Once released an entry may be recycled by a concurrent insert
+		// (core.Serve runs beside saves): copy the outputs first. The
+		// identities came from the records, not from the entries.
+		for i := range d.Entries {
+			if e := &d.Entries[i]; !e.Tombstone {
+				e.Outs = cloneRegions(e.Outs)
+			}
+		}
+		for _, e := range held {
+			e.Release()
+		}
+		held = nil
 	}
-	return d, log, nil
+	return d, held, nil
 }
 
 // ApplyDelta chains a delta onto a restored engine: metadata updates

@@ -18,24 +18,28 @@ import (
 // Lookup adds a handful of atomic nibble CASes into the sketch, an
 // unbudgeted one nothing.
 
-// admit enforces the budget before e is published: it evicts residents
-// until e fits, and reports false when e must be rejected instead —
-// larger than the budget outright, or a lost admission duel — and how
-// many residents it evicted either way. Evicting
+// admit enforces the budget before an entry of size bytes under key is
+// published — before it is built, when the caller asks first (Admit): it
+// evicts residents until the entry fits, and reports false when it must
+// be rejected instead — larger than the budget outright, or a lost
+// admission duel, either counted in admitRejects — and how many
+// residents it evicted either way. Evicting
 // before adding (rather than adding and trimming) is what keeps
 // MemoryBytes ≤ budget at every instant of a single-threaded
 // over-budget stream; concurrent inserters can overshoot by at most one
 // in-flight entry each.
-func (t *THT) admit(e *Entry, size int64) (ok bool, evicted int) {
+func (t *THT) admit(key uint64, size int64) (ok bool, evicted int) {
 	if t.budget == 0 {
 		return true, 0
 	}
 	if size > t.budget {
+		t.admitRejects.Add(1)
 		return false, 0
 	}
 	for t.memBytes.Load()+size > t.budget {
-		one, reject := t.evictOne(e)
+		one, reject := t.evictOne(key)
 		if reject {
+			t.admitRejects.Add(1)
 			return false, evicted
 		}
 		if !one {
@@ -48,10 +52,10 @@ func (t *THT) admit(e *Entry, size int64) (ok bool, evicted int) {
 
 // evictOne scans buckets from the eviction hand for the next non-empty
 // one, removes its oldest entry and adjusts the accounting. rejectNew
-// reports an admission duel lost by the newcomer cand (the resident
-// stays put and cand must not be inserted). The scan holds one bucket lock at a time and the caller
+// reports an admission duel lost by the newcomer under key cand (the
+// resident stays put and the newcomer must not be inserted). The scan holds one bucket lock at a time and the caller
 // holds none, so eviction never nests bucket locks.
-func (t *THT) evictOne(cand *Entry) (evicted, rejectNew bool) {
+func (t *THT) evictOne(cand uint64) (evicted, rejectNew bool) {
 	for range t.buckets {
 		b := &t.buckets[(t.hand.Add(1)-1)&t.mask]
 		b.mu.Lock()
@@ -60,7 +64,7 @@ func (t *THT) evictOne(cand *Entry) (evicted, rejectNew bool) {
 			continue
 		}
 		victim := b.entries[b.head]
-		if t.sketch.estimate(victim.Key) > t.sketch.estimate(cand.Key) {
+		if t.sketch.estimate(victim.Key) > t.sketch.estimate(cand) {
 			// TinyLFU admission: the resident is estimated hotter than
 			// the newcomer, so the newcomer loses.
 			b.mu.Unlock()

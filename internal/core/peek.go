@@ -62,7 +62,9 @@ func (a *ATM) Peek(tt *taskrt.TaskType, ins, outs []region.Region) bool {
 // outOfBandProvider marks the provider ids of entries Serve inserts: a
 // range disjoint from the runtime's task ids (a creation counter from
 // 0), so an entry's (key, level, provider) identity — what an eviction
-// tombstone names — stays unique across both insert paths.
+// tombstone names — stays unique across both insert paths. The low bits
+// count the entries admission let in, from 1; the bare mark is what
+// Serve hands memoize to ask for the next one.
 const outOfBandProvider = 1 << 63
 
 // ServeTask is one task of a Serve request: its type, the regions a
@@ -250,9 +252,8 @@ func (a *ATM) runBody(t *ServeTask, pred *Entry) {
 		if t.tscale != 0 {
 			c0 = time.Now()
 		}
-		e := a.snapshotEntry(t.Type.id, t.Outs, outOfBandProvider|a.serveProviders.Add(1), t.key, t.level)
 		a.serveInserts.RLock()
-		a.tht.Insert(e)
+		a.memoize(t.Type.id, t.Outs, outOfBandProvider, t.key, t.level)
 		a.serveInserts.RUnlock()
 		if t.tscale != 0 {
 			sh.copyNanos.Add(time.Since(c0).Nanoseconds() * t.tscale)

@@ -79,9 +79,9 @@ type TypeSnapshot struct {
 // rejects them.
 type EntrySnapshot struct {
 	Key       uint64
-	Level     int8
 	Provider  uint64
 	Outs      []region.Region
+	Level     int8
 	Tombstone bool
 }
 
@@ -127,14 +127,89 @@ func Fingerprint(cfg Config) uint64 {
 // Snapshot extracts the engine's memoization state. It waits on the
 // runtime's completion fence (Wait) when the engine is bound, so every
 // task submitted before the call has published its THT insert, and it
-// holds concurrent Serve calls' inserts off while it reads. Traffic
-// that races the scan anyway (tasks submitted after the fence, or an
-// unbound engine driven by its hooks) is not lost: each bucket's
+// holds concurrent Serve calls' inserts off while it scans the table.
+// Traffic that races the scan anyway (tasks submitted after the fence,
+// or an unbound engine driven by its hooks) is not lost: each bucket's
 // operation log is trimmed only up to where the scan read that bucket,
 // so a racing insert or eviction is carried by the next delta. The
 // returned regions are deep copies: the engine may keep running and
 // recycling entries afterwards.
 func (a *ATM) Snapshot() (*Snapshot, error) {
+	snap, _, err := a.snapshot(false)
+	return snap, err
+}
+
+// LendSnapshot extracts the state as Snapshot does and lends it to fn
+// without copying the entries' payload: snap's regions are the table's
+// own, retained and immutable until fn returns, after which snap must
+// not be used. Traffic goes on meanwhile — an entry the table evicts
+// while fn runs stays intact, and is recycled only once fn is done. It
+// is the chain rewrite's form (encode the table, drop it), which saves
+// that path a copy of the whole table; a caller that keeps or restores
+// the snapshot wants Snapshot. The operation log is trimmed before fn
+// runs, whether or not fn succeeds, exactly as LendDelta drains it.
+// Sections carried over from a restore (never re-registered) are still
+// copies: they may install into the table while fn runs.
+func (a *ATM) LendSnapshot(fn func(snap *Snapshot) error) error {
+	snap, held, err := a.snapshot(true)
+	if err != nil {
+		return err
+	}
+	err = fn(snap)
+	for _, e := range held {
+		e.Release()
+	}
+	return err
+}
+
+// snapshot is Snapshot. The table scan only retains entries; their
+// outputs are copied out, or with lend set aliased, after the fences are
+// dropped, and a lent snapshot comes back with the entries still
+// retained for the caller to release.
+func (a *ATM) snapshot(lend bool) (*Snapshot, []*Entry, error) {
+	snap, secOf, held, err := a.scan()
+	if err != nil {
+		return nil, nil, err
+	}
+	// Each section's entry list is sized from the scan, so it is
+	// allocated once, at its length.
+	counts := make([]int, len(snap.Types))
+	for _, e := range held {
+		counts[secOf[e.TypeID]]++
+	}
+	for i, n := range counts {
+		if n > 0 {
+			snap.Types[i].Entries = make([]EntrySnapshot, 0, n)
+		}
+	}
+	for _, e := range held {
+		outs := e.Outs
+		if !lend {
+			outs = cloneRegions(outs)
+		}
+		sec := &snap.Types[secOf[e.TypeID]]
+		sec.Entries = append(sec.Entries, EntrySnapshot{
+			Key:      e.Key,
+			Level:    e.Level,
+			Provider: e.ProviderID,
+			Outs:     outs,
+		})
+	}
+	if !lend {
+		for _, e := range held {
+			e.Release()
+		}
+		held = nil
+	}
+	return snap, held, nil
+}
+
+// scan reads the metadata, retains every table entry of a registered
+// type and copies the carried sections, under the fences a full
+// snapshot needs, and trims the operation log up to the scan. The
+// registered sections come back without their entries, which are held,
+// in table order; secOf maps each registered type ID to its section.
+func (a *ATM) scan() (snap *Snapshot, secOf map[int]int, held []*Entry, err error) {
 	if a.rt != nil {
 		a.rt.Wait()
 	}
@@ -151,7 +226,7 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 	// pending section installs into buckets the scan already passed.
 	a.typeMu.Lock()
 	defer a.typeMu.Unlock()
-	snap := &Snapshot{Fingerprint: Fingerprint(a.cfg)}
+	snap = &Snapshot{Fingerprint: Fingerprint(a.cfg)}
 	if a.ikt != nil {
 		// Tasks still in flight are fine: their inserts land after their
 		// bucket's scan and stay logged for the next delta.
@@ -162,21 +237,16 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 	// epoch and is carried again by the next delta, and the base never
 	// holds metadata newer than its entries.
 	cur := a.saveEpoch.Add(1) - 1
-	secOf, err := a.registeredSections(snap)
-	if err != nil {
-		return nil, err
+	if secOf, err = a.registeredSections(snap); err != nil {
+		return nil, nil, nil, err
 	}
+	held = make([]*Entry, 0, a.tht.Entries()+64)
 	cuts := a.tht.forEach(func(e *Entry) {
-		i, ok := secOf[e.TypeID]
-		if !ok {
+		if _, ok := secOf[e.TypeID]; !ok {
 			return // every entry's type is registered; guard anyway
 		}
-		snap.Types[i].Entries = append(snap.Types[i].Entries, EntrySnapshot{
-			Key:      e.Key,
-			Level:    e.Level,
-			Provider: e.ProviderID,
-			Outs:     cloneRegions(e.Outs),
-		})
+		e.retain() // released by snapshot, or once a lent snapshot is returned
+		held = append(held, e)
 	})
 	a.carrySections(snap)
 	// A successful full snapshot supersedes the accumulated delta
@@ -190,7 +260,7 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 		a.tht.trimLog(cuts)
 		a.savedThrough = cur
 	}
-	return snap, nil
+	return snap, secOf, held, nil
 }
 
 // FoldEntryOps folds an ordered operation stream (inserts and

@@ -99,8 +99,12 @@ func tombstoneRec(e *Entry) logRec {
 type thtBucket struct {
 	mu      sync.RWMutex
 	entries []*Entry // ring: oldest at head
-	head    int
-	n       int
+	// keys mirrors entries slot for slot: keys[i] == entries[i].Key for
+	// every occupied slot, so probe scans a dense key array and touches
+	// an entry only on a key match.
+	keys []uint64
+	head int
+	n    int
 	// log records this bucket's operations — inserts (retained) and
 	// eviction tombstones — for the next delta snapshot, appended under
 	// mu so it preserves the bucket's operation order. Replaying the log
@@ -123,11 +127,42 @@ func (b *thtBucket) removeAt(i int) *Entry {
 		return e
 	}
 	for j := i; j < b.n-1; j++ {
-		b.entries[(b.head+j)%len(b.entries)] = b.entries[(b.head+j+1)%len(b.entries)]
+		to, from := (b.head+j)%len(b.entries), (b.head+j+1)%len(b.entries)
+		b.entries[to], b.keys[to] = b.entries[from], b.keys[from]
 	}
 	b.n--
 	b.entries[(b.head+b.n)%len(b.entries)] = nil
 	return e
+}
+
+// find returns the ring slot of the newest entry matching (typeID, key,
+// level), or -1. The occupied slots are at most two contiguous runs of
+// keys — [head, len) and [0, wrapped) when the ring wraps — so the scan
+// is two plain loops, newest first, with no modulo per slot. Caller
+// holds b.mu.
+func (b *thtBucket) find(typeID int, key uint64, level int8) int {
+	end, wrapped := b.head+b.n, 0
+	if end > len(b.keys) {
+		end, wrapped = len(b.keys), end-len(b.keys)
+	}
+	for i := wrapped - 1; i >= 0; i-- {
+		if b.keys[i] == key && b.matches(i, typeID, level) {
+			return i
+		}
+	}
+	for i := end - 1; i >= b.head; i-- {
+		if b.keys[i] == key && b.matches(i, typeID, level) {
+			return i
+		}
+	}
+	return -1
+}
+
+// matches reports whether the entry in slot i, whose key already
+// matched, has typeID and level.
+func (b *thtBucket) matches(i, typeID int, level int8) bool {
+	e := b.entries[i]
+	return e.TypeID == typeID && e.Level == level
 }
 
 // MaxNBits bounds Config.NBits / NewTHT's nbits: 2^20 buckets already
@@ -189,17 +224,14 @@ func (t *THT) Lookup(typeID int, key uint64, level int8) *Entry {
 func (t *THT) probe(typeID int, key uint64, level int8) *Entry {
 	b := &t.buckets[key&t.mask]
 	b.mu.RLock()
-	// Newest entries are most likely to match; scan back to front.
-	for i := b.n - 1; i >= 0; i-- {
-		e := b.entries[(b.head+i)%len(b.entries)]
-		if e.Key == key && e.TypeID == typeID && e.Level == level {
-			e.retain()
-			b.mu.RUnlock()
-			return e
-		}
+	// Newest entries are most likely to match; find scans back to front.
+	var e *Entry
+	if i := b.find(typeID, key, level); i >= 0 {
+		e = b.entries[i]
+		e.retain()
 	}
 	b.mu.RUnlock()
-	return nil
+	return e
 }
 
 // noteLookup applies what one counted access to key leaves behind; e is
@@ -230,6 +262,8 @@ func (t *THT) GetEntry() *Entry {
 // entry's memory size is computed idempotently, so re-inserting an entry
 // (or inserting a recycled one) never double-counts. When the insert
 // log is enabled the entry is recorded for the next delta snapshot.
+// Under a budget e must first win admission (Admit); a rejected e goes
+// back to the table's pool.
 func (t *THT) Insert(e *Entry) { t.insert(e, true) }
 
 // InsertRestored is Insert for entries installed from a persisted
@@ -241,46 +275,72 @@ func (t *THT) Insert(e *Entry) { t.insert(e, true) }
 func (t *THT) InsertRestored(e *Entry) int { return t.insert(e, false) }
 
 func (t *THT) insert(e *Entry, logIt bool) (resident int) {
-	var size int64
-	for _, o := range e.Outs {
+	size := entryBytes(e.Outs)
+	admitted, evicted := t.admit(e.Key, size)
+	if !admitted {
+		t.pool.Put(e) // never published: its buffers are free for reuse
+		return -evicted
+	}
+	return t.publish(e, size, logIt) - evicted
+}
+
+// entryBytes is the table's size of an entry holding outs: the payload
+// plus the paper's 8-byte key cost, a provider id and a header.
+func entryBytes(outs []region.Region) int64 {
+	size := int64(8 + 8 + 8)
+	for _, o := range outs {
 		size += int64(o.NumBytes())
 	}
-	size += 8 + 8 + 8 // key + provider id + header, the paper's 8-byte key cost
+	return size
+}
+
+// Admit runs the budget's admission for an entry of size bytes (payload
+// plus 24) under key, before the entry exists: it evicts residents until
+// the entry fits and reports true, or counts a rejection and reports
+// false — larger than the budget outright, or a lost frequency duel.
+// An unbudgeted table admits everything. A caller that gets true must
+// then Publish the entry; one that gets false builds none, which is the
+// point of asking first.
+func (t *THT) Admit(key uint64, size int64) bool {
+	ok, _ := t.admit(key, size)
+	return ok
+}
+
+// Publish adds e, which Admit has admitted, to its bucket, as Insert
+// does after admission: a full bucket's oldest entry is replaced, and
+// the insert is logged when delta tracking is on.
+func (t *THT) Publish(e *Entry) { t.publish(e, entryBytes(e.Outs), true) }
+
+// publish inserts admitted e of size bytes and returns the change in
+// resident entries: 1, or 0 when it replaced its bucket's oldest.
+func (t *THT) publish(e *Entry, size int64, logIt bool) int {
 	e.bytes = size
 	e.pool = &t.pool // set before publication: readers may Release anytime
 	e.retain()       // the table's reference
-	admitted, evicted := t.admit(e, size)
-	if !admitted {
-		// Over budget and not worth a resident's slot (or larger than the
-		// budget outright): recycle without publishing.
-		t.admitRejects.Add(1)
-		e.Release()
-		return -evicted
-	}
 	var old *Entry
 	b := &t.buckets[e.Key&t.mask]
 	b.mu.Lock()
 	if b.entries == nil {
-		c := 8
-		if c > t.m {
-			c = t.m
-		}
-		b.entries = make([]*Entry, c)
+		c := min(8, t.m)
+		b.entries, b.keys = make([]*Entry, c), make([]uint64, c)
 	}
 	if b.n == t.m {
 		old = b.entries[b.head]
-		b.entries[b.head] = e
+		b.entries[b.head], b.keys[b.head] = e, e.Key
 		b.head = (b.head + 1) % len(b.entries)
 	} else {
 		if b.n == len(b.entries) {
-			grown := make([]*Entry, min(2*b.n, t.m))
+			c := min(2*b.n, t.m)
+			grown, keys := make([]*Entry, c), make([]uint64, c)
 			for i := 0; i < b.n; i++ {
-				grown[i] = b.entries[(b.head+i)%len(b.entries)]
+				j := (b.head + i) % len(b.entries)
+				grown[i], keys[i] = b.entries[j], b.keys[j]
 			}
-			b.entries = grown
+			b.entries, b.keys = grown, keys
 			b.head = 0
 		}
-		b.entries[(b.head+b.n)%len(b.entries)] = e
+		j := (b.head + b.n) % len(b.entries)
+		b.entries[j], b.keys[j] = e, e.Key
 		b.n++
 	}
 	// Still under b.mu: concurrent operations on this bucket reach the
@@ -318,7 +378,7 @@ func (t *THT) insert(e *Entry, logIt bool) (resident int) {
 	if old != nil {
 		old.Release() // drop the table's reference; readers may linger
 	}
-	return int(dn) - evicted
+	return int(dn)
 }
 
 // Remove deletes the oldest entry matching (typeID, key, level,
@@ -425,17 +485,49 @@ func (t *THT) SetLogging(on bool) {
 // records hold none — Release is nil-safe).
 func (t *THT) DrainLog() []logRec {
 	var log []logRec
+	if n := t.logLen(); n > 0 {
+		log = make([]logRec, 0, n)
+	}
+	t.drainLog(func(r logRec) { log = append(log, r) })
+	return log
+}
+
+// logLen is the number of records the operation logs hold.
+func (t *THT) logLen() int {
+	n := 0
 	for bi := range t.buckets {
 		b := &t.buckets[bi]
 		b.mu.Lock()
-		if len(b.log) > 0 {
-			log = append(log, b.log...)
+		n += len(b.log)
+		b.mu.Unlock()
+	}
+	return n
+}
+
+// drainLog is DrainLog handing each record to fn, in DrainLog's order,
+// under its bucket's lock, instead of gathering them: fn takes over the
+// insert records' references. A bucket keeps its log's array for the
+// next save's records unless a burst grew it past keepLog.
+func (t *THT) drainLog(fn func(r logRec)) {
+	for bi := range t.buckets {
+		b := &t.buckets[bi]
+		b.mu.Lock()
+		for _, r := range b.log {
+			fn(r)
+		}
+		if cap(b.log) > keepLog {
 			b.log = nil
+		} else {
+			clear(b.log) // the records' references now belong to fn
+			b.log = b.log[:0]
 		}
 		b.mu.Unlock()
 	}
-	return log
 }
+
+// keepLog is the largest operation log, in records, whose array a
+// bucket keeps across drains.
+const keepLog = 256
 
 // MemoryBytes reports the table's current payload size (Table III's
 // numerator).

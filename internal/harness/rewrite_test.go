@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -313,5 +314,152 @@ func TestServeRacesRewrite(t *testing.T) {
 	}
 	if !sameTable(t, chainTable(t, chain), live) {
 		t.Fatal("the chain restored after Close differs from the table at Close")
+	}
+}
+
+// TestServeRacesLentRewrite rewrites the chain from a lent snapshot —
+// the table's own entries, not a copy — while handlers insert and evict
+// under a budget small enough that the table turns over many times
+// during the write. No lent entry may be recycled while the writer
+// holds it: each keeps the outputs it had when the snapshot was taken,
+// and the rewritten chain restores exactly the table the snapshot
+// scanned.
+func TestServeRacesLentRewrite(t *testing.T) {
+	chain := filepath.Join(t.TempDir(), "lent.atmchain")
+	st := openMemo(Static(true), RunOptions{SnapshotChain: chain, Sync: persist.SyncOff, THTBudgetBytes: 4 << 10})
+	if st.err != nil {
+		t.Fatal(st.err)
+	}
+	eng := service.New(service.Config{Memo: st.memo})
+	defer eng.Close()
+	k, _ := service.KindByName("swaptions")
+	var wg sync.WaitGroup
+	var next atomic.Uint64
+	stop := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := next.Add(1)
+				tasks := []service.Task{
+					{Kind: k.Name, Input: service.Input(k, i, 1)},
+					{Kind: k.Name, Input: service.Input(k, i/2, 1)},
+				}
+				if _, _, err := eng.Do(tasks); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for round := 0; round < 5; round++ {
+		for next.Load() < uint64(200*(round+1)) {
+			time.Sleep(time.Millisecond) // let the table fill and churn
+		}
+		var scanned *core.Snapshot
+		err := st.memo.LendSnapshot(func(snap *core.Snapshot) error {
+			scanned = cloneSnapshot(snap)
+			// Hold the lent entries while the handlers turn the table
+			// over: an entry recycled now would be rewritten in place.
+			for seen := next.Load(); next.Load() < seen+300; {
+				time.Sleep(time.Millisecond)
+			}
+			if err := st.writeBase(snap); err != nil {
+				return err
+			}
+			if !sameTable(t, snap, scanned) {
+				t.Error("a lent entry changed while the writer held it")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, sec := range scanned.Types {
+			n += len(sec.Entries)
+		}
+		if n == 0 {
+			t.Fatal("the lent snapshot held no entries")
+		}
+		if !sameTable(t, chainTable(t, chain), scanned) {
+			t.Fatalf("round %d: the rewritten chain differs from the table the snapshot scanned", round)
+		}
+	}
+	if st.memo.Stats().THTBudgetEvictions == 0 {
+		t.Fatal("the budget never evicted: no lent entry could have been recycled")
+	}
+}
+
+// cloneSnapshot deep-copies a snapshot's entries.
+func cloneSnapshot(s *core.Snapshot) *core.Snapshot {
+	cp := *s
+	cp.Types = make([]core.TypeSnapshot, len(s.Types))
+	for i, sec := range s.Types {
+		cp.Types[i] = sec
+		cp.Types[i].Entries = make([]core.EntrySnapshot, len(sec.Entries))
+		for j, e := range sec.Entries {
+			e.Outs = []region.Region{e.Outs[0].Clone()}
+			cp.Types[i].Entries[j] = e
+		}
+	}
+	return &cp
+}
+
+// TestRewriteCopiesNoTable fills a table with more than 4 MiB of
+// payload in the service catalog's mix of output sizes and rewrites the
+// chain from it: the rewrite streams the table's own entries into the
+// file, so it allocates less than a quarter of the payload — a few
+// dozen bytes of bookkeeping per entry and one chunk of the file, where
+// a copy of the table or of the file would each cost the payload.
+func TestRewriteCopiesNoTable(t *testing.T) {
+	chain := filepath.Join(t.TempDir(), "big.atmchain")
+	st := openMemo(Static(true), RunOptions{SnapshotChain: chain, Sync: persist.SyncOff})
+	if st.err != nil {
+		t.Fatal(st.err)
+	}
+	eng := service.New(service.Config{Memo: st.memo})
+	defer eng.Close()
+	// DefaultMix's weights over 20 slots: 6 blackscholes, 4 stencil,
+	// 4 kmeans, 3 swaptions, 3 lu.
+	var slots []service.Kind
+	for name, n := range map[string]int{"blackscholes": 6, "stencil": 4, "kmeans": 4, "swaptions": 3, "lu": 3} {
+		k, _ := service.KindByName(name)
+		for ; n > 0; n-- {
+			slots = append(slots, k)
+		}
+	}
+	const payload = 4 << 20
+	for i := uint64(0); st.memo.THT().MemoryBytes() < payload; i++ {
+		k := slots[i%uint64(len(slots))]
+		if _, _, err := eng.Do([]service.Task{{Kind: k.Name, Input: service.Input(k, i, 3)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := st.memo.THT().MemoryBytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := st.rewrite(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("rewrite of %d entries, %d bytes: %d bytes allocated", st.memo.THT().Entries(), held, alloc)
+	if alloc >= uint64(held)/4 {
+		t.Fatalf("a rewrite of a %d-byte table allocated %d bytes, want under a quarter of it", held, alloc)
+	}
+	if st.tail != 0 || st.base == 0 {
+		t.Fatalf("chain layout after the rewrite: base %d, tail %d", st.base, st.tail)
 	}
 }

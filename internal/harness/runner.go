@@ -336,11 +336,7 @@ func openMemo(spec ATMSpec, opt RunOptions) *memoState {
 	// First repetition (or cold fallback): create the chain file, its
 	// base holding this engine's (empty) pre-run state, so the later
 	// saves have a file to append to or rewrite.
-	snap, err := st.memo.Snapshot()
-	if err == nil {
-		err = st.writeBase(snap)
-	}
-	if st.err = err; err != nil {
+	if st.err = st.memo.LendSnapshot(st.writeBase); st.err != nil {
 		st.memo.DisableDeltaTracking() // nothing will drain the log
 	}
 	return st
@@ -361,16 +357,10 @@ func (st *memoState) save() error {
 	}
 	// The delta is only encoded (or weighed and dropped), so it is
 	// borrowed from the table (LendDelta), not copied out of it.
+	rewrite := false
 	err := st.memo.LendDelta(func(d *core.Delta) error {
 		n := persist.DeltaRecordSize(d)
-		if st.tail+n >= st.base {
-			// The live table supersedes the delta: a rewrite scans it
-			// after the delta's drain, so it holds every operation the
-			// delta carries.
-			if err := st.rewrite(); err != nil {
-				return err
-			}
-			st.deltaBytes += st.base
+		if rewrite = st.tail+n >= st.base; rewrite {
 			return nil
 		}
 		if err := st.retry(func() error { return persist.AppendDeltaSync(st.chain, d, st.sync) }); err != nil {
@@ -380,6 +370,14 @@ func (st *memoState) save() error {
 		st.deltaBytes += n
 		return nil
 	})
+	if err == nil && rewrite {
+		// The live table supersedes the delta, which is dropped first: a
+		// rewrite scans the table after the delta's drain, so it holds
+		// every operation the delta carries.
+		if err = st.rewrite(); err == nil {
+			st.deltaBytes += st.base
+		}
+	}
 	if err != nil {
 		st.err = err
 		st.memo.DisableDeltaTracking() // no further saves will drain the log
@@ -390,13 +388,13 @@ func (st *memoState) save() error {
 }
 
 // rewrite replaces the chain file with one base record of the live
-// table, with bounded retry.
+// table, with bounded retry. The base streams from the table's own
+// entries (LendSnapshot) into the file one chunk at a time, so a
+// rewrite copies neither the table nor the file.
 func (st *memoState) rewrite() error {
-	snap, err := st.memo.Snapshot()
-	if err != nil {
-		return err
-	}
-	return st.retry(func() error { return st.writeBase(snap) })
+	return st.memo.LendSnapshot(func(snap *core.Snapshot) error {
+		return st.retry(func() error { return st.writeBase(snap) })
+	})
 }
 
 // writeBase writes the chain file as the one base record snap and

@@ -96,8 +96,37 @@ func FileVersion(data []byte) (uint32, error) {
 
 // MarshalChain encodes a chain: an optional full base snapshot
 // followed by deltas in order. All parts must share one config
-// fingerprint, and the chain must not be empty.
+// fingerprint, and the chain must not be empty. It is the chain encoder
+// SaveChain streams to a file, run into one buffer of the chain's size.
 func MarshalChain(base *core.Snapshot, deltas []*core.Delta) ([]byte, error) {
+	fp, err := chainFingerprint(base, deltas)
+	if err != nil {
+		return nil, err
+	}
+	c := &chainWriter{buf: make([]byte, 0, chainSize(base, deltas))}
+	if err := c.chain(fp, base, deltas); err != nil {
+		return nil, err
+	}
+	return c.buf, nil
+}
+
+// writeChain streams the chain MarshalChain encodes to w through a
+// buffer of about streamChunk bytes.
+func writeChain(w io.Writer, base *core.Snapshot, deltas []*core.Delta) error {
+	fp, err := chainFingerprint(base, deltas)
+	if err != nil {
+		return err
+	}
+	c := newChainWriter(w, chainSize(base, deltas))
+	if err := c.chain(fp, base, deltas); err != nil {
+		return err
+	}
+	return c.close()
+}
+
+// chainFingerprint is the one config fingerprint every part of a chain
+// must carry.
+func chainFingerprint(base *core.Snapshot, deltas []*core.Delta) (uint64, error) {
 	var fp uint64
 	switch {
 	case base != nil:
@@ -105,31 +134,14 @@ func MarshalChain(base *core.Snapshot, deltas []*core.Delta) ([]byte, error) {
 	case len(deltas) > 0:
 		fp = deltas[0].Fingerprint
 	default:
-		return nil, fmt.Errorf("persist: empty chain (no base, no deltas)")
+		return 0, fmt.Errorf("persist: empty chain (no base, no deltas)")
 	}
 	for i, d := range deltas {
 		if d.Fingerprint != fp {
-			return nil, fmt.Errorf("persist: delta %d fingerprint %#016x differs from chain %#016x", i, d.Fingerprint, fp)
+			return 0, fmt.Errorf("persist: delta %d fingerprint %#016x differs from chain %#016x", i, d.Fingerprint, fp)
 		}
 	}
-	buf := make([]byte, 0, chainSize(base, deltas))
-	buf = append(buf, magic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version2)
-	buf = binary.LittleEndian.AppendUint64(buf, fp)
-	var err error
-	if base != nil {
-		buf, err = appendRecord(buf, recordBase, func(b []byte) ([]byte, error) { return appendBaseBody(b, base) })
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i, d := range deltas {
-		buf, err = appendRecord(buf, recordDelta, func(b []byte) ([]byte, error) { return appendDeltaBody(b, d, nil) })
-		if err != nil {
-			return nil, fmt.Errorf("persist: delta %d: %w", i, err)
-		}
-	}
-	return buf, nil
+	return fp, nil
 }
 
 // chainSize is the number of bytes MarshalChain encodes base and deltas
@@ -146,63 +158,128 @@ func chainSize(base *core.Snapshot, deltas []*core.Delta) int {
 	return n
 }
 
-// appendRecord appends one framed record whose body fill appends to
-// buf in place: the frame is reserved first, and its length and CRC are
-// patched over the body afterwards, so a record costs no scratch copy.
-func appendRecord(buf []byte, kind byte, fill func([]byte) ([]byte, error)) ([]byte, error) {
-	at := len(buf)
-	buf, err := fill(append(buf, kind, 0, 0, 0, 0))
-	if err != nil {
-		return nil, err
-	}
-	body := buf[at+5:]
-	if len(body) > math.MaxUint32 {
-		return nil, fmt.Errorf("persist: %d-byte record body overflows the format", len(body))
-	}
-	binary.LittleEndian.PutUint32(buf[at+1:], uint32(len(body)))
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body)), nil
-}
-
 // recordOverhead is a record's framing: kind, body length, body CRC.
 const recordOverhead = 1 + 4 + 4
 
-// streamChunk is how much of a delta record writeDeltaRecord gathers
-// between writes.
+// streamChunk is how much of a chain a chainWriter with a writer
+// gathers between writes.
 const streamChunk = 256 << 10
 
-// writeDeltaRecord writes d's framed record to w through a buffer of
-// about streamChunk bytes: the length field comes from deltaBodySize and
-// the CRC is summed as chunks leave, so what a save holds in memory is
-// one chunk, not a second copy of everything inserted since the last
-// save. A record under a chunk long is still a single Write.
-func writeDeltaRecord(w io.Writer, d *core.Delta) error {
-	size := deltaBodySize(d)
+// chainWriter is the one chain encoder. It appends the header and framed
+// records to buf; with a writer w, the body encoders hand it the bytes
+// so far between two entries whenever streamChunk of them have gathered
+// (flush), and it writes them out and carries on in the same buffer, so
+// what a save holds in memory is one chunk, not a copy of the file.
+// Without one (MarshalChain) every byte stays in buf. A record's length
+// field comes from its size, computed up front, and its CRC is summed
+// as the body's bytes leave.
+type chainWriter struct {
+	w   io.Writer
+	buf []byte
+	// Of the record being encoded: body is where its unsummed body bytes
+	// start in buf, sum the CRC-32 of its body bytes already written out,
+	// n their number.
+	body int
+	sum  uint32
+	n    int
+}
+
+// newChainWriter is a chainWriter streaming to w a chain of size bytes:
+// its buffer holds a chunk, or all of a smaller chain, so a chain under a
+// chunk long is a single Write.
+func newChainWriter(w io.Writer, size int) *chainWriter {
+	return &chainWriter{w: w, buf: make([]byte, 0, min(size, streamChunk+streamChunk/8))}
+}
+
+// chain encodes the header and the chain's records.
+func (c *chainWriter) chain(fp uint64, base *core.Snapshot, deltas []*core.Delta) error {
+	c.buf = append(c.buf, magic[:]...)
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, Version2)
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, fp)
+	if base != nil {
+		err := c.record(recordBase, baseBodySize(base), func(b []byte, flush flushFunc) ([]byte, error) {
+			return appendBaseBody(b, base, flush)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for i, d := range deltas {
+		if err := c.delta(d); err != nil {
+			return fmt.Errorf("persist: delta %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// delta encodes d's record.
+func (c *chainWriter) delta(d *core.Delta) error {
+	return c.record(recordDelta, deltaBodySize(d), func(b []byte, flush flushFunc) ([]byte, error) {
+		return appendDeltaBody(b, d, flush)
+	})
+}
+
+// flushFunc is a body encoder's flush: handed the buffer so far, between
+// two entries, it returns the buffer to carry on in.
+type flushFunc func([]byte) ([]byte, error)
+
+// record encodes one framed record of kind whose body, size bytes long,
+// fill appends.
+func (c *chainWriter) record(kind byte, size int, fill func(b []byte, flush flushFunc) ([]byte, error)) error {
 	if size > math.MaxUint32 {
 		return fmt.Errorf("persist: %d-byte record body overflows the format", size)
 	}
-	buf := make([]byte, 0, min(recordOverhead+size, streamChunk+streamChunk/8))
-	buf = append(buf, recordDelta)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(size))
-	head, sum, n := len(buf), uint32(0), 0 // head: framing bytes at the front of buf
-	body := func(b []byte) {
-		sum = crc32.Update(sum, crc32.IEEETable, b[head:])
-		n += len(b) - head
-		head = 0
+	c.buf = append(c.buf, kind)
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(size))
+	c.body, c.sum, c.n = len(c.buf), 0, 0
+	var flush flushFunc
+	if c.w != nil {
+		flush = c.flush
 	}
-	buf, err := appendDeltaBody(buf, d, func(b []byte) ([]byte, error) {
-		body(b)
-		_, err := w.Write(b)
-		return b[:0], err
-	})
+	b, err := fill(c.buf, flush)
 	if err != nil {
 		return err
 	}
-	body(buf)
-	if n != size {
-		return fmt.Errorf("persist: delta body encoded to %d bytes, sized as %d", n, size)
+	c.note(b)
+	if c.n != size {
+		return fmt.Errorf("persist: record body encoded to %d bytes, sized as %d", c.n, size)
 	}
-	_, err = w.Write(binary.LittleEndian.AppendUint32(buf, sum))
+	c.buf = binary.LittleEndian.AppendUint32(b, c.sum)
+	return nil
+}
+
+// note sums the open record's body bytes in b that are not summed yet.
+func (c *chainWriter) note(b []byte) {
+	c.sum = crc32.Update(c.sum, crc32.IEEETable, b[c.body:])
+	c.n += len(b) - c.body
+	c.body = len(b)
+}
+
+// flush writes b out and hands back its emptied buffer.
+func (c *chainWriter) flush(b []byte) ([]byte, error) {
+	c.note(b)
+	c.body = 0
+	_, err := c.w.Write(b)
+	return b[:0], err
+}
+
+// close writes out what is left in the buffer.
+func (c *chainWriter) close() error {
+	_, err := c.w.Write(c.buf)
+	c.buf = c.buf[:0]
 	return err
+}
+
+// writeDeltaRecord writes d's framed record to w through a chainWriter:
+// a delta append holds one chunk, not a second copy of everything
+// inserted since the last save, and a record under a chunk long is
+// still a single Write.
+func writeDeltaRecord(w io.Writer, d *core.Delta) error {
+	c := newChainWriter(w, recordOverhead+deltaBodySize(d))
+	if err := c.delta(d); err != nil {
+		return err
+	}
+	return c.close()
 }
 
 // DeltaRecordSize is the number of bytes AppendDelta appends for d,
@@ -253,17 +330,16 @@ func deltaBodySize(d *core.Delta) int {
 func baseBodySize(s *core.Snapshot) int {
 	n := 3*8 + 4
 	for i := range s.Types {
-		sec := &s.Types[i]
-		// length, name, flags, level, successes, excluded, entry count
-		n += 4 + 2 + len(sec.Name) + 1 + 1 + 4 + 4 + 4
-		for j := range sec.Entries {
-			n += entrySize(&sec.Entries[j])
-		}
+		n += 4 + sectionBodySize(&s.Types[i]) // length, body
 	}
 	return n
 }
 
-func appendBaseBody(body []byte, s *core.Snapshot) ([]byte, error) {
+// appendBaseBody appends s's body to body. Each section's length is
+// computed up front (sectionBodySize), so the body streams: a non-nil
+// flush is handed the bytes so far between two entries, as
+// appendDeltaBody's is.
+func appendBaseBody(body []byte, s *core.Snapshot, flush flushFunc) ([]byte, error) {
 	body = binary.LittleEndian.AppendUint64(body, uint64(s.IKT.Inserts))
 	body = binary.LittleEndian.AppendUint64(body, uint64(s.IKT.Defers))
 	body = binary.LittleEndian.AppendUint64(body, uint64(s.IKT.Rejected))
@@ -272,27 +348,26 @@ func appendBaseBody(body []byte, s *core.Snapshot) ([]byte, error) {
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(s.Types)))
 	for i := range s.Types {
-		// The section body is encoded in place behind its reserved length.
-		at := len(body)
+		sec := &s.Types[i]
+		n := sectionBodySize(sec)
+		if n > math.MaxUint32 {
+			return nil, fmt.Errorf("persist: type %q: %d-byte section overflows the format", sec.Name, n)
+		}
 		var err error
-		body, err = appendSectionBody(append(body, 0, 0, 0, 0), &s.Types[i])
+		body, err = appendSectionBody(binary.LittleEndian.AppendUint32(body, uint32(n)), sec, flush)
 		if err != nil {
 			return nil, err
 		}
-		n := len(body) - at - 4
-		if n > math.MaxUint32 {
-			return nil, fmt.Errorf("persist: type %q: %d-byte section overflows the format", s.Types[i].Name, n)
-		}
-		binary.LittleEndian.PutUint32(body[at:], uint32(n))
 	}
 	return body, nil
 }
 
 // appendDeltaBody appends d's body to body. A non-nil flush is handed
-// the bytes so far between two entries whenever streamChunk of them have
-// gathered, and returns the buffer to carry on in, so a file append
-// streams the body through a bounded buffer instead of holding it whole.
-func appendDeltaBody(body []byte, d *core.Delta, flush func([]byte) ([]byte, error)) ([]byte, error) {
+// the bytes so far between two entries (or tombstones) whenever
+// streamChunk of them have gathered, and returns the buffer to carry on
+// in, so a file append streams the body through a bounded buffer
+// instead of holding it whole.
+func appendDeltaBody(body []byte, d *core.Delta, flush flushFunc) ([]byte, error) {
 	if len(d.Types) > math.MaxUint32 {
 		return nil, fmt.Errorf("%d delta types overflow the format", len(d.Types))
 	}
@@ -326,25 +401,17 @@ func appendDeltaBody(body []byte, d *core.Delta, flush func([]byte) ([]byte, err
 	// The operation stream splits into the insert list and a trailing
 	// tombstone section; each tombstone records its position (inserts
 	// preceding it) so the decoder rebuilds the exact interleave.
-	type tombstone struct {
-		typeIdx  int
-		pos      int
-		key      uint64
-		level    int8
-		provider uint64
-	}
-	var tombs []tombstone
-	inserts := 0
+	inserts, tombs := 0, 0
 	for i := range d.Entries {
 		de := &d.Entries[i]
 		if de.Type < 0 || de.Type >= len(d.Types) {
 			return nil, fmt.Errorf("entry %d references type %d of %d", i, de.Type, len(d.Types))
 		}
 		if de.Tombstone {
-			tombs = append(tombs, tombstone{typeIdx: de.Type, pos: inserts, key: de.Key, level: de.Level, provider: de.Provider})
-			continue
+			tombs++
+		} else {
+			inserts++
 		}
-		inserts++
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(inserts))
 	for i := range d.Entries {
@@ -357,25 +424,43 @@ func appendDeltaBody(body []byte, d *core.Delta, flush func([]byte) ([]byte, err
 		if err != nil {
 			return nil, fmt.Errorf("entry %d: %w", i, err)
 		}
-		if flush != nil && len(body) >= streamChunk {
-			if body, err = flush(body); err != nil {
-				return nil, err
-			}
+		if body, err = flushAt(body, flush); err != nil {
+			return nil, err
 		}
 	}
 	// The tombstone section is emitted only when non-empty, so a delta
 	// without evictions encodes exactly as it always has.
-	if len(tombs) > 0 {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(tombs)))
-		for _, t := range tombs {
-			body = binary.LittleEndian.AppendUint32(body, uint32(t.typeIdx))
-			body = binary.LittleEndian.AppendUint32(body, uint32(t.pos))
-			body = binary.LittleEndian.AppendUint64(body, t.key)
-			body = append(body, byte(t.level))
-			body = binary.LittleEndian.AppendUint64(body, t.provider)
+	if tombs == 0 {
+		return body, nil
+	}
+	body = binary.LittleEndian.AppendUint32(body, uint32(tombs))
+	pos := 0
+	for i := range d.Entries {
+		de := &d.Entries[i]
+		if !de.Tombstone {
+			pos++
+			continue
+		}
+		body = binary.LittleEndian.AppendUint32(body, uint32(de.Type))
+		body = binary.LittleEndian.AppendUint32(body, uint32(pos))
+		body = binary.LittleEndian.AppendUint64(body, de.Key)
+		body = append(body, byte(de.Level))
+		body = binary.LittleEndian.AppendUint64(body, de.Provider)
+		var err error
+		if body, err = flushAt(body, flush); err != nil {
+			return nil, err
 		}
 	}
 	return body, nil
+}
+
+// flushAt hands body to a non-nil flush once streamChunk bytes have
+// gathered, and returns the buffer to carry on in.
+func flushAt(body []byte, flush flushFunc) ([]byte, error) {
+	if flush == nil || len(body) < streamChunk {
+		return body, nil
+	}
+	return flush(body)
 }
 
 // UnmarshalChain decodes a chain, strictly (see the layout comment for
@@ -672,13 +757,16 @@ func SaveChain(path string, base *core.Snapshot, deltas []*core.Delta) error {
 	return SaveChainSync(path, base, deltas, SyncAlways)
 }
 
-// SaveChainSync is SaveChain under an explicit durability policy.
+// SaveChainSync is SaveChain under an explicit durability policy. The
+// chain streams into the temp file through one chunk of about 256 KiB
+// (writeChain): a save holds no whole-file copy of what it writes.
 func SaveChainSync(path string, base *core.Snapshot, deltas []*core.Delta, sync SyncPolicy) error {
-	data, err := MarshalChain(base, deltas)
-	if err != nil {
-		return err
+	if _, err := chainFingerprint(base, deltas); err != nil {
+		return err // refused before any file is touched
 	}
-	return writeAtomic(path, data, sync)
+	return writeAtomic(path, chainSize(base, deltas), func(w io.Writer) error {
+		return writeChain(w, base, deltas)
+	}, sync)
 }
 
 // ChainSizes reports the layout of the version-2 chain file at path

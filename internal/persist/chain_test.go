@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -138,6 +139,95 @@ func TestDeltaRecordStreamed(t *testing.T) {
 	if n := deltaBodySize(big); n < 3*streamChunk {
 		t.Fatalf("big delta is %d bytes: under three chunks, the streaming path is not exercised", n)
 	}
+}
+
+// chunkLog records the sizes of the writes a streamed encoder makes.
+type chunkLog struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (c *chunkLog) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, len(p))
+	return c.Buffer.Write(p)
+}
+
+// TestStreamedBaseMatchesMarshal pins the chain a rewrite streams to its
+// file (writeChain, SaveChainSync) against MarshalChain's byte for byte,
+// and the base record both write against appendRecord's independent
+// encoding, whose section and record lengths are patched in after the
+// body rather than sized up front — the golden base, empty sections, a
+// base several chunks long and a base followed by deltas.
+func TestStreamedBaseMatchesMarshal(t *testing.T) {
+	golden, _ := goldenV2Chain()
+	base, deltas := buildChain(t)
+	rng := rand.New(rand.NewSource(11))
+	big := &core.Snapshot{Fingerprint: 1, Types: []core.TypeSnapshot{{Name: "a"}, {Name: "b", Steady: true, Level: 3}, {Name: "c"}}}
+	for n, size := 0, 0; size < 3*streamChunk; n++ {
+		sec := &big.Types[n%3]
+		sec.Entries = append(sec.Entries, randEntry(rng))
+		size += entrySize(&sec.Entries[len(sec.Entries)-1])
+	}
+	empty := &core.Snapshot{Fingerprint: 1, Types: []core.TypeSnapshot{{Name: "a"}, {Name: "b"}}}
+	path := filepath.Join(t.TempDir(), "streamed.atmchain")
+	for i, c := range []struct {
+		base   *core.Snapshot
+		deltas []*core.Delta
+	}{{golden, nil}, {empty, nil}, {big, nil}, {base, deltas}} {
+		want, err := MarshalChain(c.base, c.deltas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got chunkLog
+		if err := writeChain(&got, c.base, c.deltas); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("chain %d: streamed chain differs from MarshalChain's (%d vs %d bytes)", i, got.Len(), len(want))
+		}
+		for _, n := range got.writes {
+			if n > streamChunk+streamChunk/8 {
+				t.Fatalf("chain %d: a %d-byte write, over the chunk", i, n)
+			}
+		}
+		if c.base == big && len(got.writes) < 3 {
+			t.Fatalf("big base streamed in %d writes: the chunked path is not exercised", len(got.writes))
+		}
+		ref, err := appendRecord(want[:headerLen:headerLen], recordBase, func(b []byte) ([]byte, error) {
+			return appendReferenceBase(b, c.base)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want[:len(ref)], ref) {
+			t.Fatalf("chain %d: base record differs from the patched-length encoding", i)
+		}
+		if err := SaveChainSync(path, c.base, c.deltas, SyncOff); err != nil {
+			t.Fatal(err)
+		}
+		if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, want) {
+			t.Fatalf("chain %d: SaveChainSync wrote %d bytes unlike MarshalChain's (%v)", i, len(file), err)
+		}
+	}
+}
+
+// appendReferenceBase appends s's base body with each section's length
+// patched in after its body, the way the encoder wrote it before section
+// lengths were sized up front.
+func appendReferenceBase(body []byte, s *core.Snapshot) ([]byte, error) {
+	body = binary.LittleEndian.AppendUint64(body, uint64(s.IKT.Inserts))
+	body = binary.LittleEndian.AppendUint64(body, uint64(s.IKT.Defers))
+	body = binary.LittleEndian.AppendUint64(body, uint64(s.IKT.Rejected))
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(s.Types)))
+	for i := range s.Types {
+		at := len(body)
+		var err error
+		if body, err = appendSectionBody(append(body, 0, 0, 0, 0), &s.Types[i], nil); err != nil {
+			return nil, err
+		}
+		binary.LittleEndian.PutUint32(body[at:], uint32(len(body)-at-4))
+	}
+	return body, nil
 }
 
 // TestChainSizes pins ChainSizes against the records' actual sizes —
@@ -420,4 +510,19 @@ func TestFileVersion(t *testing.T) {
 	if _, err := FileVersion(bytes.Repeat([]byte{0}, 16)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("junk header: %v", err)
 	}
+}
+
+// appendRecord appends one framed record whose body fill appends to
+// buf in place, patching its length and CRC over the body afterwards:
+// an encoder independent of chainWriter's up-front sizes and streamed
+// CRC, for the tests to hold it against.
+func appendRecord(buf []byte, kind byte, fill func([]byte) ([]byte, error)) ([]byte, error) {
+	at := len(buf)
+	buf, err := fill(append(buf, kind, 0, 0, 0, 0))
+	if err != nil {
+		return nil, err
+	}
+	body := buf[at+5:]
+	binary.LittleEndian.PutUint32(buf[at+1:], uint32(len(body)))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body)), nil
 }

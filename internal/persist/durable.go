@@ -2,6 +2,7 @@ package persist
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -55,16 +56,19 @@ const (
 // observes the on-disk crash image itself.
 func crashed(err error) bool { return errors.Is(err, failpoint.ErrCrash) }
 
-// writeAtomic writes data to path via a same-directory temp file and
-// rename, so a crash mid-write leaves the previous file (or none), and
+// writeAtomic writes the size bytes write produces to path via a
+// same-directory temp file and rename, so a crash mid-write leaves the
+// previous file (or none), and
 // — under SyncAlways — fsyncs the temp file before the rename and the
 // parent directory after it, so a crash just after return cannot
 // publish a file whose data never hit disk. Every error path removes
 // the temp file: a failed write can leave a partial file on disk
 // (ENOSPC, EIO), and leaking it next to the target would accumulate
 // one orphan per failed save. (After a real crash the orphan does
-// survive; RemoveStaleTemp is the recovery-time sweep for it.)
-func writeAtomic(path string, data []byte, sync SyncPolicy) error {
+// survive; RemoveStaleTemp is the recovery-time sweep for it.) write
+// may write in as many pieces as it likes; FailpointWrite's partial
+// write lands a prefix of the size bytes, wherever the pieces fall.
+func writeAtomic(path string, size int, write func(w io.Writer) error, sync SyncPolicy) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -77,8 +81,8 @@ func writeAtomic(path string, data []byte, sync SyncPolicy) error {
 		}
 		return err
 	}
-	n, werr := failpoint.InjectPartial(FailpointWrite, len(data))
-	if _, err := f.Write(data[:n]); err != nil && werr == nil {
+	n, werr := failpoint.InjectPartial(FailpointWrite, size)
+	if err := write(&landWriter{w: f, n: n}); err != nil && werr == nil {
 		werr = err
 	}
 	if werr != nil {

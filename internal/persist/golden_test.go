@@ -136,7 +136,7 @@ func inputRegionChain(t testing.TB) []byte {
 	}
 	data, err := appendRecord(head[:headerLen:headerLen], recordBase, func(b []byte) ([]byte, error) {
 		at := len(b)
-		b, err := appendBaseBody(b, base)
+		b, err := appendBaseBody(b, base, nil)
 		if err != nil {
 			return nil, err
 		}

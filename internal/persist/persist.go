@@ -81,9 +81,20 @@ var (
 	ErrCorrupt   = errors.New("persist: corrupt snapshot")
 )
 
+// sectionBodySize is the number of bytes appendSectionBody appends for
+// sec.
+func sectionBodySize(sec *core.TypeSnapshot) int {
+	n := 2 + len(sec.Name) + 1 + 1 + 4 + 4 + 4 // name, flags, level, successes, excluded, entry count
+	for j := range sec.Entries {
+		n += entrySize(&sec.Entries[j])
+	}
+	return n
+}
+
 // appendSectionBody appends sec's section body, its entries encoded in
-// place.
-func appendSectionBody(body []byte, sec *core.TypeSnapshot) ([]byte, error) {
+// place. A non-nil flush is handed the bytes so far between two entries
+// whenever streamChunk of them have gathered (appendDeltaBody).
+func appendSectionBody(body []byte, sec *core.TypeSnapshot, flush flushFunc) ([]byte, error) {
 	if len(sec.Name) > math.MaxUint16 {
 		return nil, fmt.Errorf("persist: type name %q overflows the format", sec.Name[:32])
 	}
@@ -104,6 +115,9 @@ func appendSectionBody(body []byte, sec *core.TypeSnapshot) ([]byte, error) {
 		var err error
 		if body, err = appendEntry(body, &sec.Entries[j]); err != nil {
 			return nil, fmt.Errorf("persist: type %q entry %d: %w", sec.Name, j, err)
+		}
+		if body, err = flushAt(body, flush); err != nil {
+			return nil, err
 		}
 	}
 	return body, nil

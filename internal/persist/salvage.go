@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"atm/internal/core"
@@ -107,7 +108,12 @@ func RepairChain(path string, sync SyncPolicy) (RecoveryReport, error) {
 	if rep.Clean() {
 		return rep, nil
 	}
-	if err := writeAtomic(path, data[:rep.BytesKept], sync); err != nil {
+	kept := data[:rep.BytesKept]
+	err = writeAtomic(path, len(kept), func(w io.Writer) error {
+		_, err := w.Write(kept)
+		return err
+	}, sync)
+	if err != nil {
 		return rep, err
 	}
 	return rep, nil

@@ -202,14 +202,15 @@ func swaptionsKernel(in, out []float64) {
 
 // stencilKernel runs stencilIter Jacobi sweeps over a stencilDim² grid
 // with fixed boundary values (the heat-diffusion shape of the paper's
-// Jacobi benchmark).
+// Jacobi benchmark). Its two grids are arrays on the stack: a kernel
+// allocates nothing.
 func stencilKernel(in, out []float64) {
 	n := stencilDim
-	cur := make([]float64, len(in))
+	var a, b [stencilDim * stencilDim]float64
+	cur, next := a[:], b[:]
 	for i, v := range in {
 		cur[i] = clamp01(v)
 	}
-	next := make([]float64, len(in))
 	for it := 0; it < stencilIter; it++ {
 		copy(next, cur) // boundary rows/cols carry through
 		for r := 1; r < n-1; r++ {
@@ -224,9 +225,11 @@ func stencilKernel(in, out []float64) {
 
 // kmeansKernel performs one Lloyd iteration: in holds kmClusters
 // centroids then kmPoints points (kmDims each); out the updated
-// centroids. Empty clusters keep their previous centroid.
+// centroids. Empty clusters keep their previous centroid. Its scratch
+// is arrays on the stack: a kernel allocates nothing.
 func kmeansKernel(in, out []float64) {
-	clamped := make([]float64, len(in))
+	var buf [kmClusters*kmDims + kmPoints*kmDims]float64
+	clamped := buf[:]
 	for i, v := range in {
 		clamped[i] = clamp01(v)
 	}

@@ -83,6 +83,22 @@ func TestKernelsTotalAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestKernelsAllocateNothing: every kernel of the catalog runs without
+// allocating, so a miss on the handler path costs its kernel's
+// arithmetic and no garbage.
+func TestKernelsAllocateNothing(t *testing.T) {
+	for _, k := range Kinds() {
+		in, out := Input(k, 42, 7), make([]float64, k.Out)
+		runs := 100
+		if k.Name == "spin" {
+			runs = 2 // ~ms per call
+		}
+		if n := testing.AllocsPerRun(runs, func() { k.Fn(in, out) }); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", k.Name, n)
+		}
+	}
+}
+
 func TestInputDeterministic(t *testing.T) {
 	k, _ := KindByName("lu")
 	a := Input(k, 7, 1)
