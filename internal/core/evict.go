@@ -63,7 +63,7 @@ func (t *THT) evictOne(cand uint64) (evicted, rejectNew bool) {
 			b.mu.Unlock()
 			continue
 		}
-		victim := b.entries[b.head]
+		victim := b.ring[b.head].e
 		if t.sketch.estimate(victim.Key) > t.sketch.estimate(cand) {
 			// TinyLFU admission: the resident is estimated hotter than
 			// the newcomer, so the newcomer loses.

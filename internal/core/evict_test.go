@@ -276,7 +276,7 @@ func TestLogDrainRaceLeaksNoReferences(t *testing.T) {
 	for bi := range tht.buckets {
 		b := &tht.buckets[bi]
 		for i := 0; i < b.n; i++ {
-			e := b.entries[(b.head+i)%len(b.entries)]
+			e := b.ring[(b.head+i)%len(b.ring)].e
 			if refs := e.refs.Load(); refs != 1 {
 				t.Fatalf("bucket %d entry %d (key %#x): refs=%d want 1 — a drained log reference leaked",
 					bi, i, e.Key, refs)

@@ -152,7 +152,7 @@ func (r *hitsRig) tableState() tableState {
 	for bi := range tht.buckets {
 		b := &tht.buckets[bi]
 		for i := 0; i < b.n; i++ {
-			s.extraRefs += int(b.entries[(b.head+i)%len(b.entries)].refs.Load()) - 1
+			s.extraRefs += int(b.ring[(b.head+i)%len(b.ring)].e.refs.Load()) - 1
 		}
 	}
 	return s

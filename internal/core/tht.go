@@ -96,13 +96,17 @@ func tombstoneRec(e *Entry) logRec {
 	return logRec{typeID: e.TypeID, key: e.Key, level: e.Level, provider: e.ProviderID}
 }
 
+// slot is one place in a bucket's ring: an entry and, beside it, its
+// key, so a probe compares keys in place and reads an entry only when
+// its key matches.
+type slot struct {
+	key uint64
+	e   *Entry
+}
+
 type thtBucket struct {
-	mu      sync.RWMutex
-	entries []*Entry // ring: oldest at head
-	// keys mirrors entries slot for slot: keys[i] == entries[i].Key for
-	// every occupied slot, so probe scans a dense key array and touches
-	// an entry only on a key match.
-	keys []uint64
+	mu   sync.RWMutex
+	ring []slot // oldest at head
 	head int
 	n    int
 	// log records this bucket's operations — inserts (retained) and
@@ -119,50 +123,41 @@ type thtBucket struct {
 // removeAt removes the entry at ring offset i (0 = oldest), preserving
 // the remaining entries' order, and returns it. Caller holds b.mu.
 func (b *thtBucket) removeAt(i int) *Entry {
-	e := b.entries[(b.head+i)%len(b.entries)]
+	e := b.ring[(b.head+i)%len(b.ring)].e
 	if i == 0 {
-		b.entries[b.head] = nil
-		b.head = (b.head + 1) % len(b.entries)
+		b.ring[b.head] = slot{}
+		b.head = (b.head + 1) % len(b.ring)
 		b.n--
 		return e
 	}
 	for j := i; j < b.n-1; j++ {
-		to, from := (b.head+j)%len(b.entries), (b.head+j+1)%len(b.entries)
-		b.entries[to], b.keys[to] = b.entries[from], b.keys[from]
+		b.ring[(b.head+j)%len(b.ring)] = b.ring[(b.head+j+1)%len(b.ring)]
 	}
 	b.n--
-	b.entries[(b.head+b.n)%len(b.entries)] = nil
+	b.ring[(b.head+b.n)%len(b.ring)] = slot{}
 	return e
 }
 
-// find returns the ring slot of the newest entry matching (typeID, key,
-// level), or -1. The occupied slots are at most two contiguous runs of
-// keys — [head, len) and [0, wrapped) when the ring wraps — so the scan
-// is two plain loops, newest first, with no modulo per slot. Caller
-// holds b.mu.
-func (b *thtBucket) find(typeID int, key uint64, level int8) int {
+// find returns the newest entry matching (typeID, key, level), or nil.
+// The occupied slots are at most two contiguous runs — [head, len) and
+// [0, wrapped) when the ring wraps — so the scan is two plain loops,
+// newest first, with no modulo per slot. Caller holds b.mu.
+func (b *thtBucket) find(typeID int, key uint64, level int8) *Entry {
 	end, wrapped := b.head+b.n, 0
-	if end > len(b.keys) {
-		end, wrapped = len(b.keys), end-len(b.keys)
+	if end > len(b.ring) {
+		end, wrapped = len(b.ring), end-len(b.ring)
 	}
 	for i := wrapped - 1; i >= 0; i-- {
-		if b.keys[i] == key && b.matches(i, typeID, level) {
-			return i
+		if s := &b.ring[i]; s.key == key && s.e.TypeID == typeID && s.e.Level == level {
+			return s.e
 		}
 	}
 	for i := end - 1; i >= b.head; i-- {
-		if b.keys[i] == key && b.matches(i, typeID, level) {
-			return i
+		if s := &b.ring[i]; s.key == key && s.e.TypeID == typeID && s.e.Level == level {
+			return s.e
 		}
 	}
-	return -1
-}
-
-// matches reports whether the entry in slot i, whose key already
-// matched, has typeID and level.
-func (b *thtBucket) matches(i, typeID int, level int8) bool {
-	e := b.entries[i]
-	return e.TypeID == typeID && e.Level == level
+	return nil
 }
 
 // MaxNBits bounds Config.NBits / NewTHT's nbits: 2^20 buckets already
@@ -225,9 +220,8 @@ func (t *THT) probe(typeID int, key uint64, level int8) *Entry {
 	b := &t.buckets[key&t.mask]
 	b.mu.RLock()
 	// Newest entries are most likely to match; find scans back to front.
-	var e *Entry
-	if i := b.find(typeID, key, level); i >= 0 {
-		e = b.entries[i]
+	e := b.find(typeID, key, level)
+	if e != nil {
 		e.retain()
 	}
 	b.mu.RUnlock()
@@ -320,27 +314,23 @@ func (t *THT) publish(e *Entry, size int64, logIt bool) int {
 	var old *Entry
 	b := &t.buckets[e.Key&t.mask]
 	b.mu.Lock()
-	if b.entries == nil {
-		c := min(8, t.m)
-		b.entries, b.keys = make([]*Entry, c), make([]uint64, c)
+	if b.ring == nil {
+		b.ring = make([]slot, min(8, t.m))
 	}
 	if b.n == t.m {
-		old = b.entries[b.head]
-		b.entries[b.head], b.keys[b.head] = e, e.Key
-		b.head = (b.head + 1) % len(b.entries)
+		old = b.ring[b.head].e
+		b.ring[b.head] = slot{e.Key, e}
+		b.head = (b.head + 1) % len(b.ring)
 	} else {
-		if b.n == len(b.entries) {
-			c := min(2*b.n, t.m)
-			grown, keys := make([]*Entry, c), make([]uint64, c)
+		if b.n == len(b.ring) {
+			grown := make([]slot, min(2*b.n, t.m))
 			for i := 0; i < b.n; i++ {
-				j := (b.head + i) % len(b.entries)
-				grown[i], keys[i] = b.entries[j], b.keys[j]
+				grown[i] = b.ring[(b.head+i)%len(b.ring)]
 			}
-			b.entries, b.keys = grown, keys
+			b.ring = grown
 			b.head = 0
 		}
-		j := (b.head + b.n) % len(b.entries)
-		b.entries[j], b.keys[j] = e, e.Key
+		b.ring[(b.head+b.n)%len(b.ring)] = slot{e.Key, e}
 		b.n++
 	}
 	// Still under b.mu: concurrent operations on this bucket reach the
@@ -390,7 +380,7 @@ func (t *THT) Remove(typeID int, key uint64, level int8, provider uint64) bool {
 	b := &t.buckets[key&t.mask]
 	b.mu.Lock()
 	for i := 0; i < b.n; i++ {
-		e := b.entries[(b.head+i)%len(b.entries)]
+		e := b.ring[(b.head+i)%len(b.ring)].e
 		if e.Key == key && e.TypeID == typeID && e.Level == level && e.ProviderID == provider {
 			b.removeAt(i)
 			b.mu.Unlock()
@@ -421,7 +411,7 @@ func (t *THT) forEach(fn func(e *Entry)) []logCut {
 		b.mu.RLock()
 		batch = batch[:0]
 		for i := 0; i < b.n; i++ {
-			e := b.entries[(b.head+i)%len(b.entries)]
+			e := b.ring[(b.head+i)%len(b.ring)].e
 			e.retain()
 			batch = append(batch, e)
 		}
@@ -506,8 +496,7 @@ func (t *THT) logLen() int {
 
 // drainLog is DrainLog handing each record to fn, in DrainLog's order,
 // under its bucket's lock, instead of gathering them: fn takes over the
-// insert records' references. A bucket keeps its log's array for the
-// next save's records unless a burst grew it past keepLog.
+// insert records' references.
 func (t *THT) drainLog(fn func(r logRec)) {
 	for bi := range t.buckets {
 		b := &t.buckets[bi]
@@ -515,19 +504,10 @@ func (t *THT) drainLog(fn func(r logRec)) {
 		for _, r := range b.log {
 			fn(r)
 		}
-		if cap(b.log) > keepLog {
-			b.log = nil
-		} else {
-			clear(b.log) // the records' references now belong to fn
-			b.log = b.log[:0]
-		}
+		b.log = nil
 		b.mu.Unlock()
 	}
 }
-
-// keepLog is the largest operation log, in records, whose array a
-// bucket keeps across drains.
-const keepLog = 256
 
 // MemoryBytes reports the table's current payload size (Table III's
 // numerator).
