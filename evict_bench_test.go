@@ -144,9 +144,9 @@ func insertFresh(tht *core.THT, i uint64, elems int) {
 // paper's 256 buckets of up to 128, 64 to a bucket. hit looks up
 // resident keys in turn, at every age within their buckets; miss looks
 // up absent keys, each of which scans its whole bucket. The probe
-// compares a dense key array and reads an entry only on a key match, so
-// a miss touches no entry. Both are gated at 0 allocations in
-// BENCH_7.json.
+// compares the keys its ring slots hold and reads an entry only on a
+// key match, so a miss touches no entry. Both are gated at 0
+// allocations in BENCH_7.json.
 func BenchmarkTHTProbe(b *testing.B) {
 	const entries = 16384
 	tht := core.NewTHT(8, 128)
