@@ -256,7 +256,7 @@ func (t *THT) GetEntry() *Entry {
 // entry's memory size is computed idempotently, so re-inserting an entry
 // (or inserting a recycled one) never double-counts. When the insert
 // log is enabled the entry is recorded for the next delta snapshot.
-// Under a budget e must first win admission (Admit); a rejected e goes
+// Under a budget Insert runs admission (Admit) first; a rejected e goes
 // back to the table's pool.
 func (t *THT) Insert(e *Entry) { t.insert(e, true) }
 
