@@ -307,7 +307,8 @@ type ATM struct {
 
 	// serveInserts fences Serve's inserts against a full Snapshot, which
 	// no runtime's Wait quiesces: Serve holds it shared around each
-	// insert, Snapshot exclusively from its table scan to its log trim.
+	// entry's publication (admission and the output copy run before it),
+	// Snapshot exclusively from its table scan to its log trim.
 	// forEach's per-bucket cut already saves a racing insert exactly once
 	// (scanned and trimmed, or left logged for the next delta;
 	// TestTrimLogCutsEachBucketAtItsVisit), and no test fails without the
@@ -315,6 +316,11 @@ type ATM struct {
 	// serveProviders numbers Serve's admitted entries (outOfBandProvider).
 	serveInserts   sync.RWMutex
 	serveProviders atomic.Uint64
+
+	// deltaScanned, when a test sets it, runs between snapshotDelta's
+	// metadata scan and its log drain: where traffic that races a save
+	// lands.
+	deltaScanned func()
 }
 
 type planKey struct {
@@ -616,15 +622,24 @@ func outputShapesMatch(a, b []region.Region) bool {
 }
 
 // memoize is updateTHT: it stores a copy of outs, the outputs of a task
-// of type typeID hashed to key at level, produced by provider. The
-// budget's admission runs first, on the key and the outputs' size, so a
-// task it rejects builds no entry and copies nothing; only an admitted
-// one takes a pooled entry (its buffers reused when the shapes match)
-// and copies its outputs in. provider outOfBandProvider asks for the
-// next of Serve's own ids, drawn only once the entry is admitted.
+// of type typeID hashed to key at level, produced by provider.
 func (a *ATM) memoize(typeID int, outs []region.Region, provider, key uint64, level int8) {
-	if !a.tht.Admit(key, entryBytes(outs)) {
-		return
+	if e := a.admitEntry(typeID, outs, provider, key, level); e != nil {
+		a.tht.publish(e, e.bytes, true)
+	}
+}
+
+// admitEntry is memoize up to the publication: the budget's admission
+// runs first, on the key and the outputs' size, so a task it rejects
+// builds no entry and copies nothing (nil); only an admitted one takes a
+// pooled entry (its buffers reused when the shapes match) and copies its
+// outputs in. provider outOfBandProvider asks for the next of Serve's
+// own ids, drawn only once the entry is admitted. The caller publishes
+// the entry.
+func (a *ATM) admitEntry(typeID int, outs []region.Region, provider, key uint64, level int8) *Entry {
+	size := entryBytes(outs)
+	if ok, _ := a.tht.admit(key, size); !ok {
+		return nil
 	}
 	if provider == outOfBandProvider {
 		provider |= a.serveProviders.Add(1)
@@ -645,7 +660,8 @@ func (a *ATM) memoize(typeID int, outs []region.Region, provider, key uint64, le
 	e.Key = key
 	e.Level = level
 	e.ProviderID = provider
-	a.tht.Publish(e)
+	e.bytes = size
+	return e
 }
 
 // OnReady implements taskrt.Memoizer: Fig. 1's ready-task protocol.

@@ -201,6 +201,10 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 		})
 	}
 
+	if a.deltaScanned != nil {
+		a.deltaScanned()
+	}
+
 	// Drain the insert log after the metadata scan: an insert landing
 	// between the two is saved now and its (possibly newer) metadata by
 	// the next save — never the reverse, so a restored chain cannot hold
@@ -211,14 +215,17 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 	d.Entries = make([]DeltaEntry, 0, n)
 	held := make([]*Entry, 0, n)
 	a.tht.drainLog(func(rec logRec) {
-		if rec.typeID >= len(states) {
-			// A type that registered since the scan above may already
-			// have logged operations: resolve them against the registry
-			// as it is now, or the drained log would lose them. The
-			// registry is append-only, so the reloaded slice is a
-			// superset; such a type's entries ship in this delta under a
-			// meta-less row and its metadata follows with the next save,
-			// per the invariant above.
+		if rec.typeID >= len(states) || states[rec.typeID] == nil {
+			// A type that appeared since the scan above may already have
+			// logged operations: resolve them against the registry as it
+			// is now, or the drained log would lose them. The registry
+			// is a dense slice whose slots fill lazily — a type a runtime
+			// registered early may first run after a later one, leaving
+			// a nil slot below len that fills later — but a filled slot
+			// never changes, so the reloaded slice covers the old one.
+			// Such a type's entries ship in this delta under a meta-less
+			// row and its metadata follows with the next save, per the
+			// invariant above.
 			states = *a.typeStates.Load()
 		}
 		if rec.typeID >= len(states) || states[rec.typeID] == nil {

@@ -368,6 +368,45 @@ func TestLendDeltaSharesAndReleases(t *testing.T) {
 	}
 }
 
+// TestDeltaResolvesTypeFilledAfterScan: a runtime numbers its types at
+// registration, but the engine fills a type's slot only when its first
+// task arrives, so a type registered first and run second leaves a nil
+// slot below a later type's. An insert of that type landing between a
+// delta's metadata scan and its log drain must ship in that delta (its
+// log record is drained exactly once), and its metadata in the next.
+func TestDeltaResolvesTypeFilledAfterScan(t *testing.T) {
+	memo := New(Config{Mode: ModeStatic})
+	memo.EnableDeltaTracking()
+	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
+	defer rt.Close()
+	first := rt.RegisterType(taskrt.TypeConfig{Name: "first", Memoize: true, Run: doubler})
+	second := rt.RegisterType(taskrt.TypeConfig{Name: "second", Memoize: true, Run: doubler})
+	runDistinct(rt, second, 0, 2)
+	if _, err := memo.SnapshotDelta(); err != nil {
+		t.Fatal(err)
+	}
+	if sl := *memo.typeStates.Load(); len(sl) != 2 || sl[first.ID()] != nil {
+		t.Fatalf("want a nil slot for the type not yet run, got %v", sl)
+	}
+
+	memo.deltaScanned = func() { runDistinct(rt, first, 100, 1) }
+	d, err := memo.SnapshotDelta()
+	memo.deltaScanned = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Entries) != 1 || len(d.Types) != 1 || d.Types[0].Name != "first" || d.Types[0].HasMeta {
+		t.Fatalf("the racing insert must ship under a meta-less row: %d entries, types %+v", len(d.Entries), d.Types)
+	}
+	next, err := memo.SnapshotDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next.Entries) != 0 || len(next.Types) != 1 || next.Types[0].Name != "first" || !next.Types[0].HasMeta {
+		t.Fatalf("the next delta must carry only the type's metadata: %d entries, types %+v", len(next.Entries), next.Types)
+	}
+}
+
 func TestDisableDeltaTrackingReleasesLog(t *testing.T) {
 	memo := New(Config{Mode: ModeStatic})
 	memo.EnableDeltaTracking()

@@ -156,6 +156,32 @@ func TestTHTTinyLFUAdmissionDuel(t *testing.T) {
 	}
 }
 
+// TestRejectedInsertKeepsHeldEntry: an insert admission rejects
+// recycles its entry only when nothing references it. A reader's (or
+// the table's own) reference keeps a rejected entry out of the pool,
+// where GetEntry would hand its buffers to the next insert to overwrite.
+func TestRejectedInsertKeepsHeldEntry(t *testing.T) {
+	tht := NewTHT(0, 8)
+	tht.ConfigureBudget(2 * entrySize)
+	vals := make([]float64, 16) // larger than the budget: rejected outright
+	held := entryWith(0, 7, 15, vals...)
+	held.retain() // a reader's reference
+	tht.Insert(held)
+	if _, rejects := tht.BudgetCounters(); rejects != 1 {
+		t.Fatalf("admission rejects=%d want 1", rejects)
+	}
+	if got := tht.GetEntry(); got == held {
+		t.Fatal("a rejected entry a reader holds went back to the pool")
+	}
+	held.Release()
+
+	free := entryWith(0, 8, 15, vals...)
+	tht.Insert(free)
+	if got := tht.GetEntry(); got != free {
+		t.Fatal("a rejected entry nothing holds must go back to the pool")
+	}
+}
+
 func TestTHTBudgetEvictionLogsTombstone(t *testing.T) {
 	// Budget evictions must be visible to the delta machinery: each one
 	// appends a tombstone record (e == nil, victim identity copied) to

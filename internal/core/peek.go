@@ -241,9 +241,10 @@ func (a *ATM) commitHit(t *ServeTask) {
 // runBody is Serve's executed task, after OnReady's counted lookup: the
 // body, then OnFinished on the out-of-band shard — a grade against pred,
 // the entry a training task matched, or else the insert of its outputs,
-// which a failed grade makes too. The insert holds the snapshot fence
+// which a failed grade makes too. The entry is admitted and built
+// outside the snapshot fence; only its publication holds the fence
 // shared, so a full Snapshot never scans the table around it (see
-// ATM.serveInserts).
+// ATM.serveInserts) and never waits on an output copy.
 func (a *ATM) runBody(t *ServeTask, pred *Entry) {
 	sh := t.Type.shard(-1)
 	t.Run(t.Ins, t.Outs)
@@ -252,9 +253,11 @@ func (a *ATM) runBody(t *ServeTask, pred *Entry) {
 		if t.tscale != 0 {
 			c0 = time.Now()
 		}
-		a.serveInserts.RLock()
-		a.memoize(t.Type.id, t.Outs, outOfBandProvider, t.key, t.level)
-		a.serveInserts.RUnlock()
+		if e := a.admitEntry(t.Type.id, t.Outs, outOfBandProvider, t.key, t.level); e != nil {
+			a.serveInserts.RLock()
+			a.tht.publish(e, e.bytes, true)
+			a.serveInserts.RUnlock()
+		}
 		if t.tscale != 0 {
 			sh.copyNanos.Add(time.Since(c0).Nanoseconds() * t.tscale)
 		}

@@ -256,8 +256,8 @@ func (t *THT) GetEntry() *Entry {
 // entry's memory size is computed idempotently, so re-inserting an entry
 // (or inserting a recycled one) never double-counts. When the insert
 // log is enabled the entry is recorded for the next delta snapshot.
-// Under a budget Insert runs admission (Admit) first; a rejected e goes
-// back to the table's pool.
+// Under a budget Insert runs admission (Admit) first; a rejected e that
+// nothing references goes back to the table's pool.
 func (t *THT) Insert(e *Entry) { t.insert(e, true) }
 
 // InsertRestored is Insert for entries installed from a persisted
@@ -272,7 +272,12 @@ func (t *THT) insert(e *Entry, logIt bool) (resident int) {
 	size := entryBytes(e.Outs)
 	admitted, evicted := t.admit(e.Key, size)
 	if !admitted {
-		t.pool.Put(e) // never published: its buffers are free for reuse
+		if e.refs.Load() == 0 {
+			// Unreferenced, so never published: its buffers are free for
+			// reuse. A re-inserted entry the table or a reader still holds
+			// stays theirs.
+			t.pool.Put(e)
+		}
 		return -evicted
 	}
 	return t.publish(e, size, logIt) - evicted
@@ -292,21 +297,20 @@ func entryBytes(outs []region.Region) int64 {
 // plus 24) under key, before the entry exists: it evicts residents until
 // the entry fits and reports true, or counts a rejection and reports
 // false — larger than the budget outright, or a lost frequency duel.
-// An unbudgeted table admits everything. A caller that gets true must
-// then Publish the entry; one that gets false builds none, which is the
-// point of asking first.
+// An unbudgeted table admits everything. It is the question the engine
+// asks for a finished task before building its entry (ATM.memoize), so
+// a rejected task builds none; the engine then publishes an admitted
+// entry itself.
 func (t *THT) Admit(key uint64, size int64) bool {
 	ok, _ := t.admit(key, size)
 	return ok
 }
 
-// Publish adds e, which Admit has admitted, to its bucket, as Insert
-// does after admission: a full bucket's oldest entry is replaced, and
-// the insert is logged when delta tracking is on.
-func (t *THT) Publish(e *Entry) { t.publish(e, entryBytes(e.Outs), true) }
-
-// publish inserts admitted e of size bytes and returns the change in
-// resident entries: 1, or 0 when it replaced its bucket's oldest.
+// publish inserts admitted e of size bytes, as Insert does after
+// admission — a full bucket's oldest entry is replaced, and the insert
+// is logged when logIt is set and delta tracking is on — and returns
+// the change in resident entries: 1, or 0 when it replaced its bucket's
+// oldest.
 func (t *THT) publish(e *Entry, size int64, logIt bool) int {
 	e.bytes = size
 	e.pool = &t.pool // set before publication: readers may Release anytime
@@ -457,9 +461,9 @@ func (t *THT) trimLog(cuts []logCut) {
 func (t *THT) SetLogging(on bool) {
 	t.logging.Store(on)
 	if !on {
-		for _, r := range t.DrainLog() {
+		t.drainLog(func(r logRec) {
 			r.e.Release() // nil-safe: tombstones hold no reference
-		}
+		})
 	}
 }
 
@@ -475,9 +479,6 @@ func (t *THT) SetLogging(on bool) {
 // records hold none — Release is nil-safe).
 func (t *THT) DrainLog() []logRec {
 	var log []logRec
-	if n := t.logLen(); n > 0 {
-		log = make([]logRec, 0, n)
-	}
 	t.drainLog(func(r logRec) { log = append(log, r) })
 	return log
 }
