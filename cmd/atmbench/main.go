@@ -271,9 +271,9 @@ func runStats(opt harness.Options, mode string, level int, ikt bool, chain strin
 		fmt.Printf("%s under %s (%s start): elapsed=%v speedup=%.2fx correctness=%.3f%% reuse=%.1f%% tht-hit-ratio=%.1f%%\n",
 			name, spec.Name(), start, o.Elapsed, harness.Speedup(base, o), o.App.Correctness(base.App), 100*o.Reuse(), 100*o.THTHitRatio())
 		for _, ts := range o.Stats.Types {
-			fmt.Printf("  type %-24s tasks=%-6d exec=%-6d memoTHT=%-6d memoIKT=%-5d trainHits=%-5d trainFail=%-4d excl=%d level=%d (p=%s) steady=%v hash=%v copy=%v\n",
+			fmt.Printf("  type %-24s tasks=%-6d exec=%-6d memoTHT=%-6d memoIKT=%-5d trainHits=%-5d trainFail=%-4d level=%d (p=%s) steady=%v hash=%v copy=%v\n",
 				ts.Name, ts.Tasks, ts.Executed, ts.MemoizedTHT, ts.MemoizedIKT,
-				ts.TrainingHits, ts.TrainingFailures, ts.ExcludedRegions, ts.Level,
+				ts.TrainingHits, ts.TrainingFailures, ts.Level,
 				fmtP(ts.P), ts.Steady, ts.HashTime.Round(1e3), ts.CopyTime.Round(1e3))
 		}
 		s := o.Stats

@@ -103,8 +103,8 @@ func inspect(paths []string, out, errw io.Writer) int {
 				if sec.Steady {
 					phase = "steady"
 				}
-				fmt.Fprintf(out, "    type %-24q %s level=%d successes=%d excluded=%d entries=%d\n",
-					sec.Name, phase, sec.Level, sec.Successes, sec.Excluded, len(sec.Entries))
+				fmt.Fprintf(out, "    type %-24q %s level=%d successes=%d entries=%d\n",
+					sec.Name, phase, sec.Level, sec.Successes, len(sec.Entries))
 			}
 		}
 		for i, d := range deltas {

@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("\nspeedup: %.2fx, correctness: %.3f%%\n",
 		float64(base)/float64(dyn), app.Correctness(ref))
 	for _, ts := range memo.Stats().Types {
-		fmt.Printf("type %q: reuse %.1f%%, trained to p=%.4g%% (steady=%v), %d outputs excluded as unstable\n",
-			ts.Name, 100*ts.Reuse(), 100*ts.P, ts.Steady, ts.ExcludedRegions)
+		fmt.Printf("type %q: reuse %.1f%%, trained to p=%.4g%% (steady=%v)\n",
+			ts.Name, 100*ts.Reuse(), 100*ts.P, ts.Steady)
 	}
 }

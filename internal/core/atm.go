@@ -148,10 +148,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// excludeAfter is the number of failed training approximations after
-// which an output region is declared chaotic and excluded from ATM.
-const excludeAfter = 3
-
 // Overhead timing is sampled: the first timingWarmup tasks of a type (per
 // worker) are measured exactly — keeping short runs and tests accurate —
 // after which only every timingSampleth task pays the two time.Now()
@@ -180,20 +176,17 @@ type typeShard struct {
 	memoIKT       atomic.Int64
 	trainHits     atomic.Int64
 	trainFailures atomic.Int64
-	excludedSkips atomic.Int64
 	hashNanos     atomic.Int64
 	copyNanos     atomic.Int64
-	_             [56]byte
+	_             [64]byte // to 128 bytes: two whole cache lines
 }
 
 // Type is a task type's adaptive state of §III-D, and the handle a
 // caller without a task runtime names the type by (NewType, PeekType,
-// ServeTask). The steady state hot path reads only phaseLevel and
-// hasExcl (both atomic); the mutex guards the training-phase
-// bookkeeping.
+// ServeTask). The steady state hot path reads only phaseLevel (atomic);
+// the mutex guards the training-phase bookkeeping.
 type Type struct {
 	phaseLevel atomic.Uint32 // phase<<8 | level
-	hasExcl    atomic.Bool   // any region in the exclusion set
 	// id indexes ATM.typeStates and tags the type's THT entries; name
 	// keys its snapshot section. tauMax and lTraining are the training
 	// parameters grade applies. All immutable.
@@ -212,21 +205,11 @@ type Type struct {
 	mu        sync.Mutex
 	successes int // consecutive correct approximations at this level
 	// dirtyEpoch is the save epoch (ATM.saveEpoch) of the last
-	// phase/level/successes/exclusion mutation, stamped under mu; a
+	// phase/level/successes mutation, stamped under mu; a
 	// delta save carries the type's metadata when dirtyEpoch exceeds
 	// the last saved epoch. Zero means the state matches what the
 	// restored snapshot recorded.
 	dirtyEpoch uint64
-	// failCount counts, per output region, training approximations whose
-	// τ reached τmax. Every failure doubles p (§III-D); a region that
-	// keeps failing across levels is "potentially related to chaotic
-	// behavior" and joins the exclusion set after excludeAfter failures:
-	// its tasks bypass ATM instead of driving p all the way to 100%.
-	// This reproduces the output-pointer exclusion set that Jacobi needs
-	// (§IV-A) while letting ordinary failures raise p as the paper's
-	// algorithm does.
-	failCount map[region.Region]int
-	excluded  map[region.Region]bool
 }
 
 func packPhaseLevel(ph phase, level int) uint32 { return uint32(ph)<<8 | uint32(level) }
@@ -452,8 +435,6 @@ func (a *ATM) addTypeLocked(id int, name string, tauMax float64, lTraining int) 
 		lTraining: lTraining,
 		seed:      typeSeed(name),
 		shards:    make([]typeShard, nshards),
-		failCount: make(map[region.Region]int),
-		excluded:  make(map[region.Region]bool),
 	}
 	switch a.cfg.Mode {
 	case ModeStatic:
@@ -467,8 +448,7 @@ func (a *ATM) addTypeLocked(id int, name string, tauMax float64, lTraining int) 
 		delete(a.pending, name)
 		if !a.installSection(ts, sec) {
 			// The installed metadata differs from what the snapshot
-			// recorded (level clamped, or an excluded steady type demoted
-			// to training): the next delta must re-record it.
+			// recorded (level clamped): the next delta must re-record it.
 			ts.dirtyEpoch = a.saveEpoch.Load()
 		}
 	} else {
@@ -671,19 +651,6 @@ func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
 	n := sh.tasks.Add(1)
 	ph, level := ts.load()
 
-	if a.cfg.Mode == ModeDynamic && ts.hasExcl.Load() {
-		ts.mu.Lock()
-		for _, o := range t.Outputs() {
-			if ts.excluded[o] {
-				ts.mu.Unlock()
-				sh.excludedSkips.Add(1)
-				sh.executed.Add(1)
-				return taskrt.OutcomeRun // chaotic output: never memoize
-			}
-		}
-		ts.mu.Unlock()
-	}
-
 	tracer := a.rt.Tracer()
 	if tracer != nil {
 		tracer.SetState(worker, trace.StateHash)
@@ -787,17 +754,14 @@ func (a *ATM) scratchFor(w int) *scratch {
 // OnFinished implements taskrt.Memoizer: Fig. 1's updateTHT&IKT() path,
 // plus dynamic ATM's training-phase grading.
 func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
-	sc, _ := t.MemoScratch.(*scratch)
+	sc := t.MemoScratch.(*scratch) // every OutcomeRun of OnReady carries one
 	t.MemoScratch = nil
-	if sc == nil {
-		return // excluded-output task: not memoized, not recorded
-	}
 	ts := a.state(t.Type())
 	sh := ts.shard(worker)
 	tracer := a.rt.Tracer()
 
 	if sc.trainEntry != nil {
-		if a.grade(ts, sh, t.Outputs(), sc.trainEntry, sc.level, true) {
+		if a.grade(ts, sh, t.Outputs(), sc.trainEntry, sc.level) {
 			// Refresh the stale prediction with the true outputs.
 			a.memoize(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level)
 		}
@@ -839,12 +803,11 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 // grade measures a training-phase approximation of a task of type ts
 // hashed at level, against ts's τmax and L_training: the task executed,
 // so outs, its fresh outputs, are the ground truth against pred, the THT
-// entry's prediction, which grade releases. It reports a failed grade, after which the caller inserts
-// outs to refresh the stale prediction. Only a worker's task counts a
-// failure toward the exclusion set (excl): its output regions persist
-// across tasks, while Serve's region headers are the caller's, pooled,
-// and identify nothing.
-func (a *ATM) grade(ts *Type, sh *typeShard, outs []region.Region, pred *Entry, level int8, excl bool) (failed bool) {
+// entry's prediction, which grade releases. It reports a failed grade,
+// after which the caller inserts outs to refresh the stale prediction.
+// Every failed grade doubles p (§III-D), for worker and Serve tasks
+// alike.
+func (a *ATM) grade(ts *Type, sh *typeShard, outs []region.Region, pred *Entry, level int8) (failed bool) {
 	tau := metrics.Chebyshev(outs, pred.Outs)
 	pred.Release()
 
@@ -861,23 +824,7 @@ func (a *ATM) grade(ts *Type, sh *typeShard, outs []region.Region, pred *Entry, 
 	ts.dirtyEpoch = a.saveEpoch.Load() // every branch below mutates the metadata
 	if tau >= ts.tauMax {
 		sh.trainFailures.Add(1)
-		alreadyChaotic := excl
-		if excl {
-			for _, o := range outs {
-				if !ts.excluded[o] {
-					alreadyChaotic = false
-				}
-				ts.failCount[o]++
-				if ts.failCount[o] >= excludeAfter {
-					ts.excluded[o] = true
-					ts.hasExcl.Store(true)
-				}
-			}
-		}
-		// Failures on already-excluded (chaotic) outputs must not keep
-		// doubling p: raising it would not stabilize them (§III-D's
-		// rationale for the exclusion set).
-		if !alreadyChaotic && cur < sampling.MaxPLevel {
+		if cur < sampling.MaxPLevel {
 			ts.phaseLevel.Store(packPhaseLevel(phaseTraining, cur+1)) // double p
 			ts.successes = 0
 		}

@@ -145,9 +145,6 @@ func TestDynamicTrainingBumpsLevelOnFailure(t *testing.T) {
 	tt := rt.RegisterType(taskrt.TypeConfig{Name: "amp", Memoize: true, TauMax: 0.01, LTraining: 1000, Run: amplify})
 
 	a, b := msbTwin()
-	// Distinct output regions per task so the failure is "fresh" each
-	// time and keeps doubling p rather than excluding a repeat-offender
-	// region.
 	for i := 0; i < 6; i++ {
 		in := a
 		if i%2 == 1 {
@@ -167,50 +164,6 @@ func TestDynamicTrainingBumpsLevelOnFailure(t *testing.T) {
 	ts := memo.Stats().Types[0]
 	if ts.TrainingFailures == 0 || ts.Executed != 6 {
 		t.Fatalf("training must execute and grade: %+v", ts)
-	}
-}
-
-func TestDynamicTrainingExcludesRepeatOffenderOutputs(t *testing.T) {
-	memo := New(Config{Mode: ModeDynamic})
-	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
-	defer rt.Close()
-	// A hidden-state body whose outputs always land in [1000, 1700): the
-	// MSB byte of every input and output element is constant, so the
-	// low-p training key collides on every task no matter which MSB the
-	// shuffle plan samples (the test must not encode one particular
-	// shuffle), while consecutive outputs differ by ≥ 100 — far beyond
-	// τmax — so every graded hit is a failure on the same output region.
-	calls := 0
-	chaotic := rt.RegisterType(taskrt.TypeConfig{
-		Name: "chaotic", Memoize: true, TauMax: 0.01, LTraining: 1000,
-		Run: func(task *taskrt.Task) {
-			calls++
-			out := task.Float64s(1)
-			for i := range out {
-				out[i] = 1000 + 100*float64(calls%7)
-			}
-		},
-	})
-
-	a, _ := msbTwin()
-	out := region.NewFloat64(8) // same "chaotic" output region every time
-	for i := 0; i < 12; i++ {
-		rt.Submit(chaotic, taskrt.In(a), taskrt.InOut(out))
-	}
-	rt.Wait()
-
-	ts := memo.Stats().Types[0]
-	if ts.ExcludedRegions == 0 {
-		t.Fatalf("a repeatedly failing output region must join the exclusion set: %+v", ts)
-	}
-	// Exclusion caps the escalation: every failure before the exclusion
-	// threshold doubles p, and afterwards the region's tasks bypass ATM
-	// instead of pushing p toward 100%.
-	if ts.Level > 3 {
-		t.Fatalf("excluded region must stop doubling p: level=%d", ts.Level)
-	}
-	if ts.ExcludedSkips == 0 {
-		t.Fatalf("post-exclusion tasks must bypass ATM: %+v", ts)
 	}
 }
 

@@ -65,7 +65,6 @@ type TypeDelta struct {
 	Steady    bool
 	Level     int
 	Successes int
-	Excluded  int
 }
 
 // DeltaEntry is one logged THT insert: Type indexes Delta.Types.
@@ -185,7 +184,6 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 		dirty := ts.dirtyEpoch > a.savedThrough
 		ph, level := ts.load()
 		succ := ts.successes
-		excl := len(ts.excluded)
 		ts.mu.Unlock()
 		if !dirty {
 			continue
@@ -197,7 +195,6 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 			Steady:    ph == phaseSteady,
 			Level:     level,
 			Successes: succ,
-			Excluded:  excl,
 		})
 	}
 
@@ -327,7 +324,6 @@ func (a *ATM) ApplyDelta(d *Delta) error {
 			sec.Steady = td.Steady
 			sec.Level = td.Level
 			sec.Successes = td.Successes
-			sec.Excluded = td.Excluded
 		}
 		if grow[ti] > 0 {
 			sec.Entries = slices.Grow(sec.Entries, grow[ti])

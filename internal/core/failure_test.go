@@ -15,9 +15,8 @@ import (
 
 // TestDynamicContainsNondeterministicTask injects a task type whose output
 // depends on a hidden counter (undeclared state). Dynamic ATM's training
-// phase grades its approximations, sees τ failures on the same output
-// region, and eventually excludes it rather than serving stale outputs
-// forever.
+// phase grades its approximations, and every τ failure doubles p, so the
+// type stays in training rather than serving stale outputs.
 func TestDynamicContainsNondeterministicTask(t *testing.T) {
 	memo := New(Config{Mode: ModeDynamic})
 	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
@@ -40,8 +39,11 @@ func TestDynamicContainsNondeterministicTask(t *testing.T) {
 	rt.Wait()
 
 	ts := memo.Stats().Types[0]
-	if ts.ExcludedRegions != 1 {
-		t.Fatalf("nondeterministic output must be excluded: %+v", ts)
+	if ts.Steady {
+		t.Fatalf("a nondeterministic type must never reach steady state: %+v", ts)
+	}
+	if ts.TrainingFailures == 0 || int64(ts.Level) != ts.TrainingFailures {
+		t.Fatalf("every failed grade must double p once: %+v", ts)
 	}
 	if ts.MemoizedTHT != 0 {
 		t.Fatalf("training must never serve the nondeterministic task from the THT: %+v", ts)
@@ -84,8 +86,9 @@ func TestStaticServesStaleForUndeclaredInput(t *testing.T) {
 	}
 }
 
-// TestExcludedTaskStillProducesFreshOutputs verifies an excluded type's
-// tasks keep executing normally through the rest of the run.
+// TestExcludedTaskStillProducesFreshOutputs verifies that a type whose
+// grades keep failing keeps executing its tasks normally through the rest
+// of the run.
 func TestExcludedTaskStillProducesFreshOutputs(t *testing.T) {
 	memo := New(Config{Mode: ModeDynamic})
 	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
@@ -107,7 +110,7 @@ func TestExcludedTaskStillProducesFreshOutputs(t *testing.T) {
 	}
 	rt.Wait()
 	if calls != n {
-		t.Fatalf("excluded task executed %d of %d times", calls, n)
+		t.Fatalf("failing task executed %d of %d times", calls, n)
 	}
 	if out.Data[0] != float64(n) {
 		t.Fatalf("final output %v must be the freshest execution", out.Data[0])

@@ -122,11 +122,10 @@ type ServeTask struct {
 //
 // Bodies take no IKT slot, so two concurrent identical misses may both
 // run; their entries carry provider ids of their own (outOfBandProvider).
-// Region identity is never observed: Serve neither consults the
-// exclusion set nor counts a failed grade toward it, so callers may
-// recycle region headers. Serve does not trace. Safe to call from any
-// goroutine, concurrently with a bound runtime's workers, delta saves
-// and full snapshots.
+// Region identity is never observed, so callers may recycle region
+// headers, and a failed grade doubles p as a worker's does. Serve does
+// not trace. Safe to call from any goroutine, concurrently with a bound
+// runtime's workers, delta saves and full snapshots.
 func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed int, ok bool) {
 	h := a.probeHasher()
 	defer a.releaseProbe(h)
@@ -248,7 +247,7 @@ func (a *ATM) commitHit(t *ServeTask) {
 func (a *ATM) runBody(t *ServeTask, pred *Entry) {
 	sh := t.Type.shard(-1)
 	t.Run(t.Ins, t.Outs)
-	if pred == nil || a.grade(t.Type, sh, t.Outs, pred, t.level, false) {
+	if pred == nil || a.grade(t.Type, sh, t.Outs, pred, t.level) {
 		var c0 time.Time
 		if t.tscale != 0 {
 			c0 = time.Now()

@@ -436,10 +436,9 @@ func TestServeHitsFallbacks(t *testing.T) {
 			t.Errorf("a training task served: %+v -> %+v, want one more task, run and graded", before, after)
 		}
 	})
-	t.Run("exclusion set", func(t *testing.T) {
-		// Three failed grades on one output region: a worker's task would
-		// put that region in the exclusion set. Serve's headers identify
-		// nothing, so nothing is recorded, and p doubles each time.
+	t.Run("failed grades double p", func(t *testing.T) {
+		// Three failed grades on one output region: p doubles each time,
+		// exactly as it would for a worker's task.
 		r := newHitsRig(t, Config{Mode: ModeDynamic})
 		out := region.NewFloat64(16)
 		task := func(run func(ins, outs []region.Region)) []ServeTask {
@@ -452,19 +451,14 @@ func TestServeHitsFallbacks(t *testing.T) {
 			}
 		}
 		level, _ := r.memo.ChosenLevel(r.tt)
-		for i := 0; i < excludeAfter; i++ {
+		const fails = 3
+		for i := 0; i < fails; i++ {
 			serves(t, r, task(doubleRegions), 1, 1) // no entry at this level: inserted
 			serves(t, r, task(triple), 1, 1)        // graded against it: fails
 		}
 		st := r.memo.Stats().Types[0]
-		if st.TrainingFailures != excludeAfter || st.Level != level+excludeAfter {
-			t.Errorf("after %d failed grades: %+v, want as many failures and levels up from %d", excludeAfter, st, level)
-		}
-		ts := r.memo.state(r.tt)
-		ts.mu.Lock()
-		defer ts.mu.Unlock()
-		if len(ts.failCount) != 0 || len(ts.excluded) != 0 || ts.hasExcl.Load() {
-			t.Errorf("Serve recorded region identity: failCount %v, excluded %v", ts.failCount, ts.excluded)
+		if st.TrainingFailures != fails || st.Level != level+fails {
+			t.Errorf("after %d failed grades: %+v, want as many failures and levels up from %d", fails, st, level)
 		}
 	})
 	t.Run("tracer", func(t *testing.T) {

@@ -61,13 +61,7 @@ type TypeSnapshot struct {
 	// Successes is the consecutive-correct-approximations counter of an
 	// in-training type (meaningless when Steady).
 	Successes int
-	// Excluded is the size of the type's chaotic-output exclusion set.
-	// The set itself is keyed by per-process region identity and cannot
-	// be carried across processes; Restore re-enters training for a type
-	// with a non-empty set so the warm run rebuilds it (never serving
-	// steady-state hits it can no longer guard).
-	Excluded int
-	Entries  []EntrySnapshot
+	Entries   []EntrySnapshot
 }
 
 // EntrySnapshot is one THT entry: the key, the p level it was computed
@@ -349,7 +343,6 @@ func (a *ATM) registeredSections(snap *Snapshot) (map[int]int, error) {
 		ph, level := ts.load()
 		ts.mu.Lock()
 		succ := ts.successes
-		excl := len(ts.excluded)
 		ts.mu.Unlock()
 		secOf[id] = len(snap.Types)
 		snap.Types = append(snap.Types, TypeSnapshot{
@@ -357,7 +350,6 @@ func (a *ATM) registeredSections(snap *Snapshot) (map[int]int, error) {
 			Steady:    ph == phaseSteady,
 			Level:     level,
 			Successes: succ,
-			Excluded:  excl,
 		})
 	}
 	return secOf, nil
@@ -452,9 +444,8 @@ func RestoreChain(cfg Config, base *Snapshot, deltas []*Delta) (*ATM, error) {
 // published, so no task of the type can race the installation: the
 // first OnReady already sees the warm level and the warm THT. The
 // return value reports whether the metadata installed verbatim — false
-// means the installed state diverged from the snapshot (clamped level,
-// or an excluded steady type demoted to training) and the caller must
-// mark the type dirty for the next delta save.
+// means the installed state diverged from the snapshot (clamped level)
+// and the caller must mark the type dirty for the next delta save.
 func (a *ATM) installSection(ts *Type, sec *TypeSnapshot) bool {
 	level := sec.Level
 	if level < sampling.MinPLevel {
@@ -463,20 +454,11 @@ func (a *ATM) installSection(ts *Type, sec *TypeSnapshot) bool {
 	if level > sampling.MaxPLevel {
 		level = sampling.MaxPLevel
 	}
-	ph := phaseTraining
-	// A type whose cold run excluded chaotic output regions re-trains:
-	// the exclusion set is per-process region identity and cannot be
-	// restored, and steady-state memoization without it would approximate
-	// exactly the outputs the cold run proved unstable.
-	if sec.Steady && sec.Excluded == 0 {
-		ph = phaseSteady
-	}
-	ts.phaseLevel.Store(packPhaseLevel(ph, level))
-	if ph == phaseTraining && !sec.Steady {
-		// Resume an interrupted training run where it left off. A
-		// formerly-steady type demoted by the exclusion caveat instead
-		// re-trains from zero successes, so it cannot flip back to
-		// steady before its exclusion set has had a chance to rebuild.
+	if sec.Steady {
+		ts.phaseLevel.Store(packPhaseLevel(phaseSteady, level))
+	} else {
+		// Resume an interrupted training run where it left off.
+		ts.phaseLevel.Store(packPhaseLevel(phaseTraining, level))
 		ts.successes = sec.Successes
 	}
 	for _, es := range sec.Entries {
@@ -505,8 +487,7 @@ func (a *ATM) installSection(ts *Type, sec *TypeSnapshot) bool {
 			Outs:       es.Outs,
 		})))
 	}
-	demoted := sec.Steady && sec.Excluded != 0
-	return level == sec.Level && !demoted
+	return level == sec.Level
 }
 
 // RestoredEntries reports how many THT entries have been installed from

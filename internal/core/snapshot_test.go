@@ -189,29 +189,6 @@ func TestSnapshotRestoreDynamicResumesSteady(t *testing.T) {
 	}
 }
 
-func TestRestoreDemotesExcludedTypesToTraining(t *testing.T) {
-	// Exclusion sets are per-process region identity: a steady section
-	// recorded with a non-empty set must re-train on restore rather than
-	// serve steady hits it can no longer guard.
-	snap := &Snapshot{
-		Fingerprint: Fingerprint(Config{Mode: ModeDynamic}),
-		Types: []TypeSnapshot{{
-			Name: "jumpy", Steady: true, Level: 9, Successes: 99, Excluded: 1,
-		}},
-	}
-	warm, err := Restore(Config{Mode: ModeDynamic}, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: warm})
-	defer rt.Close()
-	tt := rt.RegisterType(taskrt.TypeConfig{Name: "jumpy", Memoize: true, Run: doubler})
-	level, steady := warm.ChosenLevel(tt)
-	if steady || level != 9 {
-		t.Fatalf("excluded section must re-train at its level: level=%d steady=%v", level, steady)
-	}
-}
-
 func TestSnapshotCarriesUnclaimedSections(t *testing.T) {
 	// A sweep alternating workloads must not lose the idle workload's
 	// warm state: sections whose type never registers in this process

@@ -23,17 +23,12 @@ type TypeStats struct {
 	// approximations and those whose τ reached τmax.
 	TrainingHits     int64
 	TrainingFailures int64
-	// ExcludedSkips counts steady-state tasks bypassing ATM because an
-	// output region is in the exclusion set.
-	ExcludedSkips int64
 	// Level is the current p level (p = 2^(Level-15)).
 	Level int
 	// P is the corresponding fraction of sampled input bytes.
 	P float64
 	// Steady reports whether the type finished training.
 	Steady bool
-	// ExcludedRegions is the exclusion-set size.
-	ExcludedRegions int
 	// HashTime and CopyTime aggregate ATM overheads on this type.
 	// Past a per-worker warmup they are sampled measurements scaled to
 	// the full task count, so treat them as estimates on long runs.
@@ -101,7 +96,6 @@ func (a *ATM) Stats() Stats {
 			t.MemoizedIKT += sh.memoIKT.Load()
 			t.TrainingHits += sh.trainHits.Load()
 			t.TrainingFailures += sh.trainFailures.Load()
-			t.ExcludedSkips += sh.excludedSkips.Load()
 			t.HashTime += time.Duration(sh.hashNanos.Load())
 			t.CopyTime += time.Duration(sh.copyNanos.Load())
 		}
@@ -109,9 +103,6 @@ func (a *ATM) Stats() Stats {
 		t.Level = level
 		t.P = sampling.PFromLevel(level)
 		t.Steady = ph == phaseSteady
-		ts.mu.Lock()
-		t.ExcludedRegions = len(ts.excluded)
-		ts.mu.Unlock()
 		st.Types = append(st.Types, t)
 	}
 

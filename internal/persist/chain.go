@@ -41,8 +41,8 @@ import (
 //	delta body:  u32 type count, then per type:
 //	               u16 name length + name bytes
 //	               u8 flags (bit 0: steady, bit 1: has-meta), u8 level
-//	               u32 successes, u32 excluded-region count
-//	               (all four meta fields must be zero when has-meta is
+//	               u32 successes, u32 reserved (0; non-zero is ErrCorrupt)
+//	               (the three meta fields must be zero when has-meta is
 //	               unset — the type is present only as an entry target)
 //	             u32 insert count, then per insert:
 //	               u32 type index (into this delta's type table)
@@ -393,7 +393,7 @@ func appendDeltaBody(body []byte, d *core.Delta, flush flushFunc) ([]byte, error
 		}
 		body = append(body, flags, byte(td.Level))
 		body = binary.LittleEndian.AppendUint32(body, uint32(td.Successes))
-		body = binary.LittleEndian.AppendUint32(body, uint32(td.Excluded))
+		body = binary.LittleEndian.AppendUint32(body, 0) // reserved
 	}
 	if len(d.Entries) > math.MaxUint32 {
 		return nil, fmt.Errorf("%d delta entries overflow the format", len(d.Entries))
@@ -638,9 +638,12 @@ func decodeDeltaBody(body []byte, fp uint64) (*core.Delta, error) {
 		if err != nil {
 			return nil, err
 		}
-		excl, err := d.u32()
+		reserved, err := d.u32()
 		if err != nil {
 			return nil, err
+		}
+		if reserved != 0 {
+			return nil, fmt.Errorf("%w: delta type %q sets reserved word %d", ErrCorrupt, td.Name, reserved)
 		}
 		td.HasMeta = flags&2 != 0
 		if td.HasMeta {
@@ -650,8 +653,7 @@ func decodeDeltaBody(body []byte, fp uint64) (*core.Delta, error) {
 			}
 			td.Level = int(level)
 			td.Successes = int(succ)
-			td.Excluded = int(excl)
-		} else if flags != 0 || level != 0 || succ != 0 || excl != 0 {
+		} else if flags != 0 || level != 0 || succ != 0 {
 			// Canonical form: an entry-target-only type carries no
 			// payload, so accepted inputs re-encode byte-identically.
 			return nil, fmt.Errorf("%w: meta fields set on meta-less delta type %q", ErrCorrupt, td.Name)

@@ -55,11 +55,16 @@ func FuzzDeltaChainDecode(f *testing.F) {
 		}
 	}
 	f.Add(version1Golden(f)) // refused by the header check
-	inputRegion, err := os.ReadFile(filepath.Join("testdata", "v2_input_region.atmsnap"))
-	if err != nil {
-		f.Fatal(err)
+	for _, refused := range []string{
+		"v2_input_region.atmsnap", // an entry declares an input region
+		"v2_excluded.atmsnap",     // a delta type row sets the reserved u32
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", refused))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(inputRegion) // refused: an entry declares an input region
 	f.Add([]byte{})
 	f.Add([]byte("ATMSNAP\x00junk"))
 

@@ -54,7 +54,7 @@ func goldenV2Chain() (*core.Snapshot, []*core.Delta) {
 		Fingerprint: goldenFingerprint,
 		Types: []core.TypeDelta{
 			{Name: "alpha"}, // entry target only: meta unchanged since the base
-			{Name: "beta", HasMeta: true, Steady: false, Level: 7, Successes: 2, Excluded: 1},
+			{Name: "beta", HasMeta: true, Steady: false, Level: 7, Successes: 2},
 		},
 		Entries: []core.DeltaEntry{
 			{Type: 0, EntrySnapshot: core.EntrySnapshot{Key: 0xbbbbbbbbbbbbbbbb, Level: 15, Provider: 2, Outs: []region.Region{out2}}},
@@ -159,16 +159,62 @@ func inputRegionChain(t testing.TB) []byte {
 	return data
 }
 
-// TestInputRegionEntryRefused: an entry's input-region count is always
-// 0, and a committed chain whose entry declares one input region is
-// typed corruption to every strict reader.
+// TestInputRegionEntryRefused: the reserved fields are always 0, and a
+// committed chain that sets one is typed corruption to every strict
+// reader. v2_input_region.atmsnap's base entry declares one input
+// region. v2_excluded.atmsnap is the golden chain as it was written
+// while type rows carried an exclusion-set size: its first delta's
+// "beta" row counts 1 in the now reserved u32. Its bytes are all
+// present and CRC-valid, so salvage finds no torn tail to cut: the
+// valid prefix ends after the base record, and the chain is refused.
 func TestInputRegionEntryRefused(t *testing.T) {
 	path := goldenPath(t, "v2_input_region.atmsnap")
 	writeOrCompare(t, path, inputRegionChain(t))
 	if *updateGolden {
 		return
 	}
-	if _, _, err := LoadChain(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("LoadChain: %v, want ErrCorrupt", err)
+	for _, c := range []struct {
+		file string
+		kept int // records in the valid prefix
+	}{
+		{"v2_input_region.atmsnap", 0},
+		{"v2_excluded.atmsnap", 1},
+	} {
+		path := goldenPath(t, c.file)
+		if _, _, err := LoadChain(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: LoadChain: %v, want ErrCorrupt", c.file, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, rep, err := SalvageChain(data)
+		if !errors.Is(err, ErrCorrupt) || rep.RecordsKept != c.kept {
+			t.Fatalf("%s: SalvageChain kept %d records (%v), want %d and ErrCorrupt", c.file, rep.RecordsKept, err, c.kept)
+		}
+	}
+
+	// A base section's reserved u32 is refused the same way.
+	base, _ := goldenV2Chain()
+	head, err := MarshalChain(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := appendRecord(head[:headerLen:headerLen], recordBase, func(b []byte) ([]byte, error) {
+		at := len(b)
+		b, err := appendBaseBody(b, base, nil)
+		if err != nil {
+			return nil, err
+		}
+		// Behind the IKT counters, the section count and length, and
+		// the section's name, flags, level and successes.
+		binary.LittleEndian.PutUint32(b[at+3*8+4+4+2+len(base.Types[0].Name)+1+1+4:], 1)
+		return b, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := UnmarshalChain(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("base section with a reserved word set: %v, want ErrCorrupt", err)
 	}
 }

@@ -74,7 +74,6 @@ func Compact(base *core.Snapshot, deltas ...*core.Delta) (*core.Snapshot, error)
 				sec.Steady = td.Steady
 				sec.Level = td.Level
 				sec.Successes = td.Successes
-				sec.Excluded = td.Excluded
 			}
 		}
 		for i := range d.Entries {
@@ -111,14 +110,11 @@ func Compact(base *core.Snapshot, deltas ...*core.Delta) (*core.Snapshot, error)
 //     encoded entry body, which depends only on the entries' contents.
 //
 // Section metadata merges to the most-trained shard — maximum by
-// (steady, level, successes) lexicographically — except the excluded
-// count, which takes the maximum over all shards: any shard that
-// observed chaotic outputs keeps the merged type demoted to re-train
-// on restore. Output sections are sorted by name and entries by
-// (key, level): merging is canonical, not replay-ordered — unlike
-// Compact it collapses duplicate keys, which is the point of merging
-// shards that learned overlapping state. The result shares the
-// inputs' regions; do not mutate them afterwards.
+// (steady, level, successes) lexicographically. Output sections are
+// sorted by name and entries by (key, level): merging is canonical, not
+// replay-ordered — unlike Compact it collapses duplicate keys, which is
+// the point of merging shards that learned overlapping state. The
+// result shares the inputs' regions; do not mutate them afterwards.
 func MergeSnapshots(snaps ...*core.Snapshot) (*core.Snapshot, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("persist: merge of zero snapshots")
@@ -147,17 +143,12 @@ func MergeSnapshots(snaps ...*core.Snapshot) (*core.Snapshot, error) {
 			m := sections[sec.Name]
 			if m == nil {
 				m = &mergedSection{
-					meta:    core.TypeSnapshot{Name: sec.Name, Steady: sec.Steady, Level: sec.Level, Successes: sec.Successes, Excluded: sec.Excluded},
+					meta:    core.TypeSnapshot{Name: sec.Name, Steady: sec.Steady, Level: sec.Level, Successes: sec.Successes},
 					entries: map[entryKey]*core.EntrySnapshot{},
 				}
 				sections[sec.Name] = m
-			} else {
-				if moreTrained(sec, &m.meta) {
-					m.meta.Steady, m.meta.Level, m.meta.Successes = sec.Steady, sec.Level, sec.Successes
-				}
-				if sec.Excluded > m.meta.Excluded {
-					m.meta.Excluded = sec.Excluded
-				}
+			} else if moreTrained(sec, &m.meta) {
+				m.meta.Steady, m.meta.Level, m.meta.Successes = sec.Steady, sec.Level, sec.Successes
 			}
 			for ei := range sec.Entries {
 				e := &sec.Entries[ei]

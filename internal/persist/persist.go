@@ -17,7 +17,7 @@
 //	             [4] u32 body length, then the body:
 //	               u16 name length + name bytes
 //	               u8 flags (bit 0: steady), u8 level
-//	               u32 successes, u32 excluded-region count
+//	               u32 successes, u32 reserved (0; non-zero is ErrCorrupt)
 //	               u32 entry count, then entries
 //	entry:     [4] u32 body length, then the body:
 //	             u64 key, u8 level, u64 provider id
@@ -84,7 +84,7 @@ var (
 // sectionBodySize is the number of bytes appendSectionBody appends for
 // sec.
 func sectionBodySize(sec *core.TypeSnapshot) int {
-	n := 2 + len(sec.Name) + 1 + 1 + 4 + 4 + 4 // name, flags, level, successes, excluded, entry count
+	n := 2 + len(sec.Name) + 1 + 1 + 4 + 4 + 4 // name, flags, level, successes, reserved, entry count
 	for j := range sec.Entries {
 		n += entrySize(&sec.Entries[j])
 	}
@@ -106,7 +106,7 @@ func appendSectionBody(body []byte, sec *core.TypeSnapshot, flush flushFunc) ([]
 	}
 	body = append(body, flags, byte(sec.Level))
 	body = binary.LittleEndian.AppendUint32(body, uint32(sec.Successes))
-	body = binary.LittleEndian.AppendUint32(body, uint32(sec.Excluded))
+	body = binary.LittleEndian.AppendUint32(body, 0) // reserved
 	if len(sec.Entries) > math.MaxUint32 {
 		return nil, fmt.Errorf("persist: type %q: %d entries overflow the format", sec.Name, len(sec.Entries))
 	}
@@ -310,11 +310,13 @@ func decodeSection(sec *core.TypeSnapshot, body []byte) error {
 		return err
 	}
 	sec.Successes = int(succ)
-	excl, err := d.u32()
+	reserved, err := d.u32()
 	if err != nil {
 		return err
 	}
-	sec.Excluded = int(excl)
+	if reserved != 0 {
+		return fmt.Errorf("%w: section %q sets reserved word %d", ErrCorrupt, sec.Name, reserved)
+	}
 	nent, err := d.u32()
 	if err != nil {
 		return err

@@ -72,7 +72,6 @@ func randSnapshot(rng *rand.Rand, fp uint64) *core.Snapshot {
 			Steady:    rng.Intn(2) == 0,
 			Level:     rng.Intn(16),
 			Successes: rng.Intn(10),
-			Excluded:  rng.Intn(3),
 		}
 		for i := 0; i < rng.Intn(8); i++ {
 			e := randEntry(rng)
@@ -98,7 +97,6 @@ func randDelta(rng *rand.Rand, fp uint64) *core.Delta {
 			td.Steady = rng.Intn(2) == 0
 			td.Level = rng.Intn(16)
 			td.Successes = rng.Intn(10)
-			td.Excluded = rng.Intn(3)
 		}
 		d.Types = append(d.Types, td)
 	}
@@ -216,7 +214,7 @@ func TestCompactRequiresBaseAndMatchingFingerprints(t *testing.T) {
 // determinism property: any permutation of the shard list encodes to
 // the same bytes, because the winner rule (greater provider id, then
 // lexicographically greater encoded body) and the metadata fold
-// (max by steadiness/level/successes; max excluded) are order-free and
+// (max by steadiness/level/successes) are order-free and
 // the output is canonically sorted.
 func TestMergeSnapshotsDeterministicUnderShardReordering(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
@@ -324,10 +322,10 @@ func TestMergeMetadataFold(t *testing.T) {
 	cfg := core.Config{Mode: core.ModeDynamic}
 	fp := core.Fingerprint(cfg)
 	training := &core.Snapshot{Fingerprint: fp, Types: []core.TypeSnapshot{{
-		Name: "alpha", Steady: false, Level: 9, Successes: 7, Excluded: 2,
+		Name: "alpha", Steady: false, Level: 9, Successes: 7,
 	}}}
 	steady := &core.Snapshot{Fingerprint: fp, Types: []core.TypeSnapshot{{
-		Name: "alpha", Steady: true, Level: 4, Successes: 0, Excluded: 0,
+		Name: "alpha", Steady: true, Level: 4, Successes: 0,
 	}}}
 	merged, err := MergeSnapshots(training, steady)
 	if err != nil {
@@ -336,9 +334,6 @@ func TestMergeMetadataFold(t *testing.T) {
 	sec := merged.Types[0]
 	if !sec.Steady || sec.Level != 4 {
 		t.Fatalf("steady shard must dominate the fold: %+v", sec)
-	}
-	if sec.Excluded != 2 {
-		t.Fatalf("excluded count must take the shard maximum: %+v", sec)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // under the Ctx's seeded deterministic schedule; together they cover the
 // mechanisms whose bugs are interleaving-dependent: dependence wiring
 // (Submit's one-task batches and wider SubmitBatch ones, including the
-// >32-predecessor spill and WAR fans), the IKT defer/CompleteExternal
+// >32-predecessor spill and WAR fans), the master draining a full
+// throttle window mid-submission, the IKT defer/CompleteExternal
 // handshake, the delta insert-log partition racing quiesce points,
 // persistence fault paths, and Reset epoch churn over recycled slabs.
 
@@ -25,6 +26,7 @@ func Corpus() []Scenario {
 		{Name: "submit-chains", Run: submitChains},
 		{Name: "batch-diamonds", Run: batchDiamonds},
 		{Name: "fanin-spill", Run: faninSpill},
+		{Name: "throttle-drain", Run: throttleDrain},
 		{Name: "ikt-dup", Run: iktDup},
 		{Name: "delta-partition", Run: deltaPartition},
 		{Name: "persist-faults", Run: persistFaults},
@@ -140,6 +142,22 @@ func recorderType(rt *taskrt.Runtime, name string, order *[]uint64) *taskrt.Task
 	}})
 }
 
+// randAccesses draws one task's accesses over regs: a read of one region
+// and a write of another, an update, two reads, or a blind write.
+func randAccesses(c *Ctx, regs []region.Region) []taskrt.Access {
+	r1, r2 := regs[c.Intn(len(regs))], regs[c.Intn(len(regs))]
+	switch c.Intn(4) {
+	case 0:
+		return []taskrt.Access{taskrt.In(r1), taskrt.Out(r2)}
+	case 1:
+		return []taskrt.Access{taskrt.InOut(r1)}
+	case 2:
+		return []taskrt.Access{taskrt.In(r1), taskrt.In(r2)}
+	default:
+		return []taskrt.Access{taskrt.Out(r1)}
+	}
+}
+
 // submitChains fuzzes per-task Submit (a batch of one) over a small
 // region pool: random RAW/WAW/WAR chains, occasional barriers,
 // dependence order checked against the oracle.
@@ -155,18 +173,7 @@ func submitChains(c *Ctx) {
 	o := newDepOracle()
 	n := 100 + c.Intn(200)
 	for i := 0; i < n; i++ {
-		r1, r2 := regs[c.Intn(len(regs))], regs[c.Intn(len(regs))]
-		var accs []taskrt.Access
-		switch c.Intn(4) {
-		case 0:
-			accs = []taskrt.Access{taskrt.In(r1), taskrt.Out(r2)}
-		case 1:
-			accs = []taskrt.Access{taskrt.InOut(r1)}
-		case 2:
-			accs = []taskrt.Access{taskrt.In(r1), taskrt.In(r2)}
-		default:
-			accs = []taskrt.Access{taskrt.Out(r1)}
-		}
+		accs := randAccesses(c, regs)
 		t := rt.Submit(tt, accs...)
 		o.observe(t.ID(), accs)
 		if c.Intn(32) == 0 {
@@ -276,6 +283,38 @@ func faninSpill(c *Ctx) {
 		if c.Intn(2) == 0 {
 			rt.Wait()
 			checkDrained(c, rt)
+		}
+	}
+	rt.Wait()
+	checkDrained(c, rt)
+	o.check(c, order)
+}
+
+// throttleDrain sizes its task graph past its own small throttle window
+// (16–32 tasks), so the master finds the window full and runs ready
+// tasks itself (drainBacklog) between batches. SubmitBatch throttles
+// once per batch, so batches of up to 48 tasks push the in-flight count
+// past the window at once. Dependences run across the batch boundaries
+// the drain falls between; order is checked against the oracle.
+func throttleDrain(c *Ctx) {
+	rt := c.Runtime(taskrt.Config{ThrottleWindow: 16 + c.Intn(17)})
+	defer rt.Close()
+	var order []uint64
+	tt := recorderType(rt, "drain", &order)
+	regs := make([]region.Region, 8)
+	for i := range regs {
+		regs[i] = region.NewFloat64(4)
+	}
+	o := newDepOracle()
+	var batch []taskrt.BatchEntry
+	batches := 8 + c.Intn(8)
+	for b := 0; b < batches; b++ {
+		batch = batch[:0]
+		for n := 16 + c.Intn(33); n > 0; n-- {
+			batch = append(batch, taskrt.Desc(tt, randAccesses(c, regs)...))
+		}
+		for _, t := range rt.SubmitBatch(batch) {
+			o.observe(t.ID(), t.Accesses())
 		}
 	}
 	rt.Wait()

@@ -71,9 +71,11 @@ func (c *Ctx) Intn(n int) int { return int(c.Uint64() % uint64(n)) }
 // Runtime builds a deterministic runtime for this run: cfg is taken as
 // given except that Deterministic/Seed/DetSched are forced to the run's,
 // an unset worker count is drawn from the shape stream (1–8 lanes), and
-// an unset throttle window is pinned to 512, well below the default, so
-// that a scenario whose task graph outgrows it exercises the master-side
-// drain (drainBacklog).
+// an unset throttle window is pinned to 512, so that a change to the
+// runtime's default window leaves recorded schedules replaying as they
+// did. No scenario keeps 512 tasks in flight; throttle-drain sets a
+// window of its own that its task graph outgrows, to exercise the
+// master-side drain (drainBacklog).
 func (c *Ctx) Runtime(cfg taskrt.Config) *taskrt.Runtime {
 	cfg.Deterministic = true
 	cfg.Seed = c.Seed
