@@ -226,11 +226,8 @@ func (ts *Type) load() (phase, int) {
 type scratch struct {
 	key   uint64
 	level int8
-	timed bool
-	// tscale is the extrapolation factor for sampled timings (1 during
-	// warmup, timingSample after), applied to both the OnReady hash
-	// measurement and the OnFinished snapshot-copy measurement so
-	// aggregate HashTime/CopyTime stay representative.
+	// tscale is the task's timing decision (tscaleFor): OnFinished times
+	// its insert as OnReady timed its hash.
 	tscale     int64
 	trainEntry *Entry // training-phase THT hit to grade after execution (retained)
 	iktKey     iktKey
@@ -288,16 +285,7 @@ type ATM struct {
 	// from: concurrent front-ends (cmd/atmd) probe allocation-free.
 	probePool sync.Pool
 
-	// serveInserts fences Serve's inserts against a full Snapshot, which
-	// no runtime's Wait quiesces: Serve holds it shared around each
-	// entry's publication (admission and the output copy run before it),
-	// Snapshot exclusively from its table scan to its log trim.
-	// forEach's per-bucket cut already saves a racing insert exactly once
-	// (scanned and trimmed, or left logged for the next delta;
-	// TestTrimLogCutsEachBucketAtItsVisit), and no test fails without the
-	// fence; it stays until a change of its own removes it.
 	// serveProviders numbers Serve's admitted entries (outOfBandProvider).
-	serveInserts   sync.RWMutex
 	serveProviders atomic.Uint64
 
 	// deltaScanned, when a test sets it, runs between snapshotDelta's
@@ -549,20 +537,14 @@ func (a *ATM) planFor(typeID int, tseed uint64, sig uint64, ins []region.Region)
 // that, the cached shuffled index prefix selects the sampled bytes.
 func (a *ATM) HashKey(t *taskrt.Task, level int) uint64 {
 	h := a.probeHasher()
-	key := a.hashKeyInto(t, a.state(t.Type()), level, h)
+	key := a.hashIns(a.state(t.Type()), t.Inputs(), level, h)
 	a.releaseProbe(h)
 	return key
 }
 
-// hashKeyInto is HashKey on a caller-owned hasher: the worker fast path,
-// free of allocation and locks.
-func (a *ATM) hashKeyInto(t *taskrt.Task, ts *Type, level int, h hashx.Hasher) uint64 {
-	return a.hashIns(ts, t.Inputs(), level, h)
-}
-
-// hashIns is the shape-agnostic key computation shared by the worker
-// fast path (hashKeyInto) and out-of-band probes (Peek, Serve):
-// callers that have input regions but no carved task hash through here.
+// hashIns is the key computation on a caller's hasher: a worker's own
+// (free of allocation and locks), or a pooled one for out-of-band
+// probes (HashKey, PeekType, Serve).
 func (a *ATM) hashIns(ts *Type, ins []region.Region, level int, h hashx.Hasher) uint64 {
 	sig := sampling.SignatureOf(ins)
 	seed := a.cfg.Seed ^ sig ^ (ts.seed|1)*0xc2b2ae3d27d4eb4f
@@ -602,24 +584,16 @@ func outputShapesMatch(a, b []region.Region) bool {
 }
 
 // memoize is updateTHT: it stores a copy of outs, the outputs of a task
-// of type typeID hashed to key at level, produced by provider.
+// of type typeID hashed to key at level, produced by provider. The
+// budget's admission runs first, on the key and the outputs' size, so a
+// task it rejects builds no entry and copies nothing; only an admitted
+// one takes a pooled entry (its buffers reused when the shapes match)
+// and copies its outputs in. provider outOfBandProvider asks for the
+// next of Serve's own ids, drawn only once the entry is admitted.
 func (a *ATM) memoize(typeID int, outs []region.Region, provider, key uint64, level int8) {
-	if e := a.admitEntry(typeID, outs, provider, key, level); e != nil {
-		a.tht.publish(e, e.bytes, true)
-	}
-}
-
-// admitEntry is memoize up to the publication: the budget's admission
-// runs first, on the key and the outputs' size, so a task it rejects
-// builds no entry and copies nothing (nil); only an admitted one takes a
-// pooled entry (its buffers reused when the shapes match) and copies its
-// outputs in. provider outOfBandProvider asks for the next of Serve's
-// own ids, drawn only once the entry is admitted. The caller publishes
-// the entry.
-func (a *ATM) admitEntry(typeID int, outs []region.Region, provider, key uint64, level int8) *Entry {
 	size := entryBytes(outs)
 	if ok, _ := a.tht.admit(key, size); !ok {
-		return nil
+		return
 	}
 	if provider == outOfBandProvider {
 		provider |= a.serveProviders.Add(1)
@@ -640,81 +614,132 @@ func (a *ATM) admitEntry(typeID int, outs []region.Region, provider, key uint64,
 	e.Key = key
 	e.Level = level
 	e.ProviderID = provider
-	e.bytes = size
+	a.tht.publish(e, size, true)
+}
+
+// Fig. 1's ready-task protocol is the steps below, which two drivers
+// call: a runtime's workers (OnReady and OnFinished, which add the IKT,
+// the tracer and per-worker scratch) and a front-end's handlers (Serve,
+// which adds a quiet probe of the whole request before admission and
+// counts each task only as it commits). Each step records on the stats
+// shard it is given.
+
+// tscaleFor is the timing decision for the n-th task of a shard: the
+// extrapolation factor of its sampled hash and copy times, 1 for the
+// first timingWarmup tasks and timingSample for every timingSample-th
+// after, and 0 for a task left untimed.
+func tscaleFor(n int64) int64 {
+	switch {
+	case n <= timingWarmup:
+		return 1
+	case n%timingSample == 0:
+		return timingSample
+	}
+	return 0
+}
+
+// hash computes a task's key at level on h and reports the time it
+// took, scaled by tscale (0 when untimed).
+func (a *ATM) hash(ts *Type, ins []region.Region, level int, h hashx.Hasher, tscale int64) (key uint64, nanos int64) {
+	var h0 time.Time
+	if tscale != 0 {
+		h0 = time.Now()
+	}
+	key = a.hashIns(ts, ins, level, h)
+	if tscale != 0 {
+		nanos = time.Since(h0).Nanoseconds() * tscale
+	}
+	return key, nanos
+}
+
+// lookup is the counted THT lookup of a task with outputs outs at the
+// type's level: probeOuts, whose entry (retained) it returns, then the
+// table's lookup and hit counters and the admission sketch. An entry
+// that cannot be copied into outs is a miss.
+func (a *ATM) lookup(ts *Type, key uint64, level int8, outs []region.Region) *Entry {
+	e := a.probeOuts(ts, key, level, outs)
+	a.tht.noteLookup(key, e)
 	return e
 }
 
-// OnReady implements taskrt.Memoizer: Fig. 1's ready-task protocol.
+// hit serves a task from e, which it releases: e's outputs are copied
+// into outs, timed at tscale, and the task counts as memoized. It
+// returns e's provider.
+func (a *ATM) hit(sh *typeShard, e *Entry, outs []region.Region, tscale int64) (provider uint64) {
+	var c0 time.Time
+	if tscale != 0 {
+		c0 = time.Now()
+	}
+	for i, o := range outs {
+		o.CopyFrom(e.Outs[i])
+	}
+	if tscale != 0 {
+		sh.copyNanos.Add(time.Since(c0).Nanoseconds() * tscale)
+	}
+	provider = e.ProviderID
+	e.Release()
+	sh.memoTHT.Add(1)
+	return provider
+}
+
+// finish is updateTHT for a task whose body ran and produced outs: a
+// training task that matched pred is graded against it (grade releases
+// pred); otherwise, and after a failed grade, which leaves a stale
+// prediction to refresh, outs are memoized under key, timed at tscale.
+func (a *ATM) finish(ts *Type, sh *typeShard, outs []region.Region, pred *Entry, provider, key uint64, level int8, tscale int64) {
+	if pred != nil && !a.grade(ts, sh, outs, pred, level) {
+		return
+	}
+	var c0 time.Time
+	if tscale != 0 {
+		c0 = time.Now()
+	}
+	a.memoize(ts.id, outs, provider, key, level)
+	if tscale != 0 {
+		sh.copyNanos.Add(time.Since(c0).Nanoseconds() * tscale)
+	}
+}
+
+// OnReady implements taskrt.Memoizer: Fig. 1's ready-task protocol on a
+// runtime's worker.
 func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
 	ts := a.state(t.Type())
 	sh := ts.shard(worker)
-	n := sh.tasks.Add(1)
+	tscale := tscaleFor(sh.tasks.Add(1))
 	ph, level := ts.load()
 
 	tracer := a.rt.Tracer()
 	if tracer != nil {
 		tracer.SetState(worker, trace.StateHash)
 	}
-	timed := n <= timingWarmup || n%timingSample == 0
-	tscale := int64(1)
-	if n > timingWarmup {
-		tscale = timingSample
-	}
-	var h0 time.Time
-	if timed {
-		h0 = time.Now()
-	}
-	h := a.hasherFor(worker)
-	key := a.hashKeyInto(t, ts, level, h)
-	var hashNanos int64
-	if timed {
-		hashNanos = time.Since(h0).Nanoseconds() * tscale // sampled: extrapolate
+	key, hashNanos := a.hash(ts, t.Inputs(), level, a.hasherFor(worker), tscale)
+	if tscale != 0 {
 		sh.hashNanos.Add(hashNanos)
 	}
+	sc := a.scratchFor(worker)
+	*sc = scratch{key: key, level: int8(level), tscale: tscale}
+	e := a.lookup(ts, key, sc.level, t.Outputs())
 
 	if ph == phaseTraining {
 		// Training: memoization is only emulated; the task always runs
-		// so τ can be measured against the stored outputs (§III-D).
-		sc := a.scratchFor(worker)
-		*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale}
-		if e := a.tht.Lookup(t.Type().ID(), key, sc.level); e != nil {
-			if outputShapesMatch(e.Outs, t.Outputs()) {
-				sc.trainEntry = e // retained; released after grading
-			} else {
-				e.Release()
-			}
-		}
+		// so τ can be measured against the matched entry (§III-D).
+		sc.trainEntry = e // retained; released after grading
 		t.MemoScratch = sc
 		sh.executed.Add(1)
 		return taskrt.OutcomeRun
 	}
 
 	// Steady state (or static / fixed-p from the start).
-	if e := a.tht.Lookup(t.Type().ID(), key, int8(level)); e != nil {
-		if outputShapesMatch(e.Outs, t.Outputs()) {
-			if tracer != nil {
-				tracer.SetState(worker, trace.StateMemo)
-			}
-			var c0 time.Time
-			if timed {
-				c0 = time.Now()
-			}
-			for i, o := range t.Outputs() {
-				o.CopyFrom(e.Outs[i])
-			}
-			if timed {
-				sh.copyNanos.Add(time.Since(c0).Nanoseconds() * tscale)
-			}
-			provider := e.ProviderID
-			e.Release()
-			sh.memoTHT.Add(1)
-			if tracer != nil {
-				tracer.Reuse(provider, t.ID(), level < sampling.MaxPLevel, false)
-			}
-			t.MemoScratch = nil
-			return taskrt.OutcomeMemoized
+	if e != nil {
+		if tracer != nil {
+			tracer.SetState(worker, trace.StateMemo)
 		}
-		e.Release()
+		provider := a.hit(sh, e, t.Outputs(), tscale)
+		if tracer != nil {
+			tracer.Reuse(provider, t.ID(), level < sampling.MaxPLevel, false)
+		}
+		t.MemoScratch = nil
+		return taskrt.OutcomeMemoized
 	}
 
 	if !a.cfg.DisableIKT {
@@ -727,16 +752,8 @@ func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
 			sh.memoIKT.Add(1)
 			return taskrt.OutcomeDeferred
 		}
-		if inserted {
-			sc := a.scratchFor(worker)
-			*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale, inIKT: true, iktKey: ik}
-			t.MemoScratch = sc
-			sh.executed.Add(1)
-			return taskrt.OutcomeRun
-		}
+		sc.inIKT, sc.iktKey = inserted, ik
 	}
-	sc := a.scratchFor(worker)
-	*sc = scratch{key: key, level: int8(level), timed: timed, tscale: tscale}
 	t.MemoScratch = sc
 	sh.executed.Add(1)
 	return taskrt.OutcomeRun
@@ -752,38 +769,17 @@ func (a *ATM) scratchFor(w int) *scratch {
 }
 
 // OnFinished implements taskrt.Memoizer: Fig. 1's updateTHT&IKT() path,
-// plus dynamic ATM's training-phase grading.
+// plus dynamic ATM's training-phase grading, on a runtime's worker.
 func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	sc := t.MemoScratch.(*scratch) // every OutcomeRun of OnReady carries one
 	t.MemoScratch = nil
 	ts := a.state(t.Type())
-	sh := ts.shard(worker)
 	tracer := a.rt.Tracer()
-
-	if sc.trainEntry != nil {
-		if a.grade(ts, sh, t.Outputs(), sc.trainEntry, sc.level) {
-			// Refresh the stale prediction with the true outputs.
-			a.memoize(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level)
-		}
-		sc.trainEntry = nil
-		return
-	}
-
-	// Snapshot outputs into the THT.
-	if tracer != nil {
+	if tracer != nil && sc.trainEntry == nil {
 		tracer.SetState(worker, trace.StateMemo)
 	}
-	var c0 time.Time
-	if sc.timed {
-		c0 = time.Now()
-	}
-	a.memoize(t.Type().ID(), t.Outputs(), t.ID(), sc.key, sc.level)
-	if sc.timed {
-		// Extrapolate by the same factor as the OnReady measurements:
-		// past warmup only every timingSample-th task is timed, and an
-		// unscaled add would under-report CopyTime ~64x.
-		sh.copyNanos.Add(time.Since(c0).Nanoseconds() * sc.tscale)
-	}
+	a.finish(ts, ts.shard(worker), t.Outputs(), sc.trainEntry, t.ID(), sc.key, sc.level, sc.tscale)
+	sc.trainEntry = nil
 
 	// Serve postponed copies (IKT waiters) and complete them.
 	if sc.inIKT {
@@ -804,9 +800,8 @@ func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 // hashed at level, against ts's τmax and L_training: the task executed,
 // so outs, its fresh outputs, are the ground truth against pred, the THT
 // entry's prediction, which grade releases. It reports a failed grade,
-// after which the caller inserts outs to refresh the stale prediction.
-// Every failed grade doubles p (§III-D), for worker and Serve tasks
-// alike.
+// after which finish inserts outs to refresh the stale prediction.
+// Every failed grade doubles p (§III-D), in either driver.
 func (a *ATM) grade(ts *Type, sh *typeShard, outs []region.Region, pred *Entry, level int8) (failed bool) {
 	tau := metrics.Chebyshev(outs, pred.Outs)
 	pred.Release()

@@ -395,3 +395,48 @@ func TestATMHashCopyTimersAdvance(t *testing.T) {
 		t.Fatal("implausible timer values")
 	}
 }
+
+// TestShapeMismatchedEntryIsAMiss pins one lookup rule for both drivers:
+// an entry whose outputs cannot be copied into the task's is no entry,
+// so the lookup counts as a miss and the task runs and inserts. A worker
+// (OnReady) and a handler (Serve) record the same counters for it.
+func TestShapeMismatchedEntryIsAMiss(t *testing.T) {
+	in := mkInput(1)
+	run := func(ins, outs []region.Region) {
+		src, dst := ins[0].(*region.Float64).Data, outs[0].(*region.Float64).Data
+		for i := range dst {
+			dst[i] = 2 * src[i]
+		}
+	}
+	check := func(driver string, memo *ATM) {
+		t.Helper()
+		st := memo.Stats()
+		ts := st.Types[0]
+		if st.THTLookups != 2 || st.THTHits != 0 || ts.Executed != 2 || ts.MemoizedTHT != 0 {
+			t.Fatalf("%s: lookups %d, hits %d, executed %d, memoTHT %d; want 2, 0, 2, 0",
+				driver, st.THTLookups, st.THTHits, ts.Executed, ts.MemoizedTHT)
+		}
+	}
+
+	worker := New(Config{Mode: ModeStatic, DisableIKT: true})
+	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: worker})
+	defer rt.Close()
+	tt := rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: func(task *taskrt.Task) {
+		run(task.Inputs(), task.Outputs())
+	}})
+	for _, n := range []int{16, 8} {
+		rt.Submit(tt, taskrt.In(in), taskrt.Out(region.NewFloat64(n)))
+		rt.Wait()
+	}
+	check("worker", worker)
+
+	handler := New(Config{Mode: ModeStatic})
+	ty := handler.NewType("double")
+	for _, n := range []int{16, 8} {
+		tasks := []ServeTask{{Type: ty, Ins: []region.Region{in}, Outs: []region.Region{region.NewFloat64(n)}, Run: run}}
+		if _, ok := handler.Serve(tasks, func(int) bool { return true }); !ok {
+			t.Fatal("Serve refused with an admit that accepts")
+		}
+	}
+	check("handler", handler)
+}

@@ -11,9 +11,9 @@ import (
 // or a sharded sweep should not re-serialize the whole Task History
 // Table on every save. With delta tracking enabled, the engine stamps
 // every metadata mutation with a save epoch (Type.dirtyEpoch)
-// and keeps an ordered THT insert log; SnapshotDelta quiesces through
-// the runtime's completion fence and extracts only the state changed
-// since the previous save. The restore side chains deltas onto a full
+// and keeps an ordered THT insert log; SnapshotDelta extracts only the
+// state changed since the previous save, waiting for no task. The
+// restore side chains deltas onto a full
 // base snapshot with ApplyDelta; package persist serializes the chain
 // (v2 record-stream format) and provides Compact/MergeSnapshots.
 
@@ -112,14 +112,14 @@ func (a *ATM) DeltaTracking() bool {
 }
 
 // SnapshotDelta extracts the state changed since the previous save
-// (SnapshotDelta or Snapshot) and seals the current save epoch. It
-// quiesces through the runtime's completion fence like Snapshot, so
-// every in-flight task has published its THT insert before the log is
-// drained. Concurrent traffic submitted after the fence is simply
-// carried by the next delta: the insert log partitions inserts exactly
-// across saves, and a metadata mutation racing the save re-stamps the
-// new epoch, so nothing is lost or saved twice. For a chain that is
-// complete at a given instant, take the final delta after traffic
+// (SnapshotDelta or Snapshot) and seals the current save epoch. Like
+// Snapshot it waits for no task, on a runtime's workers or a handler:
+// an insert that lands after its bucket's drain is carried by the next
+// delta, since the insert log partitions inserts exactly across saves,
+// and a metadata mutation racing the save re-stamps the new epoch, so
+// nothing is lost or saved twice. For a delta that holds every task
+// submitted before it, wait for them first (rt.Wait); for a chain that
+// is complete at a given instant, take the final delta after traffic
 // stops (the harness does).
 func (a *ATM) SnapshotDelta() (*Delta, error) {
 	d, _, err := a.snapshotDelta(false)
@@ -151,9 +151,6 @@ func (a *ATM) LendDelta(fn func(d *Delta) error) error {
 // come back still holding the log's references for the caller to
 // release.
 func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
-	if a.rt != nil {
-		a.rt.Wait()
-	}
 	a.snapMu.Lock()
 	defer a.snapMu.Unlock()
 	if !a.tracking {
@@ -253,7 +250,7 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 	a.savedThrough = cur
 	if !lend {
 		// Once released an entry may be recycled by a concurrent insert
-		// (core.Serve runs beside saves): copy the outputs first. The
+		// (no save waits for the engine's traffic): copy the outputs first. The
 		// identities came from the records, not from the entries.
 		for i := range d.Entries {
 			if e := &d.Entries[i]; !e.Tombstone {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +15,12 @@ import (
 // goroutine takes periodic SnapshotDelta saves — every third one a full
 // snapshot, which restarts the chain as a rewriting save does — while
 // the master keeps submitting batches whose intra-batch duplicates
-// exercise the IKT defer → CompleteExternal path. The fence quiescence
-// inside each save (rt.Wait) plus the bucket-ordered insert log must
-// keep the chain self-consistent: every insert is recorded exactly once
-// (in the last full snapshot or a delta after it), and replaying the
-// chain rebuilds the exact table the live engine ended with.
+// exercise the IKT defer → CompleteExternal path. No save waits for the
+// runtime: the per-bucket log cut of a full snapshot and the per-bucket
+// swap of a delta's drain alone must keep the chain self-consistent:
+// every insert is recorded exactly once (in the last full snapshot or a
+// delta after it), and replaying the chain rebuilds the exact table the
+// live engine ended with.
 func TestDeltaSnapshotRacesSubmitBatchTraffic(t *testing.T) {
 	const (
 		rounds    = 40
@@ -193,5 +195,61 @@ func TestDeltaSnapshotRacesSubmitBatchTraffic(t *testing.T) {
 	rt2.Wait()
 	if executedWarm != 0 {
 		t.Fatalf("warm replay executed %d bodies instead of serving restored hits", executedWarm)
+	}
+}
+
+// TestSaveDoesNotWaitForRunningTasks pins that a save is not a fence:
+// while a task's body is blocked on a worker, SnapshotDelta and Snapshot
+// return from another goroutine, without the running task's insert, and
+// that insert ships in the next delta once the task finishes.
+func TestSaveDoesNotWaitForRunningTasks(t *testing.T) {
+	memo := New(Config{Mode: ModeStatic})
+	memo.EnableDeltaTracking()
+	rt := taskrt.New(taskrt.Config{Workers: 2, Memoizer: memo})
+	defer rt.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	tt := rt.RegisterType(taskrt.TypeConfig{Name: "blocked", Memoize: true, Run: func(task *taskrt.Task) {
+		close(started)
+		<-release
+		doubler(task)
+	}})
+	rt.Submit(tt, taskrt.In(mkInput(1)), taskrt.Out(region.NewFloat64(16)))
+	<-started
+	var released sync.Once
+	defer released.Do(func() { close(release) }) // a failed check must not leave the body blocked
+
+	saved := make(chan error, 1)
+	go func() {
+		d, err := memo.SnapshotDelta()
+		if err == nil && len(d.Entries) != 0 {
+			err = fmt.Errorf("delta taken while the task ran holds %d operations", len(d.Entries))
+		}
+		if err == nil {
+			var snap *Snapshot
+			if snap, err = memo.Snapshot(); err == nil && len(snap.Types) != 1 {
+				err = fmt.Errorf("snapshot holds %d sections, want the registered type's", len(snap.Types))
+			} else if err == nil && len(snap.Types[0].Entries) != 0 {
+				err = fmt.Errorf("snapshot taken while the task ran holds %d entries", len(snap.Types[0].Entries))
+			}
+		}
+		saved <- err
+	}()
+	select {
+	case err := <-saved:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a save waited for a running task")
+	}
+
+	released.Do(func() { close(release) })
+	rt.Wait()
+	d, err := memo.SnapshotDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Entries) != 1 || d.Entries[0].Tombstone || d.Types[d.Entries[0].Type].Name != "blocked" {
+		t.Fatalf("the finished task's insert did not ship in the next delta: %+v", d.Entries)
 	}
 }

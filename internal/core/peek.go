@@ -1,9 +1,6 @@
 package core
 
 import (
-	"time"
-
-	"atm/internal/hashx"
 	"atm/internal/region"
 	"atm/internal/taskrt"
 )
@@ -86,8 +83,8 @@ type ServeTask struct {
 	e     *Entry // the matched entry, retained between probe and commit
 	key   uint64
 	level int8 // the level key was hashed at; -1 before it is
-	// tscale is the extrapolation factor of this task's sampled timing
-	// (0 = untimed), hashNanos its hash time already scaled.
+	// tscale is the task's timing decision (tscaleFor), hashNanos its
+	// hash time already scaled.
 	tscale    int64
 	hashNanos int64
 }
@@ -129,6 +126,13 @@ type ServeTask struct {
 func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed int, ok bool) {
 	h := a.probeHasher()
 	defer a.releaseProbe(h)
+	// hash is the task's timing decision and key: its shard's count only
+	// moves at commit, so the decision reads it one ahead.
+	hash := func(t *ServeTask, level int) {
+		t.tscale = tscaleFor(t.Type.shard(-1).tasks.Load() + 1)
+		t.key, t.hashNanos = a.hash(t.Type, t.Ins, level, h, t.tscale)
+		t.level = int8(level)
+	}
 	bodies := 0
 	for i := range tasks {
 		t := &tasks[i]
@@ -142,7 +146,7 @@ func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed in
 			bodies++
 			continue
 		}
-		a.hashTask(t, level, h)
+		hash(t, level)
 		if t.e = a.probeOuts(t.Type, t.key, t.level, t.Outs); t.e == nil {
 			bodies++
 		}
@@ -164,106 +168,32 @@ func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed in
 		}
 		ph, level := t.Type.load()
 		if t.level < 0 {
-			a.hashTask(t, level, h) // a training task, at the level it trains at now
+			hash(t, level) // a training task, at the level it trains at now
 		}
-		if ph != phaseSteady {
-			// OnReady's counted lookup at the type's level: the task runs
-			// whatever it finds, and a match is graded.
-			pred := a.probeOuts(t.Type, t.key, t.level, t.Outs)
-			a.tht.noteLookup(t.key, pred)
-			a.runBody(t, pred)
-			executed++
-			ran = true
-			continue
+		sh := t.Type.shard(-1)
+		sh.tasks.Add(1)
+		if t.tscale != 0 {
+			sh.hashNanos.Add(t.hashNanos)
 		}
-		if t.e == nil || ran {
+		if ph == phaseSteady && t.e != nil && !ran {
+			a.tht.noteLookup(t.key, t.e) // the probe's entry still stands
+		} else {
 			t.e.Release()
-			t.e = a.probeOuts(t.Type, t.key, t.level, t.Outs)
+			t.e = a.lookup(t.Type, t.key, t.level, t.Outs)
 		}
-		if t.e != nil {
-			a.commitHit(t)
-			t.e.Release()
+		if ph == phaseSteady && t.e != nil {
+			a.hit(sh, t.e, t.Outs, t.tscale)
 			t.e = nil
 			continue
 		}
-		a.tht.noteLookup(t.key, nil)
-		a.runBody(t, nil)
+		// A miss, or a training task, which runs whatever it matched and
+		// is graded against it.
+		t.Run(t.Ins, t.Outs)
+		a.finish(t.Type, sh, t.Outs, t.e, outOfBandProvider, t.key, t.level, t.tscale)
+		t.e = nil
+		sh.executed.Add(1)
 		executed++
 		ran = true
 	}
 	return executed, true
-}
-
-// hashTask hashes t's inputs at level into t.key, timed as a worker
-// times its tasks: the first timingWarmup of a shard and every
-// timingSample-th after. The shard's count only moves at commit, so the
-// decision reads it one ahead.
-func (a *ATM) hashTask(t *ServeTask, level int, h hashx.Hasher) {
-	n := t.Type.shard(-1).tasks.Load() + 1
-	t.tscale = 0
-	if n <= timingWarmup {
-		t.tscale = 1
-	} else if n%timingSample == 0 {
-		t.tscale = timingSample
-	}
-	var h0 time.Time
-	if t.tscale != 0 {
-		h0 = time.Now()
-	}
-	t.key = a.hashIns(t.Type, t.Ins, level, h)
-	t.level = int8(level)
-	if t.tscale != 0 {
-		t.hashNanos = time.Since(h0).Nanoseconds() * t.tscale
-	}
-}
-
-// commitHit is Serve's hit: the hit branch of OnReady and the counting
-// half of THT.Lookup, on the out-of-band shard.
-func (a *ATM) commitHit(t *ServeTask) {
-	a.tht.noteLookup(t.key, t.e)
-	sh := t.Type.shard(-1)
-	var c0 time.Time
-	if t.tscale != 0 {
-		c0 = time.Now()
-	}
-	for i, o := range t.Outs {
-		o.CopyFrom(t.e.Outs[i])
-	}
-	if t.tscale != 0 {
-		sh.hashNanos.Add(t.hashNanos)
-		sh.copyNanos.Add(time.Since(c0).Nanoseconds() * t.tscale)
-	}
-	sh.tasks.Add(1)
-	sh.memoTHT.Add(1)
-}
-
-// runBody is Serve's executed task, after OnReady's counted lookup: the
-// body, then OnFinished on the out-of-band shard — a grade against pred,
-// the entry a training task matched, or else the insert of its outputs,
-// which a failed grade makes too. The entry is admitted and built
-// outside the snapshot fence; only its publication holds the fence
-// shared, so a full Snapshot never scans the table around it (see
-// ATM.serveInserts) and never waits on an output copy.
-func (a *ATM) runBody(t *ServeTask, pred *Entry) {
-	sh := t.Type.shard(-1)
-	t.Run(t.Ins, t.Outs)
-	if pred == nil || a.grade(t.Type, sh, t.Outs, pred, t.level) {
-		var c0 time.Time
-		if t.tscale != 0 {
-			c0 = time.Now()
-		}
-		if e := a.admitEntry(t.Type.id, t.Outs, outOfBandProvider, t.key, t.level); e != nil {
-			a.serveInserts.RLock()
-			a.tht.publish(e, e.bytes, true)
-			a.serveInserts.RUnlock()
-		}
-		if t.tscale != 0 {
-			sh.copyNanos.Add(time.Since(c0).Nanoseconds() * t.tscale)
-		}
-	}
-	if t.tscale != 0 {
-		sh.hashNanos.Add(t.hashNanos)
-	}
-	sh.tasks.Add(1)
-	sh.executed.Add(1)
 }

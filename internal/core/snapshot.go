@@ -23,8 +23,8 @@ import (
 // (different hash seeds or shuffle plans), so it is rejected instead.
 var ErrSnapshotConfig = errors.New("core: snapshot config fingerprint mismatch")
 
-// Snapshot is the serializable state of an ATM engine at its runtime's
-// completion fence (see (*ATM).Snapshot). The regions it references are
+// Snapshot is the serializable state of an ATM engine (see
+// (*ATM).Snapshot). The regions it references are
 // deep copies on the Snapshot() side and are adopted by the engine on
 // the Restore() side — do not reuse a Snapshot after passing it to
 // Restore.
@@ -118,14 +118,12 @@ func Fingerprint(cfg Config) uint64 {
 	return h
 }
 
-// Snapshot extracts the engine's memoization state. It waits on the
-// runtime's completion fence (Wait) when the engine is bound, so every
-// task submitted before the call has published its THT insert, and it
-// holds concurrent Serve calls' inserts off while it scans the table.
-// Traffic that races the scan anyway (tasks submitted after the fence,
-// or an unbound engine driven by its hooks) is not lost: each bucket's
-// operation log is trimmed only up to where the scan read that bucket,
-// so a racing insert or eviction is carried by the next delta. The
+// Snapshot extracts the engine's memoization state. It waits for no
+// task, on a runtime's workers or a handler (Serve): traffic that races
+// the scan is not lost, because each bucket's operation log is trimmed
+// only up to where the scan read that bucket, so a racing insert or
+// eviction is carried by the next delta. For a snapshot that holds
+// every task submitted before it, wait for them first (rt.Wait). The
 // returned regions are deep copies: the engine may keep running and
 // recycling entries afterwards.
 func (a *ATM) Snapshot() (*Snapshot, error) {
@@ -157,7 +155,7 @@ func (a *ATM) LendSnapshot(fn func(snap *Snapshot) error) error {
 }
 
 // snapshot is Snapshot. The table scan only retains entries; their
-// outputs are copied out, or with lend set aliased, after the fences are
+// outputs are copied out, or with lend set aliased, after the locks are
 // dropped, and a lent snapshot comes back with the entries still
 // retained for the caller to release.
 func (a *ATM) snapshot(lend bool) (*Snapshot, []*Entry, error) {
@@ -199,18 +197,11 @@ func (a *ATM) snapshot(lend bool) (*Snapshot, []*Entry, error) {
 }
 
 // scan reads the metadata, retains every table entry of a registered
-// type and copies the carried sections, under the fences a full
+// type and copies the carried sections, under the locks a full
 // snapshot needs, and trims the operation log up to the scan. The
 // registered sections come back without their entries, which are held,
 // in table order; secOf maps each registered type ID to its section.
 func (a *ATM) scan() (snap *Snapshot, secOf map[int]int, held []*Entry, err error) {
-	if a.rt != nil {
-		a.rt.Wait()
-	}
-	// Serve inserts off the runtime, so Wait does not quiesce them: hold
-	// them off from the table scan to the log trim below.
-	a.serveInserts.Lock()
-	defer a.serveInserts.Unlock()
 	// snapMu excludes every other drain of the operation log between the
 	// scan's cuts and the trim that applies them.
 	a.snapMu.Lock()

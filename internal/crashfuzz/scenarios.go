@@ -21,8 +21,10 @@ import (
 // appends at seeded byte offsets and salvages the chain file directly,
 // save-crash kills atomic whole-table saves at the write/sync/rename
 // boundaries, service-recovery drives the harness's RecoverPolicy end
-// to end across simulated service lifetimes, and compact-crash kills the
-// harness's own rewrite of a chain whose deltas outgrew its base.
+// to end across simulated service lifetimes, compact-crash kills the
+// harness's own rewrite of a chain whose deltas outgrew its base, and
+// drain-crash tears appends that task bodies make while the master
+// drains its submission backlog.
 
 // Corpus returns the standard scenario corpus.
 func Corpus() []Scenario {
@@ -31,6 +33,7 @@ func Corpus() []Scenario {
 		{Name: "save-crash", Run: saveCrash},
 		{Name: "service-recovery", Run: serviceRecovery},
 		{Name: "compact-crash", Run: compactCrash},
+		{Name: "drain-crash", Run: drainCrash},
 	}
 }
 
@@ -73,11 +76,9 @@ func checkNoTmp(c *Ctx, dir, op string) {
 }
 
 // appendCrash builds a seeded delta chain and crashes every append at a
-// seeded byte offset. Oracle per crash: the image keeps every committed
-// byte, SalvageChain recovers exactly the last record boundary (the
-// previous state, or the full new record when every byte landed), the
-// salvaged prefix re-encodes bit-identically, and RepairChain followed
-// by a re-append of the lost delta converges on the canonical chain.
+// seeded byte offset, with crashAppend's oracle per crash; crash,
+// salvage, repair and retry per delta must converge on the canonical
+// chain (checkChain).
 func appendCrash(c *Ctx) {
 	// A tiny THT budget makes the deltas interleave inserts with
 	// tombstone records, so every crash offset also exercises the
@@ -93,6 +94,11 @@ func appendCrash(c *Ctx) {
 	rt := c.Runtime(taskrt.Config{Memoizer: memo})
 	tt := rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
 
+	// A save waits for no task, so each one follows a fence of its own:
+	// the round's inserts must be in its delta, and a deterministic Wait
+	// draws from the seed's stream at the next submission, so these keep
+	// the recorded schedules.
+	rt.Wait()
 	base, err := memo.Snapshot()
 	if err != nil {
 		c.Errorf("base snapshot: %v", err)
@@ -106,6 +112,7 @@ func appendCrash(c *Ctx) {
 		for i := 0; i < n; i++ {
 			rt.Submit(tt, taskrt.In(mkInput(round*64+i)), taskrt.Out(region.NewFloat64(16)))
 		}
+		rt.Wait()
 		d, err := memo.SnapshotDelta()
 		if err != nil {
 			c.Errorf("delta %d: %v", round, err)
@@ -128,77 +135,18 @@ func appendCrash(c *Ctx) {
 		return
 	}
 	for i, d := range deltas {
-		good, err := os.ReadFile(path)
-		if err != nil {
-			c.Errorf("read committed chain: %v", err)
+		if !crashAppend(c, path, i, d) {
 			return
-		}
-		// Crash this append after a seeded number of bytes (the full
-		// range: 0 = crash before any byte, total = crash after the
-		// record landed but before the success return).
-		failpoint.EnablePartial(persist.FailpointAppend, func(total int) (int, error) {
-			return c.Intn(total + 1), failpoint.ErrCrash
-		})
-		aerr := persist.AppendDelta(path, d)
-		failpoint.Disable(persist.FailpointAppend)
-		if !errors.Is(aerr, failpoint.ErrCrash) {
-			c.Errorf("append %d: crashed append returned %v", i, aerr)
-			return
-		}
-		img, err := os.ReadFile(path)
-		if err != nil {
-			c.Errorf("read crash image: %v", err)
-			return
-		}
-		if !bytes.HasPrefix(img, good) {
-			c.Errorf("append %d: crash image lost committed bytes (%d -> %d)", i, len(good), len(img))
-			return
-		}
-		sb, sds, rep, serr := persist.SalvageChain(img)
-		if serr != nil {
-			c.Errorf("append %d: crash image unsalvageable: %v", i, serr)
-			return
-		}
-		// A torn frame can never form a valid boundary (the CRC trails
-		// the body), so salvage keeps either the previous state or the
-		// whole new record — nothing in between.
-		if rep.BytesKept != int64(len(good)) && rep.BytesKept != int64(len(img)) {
-			c.Errorf("append %d: salvage kept %d bytes, want %d (previous) or %d (complete)",
-				i, rep.BytesKept, len(good), len(img))
-		}
-		reenc, err := persist.MarshalChain(sb, sds)
-		if err != nil {
-			c.Errorf("append %d: salvaged chain does not re-encode: %v", i, err)
-			return
-		}
-		if !bytes.Equal(reenc, img[:rep.BytesKept]) {
-			c.Errorf("append %d: salvaged prefix is not canonical", i)
-		}
-		if _, err := persist.RepairChain(path, persist.SyncAlways); err != nil {
-			c.Errorf("append %d: repair: %v", i, err)
-			return
-		}
-		repaired, err := os.ReadFile(path)
-		if err != nil {
-			c.Errorf("read repaired chain: %v", err)
-			return
-		}
-		if _, _, err := persist.LoadChain(path); err != nil {
-			c.Errorf("append %d: repaired chain fails strict load: %v", i, err)
-			return
-		}
-		if len(repaired) == len(good) {
-			// The record was lost with the crash; re-append it.
-			if err := persist.AppendDelta(path, d); err != nil {
-				c.Errorf("append %d: re-append after repair: %v", i, err)
-				return
-			}
 		}
 	}
 	checkNoTmp(c, c.Dir, "append-crash")
+	checkChain(c, path, base, deltas, full)
+}
 
-	// Convergence: crash, salvage, repair and retry per delta must land
-	// on the canonical chain, and its fold must equal the live table.
+// checkChain is the convergence oracle of a chain built through crashed
+// appends: the file at path must be the canonical encoding of base and
+// deltas, and its fold must equal full, the live table.
+func checkChain(c *Ctx, path string, base *core.Snapshot, deltas []*core.Delta, full *core.Snapshot) {
 	want, err := persist.MarshalChain(base, deltas)
 	if err != nil {
 		c.Errorf("MarshalChain: %v", err)
@@ -231,6 +179,173 @@ func appendCrash(c *Ctx) {
 			c.Errorf("key %#x: live count %d, recovered %d", k, n, gotKeys[k])
 		}
 	}
+}
+
+// drainCrash crashes appends made while the master drains its
+// backlog. Its workload outgrows its own 16–32-task throttle window, so
+// each batch's submission first runs earlier tasks on the master
+// (taskrt's deterministic drainBacklog). About one task in four is a saver,
+// whose body takes a delta of the inserts landed so far, since a save
+// waits for no task, and crashes its append (crashAppend). The chain
+// must converge as append-crash's does (checkChain), and at least one
+// save must have run before the last batch was submitted, which only a
+// drain can run.
+func drainCrash(c *Ctx) {
+	cfg := core.Config{Mode: core.ModeStatic}
+	memo := core.New(cfg)
+	memo.EnableDeltaTracking()
+	window := 16 + c.Intn(17)
+	rt := c.Runtime(taskrt.Config{Memoizer: memo, ThrottleWindow: window})
+	tt := rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
+	base, err := memo.Snapshot()
+	if err != nil {
+		c.Errorf("base snapshot: %v", err)
+		rt.Close()
+		return
+	}
+	path := filepath.Join(c.Dir, "chain.atmsnap")
+	if err := persist.SaveChain(path, base, nil); err != nil {
+		c.Errorf("SaveChain: %v", err)
+		rt.Close()
+		return
+	}
+	var deltas []*core.Delta
+	submitting, drainSaves, broken := true, 0, false
+	saver := rt.RegisterType(taskrt.TypeConfig{Name: "save", Run: func(*taskrt.Task) {
+		if broken {
+			return
+		}
+		d, err := memo.SnapshotDelta()
+		if err != nil {
+			c.Errorf("delta %d: %v", len(deltas), err)
+			broken = true
+			return
+		}
+		deltas = append(deltas, d)
+		if submitting {
+			drainSaves++
+		}
+		broken = !crashAppend(c, path, len(deltas)-1, d)
+	}})
+	var batch []taskrt.BatchEntry
+	batches := 4 + c.Intn(4)
+	for b := 0; b < batches; b++ {
+		batch = batch[:0]
+		for n := window + c.Intn(window); n > 0; n-- {
+			if c.Intn(4) == 0 {
+				batch = append(batch, taskrt.Desc(saver))
+				continue
+			}
+			// Some values repeat, for IKT defers and THT hits.
+			v := b*64 + c.Intn(48)
+			batch = append(batch, taskrt.Desc(tt, taskrt.In(mkInput(v)), taskrt.Out(region.NewFloat64(16))))
+		}
+		rt.SubmitBatch(batch)
+	}
+	submitting = false
+	rt.Wait()
+	if broken {
+		rt.Close()
+		return
+	}
+	if drainSaves == 0 {
+		c.Errorf("no save ran while the master drained (window %d)", window)
+	}
+	d, err := memo.SnapshotDelta() // the inserts after the last save
+	if err != nil {
+		c.Errorf("final delta: %v", err)
+		rt.Close()
+		return
+	}
+	deltas = append(deltas, d)
+	full, err := memo.Snapshot()
+	rt.Close()
+	if err != nil {
+		c.Errorf("full snapshot: %v", err)
+		return
+	}
+	if !crashAppend(c, path, len(deltas)-1, d) {
+		return
+	}
+	checkNoTmp(c, c.Dir, "drain-crash")
+	checkChain(c, path, base, deltas, full)
+}
+
+// crashAppend appends delta i, d, to the chain at path and crashes the
+// append after a seeded number of bytes. Oracle: the image keeps every
+// committed byte, SalvageChain recovers exactly the last record boundary
+// (the previous state, or the full new record when every byte landed),
+// the salvaged prefix re-encodes bit-identically, and RepairChain
+// followed by a re-append of the lost delta leaves the chain holding d.
+// It reports false when a check left the chain unusable.
+func crashAppend(c *Ctx, path string, i int, d *core.Delta) bool {
+	good, err := os.ReadFile(path)
+	if err != nil {
+		c.Errorf("read committed chain: %v", err)
+		return false
+	}
+	// Crash this append after a seeded number of bytes (the full
+	// range: 0 = crash before any byte, total = crash after the
+	// record landed but before the success return).
+	failpoint.EnablePartial(persist.FailpointAppend, func(total int) (int, error) {
+		return c.Intn(total + 1), failpoint.ErrCrash
+	})
+	aerr := persist.AppendDelta(path, d)
+	failpoint.Disable(persist.FailpointAppend)
+	if !errors.Is(aerr, failpoint.ErrCrash) {
+		c.Errorf("append %d: crashed append returned %v", i, aerr)
+		return false
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		c.Errorf("read crash image: %v", err)
+		return false
+	}
+	if !bytes.HasPrefix(img, good) {
+		c.Errorf("append %d: crash image lost committed bytes (%d -> %d)", i, len(good), len(img))
+		return false
+	}
+	sb, sds, rep, serr := persist.SalvageChain(img)
+	if serr != nil {
+		c.Errorf("append %d: crash image unsalvageable: %v", i, serr)
+		return false
+	}
+	// A torn frame can never form a valid boundary (the CRC trails
+	// the body), so salvage keeps either the previous state or the
+	// whole new record — nothing in between.
+	if rep.BytesKept != int64(len(good)) && rep.BytesKept != int64(len(img)) {
+		c.Errorf("append %d: salvage kept %d bytes, want %d (previous) or %d (complete)",
+			i, rep.BytesKept, len(good), len(img))
+	}
+	reenc, err := persist.MarshalChain(sb, sds)
+	if err != nil {
+		c.Errorf("append %d: salvaged chain does not re-encode: %v", i, err)
+		return false
+	}
+	if !bytes.Equal(reenc, img[:rep.BytesKept]) {
+		c.Errorf("append %d: salvaged prefix is not canonical", i)
+	}
+	if _, err := persist.RepairChain(path, persist.SyncAlways); err != nil {
+		c.Errorf("append %d: repair: %v", i, err)
+		return false
+	}
+	repaired, err := os.ReadFile(path)
+	if err != nil {
+		c.Errorf("read repaired chain: %v", err)
+		return false
+	}
+	if _, _, err := persist.LoadChain(path); err != nil {
+		c.Errorf("append %d: repaired chain fails strict load: %v", i, err)
+		return false
+	}
+	if len(repaired) == len(good) {
+		// The record was lost with the crash; re-append it.
+		if err := persist.AppendDelta(path, d); err != nil {
+			c.Errorf("append %d: re-append after repair: %v", i, err)
+			return false
+		}
+	}
+	return true
 }
 
 // saveCrash kills atomic whole-table saves at seeded points (partial

@@ -241,8 +241,9 @@ type RunOptions struct {
 	SnapshotChain string
 	// SnapshotDeltaEvery additionally saves every interval while the
 	// run executes: the long-lived-service scenario, where
-	// warm state must survive a crash mid-run. Each periodic save
-	// quiesces through the runtime's completion fence.
+	// warm state must survive a crash mid-run. A periodic save waits
+	// for no task: one still running lands in the next save. Ignored
+	// under Deterministic.
 	SnapshotDeltaEvery time.Duration
 	// Recover selects the reaction to a damaged snapshot or chain file
 	// (strict error / salvage torn tails / cold fallback).
@@ -265,8 +266,8 @@ type RunOptions struct {
 // (the evaluation path) and Serve (the service path), and it alone
 // decides where warm state is written. save must be called from one
 // goroutine at a time (RunOne serializes the periodic saver against the
-// final save; the service engine runs every save under its runtime
-// lock).
+// final save; the service engine serializes its saves on its save
+// mutex).
 type memoState struct {
 	memo     *core.ATM
 	warm     bool
@@ -457,10 +458,9 @@ func RunOne(factory apps.Factory, scale apps.Scale, workers int, spec ATMSpec, o
 
 	stopSaver := make(chan struct{})
 	var saverWG sync.WaitGroup
-	// The periodic saver is incompatible with deterministic mode: each
-	// save quiesces via rt.Wait, which under Config.Deterministic may only
-	// be called from the master goroutine (the run still gets its final
-	// delta save after app.Run returns).
+	// A deterministic run has no periodic saver: a save on a timer would
+	// make the run's chain depend on the wall clock, not on its seed (the
+	// run still gets its final delta save after app.Run returns).
 	if st.chain != "" && opt.SnapshotDeltaEvery > 0 && memo != nil && st.err == nil && !opt.Deterministic {
 		saverWG.Add(1)
 		go func() {
@@ -472,7 +472,7 @@ func RunOne(factory apps.Factory, scale apps.Scale, workers int, spec ATMSpec, o
 				case <-stopSaver:
 					return
 				case <-tick.C:
-					_ = st.save() // quiesces via the runtime's completion fence
+					_ = st.save() // tasks still running land in the next save
 				}
 			}
 		}()

@@ -419,6 +419,10 @@ func deltaPartition(c *Ctx) {
 	defer rt.Close()
 	tt := rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
 
+	// A save waits for no task, so each one here follows a fence of its
+	// own: a deterministic Wait draws from the seed's stream at the next
+	// submission, and these keep the scenario's recorded schedules.
+	rt.Wait()
 	base, err := memo.Snapshot()
 	if err != nil {
 		c.Errorf("base snapshot: %v", err)
@@ -426,6 +430,7 @@ func deltaPartition(c *Ctx) {
 	}
 	var deltas []*core.Delta
 	saveDelta := func() {
+		rt.Wait()
 		d, err := memo.SnapshotDelta()
 		if err != nil {
 			c.Errorf("SnapshotDelta: %v", err)
@@ -444,10 +449,9 @@ func deltaPartition(c *Ctx) {
 		}
 		rt.SubmitBatch(batch)
 		if c.Intn(2) == 0 {
-			saveDelta() // quiesces via rt.Wait, mid-stream
+			saveDelta() // mid-stream
 		}
 	}
-	rt.Wait()
 	saveDelta() // drain the tail
 
 	var executed, logged int64
@@ -533,6 +537,7 @@ func persistFaults(c *Ctx) {
 	memo.EnableDeltaTracking()
 	rt := c.Runtime(taskrt.Config{Memoizer: memo})
 	tt := rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
+	rt.Wait() // a fence before the save, as deltaPartition's, keeps the recorded schedules
 	base, err := memo.Snapshot()
 	if err != nil {
 		c.Errorf("base snapshot: %v", err)

@@ -140,8 +140,8 @@ type Engine struct {
 	lookHits atomic.Int64
 	saves    atomic.Int64
 
-	// saveMu serializes saves; handler inserts are ordered against a
-	// save by core (ATM.Snapshot). errMu guards saveErr.
+	// saveMu serializes saves; a handler insert racing a save lands in
+	// it or in the next (core's per-bucket log cut). errMu guards saveErr.
 	saveMu  sync.Mutex
 	errMu   sync.Mutex
 	saveErr error
