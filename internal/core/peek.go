@@ -126,9 +126,10 @@ type ServeTask struct {
 func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed int, ok bool) {
 	h := a.probeHasher()
 	defer a.releaseProbe(h)
-	// hash is the task's timing decision and key: its shard's count only
-	// moves at commit, so the decision reads it one ahead.
-	hash := func(t *ServeTask, level int) {
+	// keyAt is the task's timing decision and its key at level: its
+	// shard's count only moves at commit, so the decision reads it one
+	// ahead.
+	keyAt := func(t *ServeTask, level int) {
 		t.tscale = tscaleFor(t.Type.shard(-1).tasks.Load() + 1)
 		t.key, t.hashNanos = a.hash(t.Type, t.Ins, level, h, t.tscale)
 		t.level = int8(level)
@@ -146,7 +147,7 @@ func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed in
 			bodies++
 			continue
 		}
-		hash(t, level)
+		keyAt(t, level)
 		if t.e = a.probeOuts(t.Type, t.key, t.level, t.Outs); t.e == nil {
 			bodies++
 		}
@@ -168,7 +169,7 @@ func (a *ATM) Serve(tasks []ServeTask, admit func(bodies int) bool) (executed in
 		}
 		ph, level := t.Type.load()
 		if t.level < 0 {
-			hash(t, level) // a training task, at the level it trains at now
+			keyAt(t, level) // a training task, at the level it trains at now
 		}
 		sh := t.Type.shard(-1)
 		sh.tasks.Add(1)
