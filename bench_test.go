@@ -218,7 +218,7 @@ func BenchmarkHashKeyLevels(b *testing.B) {
 			}
 			out := region.NewFloat32(1)
 			var captured *taskrt.Task
-			tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Run: func(task *taskrt.Task) { captured = task }})
+			tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Memoize: true, Run: func(task *taskrt.Task) { captured = task }})
 			rt.Submit(tt, taskrt.In(in), taskrt.Out(out))
 			rt.Wait()
 			b.SetBytes(int64(in.NumBytes()))
@@ -471,7 +471,7 @@ func BenchmarkWarmStartHit(b *testing.B) {
 			}
 			rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
 			for _, k := range kinds {
-				memo.ChosenLevel(rt.RegisterType(taskrt.TypeConfig{Name: k.TypeName(), Memoize: true, Run: func(*taskrt.Task) {}}))
+				rt.RegisterType(taskrt.TypeConfig{Name: k.TypeName(), Memoize: true, Run: func(*taskrt.Task) {}})
 			}
 			rt.Close()
 			want := int64(len(kinds) * keys)

@@ -22,7 +22,7 @@ func BenchmarkBulkHash(b *testing.B) {
 	}
 	out := region.NewFloat64(1)
 	var captured *taskrt.Task
-	tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Run: func(task *taskrt.Task) { captured = task }})
+	tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Memoize: true, Run: func(task *taskrt.Task) { captured = task }})
 	rt.Submit(tt, taskrt.In(in), taskrt.Out(out))
 	rt.Wait()
 	b.SetBytes(int64(in.NumBytes()))

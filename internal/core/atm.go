@@ -166,9 +166,14 @@ const (
 	phaseSteady
 )
 
-// typeShard is one worker's slice of a type's statistics, padded so
-// different workers never share a cache line. All fields are atomics only
-// so Stats() may read them concurrently; each shard has a single writer.
+// typeShard is one slice of a type's statistics, padded so different
+// shards never share a cache line. A type has one shard per worker of
+// the runtime bound when it was made, plus a last one that every other
+// caller shares: Serve's handlers and any worker past that count. So a
+// type made before a runtime binds (2 shards) sends every worker but
+// worker 0 to the last shard. Every write is an atomic add, so a shard
+// several goroutines write still counts exactly; a worker's own shard
+// only spares it the contention. Stats sums them.
 type typeShard struct {
 	tasks         atomic.Int64
 	executed      atomic.Int64
@@ -181,26 +186,29 @@ type typeShard struct {
 	_             [64]byte // to 128 bytes: two whole cache lines
 }
 
-// Type is a task type's adaptive state of §III-D, and the handle a
-// caller without a task runtime names the type by (NewType, PeekType,
-// ServeTask). The steady state hot path reads only phaseLevel (atomic);
-// the mutex guards the training-phase bookkeeping.
+// Type is a task type's adaptive state of §III-D. Registration makes
+// it, one per name: a runtime's RegisterType (through BindType, which
+// stores it in the TaskType) or NewType, for a caller without a task
+// runtime, which names the type by it (PeekType, ServeTask). The steady
+// state hot path reads only phaseLevel (atomic); the mutex guards the
+// training-phase bookkeeping.
 type Type struct {
 	phaseLevel atomic.Uint32 // phase<<8 | level
-	// id indexes ATM.typeStates and tags the type's THT entries; name
-	// keys its snapshot section. tauMax and lTraining are the training
-	// parameters grade applies. All immutable.
+	// id numbers the type in creation order, indexes ATM.typeStates and
+	// tags the type's THT entries; name keys its snapshot section.
+	// tauMax and lTraining are the training parameters grade applies.
+	// All immutable.
 	id        int
 	name      string
 	tauMax    float64
 	lTraining int
 	// seed is the type's stable hash-seed component, derived from the
-	// type name (typeSeed) rather than the runtime-assigned dense ID:
+	// type name (typeSeed) rather than the dense id:
 	// hash keys and shuffle plans must be identical across processes for
 	// persisted snapshots (snapshot.go) to hit on restore. Immutable
 	// after addTypeLocked publishes the state.
 	seed   uint64
-	shards []typeShard // one per worker, +1 for external callers
+	shards []typeShard // see typeShard
 
 	mu        sync.Mutex
 	successes int // consecutive correct approximations at this level
@@ -243,7 +251,8 @@ type workerState struct {
 }
 
 // ATM is the Approximate Task Memoization engine. It implements
-// taskrt.Memoizer and taskrt.RuntimeBinder.
+// taskrt.Memoizer, taskrt.RuntimeBinder, taskrt.TypeBinder and
+// taskrt.BatchObserver.
 type ATM struct {
 	cfg Config
 	rt  *taskrt.Runtime
@@ -255,11 +264,13 @@ type ATM struct {
 	planMu sync.Mutex
 	plans  atomic.Pointer[map[planKey]*sampling.Plan]
 
-	// typeStates is a dense slice indexed by task-type ID, never nil,
-	// grown copy-on-write under typeMu; the hot path is one atomic load
-	// plus an index.
+	// typeStates lists every type by its id, grown copy-on-write under
+	// typeMu; byName (guarded by typeMu) finds a type by its name. The
+	// hot path reads neither: a task reaches its type through its
+	// TaskType (state).
 	typeMu     sync.Mutex
 	typeStates atomic.Pointer[[]*Type]
+	byName     map[string]*Type
 	// pending holds restored snapshot sections (see Restore) not yet
 	// claimed by a registered task type, keyed by type name; guarded by
 	// typeMu. addTypeLocked installs and removes a section when its type
@@ -303,6 +314,7 @@ var (
 	_ taskrt.Memoizer      = (*ATM)(nil)
 	_ taskrt.RuntimeBinder = (*ATM)(nil)
 	_ taskrt.BatchObserver = (*ATM)(nil)
+	_ taskrt.TypeBinder    = (*ATM)(nil)
 )
 
 // New builds an ATM engine. Pass it as taskrt.Config.Memoizer; the runtime
@@ -310,8 +322,9 @@ var (
 func New(cfg Config) *ATM {
 	cfg.applyDefaults()
 	a := &ATM{
-		cfg: cfg,
-		tht: NewTHT(cfg.NBits, cfg.M),
+		cfg:    cfg,
+		tht:    NewTHT(cfg.NBits, cfg.M),
+		byName: make(map[string]*Type),
 	}
 	a.typeStates.Store(&[]*Type{})
 	a.tht.ConfigureBudget(cfg.THTBudgetBytes)
@@ -320,15 +333,10 @@ func New(cfg Config) *ATM {
 	return a
 }
 
-// BindRuntime implements taskrt.RuntimeBinder. It panics on an unbound
-// engine that has types, which NewType made: the runtime numbers its
-// own types, and the two ID spaces must not mix.
+// BindRuntime implements taskrt.RuntimeBinder.
 func (a *ATM) BindRuntime(rt *taskrt.Runtime) {
-	a.typeMu.Lock()
+	a.typeMu.Lock() // addTypeLocked sizes a type's shards by the workers
 	defer a.typeMu.Unlock()
-	if a.rt == nil && len(*a.typeStates.Load()) > 0 {
-		panic("core: BindRuntime on an engine whose types NewType made")
-	}
 	a.rt = rt
 	a.ikt = NewIKT(rt.Workers())
 	a.workers = make([]workerState, rt.Workers())
@@ -351,11 +359,9 @@ func (a *ATM) IKT() *IKT { return a.ikt }
 // its tasks can reach a worker, so the engine-side state a ready task
 // needs is prepared batch-wide instead of lazily on the worker hot path.
 // Per memoizable type (deduplicated against the consecutive same-type
-// runs loop nests produce) it materializes the Type — the one
-// stateSlow mutex acquisition a type would otherwise pay under worker
-// contention — and pre-builds the shuffle plan for the batch's input
-// layout, so the first OnReady of a new (type, layout) pair finds the
-// copy-on-write plan map already populated.
+// runs loop nests produce) it pre-builds the shuffle plan for the
+// batch's input layout, so the first OnReady of a new (type, layout)
+// pair finds the copy-on-write plan map already populated.
 func (a *ATM) OnBatchSubmitted(tasks []*taskrt.Task) {
 	var last *taskrt.TaskType
 	for _, t := range tasks {
@@ -364,60 +370,64 @@ func (a *ATM) OnBatchSubmitted(tasks []*taskrt.Task) {
 			continue
 		}
 		last = tt
-		ts := a.state(tt)
+		ts := state(tt)
 		ins := t.Inputs()
 		if len(ins) == 0 {
 			continue
 		}
 		if _, level := ts.load(); level < sampling.MaxPLevel {
-			a.planFor(tt.ID(), ts.seed, sampling.SignatureOf(ins), ins)
+			a.planFor(ts, sampling.SignatureOf(ins), ins)
 		}
 	}
 }
 
-// state returns (creating if needed) the per-type adaptive state. The hit
-// path costs one atomic load and an index into the dense type slice.
-func (a *ATM) state(tt *taskrt.TaskType) *Type {
-	if sl := *a.typeStates.Load(); tt.ID() < len(sl) && sl[tt.ID()] != nil {
-		return sl[tt.ID()]
-	}
-	return a.stateSlow(tt)
+// state returns the type BindType made for tt, a Memoize type of the
+// bound runtime.
+func state(tt *taskrt.TaskType) *Type { return tt.MemoType().(*Type) }
+
+// BindType implements taskrt.TypeBinder: a runtime's Memoize type is the
+// engine's type of its name (typeFor), with its τmax and L_training.
+func (a *ATM) BindType(tt *taskrt.TaskType) any {
+	return a.typeFor(tt.Name(), tt.TauMax(), tt.LTraining())
 }
 
-func (a *ATM) stateSlow(tt *taskrt.TaskType) *Type {
-	a.typeMu.Lock()
-	defer a.typeMu.Unlock()
-	if sl := *a.typeStates.Load(); tt.ID() < len(sl) && sl[tt.ID()] != nil {
-		return sl[tt.ID()]
-	}
-	return a.addTypeLocked(tt.ID(), tt.Name(), tt.TauMax(), tt.LTraining())
-}
-
-// NewType makes a task type for a caller that runs no task runtime (the
-// service's handlers, through Serve and PeekType). Types are numbered in
-// the order they are made, as a runtime numbers registrations, and get
-// the default τmax and L_training. A restored snapshot section of the
-// same name installs now. NewType panics on an engine a runtime has
-// bound, whose types the runtime numbers.
+// NewType is the engine's type named name, with the default τmax and
+// L_training, for a caller that runs no task runtime (the service's
+// handlers, through Serve and PeekType); see typeFor.
 func (a *ATM) NewType(name string) *Type {
-	a.typeMu.Lock()
-	defer a.typeMu.Unlock()
-	if a.rt != nil {
-		panic("core: NewType on an engine bound to a task runtime")
-	}
-	return a.addTypeLocked(len(*a.typeStates.Load()), name, taskrt.DefaultTauMax, taskrt.DefaultLTraining)
+	return a.typeFor(name, taskrt.DefaultTauMax, taskrt.DefaultLTraining)
 }
 
-// addTypeLocked builds type id's state, installs its pending snapshot
-// section, if any, and publishes it. Called under typeMu.
-func (a *ATM) addTypeLocked(id int, name string, tauMax float64, lTraining int) *Type {
+// typeFor is the one place a type is born. A name has one type per
+// engine, whichever runtime or caller registers it: the first
+// registration makes it, numbered in creation order, and installs the
+// restored snapshot section of that name, if any; a later one gets the
+// same type back. Snapshot sections are keyed by name and hold one set
+// of training parameters, so a registration whose τmax or L_training
+// differs from the type's panics.
+func (a *ATM) typeFor(name string, tauMax float64, lTraining int) *Type {
+	a.typeMu.Lock()
+	defer a.typeMu.Unlock()
+	if ts := a.byName[name]; ts != nil {
+		if ts.tauMax != tauMax || ts.lTraining != lTraining {
+			panic(fmt.Sprintf("core: task type %q registered with τmax %v and L_training %d, but it has %v and %d",
+				name, tauMax, lTraining, ts.tauMax, ts.lTraining))
+		}
+		return ts
+	}
+	return a.addTypeLocked(name, tauMax, lTraining)
+}
+
+// addTypeLocked builds the next type's state, installs its pending
+// snapshot section, if any, and publishes it. Called under typeMu.
+func (a *ATM) addTypeLocked(name string, tauMax float64, lTraining int) *Type {
 	cur := *a.typeStates.Load()
 	nshards := len(a.workers) + 1
 	if nshards < 2 {
 		nshards = 2
 	}
 	ts := &Type{
-		id:        id,
+		id:        len(cur),
 		name:      name,
 		tauMax:    tauMax,
 		lTraining: lTraining,
@@ -444,10 +454,9 @@ func (a *ATM) addTypeLocked(id int, name string, tauMax float64, lTraining int) 
 		// definition.
 		ts.dirtyEpoch = a.saveEpoch.Load()
 	}
-	grown := make([]*Type, max(id+1, len(cur)))
-	copy(grown, cur)
-	grown[id] = ts
+	grown := append(cur[:len(cur):len(cur)], ts)
 	a.typeStates.Store(&grown)
+	a.byName[name] = ts
 	return ts
 }
 
@@ -485,9 +494,10 @@ const (
 )
 
 // typeSeed derives the per-type hash-seed component from the type's
-// name (FNV-1a). A stable name hash — rather than the runtime-assigned
-// dense type ID — keeps hash keys and shuffle plans identical across
-// processes, which is what makes persisted snapshots restorable: a
+// name (FNV-1a). A stable name hash — rather than the dense type id,
+// which follows creation order — keeps hash keys and shuffle plans
+// identical across processes, which is what makes persisted snapshots
+// restorable: a
 // warm-started run recomputes exactly the keys the cold run stored, as
 // long as the type names match.
 func typeSeed(name string) uint64 {
@@ -501,11 +511,11 @@ func typeSeed(name string) uint64 {
 
 // planFor returns the cached shuffle plan for a task's input layout,
 // building it on first use. The fast path is one atomic map load.
-// tseed is the type's stable seed (Type.seed): the plan cache is
-// keyed by the per-runtime dense type ID, but the shuffle itself is
-// seeded by the stable name hash so plans reproduce across processes.
-func (a *ATM) planFor(typeID int, tseed uint64, sig uint64, ins []region.Region) *sampling.Plan {
-	pk := planKey{typeID: typeID, sig: sig}
+// The plan cache is keyed by ts's dense id, but the shuffle itself is
+// seeded by its stable name hash (Type.seed) so plans reproduce across
+// processes.
+func (a *ATM) planFor(ts *Type, sig uint64, ins []region.Region) *sampling.Plan {
+	pk := planKey{typeID: ts.id, sig: sig}
 	if m := a.plans.Load(); m != nil {
 		if p := (*m)[pk]; p != nil {
 			return p
@@ -521,7 +531,7 @@ func (a *ATM) planFor(typeID int, tseed uint64, sig uint64, ins []region.Region)
 		}
 	}
 	layout := sampling.LayoutOf(ins)
-	seed := a.cfg.Seed ^ pk.sig ^ (tseed|1)*0x9e3779b97f4a7c15
+	seed := a.cfg.Seed ^ pk.sig ^ (ts.seed|1)*0x9e3779b97f4a7c15
 	p := sampling.NewPlan(layout, seed, !a.cfg.DisableTypeAware)
 	grown := make(map[planKey]*sampling.Plan, len(cur)+1)
 	for k, v := range cur {
@@ -532,12 +542,13 @@ func (a *ATM) planFor(typeID int, tseed uint64, sig uint64, ins []region.Region)
 	return p
 }
 
-// HashKey computes the task's 8-byte key at the given p level (§III-B).
-// At level 15 (p = 100%) the whole input is streamed element-wise; below
-// that, the cached shuffled index prefix selects the sampled bytes.
+// HashKey computes the 8-byte key of t, a task of a Memoize type, at
+// the given p level (§III-B). At level 15 (p = 100%) the whole input is
+// streamed element-wise; below that, the cached shuffled index prefix
+// selects the sampled bytes.
 func (a *ATM) HashKey(t *taskrt.Task, level int) uint64 {
 	h := a.probeHasher()
-	key := a.hashIns(a.state(t.Type()), t.Inputs(), level, h)
+	key := a.hashIns(state(t.Type()), t.Inputs(), level, h)
 	a.releaseProbe(h)
 	return key
 }
@@ -555,7 +566,7 @@ func (a *ATM) hashIns(ts *Type, ins []region.Region, level int, h hashx.Hasher) 
 		}
 		return h.Sum64()
 	}
-	plan := a.planFor(ts.id, ts.seed, sig, ins)
+	plan := a.planFor(ts, sig, ins)
 	runs := plan.SegmentedRuns(level)
 	for i, offsets := range plan.Segmented(level) {
 		if len(offsets) == 0 {
@@ -703,7 +714,7 @@ func (a *ATM) finish(ts *Type, sh *typeShard, outs []region.Region, pred *Entry,
 // OnReady implements taskrt.Memoizer: Fig. 1's ready-task protocol on a
 // runtime's worker.
 func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
-	ts := a.state(t.Type())
+	ts := state(t.Type())
 	sh := ts.shard(worker)
 	tscale := tscaleFor(sh.tasks.Add(1))
 	ph, level := ts.load()
@@ -743,7 +754,7 @@ func (a *ATM) OnReady(t *taskrt.Task, worker int) taskrt.Outcome {
 	}
 
 	if !a.cfg.DisableIKT {
-		ik := iktKey{typeID: t.Type().ID(), key: key, level: int8(level)}
+		ik := iktKey{typeID: ts.id, key: key, level: int8(level)}
 		inserted, deferred := a.ikt.Acquire(ik, t)
 		if deferred {
 			// t now belongs to its provider, which may complete it — and
@@ -773,7 +784,7 @@ func (a *ATM) scratchFor(w int) *scratch {
 func (a *ATM) OnFinished(t *taskrt.Task, worker int) {
 	sc := t.MemoScratch.(*scratch) // every OutcomeRun of OnReady carries one
 	t.MemoScratch = nil
-	ts := a.state(t.Type())
+	ts := state(t.Type())
 	tracer := a.rt.Tracer()
 	if tracer != nil && sc.trainEntry == nil {
 		tracer.SetState(worker, trace.StateMemo)

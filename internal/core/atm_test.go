@@ -262,7 +262,7 @@ func TestHashKeyLevelAndLayoutSeparation(t *testing.T) {
 	memo.BindRuntime(rt)
 
 	var captured *taskrt.Task
-	tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Run: func(task *taskrt.Task) { captured = task }})
+	tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Memoize: true, Run: func(task *taskrt.Task) { captured = task }})
 	in := region.NewFloat64(32)
 	for i := range in.Data {
 		in.Data[i] = float64(i) * 0.25

@@ -10,9 +10,10 @@ import (
 
 // TestOnBatchSubmittedWarmsEngineState pins the BatchObserver integration:
 // a batch submitted through SubmitBatch must leave the memoizable types'
-// state (Type) materialized and (below p = 100%) their shuffle plans built
-// before any worker consults them, so the first OnReady of a new type or
-// layout finds everything by atomic loads.
+// shuffle plans built (below p = 100%) before any worker consults them,
+// so the first OnReady of a new layout finds its plan by an atomic load.
+// The types' state itself is made at registration (BindType): a
+// memoizable type carries it, a plain one has none.
 func TestOnBatchSubmittedWarmsEngineState(t *testing.T) {
 	a := New(Config{Mode: ModeDynamic})
 	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: a})
@@ -33,12 +34,13 @@ func TestOnBatchSubmittedWarmsEngineState(t *testing.T) {
 		taskrt.Desc(plain, taskrt.Out(region.NewFloat64(1))),
 	})
 
-	if sl := *a.typeStates.Load(); memo.ID() >= len(sl) || sl[memo.ID()] == nil {
-		t.Fatal("memoizable type state not materialized by OnBatchSubmitted")
-	} else if plain.ID() < len(sl) && sl[plain.ID()] != nil {
+	ts, _ := memo.MemoType().(*Type)
+	if ts == nil {
+		t.Fatal("memoizable type has no state after registration")
+	} else if plain.MemoType() != nil {
 		t.Fatal("non-memoizable type must not get engine state")
 	}
-	pk := planKey{typeID: memo.ID(), sig: sampling.SignatureOf([]region.Region{in})}
+	pk := planKey{typeID: ts.id, sig: sampling.SignatureOf([]region.Region{in})}
 	if m := a.plans.Load(); m == nil || (*m)[pk] == nil {
 		t.Fatal("shuffle plan not pre-built for the batch's input layout")
 	}

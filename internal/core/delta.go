@@ -164,19 +164,8 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 	d := &Delta{Fingerprint: Fingerprint(a.cfg)}
 
 	states := *a.typeStates.Load()
-	idx := make(map[string]int)
-	seen := make(map[string]bool, len(states))
+	row := make(map[int]int) // type id → its row in d.Types
 	for _, ts := range states {
-		if ts == nil {
-			continue
-		}
-		name := ts.name
-		if seen[name] {
-			// Same policy as Snapshot: name-keyed sections cannot carry a
-			// collision; fail at save time, where it is diagnosable.
-			return nil, nil, fmt.Errorf("core: two task types named %q: snapshot sections are keyed by type name", name)
-		}
-		seen[name] = true
 		ts.mu.Lock()
 		dirty := ts.dirtyEpoch > a.savedThrough
 		ph, level := ts.load()
@@ -185,9 +174,9 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 		if !dirty {
 			continue
 		}
-		idx[name] = len(d.Types)
+		row[ts.id] = len(d.Types)
 		d.Types = append(d.Types, TypeDelta{
-			Name:      name,
+			Name:      ts.name,
 			HasMeta:   true,
 			Steady:    ph == phaseSteady,
 			Level:     level,
@@ -209,31 +198,20 @@ func (a *ATM) snapshotDelta(lend bool) (*Delta, []*Entry, error) {
 	d.Entries = make([]DeltaEntry, 0, n)
 	held := make([]*Entry, 0, n)
 	a.tht.drainLog(func(rec logRec) {
-		if rec.typeID >= len(states) || states[rec.typeID] == nil {
-			// A type that appeared since the scan above may already have
-			// logged operations: resolve them against the registry as it
-			// is now, or the drained log would lose them. The registry
-			// is a dense slice whose slots fill lazily — a type a runtime
-			// registered early may first run after a later one, leaving
-			// a nil slot below len that fills later — but a filled slot
-			// never changes, so the reloaded slice covers the old one.
-			// Such a type's entries ship in this delta under a meta-less
-			// row and its metadata follows with the next save, per the
-			// invariant above.
+		if rec.typeID >= len(states) {
+			// A type made since the scan above may already have logged
+			// operations: resolve them against the registry as it is
+			// now, which only ever grows at its end. Such a type's
+			// entries ship in this delta under a meta-less row and its
+			// metadata follows with the next save, per the invariant
+			// above.
 			states = *a.typeStates.Load()
 		}
-		if rec.typeID >= len(states) || states[rec.typeID] == nil {
-			// An operation from a type absent from the reloaded registry
-			// cannot happen through the engine; guard anyway.
-			rec.e.Release()
-			return
-		}
-		name := states[rec.typeID].name
-		ti, ok := idx[name]
+		ti, ok := row[rec.typeID]
 		if !ok {
 			ti = len(d.Types)
-			idx[name] = ti
-			d.Types = append(d.Types, TypeDelta{Name: name})
+			row[rec.typeID] = ti
+			d.Types = append(d.Types, TypeDelta{Name: states[rec.typeID].name})
 		}
 		de := DeltaEntry{Type: ti, EntrySnapshot: EntrySnapshot{
 			Key:       rec.key,
@@ -278,12 +256,6 @@ func (a *ATM) ApplyDelta(d *Delta) error {
 	}
 	a.typeMu.Lock()
 	defer a.typeMu.Unlock()
-	registered := make(map[string]bool)
-	for _, ts := range *a.typeStates.Load() {
-		if ts != nil {
-			registered[ts.name] = true
-		}
-	}
 	// Validate everything before mutating anything: a rejected delta
 	// must leave the pending sections untouched, not half-applied.
 	seen := make(map[string]bool, len(d.Types))
@@ -292,7 +264,7 @@ func (a *ATM) ApplyDelta(d *Delta) error {
 			return fmt.Errorf("core: duplicate delta section for type %q", td.Name)
 		}
 		seen[td.Name] = true
-		if registered[td.Name] {
+		if a.byName[td.Name] != nil {
 			return fmt.Errorf("%w: type %q", ErrDeltaLive, td.Name)
 		}
 	}

@@ -177,6 +177,9 @@ func TestRejectedInsertKeepsHeldEntry(t *testing.T) {
 
 	free := entryWith(0, 8, 15, vals...)
 	tht.Insert(free)
+	if raceEnabled {
+		return // race mode drops sync.Pool puts at random; the round-trip is not assertable
+	}
 	if got := tht.GetEntry(); got != free {
 		t.Fatal("a rejected entry nothing holds must go back to the pool")
 	}

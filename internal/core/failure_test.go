@@ -127,7 +127,7 @@ func TestFixedLevelsProduceDistinctKeys(t *testing.T) {
 	memo.BindRuntime(rt)
 
 	var captured *taskrt.Task
-	tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Run: func(task *taskrt.Task) { captured = task }})
+	tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Memoize: true, Run: func(task *taskrt.Task) { captured = task }})
 	// Large enough that every level selects a different byte count
 	// (levels only differ once ceil(N·p) does — tiny inputs legitimately
 	// share keys between adjacent levels).

@@ -142,7 +142,7 @@ func TestRestoredEntriesCountsWhatABudgetKeeps(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt2 := taskrt.New(taskrt.Config{Workers: 1, Memoizer: warm})
-		warm.ChosenLevel(rt2.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})) // installs the section
+		rt2.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: doubler})
 		st := warm.Stats()
 		if got := warm.RestoredEntries(); got != st.THTEntries || got == 0 {
 			t.Errorf("budget %d: RestoredEntries %d, resident entries %d", budget, got, st.THTEntries)

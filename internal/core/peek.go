@@ -51,9 +51,11 @@ func (a *ATM) PeekType(ts *Type, ins, outs []region.Region) bool {
 	return true
 }
 
-// Peek is PeekType for a type tt of the runtime bound to the engine.
+// Peek is PeekType for a type tt of the runtime bound to the engine; a
+// type that is not memoizable has no entries, so it reports false.
 func (a *ATM) Peek(tt *taskrt.TaskType, ins, outs []region.Region) bool {
-	return a.PeekType(a.state(tt), ins, outs)
+	ts, _ := tt.MemoType().(*Type)
+	return ts != nil && a.PeekType(ts, ins, outs)
 }
 
 // outOfBandProvider marks the provider ids of entries Serve inserts: a

@@ -111,7 +111,7 @@ func (r *hitsRig) serveInputs(ins ...*region.Float64) ([]ServeTask, []*region.Fl
 		for j := range outs[i].Data {
 			outs[i].Data[j] = -1
 		}
-		tasks[i] = ServeTask{Type: r.memo.state(r.tt), Ins: []region.Region{in}, Outs: []region.Region{outs[i]}, Run: doubleRegions}
+		tasks[i] = ServeTask{Type: state(r.tt), Ins: []region.Region{in}, Outs: []region.Region{outs[i]}, Run: doubleRegions}
 	}
 	return tasks, outs
 }
@@ -442,7 +442,7 @@ func TestServeHitsFallbacks(t *testing.T) {
 		r := newHitsRig(t, Config{Mode: ModeDynamic})
 		out := region.NewFloat64(16)
 		task := func(run func(ins, outs []region.Region)) []ServeTask {
-			return []ServeTask{{Type: r.memo.state(r.tt), Ins: []region.Region{mkInput(1)}, Outs: []region.Region{out}, Run: run}}
+			return []ServeTask{{Type: state(r.tt), Ins: []region.Region{mkInput(1)}, Outs: []region.Region{out}, Run: run}}
 		}
 		triple := func(ins, outs []region.Region) {
 			in, out := ins[0].(*region.Float64).Data, outs[0].(*region.Float64).Data
@@ -770,7 +770,7 @@ func TestServeReprobesAfterInsert(t *testing.T) {
 	bucket := func(k int) uint64 {
 		h := inline.memo.probeHasher()
 		defer inline.memo.releaseProbe(h)
-		return inline.memo.hashIns(inline.memo.state(inline.tt), []region.Region{mkInput(k)}, 15, h) & inline.memo.tht.mask
+		return inline.memo.hashIns(state(inline.tt), []region.Region{mkInput(k)}, 15, h) & inline.memo.tht.mask
 	}
 	k := 2
 	for bucket(k) != bucket(1) {

@@ -49,8 +49,8 @@ type IKTCounters struct {
 }
 
 // TypeSnapshot is one task type's memoization state, keyed by the
-// type's name: dense type IDs are assigned per-runtime in registration
-// order, so the name is the only identity stable across processes
+// type's name: type IDs are assigned per engine in creation order, so
+// the name is the only identity stable across processes
 // (hash seeds are derived from it too — see typeSeed).
 type TypeSnapshot struct {
 	Name string
@@ -127,8 +127,8 @@ func Fingerprint(cfg Config) uint64 {
 // returned regions are deep copies: the engine may keep running and
 // recycling entries afterwards.
 func (a *ATM) Snapshot() (*Snapshot, error) {
-	snap, _, err := a.snapshot(false)
-	return snap, err
+	snap, _ := a.snapshot(false)
+	return snap, nil
 }
 
 // LendSnapshot extracts the state as Snapshot does and lends it to fn
@@ -143,11 +143,8 @@ func (a *ATM) Snapshot() (*Snapshot, error) {
 // Sections carried over from a restore (never re-registered) are still
 // copies: they may install into the table while fn runs.
 func (a *ATM) LendSnapshot(fn func(snap *Snapshot) error) error {
-	snap, held, err := a.snapshot(true)
-	if err != nil {
-		return err
-	}
-	err = fn(snap)
+	snap, held := a.snapshot(true)
+	err := fn(snap)
 	for _, e := range held {
 		e.Release()
 	}
@@ -157,17 +154,15 @@ func (a *ATM) LendSnapshot(fn func(snap *Snapshot) error) error {
 // snapshot is Snapshot. The table scan only retains entries; their
 // outputs are copied out, or with lend set aliased, after the locks are
 // dropped, and a lent snapshot comes back with the entries still
-// retained for the caller to release.
-func (a *ATM) snapshot(lend bool) (*Snapshot, []*Entry, error) {
-	snap, secOf, held, err := a.scan()
-	if err != nil {
-		return nil, nil, err
-	}
+// retained for the caller to release. A registered type's section is
+// the one its id indexes.
+func (a *ATM) snapshot(lend bool) (*Snapshot, []*Entry) {
+	snap, held := a.scan()
 	// Each section's entry list is sized from the scan, so it is
 	// allocated once, at its length.
 	counts := make([]int, len(snap.Types))
 	for _, e := range held {
-		counts[secOf[e.TypeID]]++
+		counts[e.TypeID]++
 	}
 	for i, n := range counts {
 		if n > 0 {
@@ -179,7 +174,7 @@ func (a *ATM) snapshot(lend bool) (*Snapshot, []*Entry, error) {
 		if !lend {
 			outs = cloneRegions(outs)
 		}
-		sec := &snap.Types[secOf[e.TypeID]]
+		sec := &snap.Types[e.TypeID]
 		sec.Entries = append(sec.Entries, EntrySnapshot{
 			Key:      e.Key,
 			Level:    e.Level,
@@ -193,15 +188,14 @@ func (a *ATM) snapshot(lend bool) (*Snapshot, []*Entry, error) {
 		}
 		held = nil
 	}
-	return snap, held, nil
+	return snap, held
 }
 
-// scan reads the metadata, retains every table entry of a registered
-// type and copies the carried sections, under the locks a full
-// snapshot needs, and trims the operation log up to the scan. The
-// registered sections come back without their entries, which are held,
-// in table order; secOf maps each registered type ID to its section.
-func (a *ATM) scan() (snap *Snapshot, secOf map[int]int, held []*Entry, err error) {
+// scan reads the metadata, retains every table entry and copies the
+// carried sections, under the locks a full snapshot needs, and trims
+// the operation log up to the scan. The registered sections come back
+// without their entries, which are held, in table order.
+func (a *ATM) scan() (snap *Snapshot, held []*Entry) {
 	// snapMu excludes every other drain of the operation log between the
 	// scan's cuts and the trim that applies them.
 	a.snapMu.Lock()
@@ -222,14 +216,9 @@ func (a *ATM) scan() (snap *Snapshot, secOf map[int]int, held []*Entry, err erro
 	// epoch and is carried again by the next delta, and the base never
 	// holds metadata newer than its entries.
 	cur := a.saveEpoch.Add(1) - 1
-	if secOf, err = a.registeredSections(snap); err != nil {
-		return nil, nil, nil, err
-	}
+	a.registeredSections(snap)
 	held = make([]*Entry, 0, a.tht.Entries()+64)
 	cuts := a.tht.forEach(func(e *Entry) {
-		if _, ok := secOf[e.TypeID]; !ok {
-			return // every entry's type is registered; guard anyway
-		}
 		e.retain() // released by snapshot, or once a lent snapshot is returned
 		held = append(held, e)
 	})
@@ -239,13 +228,11 @@ func (a *ATM) scan() (snap *Snapshot, secOf map[int]int, held []*Entry, err erro
 	// covered by the scan, so those records are dropped and the epoch
 	// stays sealed — the next SnapshotDelta carries only what happened
 	// after each bucket's visit, even when an insert raced the scan.
-	// The supersession commits only now, after every failure path is
-	// behind us: a failed Snapshot must leave the delta chain intact.
 	if a.tracking {
 		a.tht.trimLog(cuts)
 		a.savedThrough = cur
 	}
-	return snap, secOf, held, nil
+	return snap, held
 }
 
 // FoldEntryOps folds an ordered operation stream (inserts and
@@ -312,38 +299,22 @@ func FoldEntryOps(ops []EntrySnapshot) []EntrySnapshot {
 }
 
 // registeredSections appends a section holding the metadata of each
-// registered type to snap, entries to follow, and maps each type ID to
-// its section. The caller holds typeMu.
-func (a *ATM) registeredSections(snap *Snapshot) (map[int]int, error) {
-	states := *a.typeStates.Load()
-	secOf := make(map[int]int, len(states))
-	seen := make(map[string]bool, len(states))
-	for id, ts := range states {
-		if ts == nil {
-			continue
-		}
-		name := ts.name
-		if seen[name] {
-			// The runtime does not enforce type-name uniqueness, but the
-			// snapshot's sections are name-keyed: writing the collision
-			// out would produce a file every later Load rejects. Fail at
-			// save time, where it is diagnosable.
-			return nil, fmt.Errorf("core: two task types named %q: snapshot sections are keyed by type name", name)
-		}
-		seen[name] = true
+// registered type to snap, in id order, entries to follow. A name has
+// one type (typeFor), so no two sections collide. The caller holds
+// typeMu.
+func (a *ATM) registeredSections(snap *Snapshot) {
+	for _, ts := range *a.typeStates.Load() {
 		ph, level := ts.load()
 		ts.mu.Lock()
 		succ := ts.successes
 		ts.mu.Unlock()
-		secOf[id] = len(snap.Types)
 		snap.Types = append(snap.Types, TypeSnapshot{
-			Name:      name,
+			Name:      ts.name,
 			Steady:    ph == phaseSteady,
 			Level:     level,
 			Successes: succ,
 		})
 	}
-	return secOf, nil
 }
 
 // carrySections appends the sections restored into this engine whose
@@ -394,8 +365,8 @@ func cloneRegions(rs []region.Region) []region.Region {
 // with ErrSnapshotConfig — a snapshot taken under different hash seeds
 // or shuffle plans must never serve hits. Restored sections are held
 // pending by type name and installed (adaptive level adopted, THT
-// entries inserted) when the matching type first registers, so restore
-// order is independent of type-registration order. The engine adopts
+// entries inserted) when the matching type registers (typeFor), so
+// restore order is independent of type-registration order. The engine adopts
 // snap's regions; do not reuse snap afterwards.
 func Restore(cfg Config, snap *Snapshot) (*ATM, error) {
 	a := New(cfg)
@@ -432,8 +403,8 @@ func RestoreChain(cfg Config, base *Snapshot, deltas []*Delta) (*ATM, error) {
 
 // installSection adopts a restored section into a freshly created
 // Type. Called from addTypeLocked under typeMu, before the state is
-// published, so no task of the type can race the installation: the
-// first OnReady already sees the warm level and the warm THT. The
+// published, so no task of the type can race the installation: its
+// first task already sees the warm level and the warm THT. The
 // return value reports whether the metadata installed verbatim — false
 // means the installed state diverged from the snapshot (clamped level)
 // and the caller must mark the type dirty for the next delta save.
@@ -482,8 +453,8 @@ func (a *ATM) installSection(ts *Type, sec *TypeSnapshot) bool {
 }
 
 // RestoredEntries reports how many THT entries have been installed from
-// a restored snapshot so far (sections install lazily, when their task
-// type first registers): the inserts the table kept, less the residents
+// a restored snapshot so far (a section installs when its task type
+// registers): the inserts the table kept, less the residents
 // each one evicted under a budget or displaced from its bucket's ring,
 // less those a replayed tombstone removed again. On a table nothing
 // else writes during the install it equals the resident entry count.

@@ -113,23 +113,6 @@ func TestSnapshotRestoreIndependentOfRegistrationOrder(t *testing.T) {
 	}
 }
 
-func TestSnapshotRejectsDuplicateTypeNames(t *testing.T) {
-	// The runtime does not enforce type-name uniqueness, but snapshot
-	// sections are name-keyed: a collision must fail at save time (where
-	// it is diagnosable), not produce a file every Load rejects.
-	memo := New(Config{Mode: ModeStatic})
-	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
-	defer rt.Close()
-	t1 := rt.RegisterType(taskrt.TypeConfig{Name: "same", Memoize: true, Run: doubler})
-	t2 := rt.RegisterType(taskrt.TypeConfig{Name: "same", Memoize: true, Run: doubler})
-	rt.Submit(t1, taskrt.In(mkInput(1)), taskrt.Out(region.NewFloat64(16)))
-	rt.Submit(t2, taskrt.In(mkInput(2)), taskrt.Out(region.NewFloat64(16)))
-	rt.Wait()
-	if _, err := memo.Snapshot(); err == nil {
-		t.Fatal("snapshot of two same-named types must fail")
-	}
-}
-
 func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	memo := New(Config{Mode: ModeStatic, Seed: 1})
 	snap, err := memo.Snapshot()

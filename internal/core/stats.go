@@ -84,9 +84,6 @@ func (s Stats) TotalReuse() float64 {
 func (a *ATM) Stats() Stats {
 	var st Stats
 	for _, ts := range *a.typeStates.Load() {
-		if ts == nil {
-			continue
-		}
 		t := TypeStats{Name: ts.name}
 		for i := range ts.shards {
 			sh := &ts.shards[i]
@@ -120,8 +117,7 @@ func (a *ATM) Stats() Stats {
 // ChosenLevel reports the current p level of a task type and whether its
 // training has completed (the star markers of Fig. 5).
 func (a *ATM) ChosenLevel(tt *taskrt.TaskType) (level int, steady bool) {
-	ts := a.state(tt)
-	ph, lv := ts.load()
+	ph, lv := state(tt).load()
 	return lv, ph == phaseSteady
 }
 

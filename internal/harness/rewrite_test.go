@@ -217,9 +217,7 @@ func TestRewrittenChainRestoresLikeAppendedChain(t *testing.T) {
 		if err != nil || !warm {
 			t.Fatalf("%s: %v", filepath.Base(path), err)
 		}
-		rig := newChurnRig(memo)
-		memo.ChosenLevel(rig.tt) // installs the restored section
-		rig.rt.Close()
+		newChurnRig(memo).rt.Close() // its registration installs the restored section
 		snap, err := memo.Snapshot()
 		if err != nil {
 			t.Fatal(err)

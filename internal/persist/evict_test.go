@@ -86,8 +86,7 @@ func claimAndSnapshot(t *testing.T, memo *core.ATM) (*core.Snapshot, error) {
 	t.Helper()
 	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
 	defer rt.Close()
-	tt := rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: func(task *taskrt.Task) {}})
-	memo.ChosenLevel(tt) // first engine touch claims the carried section into the THT
+	rt.RegisterType(taskrt.TypeConfig{Name: "double", Memoize: true, Run: func(task *taskrt.Task) {}})
 	snap, err := memo.Snapshot()
 	if err != nil {
 		return nil, err

@@ -248,7 +248,9 @@ func batchDiamonds(c *Ctx) {
 
 // faninSpill drives wire()'s predecessor-dedup spill (>32 distinct
 // predecessors forces the map path) and a wide WAR fan (many readers,
-// then one writer) under fuzzed schedules.
+// then one writer) under fuzzed schedules. Each fan-in is one batch:
+// an intra-batch edge is recorded whether or not its writer could have
+// run, so the reader wires all 40 and spills in every seed.
 func faninSpill(c *Ctx) {
 	rt := c.Runtime(taskrt.Config{})
 	defer rt.Close()
@@ -263,17 +265,19 @@ func faninSpill(c *Ctx) {
 	for round := 0; round < rounds; round++ {
 		// Fan-in: 40 writers to distinct regions, one reader of all 40.
 		parts := make([]region.Region, 40)
+		batch := make([]taskrt.BatchEntry, 0, len(parts)+1)
+		accs := make([]taskrt.Access, 0, len(parts)+1)
 		for i := range parts {
 			parts[i] = region.NewFloat64(2)
-			submit(taskrt.Out(parts[i]))
-		}
-		accs := make([]taskrt.Access, 0, len(parts)+1)
-		for _, p := range parts {
-			accs = append(accs, taskrt.In(p))
+			batch = append(batch, taskrt.Desc(tt, taskrt.Out(parts[i])))
+			accs = append(accs, taskrt.In(parts[i]))
 		}
 		sum := region.NewFloat64(2)
 		accs = append(accs, taskrt.Out(sum))
-		submit(accs...)
+		batch = append(batch, taskrt.Desc(tt, accs...))
+		for _, t := range rt.SubmitBatch(batch) {
+			o.observe(t.ID(), t.Accesses())
+		}
 		// WAR fan: 40 readers of the sum, then a writer that must wait
 		// for all of them.
 		for i := 0; i < 40; i++ {

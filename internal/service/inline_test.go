@@ -110,9 +110,6 @@ func (l *loopRef) typeOf(tenant string, k Kind) *taskrt.TaskType {
 	tt := l.rt.RegisterType(taskrt.TypeConfig{Name: name, Memoize: k.Memoize, Run: func(t *taskrt.Task) {
 		k.Fn(t.Float64s(0), t.Float64s(1))
 	}})
-	if k.Memoize {
-		l.memo.ChosenLevel(tt)
-	}
 	l.types[name] = tt
 	return tt
 }

@@ -85,9 +85,10 @@ type TypeConfig struct {
 
 // TaskType is a registered task type.
 type TaskType struct {
-	id  int
-	cfg TypeConfig
-	rt  *Runtime
+	id   int
+	cfg  TypeConfig
+	rt   *Runtime
+	memo any // what the memoizer's BindType made for the type
 }
 
 // ID returns the dense per-runtime type identifier.
@@ -98,6 +99,10 @@ func (tt *TaskType) Name() string { return tt.cfg.Name }
 
 // Config returns the type's configuration.
 func (tt *TaskType) Config() TypeConfig { return tt.cfg }
+
+// MemoType returns the memoizer's state for a Memoize type, made by its
+// TypeBinder at registration; nil otherwise.
+func (tt *TaskType) MemoType() any { return tt.memo }
 
 // The training parameters a type gets when its TypeConfig leaves them
 // zero.
@@ -310,6 +315,14 @@ type RuntimeBinder interface {
 // so every submitted task is observed.
 type BatchObserver interface {
 	OnBatchSubmitted(tasks []*Task)
+}
+
+// TypeBinder is optionally implemented by memoizers that keep state per
+// task type. RegisterType calls BindType for each Memoize type before
+// returning it, and the type carries the result (TaskType.MemoType), so
+// the memoizer reaches it from a task without a lookup.
+type TypeBinder interface {
+	BindType(tt *TaskType) any
 }
 
 // SchedPolicy selects the ready-queue discipline, mirroring the scheduler
@@ -672,12 +685,16 @@ func (rt *Runtime) Deterministic() bool { return rt.det != nil }
 // Tracer returns the runtime's tracer (possibly nil).
 func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
 
-// RegisterType registers a task type and returns it.
+// RegisterType registers a task type and returns it. A Memoize type is
+// bound to the memoizer first when it is a TypeBinder.
 func (rt *Runtime) RegisterType(cfg TypeConfig) *TaskType {
 	rt.typeMu.Lock()
 	defer rt.typeMu.Unlock()
 	tt := &TaskType{id: rt.nextType, cfg: cfg, rt: rt}
 	rt.nextType++
+	if b, ok := rt.memo.(TypeBinder); ok && cfg.Memoize {
+		tt.memo = b.BindType(tt)
+	}
 	return tt
 }
 

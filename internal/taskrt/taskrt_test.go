@@ -518,3 +518,31 @@ func TestLIFOPreservesDependences(t *testing.T) {
 		t.Fatalf("LIFO broke the WAW chain: %d", a.Data[0])
 	}
 }
+
+// typeBindingMemoizer is a Memoizer that is also a TypeBinder.
+type typeBindingMemoizer struct {
+	recordingMemoizer
+	bound []string
+}
+
+func (m *typeBindingMemoizer) BindType(tt *TaskType) any {
+	m.bound = append(m.bound, tt.Name())
+	return len(m.bound)
+}
+
+// TestRegisterTypeBindsMemoizeTypes: RegisterType asks a TypeBinder
+// memoizer for each Memoize type's state, before returning the type,
+// and the type carries it; a plain type is not bound.
+func TestRegisterTypeBindsMemoizeTypes(t *testing.T) {
+	m := &typeBindingMemoizer{}
+	rt := New(Config{Workers: 1, Memoizer: m})
+	defer rt.Close()
+	memo := rt.RegisterType(TypeConfig{Name: "memo", Memoize: true, Run: func(*Task) {}})
+	plain := rt.RegisterType(TypeConfig{Name: "plain", Run: func(*Task) {}})
+	if len(m.bound) != 1 || m.bound[0] != "memo" {
+		t.Fatalf("BindType saw %v, want only the Memoize type", m.bound)
+	}
+	if memo.MemoType() != 1 || plain.MemoType() != nil {
+		t.Fatalf("MemoType: memo %v, plain %v; want 1 and nil", memo.MemoType(), plain.MemoType())
+	}
+}
