@@ -393,3 +393,25 @@ func TestDisableDeltaTrackingReleasesLog(t *testing.T) {
 		t.Fatalf("inserts after disable must not be logged, found %d", len(got))
 	}
 }
+
+// TestSnapshotDeltaRejectsDuplicateTypeNames: a delta never holds two
+// type rows of one name. A repeated registration of a name shares its
+// type, so the delta has one row for it, with both registrations'
+// entries; a registration with other training parameters is rejected,
+// by a panic, and adds no row.
+func TestSnapshotDeltaRejectsDuplicateTypeNames(t *testing.T) {
+	memo := New(Config{Mode: ModeStatic})
+	memo.EnableDeltaTracking()
+	rt := registerSameTwice(t, memo)
+	defer rt.Close()
+	if !panics(func() { rt.RegisterType(taskrt.TypeConfig{Name: "same", Memoize: true, TauMax: 0.05, Run: doubler}) }) {
+		t.Fatal("a registration of same with other training parameters was not rejected")
+	}
+	d, err := memo.SnapshotDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Types) != 1 || d.Types[0].Name != "same" || len(d.Entries) != 2 {
+		t.Fatalf("delta: %d type rows and %d entries, want one row for same and 2 entries", len(d.Types), len(d.Entries))
+	}
+}

@@ -113,6 +113,27 @@ func TestSnapshotRestoreIndependentOfRegistrationOrder(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsDuplicateTypeNames: snapshot sections are keyed by
+// name, so a snapshot never holds two sections of one name. A repeated
+// registration of a name shares its type, and its entries save in the
+// one section; a registration of the name with other training
+// parameters is rejected, by a panic, and adds no section.
+func TestSnapshotRejectsDuplicateTypeNames(t *testing.T) {
+	memo := New(Config{Mode: ModeStatic})
+	rt := registerSameTwice(t, memo)
+	defer rt.Close()
+	if !panics(func() { rt.RegisterType(taskrt.TypeConfig{Name: "same", Memoize: true, LTraining: 3, Run: doubler}) }) {
+		t.Fatal("a registration of same with other training parameters was not rejected")
+	}
+	snap, err := memo.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Types) != 1 || snap.Types[0].Name != "same" || len(snap.Types[0].Entries) != 2 {
+		t.Fatalf("snapshot: %d sections, want one for same holding 2 entries: %+v", len(snap.Types), snap.Types)
+	}
+}
+
 func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	memo := New(Config{Mode: ModeStatic, Seed: 1})
 	snap, err := memo.Snapshot()

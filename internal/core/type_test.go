@@ -123,43 +123,41 @@ func TestNewTypeSharesRuntimeType(t *testing.T) {
 	}
 }
 
-// TestTypeRegistrationByName: a name has one type per engine. A
-// repeated registration with the same τmax and L_training shares it,
-// so a save holds one section for it; one with different parameters
-// panics, at RegisterType and at NewType (which takes the defaults).
-func TestTypeRegistrationByName(t *testing.T) {
-	panics := func(f func()) (p bool) {
-		defer func() { p = recover() != nil }()
-		f()
-		return false
-	}
-	memo := New(Config{Mode: ModeStatic})
-	memo.EnableDeltaTracking()
+// panics reports whether f panics.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// registerSameTwice registers "same" twice on a runtime bound to memo,
+// runs one task through each registration and waits. Both
+// registrations share one type, which it checks.
+func registerSameTwice(t *testing.T, memo *ATM) *taskrt.Runtime {
+	t.Helper()
 	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
-	defer rt.Close()
 	cfg := taskrt.TypeConfig{Name: "same", Memoize: true, Run: doubler}
 	t1, t2 := rt.RegisterType(cfg), rt.RegisterType(cfg)
-	if t1.MemoType() != t2.MemoType() || t1.MemoType() != memo.NewType("same") {
-		t.Fatal("one name made more than one type")
+	if t1.MemoType() != t2.MemoType() {
+		t.Fatal("two registrations of one name made two types")
 	}
 	rt.Submit(t1, taskrt.In(mkInput(1)), taskrt.Out(region.NewFloat64(16)))
 	rt.Submit(t2, taskrt.In(mkInput(2)), taskrt.Out(region.NewFloat64(16)))
 	rt.Wait()
-	d, err := memo.SnapshotDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Types) != 1 || len(d.Entries) != 2 {
-		t.Fatalf("delta: %d type rows and %d entries, want 1 and 2", len(d.Types), len(d.Entries))
-	}
-	snap, err := memo.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Types) != 1 || len(snap.Types[0].Entries) != 2 {
-		t.Fatalf("snapshot: %d sections, want 1 holding 2 entries: %+v", len(snap.Types), snap.Types)
-	}
+	return rt
+}
 
+// TestTypeRegistrationByName: a name has one type per engine. A
+// repeated registration with the same τmax and L_training shares it;
+// one with different parameters panics, at RegisterType and at NewType
+// (which takes the defaults).
+func TestTypeRegistrationByName(t *testing.T) {
+	memo := New(Config{Mode: ModeStatic})
+	rt := registerSameTwice(t, memo)
+	defer rt.Close()
+	if rt.RegisterType(taskrt.TypeConfig{Name: "same", Memoize: true, Run: doubler}).MemoType() != memo.NewType("same") {
+		t.Fatal("NewType(same) after RegisterType(same) made a second type")
+	}
 	for _, c := range []struct {
 		name string
 		f    func()
