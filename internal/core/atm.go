@@ -566,17 +566,8 @@ func (a *ATM) hashIns(ts *Type, ins []region.Region, level int, h hashx.Hasher) 
 		}
 		return h.Sum64()
 	}
-	plan := a.planFor(ts, sig, ins)
-	runs := plan.SegmentedRuns(level)
-	for i, offsets := range plan.Segmented(level) {
-		if len(offsets) == 0 {
-			continue
-		}
-		if runs[i] != nil {
-			ins[i].HashSampleRuns(runs[i], h)
-		} else {
-			ins[i].HashSample(offsets, h)
-		}
+	for i, s := range a.planFor(ts, sig, ins).Segmented(level) {
+		region.HashSelected(ins[i], s.Top, s.Offs, h)
 	}
 	return h.Sum64()
 }

@@ -23,9 +23,7 @@ import "fmt"
 //
 // The word and slice methods append the little-endian bytes of their
 // arguments to the hash stream: any mix of calls that produces the same
-// logical byte stream produces the same Sum64. Hasher also satisfies
-// region.WordSink and the optional bulk-sink capabilities region's
-// p = 100% fast path detects.
+// logical byte stream produces the same Sum64.
 type Hasher interface {
 	// Reset restores the hasher to its initial (empty) state under the
 	// current seed.
@@ -52,6 +50,16 @@ type Hasher interface {
 	WriteInt32s(d []int32)
 	// WriteBytes adds p byte-for-byte.
 	WriteBytes(p []byte)
+	// WriteFloat64sTop adds, element by element, the k most significant
+	// bytes (k = 1, 2 or 4) of each element's little-endian IEEE-754
+	// encoding: the stream of a sampled key that selects the top k bytes
+	// of every element (type-aware selection at p = k/8).
+	WriteFloat64sTop(d []float64, k int)
+	// WriteFloat32sTop is WriteFloat64sTop for float32 elements
+	// (k = 1 or 2).
+	WriteFloat32sTop(d []float32, k int)
+	// WriteInt32sTop is WriteFloat64sTop for int32 elements (k = 1 or 2).
+	WriteInt32sTop(d []int32, k int)
 	// Sum64 finalizes and returns the 64-bit hash of everything written
 	// so far without consuming the hasher's state.
 	Sum64() uint64

@@ -10,7 +10,7 @@ import (
 // the given element schedule, exercising every Hasher write method.
 func writeStream(h Hasher, rng *rand.Rand, ops int) {
 	for i := 0; i < ops; i++ {
-		switch rng.Intn(8) {
+		switch rng.Intn(11) {
 		case 0:
 			_ = h.WriteByte(byte(rng.Uint32()))
 		case 1:
@@ -41,6 +41,24 @@ func writeStream(h Hasher, rng *rand.Rand, ops int) {
 			p := make([]byte, rng.Intn(200))
 			rng.Read(p)
 			h.WriteBytes(p)
+		case 8:
+			d := make([]float64, rng.Intn(40))
+			for j := range d {
+				d[j] = rng.NormFloat64()
+			}
+			h.WriteFloat64sTop(d, 1<<rng.Intn(3))
+		case 9:
+			d := make([]float32, rng.Intn(70))
+			for j := range d {
+				d[j] = float32(rng.NormFloat64())
+			}
+			h.WriteFloat32sTop(d, 1+rng.Intn(2))
+		case 10:
+			d := make([]int32, rng.Intn(70))
+			for j := range d {
+				d[j] = rng.Int31() - 1<<30
+			}
+			h.WriteInt32sTop(d, 1+rng.Intn(2))
 		}
 	}
 }

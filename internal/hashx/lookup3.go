@@ -1,6 +1,9 @@
 package hashx
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // lookup3State is Bob Jenkins' lookup3 block function run as a stream:
 // the paper (§III-B) keys tasks with "a hash key generator [Jenkins],
@@ -20,28 +23,27 @@ type lookup3State struct {
 	seed    uint64
 }
 
-// rot rotates x left by k bits.
-func rot(x uint32, k uint) uint32 { return x<<k | x>>(32-k) }
-
-// mix mixes three 32-bit values reversibly (lookup3 mix()).
+// mix mixes three 32-bit values reversibly (lookup3 mix()). Written with
+// bits.RotateLeft32 it stays within the inliner's budget, so the block
+// loops keep their state in registers across blocks.
 func mix(a, b, c uint32) (uint32, uint32, uint32) {
 	a -= c
-	a ^= rot(c, 4)
+	a ^= bits.RotateLeft32(c, 4)
 	c += b
 	b -= a
-	b ^= rot(a, 6)
+	b ^= bits.RotateLeft32(a, 6)
 	a += c
 	c -= b
-	c ^= rot(b, 8)
+	c ^= bits.RotateLeft32(b, 8)
 	b += a
 	a -= c
-	a ^= rot(c, 16)
+	a ^= bits.RotateLeft32(c, 16)
 	c += b
 	b -= a
-	b ^= rot(a, 19)
+	b ^= bits.RotateLeft32(a, 19)
 	a += c
 	c -= b
-	c ^= rot(b, 4)
+	c ^= bits.RotateLeft32(b, 4)
 	b += a
 	return a, b, c
 }
@@ -49,19 +51,19 @@ func mix(a, b, c uint32) (uint32, uint32, uint32) {
 // final forces all bits of c to avalanche (lookup3 final()).
 func final(a, b, c uint32) (uint32, uint32, uint32) {
 	c ^= b
-	c -= rot(b, 14)
+	c -= bits.RotateLeft32(b, 14)
 	a ^= c
-	a -= rot(c, 11)
+	a -= bits.RotateLeft32(c, 11)
 	b ^= a
-	b -= rot(a, 25)
+	b -= bits.RotateLeft32(a, 25)
 	c ^= b
-	c -= rot(b, 16)
+	c -= bits.RotateLeft32(b, 16)
 	a ^= c
-	a -= rot(c, 4)
+	a -= bits.RotateLeft32(c, 4)
 	b ^= a
-	b -= rot(a, 14)
+	b -= bits.RotateLeft32(a, 14)
 	c ^= b
-	c -= rot(b, 24)
+	c -= bits.RotateLeft32(b, 24)
 	return a, b, c
 }
 
@@ -97,9 +99,8 @@ func (s *lookup3State) WriteByte(x byte) error {
 	return nil
 }
 
-// WriteUint16 implements Hasher. It serves the sampled-hash path's short
-// contiguous offset runs (type-aware MSB selection on 4-byte elements
-// produces byte pairs at p = 50%).
+// WriteUint16 implements Hasher. It serves the top-byte writes' 2-byte
+// units while the buffer is part-filled.
 func (s *lookup3State) WriteUint16(u uint16) {
 	if s.n <= 10 {
 		s.buf[s.n] = byte(u)
@@ -254,6 +255,122 @@ func (s *lookup3State) WriteBytes(p []byte) {
 	s.a, s.b, s.c = a, b, c
 	for ; i < len(p); i++ {
 		_ = s.WriteByte(p[i])
+	}
+}
+
+// The top-byte writes serve sampled keys whose selection is the top k
+// bytes of every element. Each element contributes the top k bytes of its
+// high 32-bit word (hi), so 12/k elements fill one block, packed by top1
+// or top2 and folded straight into the running state, as the bulk writes
+// do; writeTop adds one element's bytes while the buffer is part-filled.
+
+// WriteFloat64sTop implements Hasher.
+func (s *lookup3State) WriteFloat64sTop(d []float64, k int) {
+	hi := func(v float64) uint32 { return uint32(math.Float64bits(v) >> 32) }
+	i := 0
+	for ; i < len(d) && s.n != 0; i++ {
+		s.writeTop(hi(d[i]), k)
+	}
+	i0, a, b, c := i, s.a, s.b, s.c
+	switch k {
+	case 1:
+		for ; i+12 <= len(d); i += 12 {
+			e := d[i : i+12 : i+12]
+			a, b, c = mix(a+top1(hi(e[0]), hi(e[1]), hi(e[2]), hi(e[3])),
+				b+top1(hi(e[4]), hi(e[5]), hi(e[6]), hi(e[7])),
+				c+top1(hi(e[8]), hi(e[9]), hi(e[10]), hi(e[11])))
+		}
+	case 2:
+		for ; i+6 <= len(d); i += 6 {
+			e := d[i : i+6 : i+6]
+			a, b, c = mix(a+top2(hi(e[0]), hi(e[1])), b+top2(hi(e[2]), hi(e[3])), c+top2(hi(e[4]), hi(e[5])))
+		}
+	case 4:
+		for ; i+3 <= len(d); i += 3 {
+			e := d[i : i+3 : i+3]
+			a, b, c = mix(a+hi(e[0]), b+hi(e[1]), c+hi(e[2]))
+		}
+	}
+	s.a, s.b, s.c = a, b, c
+	s.total += (i - i0) * k
+	for ; i < len(d); i++ {
+		s.writeTop(hi(d[i]), k)
+	}
+}
+
+// WriteFloat32sTop implements Hasher.
+func (s *lookup3State) WriteFloat32sTop(d []float32, k int) {
+	i := 0
+	for ; i < len(d) && s.n != 0; i++ {
+		s.writeTop(math.Float32bits(d[i]), k)
+	}
+	i0, a, b, c := i, s.a, s.b, s.c
+	if k == 1 {
+		for ; i+12 <= len(d); i += 12 {
+			e := d[i : i+12 : i+12]
+			a, b, c = mix(a+top1(math.Float32bits(e[0]), math.Float32bits(e[1]), math.Float32bits(e[2]), math.Float32bits(e[3])),
+				b+top1(math.Float32bits(e[4]), math.Float32bits(e[5]), math.Float32bits(e[6]), math.Float32bits(e[7])),
+				c+top1(math.Float32bits(e[8]), math.Float32bits(e[9]), math.Float32bits(e[10]), math.Float32bits(e[11])))
+		}
+	} else {
+		for ; i+6 <= len(d); i += 6 {
+			e := d[i : i+6 : i+6]
+			a, b, c = mix(a+top2(math.Float32bits(e[0]), math.Float32bits(e[1])),
+				b+top2(math.Float32bits(e[2]), math.Float32bits(e[3])),
+				c+top2(math.Float32bits(e[4]), math.Float32bits(e[5])))
+		}
+	}
+	s.a, s.b, s.c = a, b, c
+	s.total += (i - i0) * k
+	for ; i < len(d); i++ {
+		s.writeTop(math.Float32bits(d[i]), k)
+	}
+}
+
+// WriteInt32sTop implements Hasher.
+func (s *lookup3State) WriteInt32sTop(d []int32, k int) {
+	i := 0
+	for ; i < len(d) && s.n != 0; i++ {
+		s.writeTop(uint32(d[i]), k)
+	}
+	i0, a, b, c := i, s.a, s.b, s.c
+	if k == 1 {
+		for ; i+12 <= len(d); i += 12 {
+			e := d[i : i+12 : i+12]
+			a, b, c = mix(a+top1(uint32(e[0]), uint32(e[1]), uint32(e[2]), uint32(e[3])),
+				b+top1(uint32(e[4]), uint32(e[5]), uint32(e[6]), uint32(e[7])),
+				c+top1(uint32(e[8]), uint32(e[9]), uint32(e[10]), uint32(e[11])))
+		}
+	} else {
+		for ; i+6 <= len(d); i += 6 {
+			e := d[i : i+6 : i+6]
+			a, b, c = mix(a+top2(uint32(e[0]), uint32(e[1])), b+top2(uint32(e[2]), uint32(e[3])), c+top2(uint32(e[4]), uint32(e[5])))
+		}
+	}
+	s.a, s.b, s.c = a, b, c
+	s.total += (i - i0) * k
+	for ; i < len(d); i++ {
+		s.writeTop(uint32(d[i]), k)
+	}
+}
+
+// top1 packs the top bytes of four words, w0's lowest.
+func top1(w0, w1, w2, w3 uint32) uint32 {
+	return w0>>24 | w1>>24<<8 | w2>>24<<16 | w3&0xff000000
+}
+
+// top2 packs the top two bytes of two words, w0's lowest.
+func top2(w0, w1 uint32) uint32 { return w0>>16 | w1&0xffff0000 }
+
+// writeTop adds the top k bytes of w (k = 1, 2 or 4).
+func (s *lookup3State) writeTop(w uint32, k int) {
+	switch k {
+	case 1:
+		_ = s.WriteByte(byte(w >> 24))
+	case 2:
+		s.WriteUint16(uint16(w >> 16))
+	default:
+		s.WriteUint32(w)
 	}
 }
 

@@ -63,6 +63,24 @@ func (l *byteLog) WriteInt32s(d []int32) {
 	}
 }
 
+func (l *byteLog) WriteFloat64sTop(d []float64, k int) {
+	for _, v := range d {
+		*l = append(*l, binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))[8-k:]...)
+	}
+}
+
+func (l *byteLog) WriteFloat32sTop(d []float32, k int) {
+	for _, v := range d {
+		*l = append(*l, binary.LittleEndian.AppendUint32(nil, math.Float32bits(v))[4-k:]...)
+	}
+}
+
+func (l *byteLog) WriteInt32sTop(d []int32, k int) {
+	for _, v := range d {
+		*l = append(*l, binary.LittleEndian.AppendUint32(nil, uint32(v))[4-k:]...)
+	}
+}
+
 // TestLookup3MatchesJenkins pins the hasher to Jenkins' lookup3
 // rounds in their streaming form (lookup3Ref): a mixed stream through
 // every write method hashes as the one-shot reference does over the
@@ -125,6 +143,50 @@ func TestLookup3BulkWritesMatchElementwise(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLookup3TopWritesMatchBytes pins the top-byte writes: for every
+// element type, every k it takes and every buffer fill, they hash the
+// top k bytes of each element in the order WriteByte would get them.
+func TestLookup3TopWritesMatchBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d64, d32, i32 := make([]float64, 205), make([]float32, 205), make([]int32, 205)
+	for i := range d64 {
+		d64[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(80)-40)
+		d32[i] = float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-20))
+		i32[i] = int32(rng.Uint32())
+	}
+	for _, n := range []int{0, 1, 5, 6, 11, 12, 13, 37, 205} {
+		for align := 0; align < 12; align++ {
+			for _, k := range []int{1, 2, 4} {
+				check := func(kind string, write func(Hasher), want []byte) {
+					t.Helper()
+					fast, slow := New(Lookup3, 3), New(Lookup3, 3)
+					for i := 0; i < align; i++ {
+						_ = fast.WriteByte(byte(i))
+						_ = slow.WriteByte(byte(i))
+					}
+					write(fast)
+					slow.WriteBytes(want)
+					if fast.Sum64() != slow.Sum64() {
+						t.Fatalf("%s top %d, %d elements, align %d: digest differs from the byte stream", kind, k, n, align)
+					}
+				}
+				var log byteLog
+				log.WriteFloat64sTop(d64[:n], k)
+				check("float64", func(h Hasher) { h.WriteFloat64sTop(d64[:n], k) }, log)
+				if k == 4 {
+					continue // the whole 32-bit element: WriteFloat32s, WriteInt32s
+				}
+				log = nil
+				log.WriteFloat32sTop(d32[:n], k)
+				check("float32", func(h Hasher) { h.WriteFloat32sTop(d32[:n], k) }, log)
+				log = nil
+				log.WriteInt32sTop(i32[:n], k)
+				check("int32", func(h Hasher) { h.WriteInt32sTop(i32[:n], k) }, log)
+			}
+		}
 	}
 }
 

@@ -22,8 +22,11 @@
 package region
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+
+	"atm/internal/hashx"
 )
 
 // Kind identifies the element type stored in a region.
@@ -98,32 +101,14 @@ type Region interface {
 	// HashInto feeds every payload byte, in order, to sink. It is the
 	// p = 100% fallback path.
 	HashInto(sink func(b byte))
-	// HashWords feeds the payload to sink word-wise, producing the same
-	// little-endian byte stream as HashInto with far fewer calls. It is
-	// the p = 100% fast path.
-	HashWords(sink WordSink)
-	// HashSample feeds the bytes at the given ascending local byte
-	// offsets to sink: the sampled-hash (p < 100%) fast path.
-	HashSample(offsets []int32, sink WordSink)
-	// HashSampleRuns feeds the bytes described by runs — flattened
-	// (start, length) pairs of contiguous ascending byte offsets — to
-	// sink, emitting word-wide writes for long runs. Type-aware MSB
-	// selection produces such runs wholesale once p reaches the top
-	// byte-significance ranks (§III-C); the byte stream is identical to
-	// HashSample over the expanded offsets.
-	HashSampleRuns(runs []int32, sink WordSink)
+	// HashWords feeds the whole payload to h, producing the same
+	// little-endian byte stream as HashInto with one bulk write. It is
+	// the p = 100% key path.
+	HashWords(h hashx.Hasher)
 	// DepSlotHeader returns the region's dependence-state slot, where
 	// the task runtime keeps the region's dependence history. Embedding
 	// DepSlot provides it.
 	DepSlotHeader() *DepSlot
-}
-
-// WordSink consumes a little-endian byte stream word-by-word.
-// hashx.Hasher, the engine's key hasher, satisfies it.
-type WordSink interface {
-	WriteByte(b byte) error
-	WriteUint32(u uint32)
-	WriteUint64(u uint64)
 }
 
 // Float64 is a Region over []float64. The embedded DepSlot lets the task
@@ -387,206 +372,80 @@ func TotalBytes(regions []Region) int {
 	return n
 }
 
-// Optional sink capabilities. hashx.Hasher implements all of them (they
-// are part of its interface), so the key hash engages the bulk fast
-// paths; plainer sinks fall back to the element-wise word/byte calls.
-// Detecting them once per region call (instead of dispatching per
-// element) is what makes the p = 100% hash run at memory speed.
-type (
-	float64sSink interface{ WriteFloat64s([]float64) }
-	float32sSink interface{ WriteFloat32s([]float32) }
-	int32sSink   interface{ WriteInt32s([]int32) }
-	bytesSink    interface{ WriteBytes([]byte) }
-	uint16Sink   interface{ WriteUint16(uint16) }
-)
+// HashWords implements Region.
+func (r *Float64) HashWords(h hashx.Hasher) { h.WriteFloat64s(r.Data) }
 
 // HashWords implements Region.
-func (r *Float64) HashWords(sink WordSink) {
-	if s, ok := sink.(float64sSink); ok {
-		s.WriteFloat64s(r.Data)
-		return
-	}
-	for _, v := range r.Data {
-		sink.WriteUint64(math.Float64bits(v))
-	}
-}
+func (r *Float32) HashWords(h hashx.Hasher) { h.WriteFloat32s(r.Data) }
 
 // HashWords implements Region.
-func (r *Float32) HashWords(sink WordSink) {
-	if s, ok := sink.(float32sSink); ok {
-		s.WriteFloat32s(r.Data)
-		return
-	}
-	for _, v := range r.Data {
-		sink.WriteUint32(math.Float32bits(v))
-	}
-}
+func (r *Int32) HashWords(h hashx.Hasher) { h.WriteInt32s(r.Data) }
 
 // HashWords implements Region.
-func (r *Int32) HashWords(sink WordSink) {
-	if s, ok := sink.(int32sSink); ok {
-		s.WriteInt32s(r.Data)
+func (r *Bytes) HashWords(h hashx.Hasher) { h.WriteBytes(r.Data) }
+
+// HashSelected feeds h the bytes of r that a sampled key selects (§III-B,
+// §III-C): the top bytes of every element when top > 0, else the bytes at
+// the ascending local byte offsets offs; top equal to the element size is
+// the whole payload. The stream is the selected bytes in ascending offset
+// order, a block or more per hasher call: a top-byte selection through the
+// hasher's strided top-byte writes, any other gathered twelve bytes (one
+// lookup3 block) at a time into a word pair.
+func HashSelected(r Region, top int, offs []int32, h hashx.Hasher) {
+	if top == r.Kind().Size() {
+		r.HashWords(h)
 		return
 	}
-	for _, v := range r.Data {
-		sink.WriteUint32(uint32(v))
-	}
-}
-
-// HashWords implements Region.
-func (r *Bytes) HashWords(sink WordSink) {
-	if s, ok := sink.(bytesSink); ok {
-		s.WriteBytes(r.Data)
-		return
-	}
-	for _, v := range r.Data {
-		_ = sink.WriteByte(v)
-	}
-}
-
-// HashSample feeds the bytes at the given ascending local byte offsets to
-// sink: the sampled-hash (p < 100%) fast path. Contiguous offset runs —
-// which type-aware MSB-first selection produces wholesale once p reaches
-// 25% on 4-byte elements (and 12.5% on 8-byte ones) — are detected and
-// emitted as 2/4/8-byte word writes instead of per-byte calls; the byte
-// stream is identical either way.
-
-// HashSample implements Region.
-func (r *Float64) HashSample(offsets []int32, sink WordSink) {
-	for _, off := range offsets {
-		u := math.Float64bits(r.Data[off>>3])
-		_ = sink.WriteByte(byte(u >> (8 * uint(off&7))))
-	}
-}
-
-// HashSample implements Region.
-func (r *Float32) HashSample(offsets []int32, sink WordSink) {
-	for _, off := range offsets {
-		u := math.Float32bits(r.Data[off>>2])
-		_ = sink.WriteByte(byte(u >> (8 * uint(off&3))))
-	}
-}
-
-// HashSample implements Region.
-func (r *Int32) HashSample(offsets []int32, sink WordSink) {
-	for _, off := range offsets {
-		u := uint32(r.Data[off>>2])
-		_ = sink.WriteByte(byte(u >> (8 * uint(off&3))))
-	}
-}
-
-// HashSample implements Region.
-func (r *Bytes) HashSample(offsets []int32, sink WordSink) {
-	for _, off := range offsets {
-		_ = sink.WriteByte(r.Data[off])
-	}
-}
-
-// HashSampleRuns implements Region.
-func (r *Float64) HashSampleRuns(runs []int32, sink WordSink) {
-	u16, has16 := sink.(uint16Sink)
-	d := r.Data
-	for k := 0; k+1 < len(runs); k += 2 {
-		o, run := runs[k], runs[k+1]
-		for run >= 8 {
-			u := math.Float64bits(d[o>>3]) >> (8 * uint(o&7))
-			if o&7 != 0 {
-				u |= math.Float64bits(d[o>>3+1]) << (64 - 8*uint(o&7))
+	if top > 0 {
+		switch r := r.(type) {
+		case *Float64:
+			h.WriteFloat64sTop(r.Data, top)
+		case *Float32:
+			h.WriteFloat32sTop(r.Data, top)
+		case *Int32:
+			h.WriteInt32sTop(r.Data, top)
+		default: // a Region of another package
+			for i, size := 0, r.Kind().Size(); i < r.NumBytes(); i++ {
+				if i%size >= size-top {
+					_ = h.WriteByte(r.ByteAt(i))
+				}
 			}
-			sink.WriteUint64(u)
-			o += 8
-			run -= 8
 		}
-		if run >= 4 {
-			u := math.Float64bits(d[o>>3]) >> (8 * uint(o&7))
-			if o&7 > 4 {
-				u |= math.Float64bits(d[o>>3+1]) << (64 - 8*uint(o&7))
-			}
-			sink.WriteUint32(uint32(u))
-			o += 4
-			run -= 4
-		}
-		if run >= 2 && has16 {
-			u := uint16(byte(math.Float64bits(d[o>>3])>>(8*uint(o&7)))) |
-				uint16(byte(math.Float64bits(d[(o+1)>>3])>>(8*uint((o+1)&7))))<<8
-			u16.WriteUint16(u)
-			o += 2
-			run -= 2
-		}
-		for ; run > 0; run-- {
-			_ = sink.WriteByte(byte(math.Float64bits(d[o>>3]) >> (8 * uint(o&7))))
-			o++
-		}
+		return
 	}
-}
-
-// HashSampleRuns implements Region.
-func (r *Float32) HashSampleRuns(runs []int32, sink WordSink) {
-	hashSampleRuns4(runs, sink, r.Data, func(e int32) uint32 { return math.Float32bits(r.Data[e]) })
-}
-
-// HashSampleRuns implements Region.
-func (r *Int32) HashSampleRuns(runs []int32, sink WordSink) {
-	hashSampleRuns4(runs, sink, r.Data, func(e int32) uint32 { return uint32(r.Data[e]) })
-}
-
-// hashSampleRuns4 is the shared run emitter for 4-byte-element regions.
-// The bits closure is only reached on run boundaries, so its call cost is
-// amortized over whole words; data is passed solely to pin the slice for
-// bounds-check elimination.
-func hashSampleRuns4[T any](runs []int32, sink WordSink, _ []T, bits func(int32) uint32) {
-	u16, has16 := sink.(uint16Sink)
-	for k := 0; k+1 < len(runs); k += 2 {
-		o, run := runs[k], runs[k+1]
-		for run >= 4 {
-			u := bits(o>>2) >> (8 * uint(o&3))
-			if o&3 != 0 {
-				u |= bits(o>>2+1) << (32 - 8*uint(o&3))
+	var b [12]byte
+	for len(offs) > 0 {
+		n := min(len(offs), len(b))
+		switch r := r.(type) {
+		case *Float64:
+			for i, o := range offs[:n] {
+				b[i] = byte(math.Float64bits(r.Data[o>>3]) >> (8 * uint(o&7)))
 			}
-			sink.WriteUint32(u)
-			o += 4
-			run -= 4
+		case *Float32:
+			for i, o := range offs[:n] {
+				b[i] = byte(math.Float32bits(r.Data[o>>2]) >> (8 * uint(o&3)))
+			}
+		case *Int32:
+			for i, o := range offs[:n] {
+				b[i] = byte(uint32(r.Data[o>>2]) >> (8 * uint(o&3)))
+			}
+		case *Bytes:
+			for i, o := range offs[:n] {
+				b[i] = r.Data[o]
+			}
+		default:
+			for i, o := range offs[:n] {
+				b[i] = r.ByteAt(int(o))
+			}
 		}
-		if run >= 2 && has16 {
-			u := uint16(byte(bits(o>>2)>>(8*uint(o&3)))) |
-				uint16(byte(bits((o+1)>>2)>>(8*uint((o+1)&3))))<<8
-			u16.WriteUint16(u)
-			o += 2
-			run -= 2
+		if n == len(b) {
+			h.WriteUint64(binary.LittleEndian.Uint64(b[:8]))
+			h.WriteUint32(binary.LittleEndian.Uint32(b[8:]))
+		} else {
+			for _, x := range b[:n] {
+				_ = h.WriteByte(x)
+			}
 		}
-		for ; run > 0; run-- {
-			_ = sink.WriteByte(byte(bits(o>>2) >> (8 * uint(o&3))))
-			o++
-		}
-	}
-}
-
-// HashSampleRuns implements Region.
-func (r *Bytes) HashSampleRuns(runs []int32, sink WordSink) {
-	u16, has16 := sink.(uint16Sink)
-	d := r.Data
-	for k := 0; k+1 < len(runs); k += 2 {
-		o, run := runs[k], runs[k+1]
-		for run >= 8 {
-			sink.WriteUint64(uint64(d[o]) | uint64(d[o+1])<<8 | uint64(d[o+2])<<16 |
-				uint64(d[o+3])<<24 | uint64(d[o+4])<<32 | uint64(d[o+5])<<40 |
-				uint64(d[o+6])<<48 | uint64(d[o+7])<<56)
-			o += 8
-			run -= 8
-		}
-		if run >= 4 {
-			sink.WriteUint32(uint32(d[o]) | uint32(d[o+1])<<8 | uint32(d[o+2])<<16 | uint32(d[o+3])<<24)
-			o += 4
-			run -= 4
-		}
-		if run >= 2 && has16 {
-			u16.WriteUint16(uint16(d[o]) | uint16(d[o+1])<<8)
-			o += 2
-			run -= 2
-		}
-		for ; run > 0; run-- {
-			_ = sink.WriteByte(d[o])
-			o++
-		}
+		offs = offs[n:]
 	}
 }

@@ -171,21 +171,32 @@ func (l Layout) segIndex(global int) int {
 // Plan is a cached shuffled index vector for one input layout. The first
 // ceil(N*p) entries of Order are the bytes sampled at percentage p.
 //
-// Plans also cache, per discrete p level, the selected indexes re-sorted
-// and split per input segment: hashing a fixed byte set in ascending
-// segment order is equivalent to hashing it in shuffle order (the set is
-// what matters) and lets regions stream their sampled bytes without
-// per-byte dispatch. Each level's table is built once on first use and
-// published through an atomic pointer, so the hot hash path reads it
-// lock-free (one atomic load + array index) and levels that are never
-// sampled — notably level 15, which hashes whole regions — cost nothing.
+// Plans also cache, per discrete p level, the selection split per input
+// segment (Segmented): hashing a fixed byte set in ascending segment order
+// is equivalent to hashing it in shuffle order (the set is what matters)
+// and lets regions stream their sampled bytes a block at a time. Each
+// level's table is built once on first use and published through an
+// atomic pointer, so the hot hash path reads it lock-free (one atomic load
+// + array index) and levels that are never sampled — notably level 15,
+// which hashes whole regions — cost nothing.
 type Plan struct {
 	order  []int32
 	layout Layout
 
 	buildMu   sync.Mutex
-	segmented [MaxPLevel + 1]atomic.Pointer[[][]int32] // level -> per-segment sorted local offsets
-	segRuns   [MaxPLevel + 1]atomic.Pointer[[][]int32] // level -> per-segment (start, len) run pairs
+	segmented [MaxPLevel + 1]atomic.Pointer[[]Seg]
+}
+
+// Seg is one input segment's share of a level's selection. When the
+// selection is the top Top bytes of every element of the segment — what
+// type-aware selection makes wherever its significance groups fill
+// exactly, as at levels 12–14 on float64 and 13–14 on float32 and int32 —
+// Top records that and Offs is nil; Top equal to the element size is the
+// whole segment. Otherwise Top is 0 and Offs holds the selected local byte
+// offsets, ascending.
+type Seg struct {
+	Top  int
+	Offs []int32
 }
 
 // NewPlan builds the shuffle plan for the layout. When typeAware is true
@@ -260,90 +271,62 @@ func (p *Plan) Select(frac float64) []int32 {
 // Order exposes the full shuffled index vector (for tests).
 func (p *Plan) Order() []int32 { return p.order }
 
-// Segmented returns, for each input segment of the plan's layout, the
-// sorted local byte offsets selected at the given p level. The result is
-// built once per level, published atomically, and must not be modified;
+// Segmented returns, for each input segment of the plan's layout, its
+// share of the selection at the given p level. The result is built once
+// per level, published atomically, and must not be modified;
 // steady-state lookups are lock-free (one atomic load plus an index),
 // safe for any number of concurrent readers. Hashing these per-segment
 // byte streams (segments in order) is the fast equivalent of hashing
 // Select(PFromLevel(level)) in shuffle order.
-func (p *Plan) Segmented(level int) [][]int32 {
-	if level < MinPLevel {
-		level = MinPLevel
-	}
-	if level > MaxPLevel {
-		level = MaxPLevel
-	}
+func (p *Plan) Segmented(level int) []Seg {
+	level = min(max(level, MinPLevel), MaxPLevel)
 	if s := p.segmented[level].Load(); s != nil {
 		return *s
 	}
-	return p.buildSegmented(level)
-}
-
-func (p *Plan) buildSegmented(level int) [][]int32 {
 	p.buildMu.Lock()
 	defer p.buildMu.Unlock()
 	if s := p.segmented[level].Load(); s != nil {
 		return *s
 	}
-	sel := p.Select(PFromLevel(level))
-	segs := make([][]int32, len(p.layout.segs))
-	for _, g := range sel {
+	segs := make([]Seg, len(p.layout.segs))
+	for _, g := range p.Select(PFromLevel(level)) {
 		si := p.layout.segIndex(int(g))
-		segs[si] = append(segs[si], g-int32(p.layout.segs[si].start))
+		segs[si].Offs = append(segs[si].Offs, g-int32(p.layout.segs[si].start))
 	}
-	for _, s := range segs {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	for si := range segs {
+		offs := segs[si].Offs
+		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+		if top := p.layout.topBytes(si, offs); top > 0 {
+			segs[si] = Seg{Top: top}
+		}
 	}
 	p.segmented[level].Store(&segs)
 	return segs
 }
 
-// SegmentedRuns returns, aligned with Segmented(level), each segment's
-// selected offsets re-encoded as flattened (start, length) pairs of
-// contiguous runs — or nil for a segment whose selection is run-poor
-// (encoding it would not shrink the stream), which callers should hash
-// via plain HashSample instead. Built once per level and published
-// atomically; the result must not be modified.
-func (p *Plan) SegmentedRuns(level int) [][]int32 {
-	if level < MinPLevel {
-		level = MinPLevel
+// topBytes returns k when offs, a segment's selected local offsets in
+// ascending order, are the top k bytes of every element of segment si,
+// for k = 1, 2, 4 or 8 up to the element size; otherwise 0.
+func (l Layout) topBytes(si int, offs []int32) int {
+	size := l.segs[si].elemSize
+	end := l.total
+	if si+1 < len(l.segs) {
+		end = l.segs[si+1].start
 	}
-	if level > MaxPLevel {
-		level = MaxPLevel
+	elems := (end - l.segs[si].start) / size
+	if elems == 0 || len(offs)%elems != 0 {
+		return 0
 	}
-	if r := p.segRuns[level].Load(); r != nil {
-		return *r
+	k := len(offs) / elems
+	if k&(k-1) != 0 || k > size {
+		return 0
 	}
-	segs := p.Segmented(level)
-	p.buildMu.Lock()
-	defer p.buildMu.Unlock()
-	if r := p.segRuns[level].Load(); r != nil {
-		return *r
-	}
-	runs := make([][]int32, len(segs))
-	for si, offs := range segs {
-		if len(offs) == 0 {
-			continue
-		}
-		var enc []int32
-		for i := 0; i < len(offs); {
-			j := i + 1
-			for j < len(offs) && offs[j] == offs[j-1]+1 {
-				j++
-			}
-			enc = append(enc, offs[i], int32(j-i))
-			i = j
-		}
-		// Worth it only when runs actually compress the stream: an
-		// all-singletons encoding would double the metadata and slow the
-		// emitter down relative to the plain byte loop.
-		if len(enc) <= len(offs) {
-			runs[si] = enc
+	for _, o := range offs { // distinct, and as many as the top k bytes
+		if int(o)%size < size-k {
+			return 0
 		}
 	}
-	p.segRuns[level].Store(&runs)
-	return runs
+	return k
 }
 
 // Resolver maps global byte indexes of the concatenated view back to
