@@ -209,6 +209,12 @@ type Type struct {
 	// after addTypeLocked publishes the state.
 	seed   uint64
 	shards []typeShard // see typeShard
+	// entries recycles the type's evicted THT entries with their output
+	// buffers. A type's outputs keep one shape, as a rule, so memoize
+	// copies into a recycled entry's buffers in place; a pool that
+	// types of several shapes shared would mostly hand it another
+	// shape's, which it would drop and clone afresh.
+	entries sync.Pool
 
 	mu        sync.Mutex
 	successes int // consecutive correct approximations at this level
@@ -589,10 +595,11 @@ func outputShapesMatch(a, b []region.Region) bool {
 // of type typeID hashed to key at level, produced by provider. The
 // budget's admission runs first, on the key and the outputs' size, so a
 // task it rejects builds no entry and copies nothing; only an admitted
-// one takes a pooled entry (its buffers reused when the shapes match)
+// one takes an entry from the type's pool (its buffers reused when the
+// shapes match)
 // and copies its outputs in. provider outOfBandProvider asks for the
 // next of Serve's own ids, drawn only once the entry is admitted.
-func (a *ATM) memoize(typeID int, outs []region.Region, provider, key uint64, level int8) {
+func (a *ATM) memoize(ts *Type, outs []region.Region, provider, key uint64, level int8) {
 	size := entryBytes(outs)
 	if ok, _ := a.tht.admit(key, size); !ok {
 		return
@@ -600,7 +607,10 @@ func (a *ATM) memoize(typeID int, outs []region.Region, provider, key uint64, le
 	if provider == outOfBandProvider {
 		provider |= a.serveProviders.Add(1)
 	}
-	e := a.tht.GetEntry()
+	e, _ := ts.entries.Get().(*Entry)
+	if e == nil {
+		e = &Entry{}
+	}
 	if outputShapesMatch(e.Outs, outs) {
 		for i, o := range outs {
 			e.Outs[i].CopyFrom(o)
@@ -612,10 +622,11 @@ func (a *ATM) memoize(typeID int, outs []region.Region, provider, key uint64, le
 		}
 		e.Outs = cloned
 	}
-	e.TypeID = typeID
+	e.TypeID = ts.id
 	e.Key = key
 	e.Level = level
 	e.ProviderID = provider
+	e.pool = &ts.entries
 	a.tht.publish(e, size, true)
 }
 
@@ -696,7 +707,7 @@ func (a *ATM) finish(ts *Type, sh *typeShard, outs []region.Region, pred *Entry,
 	if tscale != 0 {
 		c0 = time.Now()
 	}
-	a.memoize(ts.id, outs, provider, key, level)
+	a.memoize(ts, outs, provider, key, level)
 	if tscale != 0 {
 		sh.copyNanos.Add(time.Since(c0).Nanoseconds() * tscale)
 	}

@@ -47,7 +47,7 @@ func TestSteadyHitPathZeroAlloc(t *testing.T) {
 
 // TestLowPHitPathZeroAlloc repeats the zero-allocation check on the
 // sampled (p < 100%) path, which additionally crosses the plan cache and
-// the run-encoded sampler.
+// the level's cached segment selection.
 func TestLowPHitPathZeroAlloc(t *testing.T) {
 	memo := New(Config{Mode: ModeFixed, FixedLevel: 13})
 	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
@@ -185,4 +185,34 @@ func TestLookupHoldsEvictedEntry(t *testing.T) {
 		}
 	}
 	t.Fatal("released evicted entry never reached the pool")
+}
+
+// TestAlternatingShapesReuseEntries pins the per-type entry pools: two
+// types whose outputs have different shapes insert in turn into a
+// bucket that holds two entries, so every insert replaces the oldest
+// entry and recycles it. Each insert must draw its own type's recycled
+// entry and copy into its buffers: no clone, no allocation, after
+// warm-up. A pool shared by both types hands each insert the other
+// type's entry.
+func TestAlternatingShapesReuseEntries(t *testing.T) {
+	a := New(Config{Mode: ModeStatic, M: 2})
+	small, large := a.NewType("small"), a.NewType("large")
+	outSmall := []region.Region{region.NewFloat64(16)}
+	outLarge := []region.Region{region.NewFloat64(40), region.NewInt32(3)}
+	key := uint64(0)
+	insert := func() {
+		key += 1 << 8 // every key in bucket 0
+		a.memoize(small, outSmall, 1, key, 15)
+		key += 1 << 8
+		a.memoize(large, outLarge, 1, key, 15)
+	}
+	for i := 0; i < 4; i++ {
+		insert()
+	}
+	if allocs := testing.AllocsPerRun(100, insert); allocs != 0 {
+		t.Fatalf("alternating two output shapes allocates %v per pair of inserts", allocs)
+	}
+	if n := a.tht.Entries(); n != 2 {
+		t.Fatalf("%d resident entries, want the bucket's 2", n)
+	}
 }

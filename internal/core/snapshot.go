@@ -447,6 +447,7 @@ func (a *ATM) installSection(ts *Type, sec *TypeSnapshot) bool {
 			Level:      es.Level,
 			ProviderID: es.Provider,
 			Outs:       es.Outs,
+			pool:       &ts.entries,
 		})))
 	}
 	return level == sec.Level

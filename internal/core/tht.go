@@ -23,15 +23,15 @@ type Entry struct {
 	Outs       []region.Region
 	bytes      int64
 	refs       atomic.Int32
-	pool       *sync.Pool // set by Insert; nil entries are never recycled
+	pool       *sync.Pool // where Release recycles it: its type's, or the table's
 }
 
 // retain marks an in-flight reader. Callers must pair it with Release.
 func (e *Entry) retain() { e.refs.Add(1) }
 
 // Release drops one reference. Once the table and every reader are done
-// with the entry it returns to the insert pool for buffer reuse. Safe on
-// a nil entry.
+// with the entry it returns to its pool for buffer reuse. Safe on a nil
+// entry.
 func (e *Entry) Release() {
 	if e == nil {
 		return
@@ -53,7 +53,7 @@ type THT struct {
 	mask    uint64
 	m       int
 	buckets []thtBucket
-	pool    sync.Pool // recycled *Entry values with dead output buffers
+	pool    sync.Pool // recycled entries published without a pool of their own
 
 	// Budget/eviction state, immutable after ConfigureBudget (called
 	// before the table is published): budget is the global payload cap
@@ -242,14 +242,24 @@ func (t *THT) noteLookup(key uint64, e *Entry) {
 	}
 }
 
-// GetEntry returns a recycled entry (with its previous output buffers
-// still attached, for CopyFrom reuse when the shapes match) or a fresh
-// one.
+// GetEntry returns a recycled entry of the table's own pool (with its
+// previous output buffers still attached, for CopyFrom reuse when the
+// shapes match) or a fresh one. The engine draws its entries from each
+// type's pool instead (ATM.memoize); the table's pool holds the entries
+// inserted without one.
 func (t *THT) GetEntry() *Entry {
 	if e, ok := t.pool.Get().(*Entry); ok && e != nil {
 		return e
 	}
 	return &Entry{}
+}
+
+// poolOf returns the pool e recycles into: its own, or the table's.
+func (t *THT) poolOf(e *Entry) *sync.Pool {
+	if e.pool != nil {
+		return e.pool
+	}
+	return &t.pool
 }
 
 // Insert adds e, evicting the bucket's oldest entry if it is full. The
@@ -276,7 +286,7 @@ func (t *THT) insert(e *Entry, logIt bool) (resident int) {
 			// Unreferenced, so never published: its buffers are free for
 			// reuse. A re-inserted entry the table or a reader still holds
 			// stays theirs.
-			t.pool.Put(e)
+			t.poolOf(e).Put(e)
 		}
 		return -evicted
 	}
@@ -313,7 +323,7 @@ func (t *THT) Admit(key uint64, size int64) bool {
 // oldest.
 func (t *THT) publish(e *Entry, size int64, logIt bool) int {
 	e.bytes = size
-	e.pool = &t.pool // set before publication: readers may Release anytime
+	e.pool = t.poolOf(e) // set before publication: readers may Release anytime
 	e.retain()       // the table's reference
 	var old *Entry
 	b := &t.buckets[e.Key&t.mask]
