@@ -185,9 +185,9 @@ func price(in []float64, out []float64, trials, steps int) {
 			nPay = 1
 		}
 		level := 0.0
-		df := 1.0
+		df, step := 1.0, math.Exp(-r/payFreq) // one period's discount
 		for k := 1; k <= nPay; k++ {
-			df *= math.Exp(-r / payFreq)
+			df *= step
 			level += df / payFreq
 		}
 		payoff := notional * level * (r - strike)
