@@ -215,6 +215,10 @@ type Type struct {
 	// types of several shapes shared would mostly hand it another
 	// shape's, which it would drop and clone afresh.
 	entries sync.Pool
+	// plans holds the type's shuffle plans by input-layout signature, an
+	// immutable map swapped copy-on-write under ATM.planMu; readers load
+	// it with one atomic pointer read.
+	plans atomic.Pointer[map[uint64]*sampling.Plan]
 
 	mu        sync.Mutex
 	successes int // consecutive correct approximations at this level
@@ -265,10 +269,8 @@ type ATM struct {
 	tht *THT
 	ikt *IKT
 
-	// plans is an immutable map swapped copy-on-write under planMu;
-	// readers load it with one atomic pointer read.
+	// planMu serializes the building of shuffle plans (Type.plans).
 	planMu sync.Mutex
-	plans  atomic.Pointer[map[planKey]*sampling.Plan]
 
 	// typeStates lists every type by its id, grown copy-on-write under
 	// typeMu; byName (guarded by typeMu) finds a type by its name. The
@@ -309,11 +311,6 @@ type ATM struct {
 	// metadata scan and its log drain: where traffic that races a save
 	// lands.
 	deltaScanned func()
-}
-
-type planKey struct {
-	typeID int
-	sig    uint64
 }
 
 var (
@@ -515,36 +512,33 @@ func typeSeed(name string) uint64 {
 	return h
 }
 
-// planFor returns the cached shuffle plan for a task's input layout,
-// building it on first use. The fast path is one atomic map load.
-// The plan cache is keyed by ts's dense id, but the shuffle itself is
-// seeded by its stable name hash (Type.seed) so plans reproduce across
-// processes.
+// planFor returns ts's cached shuffle plan for an input layout of
+// signature sig, building it on first use. The fast path is one atomic
+// map load. The shuffle is seeded by the type's stable name hash
+// (Type.seed) so plans reproduce across processes.
 func (a *ATM) planFor(ts *Type, sig uint64, ins []region.Region) *sampling.Plan {
-	pk := planKey{typeID: ts.id, sig: sig}
-	if m := a.plans.Load(); m != nil {
-		if p := (*m)[pk]; p != nil {
+	if m := ts.plans.Load(); m != nil {
+		if p := (*m)[sig]; p != nil {
 			return p
 		}
 	}
 	a.planMu.Lock()
 	defer a.planMu.Unlock()
-	var cur map[planKey]*sampling.Plan
-	if m := a.plans.Load(); m != nil {
+	var cur map[uint64]*sampling.Plan
+	if m := ts.plans.Load(); m != nil {
 		cur = *m
-		if p := cur[pk]; p != nil {
+		if p := cur[sig]; p != nil {
 			return p
 		}
 	}
-	layout := sampling.LayoutOf(ins)
-	seed := a.cfg.Seed ^ pk.sig ^ (ts.seed|1)*0x9e3779b97f4a7c15
-	p := sampling.NewPlan(layout, seed, !a.cfg.DisableTypeAware)
-	grown := make(map[planKey]*sampling.Plan, len(cur)+1)
+	seed := a.cfg.Seed ^ sig ^ (ts.seed|1)*0x9e3779b97f4a7c15
+	p := sampling.NewPlan(sampling.LayoutOf(ins), seed, !a.cfg.DisableTypeAware)
+	grown := make(map[uint64]*sampling.Plan, len(cur)+1)
 	for k, v := range cur {
 		grown[k] = v
 	}
-	grown[pk] = p
-	a.plans.Store(&grown)
+	grown[sig] = p
+	ts.plans.Store(&grown)
 	return p
 }
 

@@ -40,8 +40,7 @@ func TestOnBatchSubmittedWarmsEngineState(t *testing.T) {
 	} else if plain.MemoType() != nil {
 		t.Fatal("non-memoizable type must not get engine state")
 	}
-	pk := planKey{typeID: ts.id, sig: sampling.SignatureOf([]region.Region{in})}
-	if m := a.plans.Load(); m == nil || (*m)[pk] == nil {
+	if m := ts.plans.Load(); m == nil || (*m)[sampling.SignatureOf([]region.Region{in})] == nil {
 		t.Fatal("shuffle plan not pre-built for the batch's input layout")
 	}
 

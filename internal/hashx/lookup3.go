@@ -364,30 +364,20 @@ func top2(w0, w1 uint32) uint32 { return w0>>16 | w1&0xffff0000 }
 
 // writeTop adds the top k bytes of w (k = 1, 2 or 4).
 func (s *lookup3State) writeTop(w uint32, k int) {
-	switch k {
-	case 1:
-		_ = s.WriteByte(byte(w >> 24))
-	case 2:
-		s.WriteUint16(uint16(w >> 16))
-	default:
-		s.WriteUint32(w)
+	for j := 4 - k; j < 4; j++ {
+		s.buf[s.n] = byte(w >> (8 * j))
+		if s.n++; s.n == 12 {
+			s.flushFull()
+		}
 	}
+	s.total += k
 }
 
 // Sum64 implements Hasher. It folds the total length and the buffered
 // tail into a copy of the running state, so writes may continue.
 func (s *lookup3State) Sum64() uint64 {
-	a, b, c := s.a+uint32(s.total), s.b, s.c
-	for i := 0; i < s.n; i++ {
-		switch {
-		case i < 4:
-			a += uint32(s.buf[i]) << (8 * uint(i))
-		case i < 8:
-			b += uint32(s.buf[i]) << (8 * uint(i-4))
-		default:
-			c += uint32(s.buf[i]) << (8 * uint(i-8))
-		}
-	}
-	a, b, c = final(a, b, c)
+	var t [12]byte // zero padding adds nothing
+	copy(t[:], s.buf[:s.n])
+	_, b, c := final(s.a+uint32(s.total)+le32(t[0:4]), s.b+le32(t[4:8]), s.c+le32(t[8:12]))
 	return uint64(c) | uint64(b)<<32
 }
