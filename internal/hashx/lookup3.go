@@ -259,113 +259,115 @@ func (s *lookup3State) WriteBytes(p []byte) {
 }
 
 // The top-byte writes serve sampled keys whose selection is the top k
-// bytes of every element. Each element contributes the top k bytes of its
-// high 32-bit word (hi), so 12/k elements fill one block, packed by top1
-// or top2 and folded straight into the running state, as the bulk writes
-// do; writeTop adds one element's bytes while the buffer is part-filled.
+// bytes of every element. Each element is read as a w-bit word (w = 64
+// or 32), 12/k elements fill one block, packed by top1 or top2 and
+// folded straight into the running state, as the bulk writes do;
+// writeTop adds one element's bytes while the buffer is part-filled.
 
 // WriteFloat64sTop implements Hasher.
 func (s *lookup3State) WriteFloat64sTop(d []float64, k int) {
-	hi := func(v float64) uint32 { return uint32(math.Float64bits(v) >> 32) }
+	x := math.Float64bits
 	i := 0
 	for ; i < len(d) && s.n != 0; i++ {
-		s.writeTop(hi(d[i]), k)
+		s.writeTop(x(d[i]), 64, k)
 	}
 	i0, a, b, c := i, s.a, s.b, s.c
 	switch k {
 	case 1:
 		for ; i+12 <= len(d); i += 12 {
 			e := d[i : i+12 : i+12]
-			a, b, c = mix(a+top1(hi(e[0]), hi(e[1]), hi(e[2]), hi(e[3])),
-				b+top1(hi(e[4]), hi(e[5]), hi(e[6]), hi(e[7])),
-				c+top1(hi(e[8]), hi(e[9]), hi(e[10]), hi(e[11])))
+			a, b, c = mix(a+top1(x(e[0]), x(e[1]), x(e[2]), x(e[3]), 64),
+				b+top1(x(e[4]), x(e[5]), x(e[6]), x(e[7]), 64),
+				c+top1(x(e[8]), x(e[9]), x(e[10]), x(e[11]), 64))
 		}
 	case 2:
 		for ; i+6 <= len(d); i += 6 {
 			e := d[i : i+6 : i+6]
-			a, b, c = mix(a+top2(hi(e[0]), hi(e[1])), b+top2(hi(e[2]), hi(e[3])), c+top2(hi(e[4]), hi(e[5])))
+			a, b, c = mix(a+top2(x(e[0]), x(e[1]), 64), b+top2(x(e[2]), x(e[3]), 64), c+top2(x(e[4]), x(e[5]), 64))
 		}
 	case 4:
 		for ; i+3 <= len(d); i += 3 {
 			e := d[i : i+3 : i+3]
-			a, b, c = mix(a+hi(e[0]), b+hi(e[1]), c+hi(e[2]))
+			a, b, c = mix(a+uint32(x(e[0])>>32), b+uint32(x(e[1])>>32), c+uint32(x(e[2])>>32))
 		}
 	}
 	s.a, s.b, s.c = a, b, c
 	s.total += (i - i0) * k
 	for ; i < len(d); i++ {
-		s.writeTop(hi(d[i]), k)
+		s.writeTop(x(d[i]), 64, k)
 	}
 }
 
 // WriteFloat32sTop implements Hasher.
 func (s *lookup3State) WriteFloat32sTop(d []float32, k int) {
+	x := func(v float32) uint64 { return uint64(math.Float32bits(v)) }
 	i := 0
 	for ; i < len(d) && s.n != 0; i++ {
-		s.writeTop(math.Float32bits(d[i]), k)
+		s.writeTop(x(d[i]), 32, k)
 	}
 	i0, a, b, c := i, s.a, s.b, s.c
 	if k == 1 {
 		for ; i+12 <= len(d); i += 12 {
 			e := d[i : i+12 : i+12]
-			a, b, c = mix(a+top1(math.Float32bits(e[0]), math.Float32bits(e[1]), math.Float32bits(e[2]), math.Float32bits(e[3])),
-				b+top1(math.Float32bits(e[4]), math.Float32bits(e[5]), math.Float32bits(e[6]), math.Float32bits(e[7])),
-				c+top1(math.Float32bits(e[8]), math.Float32bits(e[9]), math.Float32bits(e[10]), math.Float32bits(e[11])))
+			a, b, c = mix(a+top1(x(e[0]), x(e[1]), x(e[2]), x(e[3]), 32),
+				b+top1(x(e[4]), x(e[5]), x(e[6]), x(e[7]), 32),
+				c+top1(x(e[8]), x(e[9]), x(e[10]), x(e[11]), 32))
 		}
 	} else {
 		for ; i+6 <= len(d); i += 6 {
 			e := d[i : i+6 : i+6]
-			a, b, c = mix(a+top2(math.Float32bits(e[0]), math.Float32bits(e[1])),
-				b+top2(math.Float32bits(e[2]), math.Float32bits(e[3])),
-				c+top2(math.Float32bits(e[4]), math.Float32bits(e[5])))
+			a, b, c = mix(a+top2(x(e[0]), x(e[1]), 32), b+top2(x(e[2]), x(e[3]), 32), c+top2(x(e[4]), x(e[5]), 32))
 		}
 	}
 	s.a, s.b, s.c = a, b, c
 	s.total += (i - i0) * k
 	for ; i < len(d); i++ {
-		s.writeTop(math.Float32bits(d[i]), k)
+		s.writeTop(x(d[i]), 32, k)
 	}
 }
 
 // WriteInt32sTop implements Hasher.
 func (s *lookup3State) WriteInt32sTop(d []int32, k int) {
+	x := func(v int32) uint64 { return uint64(uint32(v)) }
 	i := 0
 	for ; i < len(d) && s.n != 0; i++ {
-		s.writeTop(uint32(d[i]), k)
+		s.writeTop(x(d[i]), 32, k)
 	}
 	i0, a, b, c := i, s.a, s.b, s.c
 	if k == 1 {
 		for ; i+12 <= len(d); i += 12 {
 			e := d[i : i+12 : i+12]
-			a, b, c = mix(a+top1(uint32(e[0]), uint32(e[1]), uint32(e[2]), uint32(e[3])),
-				b+top1(uint32(e[4]), uint32(e[5]), uint32(e[6]), uint32(e[7])),
-				c+top1(uint32(e[8]), uint32(e[9]), uint32(e[10]), uint32(e[11])))
+			a, b, c = mix(a+top1(x(e[0]), x(e[1]), x(e[2]), x(e[3]), 32),
+				b+top1(x(e[4]), x(e[5]), x(e[6]), x(e[7]), 32),
+				c+top1(x(e[8]), x(e[9]), x(e[10]), x(e[11]), 32))
 		}
 	} else {
 		for ; i+6 <= len(d); i += 6 {
 			e := d[i : i+6 : i+6]
-			a, b, c = mix(a+top2(uint32(e[0]), uint32(e[1])), b+top2(uint32(e[2]), uint32(e[3])), c+top2(uint32(e[4]), uint32(e[5])))
+			a, b, c = mix(a+top2(x(e[0]), x(e[1]), 32), b+top2(x(e[2]), x(e[3]), 32), c+top2(x(e[4]), x(e[5]), 32))
 		}
 	}
 	s.a, s.b, s.c = a, b, c
 	s.total += (i - i0) * k
 	for ; i < len(d); i++ {
-		s.writeTop(uint32(d[i]), k)
+		s.writeTop(x(d[i]), 32, k)
 	}
 }
 
-// top1 packs the top bytes of four words, w0's lowest.
-func top1(w0, w1, w2, w3 uint32) uint32 {
-	return w0>>24 | w1>>24<<8 | w2>>24<<16 | w3&0xff000000
+// top1 packs the top bytes of four w-bit words, x0's lowest.
+func top1(x0, x1, x2, x3 uint64, w uint) uint32 {
+	return uint32(x0>>(w-8)) | uint32(x1>>(w-16))&0xff00 | uint32(x2>>(w-24))&0xff0000 | uint32(x3>>(w-32))&0xff000000
 }
 
-// top2 packs the top two bytes of two words, w0's lowest.
-func top2(w0, w1 uint32) uint32 { return w0>>16 | w1&0xffff0000 }
+// top2 packs the top two bytes of two w-bit words, x0's lowest.
+func top2(x0, x1 uint64, w uint) uint32 {
+	return uint32(x0>>(w-16)) | uint32(x1>>(w-32))&0xffff0000
+}
 
-// writeTop adds the top k bytes of w (k = 1, 2 or 4).
-func (s *lookup3State) writeTop(w uint32, k int) {
-	for j := 4 - k; j < 4; j++ {
-		s.buf[s.n] = byte(w >> (8 * j))
+// writeTop adds the top k bytes of the w-bit word x.
+func (s *lookup3State) writeTop(x uint64, w uint, k int) {
+	for j := w/8 - uint(k); j < w/8; j++ {
+		s.buf[s.n] = byte(x >> (8 * j))
 		if s.n++; s.n == 12 {
 			s.flushFull()
 		}
