@@ -324,7 +324,7 @@ func (t *THT) Admit(key uint64, size int64) bool {
 func (t *THT) publish(e *Entry, size int64, logIt bool) int {
 	e.bytes = size
 	e.pool = t.poolOf(e) // set before publication: readers may Release anytime
-	e.retain()       // the table's reference
+	e.retain()           // the table's reference
 	var old *Entry
 	b := &t.buckets[e.Key&t.mask]
 	b.mu.Lock()
