@@ -195,6 +195,9 @@ func TestLookupHoldsEvictedEntry(t *testing.T) {
 // warm-up. A pool shared by both types hands each insert the other
 // type's entry.
 func TestAlternatingShapesReuseEntries(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode drops sync.Pool puts at random; recycling is not assertable")
+	}
 	a := New(Config{Mode: ModeStatic, M: 2})
 	small, large := a.NewType("small"), a.NewType("large")
 	outSmall := []region.Region{region.NewFloat64(16)}

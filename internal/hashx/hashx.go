@@ -34,8 +34,6 @@ type Hasher interface {
 	// WriteByte adds one byte to the hash stream. It never fails (the
 	// error return matches io.ByteWriter).
 	WriteByte(b byte) error
-	// WriteUint16 adds u's 2 little-endian bytes.
-	WriteUint16(u uint16)
 	// WriteUint32 adds u's 4 little-endian bytes.
 	WriteUint32(u uint32)
 	// WriteUint64 adds u's 8 little-endian bytes.

@@ -14,7 +14,7 @@ func writeStream(h Hasher, rng *rand.Rand, ops int) {
 		case 0:
 			_ = h.WriteByte(byte(rng.Uint32()))
 		case 1:
-			h.WriteUint16(uint16(rng.Uint32()))
+			h.WriteFloat64sTop([]float64{rng.NormFloat64()}, 2)
 		case 2:
 			h.WriteUint32(rng.Uint32())
 		case 3:

@@ -99,23 +99,6 @@ func (s *lookup3State) WriteByte(x byte) error {
 	return nil
 }
 
-// WriteUint16 implements Hasher. It serves the top-byte writes' 2-byte
-// units while the buffer is part-filled.
-func (s *lookup3State) WriteUint16(u uint16) {
-	if s.n <= 10 {
-		s.buf[s.n] = byte(u)
-		s.buf[s.n+1] = byte(u >> 8)
-		s.n += 2
-		s.total += 2
-		if s.n == 12 {
-			s.flushFull()
-		}
-		return
-	}
-	_ = s.WriteByte(byte(u))
-	_ = s.WriteByte(byte(u >> 8))
-}
-
 // WriteUint32 implements Hasher.
 func (s *lookup3State) WriteUint32(u uint32) {
 	if s.n <= 8 {
@@ -130,8 +113,7 @@ func (s *lookup3State) WriteUint32(u uint32) {
 		}
 		return
 	}
-	s.WriteUint16(uint16(u))
-	s.WriteUint16(uint16(u >> 16))
+	s.writeTop(uint64(u), 32, 4)
 }
 
 // WriteUint64 implements Hasher.

@@ -39,7 +39,6 @@ type byteLog []byte
 func (l *byteLog) Reset()                 { *l = (*l)[:0] }
 func (l *byteLog) ResetSeed(uint64)       { l.Reset() }
 func (l *byteLog) WriteByte(b byte) error { *l = append(*l, b); return nil }
-func (l *byteLog) WriteUint16(u uint16)   { *l = binary.LittleEndian.AppendUint16(*l, u) }
 func (l *byteLog) WriteUint32(u uint32)   { *l = binary.LittleEndian.AppendUint32(*l, u) }
 func (l *byteLog) WriteUint64(u uint64)   { *l = binary.LittleEndian.AppendUint64(*l, u) }
 func (l *byteLog) WriteBytes(p []byte)    { *l = append(*l, p...) }
@@ -227,23 +226,6 @@ func TestLookup3WriteBytesMatchesWriteByte(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLookup3WriteUint16MatchesBytes(t *testing.T) {
-	for align := 0; align < 12; align++ {
-		slow, fast := New(Lookup3, 9), New(Lookup3, 9)
-		for i := 0; i < align; i++ {
-			_ = slow.WriteByte(byte(i))
-			_ = fast.WriteByte(byte(i))
-		}
-		u := uint16(0xbeef)
-		_ = slow.WriteByte(byte(u))
-		_ = slow.WriteByte(byte(u >> 8))
-		fast.WriteUint16(u)
-		if slow.Sum64() != fast.Sum64() {
-			t.Fatalf("align %d: WriteUint16 diverges from byte stream", align)
-		}
 	}
 }
 
