@@ -204,31 +204,56 @@ func BenchmarkFig9Reuse(b *testing.B) {
 // --- microbenchmarks for ATM's critical paths ---
 
 // BenchmarkHashKeyLevels measures hash-key computation cost across p
-// levels on a 256 KiB float32 input (§III-B: "the hash key computation
-// time depends linearly on the size of the data inputs").
+// levels (§III-B: "the hash key computation time depends linearly on the
+// size of the data inputs"): on a 256 KiB float32 input, and on float64
+// inputs of 80, 224 and 256 elements, the sizes of the service's
+// blackscholes, kmeans and stencil kinds, at the type-aware levels 12–15
+// the service's types settle on. Below level 15 the key hashes only the
+// sampled bytes, so it must cost no more than the level-15 row of the
+// same input. The float64 level-13 rows are gated in BENCH_9.json.
 func BenchmarkHashKeyLevels(b *testing.B) {
+	f32 := region.NewFloat32(64 * 1024)
+	for i := range f32.Data {
+		f32.Data[i] = float32(i)
+	}
 	for _, level := range []int{0, 5, 10, 13, 15} {
 		b.Run(fmt.Sprintf("level%02d_p=%g", level, sampling.PFromLevel(level)), func(b *testing.B) {
-			memo := core.New(core.Config{Mode: core.ModeFixed, FixedLevel: level})
-			rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
-			defer rt.Close()
-			in := region.NewFloat32(64 * 1024)
-			for i := range in.Data {
-				in.Data[i] = float32(i)
-			}
-			out := region.NewFloat32(1)
-			var captured *taskrt.Task
-			tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Memoize: true, Run: func(task *taskrt.Task) { captured = task }})
-			rt.Submit(tt, taskrt.In(in), taskrt.Out(out))
-			rt.Wait()
-			b.SetBytes(int64(in.NumBytes()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				memo.HashKey(captured, level)
-			}
+			benchHashKey(b, f32, level)
 		})
 	}
+	for _, n := range []int{80, 224, 256} {
+		f64 := region.NewFloat64(n)
+		for i := range f64.Data {
+			f64.Data[i] = 1 + float64(i)*0.37
+		}
+		for level := 12; level <= 15; level++ {
+			b.Run(fmt.Sprintf("f64x%d_level%02d_p=%g", n, level, sampling.PFromLevel(level)), func(b *testing.B) {
+				benchHashKey(b, f64, level)
+			})
+		}
+	}
 }
+
+// benchHashKey times memo.HashKey of one task over in at a fixed level.
+func benchHashKey(b *testing.B, in region.Region, level int) {
+	memo := core.New(core.Config{Mode: core.ModeFixed, FixedLevel: level})
+	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})
+	defer rt.Close()
+	var captured *taskrt.Task
+	tt := rt.RegisterType(taskrt.TypeConfig{Name: "t", Memoize: true, Run: func(task *taskrt.Task) { captured = task }})
+	rt.Submit(tt, taskrt.In(in), taskrt.Out(region.NewFloat64(1)))
+	rt.Wait()
+	memo.HashKey(captured, level) // build the level's selection
+	b.SetBytes(int64(in.NumBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink = memo.HashKey(captured, level)
+	}
+}
+
+// keySink keeps benchHashKey's keys live.
+var keySink uint64
 
 // BenchmarkMemoizedVsExecuted compares the cost of a memoized task
 // (hash + THT copy) with a full execution of the same task, the ratio

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkBulkHash measures the full-input (p = 100%) key computation
 // on a 256 KiB float64 region, through the real product path
-// (core.HashKey → region bulk sinks → the lookup3 block loop): the
+// (core.HashKey → region.HashWords → the lookup3 block loop): the
 // §III-B hash cost at its largest. Gated in BENCH_6.json.
 func BenchmarkBulkHash(b *testing.B) {
 	memo := core.New(core.Config{Mode: core.ModeFixed, FixedLevel: 15})
